@@ -3,9 +3,9 @@
 GO ?= go
 # BENCH_OUT is where bench-gate records the parsed benchmark trajectory;
 # override it to keep a run without clobbering the checked-in record.
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR14.json
 
-.PHONY: all build test race verify bench bench-throughput bench-gate multiproc flight fuzz pooldebug clean
+.PHONY: all build test race verify bench bench-throughput bench-gate benchmark-module multiproc flight fuzz pooldebug clean
 
 all: build test
 
@@ -30,8 +30,16 @@ verify:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/...
+	$(MAKE) benchmark-module
 	$(MAKE) bench-gate
 	$(MAKE) multiproc
+
+# benchmark/ is a module of its own (the repository benchmark builds
+# from there), so the root `go vet ./...` and `go test ./...` never
+# compile it: an exported-name change in transport, netsim or core would
+# break it silently without this step.
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The paper-table benchmarks (Tables 1, 2 and Figure 6).
 bench:
@@ -42,20 +50,20 @@ bench:
 bench-throughput:
 	$(GO) test -run xxx -bench BenchmarkThroughput -benchtime 5000x .
 
-# The batching + observability + dispatch regression gate: the 10-layer
-# two-node throughput benchmarks (batched, delta and observed included)
-# must stay at 0 allocs/op, the 8-member batched network runs must
-# coalesce >= 2 sub-packets per frame, cross-frame delta compression
-# (the member default) must cut the 8-member MACH workload's bytes/msg
-# by >= 50% against the classic frame format (with the intra-frame delta
-# point present as the ablation), turning the metrics registry + flight
+# The batching + observability + dispatch regression gate. Every harness
+# it runs drives the one wire path members use (Batcher -> 0xB9 frames ->
+# FrameWalker.WalkLink): the 10-layer two-node throughput benchmarks
+# (observed included) must stay at 0 allocs/op, the 8-member network
+# runs must coalesce >= 2 sub-packets per frame, the 8-member MACH
+# workload's bytes/msg must stay <= 0.487x the same run's computed
+# unbatched-classic cost, turning the metrics registry + flight
 # recorder on must keep >= 97% of the unobserved 8-member throughput,
 # the multi-CCP dispatch family must cut the mixed workload's
 # interpreted share to <= 0.5x the single-CCP baseline, the
 # XFrameIdentity probe must stay byte-identical between Run and
 # RunConcurrent, and the observability plane must measure latency for
-# free: histogram-instrumented (_ObsHist) benchmarks at 0 allocs/op,
-# the obs-ratio bar with live histograms, and complete causal-span
+# free: the _Obs benchmarks' live histograms at 0 allocs/op, the
+# obs-ratio bar with live histograms, and complete causal-span
 # reconstruction of the 8-member netsim run (SpanRecon, Gate 8). The
 # parsed numbers are recorded in $(BENCH_OUT).
 # The unit side runs 100x, not 1x: at one measured round, a GC landing
@@ -102,8 +110,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzXFrameWalkLink -fuzztime 10s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzXFrameRoundTrip -fuzztime 10s ./internal/transport/
 
-# A flight recording of the standard 8-member MACH delta-batched
-# workload, exported as Chrome trace_event JSON — open flight.trace.json
+# A flight recording of the standard 8-member MACH workload (members as
+# they ship), exported as Chrome trace_event JSON — open flight.trace.json
 # in Perfetto (ui.perfetto.dev) or chrome://tracing; one track per
 # member.
 flight:
@@ -116,4 +124,4 @@ pooldebug:
 clean:
 	$(GO) clean
 	rm -f ensemble.test *.prof *.pprof flight.trace.json .bench_gate_*.out .ensemble-node.bin
-	rm -rf .multiproc-artifacts
+	rm -rf .multiproc-artifacts .bench_build

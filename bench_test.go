@@ -76,47 +76,18 @@ func BenchmarkTable2a_OptimizedStack(b *testing.B) { benchCounters(b, bench.MACH
 
 // Sustained throughput: steady-state cast rounds with the transport on
 // the measured path — the regression gate for the zero-allocation data
-// path (§4, item 1: avoiding garbage-collection cycles). allocs/op and
-// B/op cover only the timed region (setup is excluded by ResetTimer);
-// the expectation for the steady state is 0 allocs/op.
+// path (§4, item 1: avoiding garbage-collection cycles). Wires take the
+// path every member's traffic takes: appended into a Batcher, flushed as
+// 0xB9 frames every 8 rounds (so data frames carry ~8 sub-packets), and
+// walked back apart by the receive link. allocs/op and B/op cover only
+// the timed region (setup is excluded by ResetTimer); the expectation
+// for the steady state is 0 allocs/op — the batcher recycles its frame
+// buffers and the link reuses its scratch.
 
-func benchThroughput(b *testing.B, cfg bench.Config, names []string, size int) {
+// runThroughput warms r up, times b.N rounds, and checks every round was
+// delivered.
+func runThroughput(b *testing.B, r *bench.ThroughputRunner) {
 	b.Helper()
-	benchThroughputRunner(b, cfg, names, size, bench.Immediate)
-}
-
-// The Batched variants put the wire batcher's frame encode and the
-// receiver's walker decode on the measured path (flushing every 8
-// rounds, so data frames carry ~8 sub-packets); the steady state must
-// stay at 0 allocs/op — the batcher recycles its frame buffers. The
-// BatchedDelta variants run the same path over the delta-compressed
-// frame format, putting the delta encode and the reconstructing decode
-// under the same zero-allocation gate.
-func benchThroughputBatched(b *testing.B, cfg bench.Config, names []string, size int) {
-	b.Helper()
-	benchThroughputRunner(b, cfg, names, size, bench.Batched)
-}
-
-func benchThroughputBatchedDelta(b *testing.B, cfg bench.Config, names []string, size int) {
-	b.Helper()
-	benchThroughputRunner(b, cfg, names, size, bench.BatchedDelta)
-}
-
-func benchThroughputRunner(b *testing.B, cfg bench.Config, names []string, size int, mode bench.BatchMode) {
-	b.Helper()
-	var r *bench.ThroughputRunner
-	var err error
-	switch mode {
-	case bench.Batched:
-		r, err = bench.NewBatchedThroughputRunner(cfg, names, size)
-	case bench.BatchedDelta:
-		r, err = bench.NewBatchedDeltaThroughputRunner(cfg, names, size)
-	default:
-		r, err = bench.NewThroughputRunner(cfg, names, size)
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
 	// Reach steady state: pools warm, windows open. The warmup runs past
 	// the 256-round housekeeping sweep boundary because the first round
 	// after a sweep regrows a pooled buffer once; measuring from round
@@ -134,6 +105,15 @@ func benchThroughputRunner(b *testing.B, cfg bench.Config, names []string, size 
 	if bs := r.BatchStats(); bs.Frames > 0 {
 		b.ReportMetric(float64(bs.SubPackets)/float64(bs.Frames), "subs/frame")
 	}
+}
+
+func benchThroughput(b *testing.B, cfg bench.Config, names []string, size int) {
+	b.Helper()
+	r, err := bench.NewThroughputRunner(cfg, names, size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runThroughput(b, r)
 }
 
 func BenchmarkThroughput_10Layer_IMP(b *testing.B) {
@@ -158,81 +138,23 @@ func BenchmarkThroughput_4Layer_HAND(b *testing.B) {
 	benchThroughput(b, bench.HAND, layers.Stack4(), 4)
 }
 
-func BenchmarkThroughput_10Layer_IMP_Batched(b *testing.B) {
-	benchThroughputBatched(b, bench.IMP, layers.Stack10(), 4)
-}
-func BenchmarkThroughput_10Layer_FUNC_Batched(b *testing.B) {
-	benchThroughputBatched(b, bench.FUNC, layers.Stack10(), 4)
-}
-func BenchmarkThroughput_10Layer_MACH_Batched(b *testing.B) {
-	benchThroughputBatched(b, bench.MACH, layers.Stack10(), 4)
-}
-func BenchmarkThroughput_4Layer_MACH_Batched(b *testing.B) {
-	benchThroughputBatched(b, bench.MACH, layers.Stack4(), 4)
-}
-func BenchmarkThroughput_4Layer_HAND_Batched(b *testing.B) {
-	benchThroughputBatched(b, bench.HAND, layers.Stack4(), 4)
-}
-func BenchmarkThroughput_10Layer_MACH_BatchedDelta(b *testing.B) {
-	benchThroughputBatchedDelta(b, bench.MACH, layers.Stack10(), 4)
-}
-func BenchmarkThroughput_10Layer_FUNC_BatchedDelta(b *testing.B) {
-	benchThroughputBatchedDelta(b, bench.FUNC, layers.Stack10(), 4)
-}
-
 // The _Obs variants run the same steady-state workload with the obs
-// substrate (metrics registry + flight recorder) live on the emit path.
-// They carry the _10Layer_ tag deliberately: the bench gate's
-// zero-allocation scan covers every 10-layer throughput benchmark, so
-// observability-on is held to the same 0 allocs/op standard as
-// observability-off (Gate 4).
-func benchThroughputObs(b *testing.B, cfg bench.Config, names []string, size int, mode bench.BatchMode) {
+// substrate (metrics registry + flight recorder + wire-size histogram)
+// live on the emit path, and assert it actually sampled the run: every
+// emitted wire lands a flight record and one log-linear bucket add
+// (member<m>/wire_bytes). They carry the _10Layer_ tag deliberately: the
+// bench gate's zero-allocation scan covers every 10-layer throughput
+// benchmark, so observability-on is held to the same 0 allocs/op
+// standard as observability-off (Gates 4 and 8).
+func benchThroughputObs(b *testing.B, cfg bench.Config, names []string, size int) {
 	b.Helper()
-	r, err := bench.NewObservedThroughputRunner(cfg, names, size, mode)
+	r, err := bench.NewObservedThroughputRunner(cfg, names, size)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.Run(520)
-	before := r.Delivered()
-	b.ReportAllocs()
-	b.ResetTimer()
-	r.Run(b.N)
-	b.StopTimer()
-	if got := r.Delivered() - before; got < b.N {
-		b.Fatalf("%d rounds but only %d deliveries", b.N, got)
-	}
+	runThroughput(b, r)
 	if r.FlightRecorder().Track(0).Total() == 0 {
 		b.Fatal("observed run recorded nothing")
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
-}
-
-func BenchmarkThroughput_10Layer_MACH_BatchedDelta_Obs(b *testing.B) {
-	benchThroughputObs(b, bench.MACH, layers.Stack10(), 4, bench.BatchedDelta)
-}
-func BenchmarkThroughput_10Layer_FUNC_Batched_Obs(b *testing.B) {
-	benchThroughputObs(b, bench.FUNC, layers.Stack10(), 4, bench.Batched)
-}
-
-// The _ObsHist variants (Gate 8) run the observed workload and then
-// assert the zero-alloc latency histograms actually sampled it: every
-// emitted wire lands one log-linear bucket add (member<m>/wire_bytes).
-// They carry the _10Layer_ tag so the zero-allocation scan (Gate 1)
-// holds the histogram-instrumented path to 0 allocs/op too.
-func benchThroughputObsHist(b *testing.B, cfg bench.Config, names []string, size int, mode bench.BatchMode) {
-	b.Helper()
-	r, err := bench.NewObservedThroughputRunner(cfg, names, size, mode)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r.Run(520)
-	before := r.Delivered()
-	b.ReportAllocs()
-	b.ResetTimer()
-	r.Run(b.N)
-	b.StopTimer()
-	if got := r.Delivered() - before; got < b.N {
-		b.Fatalf("%d rounds but only %d deliveries", b.N, got)
 	}
 	snap := r.Metrics()
 	n, ok := snap.Get("member0/wire_bytes/count")
@@ -243,15 +165,14 @@ func benchThroughputObsHist(b *testing.B, cfg bench.Config, names []string, size
 	if p99 <= 0 {
 		b.Fatalf("wire-size histogram has empty quantiles (p99=%d)", p99)
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
 	b.ReportMetric(float64(p99), "hist-p99-bytes")
 }
 
-func BenchmarkThroughput_10Layer_MACH_BatchedDelta_ObsHist(b *testing.B) {
-	benchThroughputObsHist(b, bench.MACH, layers.Stack10(), 4, bench.BatchedDelta)
+func BenchmarkThroughput_10Layer_MACH_Obs(b *testing.B) {
+	benchThroughputObs(b, bench.MACH, layers.Stack10(), 4)
 }
-func BenchmarkThroughput_10Layer_FUNC_Batched_ObsHist(b *testing.B) {
-	benchThroughputObsHist(b, bench.FUNC, layers.Stack10(), 4, bench.Batched)
+func BenchmarkThroughput_10Layer_FUNC_Obs(b *testing.B) {
+	benchThroughputObs(b, bench.FUNC, layers.Stack10(), 4)
 }
 
 // §4.2: the common-case-predicate check itself ("checking the CCPs takes
@@ -286,85 +207,52 @@ func BenchmarkAblation_MACH_InlineEffects(b *testing.B) {
 // delivery schedule (netsim.Cluster's determinism guarantee), so their
 // msgs/sec difference is pure scheduling overhead or parallel speedup.
 
-func benchThroughputNet(b *testing.B, cfg bench.Config, members, workers int) {
-	benchThroughputNetMode(b, cfg, members, workers, 64, bench.Immediate)
-}
-
-// The Batched variants run the members' wire batching with the adaptive
-// quantum (the unbatched ones run the immediate-mode ablation) on the
-// classic frame format and report the observed coalescing factor; the
-// BatchedDelta variants add delta header compression. Both report
-// bytes/msg — bytes on the wire during the data phase per application
-// cast — which is what the compression gate compares.
-func benchThroughputNetBatched(b *testing.B, cfg bench.Config, members, workers int) {
-	benchThroughputNetMode(b, cfg, members, workers, 64, bench.Batched)
-}
-
-func benchThroughputNetMode(b *testing.B, cfg bench.Config, members, workers, size int, mode bench.BatchMode) {
+func benchThroughputNet(b *testing.B, cfg bench.Config, members, workers, size int) {
 	b.Helper()
 	rounds := b.N
 	if rounds < 8 {
 		rounds = 8
 	}
-	res, err := bench.MeasureNetThroughput(cfg, layers.Stack10(), members, size, rounds, 29, workers, mode)
+	res, err := bench.MeasureNetThroughput(cfg, layers.Stack10(), members, size, rounds, 29, workers)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(res.MsgsPerSec, "msgs/sec")
 	b.ReportMetric(res.VirtualLatency, "virt-ns/delivery")
 	b.ReportMetric(float64(res.Delivered)/float64(rounds), "deliveries/round")
-	if mode != bench.Immediate {
-		b.ReportMetric(res.SubsPerFrame, "subs/frame")
-		b.ReportMetric(res.BytesPerMsg, "bytes/msg")
-	}
+	b.ReportMetric(res.SubsPerFrame, "subs/frame")
+	b.ReportMetric(res.BytesPerMsg, "bytes/msg")
+	b.ReportMetric(res.ClassicBytesPerMsg, "classic-bytes/msg")
 }
 
 func BenchmarkThroughputNet_3Members_IMP_Seq(b *testing.B) {
-	benchThroughputNet(b, bench.IMP, 3, 1)
+	benchThroughputNet(b, bench.IMP, 3, 1, 64)
 }
 func BenchmarkThroughputNet_3Members_IMP_Conc(b *testing.B) {
-	benchThroughputNet(b, bench.IMP, 3, 3)
+	benchThroughputNet(b, bench.IMP, 3, 3, 64)
 }
 func BenchmarkThroughputNet_5Members_MACH_Seq(b *testing.B) {
-	benchThroughputNet(b, bench.MACH, 5, 1)
+	benchThroughputNet(b, bench.MACH, 5, 1, 64)
 }
 func BenchmarkThroughputNet_5Members_MACH_Conc(b *testing.B) {
-	benchThroughputNet(b, bench.MACH, 5, 5)
+	benchThroughputNet(b, bench.MACH, 5, 5, 64)
 }
 func BenchmarkThroughputNet_8Members_FUNC_Seq(b *testing.B) {
-	benchThroughputNet(b, bench.FUNC, 8, 1)
+	benchThroughputNet(b, bench.FUNC, 8, 1, 64)
 }
 func BenchmarkThroughputNet_8Members_FUNC_Conc(b *testing.B) {
-	benchThroughputNet(b, bench.FUNC, 8, 8)
-}
-func BenchmarkThroughputNet_3Members_IMP_Seq_Batched(b *testing.B) {
-	benchThroughputNetBatched(b, bench.IMP, 3, 1)
-}
-func BenchmarkThroughputNet_5Members_MACH_Conc_Batched(b *testing.B) {
-	benchThroughputNetBatched(b, bench.MACH, 5, 5)
-}
-func BenchmarkThroughputNet_8Members_FUNC_Seq_Batched(b *testing.B) {
-	benchThroughputNetBatched(b, bench.FUNC, 8, 1)
-}
-func BenchmarkThroughputNet_8Members_FUNC_Conc_Batched(b *testing.B) {
-	benchThroughputNetBatched(b, bench.FUNC, 8, 8)
+	benchThroughputNet(b, bench.FUNC, 8, 8, 64)
 }
 
-// The compression gate ladder: the same 8-member MACH cast workload at
-// the minimum stamped payload (8 bytes — header-dominated wires, the
-// case delta compression exists for), classic frames vs intra-frame
-// delta vs cross-frame delta chains with adaptive flush (the member
-// default). The bench gate requires the cross-frame variant's bytes/msg
-// to come in at no more than half the classic one; the intra-frame
-// point stays in the sweep as the ablation between them.
-func BenchmarkThroughputNet_8Members_MACH_Seq_Batched(b *testing.B) {
-	benchThroughputNetMode(b, bench.MACH, 8, 1, 8, bench.Batched)
-}
-func BenchmarkThroughputNet_8Members_MACH_Seq_BatchedDelta(b *testing.B) {
-	benchThroughputNetMode(b, bench.MACH, 8, 1, 8, bench.BatchedDelta)
-}
-func BenchmarkThroughputNet_8Members_MACH_Seq_BatchedCross(b *testing.B) {
-	benchThroughputNetMode(b, bench.MACH, 8, 1, 8, bench.BatchedCross)
+// The compression gate point: the 8-member MACH cast workload at the
+// minimum stamped payload (8 bytes — header-dominated wires, the case
+// the sub grammar's elisions exist for). bytes/msg is what the members
+// put on the wire during the data phase per application cast;
+// classic-bytes/msg is the same run's yardstick — what exactly those
+// wires would have cost as unbatched classic frames. Gate 3 bounds the
+// first by a fixed fraction of the second.
+func BenchmarkThroughputNet_8Members_MACH_Seq(b *testing.B) {
+	benchThroughputNet(b, bench.MACH, 8, 1, 8)
 }
 
 // The wire-format determinism probe behind Gate 7: the 8-member MACH
@@ -401,13 +289,13 @@ func BenchmarkThroughputNet_8Members_MACH_SpanRecon(b *testing.B) {
 	b.ReportMetric(complete, "spans-complete")
 }
 
-// The observability overhead gate pair: the 8-member MACH delta-batched
-// workload run with observability off and on (full registry +
+// The observability overhead gate pair: the 8-member MACH workload run
+// with observability off and on (full registry +
 // per-member flight tracks), alternating three pairs back to back in
 // this process and taking the best of each side — a single pair's
 // ratio swings ±15% with machine load, best-of-N is the noise-robust
 // estimator of the true cost. The gate requires obs-ratio >= 0.97.
-func BenchmarkThroughputNet_8Members_MACH_Seq_BatchedDelta_Obs(b *testing.B) {
+func BenchmarkThroughputNet_8Members_MACH_Seq_Obs(b *testing.B) {
 	// Floor the per-measurement run length: a sub-100ms run's msgs/sec
 	// swings with scheduler and frequency noise far more than any real
 	// recorder cost, so the comparison needs runs long enough to
@@ -420,13 +308,13 @@ func BenchmarkThroughputNet_8Members_MACH_Seq_BatchedDelta_Obs(b *testing.B) {
 	var on bench.NetThroughput
 	for i := 0; i < 3; i++ {
 		runtime.GC() // equal heap footing for both sides of the pair
-		off, err := bench.MeasureNetThroughput(bench.MACH, layers.Stack10(), 8, 8, rounds, 29, 1, bench.BatchedDelta)
+		off, err := bench.MeasureNetThroughput(bench.MACH, layers.Stack10(), 8, 8, rounds, 29, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		runtime.GC()
 		var onErr error
-		on, onErr = bench.MeasureObservedNetThroughput(bench.MACH, layers.Stack10(), 8, 8, rounds, 29, 1, bench.BatchedDelta)
+		on, onErr = bench.MeasureObservedNetThroughput(bench.MACH, layers.Stack10(), 8, 8, rounds, 29, 1)
 		if onErr != nil {
 			b.Fatal(onErr)
 		}
@@ -551,28 +439,21 @@ func BenchmarkThroughputNet_256Members_Scale_Conc(b *testing.B) {
 	benchThroughputNetScale(b, func(w int) (bench.ScaleResult, error) { return bench.MeasureHierScale(16, 16, 3, 31, w) }, scaleConcWorkers())
 }
 
-// The UDP loopback benchmarks exercise the batched real-socket path:
-// wires cross the kernel loopback device in coalesced datagrams rather
+// The UDP loopback benchmark exercises the real-socket path: 0xB9
+// frames cross the kernel loopback device in coalesced datagrams rather
 // than the simulator. Not part of the bench gate (kernel scheduling
 // noise), but the same three metrics as the simulated runs, for
 // side-by-side reading.
-func benchThroughputUDP(b *testing.B, mode bench.BatchMode) {
-	b.Helper()
+func BenchmarkThroughputUDP(b *testing.B) {
 	msgs := b.N
 	if msgs < 64 {
 		msgs = 64
 	}
-	res, err := bench.MeasureUDPThroughput(msgs, 8, 8, mode)
+	res, err := bench.MeasureUDPThroughput(msgs, 8, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(res.MsgsPerSec, "msgs/sec")
 	b.ReportMetric(res.BytesPerMsg, "bytes/msg")
-	if mode != bench.Immediate {
-		b.ReportMetric(res.SubsPerFrame, "subs/frame")
-	}
+	b.ReportMetric(res.SubsPerFrame, "subs/frame")
 }
-
-func BenchmarkThroughputUDP_Immediate(b *testing.B)    { benchThroughputUDP(b, bench.Immediate) }
-func BenchmarkThroughputUDP_Batched(b *testing.B)      { benchThroughputUDP(b, bench.Batched) }
-func BenchmarkThroughputUDP_BatchedDelta(b *testing.B) { benchThroughputUDP(b, bench.BatchedDelta) }

@@ -1,17 +1,18 @@
 // bench-gate parses `go test -bench` output for the sustained-throughput
-// benchmarks and enforces the batching PR's regression bars:
+// benchmarks and enforces the regression bars. Every harness it reads
+// drives the one wire path members use — Batcher (0xB9 frames) into the
+// receive link — so the bars gate production bytes:
 //
-//   - every 10-layer two-node throughput benchmark (batched, delta or
-//     not) must report 0 allocs/op — the wire batcher's frame encode and
-//     the receiver's frame-walk decode live on the zero-allocation hot
-//     path;
-//   - the 8-member batched network runs must coalesce at least two
-//     sub-packets per frame on average;
-//   - cross-frame delta compression (the member default: 0xB9 chains +
-//     adaptive flush) must at least halve the 8-member MACH workload's
-//     bytes on the wire per message against the classic frame format
-//     (BatchedCross bytes/msg <= 0.5x Batched); the intra-frame delta
-//     point must be present alongside as the ablation;
+//   - every 10-layer two-node throughput benchmark must report 0
+//     allocs/op — the wire batcher's frame encode and the receive link's
+//     decode live on the zero-allocation hot path;
+//   - the 8-member network runs must coalesce at least two sub-packets
+//     per frame on average;
+//   - the wire format must pay for itself: on the 8-member MACH
+//     minimum-payload workload, bytes/msg on the wire must be at most
+//     0.487x the same run's classic-bytes/msg — what exactly those wires
+//     would have cost as unbatched classic frames (one magic byte +
+//     uvarint length + wire per sub);
 //   - observability is free enough to leave on: the _Obs unit
 //     benchmarks (registry + flight recorder live on the emit path) are
 //     held to the same 0 allocs/op bar by the 10-layer scan, and the
@@ -30,15 +31,14 @@
 //     point; the 256-member point may skip on machines under 4 cores
 //     (the skip marker must then appear in the raw output);
 //   - the stateful wire format stays deterministic: the XFrameIdentity
-//     probe (8-member MACH, cross-frame delta + adaptive flush on, a
-//     mid-run generation bump) must report identical=1 between Run and
-//     RunConcurrent;
-//   - the observability plane measures latency for free: the
-//     histogram-instrumented _ObsHist unit benchmarks must exist, sample
-//     their runs, and hold 0 allocs/op under the 10-layer scan; the
-//     obs-ratio bar must hold with live histograms; and the SpanRecon
-//     probe must map every delivered message of the 8-member netsim run
-//     to a complete causal chain (spans > 0, spans-complete = 1).
+//     probe (8-member MACH, a mid-run generation bump) must report
+//     identical=1 between Run and RunConcurrent;
+//   - the observability plane measures latency for free: the _Obs unit
+//     benchmarks' wire-size histograms must have sampled their runs
+//     (still at 0 allocs/op under the 10-layer scan); the obs-ratio bar
+//     must hold with live histograms; and the SpanRecon probe must map
+//     every delivered message of the 8-member netsim run to a complete
+//     causal chain (spans > 0, spans-complete = 1).
 //
 // It optionally records the parsed numbers as a JSON trajectory file so
 // the repository keeps a machine-readable history of the batching
@@ -49,7 +49,7 @@
 //	go test -run xxx -bench 'BenchmarkThroughput_' -benchtime 100x . > unit.out
 //	go test -run xxx -bench 'BenchmarkThroughputNet_' -benchtime 150x . > net.out
 //	go test -run xxx -bench 'BenchmarkMixedTraffic_' -benchtime 1x . > mixed.out
-//	go run ./cmd/bench-gate -unit unit.out -net net.out -mixed mixed.out -out BENCH_PR10.json
+//	go run ./cmd/bench-gate -unit unit.out -net net.out -mixed mixed.out -out BENCH_PR14.json
 package main
 
 import (
@@ -146,81 +146,70 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bench-gate: FAIL: "+format+"\n", args...)
 	}
 
-	// Gate 1: the 10-layer two-node hot path allocates nothing, batched
-	// included.
-	tenLayer, batchedUnit := 0, 0
+	// Gate 1: the 10-layer two-node hot path — stack, batcher encode,
+	// receive-link decode — allocates nothing.
+	tenLayer := 0
 	for _, name := range sortedNames(unit) {
 		if !strings.Contains(name, "_10Layer_") {
 			continue
 		}
 		tenLayer++
-		if strings.Contains(name, "Batched") {
-			batchedUnit++
-		}
 		if allocs, ok := unit[name]["allocs/op"]; !ok {
 			fail("%s reports no allocs/op (run with -benchmem or b.ReportAllocs)", name)
 		} else if allocs != 0 {
 			fail("%s allocates %.0f allocs/op, want 0", name, allocs)
 		}
+		if spf := unit[name]["subs/frame"]; spf <= 1 {
+			fail("%s reports %.2f subs/frame — the wire batcher is not on the measured path", name, spf)
+		}
 	}
-	if *unitPath != "" {
-		if tenLayer == 0 {
-			fail("no 10-layer throughput benchmarks found in %s", *unitPath)
-		}
-		if batchedUnit == 0 {
-			fail("no batched 10-layer throughput benchmarks found in %s", *unitPath)
-		}
+	if *unitPath != "" && tenLayer == 0 {
+		fail("no 10-layer throughput benchmarks found in %s", *unitPath)
 	}
 
-	// Gate 2: the 8-member batched network runs really coalesce.
-	netBatched8 := 0
+	// Gate 2: the 8-member network runs really coalesce.
+	net8 := 0
 	for _, name := range sortedNames(net) {
-		if !strings.Contains(name, "Batched") || !strings.Contains(name, "8Members") {
+		spf, ok := net[name]["subs/frame"]
+		if !ok || !strings.Contains(name, "_8Members_") {
 			continue
 		}
-		netBatched8++
-		if spf, ok := net[name]["subs/frame"]; !ok {
-			fail("%s reports no subs/frame metric", name)
-		} else if spf < 2 {
+		net8++
+		if spf < 2 {
 			fail("%s coalesced only %.2f subs/frame, want >= 2", name, spf)
 		}
 	}
-	if *netPath != "" && netBatched8 == 0 {
-		fail("no 8-member batched network benchmarks found in %s", *netPath)
+	if *netPath != "" && net8 == 0 {
+		fail("no 8-member network benchmarks reporting subs/frame found in %s", *netPath)
 	}
 
-	// Gate 3: delta compression pays on the wire — and since the
-	// cross-frame format landed, the bar is the full ladder: the member
-	// default (cross-frame delta chains + adaptive flush) must halve the
-	// classic format's bytes/msg. The gate trio is the 8-member MACH cast
-	// workload at the minimum stamped payload (the header-dominated
-	// regime compression targets), same harness all sides — only the
-	// frame format differs. The intra-frame delta point must also be
-	// present, as the ablation between the two.
-	const classicName = "BenchmarkThroughputNet_8Members_MACH_Seq_Batched"
-	const deltaName = "BenchmarkThroughputNet_8Members_MACH_Seq_BatchedDelta"
-	const crossName = "BenchmarkThroughputNet_8Members_MACH_Seq_BatchedCross"
-	bytesRatio := 0.0
-	deltaRatio := 0.0
+	// Gate 3: the wire format pays for itself. The gate point is the
+	// 8-member MACH cast workload at the minimum stamped payload (the
+	// header-dominated regime compression targets); its bytes/msg must be
+	// at most wireRatioBar times the same run's classic-bytes/msg — what
+	// exactly the wires it appended would have cost as unbatched classic
+	// frames. The bar continues the one it replaces (<= 0.5x a
+	// separately measured batched-classic run: 0.5 x 61.33 = 30.67
+	// bytes/msg on this workload at 699768e, measured 29.94): the computed
+	// yardstick reads 62.95 on the same seeded run, so 0.487x admits
+	// 30.66 bytes/msg — no more than before.
+	const wireName = "BenchmarkThroughputNet_8Members_MACH_Seq"
+	const wireRatioBar = 0.487
+	bytesRatio, wireBytes, classicBytes := 0.0, 0.0, 0.0
 	if *netPath != "" {
-		classic, okC := net[classicName]["bytes/msg"]
-		delta, okD := net[deltaName]["bytes/msg"]
-		cross, okX := net[crossName]["bytes/msg"]
+		var okW, okC bool
+		wireBytes, okW = net[wireName]["bytes/msg"]
+		classicBytes, okC = net[wireName]["classic-bytes/msg"]
 		switch {
-		case !okC:
-			fail("%s reports no bytes/msg metric", classicName)
-		case !okD:
-			fail("%s reports no bytes/msg metric", deltaName)
-		case !okX:
-			fail("%s reports no bytes/msg metric", crossName)
-		case classic <= 0:
-			fail("%s reports %.2f bytes/msg — nothing on the wire?", classicName, classic)
+		case !okW || !okC:
+			fail("%s reports no bytes/msg and classic-bytes/msg metrics", wireName)
+		case classicBytes <= 0:
+			fail("%s reports %.2f classic-bytes/msg — nothing appended?", wireName, classicBytes)
 		default:
-			deltaRatio = delta / classic
-			bytesRatio = cross / classic
-			if bytesRatio > 0.5 {
-				fail("cross-frame delta saved only %.1f%% bytes/msg (%.2f vs %.2f), want >= 50%%",
-					(1-bytesRatio)*100, cross, classic)
+			bytesRatio = wireBytes / classicBytes
+			if bytesRatio > wireRatioBar {
+				fail("wire format costs %.2f bytes/msg against %.2f unbatched-classic (ratio %.3f), want <= %.2f",
+					wireBytes, classicBytes, bytesRatio, wireRatioBar)
 			}
 		}
 	}
@@ -231,7 +220,7 @@ func main() {
 	// allocs/op. Here we require that they exist (so the scan cannot be
 	// dodged by deleting them) and that the observed 8-member network
 	// run kept at least 97% of the unobserved throughput.
-	const obsNetName = "BenchmarkThroughputNet_8Members_MACH_Seq_BatchedDelta_Obs"
+	const obsNetName = "BenchmarkThroughputNet_8Members_MACH_Seq_Obs"
 	obsRatio := 0.0
 	obsUnit := 0
 	for _, name := range sortedNames(unit) {
@@ -361,9 +350,9 @@ func main() {
 	}
 
 	// Gate 8: the observability plane measures latency, not just counts.
-	// Three legs: (a) the histogram-instrumented _ObsHist unit benchmarks
-	// exist (the _10Layer_ tag already holds them to 0 allocs/op in Gate
-	// 1) and their histograms sampled the run (hist-p99-bytes > 0);
+	// Three legs: (a) the _Obs unit benchmarks' wire-size histograms
+	// sampled the run (hist-p99-bytes > 0; the _10Layer_ tag already holds
+	// them to 0 allocs/op in Gate 1, and Gate 4 requires that they exist);
 	// (b) the obs-ratio bar of Gate 4 still holds now that the observed
 	// runners carry live histograms — re-asserted here so a Gate 4
 	// regression under histograms reads as a Gate 8 failure too; (c) the
@@ -372,18 +361,13 @@ func main() {
 	// every receive, every ordered delivery).
 	const spanReconName = "BenchmarkThroughputNet_8Members_MACH_SpanRecon"
 	spanCount := 0.0
-	obsHistUnit := 0
 	for _, name := range sortedNames(unit) {
-		if !strings.Contains(name, "_10Layer_") || !strings.HasSuffix(name, "_ObsHist") {
+		if !strings.Contains(name, "_10Layer_") || !strings.HasSuffix(name, "_Obs") {
 			continue
 		}
-		obsHistUnit++
 		if p99, ok := unit[name]["hist-p99-bytes"]; !ok || p99 <= 0 {
 			fail("%s histogram sampled nothing (hist-p99-bytes=%.0f)", name, p99)
 		}
-	}
-	if *unitPath != "" && obsHistUnit == 0 {
-		fail("no histogram-instrumented (_ObsHist) 10-layer throughput benchmarks found in %s", *unitPath)
 	}
 	if *netPath != "" {
 		if obsRatio > 0 && obsRatio < 0.97 {
@@ -406,38 +390,37 @@ func main() {
 
 	if *outPath != "" {
 		doc := map[string]any{
-			"pr":    10,
-			"title": "Causal cross-member tracing, zero-alloc latency histograms, and a live telemetry plane",
+			"pr":    14,
+			"title": "One wire path: 0xB9 is the only frame format, FrameWalker the only receive link",
 			"date":  time.Now().Format("2006-01-02"),
 			"method": "make bench-gate: go test -run xxx -bench BenchmarkThroughput_ -benchtime 100x (alloc gate), " +
-				"-bench BenchmarkThroughputNet_ -benchtime 150x (coalescing + compression + obs-overhead + scaling gates; " +
+				"-bench BenchmarkThroughputNet_ -benchtime 150x (coalescing + wire-cost + obs-overhead + scaling gates; " +
 				"the _Scale_ points run fixed round counts and the 256-member point skips under 4 cores unless " +
 				"ENSEMBLE_SCALE_FORCE=1), and -bench BenchmarkMixedTraffic_ -benchtime 1x (dispatch-share gate); " +
-				"parsed by cmd/bench-gate",
+				"parsed by cmd/bench-gate. Every harness drives Batcher (0xB9 frames) -> FrameWalker.WalkLink.",
 			"gates": map[string]any{
-				"ten_layer_allocs_op":          0,
-				"net_8members_subs_per_frame":  ">= 2",
-				"xframe_bytes_per_msg_ratio":   "<= 0.5",
-				"measured_bytes_per_msg_ratio": bytesRatio,
-				"measured_delta_ratio":         deltaRatio,
-				"xframe_identical":             1,
-				"obs_throughput_ratio":         ">= 0.97",
-				"measured_obs_ratio":           obsRatio,
-				"interp_share_ratio":           "<= 0.5",
-				"measured_interp_share_ratio":  interpRatio,
-				"ten_layer_benchmarks":         tenLayer,
-				"batched_unit_benchmarks":      batchedUnit,
-				"observed_unit_benchmarks":     obsUnit,
-				"batched_8member_net_variants": netBatched8,
-				"scale_identical":              1,
-				"scale_per_member_floor_64":    0.003,
-				"scale_per_member_floor_256":   0.00003,
-				"measured_scale_ratios":        scaleRatios,
-				"scale_points":                 scalePoints,
-				"scale_256_skipped":            scale256Skipped,
-				"obshist_unit_benchmarks":      obsHistUnit,
-				"span_recon_complete":          1,
-				"measured_span_count":          spanCount,
+				"ten_layer_allocs_op":            0,
+				"net_8members_subs_per_frame":    ">= 2",
+				"wire_bytes_vs_classic_ratio":    fmt.Sprintf("<= %.3f", wireRatioBar),
+				"measured_bytes_per_msg":         wireBytes,
+				"computed_classic_bytes_per_msg": classicBytes,
+				"measured_bytes_per_msg_ratio":   bytesRatio,
+				"xframe_identical":               1,
+				"obs_throughput_ratio":           ">= 0.97",
+				"measured_obs_ratio":             obsRatio,
+				"interp_share_ratio":             "<= 0.5",
+				"measured_interp_share_ratio":    interpRatio,
+				"ten_layer_benchmarks":           tenLayer,
+				"observed_unit_benchmarks":       obsUnit,
+				"net_8member_benchmarks":         net8,
+				"scale_identical":                1,
+				"scale_per_member_floor_64":      0.003,
+				"scale_per_member_floor_256":     0.00003,
+				"measured_scale_ratios":          scaleRatios,
+				"scale_points":                   scalePoints,
+				"scale_256_skipped":              scale256Skipped,
+				"span_recon_complete":            1,
+				"measured_span_count":            spanCount,
 			},
 			"throughput":     unit,
 			"net_throughput": net,
@@ -460,8 +443,8 @@ func main() {
 	if scale256Skipped {
 		scale256 = "skipped (<4 cores)"
 	}
-	fmt.Printf("bench-gate: OK (%d ten-layer benchmarks at 0 allocs/op incl. %d observed and %d histogram-instrumented, %d batched 8-member net runs >= 2 subs/frame, xframe bytes/msg ratio %.3f (intra-delta %.3f), obs-ratio %.3f, interp-share ratio %.3f, %d scale points identical, xframe identity OK, %.0f causal spans complete, 256-member point %s)\n",
-		tenLayer, obsUnit, obsHistUnit, netBatched8, bytesRatio, deltaRatio, obsRatio, interpRatio, scalePoints, spanCount, scale256)
+	fmt.Printf("bench-gate: OK (%d ten-layer benchmarks at 0 allocs/op incl. %d observed with live histograms, %d 8-member net runs >= 2 subs/frame, wire %.2f bytes/msg = %.3fx unbatched classic %.2f, obs-ratio %.3f, interp-share ratio %.3f, %d scale points identical, xframe identity OK, %.0f causal spans complete, 256-member point %s)\n",
+		tenLayer, obsUnit, net8, wireBytes, bytesRatio, classicBytes, obsRatio, interpRatio, scalePoints, spanCount, scale256)
 }
 
 func fatal(format string, args ...any) {

@@ -12,7 +12,7 @@
 //
 // Tables: 1a, 1b, fig6, 2a, 2b, e2e, ccp, theorems, wire, wire64, obs, scale, latency, all.
 //
-// -flight runs the standard 8-member MACH delta-batched workload with
+// -flight runs the standard 8-member MACH workload with
 // the flight recorder on and writes the Chrome trace_event JSON (load
 // it in Perfetto or chrome://tracing; one track per member). -metrics
 // prints the unified metrics snapshot of that same run — or, without
@@ -32,7 +32,7 @@ import (
 )
 
 // flightMembers/flightRounds shape the workload behind -flight and
-// -metrics: big enough to exercise batching, delta compression, and the
+// -metrics: big enough to exercise batching, wire compression, and the
 // MACH bypass, small enough to finish in about a second.
 const (
 	flightMembers = 8
@@ -114,7 +114,7 @@ func runObserved(flightPath string, metrics bool) error {
 			res.Recorder.Members(), total, flightPath)
 	}
 	if metrics {
-		fmt.Println("Unified metrics snapshot, 8-member MACH delta-batched run:")
+		fmt.Println("Unified metrics snapshot, 8-member MACH run:")
 		fmt.Println(res.Metrics)
 	}
 	return nil
@@ -138,16 +138,16 @@ func runTables(table string, rounds int) {
 		{"e2e", func() (string, error) { return bench.E2ETable(rounds) }},
 		{"ccp", func() (string, error) { return bench.CCPTable(rounds) }},
 		{"theorems", func() (string, error) { return bench.TheoremListing(layers.Stack10(), 0, 2) }},
-		// The wire table drives rounds cast rounds per mode; the paper
-		// default of 10,000 is sized for code-latency sampling, so the
-		// wire ladder caps it to keep `-table all` quick.
+		// The wire table drives rounds cast rounds; the paper default of
+		// 10,000 is sized for code-latency sampling, so it caps them to
+		// keep `-table all` quick.
 		{"wire", func() (string, error) { return bench.WireTable(min(rounds, 2000)) }},
-		// wire64 is the same ladder at 64 members — the scale point of
+		// wire64 is the same table at 64 members — the scale point of
 		// the EXPERIMENTS.md bytes-on-wire tables; fewer rounds, since
 		// every cast fans out to 63 receivers.
 		{"wire64", func() (string, error) { return bench.WireTableAt(64, min(rounds, 400)) }},
 		// The obs table measures the observability overhead (recorder
-		// on/off across the wire modes); like wire, it caps the rounds.
+		// off, then on); like wire, it caps the rounds.
 		{"obs", func() (string, error) { return bench.ObsOverheadTable(min(rounds, 20000)) }},
 		// The scale table sweeps member counts 16/64/256 (flat, flat,
 		// hierarchical 16x16) and compares flat vs tree membership

@@ -13,11 +13,11 @@ import (
 func TestNetThroughputConcurrent(t *testing.T) {
 	for _, cfg := range []Config{IMP, FUNC, MACH} {
 		t.Run(cfg.String(), func(t *testing.T) {
-			conc, err := MeasureNetThroughput(cfg, layers.Stack10(), 5, 64, 40, 17, 5, BatchedDelta)
+			conc, err := MeasureNetThroughput(cfg, layers.Stack10(), 5, 64, 40, 17, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := MeasureNetThroughput(cfg, layers.Stack10(), 5, 64, 40, 17, 1, BatchedDelta)
+			seq, err := MeasureNetThroughput(cfg, layers.Stack10(), 5, 64, 40, 17, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,36 +40,31 @@ func TestNetThroughputConcurrent(t *testing.T) {
 // TestNetThroughputRejectsBadShapes: unsupported configs and degenerate
 // group sizes fail loudly instead of measuring nonsense.
 func TestNetThroughputRejectsBadShapes(t *testing.T) {
-	if _, err := MeasureNetThroughput(HAND, layers.Stack4(), 4, 8, 4, 1, 1, Immediate); err == nil {
+	if _, err := MeasureNetThroughput(HAND, layers.Stack4(), 4, 8, 4, 1, 1); err == nil {
 		t.Fatal("HAND has no N-member harness but was accepted")
 	}
-	if _, err := MeasureNetThroughput(IMP, layers.Stack10(), 1, 8, 4, 1, 1, Immediate); err == nil {
+	if _, err := MeasureNetThroughput(IMP, layers.Stack10(), 1, 8, 4, 1, 1); err == nil {
 		t.Fatal("1-member group was accepted")
 	}
 }
 
-// TestNetThroughputBatchedCoalesces: at 8 members with the adaptive
-// quantum on, the batched run must actually coalesce — at least two
-// sub-packets per frame on average (the PR's acceptance bar) — while
-// the immediate-mode ablation stays at exactly one. 150 rounds keeps
-// the run data-dominated; the fixed 2 s stability tail is mostly
-// lonely gossip frames and would dilute the factor on a short run.
-func TestNetThroughputBatchedCoalesces(t *testing.T) {
-	batched, err := MeasureNetThroughput(IMP, layers.Stack10(), 8, 64, 150, 29, 1, Batched)
+// TestNetThroughputCoalesces: at 8 members with the adaptive quantum
+// on, the run must actually coalesce — at least two sub-packets per
+// frame on average (the batching acceptance bar) — and put fewer bytes
+// on the wire than the same wires would cost as unbatched classic
+// frames. 150 rounds keeps the run data-dominated; the fixed 2 s
+// stability tail is mostly lonely gossip frames and would dilute the
+// factor on a short run.
+func TestNetThroughputCoalesces(t *testing.T) {
+	res, err := MeasureNetThroughput(IMP, layers.Stack10(), 8, 64, 150, 29, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batched.SubsPerFrame < 2 {
-		t.Fatalf("batched 8-member run coalesced only %.2f subs/frame, want >= 2", batched.SubsPerFrame)
+	if res.SubsPerFrame < 2 {
+		t.Fatalf("8-member run coalesced only %.2f subs/frame, want >= 2", res.SubsPerFrame)
 	}
-	ablated, err := MeasureNetThroughput(IMP, layers.Stack10(), 8, 64, 150, 29, 1, Immediate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ablated.SubsPerFrame != 1 {
-		t.Fatalf("immediate-mode ablation shows %.2f subs/frame, want exactly 1", ablated.SubsPerFrame)
-	}
-	if batched.Delivered != ablated.Delivered {
-		t.Fatalf("batching changed deliveries: %d vs %d", batched.Delivered, ablated.Delivered)
+	if res.ClassicBytesPerMsg <= 0 || res.BytesPerMsg >= res.ClassicBytesPerMsg {
+		t.Fatalf("%.2f bytes/msg on the wire against an unbatched-classic yardstick of %.2f",
+			res.BytesPerMsg, res.ClassicBytesPerMsg)
 	}
 }

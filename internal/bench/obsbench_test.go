@@ -58,10 +58,10 @@ func TestWriteFlightTraceChromeJSON(t *testing.T) {
 	}
 }
 
-// TestMeasureObsOverheadShape runs one tiny overhead cell and checks
+// TestMeasureObsOverheadShape runs one tiny overhead pair and checks
 // both sides measured the same workload.
 func TestMeasureObsOverheadShape(t *testing.T) {
-	o, err := MeasureObsOverhead(Batched, 200)
+	o, err := MeasureObsOverhead(200)
 	if err != nil {
 		t.Fatal(err)
 	}

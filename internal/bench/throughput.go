@@ -23,35 +23,6 @@ import (
 // avoiding garbage-collection cycles): the steady-state data path is
 // expected to run allocation-free.
 
-// BatchMode selects how outgoing wires reach the network in a measured
-// run — the wire-format ladder, one rung per mode: one transmission per
-// wire (Immediate — the ablation), classic coalesced frames (Batched),
-// intra-frame delta-compressed frames (BatchedDelta — see
-// transport/delta.go), or cross-frame delta with generation-tagged
-// per-peer state plus the adaptive flush controller (BatchedCross, the
-// production default for members — see transport/xframe.go).
-type BatchMode int
-
-const (
-	Immediate BatchMode = iota
-	Batched
-	BatchedDelta
-	BatchedCross
-)
-
-func (m BatchMode) String() string {
-	switch m {
-	case Batched:
-		return "batched"
-	case BatchedDelta:
-		return "batched+delta"
-	case BatchedCross:
-		return "batched+xframe"
-	default:
-		return "immediate"
-	}
-}
-
 // ThroughputRunner drives steady-state cast rounds between a rank-0
 // sender and a rank-1 receiver under one configuration. Construction
 // (stack build, bypass compilation) is separated from Run so benchmarks
@@ -65,14 +36,11 @@ type ThroughputRunner struct {
 	sweep  func(now int64)
 	rounds int
 
-	// Batched modes: outgoing wires coalesce in per-member Batchers that
-	// are flushed every flushEvery rounds (and at the end of every Run),
-	// putting the frame encode and the walker decode on the measured
-	// path. flush drains both members until neither has pending frames.
-	mode       BatchMode
-	flushEvery int
-	flush      func()
-	batchStats func() transport.BatcherStats
+	// Outgoing wires coalesce in per-member Batchers that are flushed
+	// every flushEvery rounds (and at the end of every Run), so the frame
+	// encode and the receive link's decode — the path every member's
+	// traffic takes — are on the measured path.
+	batch [2]*transport.Batcher
 
 	// Observed runners carry the full obs substrate on the measured
 	// path: every emitted wire bumps a registry counter and lands a
@@ -84,8 +52,6 @@ type ThroughputRunner struct {
 	obsOut  [2]*obs.Counter
 	obsHist [2]*obs.Histogram
 }
-
-func (r *ThroughputRunner) batched() bool { return r.mode != Immediate }
 
 // wirePump moves marshaled packets between the two members without
 // recursion: a send snapshots the wire into a recycled buffer (the
@@ -131,41 +97,25 @@ func (p *wirePump) send(to int, wire []byte) {
 	p.active = false
 }
 
+// flushEvery is the explicit flush cadence in rounds: 8 gives the steady
+// state a real coalescing factor (~8 subs per data frame) while keeping
+// flow-control feedback timely.
+const flushEvery = 8
+
 // NewThroughputRunner builds the two-member system for cfg.
 func NewThroughputRunner(cfg Config, names []string, size int) (*ThroughputRunner, error) {
-	return newThroughputRunner(cfg, names, size, Immediate)
-}
-
-// NewBatchedThroughputRunner builds the two-member system with wire
-// batching on the measured path: wires append into per-member Batchers
-// and frames are walked back apart at the receiver. Flushing every 8
-// rounds gives the steady state a real coalescing factor (≥ 8 subs per
-// data frame) while keeping flow-control feedback timely.
-func NewBatchedThroughputRunner(cfg Config, names []string, size int) (*ThroughputRunner, error) {
-	return newThroughputRunner(cfg, names, size, Batched)
-}
-
-// NewBatchedDeltaThroughputRunner is NewBatchedThroughputRunner with the
-// delta-compressed frame format, putting the delta encode and the
-// reconstructing walker decode on the measured path. The harness's bare
-// wires carry no epoch prefix, so the codec runs with prefix arity 0.
-func NewBatchedDeltaThroughputRunner(cfg Config, names []string, size int) (*ThroughputRunner, error) {
-	return newThroughputRunner(cfg, names, size, BatchedDelta)
+	return newThroughputRunner(cfg, names, size, false)
 }
 
 // NewObservedThroughputRunner builds the two-member system with the
 // metrics registry and flight recorder wired onto the emit path (see
-// ThroughputRunner.obsReg). mode selects the wire path as usual.
-func NewObservedThroughputRunner(cfg Config, names []string, size int, mode BatchMode) (*ThroughputRunner, error) {
-	return newObservedThroughputRunner(cfg, names, size, mode, true)
+// ThroughputRunner.obsReg).
+func NewObservedThroughputRunner(cfg Config, names []string, size int) (*ThroughputRunner, error) {
+	return newThroughputRunner(cfg, names, size, true)
 }
 
-func newThroughputRunner(cfg Config, names []string, size int, mode BatchMode) (*ThroughputRunner, error) {
-	return newObservedThroughputRunner(cfg, names, size, mode, false)
-}
-
-func newObservedThroughputRunner(cfg Config, names []string, size int, mode BatchMode, observed bool) (*ThroughputRunner, error) {
-	r := &ThroughputRunner{cfg: cfg, payload: make([]byte, size), mode: mode, flushEvery: 8}
+func newThroughputRunner(cfg Config, names []string, size int, observed bool) (*ThroughputRunner, error) {
+	r := &ThroughputRunner{cfg: cfg, payload: make([]byte, size)}
 	if observed {
 		// The registry and recorder must exist before init*, because the
 		// emit closures (where the instrumentation hangs) are captured
@@ -212,71 +162,61 @@ type pumpSink struct{ pump *wirePump }
 func (s pumpSink) Send(from, to event.Addr, data []byte) { s.pump.send(int(to), data) }
 func (s pumpSink) Cast(from event.Addr, data []byte)     { s.pump.send(1-int(from), data) }
 
-// emitters returns the per-member wire emitters and installs the flush
-// hook: direct pump sends when unbatched, per-member Batchers when
-// batched. flush alternates the two members until neither has pending
-// frames, because flushing one member's frames can make the other emit
-// (acknowledgments, credit).
+// emitters builds the members' Batchers and returns the per-member wire
+// emitters that append into them.
 func (r *ThroughputRunner) emitters(pump *wirePump) [2]func(to int, wire []byte) {
-	emit := r.rawEmitters(pump)
-	if r.obsReg == nil {
-		return emit
-	}
-	// Observed runner: count, flight-record, and histogram every emitted
-	// wire. All three operations are allocation-free (atomic adds,
-	// fixed-ring store, fixed-bucket add), so the observed hot path
-	// stays at 0 allocs/op — that is the point.
+	var emit [2]func(to int, wire []byte)
 	for m := range emit {
-		inner := emit[m]
-		cnt := r.obsOut[m]
-		hist := r.obsHist[m]
-		trk := r.obsRec.Track(m)
+		// Bare wires: no epoch prefix, so the default prefix arity 0.
+		b := transport.NewBatcher(pumpSink{pump: pump}, event.Addr(m), 0)
+		r.batch[m] = b
+		emit[m] = func(to int, wire []byte) { b.Send(event.Addr(to), wire) }
+		if r.obsReg == nil {
+			continue
+		}
+		// Observed runner: count, flight-record, and histogram every
+		// emitted wire. All three operations are allocation-free (atomic
+		// adds, fixed-ring store, fixed-bucket add), so the observed hot
+		// path stays at 0 allocs/op — that is the point.
+		cnt, hist, trk := r.obsOut[m], r.obsHist[m], r.obsRec.Track(m)
 		emit[m] = func(to int, wire []byte) {
 			cnt.Inc()
 			hist.Observe(int64(len(wire)))
 			trk.Record(int64(r.rounds), obs.KindPktOut, obs.DirDn, 0, cnt.Load())
-			inner(to, wire)
+			b.Send(event.Addr(to), wire)
 		}
 	}
 	return emit
 }
 
-func (r *ThroughputRunner) rawEmitters(pump *wirePump) [2]func(to int, wire []byte) {
-	var emit [2]func(to int, wire []byte)
-	if !r.batched() {
-		for m := range emit {
-			emit[m] = func(to int, wire []byte) { pump.send(to, wire) }
-		}
-		r.flush = func() {}
-		r.batchStats = func() transport.BatcherStats { return transport.BatcherStats{} }
-		return emit
+// flush alternates the two members until neither has pending frames,
+// because flushing one member's frames can make the other emit
+// (acknowledgments, credit).
+func (r *ThroughputRunner) flush() {
+	for r.batch[0].Pending()+r.batch[1].Pending() > 0 {
+		r.batch[0].Flush()
+		r.batch[1].Flush()
 	}
-	var batch [2]*transport.Batcher
-	for m := range batch {
+}
+
+// newPump builds the in-process perfect link: frames the members'
+// batchers flush are queued, then handed to one receive link that fans
+// each back out into deliver calls, one per sub. The link runs in
+// scratch mode: the pump already requires receivers to consume (or
+// copy) a wire during delivery, so reconstructed subs may share one
+// recycled buffer — keeping the path at 0 allocs.
+func newPump(deliver func(to int, sub []byte)) *wirePump {
+	link := transport.NewFrameWalker(0, false)
+	var subTo [2]func(sub []byte)
+	for m := range subTo {
 		m := m
-		batch[m] = transport.NewBatcher(pumpSink{pump: pump}, event.Addr(m), 0)
-		if r.mode == BatchedDelta {
-			batch[m].EnableDelta(0) // bare wires: no epoch prefix
-		}
-		emit[m] = func(to int, wire []byte) { batch[m].Send(event.Addr(to), wire) }
+		subTo[m] = func(sub []byte) { deliver(m, sub) }
 	}
-	r.flush = func() {
-		for batch[0].Pending()+batch[1].Pending() > 0 {
-			batch[0].Flush()
-			batch[1].Flush()
+	return &wirePump{deliver: func(to int, frame []byte) {
+		if resync, _ := link.WalkLink(event.Addr(1-to), event.Addr(to), frame, subTo[to]); resync != nil {
+			panic("bench: a frame missed its base on the lossless FIFO pump")
 		}
-	}
-	r.batchStats = func() transport.BatcherStats {
-		a, b := batch[0].Stats(), batch[1].Stats()
-		return transport.BatcherStats{
-			SubPackets: a.SubPackets + b.SubPackets,
-			Frames:     a.Frames + b.Frames,
-			Flushes:    a.Flushes + b.Flushes,
-			DeltaSubs:  a.DeltaSubs + b.DeltaSubs,
-			FrameBytes: a.FrameBytes + b.FrameBytes,
-		}
-	}
-	return emit
+	}}
 }
 
 // initStacks wires two plain stacks back to back over an in-process
@@ -286,29 +226,13 @@ func (r *ThroughputRunner) rawEmitters(pump *wirePump) [2]func(to int, wire []by
 func (r *ThroughputRunner) initStacks(names []string, mode stack.Mode) error {
 	var stks [2]stack.Stack
 	var wbufs [2]transport.Writer
-	var walk [2]func(sub []byte)
-	deliverOne := func(to int, wire []byte) {
+	pump := newPump(func(to int, wire []byte) {
 		up, err := transport.Unmarshal(wire)
 		if err != nil {
 			panic(fmt.Sprintf("bench: unmarshal: %v", err))
 		}
 		stks[to].DeliverUp(up)
-	}
-	// Ephemeral scratch walker: the pump already requires receivers to
-	// consume (or copy) a wire during delivery, so reconstructed delta
-	// subs may share one recycled buffer — keeping the path at 0 allocs.
-	wk := transport.NewFrameWalker(0, false)
-	pump := &wirePump{deliver: func(to int, wire []byte) {
-		if transport.IsFrame(wire) {
-			wk.Walk(wire, walk[to])
-			return
-		}
-		deliverOne(to, wire)
-	}}
-	for m := 0; m < 2; m++ {
-		m := m
-		walk[m] = func(sub []byte) { deliverOne(m, sub) }
-	}
+	})
 	emit := r.emitters(pump)
 	for m := 0; m < 2; m++ {
 		m := m
@@ -344,19 +268,7 @@ func (r *ThroughputRunner) initStacks(names []string, mode stack.Mode) error {
 
 func (r *ThroughputRunner) initMach(names []string) error {
 	var engs [2]*opt.Engine
-	var walk [2]func(sub []byte)
-	wk := transport.NewFrameWalker(0, false)
-	pump := &wirePump{deliver: func(to int, wire []byte) {
-		if transport.IsFrame(wire) {
-			wk.Walk(wire, walk[to])
-			return
-		}
-		engs[to].Packet(wire)
-	}}
-	for m := 0; m < 2; m++ {
-		m := m
-		walk[m] = func(sub []byte) { engs[m].Packet(sub) }
-	}
+	pump := newPump(func(to int, wire []byte) { engs[to].Packet(wire) })
 	emit := r.emitters(pump)
 	for m := 0; m < 2; m++ {
 		m := m
@@ -384,19 +296,7 @@ func (r *ThroughputRunner) initMach(names []string) error {
 
 func (r *ThroughputRunner) initHand() error {
 	var hands [2]*layers.HandEngine
-	var walk [2]func(sub []byte)
-	wk := transport.NewFrameWalker(0, false)
-	pump := &wirePump{deliver: func(to int, wire []byte) {
-		if transport.IsFrame(wire) {
-			wk.Walk(wire, walk[to])
-			return
-		}
-		hands[to].Packet(wire)
-	}}
-	for m := 0; m < 2; m++ {
-		m := m
-		walk[m] = func(sub []byte) { hands[m].Packet(sub) }
-	}
+	pump := newPump(func(to int, wire []byte) { hands[to].Packet(wire) })
 	emit := r.emitters(pump)
 	for m := 0; m < 2; m++ {
 		m := m
@@ -424,31 +324,31 @@ func (r *ThroughputRunner) initHand() error {
 
 // Run drives n cast rounds, sweeping the housekeeping timers every 256
 // rounds as the latency harness does (stability gossip keeps the
-// retransmission buffers garbage-collected during long runs). In
-// batched mode the batchers flush every flushEvery rounds and once more
-// at the end, so every submitted round is delivered before Run returns.
+// retransmission buffers garbage-collected during long runs). The
+// batchers flush every flushEvery rounds and once more at the end, so
+// every submitted round is delivered before Run returns.
 func (r *ThroughputRunner) Run(n int) {
 	for i := 0; i < n; i++ {
 		r.submit()
 		r.rounds++
-		if r.batched() && r.rounds%r.flushEvery == 0 {
+		if r.rounds%flushEvery == 0 {
 			r.flush()
 		}
 		if r.rounds%256 == 0 {
 			r.sweep(int64(r.rounds) * int64(1e6))
-			if r.batched() {
-				r.flush()
-			}
+			r.flush()
 		}
 	}
-	if r.batched() {
-		r.flush()
-	}
+	r.flush()
 }
 
 // BatchStats reports the aggregate batching counters across both
-// members (zero when the runner is unbatched).
-func (r *ThroughputRunner) BatchStats() transport.BatcherStats { return r.batchStats() }
+// members.
+func (r *ThroughputRunner) BatchStats() transport.BatcherStats {
+	s := r.batch[0].Stats()
+	s.Add(r.batch[1].Stats())
+	return s
+}
 
 // Delivered reports application deliveries observed so far (two per
 // round for stacks with self-delivery, one otherwise).
@@ -483,11 +383,8 @@ type Throughput struct {
 	AllocsPerMsg     float64
 	AllocBytesPerMsg float64
 	GCCycles         uint32
-	// Mode reports how wires reached the pump; SubsPerFrame is the
-	// observed coalescing factor (0 when unbatched). In the batched
-	// modes BytesPerMsg is frame bytes on the wire per cast round —
-	// the figure delta compression (BatchedDelta) shrinks.
-	Mode         BatchMode
+	// SubsPerFrame is the observed coalescing factor; BytesPerMsg is
+	// frame bytes on the wire per cast round.
 	SubsPerFrame float64
 	BytesPerMsg  float64
 }
@@ -497,34 +394,18 @@ type Throughput struct {
 // A warmup of 512 rounds runs first so pools and windows reach steady
 // state before the bracketed measurement.
 func MeasureThroughput(cfg Config, names []string, size, rounds int) (Throughput, error) {
-	return measureThroughput(cfg, names, size, rounds, Immediate)
+	return measureThroughput(cfg, names, size, rounds, false)
 }
 
-// MeasureBatchedThroughput is MeasureThroughput with wire batching on
-// the measured path (see NewBatchedThroughputRunner).
-func MeasureBatchedThroughput(cfg Config, names []string, size, rounds int) (Throughput, error) {
-	return measureThroughput(cfg, names, size, rounds, Batched)
-}
-
-// MeasureBatchedDeltaThroughput is MeasureBatchedThroughput over the
-// delta-compressed frame format.
-func MeasureBatchedDeltaThroughput(cfg Config, names []string, size, rounds int) (Throughput, error) {
-	return measureThroughput(cfg, names, size, rounds, BatchedDelta)
-}
-
-// MeasureObservedThroughput is measureThroughput with the obs substrate
+// MeasureObservedThroughput is MeasureThroughput with the obs substrate
 // (registry + flight recorder) live on the emit path — the overhead
 // configuration Gate 4 compares against the unobserved figures.
-func MeasureObservedThroughput(cfg Config, names []string, size, rounds int, mode BatchMode) (Throughput, error) {
-	return measureThroughputObs(cfg, names, size, rounds, mode, true)
+func MeasureObservedThroughput(cfg Config, names []string, size, rounds int) (Throughput, error) {
+	return measureThroughput(cfg, names, size, rounds, true)
 }
 
-func measureThroughput(cfg Config, names []string, size, rounds int, mode BatchMode) (Throughput, error) {
-	return measureThroughputObs(cfg, names, size, rounds, mode, false)
-}
-
-func measureThroughputObs(cfg Config, names []string, size, rounds int, mode BatchMode, observed bool) (Throughput, error) {
-	r, err := newObservedThroughputRunner(cfg, names, size, mode, observed)
+func measureThroughput(cfg Config, names []string, size, rounds int, observed bool) (Throughput, error) {
+	r, err := newThroughputRunner(cfg, names, size, observed)
 	if err != nil {
 		return Throughput{}, err
 	}
@@ -551,7 +432,6 @@ func measureThroughputObs(cfg Config, names []string, size, rounds int, mode Bat
 		AllocsPerMsg:     float64(smp.Mallocs) / n,
 		AllocBytesPerMsg: float64(smp.AllocBytes) / n,
 		GCCycles:         smp.GCCycles,
-		Mode:             mode,
 	}
 	if bs := r.BatchStats(); bs.Frames > 0 {
 		tp.SubsPerFrame = float64(bs.SubPackets) / float64(bs.Frames)

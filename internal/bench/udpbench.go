@@ -21,7 +21,6 @@ import (
 
 // UDPThroughput is one loopback run's result.
 type UDPThroughput struct {
-	Mode BatchMode
 	Msgs int
 	// Size is the payload bytes carried after each wire's compressed
 	// header.
@@ -36,17 +35,20 @@ type UDPThroughput struct {
 	// SubsPerFrame is the observed coalescing factor (wires per
 	// datagram).
 	SubsPerFrame float64
-	// Net is the sender socket's accounting.
-	Net netsim.UDPStats
+	// Net is the sender socket's accounting; Batch the sender batcher's
+	// (Batch.ClassicBytes is the unbatched-classic yardstick for the
+	// same wires).
+	Net   netsim.UDPStats
+	Batch transport.BatcherStats
 }
 
 // MeasureUDPThroughput drives msgs compressed wires (carrying size
 // payload bytes each) from one loopback UDP endpoint to another, in
 // bursts of `burst` wires per Run-goroutine entry — each burst leaves in
-// one datagram when batching is on. The run counts once the receiver's
-// frame walker has surfaced every wire (byte fidelity is the correctness
+// one datagram, as a member's 0xB9 frame. The run counts once the
+// receiver's link has surfaced every wire (byte fidelity is the correctness
 // suite's job; this harness measures rate and wire cost).
-func MeasureUDPThroughput(msgs, size, burst int, mode BatchMode) (UDPThroughput, error) {
+func MeasureUDPThroughput(msgs, size, burst int) (UDPThroughput, error) {
 	if msgs <= 0 || burst <= 0 {
 		return UDPThroughput{}, fmt.Errorf("bench: udp throughput needs msgs and burst >= 1")
 	}
@@ -77,12 +79,7 @@ func MeasureUDPThroughput(msgs, size, burst int, mode BatchMode) (UDPThroughput,
 	defer b.Close()
 
 	batch := transport.NewBatcher(a, 1, 0)
-	switch mode {
-	case BatchedDelta:
-		batch.EnableDelta(transport.EpochPrefixUvarints)
-	case Immediate:
-		batch.SetImmediate(true)
-	}
+	batch.EnableCrossFrame(transport.EpochPrefixUvarints)
 	a.SetDrainFlush(func() { batch.Flush() })
 
 	var received atomic.Int64
@@ -139,7 +136,6 @@ func MeasureUDPThroughput(msgs, size, burst int, mode BatchMode) (UDPThroughput,
 	wall := time.Since(t0)
 
 	res := UDPThroughput{
-		Mode:       mode,
 		Msgs:       msgs,
 		Size:       size,
 		Wall:       wall,
@@ -150,8 +146,8 @@ func MeasureUDPThroughput(msgs, size, burst int, mode BatchMode) (UDPThroughput,
 	// The batcher belongs to the Run goroutine; read its stats there.
 	bsCh := make(chan transport.BatcherStats, 1)
 	a.Do(func() { bsCh <- batch.Stats() })
-	if bs := <-bsCh; bs.Frames > 0 {
-		res.SubsPerFrame = float64(bs.SubPackets) / float64(bs.Frames)
+	if res.Batch = <-bsCh; res.Batch.Frames > 0 {
+		res.SubsPerFrame = float64(res.Batch.SubPackets) / float64(res.Batch.Frames)
 	}
 	if res.Net.SendErrors != 0 || res.Net.DroppedOnClose != 0 {
 		return res, fmt.Errorf("bench: udp socket errors during run: %+v", res.Net)

@@ -2,30 +2,25 @@ package bench
 
 import "testing"
 
-// TestUDPThroughputSmoke runs the loopback harness small in every mode:
-// all wires arrive, the socket stays clean, and the batched modes put
-// fewer bytes per message on the wire than the immediate ablation.
+// TestUDPThroughputSmoke runs the loopback harness small: all wires
+// arrive, the socket stays clean, bursts leave coalesced, and the frames
+// cost fewer bytes than the same wires as unbatched classic frames.
 func TestUDPThroughputSmoke(t *testing.T) {
-	perMode := map[BatchMode]UDPThroughput{}
-	for _, mode := range []BatchMode{Immediate, Batched, BatchedDelta} {
-		res, err := MeasureUDPThroughput(200, 8, 8, mode)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if res.Net.Datagrams == 0 || res.BytesPerMsg <= 0 {
-			t.Fatalf("%v: empty socket accounting: %+v", mode, res)
-		}
-		perMode[mode] = res
+	res, err := MeasureUDPThroughput(200, 8, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if im, ba := perMode[Immediate], perMode[Batched]; ba.Net.Datagrams >= im.Net.Datagrams {
-		t.Fatalf("batching sent %d datagrams, immediate %d — no syscall coalescing",
-			ba.Net.Datagrams, im.Net.Datagrams)
+	if res.Net.Datagrams == 0 || res.BytesPerMsg <= 0 {
+		t.Fatalf("empty socket accounting: %+v", res)
 	}
-	if ba, de := perMode[Batched], perMode[BatchedDelta]; de.BytesPerMsg >= ba.BytesPerMsg {
-		t.Fatalf("delta bytes/msg %.2f, classic %.2f — compression bought nothing",
-			de.BytesPerMsg, ba.BytesPerMsg)
+	if res.Net.Datagrams >= int64(res.Msgs) {
+		t.Fatalf("%d datagrams for %d wires — no syscall coalescing", res.Net.Datagrams, res.Msgs)
 	}
-	if spf := perMode[Batched].SubsPerFrame; spf < 2 {
-		t.Fatalf("batched run coalesced only %.2f subs/frame", spf)
+	if res.SubsPerFrame < 2 {
+		t.Fatalf("run coalesced only %.2f subs/frame", res.SubsPerFrame)
+	}
+	if res.Batch.FrameBytes >= res.Batch.ClassicBytes {
+		t.Fatalf("%d frame bytes against an unbatched-classic yardstick of %d — compression bought nothing",
+			res.Batch.FrameBytes, res.Batch.ClassicBytes)
 	}
 }

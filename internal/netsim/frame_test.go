@@ -1,9 +1,9 @@
 package netsim
 
-// Batched-frame delivery tests: the network substrates unpack coalesced
-// frames (transport.FrameMagic + length-prefixed sub-packets) so that a
-// receiver sees one recv call per wire, while the Stats invariant stays
-// at the transmission level (one frame = one Sent = one Delivered).
+// Batched-frame delivery tests: the network substrates hand coalesced
+// frames to the receive link so that a receiver sees one recv call per
+// wire, while the Stats invariant stays at the transmission level (one
+// frame = one Sent = one Delivered).
 
 import (
 	"encoding/binary"
@@ -13,9 +13,12 @@ import (
 	"ensemble/internal/transport"
 )
 
+// buildFrame hand-assembles a self-contained frame: point-to-point
+// chain, generation 1, frame 1, every sub full.
 func buildFrame(subs ...[]byte) []byte {
-	buf := []byte{transport.FrameMagic}
+	buf := []byte{transport.FrameMagic, 0x00, 0x01, 0x01}
 	for _, s := range subs {
+		buf = append(buf, 0x00)
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		buf = append(buf, s...)
 	}
@@ -116,7 +119,7 @@ func TestAdaptiveQuantumClamps(t *testing.T) {
 	}
 }
 
-// --- delta-compressed frames through the netsim substrates ---
+// --- batcher-built frames through the netsim substrates ---
 
 // compressedWire builds a compressed wire image the way core.Member emits
 // them: epoch prefix uvarints, then the 0xC0 compressed header.
@@ -139,13 +142,13 @@ func (c *frameCapture) Cast(from event.Addr, data []byte) {
 	c.frames = append(c.frames, append([]byte(nil), data...))
 }
 
-// deltaFrame batches the wires with delta compression on (member epoch
-// prefix) and returns the single resulting frame.
+// deltaFrame batches the wires as a member would (member epoch prefix)
+// and returns the single resulting frame.
 func deltaFrame(t *testing.T, wires ...[]byte) []byte {
 	t.Helper()
 	sink := &frameCapture{}
 	b := transport.NewBatcher(sink, 1, 1<<20)
-	b.EnableDelta(transport.EpochPrefixUvarints)
+	b.EnableCrossFrame(transport.EpochPrefixUvarints)
 	for _, w := range wires {
 		b.Cast(w)
 	}
@@ -203,12 +206,13 @@ func TestNetDeliversDeltaFrameSubPackets(t *testing.T) {
 	}
 }
 
-// TestNetDeltaGarbageKeepsInvariant: a corrupt delta frame (delta sub
-// first, with no base) surfaces its tail as one garbage sub — delivered,
-// counted, no panic — so the frame-level invariant survives malformed
-// input exactly as it does for classic frames.
+// TestNetDeltaGarbageKeepsInvariant: a corrupt frame (a delta sub with
+// no parsed base before it) surfaces its tail as one garbage sub —
+// delivered, counted, no panic — so the frame-level invariant survives
+// malformed input.
 func TestNetDeltaGarbageKeepsInvariant(t *testing.T) {
-	frame := []byte{transport.DeltaFrameMagic, 0x01, 0x00, 0x02, 0xFF}
+	tail := []byte{0x01, 0x00, 0x02, 0xFF}
+	frame := append(buildFrame([]byte("ok")), tail...)
 	s := NewSim(1)
 	n := NewNet(s, Profile{Latency: 1000})
 	var got [][]byte
@@ -217,11 +221,13 @@ func TestNetDeltaGarbageKeepsInvariant(t *testing.T) {
 	n.Send(1, 2, frame)
 	s.Run(int64(1e9))
 
-	if len(got) != 1 || string(got[0]) != string(frame[1:]) {
+	if len(got) != 2 || string(got[0]) != "ok" || string(got[1]) != string(tail) {
 		t.Fatalf("garbage tail not surfaced whole: %v", got)
 	}
 	st := n.Stats()
-	if st.Sent != 1 || st.Delivered != 1 || st.Frames != 1 || st.SubPackets != 1 {
+	// The broken frame earns a resync back to its sender: one more Sent,
+	// one more Delivered (a raw packet endpoint 1 swallows).
+	if st.Sent != 2 || st.Delivered != 2 || st.Frames != 1 || st.SubPackets != 2 || st.GenMisses != 1 || st.Resyncs != 1 {
 		t.Fatalf("garbage accounting: %+v", st)
 	}
 	if st.Sent+st.Duplicated != st.Delivered+st.Dropped {
@@ -229,8 +235,8 @@ func TestNetDeltaGarbageKeepsInvariant(t *testing.T) {
 	}
 }
 
-// TestClusterArriveUnpacksDeltaFrames: the mailbox path decodes delta
-// frames too, and because the walker runs in stable mode the subs stay
+// TestClusterArriveUnpacksDeltaFrames: the mailbox path decodes
+// batcher-built frames too, and because the link runs in stable mode the subs stay
 // intact after further frames are walked (mailboxes hold subs across
 // deliveries within a drain).
 func TestClusterArriveUnpacksDeltaFrames(t *testing.T) {

@@ -69,10 +69,10 @@ type Stats struct {
 	// Frames counts delivered transmissions that were batched frames;
 	// SubPackets counts the wires fanned out of them.
 	Frames, SubPackets int64
-	// GenMisses counts cross-frame deliveries that could not be decoded
-	// without mirror state the receiver lacked (each answered with one
-	// resync); StaleGenFrames counts pre-bump stragglers surfaced whole
-	// as garbage; Resyncs counts resync packets sent back.
+	// GenMisses counts frames that could not be decoded without mirror
+	// state the receiver lacked (each answered with one resync);
+	// StaleGenFrames counts pre-bump stragglers surfaced whole as
+	// garbage; Resyncs counts resync answers the receive link produced.
 	GenMisses, StaleGenFrames, Resyncs int64
 }
 
@@ -80,11 +80,10 @@ type Stats struct {
 // simulator/scheduler goroutine is the only writer, but benches and
 // instrumentation goroutines snapshot mid-run, so every counter is an
 // atomic and Snapshot reads outcomes before attempts (see Snapshot).
+// The frame-level counters live in the receive link (walker.Counters).
 type netCounters struct {
 	sent, delivered, dropped, duplicated obs.Counter
 	bytesSent, bytesOnWire               obs.Counter
-	frames, subPackets                   obs.Counter
-	genMisses, staleGenFrames, resyncs   obs.Counter
 }
 
 // Net is a simulated network attached to a Sim. It implements both
@@ -107,12 +106,12 @@ type Net struct {
 	// transmission time.
 	route func(p Packet, delay int64)
 
-	// walker unpacks batched frames (classic and delta) at delivery.
-	// Stable mode: surfaced subs live as long as the frame buffer — a
+	// walker is the receive link every delivery passes through. Stable
+	// mode: surfaced subs live as long as the frame buffer — a
 	// per-transmit copy here — so receivers may retain decoded payload
-	// slices, as the member Handlers contract allows. Deliveries run on
-	// one goroutine (the simulator's, or the cluster scheduler's), so
-	// one walker serves both delivery paths.
+	// slices, as the member Handlers contract allows. Direct deliveries
+	// run on the simulator goroutine; a Cluster's shards each receive
+	// through a Fork of it, so the counters stay one network's.
 	walker *transport.FrameWalker
 }
 
@@ -169,17 +168,18 @@ func (n *Net) Stats() Stats { return n.Snapshot() }
 // drains (see Stats).
 func (n *Net) Snapshot() Stats {
 	var s Stats
+	link := n.walker.Counters()
 	s.Delivered = n.stats.delivered.Load()
 	s.Dropped = n.stats.dropped.Load()
-	s.Frames = n.stats.frames.Load()
-	s.SubPackets = n.stats.subPackets.Load()
+	s.Frames = link.Frames.Load()
+	s.SubPackets = link.SubPackets.Load()
 	s.Sent = n.stats.sent.Load()
 	s.Duplicated = n.stats.duplicated.Load()
 	s.BytesSent = n.stats.bytesSent.Load()
 	s.BytesOnWire = n.stats.bytesOnWire.Load()
-	s.GenMisses = n.stats.genMisses.Load()
-	s.StaleGenFrames = n.stats.staleGenFrames.Load()
-	s.Resyncs = n.stats.resyncs.Load()
+	s.GenMisses = link.GenMisses.Load()
+	s.StaleGenFrames = link.StaleGenFrames.Load()
+	s.Resyncs = link.Resyncs.Load()
 	return s
 }
 
@@ -193,11 +193,12 @@ func (n *Net) RegisterMetrics(reg *obs.Registry) {
 	sc.Adopt("duplicated", &n.stats.duplicated)
 	sc.Adopt("bytes_sent", &n.stats.bytesSent)
 	sc.Adopt("bytes_on_wire", &n.stats.bytesOnWire)
-	sc.Adopt("frames", &n.stats.frames)
-	sc.Adopt("sub_packets", &n.stats.subPackets)
-	sc.Adopt("gen_misses", &n.stats.genMisses)
-	sc.Adopt("stale_gen_frames", &n.stats.staleGenFrames)
-	sc.Adopt("resyncs", &n.stats.resyncs)
+	link := n.walker.Counters()
+	sc.Adopt("frames", &link.Frames)
+	sc.Adopt("sub_packets", &link.SubPackets)
+	sc.Adopt("gen_misses", &link.GenMisses)
+	sc.Adopt("stale_gen_frames", &link.StaleGenFrames)
+	sc.Adopt("resyncs", &link.Resyncs)
 }
 
 // Attach registers an endpoint. The recv callback runs on the simulator
@@ -316,7 +317,10 @@ func (n *Net) deliverAfter(p Packet, delay int64) {
 // delivery on the books but fans out into one recv call per sub-packet,
 // in order — the receiving member cannot tell batched wires from raw
 // ones (malformed sub-packets surface as garbage and land in the
-// member's stray-packet accounting, like any malformed raw packet).
+// member's stray-packet accounting, like any malformed raw packet). A
+// resync answer is an ordinary raw send from the receiving endpoint back
+// to the frame's sender, so the invariant and the deterministic schedule
+// both see it as a normal transmission.
 func (n *Net) deliverNow(p Packet) {
 	recv, ok := n.eps[p.To]
 	if !ok {
@@ -324,32 +328,12 @@ func (n *Net) deliverNow(p Packet) {
 		return
 	}
 	n.stats.delivered.Inc()
-	if !transport.IsFrame(p.Data) {
-		recv(p)
-		return
-	}
-	n.stats.frames.Inc()
-	res := n.walker.WalkLink(p.From, p.To, p.Data, func(sub []byte) {
-		n.stats.subPackets.Inc()
+	resync, _ := n.walker.WalkLink(p.From, p.To, p.Data, func(sub []byte) {
 		q := p
 		q.Data = sub
 		recv(q)
 	})
-	n.accountXFrame(res, func(resync []byte) { n.Send(p.To, p.From, resync) })
-}
-
-// accountXFrame counts a cross-frame walk's verdict and, on a
-// generation miss, builds the resync answer and hands it to send. The
-// resync is an ordinary raw send from the receiving endpoint back to
-// the frame's sender, so the Sent/Delivered/Dropped invariant and the
-// deterministic schedule both see it as a normal transmission.
-func (n *Net) accountXFrame(res transport.WalkResult, send func(resync []byte)) {
-	if res.StaleGen {
-		n.stats.staleGenFrames.Inc()
-	}
-	if res.GenMiss {
-		n.stats.genMisses.Inc()
-		n.stats.resyncs.Inc()
-		send(transport.AppendResync(nil, res.Cast, res.Gen))
+	if resync != nil {
+		n.Send(p.To, p.From, resync)
 	}
 }

@@ -25,18 +25,17 @@ import (
 	"ensemble/internal/transport"
 )
 
-// resyncReq is one queued request to answer a cross-frame generation
-// miss. routePhase cannot emit traffic (shards route in parallel and
-// sends draw from the RNG at commit time), so arrive records the
-// request and the next commitPhase answers it — before replaying
-// member effects, at the queued arrival time — keeping resync emission
-// a deterministic function of the schedule.
+// resyncReq is one queued resync answer the receive link produced.
+// routePhase cannot emit traffic (shards route in parallel and sends
+// draw from the RNG at commit time), so arrive records the request and
+// the next commitPhase sends it — before replaying member effects, at
+// the queued arrival time — keeping resync emission a deterministic
+// function of the schedule.
 type resyncReq struct {
 	t    int64
 	from event.Addr // the victim receiver, which emits the resync
 	to   event.Addr // the sender whose delta chain must restart
-	cast bool
-	gen  uint64
+	data []byte     // the encoded resync packet
 }
 
 // shardEvent is one scheduled occurrence inside a shard: a packet
@@ -131,7 +130,7 @@ func newShard(c *Cluster, id int, nshards int) *shard {
 		c:      c,
 		id:     id,
 		rng:    rand.New(rand.NewSource(c.seed ^ int64(0x9E3779B97F4A7C15*uint64(id+1)))),
-		walker: transport.NewFrameWalker(transport.EpochPrefixUvarints, true),
+		walker: c.net.walker.Fork(),
 		outbox: make([][]shardEvent, nshards),
 	}
 	return s
@@ -228,28 +227,18 @@ func (s *shard) arrive(ep *Endpoint, t int64, p Packet) {
 	}
 	s.c.net.stats.delivered.Inc()
 	s.traceLine('d', t, p)
-	if !transport.IsFrame(p.Data) {
-		ep.mailbox = append(ep.mailbox, mail{t: t, pkt: p})
-		return
-	}
-	s.c.net.stats.frames.Inc()
-	// The walker runs in stable mode, so delta-reconstructed subs (like
-	// classic ones, which alias the per-transmit frame copy) stay valid
-	// from this mailbox append through the member's drain-phase
-	// consumption and beyond. Per-link mirror state is consistent
-	// because deliveries to an endpoint always run on its owning shard.
-	res := s.walker.WalkLink(p.From, p.To, p.Data, func(sub []byte) {
-		s.c.net.stats.subPackets.Inc()
+	// The link runs in stable mode, so reconstructed subs (like full
+	// ones, which alias the per-transmit frame copy) stay valid from this
+	// mailbox append through the member's drain-phase consumption and
+	// beyond. Per-link mirror state is consistent because deliveries to
+	// an endpoint always run on its owning shard.
+	resync, _ := s.walker.WalkLink(p.From, p.To, p.Data, func(sub []byte) {
 		q := p
 		q.Data = sub
 		ep.mailbox = append(ep.mailbox, mail{t: t, pkt: q})
 	})
-	if res.StaleGen {
-		s.c.net.stats.staleGenFrames.Inc()
-	}
-	if res.GenMiss {
-		s.c.net.stats.genMisses.Inc()
-		s.resyncQ = append(s.resyncQ, resyncReq{t: t, from: p.To, to: p.From, cast: res.Cast, gen: res.Gen})
+	if resync != nil {
+		s.resyncQ = append(s.resyncQ, resyncReq{t: t, from: p.To, to: p.From, data: resync})
 	}
 }
 
@@ -268,8 +257,7 @@ func (s *shard) commitPhase() {
 		for i := range rq {
 			r := &rq[i]
 			s.commitBase = r.t
-			s.c.net.stats.resyncs.Inc()
-			s.c.net.sendVia(s.rng, s, r.from, r.to, transport.AppendResync(nil, r.cast, r.gen))
+			s.c.net.sendVia(s.rng, s, r.from, r.to, r.data)
 			rq[i] = resyncReq{}
 		}
 	}

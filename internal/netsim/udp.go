@@ -80,12 +80,14 @@ type UDPNet struct {
 	// drained on the Run goroutine only.
 	syncs []chan struct{}
 
-	stats  udpCounters
+	stats udpCounters
+	// walker is the receive link; GenMisses, StaleGenFrames and Resyncs
+	// in UDPStats are its counters.
 	walker *transport.FrameWalker
 
 	// resyncRTT samples the resync round trip: the gap between sending a
-	// 0xBA resync toward a peer (first GenMiss) and the next cleanly
-	// decoded cross-frame from that peer — how long a lost-base episode
+	// resync toward a peer (first generation miss) and the next cleanly
+	// decoded frame from that peer — how long a lost-base episode
 	// actually keeps a link undecodable. pendResync holds the per-peer
 	// send marks; both are touched on the Run goroutine only (deliver),
 	// and the map is preallocated so the receive path never allocates.
@@ -107,8 +109,7 @@ type udpPeer struct {
 // whatever goroutine flushed, and benches read Stats mid-run.
 type udpCounters struct {
 	datagrams, bytesOnWire, sendErrors, droppedOnClose obs.Counter
-	unknownSource, peerMoves                           obs.Counter
-	genMisses, staleGenFrames, resyncs, injectedDrops  obs.Counter
+	unknownSource, peerMoves, injectedDrops            obs.Counter
 }
 
 // UDPStats counts the socket-side traffic. Every datagram handed to
@@ -141,12 +142,12 @@ type UDPStats struct {
 	// record (a restarted process rebinding, typically ephemerally).
 	// The new address replaces the old for subsequent sends.
 	PeerMoves int64
-	// GenMisses counts cross-frame (0xB9) arrivals whose first sub
-	// needed a peer base this endpoint did not hold (a lost or reordered
+	// GenMisses counts frame arrivals whose first sub needed a peer
+	// base this endpoint did not hold (a lost or reordered
 	// predecessor); each one was answered with a resync request.
 	GenMisses int64
-	// StaleGenFrames counts cross-frame arrivals tagged with a
-	// generation older than the mirror's — late traffic from before a
+	// StaleGenFrames counts frame arrivals tagged with a generation
+	// older than the mirror's — late traffic from before a
 	// chain restart, dropped as garbage without a resync.
 	StaleGenFrames int64
 	// Resyncs counts resync requests this endpoint sent.
@@ -166,9 +167,9 @@ const maxBurst = 64
 // address: a peer that rebinds — an ensemble-node restart lands on an
 // ephemeral port — keeps its identity, where source-address matching
 // misattributed it or dropped it silently. 0xD5 collides with neither
-// frame magic (0xB7/0xB8) nor a leading epoch uvarint's first byte in
-// practice, but nothing depends on that: the envelope is stripped
-// before the payload is looked at.
+// the frame and resync magics (0xB9/0xBA) nor a leading epoch uvarint's
+// first byte in practice, but nothing depends on that: the envelope is
+// stripped before the payload is looked at.
 const udpMagic = 0xD5
 
 // NewUDPNet opens a UDP endpoint at listen (host:port) for member self,
@@ -217,6 +218,7 @@ func (u *UDPNet) Stats() UDPStats { return u.Snapshot() }
 // Snapshot reads the socket counters; safe from any goroutine while
 // the endpoint runs.
 func (u *UDPNet) Snapshot() UDPStats {
+	link := u.walker.Counters()
 	return UDPStats{
 		Datagrams:      u.stats.datagrams.Load(),
 		BytesOnWire:    u.stats.bytesOnWire.Load(),
@@ -224,9 +226,9 @@ func (u *UDPNet) Snapshot() UDPStats {
 		DroppedOnClose: u.stats.droppedOnClose.Load(),
 		UnknownSource:  u.stats.unknownSource.Load(),
 		PeerMoves:      u.stats.peerMoves.Load(),
-		GenMisses:      u.stats.genMisses.Load(),
-		StaleGenFrames: u.stats.staleGenFrames.Load(),
-		Resyncs:        u.stats.resyncs.Load(),
+		GenMisses:      link.GenMisses.Load(),
+		StaleGenFrames: link.StaleGenFrames.Load(),
+		Resyncs:        link.Resyncs.Load(),
 		InjectedDrops:  u.stats.injectedDrops.Load(),
 	}
 }
@@ -241,9 +243,10 @@ func (u *UDPNet) RegisterMetrics(reg *obs.Registry) {
 	sc.Adopt("dropped_on_close", &u.stats.droppedOnClose)
 	sc.Adopt("unknown_source", &u.stats.unknownSource)
 	sc.Adopt("peer_moves", &u.stats.peerMoves)
-	sc.Adopt("gen_misses", &u.stats.genMisses)
-	sc.Adopt("stale_gen_frames", &u.stats.staleGenFrames)
-	sc.Adopt("resyncs", &u.stats.resyncs)
+	link := u.walker.Counters()
+	sc.Adopt("gen_misses", &link.GenMisses)
+	sc.Adopt("stale_gen_frames", &link.StaleGenFrames)
+	sc.Adopt("resyncs", &link.Resyncs)
 	sc.Adopt("injected_drops", &u.stats.injectedDrops)
 	sc.AdoptHistogram("resync_rtt_ns", &u.resyncRTT)
 }
@@ -545,11 +548,11 @@ func (u *UDPNet) identify(data []byte, raddr *net.UDPAddr) ([]byte, event.Addr, 
 	return nil, -1, false
 }
 
-// deliver fans a received datagram out to the endpoint: batched frames
-// (classic or delta) become one recv call per sub-packet, raw packets
-// pass through whole. The reader loop copied the datagram into a fresh
-// buffer and the walker runs in stable mode, so subs — including
-// delta-reconstructed ones — can be retained safely downstream.
+// deliver hands a received datagram to the receive link: batched
+// frames become one recv call per sub-packet, raw packets pass through
+// whole. The reader loop copied the datagram into a fresh buffer and the
+// link runs in stable mode, so subs — including reconstructed ones — can
+// be retained safely downstream.
 func (u *UDPNet) deliver(p Packet) {
 	u.mu.Lock()
 	recv := u.recv
@@ -557,37 +560,28 @@ func (u *UDPNet) deliver(p Packet) {
 	if recv == nil {
 		return
 	}
-	if !transport.IsFrame(p.Data) {
-		recv(p)
-		return
-	}
-	if u.lossRng != nil && u.lossP > 0 && u.lossRng.Float64() < u.lossP {
+	if transport.IsFrame(p.Data) && u.lossRng != nil && u.lossP > 0 && u.lossRng.Float64() < u.lossP {
 		u.stats.injectedDrops.Inc()
 		return
 	}
-	res := u.walker.WalkLink(p.From, p.To, p.Data, func(sub []byte) {
+	resync, decoded := u.walker.WalkLink(p.From, p.To, p.Data, func(sub []byte) {
 		q := p
 		q.Data = sub
 		recv(q)
 	})
-	if res.StaleGen {
-		u.stats.staleGenFrames.Inc()
-	}
-	if res.GenMiss {
-		// A cross-frame arrival we could not anchor: ask the sender to
-		// restart its delta chain. The resync is a raw control datagram —
-		// not a frame — so injected loss cannot eat the recovery.
-		u.stats.genMisses.Inc()
+	if resync != nil {
+		// An arrival the link could not anchor: ask the sender to restart
+		// its chain. The resync is a raw control datagram — not a frame —
+		// so injected loss cannot eat the recovery.
 		if pr, ok := u.peers[p.From]; ok {
-			u.stats.resyncs.Inc()
-			u.write(transport.AppendResync(nil, res.Cast, res.Gen), pr.addr.Load())
+			u.write(resync, pr.addr.Load())
 			if _, pending := u.pendResync[p.From]; !pending {
 				u.pendResync[p.From] = u.Now()
 			}
 		}
-	} else if res.XFrame && !res.StaleGen && res.Subs > 0 {
-		// First cleanly decoded cross-frame after an outstanding resync
-		// closes the round trip: the link is decodable again.
+	} else if decoded {
+		// First cleanly decoded frame after an outstanding resync closes
+		// the round trip: the link is decodable again.
 		if t, pending := u.pendResync[p.From]; pending {
 			u.resyncRTT.Observe(u.Now() - t)
 			delete(u.pendResync, p.From)

@@ -111,7 +111,7 @@ func xchain(t *testing.T, n int) [][]byte {
 		t.Fatalf("xchain: %d frames from %d flushes", len(sink.frames), n)
 	}
 	for i, f := range sink.frames {
-		if !transport.IsXFrame(f) {
+		if !transport.IsFrame(f) {
 			t.Fatalf("xchain frame %d does not carry the cross-frame magic: % x", i, f)
 		}
 	}

@@ -1,25 +1,23 @@
 package transport
 
-// Intra-frame delta compression of sub-packet headers (§4.1.3 taken one
+// The sub grammar: how sub-packets ride inside a frame (§4.1.3 taken one
 // step further). Header compression already folds each packet's constant
 // fields into a small stack identifier, so a common-case wire image is
 //
 //	[epoch prefix uvarints] 0xC0 id(2) sender(uvarint) seqno(varint) rest
 //
-// Consecutive sub-packets inside one frame go to the same destination in
-// the same epoch from the same sender with near-sequential seqnos — the
-// header bytes repeat almost verbatim. A delta frame therefore carries
-// the first sub-packet in full and encodes each following one against
-// its predecessor: equal epoch/stack-id/sender are elided entirely and
-// the seqno becomes a (usually one-byte) varint delta.
+// Consecutive sub-packets on one chain go to the same destination in the
+// same epoch from the same sender with near-sequential seqnos — the
+// header bytes repeat almost verbatim. Each sub is therefore encoded
+// against its predecessor on the chain (the previous sub in the frame,
+// or for a frame's first sub the previous frame's last sub — see
+// frame.go): equal epoch/stack-id/sender are elided entirely and the
+// seqno becomes a (usually one-byte) varint delta.
 //
-// Delta frame wire format:
-//
-//	magic     byte = DeltaFrameMagic
 //	subs      repeated {
 //	    flag  byte
 //	    flag == 0x00 (full):   uvarint length, length bytes (a complete
-//	                           wire image, like a classic-frame sub)
+//	                           wire image)
 //	    flag & 0x01  (delta):  optional fields selected by the flag bits
 //	                           (0x02 epoch: prefix uvarints; 0x04 stack
 //	                           id: 2 bytes; 0x08 sender: uvarint), then
@@ -56,23 +54,16 @@ package transport
 //
 // Any sub can fall back to full encoding — a wire that is not a
 // compressed image (CCP miss, control traffic) and shares no useful
-// prefix with its predecessor, a seqno delta that would overflow, or
-// simply the first sub after a frame boundary — so the format degrades
-// to the classic one per sub, never per frame. The decoder keeps the
-// malformed-input discipline of WalkFrame: a truncated delta, a delta
-// with no base (delta-first-in-frame), unknown flag bits, a shared
-// prefix longer than the previous sub, or an overflowing seqno delta
-// surfaces the remaining bytes as one final garbage sub-packet, which
-// downstream decoders count as a stray packet; nothing panics and
-// nothing is dropped silently.
+// prefix with its predecessor, a seqno delta that would overflow, or the
+// first sub of a fresh generation or anchor frame — so the format
+// degrades per sub, never per frame. Malformed input is never dropped
+// silently and never panics: a truncated sub, a delta with no base,
+// unknown flag bits, a shared prefix longer than the previous sub, or an
+// overflowing seqno delta surfaces the remaining bytes (from the
+// offending sub's flag byte on) as one final garbage sub-packet, which
+// downstream decoders count as a stray packet.
 
 import "encoding/binary"
-
-// DeltaFrameMagic is the first byte of a delta-compressed frame. The
-// classic FrameMagic format remains valid (and is what the Batcher emits
-// with delta disabled), so the two formats can be compared like for
-// like; IsFrame accepts both.
-const DeltaFrameMagic = 0xB8
 
 // EpochPrefixUvarints is the number of uvarints core.Member prefixes to
 // every data wire (the view sequence number and the membership digest).
@@ -131,9 +122,6 @@ func commonSuffixLen(a, b []byte) int {
 	}
 	return i
 }
-
-// IsDeltaFrame reports whether data begins a delta-compressed frame.
-func IsDeltaFrame(data []byte) bool { return len(data) > 0 && data[0] == DeltaFrameMagic }
 
 // subMeta is a parsed compressed-wire header, kept by value so the delta
 // coder can re-encode a sub canonically (or compute the next delta base)
@@ -256,74 +244,7 @@ func appendDeltaSub(buf []byte, wire []byte, cur, base subMeta, nPrefix int, pre
 	return append(buf, mid...), true
 }
 
-// FrameWalker unpacks batched frames — classic and delta — into their
-// sub-packets. It is single-goroutine, like the substrate that owns it,
-// and carries the delta base plus a reconstruction buffer across subs.
-//
-// prefixUvarints must match what the senders' Batchers were configured
-// with (EpochPrefixUvarints for core.Member traffic, 0 for bare wires).
-//
-// stableSubs selects the lifetime of reconstructed delta subs. With
-// stableSubs, every reconstruction goes into fresh storage, so surfaced
-// subs stay valid as long as the frame buffer itself — what the netsim
-// substrates need, because decoded payloads may be retained by the
-// application (the frame buffer is a per-transmit copy there, so classic
-// subs already had that lifetime). Without it the walker reuses one
-// scratch buffer and a reconstructed sub is only valid until the next
-// Walk call — the zero-allocation choice for harnesses whose consumers
-// copy whatever they keep (the bench pumps already recycle delivered
-// buffers under that contract).
-type FrameWalker struct {
-	nPrefix int
-	stable  bool
-	base    subMeta
-	scratch []byte
-	// links holds the per-(from, to, cast) cross-frame mirrors WalkLink
-	// maintains (see xframe.go); plain Walk never touches them.
-	links map[linkKey]*linkMirror
-}
-
-// NewFrameWalker builds a walker; see the type comment for the knobs.
-func NewFrameWalker(prefixUvarints int, stableSubs bool) *FrameWalker {
-	if prefixUvarints < 0 || prefixUvarints > maxPrefix {
-		panic("transport: prefixUvarints out of range")
-	}
-	return &FrameWalker{nPrefix: prefixUvarints, stable: stableSubs}
-}
-
-// Walk fans data out into its sub-packets, calling fn once per sub in
-// order, and returns the number of subs surfaced. Non-frames surface
-// whole; classic frames behave exactly like WalkFrame; delta frames
-// additionally reconstruct delta subs (see FrameWalker for lifetimes).
-// Cross-frame (0xB9) frames decode statelessly — a link-blind caller
-// can always decode a frame whose first sub rides full, and one that
-// needed the cross-frame base lands in garbage accounting; WalkLink is
-// the mirror-keeping entry point. Malformed framing — truncated fields,
-// a delta sub with no base, flag bytes with unknown bits, overrunning
-// lengths, an overflowing seqno delta — surfaces the remaining bytes
-// (from the offending sub's flag byte on) as one final garbage sub, so
-// the sender's byte count is always accounted for downstream
-// (stray-packet accounting), and never panics.
-func (w *FrameWalker) Walk(data []byte, fn func(sub []byte)) int {
-	if IsXFrame(data) {
-		_, _, _, off, ok := parseXHeader(data)
-		if !ok {
-			fn(data)
-			return 1
-		}
-		w.base = subMeta{}
-		subs, _, _ := w.walkSubs(data, off, nil, fn)
-		return subs
-	}
-	if !IsDeltaFrame(data) {
-		return WalkFrame(data, fn)
-	}
-	w.base = subMeta{}
-	subs, _, _ := w.walkSubs(data, 1, nil, fn)
-	return subs
-}
-
-// walkSubs decodes the delta sub grammar from data[off:]. The caller
+// walkSubs decodes the sub grammar from data[off:]. The caller
 // pre-seeds w.base and prev (zero/nil for a self-contained frame, the
 // link mirror for cross-frame continuity). It returns the subs surfaced
 // (a trailing garbage sub included), the last surfaced sub's bytes (the

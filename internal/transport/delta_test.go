@@ -20,23 +20,8 @@ func cwire(prefix []uint64, id uint16, sender uint64, seq int64, rest ...byte) [
 	return append(w, rest...)
 }
 
-// collectWalk runs a FrameWalker and returns copies of the surfaced
-// subs (copying during fn is the inline-consumption contract, so this
-// is correct in both lifetime modes).
-func collectWalk(t *testing.T, w *FrameWalker, data []byte) [][]byte {
-	t.Helper()
-	var subs [][]byte
-	n := w.Walk(data, func(sub []byte) {
-		subs = append(subs, append([]byte(nil), sub...))
-	})
-	if n != len(subs) {
-		t.Fatalf("Walk returned %d, surfaced %d subs", n, len(subs))
-	}
-	return subs
-}
-
-// deltaFrameOf runs wires through a delta Batcher and returns the one
-// frame it produces (all wires must fit one cast frame).
+// deltaFrameOf runs wires through a Batcher and returns the one frame
+// it produces (all wires must fit one cast frame).
 func deltaFrameOf(t *testing.T, nPrefix int, wires ...[]byte) []byte {
 	t.Helper()
 	frame, n := mustDeltaFrame(nPrefix, wires...)
@@ -49,7 +34,7 @@ func deltaFrameOf(t *testing.T, nPrefix int, wires ...[]byte) []byte {
 func mustDeltaFrame(nPrefix int, wires ...[]byte) ([]byte, int) {
 	sink := &frameSink{}
 	b := NewBatcher(sink, 0, 0)
-	b.EnableDelta(nPrefix)
+	b.EnableCrossFrame(nPrefix)
 	for _, w := range wires {
 		b.Cast(w)
 	}
@@ -72,8 +57,8 @@ func TestDeltaRoundTripMixedWires(t *testing.T) {
 		{}, // empty wire: full sub
 	}
 	frame := deltaFrameOf(t, 2, wires...)
-	if !IsDeltaFrame(frame) || !IsFrame(frame) {
-		t.Fatalf("frame magic = %#x, want DeltaFrameMagic", frame[0])
+	if !IsFrame(frame) {
+		t.Fatalf("frame magic = %#x, want FrameMagic", frame[0])
 	}
 	for _, mode := range []bool{true, false} {
 		got := collectWalk(t, NewFrameWalker(2, mode), frame)
@@ -90,41 +75,35 @@ func TestDeltaRoundTripMixedWires(t *testing.T) {
 
 func TestDeltaSavesBytes(t *testing.T) {
 	prefix := []uint64{3, 0x123456789A}
+	sink := &frameSink{}
+	b := NewBatcher(sink, 0, 0)
+	b.EnableCrossFrame(2)
 	var wires [][]byte
 	for i := 0; i < 10; i++ {
 		wires = append(wires, cwire(prefix, 42, 6, int64(1000+i), 0x11, 0x22, 0x33, 0x44))
-	}
-	delta := deltaFrameOf(t, 2, wires...)
-
-	sink := &frameSink{}
-	b := NewBatcher(sink, 0, 0)
-	for _, w := range wires {
-		b.Cast(w)
+		b.Cast(wires[i])
 	}
 	b.Flush()
-	classic := sink.calls[0].data
-
-	if len(delta) >= len(classic) {
-		t.Fatalf("delta frame %dB, classic %dB — no saving", len(delta), len(classic))
+	delta := sink.calls[0].data
+	st := b.Stats()
+	// The yardstick is what these wires cost as unbatched classic frames:
+	// magic + uvarint length + wire, each.
+	if want := int64(len(wires) * (2 + len(wires[0]))); st.ClassicBytes != want {
+		t.Fatalf("ClassicBytes = %d, want %d", st.ClassicBytes, want)
 	}
-	// 9 of 10 subs shrink from ~1+len(wire) bytes to flag+delta+restlen+
+	// 9 of 10 subs shrink from ~2+len(wire) bytes to flag+delta+restlen+
 	// rest: the elided header is prefix(1+5)+magic/id(3)+sender(1)+seq(2),
-	// so the frame should be well under 60% of the classic one here.
-	if ratio := float64(len(delta)) / float64(len(classic)); ratio > 0.6 {
-		t.Fatalf("delta/classic = %.2f, want <= 0.6 (delta=%dB classic=%dB)", ratio, len(delta), len(classic))
+	// so the frame should be well under 60% of the yardstick here.
+	if ratio := float64(len(delta)) / float64(st.ClassicBytes); ratio > 0.6 {
+		t.Fatalf("frame/classic = %.2f, want <= 0.6 (frame=%dB classic=%dB)", ratio, len(delta), st.ClassicBytes)
 	}
-	got := collectWalk(t, NewFrameWalker(2, true), delta)
-	for i := range wires {
-		if !bytes.Equal(got[i], wires[i]) {
-			t.Fatalf("sub %d mangled", i)
-		}
-	}
+	wantSubs(t, collectWalk(t, NewFrameWalker(2, true), delta), wires)
 }
 
 func TestDeltaStatsCountDeltaSubs(t *testing.T) {
 	sink := &frameSink{}
 	b := NewBatcher(sink, 0, 0)
-	b.EnableDelta(0)
+	b.EnableCrossFrame(0)
 	b.Cast(cwire(nil, 1, 0, 10))
 	b.Cast(cwire(nil, 1, 0, 11))
 	b.Cast(cwire(nil, 1, 0, 12))
@@ -147,7 +126,7 @@ func TestDeltaSeqnoOverflowFallsBackToFull(t *testing.T) {
 	}
 	sink := &frameSink{}
 	b := NewBatcher(sink, 0, 0)
-	b.EnableDelta(0)
+	b.EnableCrossFrame(0)
 	for _, w := range wires {
 		b.Cast(w)
 	}
@@ -166,15 +145,30 @@ func TestDeltaSeqnoOverflowFallsBackToFull(t *testing.T) {
 	}
 }
 
-func TestWalkDeltaFirstInFrameIsGarbage(t *testing.T) {
-	// A delta sub with no predecessor is illegal: the tail surfaces as
-	// one garbage sub (stray accounting downstream), no panic.
-	frame := []byte{DeltaFrameMagic, subIsDelta}
-	frame = binary.AppendVarint(frame, 1)
-	frame = binary.AppendUvarint(frame, 0)
+func TestWalkDeltaAfterOpaqueSubIsGarbage(t *testing.T) {
+	// A field-delta sub needs a parsed base; after an opaque full sub
+	// there is none: the tail surfaces as one garbage sub (stray
+	// accounting downstream), no panic.
+	tail := []byte{subIsDelta}
+	tail = binary.AppendVarint(tail, 1)
+	tail = binary.AppendUvarint(tail, 0)
+	frame := append(fullSub(xhdr(), []byte("opaque")), tail...)
 	got := collectWalk(t, NewFrameWalker(2, true), frame)
-	if len(got) != 1 || !bytes.Equal(got[0], frame[1:]) {
-		t.Fatalf("delta-first should surface tail as garbage, got %q", got)
+	wantSubs(t, got, [][]byte{[]byte("opaque"), tail})
+}
+
+// TestWalkNonFullFirstSubParksOnColdLink: a frame whose first sub needs
+// a predecessor the link never saw is not garbage — the predecessor may
+// still be in flight — so it surfaces nothing and waits in the stash.
+func TestWalkNonFullFirstSubParksOnColdLink(t *testing.T) {
+	for _, flag := range []byte{subIsDelta, subPrefix} {
+		frame := xhdr(flag, 0x04, 0x00)
+		res := NewFrameWalker(2, true).walkLink(1, 2, frame, func(sub []byte) {
+			t.Fatalf("flag %#x: baseless first sub surfaced %x", flag, sub)
+		})
+		if !res.stashed || res.genMiss || res.staleGen || res.subs != 0 {
+			t.Fatalf("flag %#x: verdict %+v, want stashed only", flag, res)
+		}
 	}
 }
 
@@ -182,17 +176,17 @@ func TestWalkDeltaUnknownFlagBits(t *testing.T) {
 	wire := cwire(nil, 1, 0, 5)
 	frame := deltaFrameOf(t, 0, wire)
 	// Append a sub whose flag has a reserved bit set.
-	bad := append(append([]byte(nil), frame...), 0x20, 0x01, 0x02)
+	bad := append(append([]byte(nil), frame...), 0x40, 0x01, 0x02)
 	got := collectWalk(t, NewFrameWalker(0, true), bad)
 	if len(got) != 2 {
 		t.Fatalf("got %d subs, want 2 (good + garbage)", len(got))
 	}
-	if !bytes.Equal(got[0], wire) || !bytes.Equal(got[1], []byte{0x20, 0x01, 0x02}) {
+	if !bytes.Equal(got[0], wire) || !bytes.Equal(got[1], []byte{0x40, 0x01, 0x02}) {
 		t.Fatalf("subs = %x", got)
 	}
-	// deltaEpoch without the delta bit is just as unknown, and so is the
-	// prefix flag combined with any delta bit.
-	for _, flag := range []byte{deltaEpoch, subPrefix | subIsDelta} {
+	// deltaEpoch or the suffix bit without the delta bit is just as
+	// unknown, and so is the prefix flag combined with any delta bit.
+	for _, flag := range []byte{deltaEpoch, deltaSuffix, subPrefix | subIsDelta} {
 		bad2 := append(append([]byte(nil), frame...), flag)
 		if got := collectWalk(t, NewFrameWalker(0, true), bad2); len(got) != 2 || !bytes.Equal(got[1], []byte{flag}) {
 			t.Fatalf("flag %#x not treated as garbage: %x", flag, got)
@@ -213,7 +207,7 @@ func TestPrefixDeltaRoundTripOpaqueWires(t *testing.T) {
 	}
 	sink := &frameSink{}
 	b := NewBatcher(sink, 0, 0)
-	b.EnableDelta(0)
+	b.EnableCrossFrame(0)
 	for _, w := range wires {
 		b.Cast(w)
 	}
@@ -254,19 +248,9 @@ func TestPrefixDeltaIdenticalWire(t *testing.T) {
 	if len(got) != 2 || !bytes.Equal(got[0], w) || !bytes.Equal(got[1], w) {
 		t.Fatalf("subs = %q", got)
 	}
-	// full sub (1+1+20) + prefix sub (1+1+1) + magic
-	if want := 1 + (2 + len(w)) + 3; len(frame) != want {
+	// header + full sub (1+1+20) + prefix sub (1+1+1)
+	if want := len(xhdr()) + (2 + len(w)) + 3; len(frame) != want {
 		t.Fatalf("frame is %dB, want %d", len(frame), want)
-	}
-}
-
-func TestWalkPrefixFirstInFrameIsGarbage(t *testing.T) {
-	frame := []byte{DeltaFrameMagic, subPrefix}
-	frame = binary.AppendUvarint(frame, 4)
-	frame = binary.AppendUvarint(frame, 0)
-	got := collectWalk(t, NewFrameWalker(0, true), frame)
-	if len(got) != 1 || !bytes.Equal(got[0], frame[1:]) {
-		t.Fatalf("prefix-first should surface tail as garbage, got %x", got)
 	}
 }
 
@@ -329,39 +313,19 @@ func TestWalkDeltaTruncationsNeverPanic(t *testing.T) {
 		cwire(prefix, 4, 1, 51, 0xB1),
 		cwire(prefix, 4, 2, 52, 0xC1, 0xC2),
 	)
-	w := NewFrameWalker(2, true)
-	for cut := 1; cut <= len(frame); cut++ {
-		total := 0
-		w.Walk(frame[:cut], func(sub []byte) { total += len(sub) })
-		// All bytes after the magic are accounted for across the subs
-		// except framing overhead (flags, length prefixes, elided
-		// fields); the invariant we can hold everywhere is simply "no
-		// panic and the walker terminates", plus full fidelity at the
-		// uncut length, checked below.
-		_ = total
+	for cut := 1; cut < len(frame); cut++ {
+		// A truncated frame surfaces strictly fewer clean subs plus at most
+		// one garbage tail; the invariant held everywhere is "no panic and
+		// the walker terminates", plus full fidelity at the uncut length,
+		// checked below. A fresh link per cut: a clean prefix adopts the
+		// mirror, and the next cut must not read as that frame's duplicate.
+		if got := collectWalk(t, NewFrameWalker(2, true), frame[:cut]); len(got) > 3 {
+			t.Fatalf("cut %d surfaced %d subs from a 3-sub frame", cut, len(got))
+		}
 	}
-	got := collectWalk(t, w, frame)
+	got := collectWalk(t, NewFrameWalker(2, true), frame)
 	if len(got) != 3 {
 		t.Fatalf("uncut frame: got %d subs, want 3", len(got))
-	}
-}
-
-func TestFrameWalkerHandlesClassicAndRaw(t *testing.T) {
-	w := NewFrameWalker(2, true)
-	classic := frameOf([]byte("one"), []byte("two"))
-	got := collectWalk(t, w, classic)
-	if len(got) != 2 || string(got[0]) != "one" || string(got[1]) != "two" {
-		t.Fatalf("classic frame mis-walked: %q", got)
-	}
-	raw := []byte{0x42, 0x43}
-	if got := collectWalk(t, w, raw); len(got) != 1 || !bytes.Equal(got[0], raw) {
-		t.Fatalf("raw packet should surface whole: %q", got)
-	}
-	// WalkFrame itself never understood delta frames; handing it one is
-	// the non-frame path (whole-buffer surface), not a misparse.
-	delta := deltaFrameOf(t, 0, cwire(nil, 1, 0, 1))
-	if got := collectFrame(t, delta); len(got) != 1 || !bytes.Equal(got[0], delta) {
-		t.Fatalf("WalkFrame should treat a delta frame as opaque: %x", got)
 	}
 }
 
@@ -375,9 +339,9 @@ func TestFrameWalkerStableSubsOutliveWalk(t *testing.T) {
 	frame := deltaFrameOf(t, 2, wires...)
 	w := NewFrameWalker(2, true)
 	var subs [][]byte
-	w.Walk(frame, func(sub []byte) { subs = append(subs, sub) }) // retained, not copied
+	w.WalkLink(1, 2, frame, func(sub []byte) { subs = append(subs, sub) }) // retained, not copied
 	// A second walk must not scribble over the retained subs.
-	w.Walk(frame, func([]byte) {})
+	w.WalkLink(1, 2, frame, func([]byte) {})
 	for i := range wires {
 		if !bytes.Equal(subs[i], wires[i]) {
 			t.Fatalf("retained sub %d corrupted by later walk: %x", i, subs[i])
@@ -388,7 +352,7 @@ func TestFrameWalkerStableSubsOutliveWalk(t *testing.T) {
 func TestDeltaBatcherRecyclesBuffers(t *testing.T) {
 	sink := &discardSink{}
 	b := NewBatcher(sink, 0, 0)
-	b.EnableDelta(2)
+	b.EnableCrossFrame(2)
 	prefix := []uint64{1, 77}
 	wa := cwire(prefix, 3, 0, 100, 0xAA, 0xBB, 0xCC, 0xDD)
 	wb := cwire(prefix, 3, 0, 101, 0xEE, 0xFF, 0x11, 0x22)
@@ -415,10 +379,10 @@ func TestDeltaWalkerScratchModeNoAllocs(t *testing.T) {
 	}
 	frame := deltaFrameOf(t, 2, wires...)
 	w := NewFrameWalker(2, false)
-	w.Walk(frame, func([]byte) {}) // grow the scratch once
+	w.WalkLink(1, 2, frame, func([]byte) {}) // grow the scratch once
 	n := 0
 	fn := func([]byte) { n++ }
-	allocs := testing.AllocsPerRun(100, func() { w.Walk(frame, fn) })
+	allocs := testing.AllocsPerRun(100, func() { w.WalkLink(1, 2, frame, fn) })
 	if allocs > 0 {
 		t.Fatalf("scratch-mode walk allocates %.1f/op, want 0", allocs)
 	}
@@ -427,46 +391,30 @@ func TestDeltaWalkerScratchModeNoAllocs(t *testing.T) {
 	}
 }
 
-func TestEnableDeltaFlushesPendingClassicFrames(t *testing.T) {
-	sink := &frameSink{}
-	b := NewBatcher(sink, 0, 0)
-	b.Cast([]byte("classic"))
-	b.EnableDelta(0)
-	if len(sink.calls) != 1 || sink.calls[0].data[0] != FrameMagic {
-		t.Fatalf("EnableDelta must flush pending classic frames first: %+v", sink.calls)
-	}
-	b.Cast([]byte("new"))
-	b.DisableDelta()
-	if len(sink.calls) != 2 || sink.calls[1].data[0] != DeltaFrameMagic {
-		t.Fatalf("DisableDelta must flush pending delta frames first: %+v", sink.calls)
-	}
-	if b.DeltaEnabled() {
-		t.Fatal("DeltaEnabled still true after DisableDelta")
-	}
-}
-
 func FuzzFrameWalker(f *testing.F) {
 	prefix := []uint64{7, 0xDEAD}
-	f.Add([]byte{DeltaFrameMagic, subIsDelta, 0x02, 0x00})
+	f.Add(xhdr(subIsDelta, 0x02, 0x00))
 	seed, _ := mustDeltaFrame(2, cwire(prefix, 1, 0, 5, 0x01), cwire(prefix, 1, 0, 6))
 	f.Add(seed)
-	f.Add(frameOf([]byte("a"), []byte("bb")))
-	f.Add([]byte{DeltaFrameMagic, 0x00, 0x05, 'h', 'i'})
-	f.Add([]byte{DeltaFrameMagic, 0xFF, 0x80, 0x80})
+	f.Add(xhdr(subFull, 0x05, 'h', 'i'))
+	f.Add(xhdr(0xFF, 0x80, 0x80))
 	prefixSeed, _ := mustDeltaFrame(0, []byte("opaque-one"), []byte("opaque-two"))
 	f.Add(prefixSeed)
-	f.Add([]byte{DeltaFrameMagic, subPrefix, 0x04, 0x00})
-	f.Add([]byte{XFrameMagic, 0x00, 0x01, 0x01, subIsDelta, 0x02, 0x00})
-	f.Add([]byte{XFrameMagic, 0x01, 0x03, 0x02, subFull, 0x01, 0xAB})
+	f.Add(xhdr(subPrefix, 0x04, 0x00))
+	f.Add([]byte{FrameMagic, 0x01, 0x03, 0x02, subFull, 0x01, 0xAB})
+	for _, legacy := range legacyDatagrams() {
+		f.Add(legacy)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, nPrefix := range []int{0, 2} {
 			for _, stable := range []bool{true, false} {
 				w := NewFrameWalker(nPrefix, stable)
-				n := w.Walk(data, func([]byte) {})
-				if len(data) > 0 && n == 0 && data[0] != FrameMagic && data[0] != DeltaFrameMagic && data[0] != XFrameMagic {
-					t.Fatalf("non-frame surfaced no subs")
+				n := 0
+				w.WalkLink(1, 2, data, func([]byte) { n++ })
+				if !IsFrame(data) && n != 1 {
+					t.Fatalf("non-frame surfaced %d subs, want itself", n)
 				}
-				w.Walk(data, func([]byte) {}) // walker state survives reuse
+				w.WalkLink(1, 2, data, func([]byte) {}) // walker state survives reuse
 			}
 		}
 	})
@@ -494,7 +442,7 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 		}
 		sink := &frameSink{}
 		b := NewBatcher(sink, 0, 1<<20)
-		b.EnableDelta(2)
+		b.EnableCrossFrame(2)
 		for _, w := range wires {
 			b.Cast(w)
 		}
@@ -502,17 +450,6 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 		if len(sink.calls) != 1 {
 			t.Fatalf("expected one frame, got %d", len(sink.calls))
 		}
-		var got [][]byte
-		NewFrameWalker(2, true).Walk(sink.calls[0].data, func(sub []byte) {
-			got = append(got, append([]byte(nil), sub...))
-		})
-		if len(got) != len(wires) {
-			t.Fatalf("got %d subs, want %d", len(got), len(wires))
-		}
-		for i := range wires {
-			if !bytes.Equal(got[i], wires[i]) {
-				t.Fatalf("sub %d = %x, want %x", i, got[i], wires[i])
-			}
-		}
+		wantSubs(t, collectWalk(t, NewFrameWalker(2, true), sink.calls[0].data), wires)
 	})
 }

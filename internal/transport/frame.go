@@ -1,27 +1,47 @@
 package transport
 
-// Per-peer wire batching (writev-style coalescing). The paper's bypass
-// engine already defers non-critical work inside one member's path (§4,
-// item 3); this file extends the idea across the member/transport
-// boundary: instead of handing each outgoing wire image to the network
-// one syscall-shaped call at a time, wires headed to the same
-// destination are appended into a coalesced *frame* — length-prefixed
-// sub-packets sharing one buffer — and the network sees a single
-// transmit per destination per flush window.
+// The wire format, send side. The paper's bypass engine already defers
+// non-critical work inside one member's path (§4, item 3); the Batcher
+// extends the idea across the member/transport boundary: instead of
+// handing each outgoing wire image to the network one syscall-shaped
+// call at a time, wires headed to the same destination are appended
+// into a coalesced *frame* and the network sees a single transmit per
+// destination per flush window. There is one frame format:
 //
-// Classic frame wire format (EnableDelta selects the delta-compressed
-// variant — see delta.go):
+//	magic    byte = FrameMagic (0xB9)
+//	flags    byte (0x01 = cast chain; other bits reserved, must be 0)
+//	gen      uvarint — the sender's generation for this chain
+//	frameSeq uvarint — 1-based frame counter within the generation
+//	subs     the sub grammar of delta.go: each sub rides full, field-
+//	         delta-encoded, or as a shared prefix/suffix of its
+//	         predecessor
 //
-//	magic     byte = FrameMagic
-//	subs      repeated { uvarint length, length bytes }
+// A *chain* is the sequence of frames to one destination (the cast
+// chain is shared by all receivers). The sender keeps a per-chain shadow
+// of the last sub it emitted, so the first sub of a frame may encode
+// against the previous frame's last sub; the receiver (xframe.go) keeps
+// the mirror per (from, to, cast) link and applies that cross-frame base
+// only when the header proves continuity: same generation, exactly the
+// next frame sequence. Safety over loss and reordering is therefore by
+// construction (the communication-closure discipline of "Causing
+// Communication Closure", PAPERS.md) — see FrameWalker for the receive
+// rules and the resync packet that restarts a broken chain.
 //
-// Safety ("Causing Communication Closure", Engelhardt & Moses): batching
-// must coalesce, never reorder. The Batcher below guarantees something
-// stronger than per-peer FIFO: it only ever appends to the *newest*
-// frame in its queue and flushes frames in creation order, so the
-// global emission order of wires is exactly the append order. A send to
-// peer A between two casts therefore closes the open cast frame — the
+// Batching must coalesce, never reorder. The Batcher guarantees
+// something stronger than per-peer FIFO: it only ever appends to the
+// *newest* frame in its queue and flushes frames in creation order, so
+// the global emission order of wires is exactly the append order. A send
+// to peer A between two casts therefore closes the open cast frame — the
 // second cast starts a new one — rather than being overtaken by it.
+//
+// Flush triggers: the size threshold (a frame that would outgrow
+// maxBytes flushes everything first), the owner's end of entry, the
+// scheduler's drain barrier, and explicit calls. At the entry-end and
+// barrier triggers a batcher that was given a clock may *hold* a suffix
+// of the queue — frames still small, young, and headed to a chain whose
+// observed append cadence says more wires are imminent — so near-future
+// appends coalesce into them; size-threshold and explicit flushes always
+// emit everything.
 
 import (
 	"encoding/binary"
@@ -29,65 +49,24 @@ import (
 	"ensemble/internal/event"
 )
 
-// FrameMagic is the first byte of a batched frame. Members always emit
-// data packets as frames (even a frame of one sub-packet), so a
-// substrate that sees this magic knows the packet came from a Batcher;
-// raw packets (control traffic, hand-crafted test packets) are passed
-// through untouched.
-const FrameMagic = 0xB7
+// FrameMagic is the first byte of every batched frame. Members emit
+// all stack traffic as frames (even a frame of one sub-packet); raw
+// packets (resync requests, hand-crafted test packets) start with
+// anything else and pass through the receive link whole.
+const FrameMagic = 0xB9
 
 // DefaultFrameBytes is the default size threshold: a frame is flushed
 // rather than grown past roughly one MTU's worth of sub-packets.
 const DefaultFrameBytes = 1400
 
-// IsFrame reports whether data begins a batched frame — classic,
-// delta-compressed (delta.go), or cross-frame (xframe.go). Pair it with
-// FrameWalker.Walk (or WalkLink, which activates cross-frame state);
-// WalkFrame below decodes only the classic format.
-func IsFrame(data []byte) bool {
-	return len(data) > 0 && (data[0] == FrameMagic || data[0] == DeltaFrameMagic || data[0] == XFrameMagic)
-}
+// IsFrame reports whether data begins a batched frame. FrameWalker
+// applies this test itself; substrates need it only to tell frames from
+// control packets before the link sees them (UDPNet's injected loss).
+func IsFrame(data []byte) bool { return len(data) > 0 && data[0] == FrameMagic }
 
-// WalkFrame fans a batched frame out into its sub-packets, calling fn
-// once per sub-packet in order, and returns the number of sub-packets
-// surfaced. Malformed framing is never dropped silently: a truncated
-// length prefix or a declared length overrunning the buffer surfaces
-// the remaining bytes as one final (garbage) sub-packet, and a
-// zero-length sub-packet surfaces as an empty one — downstream decoders
-// count both as stray packets, exactly as they would a malformed raw
-// packet. Calling WalkFrame on a non-frame is a programming error and
-// surfaces the whole buffer as one sub-packet.
-func WalkFrame(data []byte, fn func(sub []byte)) int {
-	if len(data) == 0 || data[0] != FrameMagic {
-		fn(data)
-		return 1
-	}
-	subs := 0
-	off := 1
-	for off < len(data) {
-		n, k := binary.Uvarint(data[off:])
-		if k <= 0 {
-			// Truncated or overflowing length prefix: the tail is
-			// undecodable as framing — hand it over as-is.
-			fn(data[off:])
-			return subs + 1
-		}
-		off += k
-		end := off + int(n)
-		if end < off || end > len(data) {
-			// Declared length overruns the buffer.
-			fn(data[off:])
-			return subs + 1
-		}
-		// Three-index slice: the sub's capacity ends at its length, so a
-		// receiver that appends to (rather than reslices) the sub cannot
-		// scribble over the next sub's bytes in the shared frame buffer.
-		fn(data[off:end:end])
-		subs++
-		off = end
-	}
-	return subs
-}
+// xflagCast marks the cast chain; point-to-point chains leave it clear.
+// All other flag bits are reserved and must be zero.
+const xflagCast = 0x01
 
 // BatchSink consumes flushed frames. core.Network's transmit half
 // (netsim.Net, netsim.Endpoint, netsim.UDPNet) satisfies it.
@@ -98,18 +77,16 @@ type BatchSink interface {
 
 // FlushCause says why a flush happened — the three triggers the
 // batching design names (size threshold, owner's entry end, scheduler
-// drain barrier) plus explicit calls from tests and mode switches.
-// BatcherStats counts flushes per cause, which is the figure that shows
-// *where* coalescing windows actually close on a given workload.
+// drain barrier) plus explicit calls. BatcherStats counts flushes per
+// cause, which is the figure that shows *where* coalescing windows
+// actually close on a given workload.
 type FlushCause uint8
 
 const (
-	// FlushExplicit is a direct Flush() call (tests, mode switches,
+	// FlushExplicit is a direct Flush() call (tests, generation bumps,
 	// deployments forcing wires out before blocking).
 	FlushExplicit FlushCause = iota
-	// FlushSize is the size-threshold trigger: a frame would outgrow
-	// maxBytes (immediate mode counts here too — its threshold is
-	// "every wire").
+	// FlushSize is the size-threshold trigger: a frame reached maxBytes.
 	FlushSize
 	// FlushEntryEnd is the owner's end-of-entry trigger: core.Member
 	// flushes when its outermost entry point returns.
@@ -132,26 +109,31 @@ type BatcherStats struct {
 	// cause; the remainder (Flushes minus the three) were explicit.
 	SizeFlushes, EntryEndFlushes, BarrierFlushes int64
 	// DeltaSubs counts wires that went out field-delta-encoded against
-	// their in-frame predecessor (always 0 with delta disabled).
+	// their predecessor on the chain.
 	DeltaSubs int64
 	// PrefixSubs counts wires that went out as shared-prefix subs — the
-	// shape-agnostic fallback for wires the field delta cannot parse
-	// (always 0 with delta disabled).
+	// shape-agnostic fallback for wires the field delta cannot parse.
 	PrefixSubs int64
 	// FrameBytes counts frame bytes handed to the sink — the batcher's
 	// own bytes-on-wire figure, for substrates that do not keep one.
 	FrameBytes int64
-	// XFrames counts cross-frame (generation-tagged) frames created;
-	// XFirstFull and XFirstDelta split them by whether the first sub rode
-	// full or encoded against the previous frame's last sub — the figure
-	// that says how often the cross-frame base actually paid off.
+	// ClassicBytes counts what the appended wires would have cost as
+	// unbatched classic frames — one magic byte, a uvarint length, and
+	// the wire, per sub. It is the fixed yardstick compression ratios are
+	// quoted against (FrameBytes/ClassicBytes), computed from the run's
+	// own wires so no second encoder has to exist to measure it.
+	ClassicBytes int64
+	// XFrames counts frames created; XFirstFull and XFirstDelta split
+	// them by whether the first sub rode full or encoded against the
+	// previous frame's last sub — the figure that says how often the
+	// cross-frame base actually paid off.
 	XFrames, XFirstFull, XFirstDelta int64
 	// GenBumps counts local generation bumps (view installs, peer
 	// rebinds); ResyncBumps counts bumps forced by a peer's resync packet
 	// (a detected drop or a restarted receiver).
 	GenBumps, ResyncBumps int64
-	// Holds counts frames the adaptive flush controller kept pending at a
-	// flush point that would otherwise have emitted them.
+	// Holds counts frames kept pending at a flush point that would
+	// otherwise have emitted them.
 	Holds int64
 }
 
@@ -167,6 +149,7 @@ func (s *BatcherStats) Add(o BatcherStats) {
 	s.DeltaSubs += o.DeltaSubs
 	s.PrefixSubs += o.PrefixSubs
 	s.FrameBytes += o.FrameBytes
+	s.ClassicBytes += o.ClassicBytes
 	s.XFrames += o.XFrames
 	s.XFirstFull += o.XFirstFull
 	s.XFirstDelta += o.XFirstDelta
@@ -186,61 +169,117 @@ type batchFrame struct {
 	// next append. Tail-only append makes this well defined: only the
 	// newest frame ever grows, so one base per frame is the whole state.
 	base subMeta
-	// st is the destination chain's state (set when cross-frame or
-	// adaptive flush is on) and born the frame's creation time (adaptive
-	// flush only) — cached here so flush decisions skip the map.
+	// st is the destination chain's state, cached here so flush decisions
+	// skip the map; born is the frame's creation time (0 without a clock).
 	st   *peerState
 	born int64
 }
+
+// xKey identifies one outgoing chain: the cast chain is shared by all
+// receivers (a cast frame is one buffer fanned out verbatim, so its
+// delta chain must be one sequence too), point-to-point chains are per
+// destination.
+type xKey struct {
+	cast bool
+	to   event.Addr
+}
+
+func chainKey(cast bool, to event.Addr) xKey {
+	if cast {
+		return xKey{cast: true}
+	}
+	return xKey{to: to}
+}
+
+// peerState is the sender's per-chain record: the generation/frame
+// counters stamped into headers, the shadow of the last sub emitted
+// (the next frame's cross-frame base), and the inter-append gap
+// estimate the hold decision reads.
+type peerState struct {
+	gen      uint64
+	frameSeq uint64
+	// shadow is the last wire appended to the chain's previous frame,
+	// with its parsed header; hasShadow is false in a fresh generation,
+	// which is exactly what forces the next first sub to ride full.
+	shadow     []byte
+	shadowMeta subMeta
+	hasShadow  bool
+	// sinceFull counts consecutive frames whose first sub rode the
+	// cross-frame shadow; at xAnchorEvery the chain emits an anchor
+	// (full first sub) instead, resetting the count.
+	sinceFull int
+	// lastAppend / gapEWMA feed the hold decision: the time of the
+	// chain's last append and a smoothed inter-append gap (-1 until two
+	// appends have been seen).
+	lastAppend int64
+	gapEWMA    int64
+}
+
+// xAnchorEvery caps consecutive delta-first frames per chain: after this
+// many, the next frame is an anchor (full first sub, self-contained).
+// One lost frame renders every later delta-first frame already in flight
+// undecodable until the resync round trip completes; anchors bound that
+// amplification to the cadence and let a broken chain heal passively —
+// a receiver adopts the anchor statelessly — even when the resync itself
+// is lost. The cost is one full first sub per xAnchorEvery frames, the
+// same refresh/efficiency trade header-compression schemes over lossy
+// links settle by periodic full headers. 16 keeps the worst-case
+// undecodable run under one resync round trip on the simulated link
+// while paying the refresh tax half as often as the initial cadence of
+// 8 did.
+const xAnchorEvery = 16
+
+// Hold tuning: a frame may be held at most holdMaxNs past its creation,
+// only for a chain whose smoothed inter-append gap is at most holdGapNs,
+// and only while it is under holdMinBytes. The gap ceiling sits above
+// the steady cast cadences the workloads run (200µs rounds) — a chain
+// carrying back-to-back rounds is exactly the one worth holding through
+// a barrier so the next round's subs ride the same frame — and the hold
+// cap spans a couple of drain barriers even when the adaptive quantum
+// has widened past the submission interval. The layer sweep tick (50ms)
+// and the barrier cadence bound staleness even if traffic stops dead.
+const (
+	holdMaxNs    = 2_000_000
+	holdGapNs    = 500_000
+	holdMinBytes = 600
+)
 
 // Batcher coalesces outgoing wire images into per-destination frames.
 // It is single-goroutine, like the member that owns it, and recycles
 // its frame buffers so the steady-state hot path allocates nothing
 // (the sink consumes frame data during the call, per the Network
-// contract). Flush triggers: (a) the size threshold — a frame that
-// would outgrow maxBytes flushes everything first; (b) the owner's
-// end-of-sweep — core.Member flushes when its outermost entry point
-// returns; (c) an explicit Flush at a scheduler barrier — the cluster
-// harness flushes each member at the end of its drain phase.
+// contract).
 type Batcher struct {
-	sink      BatchSink
-	from      event.Addr
-	maxBytes  int
-	immediate bool
-	// delta selects the delta-compressed frame format (magic
-	// DeltaFrameMagic): compressed wire images are encoded against their
-	// in-frame predecessor, everything else rides as full subs. nPrefix
-	// is the epoch prefix length the sub parser expects (see delta.go).
-	delta   bool
+	sink     BatchSink
+	from     event.Addr
+	maxBytes int
+	// nPrefix is the epoch prefix length the sub parser expects (see
+	// delta.go).
 	nPrefix int
-	// xframe selects the cross-frame format (magic XFrameMagic, implies
-	// delta): frames carry generation-tagged headers and chain their
-	// delta state across frame boundaries per destination (xframe.go).
-	xframe bool
 	// peers holds the per-chain generation/shadow/cadence state, keyed by
 	// destination (one shared entry for the cast chain).
 	peers map[xKey]*peerState
-	// adaptive enables the per-destination flush controller: now is the
-	// owner's clock and aCfg its tuning (xframe.go). holdObs, when set,
-	// observes each emitted frame's queue residency (emit time minus
-	// creation time, ns) — the hold-duration histogram feed.
-	adaptive bool
-	now      func() int64
-	aCfg     AdaptiveFlushConfig
-	holdObs  func(int64)
+	// now is the owner's clock; nil means the batcher never holds and
+	// frames carry no creation time. holdObs, when set, observes each
+	// emitted frame's queue residency (emit time minus creation time, ns)
+	// — the hold-duration histogram feed.
+	now     func() int64
+	holdObs func(int64)
 
 	frames []batchFrame
 	free   [][]byte
 	// prev holds a copy of the last wire appended to the newest frame —
 	// the base for shared-prefix encoding. One buffer suffices because
-	// only the newest frame is ever appendable; tail() empties it when a
+	// only the newest frame is ever appendable; tail() reseeds it when a
 	// fresh frame starts.
 	prev  []byte
 	stats BatcherStats
 }
 
 // NewBatcher builds a batcher for the member at from, flushing frames
-// into sink. maxBytes <= 0 selects DefaultFrameBytes.
+// into sink. maxBytes <= 0 selects DefaultFrameBytes; maxBytes == 1 is
+// the no-coalescing setting (every wire flushes as its own frame during
+// the call that appended it).
 func NewBatcher(sink BatchSink, from event.Addr, maxBytes int) *Batcher {
 	if maxBytes <= 0 {
 		maxBytes = DefaultFrameBytes
@@ -248,58 +287,58 @@ func NewBatcher(sink BatchSink, from event.Addr, maxBytes int) *Batcher {
 	return &Batcher{sink: sink, from: from, maxBytes: maxBytes}
 }
 
-// SetImmediate switches coalescing off: every wire is flushed as its
-// own single-sub frame during the call that appended it. This is the
-// ablation knob for measuring what batching buys; the wire format is
-// unchanged, so receivers cannot tell the difference.
-func (b *Batcher) SetImmediate(on bool) {
-	b.Flush()
-	b.immediate = on
-}
-
-// EnableDelta switches the batcher to the delta-compressed frame format
-// (see delta.go): sub-packet headers are elided or delta-encoded against
-// the previous sub in the frame. prefixUvarints is the number of epoch
-// uvarints prefixed to every wire (EpochPrefixUvarints for core.Member
-// traffic, 0 for bare wires); receivers must walk frames with a
-// FrameWalker built with the same value. Pending frames are flushed
-// first, so a frame is never half one format.
-func (b *Batcher) EnableDelta(prefixUvarints int) {
+// EnableCrossFrame sets the number of epoch uvarints prefixed to every
+// wire (EpochPrefixUvarints for core.Member traffic, the default 0 for
+// bare wires) so the sub coder can treat the prefix as one elidable
+// field; receivers must walk these frames with a FrameWalker built with
+// the same value. Pending frames are flushed first.
+func (b *Batcher) EnableCrossFrame(prefixUvarints int) {
 	if prefixUvarints < 0 || prefixUvarints > maxPrefix {
 		panic("transport: prefixUvarints out of range")
 	}
 	b.Flush()
-	b.delta = true
 	b.nPrefix = prefixUvarints
 }
 
-// DisableDelta restores the classic frame format — the ablation knob for
-// measuring what delta compression buys. Cross-frame encoding rides on
-// delta, so it is disabled too.
-func (b *Batcher) DisableDelta() {
+// SetClock gives the batcher its owner's clock (virtual nanoseconds
+// under netsim, monotonic under UDPNet), which is what lets entry-end
+// and barrier flushes hold young frames on fast chains; nil takes it
+// away again. Hold decisions read only this clock and per-chain
+// counters, so simulated runs stay deterministic. Pending frames are
+// flushed first.
+func (b *Batcher) SetClock(now func() int64) {
 	b.Flush()
-	b.delta = false
-	b.xframe = false
+	b.now = now
 }
 
-// DisableCrossFrame drops back from the cross-frame format to plain
-// intra-frame delta — the ablation knob that isolates what chaining the
-// delta state across frame boundaries buys on top of 0xB8. Pending
-// frames are flushed first; per-chain generation state is kept, so
-// re-enabling resumes where the chains left off.
-func (b *Batcher) DisableCrossFrame() {
-	b.Flush()
-	b.xframe = false
-}
+// DisableAdaptiveFlush is SetClock(nil) under the name the repository
+// benchmark calls (benchmark/udp.go): a closed-loop workload's holds
+// would otherwise wait out the owner's sweep tick.
+func (b *Batcher) DisableAdaptiveFlush() { b.SetClock(nil) }
 
-// DeltaEnabled reports whether the delta frame format is selected.
-func (b *Batcher) DeltaEnabled() bool { return b.delta }
+// SetHoldObserver installs a per-frame queue-residency observer: at
+// every emit, obs receives the frame's age (emit time minus creation
+// time, in the clock's nanoseconds). The member wires an obs.Histogram's
+// Observe here — the hold-duration distribution that says what holds
+// actually cost in latency. Only meaningful with a clock (frames are not
+// timestamped otherwise); nil uninstalls.
+func (b *Batcher) SetHoldObserver(obs func(int64)) { b.holdObs = obs }
 
 // Stats returns a snapshot of the batching counters.
 func (b *Batcher) Stats() BatcherStats { return b.stats }
 
 // Pending reports the number of frames awaiting a flush.
 func (b *Batcher) Pending() int { return len(b.frames) }
+
+// PendingSubs reports the number of wires awaiting a flush across all
+// pending frames — what a held flush decision left behind.
+func (b *Batcher) PendingSubs() int {
+	n := 0
+	for i := range b.frames {
+		n += b.frames[i].subs
+	}
+	return n
+}
 
 // Send appends a point-to-point wire image headed to peer to. The data
 // is copied during the call; the caller may reuse its buffer.
@@ -309,13 +348,21 @@ func (b *Batcher) Send(to event.Addr, wire []byte) { b.append(false, to, wire) }
 // call.
 func (b *Batcher) Cast(wire []byte) { b.append(true, 0, wire) }
 
+// append encodes wire into the tail frame: field-delta-encoded when both
+// it and the previous sub parse as compressed images and the seqno delta
+// fits; otherwise a shared-prefix sub when enough leading bytes match
+// the previous wire (acks and gossip repeat their headers even though
+// the coder has no model of their fields); a flagged full sub as the
+// last resort. Either way the wire becomes the next delta base (an
+// unparseable wire clears the field base, so a following delta sub can
+// never refer past an opaque one) and the next prefix base.
 func (b *Batcher) append(cast bool, to event.Addr, wire []byte) {
 	b.stats.SubPackets++
-	need := 1 + binary.MaxVarintLen32 + len(wire)
-	f := b.tail(cast, to, need)
-	if b.adaptive && f.st != nil {
+	b.stats.ClassicBytes += int64(1 + uvarintLen(uint64(len(wire))) + len(wire))
+	f := b.tail(cast, to, 1+binary.MaxVarintLen32+len(wire))
+	if b.now != nil {
 		// Feed the chain's append-cadence estimate: a fast EWMA of the
-		// inter-append gap, the signal the flush controller holds on.
+		// inter-append gap, the signal the hold decision reads.
 		now := b.now()
 		if f.st.lastAppend >= 0 {
 			gap := now - f.st.lastAppend
@@ -327,46 +374,19 @@ func (b *Batcher) append(cast bool, to event.Addr, wire []byte) {
 		}
 		f.st.lastAppend = now
 	}
-	if b.delta {
-		b.appendDelta(f, wire)
-	} else {
-		f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)))
-		f.buf = append(f.buf, wire...)
-	}
+	// The first sub of a frame encodes against the previous frame's last
+	// sub when tail() seeded the chain's shadow: count how often that
+	// pays off versus riding full.
+	first := f.subs == 0
 	f.subs++
-	if b.immediate || len(f.buf) >= b.maxBytes {
-		b.FlushFor(FlushSize)
-	}
-}
-
-// appendDelta appends wire to a delta-format frame: field-delta-encoded
-// when both it and the frame's previous sub parse as compressed images
-// and the seqno delta fits; otherwise a shared-prefix sub when enough
-// leading bytes match the previous wire (acks and gossip repeat their
-// headers even though the coder has no model of their fields); a
-// flagged full sub as the last resort. Either way the wire becomes the
-// next delta base (an unparseable wire clears the field base, so a
-// following delta sub can never refer past an opaque one) and the next
-// prefix base.
-func (b *Batcher) appendDelta(f *batchFrame, wire []byte) {
-	// In a cross-frame frame the first sub may encode against the
-	// previous frame's last sub (the seeded base/prev): count how often
-	// that pays off versus riding full.
-	first := b.xframe && f.subs == 0
 	cur := parseSub(wire, b.nPrefix)
+	delta, full := false, false
 	if cur.ok && f.base.ok {
-		if buf, ok := appendDeltaSub(f.buf, wire, cur, f.base, b.nPrefix, b.prev); ok {
-			f.buf = buf
-			f.base = cur
-			b.stats.DeltaSubs++
-			if first {
-				b.stats.XFirstDelta++
-			}
-			b.prev = append(b.prev[:0], wire...)
-			return
-		}
+		f.buf, delta = appendDeltaSub(f.buf, wire, cur, f.base, b.nPrefix, b.prev)
 	}
-	if n := commonPrefixLen(b.prev, wire); n >= minPrefixLen {
+	if delta {
+		b.stats.DeltaSubs++
+	} else if n := commonPrefixLen(b.prev, wire); n >= minPrefixLen {
 		s := commonSuffixLen(wire[n:], b.prev[n:])
 		if s < minSuffixLen {
 			s = 0
@@ -375,30 +395,43 @@ func (b *Batcher) appendDelta(f *batchFrame, wire []byte) {
 			f.buf = append(f.buf, subPrefixSuffix)
 			f.buf = binary.AppendUvarint(f.buf, uint64(n))
 			f.buf = binary.AppendUvarint(f.buf, uint64(s))
-			f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)-n-s))
-			f.buf = append(f.buf, wire[n:len(wire)-s]...)
 		} else {
 			f.buf = append(f.buf, subPrefix)
 			f.buf = binary.AppendUvarint(f.buf, uint64(n))
-			f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)-n))
-			f.buf = append(f.buf, wire[n:]...)
 		}
-		f.base = cur
+		f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)-n-s))
+		f.buf = append(f.buf, wire[n:len(wire)-s]...)
 		b.stats.PrefixSubs++
-		if first {
-			b.stats.XFirstDelta++
-		}
-		b.prev = append(b.prev[:0], wire...)
-		return
+	} else {
+		full = true
+		f.buf = append(f.buf, subFull)
+		f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)))
+		f.buf = append(f.buf, wire...)
 	}
-	f.buf = append(f.buf, subFull)
-	f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)))
-	f.buf = append(f.buf, wire...)
-	f.base = cur
-	if first {
+	if first && full {
 		b.stats.XFirstFull++
+	} else if first {
+		b.stats.XFirstDelta++
 	}
+	f.base = cur
 	b.prev = append(b.prev[:0], wire...)
+	if len(f.buf) >= b.maxBytes {
+		b.FlushFor(FlushSize)
+	}
+}
+
+// peer returns (creating on first use) the chain state for a destination.
+func (b *Batcher) peer(cast bool, to event.Addr) *peerState {
+	k := chainKey(cast, to)
+	st := b.peers[k]
+	if st == nil {
+		st = &peerState{gen: 1, lastAppend: -1, gapEWMA: -1}
+		if b.peers == nil {
+			b.peers = make(map[xKey]*peerState)
+		}
+		b.peers[k] = st
+	}
+	return st
 }
 
 // tail returns the frame to append into: the newest frame when it has
@@ -420,73 +453,84 @@ func (b *Batcher) tail(cast bool, to event.Addr, need int) *batchFrame {
 		buf = b.free[n-1]
 		b.free = b.free[:n-1]
 	}
-	var st *peerState
-	if b.xframe || b.adaptive {
-		st = b.peer(cast, to)
+	st := b.peer(cast, to)
+	st.frameSeq++
+	flag := byte(0)
+	if cast {
+		flag = xflagCast
 	}
+	buf = append(buf[:0], FrameMagic, flag)
+	buf = binary.AppendUvarint(buf, st.gen)
+	buf = binary.AppendUvarint(buf, st.frameSeq)
 	b.prev = b.prev[:0] // a fresh frame has no in-frame predecessor...
 	var base subMeta
-	if b.xframe {
-		st.frameSeq++
-		flag := byte(0)
-		if cast {
-			flag = xflagCast
-		}
-		buf = append(buf[:0], XFrameMagic, flag)
-		buf = binary.AppendUvarint(buf, st.gen)
-		buf = binary.AppendUvarint(buf, st.frameSeq)
-		if st.hasShadow && st.sinceFull < xAnchorEvery {
-			// ...unless the chain's shadow carries one across the frame
-			// boundary: the receiver's mirror holds the same bytes. Every
-			// xAnchorEvery-th frame forgoes the shadow and rides a full
-			// first sub — a self-contained anchor the receiver can adopt
-			// statelessly, which bounds how many in-flight frames one
-			// loss can render undecodable before the resync round trip
-			// lands (see xframe.go).
-			base = st.shadowMeta
-			b.prev = append(b.prev[:0], st.shadow...)
-			st.sinceFull++
-		} else {
-			st.sinceFull = 0
-		}
-		b.stats.XFrames++
+	if st.hasShadow && st.sinceFull < xAnchorEvery {
+		// ...unless the chain's shadow carries one across the frame
+		// boundary: the receiver's mirror holds the same bytes. Every
+		// xAnchorEvery-th frame forgoes the shadow and rides a full first
+		// sub — a self-contained anchor the receiver can adopt statelessly.
+		base = st.shadowMeta
+		b.prev = append(b.prev, st.shadow...)
+		st.sinceFull++
 	} else {
-		magic := byte(FrameMagic)
-		if b.delta {
-			magic = DeltaFrameMagic
-		}
-		buf = append(buf[:0], magic)
+		st.sinceFull = 0
 	}
+	b.stats.XFrames++
 	var born int64
-	if b.adaptive {
+	if b.now != nil {
 		born = b.now()
 	}
 	b.frames = append(b.frames, batchFrame{cast: cast, to: to, buf: buf, base: base, st: st, born: born})
 	return &b.frames[len(b.frames)-1]
 }
 
+// closeTail records the newest frame's trailing delta state into its
+// chain's shadow, making it the cross-frame base for that chain's next
+// frame. Idempotent; called whenever the tail frame stops being
+// appendable (a new frame supersedes it, or a flush is about to emit).
+func (b *Batcher) closeTail() {
+	n := len(b.frames)
+	if n == 0 {
+		return
+	}
+	f := &b.frames[n-1]
+	f.st.shadow = append(f.st.shadow[:0], b.prev...)
+	f.st.shadowMeta = f.base
+	f.st.hasShadow = true
+}
+
+// holdable reports whether f may stay pending at a flush point: still
+// small, still young, and headed to a chain whose observed append
+// cadence says more wires are imminent.
+func (f *batchFrame) holdable(now int64) bool {
+	if len(f.buf) >= holdMinBytes || now-f.born >= holdMaxNs {
+		return false
+	}
+	g := f.st.gapEWMA
+	return g >= 0 && g <= holdGapNs
+}
+
 // Flush hands every pending frame to the sink, in creation order, and
 // recycles the buffers. Safe to call with nothing pending. Explicit
-// flushes never hold: shutdown and mode switches need the wire empty.
+// flushes never hold: shutdown and generation bumps need the wire empty.
 func (b *Batcher) Flush() int { return b.FlushFor(FlushExplicit) }
 
 // FlushFor is Flush with the trigger recorded in the per-cause stats;
 // the member and scheduler flush points call it so the counters say
 // where coalescing windows close. It returns the number of frames
-// emitted: with the adaptive controller on, an entry-end or barrier
-// flush may hold back a suffix of the queue (frames still small, young,
-// and headed to chains appending at short gaps) — emitting only a
-// prefix preserves the append-order emission guarantee, and held frames
-// age out at the next flush point (the owner's sweep tick bounds that).
+// emitted: with a clock, an entry-end or barrier flush may hold back a
+// suffix of the queue — emitting only a prefix preserves the
+// append-order emission guarantee, and held frames age out at the next
+// flush point (the owner's sweep tick bounds that).
 func (b *Batcher) FlushFor(cause FlushCause) int {
 	if len(b.frames) == 0 {
 		return 0
 	}
 	b.closeTail()
 	cut := len(b.frames)
-	if b.adaptive && (cause == FlushEntryEnd || cause == FlushBarrier) {
+	if b.now != nil && (cause == FlushEntryEnd || cause == FlushBarrier) {
 		now := b.now()
-		for cut > 0 && b.holdable(&b.frames[cut-1], now) {
+		for cut > 0 && b.frames[cut-1].holdable(now) {
 			cut--
 		}
 		b.stats.Holds += int64(len(b.frames) - cut)
@@ -494,15 +538,16 @@ func (b *Batcher) FlushFor(cause FlushCause) int {
 	if cut == 0 {
 		return 0
 	}
+	observe := b.now != nil && b.holdObs != nil
 	var emitT int64
-	if b.adaptive && b.holdObs != nil {
+	if observe {
 		emitT = b.now()
 	}
 	for i := 0; i < cut; i++ {
 		f := &b.frames[i]
-		if b.adaptive && b.holdObs != nil {
-			// Queue residency: how long the adaptive controller let this
-			// frame coalesce before it reached the wire.
+		if observe {
+			// Queue residency: how long this frame was left to coalesce
+			// before it reached the wire.
 			b.holdObs(emitT - f.born)
 		}
 		if f.cast {
@@ -529,4 +574,63 @@ func (b *Batcher) FlushFor(cause FlushCause) int {
 		b.stats.BarrierFlushes++
 	}
 	return cut
+}
+
+// restart begins a fresh generation on one chain: the next frame carries
+// a full first sub, which any receiver adopts statelessly.
+func (st *peerState) restart() {
+	st.gen++
+	st.frameSeq = 0
+	st.hasShadow = false
+}
+
+// BumpGenerations starts a fresh generation on every chain — the view-
+// install hook: a new view changes the epoch prefix of every wire, the
+// group composition, and possibly the member's own rank, so no receiver
+// mirror built under the old view may be extended. Pending frames are
+// flushed first (their headers already name the old generation).
+func (b *Batcher) BumpGenerations() {
+	if len(b.peers) == 0 {
+		return
+	}
+	b.Flush()
+	for _, st := range b.peers {
+		st.restart()
+	}
+	b.stats.GenBumps++
+}
+
+// BumpPeer starts a fresh generation on the chains a rebinding peer can
+// see — its point-to-point chain and the shared cast chain. UDPNet calls
+// it when a member id reappears from a new socket address: the restarted
+// process has no mirror state, so every chain it receives must restart
+// with a full first sub.
+func (b *Batcher) BumpPeer(to event.Addr) {
+	bumped := false
+	for _, k := range [2]xKey{chainKey(false, to), chainKey(true, 0)} {
+		if st := b.peers[k]; st != nil {
+			if !bumped {
+				b.Flush()
+				bumped = true
+			}
+			st.restart()
+		}
+	}
+	if bumped {
+		b.stats.GenBumps++
+	}
+}
+
+// HandleResync reacts to a peer's resync packet: if the named chain is
+// still in the generation the receiver could not decode, bump it. The
+// generation check is what stops a bump storm — duplicate or delayed
+// resyncs name a generation the sender has already left and are ignored.
+func (b *Batcher) HandleResync(from event.Addr, cast bool, gen uint64) {
+	st := b.peers[chainKey(cast, from)]
+	if st == nil || st.gen != gen {
+		return
+	}
+	b.Flush()
+	st.restart()
+	b.stats.ResyncBumps++
 }

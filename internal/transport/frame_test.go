@@ -8,106 +8,140 @@ import (
 	"ensemble/internal/event"
 )
 
-// collectFrame runs WalkFrame and returns copies of the surfaced subs.
+// collectFrame walks one frame on a fresh link and returns copies of
+// the surfaced subs.
 func collectFrame(t *testing.T, data []byte) [][]byte {
 	t.Helper()
+	return collectWalk(t, NewFrameWalker(0, true), data)
+}
+
+// collectWalk hands data to w on the 1→2 link and returns copies of the
+// surfaced subs (copying during fn is the inline-consumption contract,
+// so this is correct in both lifetime modes).
+func collectWalk(t *testing.T, w *FrameWalker, data []byte) [][]byte {
+	t.Helper()
 	var subs [][]byte
-	n := WalkFrame(data, func(sub []byte) {
+	w.WalkLink(1, 2, data, func(sub []byte) {
 		subs = append(subs, append([]byte(nil), sub...))
 	})
-	if n != len(subs) {
-		t.Fatalf("WalkFrame returned %d, surfaced %d subs", n, len(subs))
-	}
 	return subs
 }
 
-func frameOf(subs ...[]byte) []byte {
-	buf := []byte{FrameMagic}
-	for _, s := range subs {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	return buf
+// xhdr is the frame header every hand-built frame in these tests starts
+// from: point-to-point chain, generation 1, frame 1.
+func xhdr(tail ...byte) []byte {
+	return append([]byte{FrameMagic, 0x00, 0x01, 0x01}, tail...)
 }
 
-func TestWalkFrameRoundTrip(t *testing.T) {
-	want := [][]byte{[]byte("alpha"), []byte("b"), bytes.Repeat([]byte{0xAB}, 300)}
-	got := collectFrame(t, frameOf(want...))
-	if len(got) != len(want) {
-		t.Fatalf("got %d subs, want %d", len(got), len(want))
+// fullSub appends wire as a full sub.
+func fullSub(buf, wire []byte) []byte {
+	buf = append(buf, subFull)
+	buf = binary.AppendUvarint(buf, uint64(len(wire)))
+	return append(buf, wire...)
+}
+
+func TestWalkLinkRoundTripFullSubs(t *testing.T) {
+	want := [][]byte{[]byte("alpha"), []byte("b"), nil, bytes.Repeat([]byte{0xAB}, 300)}
+	frame := xhdr()
+	for _, w := range want {
+		frame = fullSub(frame, w)
 	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("sub %d = %q, want %q", i, got[i], want[i])
+	got := collectFrame(t, frame)
+	wantSubs(t, got, want)
+}
+
+func TestWalkLinkNonFramePassesWhole(t *testing.T) {
+	w := NewFrameWalker(2, true)
+	for _, raw := range [][]byte{{0x01, 0x02, 0x03}, nil, appendResync(nil, true, 7)} {
+		got := collectWalk(t, w, raw)
+		if len(got) != 1 || !bytes.Equal(got[0], raw) {
+			t.Fatalf("non-frame %x should surface whole, got %x", raw, got)
 		}
 	}
-}
-
-func TestWalkFrameNonFrame(t *testing.T) {
-	raw := []byte{0x01, 0x02, 0x03}
-	got := collectFrame(t, raw)
-	if len(got) != 1 || !bytes.Equal(got[0], raw) {
-		t.Fatalf("non-frame should surface whole buffer, got %v", got)
+	if c := w.Counters(); c.Frames.Load() != 0 || c.SubPackets.Load() != 0 {
+		t.Fatalf("raw packets counted as frames: %d frames, %d subs", c.Frames.Load(), c.SubPackets.Load())
 	}
 }
 
-func TestWalkFrameEmptyAndMagicOnly(t *testing.T) {
-	if got := collectFrame(t, []byte{FrameMagic}); len(got) != 0 {
-		t.Fatalf("magic-only frame: got %d subs, want 0", len(got))
+// TestWalkLinkRetiredMagicsAreRawPackets: a datagram in one of the
+// retired frame formats (0xB7 classic, 0xB8 intra-frame delta) is not a
+// frame to this link — it surfaces whole, draws no resync, touches no
+// mirror, and the live chain keeps decoding.
+func TestWalkLinkRetiredMagicsAreRawPackets(t *testing.T) {
+	sink := &frameSink{}
+	b := NewBatcher(sink, 1, 0)
+	w := NewFrameWalker(0, true)
+	live := func(wire string) {
+		t.Helper()
+		b.Send(2, []byte(wire))
+		b.Flush()
+		got := collectWalk(t, w, sink.calls[len(sink.calls)-1].data)
+		if len(got) != 1 || string(got[0]) != wire {
+			t.Fatalf("live chain broke at %q: %q", wire, got)
+		}
 	}
-	// Empty buffer is not a frame: surfaced whole (as an empty sub).
-	if got := collectFrame(t, nil); len(got) != 1 {
-		t.Fatalf("empty buffer: got %d subs, want 1", len(got))
+	live("live-1")
+	for _, legacy := range legacyDatagrams() {
+		var got [][]byte
+		resync, decoded := w.WalkLink(1, 2, legacy, func(sub []byte) { got = append(got, sub) })
+		if len(got) != 1 || !bytes.Equal(got[0], legacy) || resync != nil || decoded {
+			t.Fatalf("legacy datagram %x: subs %x resync %x decoded %t", legacy, got, resync, decoded)
+		}
+	}
+	live("live-2") // rides the cross-frame base: the mirror is untouched
+	c := w.Counters()
+	if c.Frames.Load() != 2 || c.SubPackets.Load() != 2 ||
+		c.GenMisses.Load()+c.StaleGenFrames.Load()+c.Resyncs.Load() != 0 {
+		t.Fatalf("link counters moved on legacy input: frames %d subs %d miss %d stale %d resync %d",
+			c.Frames.Load(), c.SubPackets.Load(), c.GenMisses.Load(), c.StaleGenFrames.Load(), c.Resyncs.Load())
 	}
 }
 
-func TestWalkFrameZeroLengthSub(t *testing.T) {
-	got := collectFrame(t, frameOf([]byte("x"), nil, []byte("y")))
-	if len(got) != 3 {
-		t.Fatalf("got %d subs, want 3", len(got))
-	}
-	if len(got[1]) != 0 {
-		t.Fatalf("middle sub should be empty, got %q", got[1])
+// legacyDatagrams are the shapes a retired-format sender could still
+// put on the wire: a well-formed classic frame, a well-formed
+// intra-frame delta frame, a truncated one, and bare magics.
+func legacyDatagrams() [][]byte {
+	return [][]byte{
+		{0xB7, 0x03, 'o', 'n', 'e', 0x03, 't', 'w', 'o'},
+		{0xB8, 0x00, 0x03, 'o', 'n', 'e', 0x10, 0x02, 0x01, 'x'},
+		{0xB7, 0x64, 0x01, 0x02},
+		{0xB8, 0x01},
+		{0xB7},
+		{0xB8},
 	}
 }
 
-func TestWalkFrameTruncatedPrefix(t *testing.T) {
+func TestWalkLinkMagicOnlyAndEmptyFrame(t *testing.T) {
+	// A bare magic (or any truncated header) is a corrupt frame: one
+	// garbage sub. A header with no subs after it surfaces nothing.
+	if got := collectFrame(t, []byte{FrameMagic}); len(got) != 1 {
+		t.Fatalf("magic-only frame: got %d subs, want 1 garbage", len(got))
+	}
+	if got := collectFrame(t, xhdr()); len(got) != 0 {
+		t.Fatalf("sub-less frame: got %d subs, want 0", len(got))
+	}
+}
+
+func TestWalkLinkTruncatedLength(t *testing.T) {
 	// 0x80 starts a multi-byte uvarint that never completes.
-	data := append(frameOf([]byte("ok")), 0x80)
+	data := append(fullSub(xhdr(), []byte("ok")), subFull, 0x80)
 	got := collectFrame(t, data)
-	if len(got) != 2 {
-		t.Fatalf("got %d subs, want 2 (good sub + garbage tail)", len(got))
-	}
-	if !bytes.Equal(got[0], []byte("ok")) {
-		t.Fatalf("first sub = %q, want %q", got[0], "ok")
-	}
-	if !bytes.Equal(got[1], []byte{0x80}) {
-		t.Fatalf("garbage tail = %v, want [0x80]", got[1])
-	}
+	wantSubs(t, got, [][]byte{[]byte("ok"), {subFull, 0x80}})
 }
 
-func TestWalkFrameLengthOverrun(t *testing.T) {
+func TestWalkLinkLengthOverrun(t *testing.T) {
 	// Declared length 100, only 3 bytes follow.
-	data := append([]byte{FrameMagic}, binary.AppendUvarint(nil, 100)...)
-	data = append(data, 1, 2, 3)
-	got := collectFrame(t, data)
-	if len(got) != 1 {
-		t.Fatalf("got %d subs, want 1 (the overrun tail)", len(got))
-	}
-	if !bytes.Equal(got[0], []byte{1, 2, 3}) {
-		t.Fatalf("tail = %v, want [1 2 3]", got[0])
-	}
+	tail := append(binary.AppendUvarint([]byte{subFull}, 100), 1, 2, 3)
+	got := collectFrame(t, xhdr(tail...))
+	wantSubs(t, got, [][]byte{tail})
 }
 
-func TestWalkFrameHugeLengthWraps(t *testing.T) {
+func TestWalkLinkHugeLengthWraps(t *testing.T) {
 	// A length near MaxUint64 would wrap int addition; must be treated
 	// as an overrun, not a panic or silent success.
-	data := append([]byte{FrameMagic}, binary.AppendUvarint(nil, ^uint64(0)>>1)...)
-	data = append(data, 9)
-	got := collectFrame(t, data)
-	if len(got) != 1 || !bytes.Equal(got[0], []byte{9}) {
-		t.Fatalf("wrapping length should surface tail, got %v", got)
-	}
+	tail := append(binary.AppendUvarint([]byte{subFull}, ^uint64(0)>>1), 9)
+	got := collectFrame(t, xhdr(tail...))
+	wantSubs(t, got, [][]byte{tail})
 }
 
 // frameSink records transmissions for batcher tests.
@@ -172,18 +206,26 @@ func TestBatcherPreservesAppendOrder(t *testing.T) {
 	}
 }
 
-func TestBatcherImmediateMode(t *testing.T) {
+// TestBatcherFrameBudgetOneNeverCoalesces: the no-coalescing setting is
+// a parameter value, not a mode — a one-byte frame budget flushes every
+// wire as its own frame during the call that appended it.
+func TestBatcherFrameBudgetOneNeverCoalesces(t *testing.T) {
 	sink := &frameSink{}
-	b := NewBatcher(sink, 0, 0)
-	b.SetImmediate(true)
+	b := NewBatcher(sink, 0, 1)
 	b.Cast([]byte("x"))
 	b.Cast([]byte("y"))
 	if len(sink.calls) != 2 {
-		t.Fatalf("immediate mode: sink saw %d calls, want 2", len(sink.calls))
+		t.Fatalf("sink saw %d calls, want 2", len(sink.calls))
 	}
 	if b.Pending() != 0 {
-		t.Fatalf("immediate mode left %d pending frames", b.Pending())
+		t.Fatalf("%d frames left pending", b.Pending())
 	}
+	if st := b.Stats(); st.SizeFlushes != 2 || st.XFirstDelta != 0 {
+		t.Fatalf("stats = %+v, want 2 size flushes", st)
+	}
+	w := NewFrameWalker(0, true)
+	got := append(collectWalk(t, w, sink.calls[0].data), collectWalk(t, w, sink.calls[1].data)...)
+	wantSubs(t, got, [][]byte{[]byte("x"), []byte("y")})
 }
 
 func TestBatcherSizeThresholdFlushes(t *testing.T) {

@@ -1,33 +1,22 @@
 package transport
 
-// Cross-frame delta encoding with generation-tagged per-peer state, plus
-// the adaptive per-destination flush controller — the last rungs of the
-// wire-format ladder (classic 0xB7 frames → intra-frame delta 0xB8 →
-// cross-frame delta 0xB9). Intra-frame delta still transmits every
-// frame's *first* sub full; here the sender keeps a per-destination
-// shadow of the last sub it emitted, stamps every frame with a
-// (generation, frame-sequence) header, and lets the first sub delta
-// against the previous frame's last sub. The receiver keeps the mirror
-// per (from, to, cast) link and only applies the cross-frame base when
-// the header proves continuity: same generation, exactly the next frame
-// sequence.
+// The wire format, receive side: FrameWalker is the one link every
+// substrate hands arriving bytes to. It keeps a mirror of each incoming
+// chain's trailing state per (from, to, cast) and sorts every frame by
+// what its (generation, frameSeq) header proves:
 //
-// Cross-frame wire format:
-//
-//	magic    byte = XFrameMagic
-//	flags    byte (0x01 = cast chain; other bits reserved, must be 0)
-//	gen      uvarint — the sender's generation for this chain
-//	frameSeq uvarint — 1-based frame counter within the generation
-//	subs     the 0xB8 delta sub grammar (see delta.go); the first sub
-//	         may be delta- or prefix-encoded against the cross-frame
-//	         base instead of riding full
-//
-// Safety over loss and reordering is by construction (the communication-
-// closure discipline of "Causing Communication Closure", PAPERS.md): a
-// frame that does not extend the receiver's mirror exactly is decoded
-// statelessly — fine when its first sub is full, a single garbage sub
-// otherwise (stray-packet accounting, repaired by the stack's NAK
-// layer) — and the receiver answers with a resync packet:
+//   - exact continuity with the mirror: decode against it and advance;
+//   - continuity with the generation the chain just left (a pre-bump
+//     straggler): decode against that generation's state;
+//   - an older generation, or a duplicate of a consumed frame: stale by
+//     definition — surfaced whole as one garbage sub (stray-packet
+//     accounting downstream), never answered;
+//   - a frame whose first sub rides full: self-contained — decode
+//     statelessly and adopt the mirror forward;
+//   - anything else needs a base the receiver does not hold: park it in
+//     a bounded reorder stash while its predecessor may still be in
+//     flight, and once the hole is evidently a loss, answer with a
+//     resync packet naming the chain:
 //
 //	magic byte = ResyncMagic, flags byte (0x01 = cast chain), uvarint gen
 //
@@ -35,47 +24,29 @@ package transport
 // current generation (so one loss triggers one bump, not a storm per
 // duplicate resync), on view install (core.Member), and on peer rebind
 // (UDPNet) — after a bump the next frame starts a fresh generation with
-// a full first sub, which any receiver adopts statelessly. Frames from
-// a generation older than the receiver's mirror are stale by definition
-// (pre-bump stragglers) and land whole in stray accounting with no
-// resync answer.
-//
-// The adaptive flush controller rides the same per-destination state:
-// instead of unconditionally emitting at burst end, a frame whose
-// destination has been receiving appends at short observed gaps may be
-// held — briefly, and only while small — so near-future appends
-// coalesce into it. Holding only ever applies to a suffix of the frame
-// queue, so the Batcher's global guarantee (emission order == append
-// order) is untouched; size-threshold and explicit flushes always emit
-// everything.
+// a full first sub, which any receiver adopts statelessly. Whatever
+// arrives, every byte is accounted for and nothing panics: a corrupted
+// header surfaces the whole frame as garbage and seeds no mirror, and a
+// packet that is not a frame at all — a resync, a raw control packet, a
+// datagram in some retired format — passes through whole.
 
 import (
 	"encoding/binary"
 
 	"ensemble/internal/event"
+	"ensemble/internal/obs"
 )
-
-// XFrameMagic is the first byte of a cross-frame delta frame.
-const XFrameMagic = 0xB9
 
 // ResyncMagic is the first byte of a resync packet — a receiver's
 // request that the sender start a fresh generation for one chain.
 const ResyncMagic = 0xBA
 
-// xflagCast marks the cast chain; point-to-point chains leave it clear.
-// All other flag bits are reserved and must be zero.
-const xflagCast = 0x01
-
-// IsXFrame reports whether data begins a cross-frame delta frame.
-func IsXFrame(data []byte) bool { return len(data) > 0 && data[0] == XFrameMagic }
-
-// IsResync reports whether data begins a resync packet. Substrates check
-// it before handing raw packets to the member, and the member routes it
-// into its Batcher instead of the stack.
+// IsResync reports whether data begins a resync packet. The member
+// routes these into its Batcher instead of the stack.
 func IsResync(data []byte) bool { return len(data) > 0 && data[0] == ResyncMagic }
 
-// AppendResync appends a resync packet for the given chain to buf.
-func AppendResync(buf []byte, cast bool, gen uint64) []byte {
+// appendResync appends a resync packet for the given chain to buf.
+func appendResync(buf []byte, cast bool, gen uint64) []byte {
 	flag := byte(0)
 	if cast {
 		flag = xflagCast
@@ -99,12 +70,12 @@ func ParseResync(data []byte) (cast bool, gen uint64, ok bool) {
 	return data[1]&xflagCast != 0, g, true
 }
 
-// parseXHeader decodes a cross-frame header, returning the offset of the
+// parseXHeader decodes a frame header, returning the offset of the
 // first sub. Strict like ParseResync: reserved flag bits or non-minimal
 // varints report !ok, and the caller surfaces the whole frame as one
 // garbage sub (a bit-flipped header must never seed a mirror).
 func parseXHeader(data []byte) (cast bool, gen, seq uint64, off int, ok bool) {
-	if len(data) < 4 || data[0] != XFrameMagic || data[1]&^byte(xflagCast) != 0 {
+	if len(data) < 4 || data[0] != FrameMagic || data[1]&^byte(xflagCast) != 0 {
 		return false, 0, 0, 0, false
 	}
 	cast = data[1]&xflagCast != 0
@@ -122,248 +93,63 @@ func parseXHeader(data []byte) (cast bool, gen, seq uint64, off int, ok bool) {
 	return cast, g, s, off, true
 }
 
-// xKey identifies one outgoing chain: the cast chain is shared by all
-// receivers (a cast frame is one buffer fanned out verbatim, so its
-// delta chain must be one sequence too), point-to-point chains are per
-// destination.
-type xKey struct {
-	cast bool
-	to   event.Addr
+// LinkCounters are a receive link's verdict counters. They are atomic
+// so a substrate can adopt them into its metrics registry and snapshot
+// them while the link runs.
+type LinkCounters struct {
+	// Frames counts arrivals that carried the frame magic; SubPackets
+	// counts the subs fanned out of them (garbage subs included).
+	Frames, SubPackets obs.Counter
+	// GenMisses counts frames that could not be decoded without mirror
+	// state the link lacked, each answered with one resync (Resyncs);
+	// StaleGenFrames counts pre-bump stragglers and consumed duplicates
+	// surfaced whole as garbage, never answered.
+	GenMisses, StaleGenFrames, Resyncs obs.Counter
 }
 
-// peerState is the sender's per-chain record: the generation/frame
-// counters stamped into headers, the shadow of the last sub emitted
-// (the next frame's cross-frame base), and the inter-append gap
-// estimate the adaptive flush controller reads.
-type peerState struct {
-	gen      uint64
-	frameSeq uint64
-	// shadow is the last wire appended to the chain's previous frame,
-	// with its parsed header; hasShadow is false in a fresh generation,
-	// which is exactly what forces the next first sub to ride full.
-	shadow     []byte
-	shadowMeta subMeta
-	hasShadow  bool
-	// sinceFull counts consecutive frames whose first sub rode the
-	// cross-frame shadow; at xAnchorEvery the chain emits an anchor
-	// (full first sub) instead, resetting the count.
-	sinceFull int
-	// lastAppend / gapEWMA feed the adaptive flush controller: the time
-	// of the chain's last append and a smoothed inter-append gap
-	// (-1 until two appends have been seen).
-	lastAppend int64
-	gapEWMA    int64
+// FrameWalker is the receive link: it unpacks arriving frames into
+// their sub-packets, keeps the per-chain mirrors, counts its verdicts,
+// and encodes the resync answer. It is single-goroutine, like the
+// substrate (or substrate shard) that owns it.
+//
+// prefixUvarints must match what the senders' Batchers were configured
+// with (EpochPrefixUvarints for core.Member traffic, 0 for bare wires).
+//
+// stableSubs selects the lifetime of reconstructed subs. With
+// stableSubs, every reconstruction goes into fresh storage, so surfaced
+// subs stay valid as long as the frame buffer itself — what the netsim
+// substrates need, because decoded payloads may be retained by the
+// application (the frame buffer is a per-transmit copy there). Without
+// it the walker reuses one scratch buffer and a reconstructed sub is
+// only valid until the next WalkLink call — the zero-allocation choice
+// for harnesses whose consumers copy whatever they keep (the bench pumps
+// already recycle delivered buffers under that contract).
+type FrameWalker struct {
+	nPrefix int
+	stable  bool
+	base    subMeta
+	scratch []byte
+	links   map[linkKey]*linkMirror
+	ctr     *LinkCounters
 }
 
-// xAnchorEvery caps consecutive delta-first frames per chain: after this
-// many, the next frame is an anchor (full first sub, self-contained).
-// One lost frame renders every later delta-first frame already in flight
-// undecodable until the resync round trip completes; anchors bound that
-// amplification to the cadence and let a broken chain heal passively —
-// a receiver adopts the anchor statelessly — even when the resync itself
-// is lost. The cost is one full first sub per xAnchorEvery frames, the
-// same refresh/efficiency trade header-compression schemes over lossy
-// links settle by periodic full headers. 16 keeps the worst-case
-// undecodable run under one resync round trip on the simulated link
-// while paying the refresh tax half as often as the initial cadence of
-// 8 did.
-const xAnchorEvery = 16
-
-// peer returns (creating on first use) the chain state for a destination.
-func (b *Batcher) peer(cast bool, to event.Addr) *peerState {
-	k := xKey{cast: cast}
-	if !cast {
-		k.to = to
+// NewFrameWalker builds a link; see the type comment for the knobs.
+func NewFrameWalker(prefixUvarints int, stableSubs bool) *FrameWalker {
+	if prefixUvarints < 0 || prefixUvarints > maxPrefix {
+		panic("transport: prefixUvarints out of range")
 	}
-	st := b.peers[k]
-	if st == nil {
-		st = &peerState{gen: 1, lastAppend: -1, gapEWMA: -1}
-		if b.peers == nil {
-			b.peers = make(map[xKey]*peerState)
-		}
-		b.peers[k] = st
-	}
-	return st
+	return &FrameWalker{nPrefix: prefixUvarints, stable: stableSubs, ctr: &LinkCounters{}}
 }
 
-// EnableCrossFrame switches the batcher to the cross-frame delta format
-// (magic XFrameMagic): frames carry generation-tagged headers and the
-// first sub of a frame may delta against the last sub of the previous
-// frame to the same destination. Implies EnableDelta; receivers must
-// walk these frames with FrameWalker.WalkLink so the per-link mirror
-// state exists. Pending frames are flushed first.
-func (b *Batcher) EnableCrossFrame(prefixUvarints int) {
-	b.EnableDelta(prefixUvarints)
-	b.xframe = true
+// Fork returns a link configured like w that keeps its own mirrors but
+// counts into w's counters — one per shard of a substrate whose shards
+// receive in parallel and report as one network.
+func (w *FrameWalker) Fork() *FrameWalker {
+	return &FrameWalker{nPrefix: w.nPrefix, stable: w.stable, ctr: w.ctr}
 }
 
-// CrossFrameEnabled reports whether the cross-frame format is selected.
-func (b *Batcher) CrossFrameEnabled() bool { return b.xframe }
-
-// closeTail records the newest frame's trailing delta state into its
-// chain's shadow, making it the cross-frame base for that chain's next
-// frame. Idempotent; called whenever the tail frame stops being
-// appendable (a new frame supersedes it, or a flush is about to emit).
-func (b *Batcher) closeTail() {
-	n := len(b.frames)
-	if n == 0 || !b.xframe {
-		return
-	}
-	f := &b.frames[n-1]
-	if f.st == nil {
-		return
-	}
-	f.st.shadow = append(f.st.shadow[:0], b.prev...)
-	f.st.shadowMeta = f.base
-	f.st.hasShadow = true
-}
-
-// BumpGenerations starts a fresh generation on every chain — the view-
-// install hook: a new view changes the epoch prefix of every wire, the
-// group composition, and possibly the member's own rank, so no receiver
-// mirror built under the old view may be extended. Pending frames are
-// flushed first (their headers already name the old generation).
-func (b *Batcher) BumpGenerations() {
-	if len(b.peers) == 0 {
-		return
-	}
-	b.Flush()
-	for _, st := range b.peers {
-		st.gen++
-		st.frameSeq = 0
-		st.hasShadow = false
-	}
-	b.stats.GenBumps++
-}
-
-// BumpPeer starts a fresh generation on the chains a rebinding peer can
-// see — its point-to-point chain and the shared cast chain. UDPNet calls
-// it when a member id reappears from a new socket address: the restarted
-// process has no mirror state, so every chain it receives must restart
-// with a full first sub.
-func (b *Batcher) BumpPeer(to event.Addr) {
-	bumped := false
-	for _, k := range [2]xKey{{cast: false, to: to}, {cast: true}} {
-		if st := b.peers[k]; st != nil {
-			if !bumped {
-				b.Flush()
-				bumped = true
-			}
-			st.gen++
-			st.frameSeq = 0
-			st.hasShadow = false
-		}
-	}
-	if bumped {
-		b.stats.GenBumps++
-	}
-}
-
-// HandleResync reacts to a peer's resync packet: if the named chain is
-// still in the generation the receiver could not decode, bump it. The
-// generation check is what stops a bump storm — duplicate or delayed
-// resyncs name a generation the sender has already left and are ignored.
-func (b *Batcher) HandleResync(from event.Addr, cast bool, gen uint64) {
-	k := xKey{cast: cast}
-	if !cast {
-		k.to = from
-	}
-	st := b.peers[k]
-	if st == nil || st.gen != gen {
-		return
-	}
-	b.Flush()
-	st.gen++
-	st.frameSeq = 0
-	st.hasShadow = false
-	b.stats.ResyncBumps++
-}
-
-// AdaptiveFlushConfig tunes the per-destination flush controller.
-type AdaptiveFlushConfig struct {
-	// MaxHoldNs bounds how long a frame may be held past its creation.
-	MaxHoldNs int64
-	// GapNs is the inter-append gap ceiling: a chain whose smoothed gap
-	// exceeds it is not expected to append again soon, so its frames are
-	// never held.
-	GapNs int64
-	// MinBytes is the size ceiling: a frame at or past it is worth a
-	// transmission on its own and is never held.
-	MinBytes int
-}
-
-// DefaultAdaptiveFlush returns the tuning core.Member uses: hold at most
-// 2ms, only for chains appending faster than ~500µs apart, and only
-// while the frame is under 600 bytes. The gap ceiling sits above the
-// steady cast cadences the workloads run (200µs rounds) — a chain
-// carrying back-to-back rounds is exactly the one worth holding through
-// a barrier so the next round's subs ride the same frame — and the hold
-// cap spans a couple of drain barriers even when the adaptive quantum
-// has widened past the submission interval. The layer sweep tick (50ms)
-// and the barrier cadence bound staleness even if traffic stops dead.
-func DefaultAdaptiveFlush() AdaptiveFlushConfig {
-	return AdaptiveFlushConfig{MaxHoldNs: 2_000_000, GapNs: 500_000, MinBytes: 600}
-}
-
-// EnableAdaptiveFlush turns the controller on. now is the owner's clock
-// (virtual nanoseconds under netsim, monotonic under UDPNet) — holding
-// decisions read only this clock and per-chain counters, so simulated
-// runs stay deterministic. Only FlushEntryEnd and FlushBarrier causes
-// consult the controller; size-threshold and explicit flushes always
-// emit everything.
-func (b *Batcher) EnableAdaptiveFlush(now func() int64, cfg AdaptiveFlushConfig) {
-	if now == nil {
-		panic("transport: EnableAdaptiveFlush needs a clock")
-	}
-	b.Flush()
-	b.adaptive = true
-	b.now = now
-	b.aCfg = cfg
-}
-
-// DisableAdaptiveFlush restores unconditional flushing — the ablation
-// knob — emitting anything currently held.
-func (b *Batcher) DisableAdaptiveFlush() {
-	b.adaptive = false
-	b.now = nil
-	b.Flush()
-}
-
-// AdaptiveFlushEnabled reports whether the controller is on.
-func (b *Batcher) AdaptiveFlushEnabled() bool { return b.adaptive }
-
-// SetHoldObserver installs a per-frame queue-residency observer: at
-// every emit, obs receives the frame's age (emit time minus creation
-// time, in the adaptive clock's nanoseconds). The member wires an
-// obs.Histogram's Observe here — the hold-duration distribution that
-// says what the adaptive controller's holds actually cost in latency.
-// Only meaningful with the adaptive controller on (frames are not
-// timestamped otherwise); nil uninstalls.
-func (b *Batcher) SetHoldObserver(obs func(int64)) { b.holdObs = obs }
-
-// PendingSubs reports the number of wires awaiting a flush across all
-// pending frames — what a held flush decision left behind.
-func (b *Batcher) PendingSubs() int {
-	n := 0
-	for i := range b.frames {
-		n += b.frames[i].subs
-	}
-	return n
-}
-
-// holdable reports whether the adaptive controller may keep f pending:
-// still small, still young, and headed to a chain whose observed append
-// cadence says more wires are imminent.
-func (b *Batcher) holdable(f *batchFrame, now int64) bool {
-	if f.st == nil || len(f.buf) >= b.aCfg.MinBytes {
-		return false
-	}
-	if now-f.born >= b.aCfg.MaxHoldNs {
-		return false
-	}
-	g := f.st.gapEWMA
-	return g >= 0 && g <= b.aCfg.GapNs
-}
+// Counters exposes the link's verdict counters.
+func (w *FrameWalker) Counters() *LinkCounters { return w.ctr }
 
 // linkKey identifies one incoming chain at the receiver: the mirror of
 // the sender's xKey, qualified by the sender's address.
@@ -417,91 +203,81 @@ type linkMirror struct {
 	stash map[uint64][]byte
 }
 
-// WalkResult reports what WalkLink saw, so substrates can account
-// stale-generation frames and answer generation misses with a resync.
-type WalkResult struct {
-	// Subs is the number of subs surfaced (garbage subs included).
-	Subs int
-	// XFrame reports that the packet carried the cross-frame magic.
-	XFrame bool
-	// Cast and Gen echo the frame header (valid when XFrame and the
-	// header parsed) — what a resync answer must name.
-	Cast bool
-	Gen  uint64
-	// GenMiss reports that the frame could not be decoded without mirror
-	// state the receiver does not have: the substrate should answer with
-	// a resync for (Cast, Gen) so the sender starts a fresh generation.
-	GenMiss bool
-	// StaleGen reports a frame from a generation older than the mirror —
-	// a pre-bump straggler, surfaced whole as garbage, never answered.
-	StaleGen bool
-	// Stashed reports that the frame was parked in the reorder stash to
-	// wait for its predecessor (it may still set GenMiss past xStashNag).
-	Stashed bool
+// walkResult is walkLink's verdict on one frame; WalkLink turns it into
+// counters and the resync answer.
+type walkResult struct {
+	// subs is the number of subs surfaced (garbage subs included).
+	subs int
+	// cast and gen echo the frame header (valid when it parsed) — what a
+	// resync answer must name.
+	cast bool
+	gen  uint64
+	// genMiss reports that the frame could not be decoded without mirror
+	// state the receiver does not have: the sender should start a fresh
+	// generation for (cast, gen).
+	genMiss bool
+	// staleGen reports a frame from a generation older than the mirror,
+	// or a duplicate of a consumed frame — surfaced whole as garbage,
+	// never answered.
+	staleGen bool
+	// stashed reports that the frame was parked in the reorder stash to
+	// wait for its predecessor (it may still set genMiss past xStashNag).
+	stashed bool
 }
 
-// WalkLink is Walk with the receive link identified, which is what
-// activates cross-frame decoding: 0xB9 frames are checked against the
-// (from, to, cast) mirror and extend it on exact continuity; anything
-// else behaves exactly like Walk. Classic and intra-delta frames never
-// touch mirror state, so mixing walkers per packet is safe.
-func (w *FrameWalker) WalkLink(from, to event.Addr, data []byte, fn func(sub []byte)) WalkResult {
-	var r WalkResult
-	if !IsXFrame(data) {
-		r.Subs = w.Walk(data, fn)
-		return r
+// WalkLink hands one arrival on the from→to link to the walker, calling
+// fn once per surfaced sub-packet in order; anything that is not a frame
+// surfaces whole. It returns the encoded resync answer — non-nil when
+// the frame needed chain state this link does not hold, in which case
+// the substrate sends it back from `to` to `from` as an ordinary raw
+// packet — and whether the arrival was a frame that decoded in a live
+// generation, which is what closes a resync round trip.
+func (w *FrameWalker) WalkLink(from, to event.Addr, data []byte, fn func(sub []byte)) (resync []byte, decoded bool) {
+	if !IsFrame(data) {
+		fn(data)
+		return nil, false
 	}
-	r.XFrame = true
+	r := w.walkLink(from, to, data, fn)
+	w.ctr.Frames.Inc()
+	w.ctr.SubPackets.Add(int64(r.subs))
+	if r.staleGen {
+		w.ctr.StaleGenFrames.Inc()
+	}
+	if r.genMiss {
+		w.ctr.GenMisses.Inc()
+		w.ctr.Resyncs.Inc()
+		return appendResync(nil, r.cast, r.gen), false
+	}
+	return nil, !r.staleGen && r.subs > 0
+}
+
+// walkLink checks a frame against the (from, to, cast) mirror and
+// decodes it by the rules in the file comment.
+func (w *FrameWalker) walkLink(from, to event.Addr, data []byte, fn func(sub []byte)) walkResult {
+	var r walkResult
 	cast, gen, seq, off, ok := parseXHeader(data)
 	if !ok {
 		// A corrupted header cannot be trusted to name a chain: surface
 		// the whole frame as garbage and do not answer.
 		fn(data)
-		r.Subs = 1
+		r.subs = 1
 		return r
 	}
-	r.Cast, r.Gen = cast, gen
+	r.cast, r.gen = cast, gen
 	key := linkKey{from: from, to: to, cast: cast}
 	m := w.links[key]
 	if m != nil && m.valid && gen == m.cur.gen && seq == m.cur.frameSeq+1 {
 		// Exact continuity: decode against the mirror, then advance it.
-		w.base = m.cur.base
-		subs, last, clean := w.walkSubs(data, off, m.cur.prev, fn)
-		r.Subs = subs
-		if clean {
-			m.cur.frameSeq = seq
-			m.cur.base = w.base
-			if subs > 0 {
-				m.cur.prev = append(m.cur.prev[:0], last...)
-			}
+		if w.advance(m, &m.cur, data, off, seq, &r, fn) {
 			w.drainStash(m, &m.cur, &r, fn)
-		} else {
-			// The chain is broken mid-frame; nothing after this frame can
-			// extend the mirror either. Invalidate and ask for a restart.
-			m.valid = false
-			m.old.gen = 0
-			r.GenMiss = true
 		}
 		return r
 	}
 	if m != nil && m.old.gen != 0 && gen == m.old.gen && seq == m.old.frameSeq+1 {
 		// A pre-bump straggler in continuity with the generation the chain
 		// just left: decode it exactly as the pre-bump mirror would have.
-		w.base = m.old.base
-		subs, last, clean := w.walkSubs(data, off, m.old.prev, fn)
-		r.Subs = subs
-		if clean {
-			m.old.frameSeq = seq
-			m.old.base = w.base
-			if subs > 0 {
-				m.old.prev = append(m.old.prev[:0], last...)
-			}
+		if w.advance(m, &m.old, data, off, seq, &r, fn) {
 			w.drainStash(m, &m.old, &r, fn)
-		} else {
-			// The outgoing generation is broken mid-frame; further
-			// stragglers are garbage, but the live chain is untouched.
-			m.old.gen = 0
-			r.StaleGen = true
 		}
 		return r
 	}
@@ -509,8 +285,8 @@ func (w *FrameWalker) WalkLink(from, to event.Addr, data []byte, fn func(sub []b
 		// A straggler with no continuity to give: pre-bump garbage,
 		// surfaced whole for stray accounting, never answered.
 		fn(data)
-		r.Subs = 1
-		r.StaleGen = true
+		r.subs = 1
+		r.staleGen = true
 		return r
 	}
 	// No usable mirror (first contact, newer generation, or a sequence
@@ -524,17 +300,11 @@ func (w *FrameWalker) WalkLink(from, to event.Addr, data []byte, fn func(sub []b
 			// bump a live generation once per duplicate — a resync storm.
 			// Stale garbage, not missed.
 			fn(data[off:])
-			r.Subs = 1
-			r.StaleGen = true
+			r.subs = 1
+			r.staleGen = true
 			return r
 		}
-		if m == nil {
-			m = &linkMirror{}
-			if w.links == nil {
-				w.links = make(map[linkKey]*linkMirror)
-			}
-			w.links[key] = m
-		}
+		m = w.mirror(key)
 		if gen > m.sgen {
 			// The stash tracks one generation — the newest seen; older
 			// parked frames can never extend a mirror that moved past them.
@@ -548,34 +318,28 @@ func (w *FrameWalker) WalkLink(from, to event.Addr, data []byte, fn func(sub []b
 			if _, dup := m.stash[seq]; !dup {
 				m.stash[seq] = append([]byte(nil), data...)
 			}
-			r.Stashed = true
+			r.stashed = true
 			if len(m.stash) <= xStashNag {
 				return r
 			}
 		}
-		r.GenMiss = true
+		r.genMiss = true
 		return r
 	}
 	// Self-contained frame (full first sub): decode statelessly and adopt
 	// the mirror forward.
 	w.base = subMeta{}
 	subs, last, clean := w.walkSubs(data, off, nil, fn)
-	r.Subs = subs
+	r.subs = subs
 	if !clean {
-		r.GenMiss = true
+		r.genMiss = true
 		return r
 	}
 	// Adopt only forward (newer generation, or a later frame of the
 	// current one): a duplicated old frame must not rewind the mirror
 	// under the in-order successor's feet.
 	if subs > 0 && (m == nil || !m.valid || gen > m.cur.gen || (gen == m.cur.gen && seq > m.cur.frameSeq)) {
-		if m == nil {
-			m = &linkMirror{}
-			if w.links == nil {
-				w.links = make(map[linkKey]*linkMirror)
-			}
-			w.links[key] = m
-		}
+		m = w.mirror(key)
 		if m.valid && gen > m.cur.gen {
 			// The chain moved on; keep the outgoing generation's trailing
 			// state so its in-flight stragglers still decode.
@@ -592,11 +356,53 @@ func (w *FrameWalker) WalkLink(from, to event.Addr, data []byte, fn func(sub []b
 	return r
 }
 
+// mirror returns (creating on first use) the mirror for one link.
+func (w *FrameWalker) mirror(key linkKey) *linkMirror {
+	m := w.links[key]
+	if m == nil {
+		m = &linkMirror{}
+		if w.links == nil {
+			w.links = make(map[linkKey]*linkMirror)
+		}
+		w.links[key] = m
+	}
+	return m
+}
+
+// advance decodes one frame in continuity with generation state g — the
+// mirror's live generation or the one it just left — and moves g past
+// it. A frame that breaks mid-decode kills g instead and reports false:
+// nothing after it can extend that state either, so a broken live chain
+// is invalidated and asks for a restart, while a broken outgoing
+// generation just turns its remaining stragglers into garbage and leaves
+// the live chain untouched.
+func (w *FrameWalker) advance(m *linkMirror, g *genState, data []byte, off int, seq uint64, r *walkResult, fn func(sub []byte)) bool {
+	w.base = g.base
+	subs, last, clean := w.walkSubs(data, off, g.prev, fn)
+	r.subs += subs
+	if !clean {
+		m.old.gen = 0
+		if g == &m.cur {
+			m.valid = false
+			r.genMiss = true
+		} else {
+			r.staleGen = true
+		}
+		return false
+	}
+	g.frameSeq = seq
+	g.base = w.base
+	if subs > 0 {
+		g.prev = append(g.prev[:0], last...)
+	}
+	return true
+}
+
 // drainStash surfaces parked successors of generation state g in frame
 // order until the next hole. Entries g moved past are dead: their
 // content was either consumed already or skipped by a forward adoption,
 // and the stack's NAK layer recovers whatever the skip dropped.
-func (w *FrameWalker) drainStash(m *linkMirror, g *genState, r *WalkResult, fn func(sub []byte)) {
+func (w *FrameWalker) drainStash(m *linkMirror, g *genState, r *walkResult, fn func(sub []byte)) {
 	if len(m.stash) == 0 || m.sgen != g.gen {
 		if m.sgen < m.cur.gen && m.sgen != m.old.gen {
 			m.stash = nil
@@ -615,24 +421,7 @@ func (w *FrameWalker) drainStash(m *linkMirror, g *genState, r *WalkResult, fn f
 		}
 		delete(m.stash, g.frameSeq+1)
 		_, _, seq, off, _ := parseXHeader(d) // parsed strict when stashed
-		w.base = g.base
-		subs, last, clean := w.walkSubs(d, off, g.prev, fn)
-		r.Subs += subs
-		if clean {
-			g.frameSeq = seq
-			g.base = w.base
-			if subs > 0 {
-				g.prev = append(g.prev[:0], last...)
-			}
-		} else {
-			if g == &m.cur {
-				m.valid = false
-				m.old.gen = 0
-				r.GenMiss = true
-			} else {
-				m.old.gen = 0
-				r.StaleGen = true
-			}
+		if !w.advance(m, g, d, off, seq, r, fn) {
 			return
 		}
 	}

@@ -7,8 +7,8 @@ import (
 	"ensemble/internal/event"
 )
 
-// xlink is a one-directional test link: a cross-frame Batcher at `from`
-// whose flushed frames are walked by a mirror-keeping walker at `to`.
+// xlink is a one-directional test link: a Batcher at `from` whose
+// flushed frames are walked by the receive link at `to`.
 type xlink struct {
 	t    *testing.T
 	sink *frameSink
@@ -28,13 +28,13 @@ func newXLink(t *testing.T, nPrefix int, from, to event.Addr) *xlink {
 }
 
 // feed walks every not-yet-walked frame and returns the surfaced subs
-// plus the last frame's WalkResult.
-func (l *xlink) feed() ([][]byte, WalkResult) {
+// plus the last frame's verdict.
+func (l *xlink) feed() ([][]byte, walkResult) {
 	l.t.Helper()
 	var subs [][]byte
-	var res WalkResult
+	var res walkResult
 	for ; l.fed < len(l.sink.calls); l.fed++ {
-		res = l.w.WalkLink(l.from, l.to, l.sink.calls[l.fed].data, func(sub []byte) {
+		res = l.w.walkLink(l.from, l.to, l.sink.calls[l.fed].data, func(sub []byte) {
 			subs = append(subs, append([]byte(nil), sub...))
 		})
 	}
@@ -69,7 +69,7 @@ func TestXFrameFirstSubDeltasAcrossFrames(t *testing.T) {
 	l.b.Flush()
 	subs, res := l.feed()
 	wantSubs(t, subs, [][]byte{w1, w2, w3})
-	if res.GenMiss || res.StaleGen || !res.XFrame {
+	if res.genMiss || res.staleGen {
 		t.Fatalf("clean chain reported %+v", res)
 	}
 	st := l.b.Stats()
@@ -95,7 +95,7 @@ func TestXFrameOpaqueWiresChainViaPrefix(t *testing.T) {
 	l.b.Flush()
 	subs, res := l.feed()
 	wantSubs(t, subs, [][]byte{a, b})
-	if res.GenMiss {
+	if res.genMiss {
 		t.Fatalf("opaque chain reported a miss: %+v", res)
 	}
 	if st := l.b.Stats(); st.XFirstDelta != 1 {
@@ -127,7 +127,7 @@ func TestXFrameLossTriggersResyncAndRecovers(t *testing.T) {
 	l.b.Send(2, wires[2])
 	l.b.Flush()
 	subs, res := l.feed()
-	if len(subs) != 0 || !res.Stashed || res.GenMiss || res.StaleGen {
+	if len(subs) != 0 || !res.stashed || res.genMiss || res.staleGen {
 		t.Fatalf("post-loss frame: %d subs, res %+v", len(subs), res)
 	}
 
@@ -138,18 +138,18 @@ func TestXFrameLossTriggersResyncAndRecovers(t *testing.T) {
 	l.b.Send(2, wires[4])
 	l.b.Flush()
 	subs, res = l.feed()
-	if len(subs) != 0 || !res.GenMiss {
+	if len(subs) != 0 || !res.genMiss {
 		t.Fatalf("stash past nag must miss: %d subs, res %+v", len(subs), res)
 	}
 
 	// The resync round trip: the receiver names the generation it could
 	// not decode, the sender bumps, and the chain restarts full-first.
-	l.b.HandleResync(2, res.Cast, res.Gen)
+	l.b.HandleResync(2, res.cast, res.gen)
 	if st := l.b.Stats(); st.ResyncBumps != 1 {
 		t.Fatalf("resync must bump once: %+v", st)
 	}
 	// A duplicate resync for the old generation is ignored.
-	l.b.HandleResync(2, res.Cast, res.Gen)
+	l.b.HandleResync(2, res.cast, res.gen)
 	if st := l.b.Stats(); st.ResyncBumps != 1 {
 		t.Fatalf("duplicate resync must not bump again: %+v", st)
 	}
@@ -160,7 +160,7 @@ func TestXFrameLossTriggersResyncAndRecovers(t *testing.T) {
 	l.b.Flush()
 	subs, res = l.feed()
 	wantSubs(t, subs, wires[5:7])
-	if res.GenMiss {
+	if res.genMiss {
 		t.Fatalf("fresh generation did not re-adopt: %+v", res)
 	}
 }
@@ -176,19 +176,19 @@ func TestXFrameStaleGenerationIsGarbageNotResync(t *testing.T) {
 	l.b.BumpGenerations()
 	l.b.Send(2, cwire(prefix, 1, 1, 11))
 	l.b.Flush()
-	if _, res := l.feed(); res.GenMiss {
+	if _, res := l.feed(); res.genMiss {
 		t.Fatalf("gen-2 full-first frame missed: %+v", res)
 	}
 
 	var n int
-	res := l.w.WalkLink(l.from, l.to, stale, func([]byte) { n++ })
-	if !res.StaleGen || res.GenMiss || n != 1 {
+	res := l.w.walkLink(l.from, l.to, stale, func([]byte) { n++ })
+	if !res.staleGen || res.genMiss || n != 1 {
 		t.Fatalf("stale replay: %d subs, res %+v", n, res)
 	}
 	// And the mirror survived: the live chain keeps decoding.
 	l.b.Send(2, cwire(prefix, 1, 1, 12))
 	l.b.Flush()
-	if _, res := l.feed(); res.GenMiss {
+	if _, res := l.feed(); res.genMiss {
 		t.Fatalf("stale replay corrupted the mirror: %+v", res)
 	}
 }
@@ -209,15 +209,15 @@ func TestXFrameDuplicateDoesNotRewindMirror(t *testing.T) {
 
 	// Replay frame 1 (full-first, decodable statelessly): it must not
 	// rewind the mirror under the in-order successor.
-	res := l.w.WalkLink(l.from, l.to, first, func([]byte) {})
-	if res.GenMiss || res.StaleGen {
+	res := l.w.walkLink(l.from, l.to, first, func([]byte) {})
+	if res.genMiss || res.staleGen {
 		t.Fatalf("full-first duplicate should decode quietly: %+v", res)
 	}
 	l.b.Send(2, w3)
 	l.b.Flush()
 	subs, res := l.feed()
 	wantSubs(t, subs, [][]byte{w3})
-	if res.GenMiss {
+	if res.genMiss {
 		t.Fatalf("duplicate rewound the mirror: %+v", res)
 	}
 }
@@ -237,10 +237,10 @@ func TestXFrameCastChainSharedAcrossReceivers(t *testing.T) {
 	for i, w := range recv {
 		for _, call := range sink.calls {
 			var got [][]byte
-			res := w.WalkLink(1, event.Addr(10+i), call.data, func(sub []byte) {
+			res := w.walkLink(1, event.Addr(10+i), call.data, func(sub []byte) {
 				got = append(got, append([]byte(nil), sub...))
 			})
-			if res.GenMiss || !res.Cast {
+			if res.genMiss || !res.cast {
 				t.Fatalf("receiver %d: %+v", i, res)
 			}
 		}
@@ -293,30 +293,30 @@ func TestXFrameInvalidateFromForcesStatelessDecode(t *testing.T) {
 	// reorder stash first — a short gap usually means the predecessor is
 	// still in flight — and only nags for a resync once the stash keeps
 	// growing, proving the hole is a real discontinuity.
-	var res WalkResult
+	var res walkResult
 	for i := 0; i <= xStashNag; i++ {
 		l.b.Send(2, cwire(prefix, 1, 1, 41+int64(i)))
 		l.b.Flush()
 		var subs [][]byte
 		subs, res = l.feed()
-		if len(subs) != 0 || !res.Stashed {
+		if len(subs) != 0 || !res.stashed {
 			t.Fatalf("frame %d: undecodable frame must stash silently: %d subs, %+v", i, len(subs), res)
 		}
-		if wantMiss := i >= xStashNag; res.GenMiss != wantMiss {
-			t.Fatalf("frame %d: GenMiss=%v, want %v: %+v", i, res.GenMiss, wantMiss, res)
+		if wantMiss := i >= xStashNag; res.genMiss != wantMiss {
+			t.Fatalf("frame %d: GenMiss=%v, want %v: %+v", i, res.genMiss, wantMiss, res)
 		}
 	}
-	l.b.HandleResync(2, res.Cast, res.Gen)
+	l.b.HandleResync(2, res.cast, res.gen)
 	l.b.Send(2, cwire(prefix, 1, 1, 42))
 	l.b.Flush()
 	subs, res := l.feed()
-	if res.GenMiss || len(subs) != 1 {
+	if res.genMiss || len(subs) != 1 {
 		t.Fatalf("post-invalidate recovery failed: %d subs, %+v", len(subs), res)
 	}
 }
 
 func TestResyncRoundTripAndStrictParse(t *testing.T) {
-	pkt := AppendResync(nil, true, 300)
+	pkt := appendResync(nil, true, 300)
 	if !IsResync(pkt) || IsFrame(pkt) {
 		t.Fatal("resync packet misclassified")
 	}
@@ -330,7 +330,7 @@ func TestResyncRoundTripAndStrictParse(t *testing.T) {
 		{ResyncMagic, 0x02, 0x01},       // reserved flag bit
 		{ResyncMagic, 0x00, 0x80},       // truncated uvarint
 		{ResyncMagic, 0x00, 0x80, 0x00}, // non-minimal uvarint
-		append(AppendResync(nil, false, 7), 0xFF), // trailing bytes
+		append(appendResync(nil, false, 7), 0xFF), // trailing bytes
 	}
 	for i, b := range bad {
 		if _, _, ok := ParseResync(b); ok {
@@ -346,11 +346,11 @@ func TestXFrameCorruptHeaderIsGarbageAndSeedsNothing(t *testing.T) {
 	l.b.Flush()
 	frame := l.sink.calls[0].data
 	for _, corrupt := range [][]byte{
-		{XFrameMagic},                   // truncated after magic
-		{XFrameMagic, 0x01},             // no generation
-		{XFrameMagic, 0x80, 0x01, 0x01}, // reserved flag bit
-		{XFrameMagic, 0x00, 0x80},       // truncated gen uvarint
-		{XFrameMagic, 0x00, 0x01, 0x00}, // frameSeq 0 is reserved
+		{FrameMagic},                   // truncated after magic
+		{FrameMagic, 0x01},             // no generation
+		{FrameMagic, 0x80, 0x01, 0x01}, // reserved flag bit
+		{FrameMagic, 0x00, 0x80},       // truncated gen uvarint
+		{FrameMagic, 0x00, 0x01, 0x00}, // frameSeq 0 is reserved
 		func() []byte { // bit-flipped flags byte on a real frame
 			c := append([]byte(nil), frame...)
 			c[1] ^= 0x40
@@ -358,43 +358,71 @@ func TestXFrameCorruptHeaderIsGarbageAndSeedsNothing(t *testing.T) {
 		}(),
 	} {
 		var n int
-		res := l.w.WalkLink(1, 2, corrupt, func([]byte) { n++ })
-		if n != 1 || res.GenMiss || res.StaleGen {
+		res := l.w.walkLink(1, 2, corrupt, func([]byte) { n++ })
+		if n != 1 || res.genMiss || res.staleGen {
 			t.Fatalf("corrupt header %x: %d subs, res %+v", corrupt, n, res)
 		}
 	}
 	// The real frame still adopts cleanly afterwards: corruption seeded
 	// no mirror state.
 	var got [][]byte
-	res := l.w.WalkLink(1, 2, frame, func(sub []byte) {
+	res := l.w.walkLink(1, 2, frame, func(sub []byte) {
 		got = append(got, append([]byte(nil), sub...))
 	})
-	if res.GenMiss || len(got) != 1 || !bytes.Equal(got[0], cwire(prefix, 1, 1, 60)) {
+	if res.genMiss || len(got) != 1 || !bytes.Equal(got[0], cwire(prefix, 1, 1, 60)) {
 		t.Fatalf("clean frame after corruption: %+v / %x", res, got)
 	}
 }
 
-func TestXFramePlainWalkDecodesStatelessly(t *testing.T) {
+// TestXFrameColdLinkAnswersWithEncodedResync drives the exported link
+// API a substrate sees: a cold link adopts a full-first frame silently,
+// and a run of frames it cannot anchor ends in exactly one kind of
+// answer — an encoded resync packet naming the chain — with the verdict
+// counters moved to match.
+func TestXFrameColdLinkAnswersWithEncodedResync(t *testing.T) {
 	prefix := []uint64{9, 9}
 	l := newXLink(t, 2, 1, 2)
 	w1 := cwire(prefix, 1, 1, 70)
 	l.b.Send(2, w1)
 	l.b.Flush()
-	l.b.Send(2, cwire(prefix, 1, 1, 71))
-	l.b.Flush()
-	// Frame 1 is self-contained: plain Walk decodes it. Frame 2's first
-	// sub needs the cross-frame base: one garbage sub, no panic — and no
-	// mirror state was consulted or created.
-	blind := NewFrameWalker(2, true)
-	var got [][]byte
-	n := blind.Walk(l.sink.calls[0].data, func(sub []byte) {
-		got = append(got, append([]byte(nil), sub...))
-	})
-	if n != 1 || !bytes.Equal(got[0], w1) {
-		t.Fatalf("blind walk of full-first frame: %d subs %x", n, got)
+	for i := 0; i < xStashNag+2; i++ { // frame 2 (lost below) + a stash past the nag
+		l.b.Send(2, cwire(prefix, 1, 1, 71+int64(i)))
+		l.b.Flush()
 	}
-	if n := blind.Walk(l.sink.calls[1].data, func([]byte) {}); n != 1 {
-		t.Fatalf("blind walk of delta-first frame surfaced %d subs, want 1 garbage", n)
+	cold := NewFrameWalker(2, true)
+	var got [][]byte
+	resync, decoded := cold.WalkLink(1, 2, l.sink.calls[0].data, func(sub []byte) { got = append(got, sub) })
+	if resync != nil || !decoded || len(got) != 1 || !bytes.Equal(got[0], w1) {
+		t.Fatalf("full-first frame on a cold link: subs %x resync %x decoded %t", got, resync, decoded)
+	}
+	// Skip frame 2; frames 3.. need a base the link never saw.
+	var answers [][]byte
+	for _, c := range l.sink.calls[2:] {
+		resync, decoded := cold.WalkLink(1, 2, c.data, func([]byte) { t.Fatal("undecodable frame surfaced a sub") })
+		if decoded {
+			t.Fatal("undecodable frame reported decoded")
+		}
+		if resync != nil {
+			answers = append(answers, resync)
+		}
+	}
+	if len(answers) != 1 {
+		t.Fatalf("%d resync answers, want 1 (the arrival past the stash nag threshold)", len(answers))
+	}
+	if cast, gen, ok := ParseResync(answers[0]); !ok || cast || gen != 1 {
+		t.Fatalf("resync answer %x parsed as cast=%t gen=%d ok=%t", answers[0], cast, gen, ok)
+	}
+	c := cold.Counters()
+	if c.Frames.Load() != int64(len(l.sink.calls)-1) || c.SubPackets.Load() != 1 ||
+		c.GenMisses.Load() != 1 || c.Resyncs.Load() != 1 || c.StaleGenFrames.Load() != 0 {
+		t.Fatalf("link counters: frames %d subs %d miss %d resync %d stale %d",
+			c.Frames.Load(), c.SubPackets.Load(), c.GenMisses.Load(), c.Resyncs.Load(), c.StaleGenFrames.Load())
+	}
+	// A forked link shares the counters but not the mirrors.
+	fork := cold.Fork()
+	fork.WalkLink(1, 2, l.sink.calls[0].data, func([]byte) {})
+	if c.Frames.Load() != int64(len(l.sink.calls)) || c.SubPackets.Load() != 2 {
+		t.Fatalf("fork did not count into the parent: frames %d subs %d", c.Frames.Load(), c.SubPackets.Load())
 	}
 }
 
@@ -412,19 +440,19 @@ func TestXFrameFutureGenerationAdoptsWhenSelfContained(t *testing.T) {
 	l.b.Flush()
 	l.skip(1) // receiver never saw generation 1
 	subs, res := l.feed()
-	if res.GenMiss || len(subs) != 1 {
+	if res.genMiss || len(subs) != 1 {
 		t.Fatalf("future-generation full-first frame: %d subs, %+v", len(subs), res)
 	}
 	// And continuity holds from there.
 	l.b.Send(2, cwire(prefix, 1, 1, 82))
 	l.b.Flush()
 	subs, res = l.feed()
-	if res.GenMiss || len(subs) != 1 || !bytes.Equal(subs[0], cwire(prefix, 1, 2, 82)) && !bytes.Equal(subs[0], cwire(prefix, 1, 1, 82)) {
+	if res.genMiss || len(subs) != 1 || !bytes.Equal(subs[0], cwire(prefix, 1, 2, 82)) && !bytes.Equal(subs[0], cwire(prefix, 1, 1, 82)) {
 		t.Fatalf("continuity after adoption: %d subs, %+v", len(subs), res)
 	}
 }
 
-// fakeClock is a settable clock for adaptive-flush tests.
+// fakeClock is a settable clock for hold tests.
 type fakeClock struct{ t int64 }
 
 func (c *fakeClock) now() int64 { return c.t }
@@ -435,7 +463,7 @@ func TestAdaptiveFlushHoldsAndAgesOut(t *testing.T) {
 	b := NewBatcher(sink, 1, 0)
 	b.EnableCrossFrame(2)
 	clk := &fakeClock{}
-	b.EnableAdaptiveFlush(clk.now, AdaptiveFlushConfig{MaxHoldNs: 250_000, GapNs: 120_000, MinBytes: 600})
+	b.SetClock(clk.now)
 
 	// Two appends 10µs apart establish a fast cadence for peer 2.
 	b.Send(2, cwire(prefix, 1, 1, 1))
@@ -453,8 +481,8 @@ func TestAdaptiveFlushHoldsAndAgesOut(t *testing.T) {
 	// More appends keep landing in the held frame.
 	clk.t += 10_000
 	b.Send(2, cwire(prefix, 1, 1, 3))
-	// Past MaxHold the frame ages out and the barrier emits it.
-	clk.t += 300_000
+	// Past holdMaxNs the frame ages out and the barrier emits it.
+	clk.t += holdMaxNs
 	if n := b.FlushFor(FlushBarrier); n != 1 {
 		t.Fatalf("aged frame must emit, got %d", n)
 	}
@@ -475,14 +503,14 @@ func TestAdaptiveFlushNeverHoldsSlowOrUnknownChains(t *testing.T) {
 	b := NewBatcher(sink, 1, 0)
 	b.EnableCrossFrame(2)
 	clk := &fakeClock{}
-	b.EnableAdaptiveFlush(clk.now, DefaultAdaptiveFlush())
+	b.SetClock(clk.now)
 
 	// First-ever append: cadence unknown, no hold.
 	b.Send(2, cwire(prefix, 1, 1, 1))
 	if n := b.FlushFor(FlushEntryEnd); n != 1 {
 		t.Fatalf("unknown cadence must not hold, emitted %d", n)
 	}
-	// Slow chain: gaps way past GapNs, no hold.
+	// Slow chain: gaps way past holdGapNs, no hold.
 	clk.t += 50_000_000
 	b.Send(2, cwire(prefix, 1, 1, 2))
 	clk.t += 50_000_000
@@ -498,7 +526,7 @@ func TestAdaptiveFlushExplicitAndSizeForceEverything(t *testing.T) {
 	b := NewBatcher(sink, 1, 0)
 	b.EnableCrossFrame(2)
 	clk := &fakeClock{}
-	b.EnableAdaptiveFlush(clk.now, DefaultAdaptiveFlush())
+	b.SetClock(clk.now)
 	b.Send(2, cwire(prefix, 1, 1, 1))
 	clk.t += 1000
 	b.Send(2, cwire(prefix, 1, 1, 2))
@@ -522,7 +550,7 @@ func TestAdaptiveFlushHoldsOnlySuffix(t *testing.T) {
 	b := NewBatcher(sink, 1, 0)
 	b.EnableCrossFrame(2)
 	clk := &fakeClock{}
-	b.EnableAdaptiveFlush(clk.now, AdaptiveFlushConfig{MaxHoldNs: 250_000, GapNs: 120_000, MinBytes: 600})
+	b.SetClock(clk.now)
 	// Establish fast cadence for peer 3 only.
 	b.Send(3, cwire(prefix, 1, 1, 1))
 	clk.t += 1000
@@ -539,7 +567,7 @@ func TestAdaptiveFlushHoldsOnlySuffix(t *testing.T) {
 	if len(sink.calls) != base+1 || sink.calls[base].to != 2 {
 		t.Fatalf("emitted wrong frame: %+v", sink.calls)
 	}
-	clk.t += 300_000
+	clk.t += holdMaxNs
 	if n := b.FlushFor(FlushBarrier); n != 1 {
 		t.Fatalf("held frame must age out, got %d", n)
 	}
@@ -549,7 +577,7 @@ func TestAdaptiveFlushHoldsOnlySuffix(t *testing.T) {
 	// The walker still decodes the reordered-in-time but in-order chain.
 	w := NewFrameWalker(2, true)
 	for _, c := range sink.calls {
-		if res := w.WalkLink(1, c.to, c.data, func([]byte) {}); res.GenMiss {
+		if res := w.walkLink(1, c.to, c.data, func([]byte) {}); res.genMiss {
 			t.Fatalf("per-chain order broken: %+v", res)
 		}
 	}
@@ -568,10 +596,10 @@ func FuzzXFrameWalkLink(f *testing.F) {
 		return sink.calls[0].data
 	}
 	f.Add(mk(cwire(prefix, 1, 0, 5, 0x01), cwire(prefix, 1, 0, 6)), false)
-	f.Add([]byte{XFrameMagic, 0x00, 0x01, 0x01, subIsDelta, 0x02, 0x00}, true)
-	f.Add([]byte{XFrameMagic, 0x01, 0xFF, 0x01}, false)
-	f.Add(AppendResync(nil, true, 77), true)
-	f.Add([]byte{XFrameMagic, 0x80}, false)
+	f.Add([]byte{FrameMagic, 0x00, 0x01, 0x01, subIsDelta, 0x02, 0x00}, true)
+	f.Add([]byte{FrameMagic, 0x01, 0xFF, 0x01}, false)
+	f.Add(appendResync(nil, true, 77), true)
+	f.Add([]byte{FrameMagic, 0x80}, false)
 	f.Fuzz(func(t *testing.T, data []byte, seeded bool) {
 		for _, stable := range []bool{true, false} {
 			w := NewFrameWalker(2, stable)
@@ -580,13 +608,16 @@ func FuzzXFrameWalkLink(f *testing.F) {
 				seed := mk(cwire(prefix, 1, 0, 9))
 				w.WalkLink(1, 2, seed, func([]byte) {})
 			}
-			surfaced := 0
-			w.WalkLink(1, 2, data, func(sub []byte) { surfaced += len(sub) })
-			// Whatever arrived, every input byte must be accounted for:
-			// the walker surfaces subs or garbage, never silently drops a
-			// whole frame (headers excepted) or panics.
+			subs := 0
+			resync, _ := w.WalkLink(1, 2, data, func([]byte) { subs++ })
+			// Whatever arrived, the walker surfaces subs or garbage, or
+			// parks the frame — it never panics — and anything that is not
+			// a frame (retired magics included) passes through whole and
+			// unanswered.
+			if !IsFrame(data) && (subs != 1 || resync != nil) {
+				t.Fatalf("non-frame %x: %d subs, resync %x", data, subs, resync)
+			}
 			w.WalkLink(1, 2, data, func([]byte) {}) // mirror state survives reuse
-			w.Walk(data, func([]byte) {})           // link-blind decode never panics
 		}
 	})
 }
@@ -618,9 +649,18 @@ func FuzzXFrameRoundTrip(f *testing.F) {
 		}
 		l.b.Flush()
 		got, res := l.feed()
-		if res.GenMiss || res.StaleGen {
+		if res.genMiss || res.staleGen {
 			t.Fatalf("lossless chain reported %+v", res)
 		}
 		wantSubs(t, got, wires)
 	})
+}
+
+// productionBatcher configures a Batcher the way core.Member does: the
+// epoch prefix arity of member wires and the owner's clock.
+func productionBatcher(sink BatchSink, from event.Addr, now func() int64) *Batcher {
+	b := NewBatcher(sink, from, 0)
+	b.EnableCrossFrame(EpochPrefixUvarints)
+	b.SetClock(now)
+	return b
 }
