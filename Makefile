@@ -3,7 +3,7 @@
 GO ?= go
 # BENCH_OUT is where bench-gate records the parsed benchmark trajectory;
 # override it to keep a run without clobbering the checked-in record.
-BENCH_OUT ?= BENCH_PR14.json
+BENCH_OUT ?= BENCH_PR15.json
 
 .PHONY: all build test race verify bench bench-throughput bench-gate benchmark-module multiproc flight fuzz pooldebug clean
 
@@ -102,13 +102,16 @@ multiproc:
 
 # A short fuzzing smoke pass over the stateful wire-format decoders:
 # the cross-frame walker under adversarial frames (seeded and cold
-# mirrors) and the encode/decode round trip. The checked-in seed
-# corpora under internal/transport/testdata/fuzz/ run as regular tests
-# in every `make test`; this target additionally mutates for a few
-# seconds per target.
+# mirrors) and the encode/decode round trip; and over retention: the
+# message log against a map model, and the image decoder under arbitrary
+# bytes. The checked-in seed corpora under internal/transport/testdata/fuzz/
+# and the f.Add seeds run as regular tests in every `make test`; this
+# target additionally mutates for a few seconds per target.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzXFrameWalkLink -fuzztime 10s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzXFrameRoundTrip -fuzztime 10s ./internal/transport/
+	$(GO) test -run xxx -fuzz FuzzMsgLog -fuzztime 10s ./internal/layers/
+	$(GO) test -run xxx -fuzz FuzzFromImage -fuzztime 10s ./internal/layers/
 
 # A flight recording of the standard 8-member MACH workload (members as
 # they ship), exported as Chrome trace_event JSON — open flight.trace.json

@@ -383,6 +383,9 @@ func benchThroughputNetScale(b *testing.B, run func(workers int) (bench.ScaleRes
 	}
 	b.ReportMetric(res.MsgsPerSec, "msgs/sec")
 	b.ReportMetric(res.PerMember, "msgs/sec-member")
+	if res.AllocsPerDelivery > 0 {
+		b.ReportMetric(res.AllocsPerDelivery, "allocs/delivery")
+	}
 	identical := 0.0
 	if res.Identical {
 		identical = 1

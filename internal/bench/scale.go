@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -46,6 +47,10 @@ type ScaleResult struct {
 	// by the member count — the number the scaling gate bounds.
 	MsgsPerSec float64
 	PerMember  float64
+	// AllocsPerDelivery is heap allocations (runtime.MemStats.Mallocs)
+	// during the run per application delivery: the number that catches a
+	// per-delivery clone or box coming back into the receive path.
+	AllocsPerDelivery float64
 	// Identical reports the run's determinism probe: a short traced
 	// workload at the same member count, Run vs RunConcurrent, compared
 	// byte for byte.
@@ -93,6 +98,8 @@ func MeasureScale(members, rounds int, seed int64, workers int) (ScaleResult, er
 		}
 	}
 	deadline := int64(rounds)*scaleInterval + int64(2e9)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	t0 := time.Now()
 	if workers > 1 {
 		g.RunConcurrent(deadline, workers)
@@ -100,6 +107,7 @@ func MeasureScale(members, rounds int, seed int64, workers int) (ScaleResult, er
 		g.Run(deadline)
 	}
 	wall := time.Since(t0)
+	runtime.ReadMemStats(&after)
 
 	res := ScaleResult{
 		Members:    members,
@@ -112,6 +120,7 @@ func MeasureScale(members, rounds int, seed int64, workers int) (ScaleResult, er
 	for _, d := range delivered {
 		res.Delivered += d
 	}
+	res.AllocsPerDelivery = float64(after.Mallocs-before.Mallocs) / float64(max(res.Delivered, 1))
 	if want := members * members * rounds; res.Delivered < want {
 		return res, fmt.Errorf("bench: scale %d: %d deliveries, want %d", members, res.Delivered, want)
 	}

@@ -196,8 +196,8 @@ func TestMemberAffinityAssert(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := g.Members[0]
-	release := m.enterExclusive("test hold") // simulate the member being mid-callback elsewhere
-	defer release()
+	m.enter("test hold") // simulate the member being mid-callback elsewhere
+	defer m.leave()
 	m.inside = false // the intruder is NOT the owning goroutine
 	defer func() { m.inside = true }()
 	defer func() {

@@ -202,9 +202,9 @@ func Free(e *Event) {
 		FreeHeader(h)
 		e.Msg.Headers[i] = nil
 	}
-	hdrs := e.Msg.Headers[:0]
+	hdrs, offs := e.Msg.Headers[:0], e.Msg.encOff[:0]
 	*e = Event{}
-	e.Msg.Headers = hdrs
+	e.Msg.Headers, e.Msg.encOff = hdrs, offs
 	poolCounters.eventPuts.Add(1)
 	pool.Put(e)
 }

@@ -75,10 +75,57 @@ func (h NoHdr) HdrString() string { return h.L + ":NoHdr" }
 type Message struct {
 	Payload []byte
 	Headers []Header
+
+	// enc, when non-nil, is the byte sequence the transport decoded the
+	// header stack from: header i's encoding starts at enc[encOff[i]]
+	// (headers are encoded outermost first, so a lower stack index sits
+	// later in enc). Pops keep the record valid — what remains of the
+	// stack is encoded by a suffix of enc — so a layer that buffers an
+	// arrived message copies that suffix instead of re-encoding or
+	// cloning (EncodedHeaders). Push invalidates it.
+	enc    []byte
+	encOff []uint32
 }
 
 // Push appends a header to the stack.
-func (m *Message) Push(h Header) { m.Headers = append(m.Headers, h) }
+func (m *Message) Push(h Header) {
+	m.Headers = append(m.Headers, h)
+	if m.enc != nil {
+		m.enc = nil
+	}
+}
+
+// EncOffsets forgets any encoding on record and returns the offset table,
+// one entry per header now on the stack, for a decoder to fill: entry i
+// is where header i's encoding begins in the buffer it will pass to
+// SetEncoded. Only decoders call either.
+func (m *Message) EncOffsets() []uint32 {
+	n := len(m.Headers)
+	if cap(m.encOff) < n {
+		m.encOff = make([]uint32, n)
+	}
+	m.enc, m.encOff = nil, m.encOff[:n]
+	return m.encOff
+}
+
+// SetEncoded records that Headers was just decoded from enc, at the
+// offsets the decoder wrote into EncOffsets.
+func (m *Message) SetEncoded(enc []byte) { m.enc = enc }
+
+// EncodedHeaders returns the bytes that encode the header stack as it
+// stands, outermost first, when the stack is still a popped-only
+// remainder of what a decoder produced. The slice aliases the arrival
+// buffer: copy it to keep it.
+func (m *Message) EncodedHeaders() ([]byte, bool) {
+	k := len(m.Headers)
+	if m.enc == nil || k > len(m.encOff) {
+		return nil, false
+	}
+	if k == 0 {
+		return m.enc[len(m.enc):], true
+	}
+	return m.enc[m.encOff[k-1]:], true
+}
 
 // Pop removes and returns the top header. It panics if the stack is
 // empty: a layer popping past the bottom is a wiring bug, not a runtime

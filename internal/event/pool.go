@@ -220,10 +220,13 @@ func (hp *HdrPool[T]) Put(p *T) {
 // on the data path.
 func Dup(e *Event) *Event {
 	d := Alloc()
-	hdrs := d.Msg.Headers
+	hdrs, offs := d.Msg.Headers, d.Msg.encOff
 	*d = *e
 	d.pooled = true
 	d.Msg.Headers = AppendClonedHeaders(hdrs[:0], e.Msg.Headers)
+	// The copy keeps its own offset storage (e's is recycled with e), so
+	// it forgets where it was decoded from.
+	d.Msg.enc, d.Msg.encOff = nil, offs[:0]
 	if e.Ranks != nil {
 		d.Ranks = append([]int(nil), e.Ranks...)
 	}

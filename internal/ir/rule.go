@@ -199,21 +199,21 @@ type EffectCtx struct {
 	Payload []byte
 	ApplMsg bool
 	// Hdrs is the header stack of the message as the layers above this
-	// one would have built it — materialized by the bypass from the
-	// optimization theorem so that buffered messages are byte-identical
-	// to what the full stack would have buffered.
-	//
-	// Ownership: the slice itself is caller-owned transient scratch,
-	// reused after the effect returns — an effect that keeps the headers
-	// must copy the slice into its own storage. The header values in it
-	// transfer to the effect: pooled headers among them are the effect's
-	// to keep or free.
-	Hdrs []event.Header
+	// one built it (down paths) or will see it (up paths), NHdrs headers
+	// in the transport's encoding (outermost first) — produced by the
+	// bypass from the optimization theorem, for effects that ask
+	// (EffectSpec.Hdrs), so that what they buffer is byte-identical to
+	// what the full stack would have buffered. Like Args it is
+	// caller-owned scratch: an effect that keeps the bytes copies them.
+	Hdrs  []byte
+	NHdrs int
 }
 
 // EffectSpec binds a named effect to a live layer state.
 type EffectSpec struct {
 	Name string
+	// Hdrs asks for EffectCtx.Hdrs: the effect buffers the message.
+	Hdrs bool
 	Run  func(ctx EffectCtx)
 }
 

@@ -8,11 +8,11 @@ import (
 	"ensemble/internal/transport"
 )
 
-// Every header variant of every component must survive the wire. The
-// integration suites exercise the common variants; this pins all of
-// them, including the control headers.
-func TestAllHeaderVariantsRoundtrip(t *testing.T) {
-	variants := []event.Header{
+// allHeaderVariants lists one of every header variant every component
+// can push (twice where a field's sign or absence changes the encoding).
+// Pooled headers come fresh from their pools: the caller owns them.
+func allHeaderVariants() []event.Header {
+	return []event.Header{
 		bottomHdr{},
 		&mnakData{Seqno: 12345}, mnakPass{}, mnakNak{Lo: -3, Hi: 900}, mnakRetrans{Seqno: 7},
 		&p2pData{Seqno: 3, Ack: 2}, p2pRetrans{Seqno: 5, Ack: 4}, p2pAck{Ack: 9}, p2pPass{},
@@ -34,6 +34,13 @@ func TestAllHeaderVariantsRoundtrip(t *testing.T) {
 		chkHdr{Sum: 0xDEADBEEF},
 		traceHdr{},
 	}
+}
+
+// Every header variant of every component must survive the wire. The
+// integration suites exercise the common variants; this pins all of
+// them, including the control headers.
+func TestAllHeaderVariantsRoundtrip(t *testing.T) {
+	variants := allHeaderVariants()
 	for _, h := range variants {
 		ev := event.Alloc()
 		ev.Type = event.ECast

@@ -24,10 +24,21 @@ type fragState struct {
 	sends []fragAsm
 }
 
+// fragAsm reassembles one channel's current message. The parts are held
+// by reference until the last one arrives: frag sits below local, so
+// what comes up through it is an arrival buffer (or a slab of a log
+// below) that the receiver owns and nobody rewrites. The one copy is the
+// one that joins them.
 type fragAsm struct {
 	parts   [][]byte
 	expect  uint32
 	applMsg bool
+}
+
+// reset drops the partial message, keeping the parts list's storage.
+func (a *fragAsm) reset() {
+	clear(a.parts)
+	a.parts, a.expect = a.parts[:0], 0
 }
 
 // frag header variants.
@@ -134,7 +145,7 @@ func (s *fragState) HandleUp(ev *event.Event, snk layer.Sink) {
 			// The channels below are FIFO and lossless, so a hole here is
 			// a wiring bug or a corrupted image: drop the partial message
 			// and resynchronize on the next first fragment.
-			asm.parts, asm.expect = nil, 0
+			asm.reset()
 			if h.Idx != 0 {
 				event.Free(ev)
 				return
@@ -143,7 +154,7 @@ func (s *fragState) HandleUp(ev *event.Event, snk layer.Sink) {
 		if h.Idx == 0 {
 			asm.applMsg = ev.ApplMsg
 		}
-		asm.parts = append(asm.parts, copyPayload(ev.Msg.Payload))
+		asm.parts = append(asm.parts, ev.Msg.Payload)
 		asm.expect = h.Idx + 1
 		if asm.expect == h.Of {
 			total := 0
@@ -154,16 +165,13 @@ func (s *fragState) HandleUp(ev *event.Event, snk layer.Sink) {
 			for _, p := range asm.parts {
 				whole = append(whole, p...)
 			}
-			out := event.Alloc()
-			out.Dir, out.Type, out.Peer = event.Up, ev.Type, ev.Peer
-			out.ApplMsg = asm.applMsg
-			out.Msg.Payload = whole
-			// The remaining headers are the upper layers' stack, copied
-			// because ev returns to the pool.
-			out.Msg.Headers = copyHdrs(ev.Msg.Headers)
-			asm.parts, asm.expect = nil, 0
-			event.Free(ev)
-			snk.PassUp(out)
+			// The last fragment's event carries the message on: what is left
+			// of its header stack is the upper layers' (every fragment
+			// carries a copy), so nothing is cloned.
+			ev.ApplMsg = asm.applMsg
+			ev.Msg.Payload = whole
+			asm.reset()
+			snk.PassUp(ev)
 			return
 		}
 		event.Free(ev)

@@ -56,6 +56,13 @@ type HandEngine struct {
 	// handed to SendWire is valid only for the duration of the call.
 	wireBuf []byte
 
+	// castImg and sendImg are the images of an empty message under the
+	// header stacks the layers above mnak (top, pt2pt:Pass) and above
+	// pt2pt (top) contribute on the common path — constants, so the
+	// bypass retains a message as one of these with the payload filled
+	// in, without building a header.
+	castImg, sendImg transport.Image
+
 	// Stats counts routing decisions.
 	Stats struct {
 		DnBypass, DnFull, UpBypass, UpFull int64
@@ -87,7 +94,17 @@ func NewHandEngine(cfg layer.Config, mode stack.Mode) (*HandEngine, error) {
 		bot:    states[3].(*bottomState),
 	}
 	h.stk = stack.FromStates(states, mode, stack.Callbacks{App: h.appEvent, Net: h.netEvent})
+	h.castImg = h.constImage(topHdr{}, p2pPass{})
+	h.sendImg = h.constImage(topHdr{})
 	return h, nil
+}
+
+// constImage is the image of an application message with no payload
+// under the given header stack, in storage of its own.
+func (h *HandEngine) constImage(hdrs ...event.Header) transport.Image {
+	img := imageOf(&event.Event{ApplMsg: true, Msg: event.Message{Headers: hdrs}}, &h.wbuf)
+	img.Hdrs = append([]byte(nil), img.Hdrs...)
+	return img
 }
 
 // Stack exposes the fallback stack.
@@ -144,9 +161,9 @@ func (h *HandEngine) Cast(payload []byte) {
 	if h.SendWire != nil {
 		h.SendWire(true, 0, wire)
 	}
-	m := savePayload(payload, true)
-	m.hdrs = append(m.hdrs, topHdr{}, p2pPass{})
-	h.mnak.sendBuf[seq] = m
+	img := h.castImg
+	img.Payload = payload
+	h.mnak.logs[h.Rank].put(seq, img)
 }
 
 // Send transmits an application payload point-to-point through the hand
@@ -176,12 +193,9 @@ func (h *HandEngine) Send(dst int, payload []byte) {
 	if h.SendWire != nil {
 		h.SendWire(false, dst, wire)
 	}
-	if p.unacked == nil {
-		p.unacked = make(map[int64]*savedMsg)
-	}
-	m := savePayload(payload, true)
-	m.hdrs = append(m.hdrs, topHdr{})
-	p.unacked[seq] = m
+	img := h.sendImg
+	img.Payload = payload
+	p.unacked.put(seq, img)
 }
 
 // Packet routes an arriving wire image.
@@ -220,10 +234,14 @@ func (h *HandEngine) Packet(data []byte) {
 	}
 
 	if kind == handKindCast {
-		if h.bot.enabled && seq == h.mnak.recvNext[origin] && len(h.mnak.recvBuf[origin]) == 0 {
+		if h.bot.enabled && seq == h.mnak.recvNext[origin] && h.mnak.ahead[origin] == 0 {
 			h.Stats.UpBypass++
 			h.mnak.recvNext[origin] = seq + 1
 			h.deliverBypass(origin, payload, true)
+			// Kept after the delivery, like the send side's buffering.
+			img := h.castImg
+			img.Payload = payload
+			h.mnak.logs[origin].put(seq, img)
 			return
 		}
 		h.Stats.UpFull++
@@ -231,7 +249,7 @@ func (h *HandEngine) Packet(data []byte) {
 		return
 	}
 	p := &h.p2p.peers[origin]
-	if h.bot.enabled && seq == p.recvNext && len(p.oooBuf) == 0 && p.pendingAcks+1 < h.p2p.ackThreshold {
+	if h.bot.enabled && seq == p.recvNext && p.oooLen == 0 && p.pendingAcks+1 < h.p2p.ackThreshold {
 		h.Stats.UpBypass++
 		h.p2p.applyAck(origin, ack)
 		p.recvNext = seq + 1

@@ -19,25 +19,27 @@ func (s *mnakState) IRVars() []ir.VarSpec {
 			func() int64 { return s.mySeq },
 			func(v int64) { s.mySeq = v }),
 		intsArray("recv_next", &s.recvNext),
-		arrayRO("recv_buf_len", func(i int64) int64 { return int64(len(s.recvBuf[i])) }),
+		arrayRO("recv_buf_len", func(i int64) int64 { return int64(s.ahead[i]) }),
 	}
 }
 
-// IREffects exposes the deferred buffering of sent casts: the bypass
-// sends first and buffers afterwards, taking the buffering overhead out
-// of the critical path (paper §4, optimization 3).
+// IREffects exposes the deferred retention of casts: the bypass sends
+// (or delivers) first and buffers afterwards, taking the buffering
+// overhead out of the critical path (paper §4, optimization 3).
 func (s *mnakState) IREffects() []ir.EffectSpec {
-	return []ir.EffectSpec{{
-		Name: "save_cast",
-		Run: func(ctx ir.EffectCtx) {
-			m := getSavedMsg()
-			m.payload = append(m.payload[:0], ctx.Payload...)
-			// ctx.Hdrs is transient scratch; the header values transfer.
-			m.hdrs = append(m.hdrs[:0], ctx.Hdrs...)
-			m.applMsg = ctx.ApplMsg
-			s.sendBuf[ctx.Args[0]] = m
+	return []ir.EffectSpec{
+		{
+			// save_cast(seqno): retain a cast this member sent.
+			Name: "save_cast", Hdrs: true,
+			Run: func(ctx ir.EffectCtx) { s.logs[s.view.Rank].put(ctx.Args[0], effectImage(ctx)) },
 		},
-	}}
+		{
+			// keep_cast(origin, seqno): retain a delivered cast, so this
+			// member can retransmit it on the origin's behalf (see logs).
+			Name: "keep_cast", Hdrs: true,
+			Run: func(ctx ir.EffectCtx) { s.logs[ctx.Args[0]].put(ctx.Args[1], effectImage(ctx)) },
+		},
+	}
 }
 
 func mnakDef() ir.LayerDef {
@@ -49,10 +51,11 @@ func mnakDef() ir.LayerDef {
 	upCast := []ir.Rule{
 		{
 			// The next expected cast with nothing buffered behind it:
-			// deliver and advance, no buffering, no NAK.
+			// deliver and advance, no drain, no NAK; keeping it is deferred.
 			Guard: ir.And(tagIs(mnakTagData), ir.Eq(seqno, recvNext),
 				ir.Eq(ir.Index{Name: "recv_buf_len", Idx: peer}, ir.Const(0))),
 			Actions: []ir.Action{
+				ir.CallEffect{Name: "keep_cast", Args: []ir.Expr{peer, seqno}},
 				ir.Assign{Target: recvNext, Val: ir.Add(recvNext, ir.Const(1))},
 				ir.PopDeliver{},
 			},
@@ -152,7 +155,7 @@ func (s *pt2ptState) IRVars() []ir.VarSpec {
 			GetAt: func(i int64) int64 { return int64(s.peers[i].pendingAcks) },
 			SetAt: func(i, v int64) { s.peers[i].pendingAcks = int(v) },
 		},
-		arrayRO("ooo_len", func(i int64) int64 { return int64(len(s.peers[i].oooBuf)) }),
+		arrayRO("ooo_len", func(i int64) int64 { return int64(s.peers[i].oooLen) }),
 	}
 }
 
@@ -163,17 +166,9 @@ func (s *pt2ptState) IREffects() []ir.EffectSpec {
 		{
 			// save_send(peer, seqno): buffer a sent message for
 			// retransmission, after the send itself.
-			Name: "save_send",
+			Name: "save_send", Hdrs: true,
 			Run: func(ctx ir.EffectCtx) {
-				p := &s.peers[ctx.Args[0]]
-				if p.unacked == nil {
-					p.unacked = make(map[int64]*savedMsg)
-				}
-				m := getSavedMsg()
-				m.payload = append(m.payload[:0], ctx.Payload...)
-				m.hdrs = append(m.hdrs[:0], ctx.Hdrs...)
-				m.applMsg = ctx.ApplMsg
-				p.unacked[ctx.Args[1]] = m
+				s.peers[ctx.Args[0]].unacked.put(ctx.Args[1], effectImage(ctx))
 			},
 		},
 		{

@@ -9,6 +9,7 @@ import (
 	"ensemble/internal/event"
 	"ensemble/internal/ir"
 	"ensemble/internal/layer"
+	"ensemble/internal/transport"
 )
 
 // These tests validate each layer's IR against its executable handler —
@@ -109,7 +110,17 @@ func (h *diffHarness) feed(ev *event.Event) (ups, dns []*event.Event) {
 		B:  h.bindB,
 		Ev: ir.EvInfo{Peer: int64(ev.Peer), Len: int64(len(ev.Msg.Payload)), Appl: ev.ApplMsg, Rank: h.rank},
 	}
-	var upperHdrs []event.Header
+	// What the layers above this one pushed (or will pop), encoded the
+	// way the optimizer hands it to buffering effects.
+	upper := ev.Msg.Headers
+	if ev.Dir == event.Up {
+		upper = upper[:len(upper)-1]
+	}
+	var w transport.Writer
+	img, err := transport.ImageOf(&event.Event{Msg: event.Message{Headers: upper}}, &w)
+	if err != nil {
+		h.t.Fatalf("%s %s: %v", h.def.Name, path, err)
+	}
 	if ev.Dir == event.Up {
 		// The layer pops its own header: expose its fields to the IR.
 		top := evB.Msg.Top()
@@ -118,8 +129,6 @@ func (h *diffHarness) feed(ev *event.Event) (ups, dns []*event.Event) {
 			h.t.Fatalf("%s %s: %v", h.def.Name, path, err)
 		}
 		frame.Hdr = fields
-	} else {
-		upperHdrs = copyHdrs(ev.Msg.Headers)
 	}
 
 	out, err := ir.Interp(h.def, path, frame)
@@ -132,11 +141,7 @@ func (h *diffHarness) feed(ev *event.Event) (ups, dns []*event.Event) {
 
 	if out.Fell {
 		h.misses++
-		// Fallback: the real handler drives instance B too. The captured
-		// header snapshot goes unused — release it.
-		for _, uh := range upperHdrs {
-			event.FreeHeader(uh)
-		}
+		// Fallback: the real handler drives instance B too.
 		h.sinkB.reset()
 		h.dispatch(h.b, evB, &h.sinkB)
 	} else {
@@ -147,7 +152,7 @@ func (h *diffHarness) feed(ev *event.Event) (ups, dns []*event.Event) {
 			if !ok {
 				h.t.Fatalf("%s: effect %q not bound", h.def.Name, ec.Name)
 			}
-			spec.Run(ir.EffectCtx{Args: ec.Args, Payload: evB.Msg.Payload, ApplMsg: evB.ApplMsg, Hdrs: upperHdrs})
+			spec.Run(ir.EffectCtx{Args: ec.Args, Payload: evB.Msg.Payload, ApplMsg: evB.ApplMsg, Hdrs: img.Hdrs, NHdrs: int(img.NHdrs)})
 		}
 		event.Free(evB)
 		h.checkFastPath(path, out)

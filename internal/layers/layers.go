@@ -110,16 +110,18 @@ func copyHdrs(h []event.Header) []event.Header {
 	return event.AppendClonedHeaders(make([]event.Header, 0, len(h)), h)
 }
 
-// savedMsg is a buffered message: payload, the header stack that was on
-// the event when it was buffered (the headers belonging to the layers on
-// the *other* side of the buffering layer, which must be preserved for
-// re-emission), and the application-payload flag.
+// savedMsg is a queued message: payload, the header stack that was on
+// the event when it was queued (the headers belonging to the layers on
+// the *other* side of the queueing layer, which must be preserved for
+// re-emission), and the application-payload flag. It is what the layers
+// that hold messages in arrival order use — the flow-control queues
+// (mflow, pt2ptw) and total's pending sets; the layers that retain by
+// sequence number use msgLog.
 //
-// Boxes are pooled; ownership is explicit. A layer that buffers a
-// message holds the box until it either release()s it (message dead:
-// acknowledged, stable, duplicate) or transferTo()s it (message
-// re-emitted with storage handed to the outgoing event). The box's
-// payload and header-slice backing are reused across saves.
+// Boxes are pooled; ownership is explicit. A layer that queues a message
+// holds the box until it transferTo()s it (message re-emitted with
+// storage handed to the outgoing event). The box's header-slice backing
+// is reused across uses.
 type savedMsg struct {
 	payload []byte
 	hdrs    []event.Header
@@ -128,47 +130,26 @@ type savedMsg struct {
 
 var savedMsgPool = sync.Pool{New: func() any { return new(savedMsg) }}
 
-func getSavedMsg() *savedMsg {
+// takeMsg moves a dying event's message into a box and frees the event.
+// The header stack changes owner — nothing is cloned. The payload is
+// copied: an event coming down, or reflected up by local, still carries
+// the application's own buffer, which the application may rewrite as
+// soon as Cast returns.
+func takeMsg(ev *event.Event) *savedMsg {
+	var m *savedMsg
 	if event.PoolDebugEnabled() {
 		// Fresh boxes keep the header-pool debug checks deterministic.
-		return new(savedMsg)
+		m = new(savedMsg)
+	} else {
+		m = savedMsgPool.Get().(*savedMsg)
 	}
-	return savedMsgPool.Get().(*savedMsg)
-}
-
-// saveMsg snapshots an event for buffering: the payload is copied into
-// the box's reused backing and the header stack is deep-cloned.
-func saveMsg(ev *event.Event) *savedMsg {
-	m := getSavedMsg()
-	m.payload = append(m.payload[:0], ev.Msg.Payload...)
-	m.hdrs = event.AppendClonedHeaders(m.hdrs[:0], ev.Msg.Headers)
+	m.payload = append([]byte(nil), ev.Msg.Payload...)
+	m.hdrs = append(m.hdrs[:0], ev.Msg.Headers...)
 	m.applMsg = ev.ApplMsg
+	clear(ev.Msg.Headers)
+	ev.Msg.Headers = ev.Msg.Headers[:0]
+	event.Free(ev)
 	return m
-}
-
-// savePayload starts a box with just a payload copy; callers append the
-// header stack (hand bypass, which knows its headers statically).
-func savePayload(payload []byte, applMsg bool) *savedMsg {
-	m := getSavedMsg()
-	m.payload = append(m.payload[:0], payload...)
-	m.hdrs = m.hdrs[:0]
-	m.applMsg = applMsg
-	return m
-}
-
-// release frees the box's headers and recycles it: the buffered message
-// died without being re-emitted (acknowledged, stable, or duplicate).
-func (m *savedMsg) release() {
-	for i, h := range m.hdrs {
-		event.FreeHeader(h)
-		m.hdrs[i] = nil
-	}
-	m.hdrs = m.hdrs[:0]
-	m.payload = m.payload[:0]
-	m.applMsg = false
-	if !event.PoolDebugEnabled() {
-		savedMsgPool.Put(m)
-	}
 }
 
 // transferTo moves the buffered message into ev and recycles the box.

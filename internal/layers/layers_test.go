@@ -217,16 +217,16 @@ func TestMnakStabilityGC(t *testing.T) {
 		_, dns := dn(sender, event.CastEv([]byte{byte(i)}))
 		freeAll(dns)
 	}
-	if len(sender.sendBuf) != 5 {
-		t.Fatalf("sendBuf %d, want 5", len(sender.sendBuf))
+	if n := logCount(&sender.logs[0]); n != 5 {
+		t.Fatalf("send log holds %d, want 5", n)
 	}
 	st := event.Alloc()
 	st.Dir, st.Type = event.Dn, event.EStable
 	st.Stability = []int64{3, 0}
 	_, dns := dn(sender, st)
 	freeAll(dns)
-	if len(sender.sendBuf) != 2 {
-		t.Fatalf("after stability 3, sendBuf has %d entries, want 2", len(sender.sendBuf))
+	if n := logCount(&sender.logs[0]); n != 2 {
+		t.Fatalf("after stability 3, the send log holds %d entries, want 2", n)
 	}
 	// A stale NAK for a stabilized message is skipped silently.
 	nak := event.Alloc()

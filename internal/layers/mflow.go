@@ -140,8 +140,7 @@ func (s *mflowState) HandleDn(ev *event.Event, snk layer.Sink) {
 		// With no other members there is no receiver to exhaust: credit
 		// never applies (and nothing could ever return it).
 		if s.view.N() > 1 && (len(s.queue) > 0 || s.inFlight()+need > s.credit) {
-			s.queue = append(s.queue, saveMsg(ev))
-			event.Free(ev)
+			s.queue = append(s.queue, takeMsg(ev))
 			return
 		}
 		s.sentBytes += need

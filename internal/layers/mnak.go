@@ -10,37 +10,43 @@ import (
 
 // mnakState implements reliable FIFO multicast using negative
 // acknowledgments. Senders number their casts; receivers detect gaps and
-// request retransmission point-to-point from the origin. Sent casts are
-// buffered until the stability protocol (collect layer) reports them
-// delivered everywhere. This is the classic Ensemble MNAK component.
+// request retransmission point-to-point from the origin. Casts — sent
+// and received — are retained until the stability protocol (collect
+// layer) reports them delivered everywhere. This is the classic Ensemble
+// MNAK component.
 type mnakState struct {
 	view *event.View
 
 	// mySeq is the sequence number of the next cast this member sends.
 	mySeq int64
 
-	// sendBuf holds copies of this member's casts for retransmission,
-	// keyed by sequence number; garbage-collected on EStable.
-	sendBuf map[int64]*savedMsg
-
-	// recvNext[o] is the next expected sequence number from origin o.
-	recvNext []int64
-
-	// recvBuf[o] buffers out-of-order casts from origin o.
-	recvBuf []map[int64]*savedMsg
-
-	// recvKeep[o] holds copies of already-delivered casts from origin o
-	// until stability, so any member can serve a retransmission on the
-	// origin's behalf. Without it, virtual synchrony has a hole: a cast
+	// logs[o] retains origin o's casts, from the stability frontier up,
+	// as images of what the layers above mnak saw (their headers and the
+	// payload). logs[Rank] is this member's own casts, for
+	// retransmission. For every other origin the log holds two things in
+	// one sequence space: below recvNext[o], the casts already delivered,
+	// kept so that any member can serve a retransmission on the origin's
+	// behalf; above it, casts that arrived ahead of a gap, waiting for it
+	// to fill. Without the kept half virtual synchrony has a hole: a cast
 	// whose origin is then partitioned away may have reached some
 	// survivors but not others, and only the (now unreachable) origin
 	// could repair the difference — the view-change flush would either
 	// hang or install a view whose members delivered different casts.
-	recvKeep []map[int64]*savedMsg
+	logs []msgLog
+
+	// recvNext[o] is the next expected sequence number from origin o.
+	recvNext []int64
+
+	// ahead[o] counts the casts logs[o] holds above recvNext[o]: zero is
+	// the common case in which a delivery has nothing to drain.
+	ahead []int
 
 	// naked[o] is the highest sequence number already NAKed to origin o,
 	// to avoid duplicate NAKs for the same gap.
 	naked []int64
+
+	// wbuf encodes the images of events that did not come off the wire.
+	wbuf transport.Writer
 }
 
 // mnak header variants. mnakData rides every steady-state cast, so it
@@ -106,10 +112,9 @@ func init() {
 		n := cfg.View.N()
 		s := &mnakState{
 			view:     cfg.View,
-			sendBuf:  make(map[int64]*savedMsg),
+			logs:     make([]msgLog, n),
 			recvNext: make([]int64, n),
-			recvBuf:  make([]map[int64]*savedMsg, n),
-			recvKeep: make([]map[int64]*savedMsg, n),
+			ahead:    make([]int, n),
 			naked:    make([]int64, n),
 		}
 		for i := range s.naked {
@@ -164,10 +169,10 @@ func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 	case event.ECast:
 		seq := s.mySeq
 		s.mySeq++
-		// Saved before the mnak header is pushed: a retransmission must
+		// Retained before the mnak header is pushed: a retransmission must
 		// reconstruct the message exactly as the layers above handed it
 		// to us, including their headers.
-		s.sendBuf[seq] = saveMsg(ev)
+		s.logs[s.view.Rank].put(seq, imageOf(ev, &s.wbuf))
 		ev.Msg.Push(newMnakData(seq))
 		snk.PassDn(ev)
 	case event.ESend:
@@ -191,7 +196,7 @@ func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 		// no new traffic flows while the group is blocked. The NAK fans
 		// out to every member, not just the origin: the origin may be
 		// exactly the member being flushed out, and then only survivors'
-		// kept copies (recvKeep) can repair the gap.
+		// kept copies (logs) can repair the gap.
 		for o, have := range ev.Stability {
 			if o == s.view.Rank || o >= s.view.N() {
 				continue
@@ -210,28 +215,18 @@ func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 		}
 		event.Free(ev)
 	case event.EStable:
-		// Casts delivered everywhere can never be NAKed again: drop them
-		// from the retransmission buffer and the kept-receive buffers.
-		if me := s.view.Rank; me < len(ev.Stability) {
-			stable := ev.Stability[me]
-			for q, m := range s.sendBuf {
-				if q < stable {
-					delete(s.sendBuf, q)
-					m.release()
-				}
-			}
-		}
-		for o, keep := range s.recvKeep {
+		// Casts delivered everywhere can never be NAKed again: release
+		// them. A frontier beyond what this member has itself delivered
+		// (or sent) releases nothing it still waits for.
+		for o := range s.logs {
 			if o >= len(ev.Stability) {
 				break
 			}
-			stable := ev.Stability[o]
-			for q, m := range keep {
-				if q < stable {
-					delete(keep, q)
-					m.release()
-				}
+			have := s.recvNext[o]
+			if o == s.view.Rank {
+				have = s.mySeq
 			}
+			s.logs[o].trimBelow(min(ev.Stability[o], have))
 		}
 		snk.PassDn(ev)
 	default:
@@ -289,24 +284,21 @@ func (s *mnakState) HandleUp(ev *event.Event, snk layer.Sink) {
 // deliverCast applies the in-order delivery rule for a cast (or
 // retransmitted cast) with sequence number seq from origin. nak controls
 // whether gap detection triggers a NAK (retransmissions never re-NAK, to
-// avoid storms when a burst is being repaired).
+// avoid storms when a burst is being repaired). The mnak header is
+// already popped: what the log retains is the upper layers' stack.
 func (s *mnakState) deliverCast(origin int, seq int64, ev *event.Event, nak bool, snk layer.Sink) {
 	next := s.recvNext[origin]
 	switch {
 	case seq == next:
-		s.keep(origin, seq, ev)
+		// Kept before the delivery PassUp, while the event still holds the
+		// upper layers' header stack.
+		s.logs[origin].put(seq, imageOf(ev, &s.wbuf))
 		s.recvNext[origin] = next + 1
 		snk.PassUp(ev)
 		s.drain(origin, snk)
 	case seq > next:
-		if _, dup := s.recvBuf[origin][seq]; !dup {
-			if s.recvBuf[origin] == nil {
-				s.recvBuf[origin] = make(map[int64]*savedMsg)
-			}
-			// The mnak header is already popped: what remains is the
-			// upper layers' stack, preserved for delivery after the gap
-			// fills.
-			s.recvBuf[origin][seq] = saveMsg(ev)
+		if s.logs[origin].put(seq, imageOf(ev, &s.wbuf)) {
+			s.ahead[origin]++
 		}
 		if nak && seq-1 > s.naked[origin] {
 			s.naked[origin] = seq - 1
@@ -319,36 +311,22 @@ func (s *mnakState) deliverCast(origin int, seq int64, ev *event.Event, nak bool
 	}
 }
 
-// drain delivers buffered casts that have become in-order.
+// drain delivers casts that arrived ahead of a gap and have become
+// in-order. They stay in the log: delivered, they are the kept copies.
 func (s *mnakState) drain(origin int, snk layer.Sink) {
-	buf := s.recvBuf[origin]
-	for {
+	for s.ahead[origin] > 0 {
 		next := s.recvNext[origin]
-		m, ok := buf[next]
+		img, ok := s.logs[origin].get(next)
 		if !ok {
 			return
 		}
-		delete(buf, next)
+		s.ahead[origin]--
 		s.recvNext[origin] = next + 1
 		out := event.Alloc()
 		out.Dir, out.Type, out.Peer = event.Up, event.ECast, origin
-		m.transferTo(out)
-		s.keep(origin, next, out)
+		fromImage(img, out)
 		snk.PassUp(out)
 	}
-}
-
-// keep snapshots a cast being delivered into the kept-receive buffer, so
-// this member can later retransmit it on the origin's behalf (see
-// recvKeep). Called just before the delivery PassUp, while the event
-// still holds the upper layers' header stack.
-func (s *mnakState) keep(origin int, seq int64, ev *event.Event) {
-	if s.recvKeep[origin] == nil {
-		s.recvKeep[origin] = make(map[int64]*savedMsg)
-	} else if _, dup := s.recvKeep[origin][seq]; dup {
-		return
-	}
-	s.recvKeep[origin][seq] = saveMsg(ev)
 }
 
 // sendNak emits a point-to-point retransmission request for origin's
@@ -362,31 +340,29 @@ func (s *mnakState) sendNak(origin, target int, lo, hi int64, snk layer.Sink) {
 }
 
 // handleNak retransmits the requested range point-to-point to the
-// requester: our own casts from the send buffer, other origins' casts
-// from the kept-receive buffer. Sequence numbers already
-// garbage-collected by stability are silently skipped: stability proves
-// the requester cannot still need them (the NAK was stale).
+// requester: our own casts, or — on another origin's behalf — those of
+// its casts we have delivered (not ones still waiting behind a gap of
+// our own). Sequence numbers already released by stability are silently
+// skipped: stability proves the requester cannot still need them (the
+// NAK was stale).
 func (s *mnakState) handleNak(requester int, h mnakNak, snk layer.Sink) {
 	origin := int(h.Origin)
 	if origin < 0 || origin >= s.view.N() {
 		return
 	}
-	buf := s.sendBuf
+	log := &s.logs[origin]
+	lo, hi := log.span()
 	if origin != s.view.Rank {
-		buf = s.recvKeep[origin]
+		hi = min(hi, s.recvNext[origin])
 	}
-	for q := h.Lo; q <= h.Hi; q++ {
-		m, ok := buf[q]
+	for q := max(lo, h.Lo); q < hi && q <= h.Hi; q++ {
+		img, ok := log.get(q)
 		if !ok {
 			continue
 		}
 		rt := event.Alloc()
 		rt.Dir, rt.Type, rt.Peer = event.Dn, event.ESend, requester
-		rt.ApplMsg = m.applMsg
-		rt.Msg.Payload = m.payload
-		// Copy: the buffered entry may be retransmitted again and the
-		// headers appended below would otherwise share its backing array.
-		rt.Msg.Headers = copyHdrs(m.hdrs)
+		fromImage(img, rt)
 		rt.Msg.Push(mnakRetrans{Origin: h.Origin, Seqno: q})
 		snk.PassDn(rt)
 	}

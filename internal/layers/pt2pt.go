@@ -2,7 +2,6 @@ package layers
 
 import (
 	"fmt"
-	"sort"
 
 	"ensemble/internal/event"
 	"ensemble/internal/layer"
@@ -21,17 +20,22 @@ type pt2ptState struct {
 	// ackThreshold is how many deliveries may accumulate before an
 	// explicit acknowledgment is forced.
 	ackThreshold int
+
+	// wbuf encodes the images of events that did not come off the wire.
+	wbuf transport.Writer
 }
 
 type pt2ptPeer struct {
 	// sendSeq numbers the next message to this peer.
 	sendSeq int64
-	// unacked buffers sent messages until acknowledged.
-	unacked map[int64]*savedMsg
+	// unacked retains sent messages, as images of what the layers above
+	// handed down, until acknowledged: [highest ack seen, sendSeq).
+	unacked msgLog
 	// recvNext is the next in-order sequence number expected.
 	recvNext int64
-	// oooBuf holds messages received ahead of recvNext.
-	oooBuf map[int64]*savedMsg
+	// ooo holds the messages received ahead of recvNext, oooLen of them.
+	ooo    msgLog
+	oooLen int
 	// pendingAcks counts deliveries not yet acknowledged.
 	pendingAcks int
 }
@@ -132,10 +136,7 @@ func (s *pt2ptState) HandleDn(ev *event.Event, snk layer.Sink) {
 		p := &s.peers[ev.Peer]
 		seq := p.sendSeq
 		p.sendSeq++
-		if p.unacked == nil {
-			p.unacked = make(map[int64]*savedMsg)
-		}
-		p.unacked[seq] = saveMsg(ev)
+		p.unacked.put(seq, imageOf(ev, &s.wbuf))
 		p.pendingAcks = 0 // the piggybacked ack covers everything pending
 		ev.Msg.Push(newP2pData(seq, p.recvNext))
 		snk.PassDn(ev)
@@ -181,12 +182,9 @@ func (s *pt2ptState) HandleUp(ev *event.Event, snk layer.Sink) {
 // ack acknowledges every sequence number below it.
 func (s *pt2ptState) applyAck(peer int, ack int64) {
 	p := &s.peers[peer]
-	for q, m := range p.unacked {
-		if q < ack {
-			delete(p.unacked, q)
-			m.release()
-		}
-	}
+	// An acknowledgment of something never sent releases nothing beyond
+	// what was: sequence numbers still to come must stay puttable.
+	p.unacked.trimBelow(min(ack, p.sendSeq))
 }
 
 // deliver applies the in-order rule for a point-to-point message.
@@ -197,28 +195,29 @@ func (s *pt2ptState) deliver(from int, seq int64, ev *event.Event, snk layer.Sin
 		p.recvNext++
 		p.pendingAcks++
 		snk.PassUp(ev)
-		for {
-			m, ok := p.oooBuf[p.recvNext]
+		for p.oooLen > 0 {
+			img, ok := p.ooo.get(p.recvNext)
 			if !ok {
 				break
 			}
-			delete(p.oooBuf, p.recvNext)
+			p.oooLen--
 			p.recvNext++
 			p.pendingAcks++
 			out := event.Alloc()
 			out.Dir, out.Type, out.Peer = event.Up, event.ESend, from
-			m.transferTo(out)
+			fromImage(img, out)
 			snk.PassUp(out)
 		}
+		p.ooo.trimBelow(p.recvNext)
 		if p.pendingAcks >= s.ackThreshold {
 			s.sendAck(from, snk)
 		}
 	case seq > p.recvNext:
-		if p.oooBuf == nil {
-			p.oooBuf = make(map[int64]*savedMsg)
-		}
-		if _, dup := p.oooBuf[seq]; !dup {
-			p.oooBuf[seq] = saveMsg(ev)
+		// In-order deliveries through the bypass never touch ooo: bring
+		// its base up first, so "ahead" is measured from here.
+		p.ooo.trimBelow(p.recvNext)
+		if p.ooo.put(seq, imageOf(ev, &s.wbuf)) {
+			p.oooLen++
 		}
 		event.Free(ev)
 	default:
@@ -238,29 +237,23 @@ func (s *pt2ptState) sendAck(peer int, snk layer.Sink) {
 	snk.PassDn(ack)
 }
 
-// sweep retransmits every unacknowledged message and flushes pending
-// acknowledgments. Driven by the housekeeping timer. Retransmissions go
-// out in ascending sequence order — emission order must not depend on
-// map iteration order, or the same run replayed from the same seed
-// produces a different network schedule. Because the whole burst for a
-// peer is emitted consecutively within one timer entry, the member's
-// wire batcher coalesces it into a single frame per peer per sweep
-// (core/batch_test.go asserts exactly that).
+// sweep retransmits every unacknowledged message, in ascending sequence
+// order, and flushes pending acknowledgments. Driven by the housekeeping
+// timer. Because the whole burst for a peer is emitted consecutively
+// within one timer entry, the member's wire batcher coalesces it into a
+// single frame per peer per sweep (core/batch_test.go asserts exactly
+// that).
 func (s *pt2ptState) sweep(snk layer.Sink) {
 	for peer := range s.peers {
 		p := &s.peers[peer]
-		seqs := make([]int64, 0, len(p.unacked))
-		for seq := range p.unacked {
-			seqs = append(seqs, seq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, seq := range seqs {
-			m := p.unacked[seq]
+		for seq, hi := p.unacked.span(); seq < hi; seq++ {
+			img, ok := p.unacked.get(seq)
+			if !ok {
+				continue
+			}
 			rt := event.Alloc()
 			rt.Dir, rt.Type, rt.Peer = event.Dn, event.ESend, peer
-			rt.ApplMsg = m.applMsg
-			rt.Msg.Payload = m.payload
-			rt.Msg.Headers = copyHdrs(m.hdrs)
+			fromImage(img, rt)
 			rt.Msg.Push(p2pRetrans{Seqno: seq, Ack: p.recvNext})
 			snk.PassDn(rt)
 		}

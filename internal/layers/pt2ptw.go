@@ -100,8 +100,7 @@ func (s *pt2ptwState) HandleDn(ev *event.Event, snk layer.Sink) {
 	case event.ESend:
 		p := &s.peers[ev.Peer]
 		if p.sent-p.acked >= s.window {
-			p.queue = append(p.queue, saveMsg(ev))
-			event.Free(ev)
+			p.queue = append(p.queue, takeMsg(ev))
 			return
 		}
 		p.sent++

@@ -21,7 +21,12 @@ type seqnoState struct {
 
 	mySeq    int64
 	recvNext []int64
-	recvBuf  []map[int64]*savedMsg
+	// ahead[o] holds the casts from origin o that arrived past
+	// recvNext[o], as images of what the layers above will see.
+	ahead []msgLog
+
+	// wbuf encodes the images of events that did not come off the wire.
+	wbuf transport.Writer
 }
 
 // seqno header variants.
@@ -58,7 +63,7 @@ func init() {
 		return &seqnoState{
 			view:     cfg.View,
 			recvNext: make([]int64, n),
-			recvBuf:  make([]map[int64]*savedMsg, n),
+			ahead:    make([]msgLog, n),
 		}
 	})
 	transport.RegisterCodec(transport.HeaderCodec{
@@ -121,12 +126,7 @@ func (s *seqnoState) HandleUp(ev *event.Event, snk layer.Sink) {
 			snk.PassUp(ev)
 			s.drain(origin, snk)
 		case seq > next:
-			if s.recvBuf[origin] == nil {
-				s.recvBuf[origin] = make(map[int64]*savedMsg)
-			}
-			if _, dup := s.recvBuf[origin][seq]; !dup {
-				s.recvBuf[origin][seq] = saveMsg(ev)
-			}
+			s.ahead[origin].put(seq, imageOf(ev, &s.wbuf))
 			event.Free(ev)
 		default:
 			event.Free(ev) // duplicate
@@ -140,17 +140,17 @@ func (s *seqnoState) HandleUp(ev *event.Event, snk layer.Sink) {
 }
 
 func (s *seqnoState) drain(origin int, snk layer.Sink) {
-	buf := s.recvBuf[origin]
+	log := &s.ahead[origin]
 	for {
-		m, ok := buf[s.recvNext[origin]]
+		img, ok := log.get(s.recvNext[origin])
 		if !ok {
-			return
+			break
 		}
-		delete(buf, s.recvNext[origin])
 		s.recvNext[origin]++
 		out := event.Alloc()
 		out.Dir, out.Type, out.Peer = event.Up, event.ECast, origin
-		m.transferTo(out)
+		fromImage(img, out)
 		snk.PassUp(out)
 	}
+	log.trimBelow(s.recvNext[origin])
 }

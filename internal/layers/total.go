@@ -207,15 +207,16 @@ func (s *totalState) HandleUp(ev *event.Event, snk layer.Sink) {
 // exactly the next global sequence number, with nothing pending, needs
 // no buffering — this is the same common-case predicate the optimizer
 // compiles (irdef_total.go upCCP), and it keeps the hot path free of
-// saveMsg copies.
+// buffering. A cast that must wait hands its header stack to the box
+// (takeMsg); its payload is copied there, because the member's own casts
+// reach this layer through local's bounce still in the caller's buffer.
 func (s *totalState) handleData(origin int, lseq, gseq int64, ev *event.Event, snk layer.Sink) {
 	if gseq == s.nextGlobal && len(s.pending) == 0 {
 		s.nextGlobal++
 		snk.PassUp(ev)
 		return
 	}
-	p := totalPending{origin: origin, msg: saveMsg(ev)}
-	event.Free(ev)
+	p := totalPending{origin: origin, msg: takeMsg(ev)}
 	switch {
 	case gseq >= 0:
 		s.pending[gseq] = p

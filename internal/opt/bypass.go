@@ -102,16 +102,18 @@ type Engine struct {
 // the evaluation context itself (ctx — compiled expressions take it
 // through an indirect call, which would force a stack-local copy to
 // escape on every invocation), update values (tmp), varying wire
-// fields (vary), the effect-argument and header arenas (args, hdrs —
-// deferred effects carve capped subslices that stay valid until the
-// effects run at the end of the invocation), the deferred effect list
-// (pend), and the compressed wire image (wire). The header-field
-// staging buffer lives on as ctx.hv across invocations.
+// fields (vary), the effect-argument and encoded-header arenas (args,
+// himg — deferred effects carve capped subslices that stay valid until
+// the effects run at the end of the invocation), the bounce copy's
+// headers (hdrs), the deferred effect list (pend), and the compressed
+// wire image (wire). The header-field staging buffer lives on as ctx.hv
+// across invocations.
 type scratch struct {
 	ctx  rtCtx
 	tmp  []int64
 	vary []int64
 	args []int64
+	himg transport.Writer
 	hdrs []event.Header
 	pend []pendingEffect
 	wire []byte
@@ -132,6 +134,7 @@ func (e *Engine) takeScratch() *scratch {
 func (e *Engine) putScratch(s *scratch) {
 	s.ctx = rtCtx{hv: s.ctx.hv[:0]}
 	s.tmp, s.vary, s.args = s.tmp[:0], s.vary[:0], s.args[:0]
+	s.himg.Reset()
 	for i := range s.hdrs {
 		s.hdrs[i] = nil
 	}
@@ -148,6 +151,40 @@ func (e *Engine) putScratch(s *scratch) {
 type pendingEffect struct {
 	run  func(ir.EffectCtx)
 	ectx ir.EffectCtx
+}
+
+// capture evaluates the effects' arguments and encodes the header stacks
+// they buffer, in the read phase: both are pre-state values. The capped
+// subslices it carves from the arenas stay readable even if a later
+// append regrows an arena — values already written never move.
+func (s *scratch) capture(effects []compiledEffect, ctx *rtCtx, payload []byte) []pendingEffect {
+	pend := s.pend[:0]
+	for _, eff := range effects {
+		argStart := len(s.args)
+		for _, a := range eff.args {
+			s.args = append(s.args, a(ctx))
+		}
+		args := s.args[argStart:len(s.args):len(s.args)]
+		imgStart := s.himg.HeaderLen()
+		for _, p := range eff.img {
+			if p.hdr == nil {
+				s.himg.Raw(p.fixed)
+				continue
+			}
+			h := p.hdr.materialize(ctx)
+			if err := transport.EncodeHeader(h, &s.himg); err != nil {
+				panic(fmt.Sprintf("opt: encoding a buffered header: %v", err))
+			}
+			event.FreeHeader(h)
+		}
+		img := s.himg.Header()
+		pend = append(pend, pendingEffect{run: eff.run, ectx: ir.EffectCtx{
+			Args: args, Payload: payload, ApplMsg: true,
+			Hdrs: img[imgStart:len(img):len(img)], NHdrs: eff.nhdrs,
+		}})
+	}
+	s.pend = pend
+	return pend
 }
 
 // EngineStats counts bypass routing decisions.
@@ -642,32 +679,11 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 	}
 	// Bounce headers are pre-state values too, so they materialize here;
 	// the bounce branch below moves them into the copy event's storage.
-	// Arena subslices stay readable even if a later append regrows the
-	// arena: the values already written never move.
 	for i := range cp.bounceHdrs {
 		s.hdrs = append(s.hdrs, cp.bounceHdrs[i].materialize(ctx))
 	}
 	bounceHdrVals := s.hdrs[:len(cp.bounceHdrs):len(cp.bounceHdrs)]
-	pend := s.pend[:0]
-	for _, eff := range cp.effects {
-		argStart := len(s.args)
-		for _, a := range eff.args {
-			s.args = append(s.args, a(ctx))
-		}
-		args := s.args[argStart:len(s.args):len(s.args)]
-		var hdrs []event.Header
-		if len(eff.hdrs) > 0 {
-			hdrStart := len(s.hdrs)
-			for i := range eff.hdrs {
-				s.hdrs = append(s.hdrs, eff.hdrs[i].materialize(ctx))
-			}
-			hdrs = s.hdrs[hdrStart:len(s.hdrs):len(s.hdrs)]
-		}
-		pend = append(pend, pendingEffect{run: eff.run, ectx: ir.EffectCtx{
-			Args: args, Payload: payload, ApplMsg: true, Hdrs: hdrs,
-		}})
-	}
-	s.pend = pend
+	pend := s.capture(cp.effects, ctx, payload)
 	// Write phase.
 	for i, w := range cp.writes {
 		w.apply(vals[i], ctx)
@@ -835,18 +851,7 @@ func (e *Engine) runUp(cp *compiledUpPath, ctx *rtCtx, sender int, payload []byt
 	for i, w := range cp.writes {
 		vals[i] = w.eval(ctx)
 	}
-	pend := s.pend[:0]
-	for _, eff := range cp.effects {
-		argStart := len(s.args)
-		for _, a := range eff.args {
-			s.args = append(s.args, a(ctx))
-		}
-		args := s.args[argStart:len(s.args):len(s.args)]
-		pend = append(pend, pendingEffect{run: eff.run, ectx: ir.EffectCtx{
-			Args: args, Payload: payload, ApplMsg: true,
-		}})
-	}
-	s.pend = pend
+	pend := s.capture(cp.effects, ctx, payload)
 	for i, w := range cp.writes {
 		w.apply(vals[i], ctx)
 	}

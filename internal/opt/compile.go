@@ -5,6 +5,7 @@ import (
 
 	"ensemble/internal/event"
 	"ensemble/internal/ir"
+	"ensemble/internal/transport"
 )
 
 // The compiler turns a stack optimization theorem into executable
@@ -262,11 +263,24 @@ func (h *compiledHdr) materialize(ctx *rtCtx) event.Header {
 	return h.make_(vals)
 }
 
-// compiledEffect defers one opaque operation with its captured headers.
+// compiledEffect defers one opaque operation. For an effect that buffers
+// the message, img is the header stack above its layer in the
+// transport's encoding, outermost first — what the full stack would
+// have had on the event — as alternating parts: runs of headers whose
+// fields are all compile-time constants, encoded once here, and the few
+// headers with run-time fields, materialized and encoded per event.
 type compiledEffect struct {
-	run  func(ir.EffectCtx)
-	args []cexpr
-	hdrs []compiledHdr // the header stack above the effect's layer
+	run   func(ir.EffectCtx)
+	args  []cexpr
+	img   []imgPart
+	nhdrs int
+}
+
+// imgPart is a pre-encoded run of constant headers (fixed) or one header
+// with run-time fields (hdr).
+type imgPart struct {
+	fixed []byte
+	hdr   *compiledHdr
 }
 
 func (c *compiler) compileEffect(e QEffect, headers []QHeader) (compiledEffect, error) {
@@ -286,14 +300,45 @@ func (c *compiler) compileEffect(e QEffect, headers []QHeader) (compiledEffect, 
 		}
 		ce.args = append(ce.args, x)
 	}
-	// Captured headers: the layers above, in stack order (topmost
-	// first), exactly matching what the full stack would have buffered.
-	for _, h := range headers[:e.HdrsAbove] {
-		ch, err := c.compileHdr(h)
+	if !spec.Hdrs {
+		return ce, nil
+	}
+	// headers[:HdrsAbove] are the layers above, topmost first; the
+	// encoding runs the other way.
+	ce.nhdrs = e.HdrsAbove
+	var w transport.Writer
+	for i := e.HdrsAbove - 1; i >= 0; i-- {
+		ch, err := c.compileHdr(headers[i])
 		if err != nil {
 			return compiledEffect{}, err
 		}
-		ce.hdrs = append(ce.hdrs, ch)
+		if !constHeader(headers[i]) {
+			ce.img = append(ce.img, imgPart{hdr: &ch})
+			continue
+		}
+		h := ch.materialize(&rtCtx{})
+		w.Reset()
+		err = transport.EncodeHeader(h, &w)
+		event.FreeHeader(h)
+		if err != nil {
+			return compiledEffect{}, err
+		}
+		if n := len(ce.img); n > 0 && ce.img[n-1].hdr == nil {
+			ce.img[n-1].fixed = append(ce.img[n-1].fixed, w.Header()...)
+		} else {
+			ce.img = append(ce.img, imgPart{fixed: append([]byte(nil), w.Header()...)})
+		}
 	}
 	return ce, nil
+}
+
+// constHeader reports whether every field of h is a compile-time
+// constant (trivially so for the field-less headers most layers push).
+func constHeader(h QHeader) bool {
+	for _, fv := range h.Fields {
+		if _, ok := fv.Val.(ir.Const); !ok {
+			return false
+		}
+	}
+	return true
 }

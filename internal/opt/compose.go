@@ -487,9 +487,15 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 		return nil, fmt.Errorf("opt: signature has %d entries but the up path composed %d (consumed=%v)",
 			len(sig.Entries), processed, c.th.Consumed)
 	}
-	// Restore push order (top first) for the header list.
+	// Restore push order (top first) for the header list. thread counted
+	// the headers recorded before each effect's layer — the layers below
+	// it, on this bottom-up walk; flipped, the same position counts the
+	// layers above.
 	for l, r := 0, len(c.th.Headers)-1; l < r; l, r = l+1, r-1 {
 		c.th.Headers[l], c.th.Headers[r] = c.th.Headers[r], c.th.Headers[l]
+	}
+	for k := range c.th.Effects {
+		c.th.Effects[k].HdrsAbove = len(c.th.Headers) - 1 - c.th.Effects[k].HdrsAbove
 	}
 	return c.th, nil
 }

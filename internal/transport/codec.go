@@ -143,18 +143,35 @@ func Marshal(ev *event.Event, sender int, w *Writer) error {
 	w.Varint(int64(sender))
 	w.Bool(ev.ApplMsg)
 	w.Uvarint(uint64(len(ev.Msg.Headers)))
-	// Headers[len-1] is the most recently pushed (the bottom layer's):
-	// that is the outermost header and must be decoded first.
-	for i := len(ev.Msg.Headers) - 1; i >= 0; i-- {
-		h := ev.Msg.Headers[i]
-		c, err := lookupCodecByLayer(h.Layer())
-		if err != nil {
-			return err
-		}
-		w.Byte(c.ID)
-		c.Encode(h, w)
+	if err := encodeHeaders(ev.Msg.Headers, w); err != nil {
+		return err
 	}
 	w.SetPayload(ev.Msg.Payload)
+	return nil
+}
+
+// encodeHeaders appends a header stack, outermost first. Headers[len-1]
+// is the most recently pushed (the bottom layer's): that is the
+// outermost header and must be decoded first.
+func encodeHeaders(hdrs []event.Header, w *Writer) error {
+	for i := len(hdrs) - 1; i >= 0; i-- {
+		if err := EncodeHeader(hdrs[i], w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// EncodeHeader appends one header as Marshal writes it: its layer's wire
+// id, then the body. The optimizer uses it to pre-encode the header
+// stacks its bypasses buffer.
+func EncodeHeader(h event.Header, w *Writer) error {
+	c, err := lookupCodecByLayer(h.Layer())
+	if err != nil {
+		return err
+	}
+	w.Byte(c.ID)
+	c.Encode(h, w)
 	return nil
 }
 
@@ -184,32 +201,9 @@ func unmarshal(r *Reader) (*event.Event, error) {
 	ev.Type = event.Type(r.Byte())
 	ev.Peer = int(r.Varint())
 	ev.ApplMsg = r.Bool()
-	n := r.Uvarint()
-	if n > 64 {
+	if err := decodeHeaders(r, &ev.Msg, r.Uvarint()); err != nil {
 		event.Free(ev)
-		return nil, ErrBadWire("implausible header count %d", n)
-	}
-	// Reuse the event's header storage. Slots are nil-filled up front so
-	// that an error mid-decode frees exactly the headers decoded so far.
-	hdrs := ev.Msg.Headers[:0]
-	for i := uint64(0); i < n; i++ {
-		hdrs = append(hdrs, nil)
-	}
-	ev.Msg.Headers = hdrs
-	// Decoded outermost-first; store so the outermost ends at the top of
-	// the stack (highest index).
-	for i := int(n) - 1; i >= 0; i-- {
-		c, err := lookupCodecByID(r.Byte())
-		if err != nil {
-			event.Free(ev)
-			return nil, err
-		}
-		h, err := c.Decode(r)
-		if err != nil {
-			event.Free(ev)
-			return nil, err
-		}
-		hdrs[i] = h
+		return nil, err
 	}
 	ev.Msg.Payload = r.Rest()
 	if err := r.Err(); err != nil {
@@ -217,4 +211,46 @@ func unmarshal(r *Reader) (*event.Event, error) {
 		return nil, err
 	}
 	return ev, nil
+}
+
+// maxHeaders bounds a message's header count: no stack is this deep, so
+// a larger count is a corrupt image.
+const maxHeaders = 64
+
+// decodeHeaders reads n headers (outermost first) from r into m's reused
+// header storage, and records where each began so that m.EncodedHeaders
+// can hand back what is left of them after any number of pops. On error
+// m holds exactly the headers decoded so far (the caller frees them with
+// the event).
+func decodeHeaders(r *Reader, m *event.Message, n uint64) error {
+	if n > maxHeaders {
+		return ErrBadWire("implausible header count %d", n)
+	}
+	// Slots are nil-filled up front so that an error mid-decode frees
+	// exactly the headers decoded so far.
+	hdrs := m.Headers[:0]
+	for i := uint64(0); i < n; i++ {
+		hdrs = append(hdrs, nil)
+	}
+	m.Headers = hdrs
+	offs := m.EncOffsets()
+	// Decoded outermost-first; store so the outermost ends at the top of
+	// the stack (highest index).
+	for i := int(n) - 1; i >= 0; i-- {
+		offs[i] = uint32(r.off)
+		c, err := lookupCodecByID(r.Byte())
+		if err != nil {
+			return err
+		}
+		h, err := c.Decode(r)
+		if err != nil {
+			return err
+		}
+		hdrs[i] = h
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	m.SetEncoded(r.buf[:r.off])
+	return nil
 }

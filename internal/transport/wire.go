@@ -63,6 +63,13 @@ func (w *Writer) SetPayload(p []byte) { w.payload = p }
 // HeaderLen reports the bytes written so far, excluding the payload.
 func (w *Writer) HeaderLen() int { return len(w.hdr) }
 
+// Header returns the bytes written so far, excluding the payload. The
+// slice is the writer's own buffer: appends may move it, Reset reuses it.
+func (w *Writer) Header() []byte { return w.hdr }
+
+// Raw appends bytes that are already encoded.
+func (w *Writer) Raw(b []byte) { w.hdr = append(w.hdr, b...) }
+
 // Bytes gathers the header and payload segments into one freshly
 // allocated wire image the caller owns. Hot paths use Seal instead.
 func (w *Writer) Bytes() []byte {
