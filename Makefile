@@ -3,7 +3,7 @@
 GO ?= go
 # BENCH_OUT is where bench-gate records the parsed benchmark trajectory;
 # override it to keep a run without clobbering the checked-in record.
-BENCH_OUT ?= BENCH_PR15.json
+BENCH_OUT ?= BENCH_PR17.json
 
 .PHONY: all build test race verify bench bench-throughput bench-gate benchmark-module multiproc flight fuzz pooldebug clean
 
@@ -121,8 +121,11 @@ flight:
 	$(GO) run ./cmd/ensemble-bench -flight flight.trace.json
 
 # The full test suite with pool debugging forced on everywhere.
+# -count=1 because internal/event reads ENSEMBLE_POOLDEBUG in its init,
+# before the testing package starts logging environment reads: without
+# it `go test` serves every package "(cached)" from a non-debug run.
 pooldebug:
-	ENSEMBLE_POOLDEBUG=1 $(GO) test ./...
+	ENSEMBLE_POOLDEBUG=1 $(GO) test -count=1 ./...
 
 clean:
 	$(GO) clean

@@ -52,7 +52,7 @@
 //	go test -run xxx -bench 'BenchmarkThroughput_' -benchtime 100x . > unit.out
 //	go test -run xxx -bench 'BenchmarkThroughputNet_' -benchtime 150x . > net.out
 //	go test -run xxx -bench 'BenchmarkMixedTraffic_' -benchtime 1x . > mixed.out
-//	go run ./cmd/bench-gate -unit unit.out -net net.out -mixed mixed.out -out BENCH_PR15.json
+//	go run ./cmd/bench-gate -unit unit.out -net net.out -mixed mixed.out -out BENCH_PR17.json
 package main
 
 import (
@@ -448,8 +448,8 @@ func main() {
 
 	if *outPath != "" {
 		doc := map[string]any{
-			"pr":      15,
-			"title":   "A buffered message is its wire image: allocation-free, seq-indexed retention in the reliability layers",
+			"pr":      17,
+			"title":   "FUNC without the recursion: the stack composed once at build time into an index-driven traversal",
 			"date":    time.Now().Format("2006-01-02"),
 			"machine": machine(),
 			"method": "make bench-gate: go test -run xxx -bench BenchmarkThroughput_ -benchtime 100x (alloc gate), " +

@@ -7,8 +7,10 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
+	"ensemble/internal/event"
 	"ensemble/internal/layers"
 	"ensemble/internal/netsim"
 	"ensemble/internal/stack"
@@ -50,6 +52,62 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 				if got := m.Stats().StrayPackets; got != before+n {
 					t.Fatalf("%s: StrayPackets = %d, want %d", cname, got, before+n)
 				}
+			}
+			// A first byte of 0x00 reads as the control epoch, whatever
+			// the datagram was: each of these is one stray packet, and
+			// neither the view, the merge state nor the network sees it.
+			grant := func(listed, present int) []byte {
+				pkt := appendUvarint([]byte{0x00, ctrlGrant}, 7) // seq
+				pkt = appendUvarint(pkt, 2)                      // leader
+				pkt = appendUvarint(pkt, uint64(listed))
+				for a := 1; a <= present; a++ {
+					pkt = appendUvarint(pkt, uint64(a))
+				}
+				return pkt
+			}
+			control := map[string][]byte{
+				"control-empty":        {0x00},
+				"control-unknown-kind": {0x00, 0x7f, 0x01, 0x02},
+				// What a frame's garbage tail looks like when it starts at a
+				// malformed full sub: the 0x00 flag, a length running past
+				// the end, some bytes.
+				"full-sub-tail":       {0x00, 0x20, 'a', 'b', 'c'},
+				"truncated-grant":     grant(3, 1),
+				"empty-grant":         grant(0, 0),
+				"truncated-probe":     {0x00, ctrlProbe, 0x05, 0x02, 0x02, 0x01},
+				"truncated-grant-ack": {0x00, ctrlGrantAck, 0x80},
+			}
+			type mergeState struct {
+				view    event.ViewID
+				members []event.Addr
+				known   map[event.Addr]bool
+				seq     int64
+				grant   []event.Addr
+				sent    int64
+			}
+			snapshot := func() mergeState {
+				known := make(map[event.Addr]bool, len(m.known))
+				for a, ok := range m.known {
+					known[a] = ok
+				}
+				return mergeState{m.view.ID, append([]event.Addr(nil), m.view.Members...), known,
+					m.grantSeq, m.grantMembers, g.Net.Stats().Sent}
+			}
+			state := snapshot()
+			for cname, data := range control {
+				m.receive(netsim.Packet{From: 2, To: 1, Data: data})
+				n++
+				if got := m.Stats().StrayPackets; got != before+n {
+					t.Fatalf("%s: StrayPackets = %d, want %d", cname, got, before+n)
+				}
+				if now := snapshot(); !reflect.DeepEqual(now, state) {
+					t.Fatalf("%s: member state moved: %+v, was %+v", cname, now, state)
+				}
+			}
+			// A well-formed control message nobody is waiting for is not stray.
+			m.receive(netsim.Packet{From: 2, To: 1, Data: []byte{0x00, ctrlGrantAck, 0x63}})
+			if got := m.Stats().StrayPackets; got != before+n {
+				t.Fatalf("unawaited grant ack: StrayPackets = %d, want %d", got, before+n)
 			}
 			// The member is still live after the garbage.
 			m.Cast([]byte("still alive"))

@@ -66,42 +66,32 @@ func (m *Member) maybeProbe() {
 }
 
 // handleControl processes an epoch-0 packet (the epoch tag is already
-// consumed).
-func (m *Member) handleControl(data []byte) {
-	if m.exited || len(data) == 0 {
-		return
+// stripped). It reports whether data was a well-formed control message;
+// anything else — an empty body, an unknown kind, a truncated or
+// oversized member list — is a stray packet for receive to count, and
+// changes nothing here. (A datagram whose first byte is 0x00 lands here
+// whatever it was meant to be: a frame's garbage tail that starts at a
+// malformed full sub does.)
+func (m *Member) handleControl(data []byte) bool {
+	if len(data) == 0 {
+		return false
 	}
-	kind := data[0]
 	r := ctrlReader{buf: data[1:]}
-	switch kind {
+	switch data[0] {
 	case ctrlProbe:
 		theirSeq := int64(r.uvarint())
 		theirCoord := event.Addr(r.uvarint())
-		n := int(r.uvarint())
-		if r.bad || n <= 0 || n > 1<<12 {
-			return
-		}
-		theirs := make([]event.Addr, n)
-		for i := range theirs {
-			theirs[i] = event.Addr(r.uvarint())
-		}
-		if r.bad {
-			return
+		theirs := r.addrs()
+		if theirs == nil {
+			return false
 		}
 		m.handleProbe(theirSeq, theirCoord, theirs)
 	case ctrlGrant:
 		seq := int64(r.uvarint())
 		leader := event.Addr(r.uvarint())
-		n := int(r.uvarint())
-		if r.bad || n <= 0 || n > 1<<12 {
-			return
-		}
-		members := make([]event.Addr, n)
-		for i := range members {
-			members[i] = event.Addr(r.uvarint())
-		}
-		if r.bad {
-			return
+		members := r.addrs()
+		if members == nil {
+			return false
 		}
 		// Acknowledge first (the leader only commits once it knows we
 		// heard — a half-open partition that can send but not receive
@@ -116,14 +106,17 @@ func (m *Member) handleControl(data []byte) {
 	case ctrlGrantAck:
 		seq := int64(r.uvarint())
 		if r.bad {
-			return
+			return false
 		}
 		if m.grantSeq == seq && m.grantMembers != nil {
 			members := m.grantMembers
 			m.grantMembers = nil
 			m.adopt(seq, members)
 		}
+	default:
+		return false
 	}
+	return true
 }
 
 // handleProbe runs at a coordinator that another partition's coordinator
@@ -253,4 +246,21 @@ func (r *ctrlReader) uvarint() uint64 {
 	}
 	r.buf = r.buf[n:]
 	return v
+}
+
+// addrs reads a member list: a count, then that many addresses. It
+// returns nil for a list that is empty, implausibly long or cut short.
+func (r *ctrlReader) addrs() []event.Addr {
+	n := int(r.uvarint())
+	if r.bad || n <= 0 || n > 1<<12 {
+		return nil
+	}
+	list := make([]event.Addr, n)
+	for i := range list {
+		list[i] = event.Addr(r.uvarint())
+	}
+	if r.bad {
+		return nil
+	}
+	return list
 }

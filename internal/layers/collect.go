@@ -24,8 +24,12 @@ type collectState struct {
 	// acks[rank] is our own, refreshed by EAck from below.
 	acks [][]int64
 
-	// stable is the last frontier announced.
-	stable []int64
+	// lo is the element-wise minimum of acks, the current frontier;
+	// stable is the last frontier announced (lo may fall back below it
+	// when a vector regresses, stable never does).
+	lo, stable []int64
+	// holders[o] counts the members m with acks[m][o] == lo[o].
+	holders []int
 
 	// dirty marks that our own vector changed since the last gossip.
 	dirty bool
@@ -63,12 +67,15 @@ func init() {
 	layer.Register(Collect, func(cfg layer.Config) layer.State {
 		n := cfg.View.N()
 		s := &collectState{
-			view:   cfg.View,
-			acks:   make([][]int64, n),
-			stable: make([]int64, n),
+			view:    cfg.View,
+			acks:    make([][]int64, n),
+			stable:  make([]int64, n),
+			lo:      make([]int64, n),
+			holders: make([]int, n),
 		}
 		for i := range s.acks {
 			s.acks[i] = make([]int64, n)
+			s.holders[i] = n
 		}
 		return s
 	})
@@ -130,8 +137,7 @@ func (s *collectState) HandleUp(ev *event.Event, snk layer.Sink) {
 		case collectGossip:
 			// A vector of the wrong width cannot belong to this view.
 			if len(h.Vector) == s.view.N() {
-				s.acks[ev.Peer] = h.Vector
-				s.recompute(snk)
+				s.update(ev.Peer, h.Vector, snk)
 			}
 			event.Free(ev)
 		default:
@@ -143,9 +149,8 @@ func (s *collectState) HandleUp(ev *event.Event, snk layer.Sink) {
 	case event.EAck:
 		// Fresh local acknowledgment vector from the reliability layer.
 		if len(ev.Stability) == s.view.N() {
-			s.acks[s.view.Rank] = ev.Stability
 			s.dirty = true
-			s.recompute(snk)
+			s.update(s.view.Rank, ev.Stability, snk)
 		}
 		event.Free(ev)
 	case event.ETimer:
@@ -168,31 +173,59 @@ func (s *collectState) gossip(snk layer.Sink) {
 	snk.PassDn(g)
 }
 
-// recompute folds the known vectors into the element-wise minimum and
-// announces the frontier when it advances.
-func (s *collectState) recompute(snk layer.Sink) {
-	n := s.view.N()
+// update replaces member r's acknowledgment vector and announces the
+// frontier when it advances. lo is kept equal to the element-wise
+// minimum over all members' vectors and holders[o] to the number of
+// members whose vector sits at lo[o], so an origin's column is looked at
+// again only when the last member holding its minimum moves past it —
+// which is when the minimum can rise. Everything else costs one pass
+// over the new vector.
+func (s *collectState) update(r int, vec []int64, snk layer.Sink) {
+	old := s.acks[r]
+	s.acks[r] = vec
 	advanced := false
-	for o := 0; o < n; o++ {
-		m := s.acks[0][o]
-		for r := 1; r < n; r++ {
-			if v := s.acks[r][o]; v < m {
-				m = v
+	for o, v := range vec {
+		m := s.lo[o]
+		held := old[o] == m
+		switch {
+		case v < m:
+			// Below a minimum the frontier has already seen.
+			s.lo[o], s.holders[o] = v, 1
+		case v == m:
+			if !held {
+				s.holders[o]++
 			}
-		}
-		if m > s.stable[o] {
-			s.stable[o] = m
-			advanced = true
+		case held:
+			if s.holders[o]--; s.holders[o] > 0 {
+				continue
+			}
+			m = v
+			for _, row := range s.acks {
+				if w := row[o]; w < m {
+					m, s.holders[o] = w, 1
+				} else if w == m {
+					s.holders[o]++
+				}
+			}
+			s.lo[o] = m
+			if m > s.stable[o] {
+				s.stable[o] = m
+				advanced = true
+			}
 		}
 	}
 	if !advanced {
 		return
 	}
-	vec := append([]int64(nil), s.stable...)
+	// Each event owns its vector; the two are cut from one allocation.
+	n := len(vec)
+	vecs := make([]int64, 2*n)
 	dn := event.Alloc()
-	dn.Dir, dn.Type, dn.Stability = event.Dn, event.EStable, vec
+	dn.Dir, dn.Type, dn.Stability = event.Dn, event.EStable, vecs[:n:n]
+	copy(dn.Stability, s.stable)
 	snk.PassDn(dn)
 	up := event.Alloc()
-	up.Dir, up.Type, up.Stability = event.Up, event.EStable, append([]int64(nil), vec...)
+	up.Dir, up.Type, up.Stability = event.Up, event.EStable, vecs[n:]
+	copy(up.Stability, s.stable)
 	snk.PassUp(up)
 }

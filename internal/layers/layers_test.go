@@ -2,6 +2,8 @@ package layers
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"ensemble/internal/event"
@@ -373,6 +375,74 @@ func TestCollectComputesStabilityFrontier(t *testing.T) {
 	}
 	if stable[0] != 3 || stable[1] != 4 {
 		t.Fatalf("frontier = %v, want [3 4]", stable)
+	}
+}
+
+// TestCollectFrontierMatchesColumnScan: over random acknowledgment and
+// gossip sequences — rows that regress included, as a reordering network
+// could deliver them — collect announces exactly the frontiers a plain
+// per-origin scan over every member's latest vector computes, one EStable
+// each way, each with a vector of its own.
+func TestCollectFrontierMatchesColumnScan(t *testing.T) {
+	const n = 7
+	rng := rand.New(rand.NewSource(1))
+	st := mkState(t, Collect, n, 2)
+	rows := make([][]int64, n)
+	for r := range rows {
+		rows[r] = make([]int64, n)
+	}
+	frontier := make([]int64, n)
+	announced := 0
+	for step := 0; step < 2000; step++ {
+		r := rng.Intn(n)
+		row := make([]int64, n)
+		for o := range row {
+			row[o] = rows[r][o] + int64(rng.Intn(4)) - 1
+		}
+		rows[r] = row
+		want := false
+		for o := 0; o < n; o++ {
+			m := rows[0][o]
+			for _, other := range rows[1:] {
+				m = min(m, other[o])
+			}
+			if m > frontier[o] {
+				frontier[o], want = m, true
+			}
+		}
+		ev := event.Alloc()
+		ev.Dir = event.Up
+		if r == 2 {
+			ev.Type, ev.Stability = event.EAck, append([]int64(nil), row...)
+		} else {
+			ev.Type, ev.Peer = event.ECast, r
+			ev.Msg.Push(collectGossip{Vector: append([]int64(nil), row...)})
+		}
+		ups, dns := up(st, ev)
+		if !want {
+			if len(ups)+len(dns) != 0 {
+				t.Fatalf("step %d: %d ups, %d downs with the frontier unmoved", step, len(ups), len(dns))
+			}
+			continue
+		}
+		announced++
+		if len(ups) != 1 || len(dns) != 1 || ups[0].Type != event.EStable || dns[0].Type != event.EStable {
+			t.Fatalf("step %d: ups %v, downs %v, want one EStable each way", step, ups, dns)
+		}
+		if !reflect.DeepEqual(ups[0].Stability, frontier) || !reflect.DeepEqual(dns[0].Stability, frontier) {
+			t.Fatalf("step %d: up %v, down %v, want %v", step, ups[0].Stability, dns[0].Stability, frontier)
+		}
+		if dns[0].Stability[0]++; ups[0].Stability[0] != frontier[0] {
+			t.Fatalf("step %d: the up and down vectors share storage", step)
+		}
+		if grown := append(dns[0].Stability, 0); ups[0].Stability[0] != frontier[0] || len(grown) != n+1 {
+			t.Fatalf("step %d: appending to the down vector reached the up vector", step)
+		}
+		freeAll(ups)
+		freeAll(dns)
+	}
+	if announced < 100 {
+		t.Fatalf("only %d announcements in 2000 steps", announced)
 	}
 }
 

@@ -10,187 +10,125 @@ import (
 // top of q, the result is a new protocol: down events are applied to p;
 // the down events that come out of p are applied to q, and the up events
 // that come out of q are applied back to p, recursively. The up events
-// out of p and the down events out of q merge to form the output. The
-// state of the composition is the combined states, and an entire stack is
-// composed one layer at a time this way.
-
-// proto is a protocol in the functional model: applying an event yields
-// the lists of up- and down-going output events.
-type proto interface {
-	Up(ev *event.Event) (ups, dns []*event.Event)
-	Dn(ev *event.Event) (ups, dns []*event.Event)
+// out of p and the down events out of q merge to form the output.
+//
+// The paper pays for that composition on every event; here it is paid
+// once, in newFuncStack. Write P(k) for layers 0..k composed. Everything
+// P(k) emits upward leaves the stack through layer 0, and everything it
+// emits downward was passed down by layer k, each in the order the
+// handlers emitted it. So one pair of lists per layer holds every
+// intermediate result of the recursion, and a traversal by layer index
+// keeps its order contract exactly:
+//
+//   - the ups out of a layer are applied to the sub-stack above it
+//     eagerly and depth-first, as soon as the handler returns;
+//   - the downs out of a sub-stack are applied to the layer below it in
+//     emission order, only after the application that produced them
+//     returns;
+//   - what exits the top and the bottom is routed when the outermost
+//     application ends, the application's events before the network's.
+//
+// Every consumer takes a mark (the list's length) before it runs the
+// producer, walks the entries above the mark by index and truncates back
+// to the mark: a nested application — another handler of the same layer
+// further down the recursion, or a callback re-entering SubmitDn during
+// route — appends above the mark and cleans up after itself. Truncation
+// leaves freed event pointers in the backing arrays; nothing reads past
+// a list's length.
+type funcStack struct {
+	states []layer.State
+	// out[k] holds what layer k emitted and nobody consumed yet.
+	// out[0].ups is the application's exit list, out[n-1].dns the
+	// network's.
+	out []emitted
+	cb  Callbacks
 }
 
-// funcLayer adapts one layer state to the functional interface.
-type funcLayer struct {
-	st layer.State
-	fs *funcStack
-}
-
-// collector gathers handler emissions. Collectors live in the stack's
-// arena and are recycled wholesale when the outermost application of the
-// composition returns (an epoch reset), so a boundary crossing costs no
-// allocation in the steady state — the remaining FUNC overhead is the
-// recursive merge work itself, which is intrinsic to the model and the
-// reason FUNC trails IMP in Table 1.
-type collector struct {
+// emitted is layer k's sink. A pointer to it converts to layer.Sink
+// without allocating.
+type emitted struct {
 	ups, dns []*event.Event
 }
 
-func (c *collector) PassUp(ev *event.Event) { c.ups = append(c.ups, ev) }
-func (c *collector) PassDn(ev *event.Event) { c.dns = append(c.dns, ev) }
-
-func (l funcLayer) Up(ev *event.Event) ([]*event.Event, []*event.Event) {
-	c := l.fs.getCollector()
-	l.st.HandleUp(ev, c)
-	return c.ups, c.dns
-}
-
-func (l funcLayer) Dn(ev *event.Event) ([]*event.Event, []*event.Event) {
-	c := l.fs.getCollector()
-	l.st.HandleDn(ev, c)
-	return c.ups, c.dns
-}
-
-// comp is the composition of p stacked on top of q.
-type comp struct {
-	p, q proto
-}
-
-// mergeEvs accumulates child output into a merge list. When the list is
-// still empty it aliases the child's slice instead of copying — on the
-// common linear path (one output per boundary) every merge is an alias
-// and the composition allocates nothing.
-func mergeEvs(dst, src []*event.Event) []*event.Event {
-	if dst == nil {
-		return src
-	}
-	return append(dst, src...)
-}
-
-func (c comp) Dn(ev *event.Event) (ups, dns []*event.Event) {
-	pu, pd := c.p.Dn(ev)
-	ups = pu
-	for _, d := range pd {
-		du, dd := c.dnIntoLower(d)
-		ups = mergeEvs(ups, du)
-		dns = mergeEvs(dns, dd)
-	}
-	return ups, dns
-}
-
-func (c comp) Up(ev *event.Event) (ups, dns []*event.Event) {
-	qu, qd := c.q.Up(ev)
-	dns = qd
-	for _, u := range qu {
-		uu, ud := c.upIntoUpper(u)
-		ups = mergeEvs(ups, uu)
-		dns = mergeEvs(dns, ud)
-	}
-	return ups, dns
-}
-
-// dnIntoLower applies a down event to q and recursively feeds q's up
-// events back into p.
-func (c comp) dnIntoLower(d *event.Event) (ups, dns []*event.Event) {
-	qu, qd := c.q.Dn(d)
-	dns = qd
-	for _, u := range qu {
-		uu, ud := c.upIntoUpper(u)
-		ups = mergeEvs(ups, uu)
-		dns = mergeEvs(dns, ud)
-	}
-	return ups, dns
-}
-
-// upIntoUpper applies an up event to p and recursively feeds p's down
-// events back into q.
-func (c comp) upIntoUpper(u *event.Event) (ups, dns []*event.Event) {
-	pu, pd := c.p.Up(u)
-	ups = pu
-	for _, d := range pd {
-		du, dd := c.dnIntoLower(d)
-		ups = mergeEvs(ups, du)
-		dns = mergeEvs(dns, dd)
-	}
-	return ups, dns
-}
-
-type funcStack struct {
-	states []layer.State
-	top    proto
-	cb     Callbacks
-
-	// arena recycles collectors: handed out in order during an
-	// application of the composition, reclaimed all at once when the
-	// outermost application returns. depth tracks re-entrant
-	// applications (a callback submitting a response) so the reset only
-	// happens when no collector slice can still be referenced.
-	arena []*collector
-	used  int
-	depth int
-}
+func (o *emitted) PassUp(ev *event.Event) { o.ups = append(o.ups, ev) }
+func (o *emitted) PassDn(ev *event.Event) { o.dns = append(o.dns, ev) }
 
 func newFuncStack(states []layer.State, cb Callbacks) *funcStack {
-	s := &funcStack{states: states, cb: cb}
-	// Fold the layers top-first: ((L0 over L1) over L2) ...
-	var p proto = funcLayer{st: states[0], fs: s}
-	for _, st := range states[1:] {
-		p = comp{p: p, q: funcLayer{st: st, fs: s}}
-	}
-	s.top = p
-	return s
-}
-
-func (s *funcStack) getCollector() *collector {
-	if s.used == len(s.arena) {
-		s.arena = append(s.arena, &collector{
-			ups: make([]*event.Event, 0, 4),
-			dns: make([]*event.Event, 0, 4),
-		})
-	}
-	c := s.arena[s.used]
-	s.used++
-	// Clear up to capacity: parent merges may have written event
-	// pointers past the recorded length.
-	c.ups = c.ups[:cap(c.ups)]
-	for i := range c.ups {
-		c.ups[i] = nil
-	}
-	c.ups = c.ups[:0]
-	c.dns = c.dns[:cap(c.dns)]
-	for i := range c.dns {
-		c.dns[i] = nil
-	}
-	c.dns = c.dns[:0]
-	return c
+	return &funcStack{states: states, out: make([]emitted, len(states)), cb: cb}
 }
 
 func (s *funcStack) States() []layer.State { return s.states }
 
+// dnsInto applies the downs P(k-1) emitted above mark to layer k, and
+// what each sends back up to P(k-1) again.
+func (s *funcStack) dnsInto(k int, above *emitted, mark int) {
+	o := &s.out[k]
+	for i, end := mark, len(above.dns); i < end; i++ {
+		m := len(o.ups)
+		s.states[k].HandleDn(above.dns[i], o)
+		if len(o.ups) > m {
+			s.upsInto(k, o, m)
+		}
+	}
+	above.dns = above.dns[:mark]
+}
+
+// upsInto applies the ups layer k emitted above mark to P(k-1) — to
+// layer k-1, then that layer's ups to P(k-2) — and what each sends back
+// down to layer k again.
+func (s *funcStack) upsInto(k int, o *emitted, mark int) {
+	above := &s.out[k-1]
+	for i, end := mark, len(o.ups); i < end; i++ {
+		m, um := len(above.dns), len(above.ups)
+		s.states[k-1].HandleUp(o.ups[i], above)
+		if k > 1 && len(above.ups) > um {
+			s.upsInto(k-1, above, um)
+		}
+		if len(above.dns) > m {
+			s.dnsInto(k, above, m)
+		}
+	}
+	o.ups = o.ups[:mark]
+}
+
+// SubmitDn applies a down event to P(n-1): to layer 0, then level by
+// level what came down out of P(k-1) to layer k. Only layers 0..k run
+// before level k+1 starts, and none of them appends to layer k+1's
+// lists, so the marks can all be taken on the way.
 func (s *funcStack) SubmitDn(ev *event.Event) {
-	s.depth++
-	ups, dns := s.top.Dn(ev)
-	s.route(ups, dns)
-	if s.depth--; s.depth == 0 {
-		s.used = 0
+	app, mark := len(s.out[0].ups), len(s.out[0].dns)
+	s.states[0].HandleDn(ev, &s.out[0])
+	for k := 1; k < len(s.out); k++ {
+		next := len(s.out[k].dns)
+		s.dnsInto(k, &s.out[k-1], mark)
+		mark = next
 	}
+	s.route(app, mark)
 }
 
+// DeliverUp applies an up event to P(n-1): to the bottom layer, then
+// its ups to the sub-stack above.
 func (s *funcStack) DeliverUp(ev *event.Event) {
-	s.depth++
-	ups, dns := s.top.Up(ev)
-	s.route(ups, dns)
-	if s.depth--; s.depth == 0 {
-		s.used = 0
+	k := len(s.out) - 1
+	o := &s.out[k]
+	app, net, mark := len(s.out[0].ups), len(o.dns), len(o.ups)
+	s.states[k].HandleUp(ev, o)
+	if k > 0 {
+		s.upsInto(k, o, mark)
 	}
+	s.route(app, net)
 }
 
-func (s *funcStack) route(ups, dns []*event.Event) {
-	for _, u := range ups {
-		s.cb.app(u)
+// route hands the application what exited the top above its mark, then
+// the network what exited the bottom above its mark.
+func (s *funcStack) route(app, net int) {
+	top, bot := &s.out[0], &s.out[len(s.out)-1]
+	appEnd, netEnd := len(top.ups), len(bot.dns)
+	for i := app; i < appEnd; i++ {
+		s.cb.app(top.ups[i])
 	}
-	for _, d := range dns {
-		s.cb.net(d)
+	for i := net; i < netEnd; i++ {
+		s.cb.net(bot.dns[i])
 	}
+	top.ups, bot.dns = top.ups[:app], bot.dns[:net]
 }

@@ -1,7 +1,8 @@
 // Package stack composes micro-protocol layers into protocol stacks and
 // executes them under the two models the paper compares (§4.2): the
 // imperative model (IMP) with a central event scheduler, and the
-// functional model (FUNC) built by recursive pairwise composition. The
+// functional model (FUNC) of recursive pairwise composition, composed
+// once at build time into a traversal by layer index (func.go). The
 // machine-optimized bypass (MACH) and the hand-optimized bypass (HAND)
 // wrap these stacks; they live in internal/opt.
 package stack

@@ -244,6 +244,92 @@ func appendDeltaSub(buf []byte, wire []byte, cur, base subMeta, nPrefix int, pre
 	return append(buf, mid...), true
 }
 
+// maxOutHint caps what outBound asks for. Shared prefixes and suffixes
+// may overlap, so a crafted frame can describe subs that double in
+// length from one to the next; the hint stays small whatever the frame
+// claims, and a walk that really needs more grows its buffer by append.
+const maxOutHint = 1 << 20
+
+// outBound scans the sub grammar of data[off:] without decoding it and
+// returns an upper bound on the bytes walkSubs will reconstruct: for
+// each delta or prefix sub its explicit bytes, the bytes it takes from
+// its predecessor, and for a delta sub the longest header the elided
+// fields can spell. Full subs are surfaced in place and count nothing.
+// The scan stops where walkSubs would surface garbage. prevLen is the
+// seeded previous sub's length.
+func (w *FrameWalker) outBound(data []byte, off, prevLen int) int {
+	hdrMax := (w.nPrefix+2)*binary.MaxVarintLen64 + 3
+	total := 0
+	for off < len(data) && total <= maxOutHint {
+		flag := data[off]
+		off++
+		size := 0 // this sub's reconstructed length, less its explicit bytes
+		switch {
+		case flag == subFull:
+		case flag == subPrefix || flag == subPrefixSuffix:
+			n, k := binary.Uvarint(data[off:])
+			if k <= 0 || n > uint64(prevLen) {
+				return total
+			}
+			off += k
+			size = int(n)
+		case flag&subIsDelta != 0 && flag&^byte(deltaKnown) == 0:
+			if flag&deltaEpoch != 0 {
+				for i := 0; i < w.nPrefix; i++ {
+					_, k := binary.Uvarint(data[off:])
+					if k <= 0 {
+						return total
+					}
+					off += k
+				}
+			}
+			if flag&deltaStack != 0 {
+				if off += 2; off > len(data) {
+					return total
+				}
+			}
+			if flag&deltaSender != 0 {
+				_, k := binary.Uvarint(data[off:])
+				if k <= 0 {
+					return total
+				}
+				off += k
+			}
+			_, k := binary.Uvarint(data[off:]) // the seqno delta
+			if k <= 0 {
+				return total
+			}
+			off += k
+			size = hdrMax
+		default:
+			return total
+		}
+		if flag&deltaSuffix != 0 {
+			sfx, k := binary.Uvarint(data[off:])
+			if k <= 0 || sfx > uint64(prevLen) {
+				return total
+			}
+			off += k
+			size += int(sfx)
+		}
+		n, k := binary.Uvarint(data[off:])
+		if k <= 0 {
+			return total
+		}
+		off += k
+		end := off + int(n)
+		if end < off || end > len(data) {
+			return total
+		}
+		off = end
+		prevLen = size + int(n)
+		if flag != subFull {
+			total += prevLen
+		}
+	}
+	return min(total, maxOutHint)
+}
+
 // walkSubs decodes the sub grammar from data[off:]. The caller
 // pre-seeds w.base and prev (zero/nil for a self-contained frame, the
 // link mirror for cross-frame continuity). It returns the subs surfaced
@@ -253,12 +339,17 @@ func appendDeltaSub(buf []byte, wire []byte, cur, base subMeta, nPrefix int, pre
 func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []byte)) (int, []byte, bool) {
 	// prev is the previous surfaced sub's bytes — the base for subPrefix
 	// reconstruction. It may point into data (full subs), into out
-	// (reconstructed subs), or into mirror-owned storage (the seed); out
-	// is never truncated mid-walk, and growth leaves earlier backing
-	// arrays readable, so prev stays valid.
+	// (reconstructed subs), or into mirror-owned storage (the seed). out
+	// is never truncated mid-walk; in stable mode it is one buffer sized
+	// for the whole frame up front, so prev and every surfaced sub stay
+	// where they are. (Should a walk outgrow its buffer — scratch mode
+	// warming up, a frame past maxOutHint — append moves the tail and
+	// leaves the earlier backing array readable, which is as good.)
 	var out []byte
 	if !w.stable {
 		out = w.scratch[:0]
+	} else if n := w.outBound(data, off, len(prev)); n > 0 {
+		out = make([]byte, 0, n)
 	}
 	subs := 0
 	for off < len(data) {
@@ -394,10 +485,9 @@ func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []
 		if end < off || end > len(data) {
 			return garbage()
 		}
-		// Reconstruct the canonical wire image. Each sub appends to the
-		// tail of one per-walk buffer (growth copies the array but earlier
-		// subs keep the old backing, so they — and prev — stay valid); in
-		// scratch mode that buffer is reused across walks.
+		// Reconstruct the canonical wire image at the tail of the
+		// per-walk buffer; in scratch mode that buffer is reused across
+		// walks.
 		start := len(out)
 		for i := 0; i < w.nPrefix; i++ {
 			out = binary.AppendUvarint(out, cur.prefix[i])

@@ -349,6 +349,46 @@ func TestFrameWalkerStableSubsOutliveWalk(t *testing.T) {
 	}
 }
 
+// TestStableWalkOneBufferPerFrame: a stable-mode walk sizes its
+// reconstruction buffer from the frame before it decodes — one
+// allocation however many delta, prefix and prefix+suffix subs follow,
+// and outBound really bounds what they reconstruct to.
+func TestStableWalkOneBufferPerFrame(t *testing.T) {
+	prefix := []uint64{1, 1 << 40}
+	var wires [][]byte
+	for i := 0; i < 12; i++ {
+		wires = append(wires, cwire(prefix, 3, uint64(i/6), int64(1000+i), bytes.Repeat([]byte{byte(i)}, 40)...))
+	}
+	for i := 0; i < 4; i++ {
+		opaque := append([]byte("opaque-control-wire-"), byte(i))
+		wires = append(wires, append(opaque, "-with-a-shared-tail"...))
+	}
+	frame := deltaFrameOf(t, 2, wires...)
+	_, _, _, off, ok := parseXHeader(frame)
+	if !ok {
+		t.Fatal("frame header does not parse")
+	}
+	w := NewFrameWalker(2, true)
+	var got [][]byte
+	walk := func() {
+		w.base = subMeta{}
+		got = got[:0]
+		w.walkSubs(frame, off, nil, func(sub []byte) { got = append(got, sub) })
+	}
+	walk()
+	wantSubs(t, got, wires)
+	rebuilt := 0
+	for _, sub := range got[1:] { // the first sub of a cold frame is full: surfaced in place
+		rebuilt += len(sub)
+	}
+	if bound := w.outBound(frame, off, 0); bound < rebuilt || bound > 2*rebuilt {
+		t.Fatalf("outBound = %d for %d reconstructed bytes", bound, rebuilt)
+	}
+	if allocs := testing.AllocsPerRun(100, walk); allocs != 1 {
+		t.Fatalf("stable walk of %d subs allocates %.1f times, want 1", len(wires), allocs)
+	}
+}
+
 func TestDeltaBatcherRecyclesBuffers(t *testing.T) {
 	sink := &discardSink{}
 	b := NewBatcher(sink, 0, 0)
