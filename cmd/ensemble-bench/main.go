@@ -150,8 +150,8 @@ func runTables(table string, rounds int) {
 		// off, then on); like wire, it caps the rounds.
 		{"obs", func() (string, error) { return bench.ObsOverheadTable(min(rounds, 20000)) }},
 		// The scale table sweeps member counts 16/64/256 (flat, flat,
-		// hierarchical 16x16) and compares flat vs tree membership
-		// dissemination; its workload sizes are fixed internally.
+		// hierarchical 16x16) and measures one view change at 8, 16 and
+		// 64 members; its workload sizes are fixed internally.
 		{"scale", func() (string, error) { return bench.ScaleTable(scaleWorkers()) }},
 		// The latency table reconstructs causal spans from an 8-member
 		// reference run's flight dump and reports per-hop percentiles,

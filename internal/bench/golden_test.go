@@ -52,3 +52,42 @@ func TestGoldenProductionTrace(t *testing.T) {
 		t.Fatalf("production trace moved: sha256 %s, want %s (%d trace bytes)", got, goldenTraceSHA256, len(trace))
 	}
 }
+
+// The large-group membership traces: 17 and 64 members on the vsync
+// stack, a graceful leave of an interior relay (rank 3), then a crash
+// of a leaf with a cast submitted while it is being detected. Recorded
+// at commit ac970d7, the last with a coordinator-direct path beside the
+// tree: views of 16 and more took the tree there (hence 17, so that the
+// second change still runs in a view of 16), and every byte and its
+// order must survive any refactoring of the tree's helpers.
+var goldenVsyncTraceSHA256 = map[int]string{
+	17: "a7561c8147395228bff19d844475c189911d29e4951c1a11d66aecb2e4c5ce3d",
+	64: "e5d92ee2f0390f4067b2f857462bb6a8649256e61cf0f03da7fc99af05947a84",
+}
+
+func TestGoldenViewChangeTrace(t *testing.T) {
+	for _, n := range []int{17, 64} {
+		g, err := core.NewClusterGroup(n, netsim.Profile{Latency: 50_000}, 61, layers.StackVsync(), stack.Func, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Cluster.EnableTrace()
+		leaver, crashed := 3, n-2
+		g.Run(int64(200e6))
+		g.Do(1, 0, func() { g.Members[1].Cast([]byte("before")) })
+		g.Do(leaver, 0, func() { g.Members[leaver].Leave() })
+		g.Run(int64(300e6))
+		g.Do(crashed, 0, func() { g.Members[crashed].Shutdown() })
+		g.Do(2, int64(500e6), func() { g.Members[2].Cast([]byte("during")) })
+		g.Run(int64(2e9))
+		for r, m := range g.Members {
+			if r != leaver && r != crashed && m.View().N() != n-2 {
+				t.Fatalf("%d members: member %d ended in a view of %d", n, r, m.View().N())
+			}
+		}
+		sum := sha256.Sum256([]byte(g.Cluster.TraceString()))
+		if got := hex.EncodeToString(sum[:]); got != goldenVsyncTraceSHA256[n] {
+			t.Fatalf("%d-member view-change trace moved: sha256 %s, want %s", n, got, goldenVsyncTraceSHA256[n])
+		}
+	}
+}

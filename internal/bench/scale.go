@@ -8,7 +8,6 @@ import (
 
 	"ensemble/internal/core"
 	"ensemble/internal/event"
-	"ensemble/internal/layer"
 	"ensemble/internal/layers"
 	"ensemble/internal/netsim"
 	"ensemble/internal/stack"
@@ -313,11 +312,9 @@ func hierIdentityProbe(groups, per int, seed int64, workers int) (bool, error) {
 }
 
 // ViewChange is one measured view change: a graceful leave from a
-// group of Members under the given membership fanout (-1 flat, 0 auto,
-// k > 0 forced k-ary tree).
+// group of Members.
 type ViewChange struct {
 	Members int
-	Fanout  int
 	// LatencyVirtual is virtual ns from the leave to the last
 	// survivor's view install.
 	LatencyVirtual int64
@@ -329,22 +326,19 @@ type ViewChange struct {
 
 // MeasureViewChange runs one graceful leave and reports how long the
 // view change took and what it put on the wire. Deterministic: the
-// run is sequential, so the same (members, fanout, seed) always
-// measures the same virtual schedule. This is the before/after pair
-// behind the membership-topology numbers: fanout -1 measures the flat
-// protocol, 0 the auto topology (tree at >= 16 members).
-func MeasureViewChange(members, fanout int, seed int64) (ViewChange, error) {
+// run is sequential, so the same (members, seed) always measures the
+// same virtual schedule.
+func MeasureViewChange(members int, seed int64) (ViewChange, error) {
 	installed := make([]int64, members) // virtual install time per rank; 0 = not yet
 	var g *core.ClusterGroup
-	g, err := core.NewTunedClusterGroup(members, netsim.Ethernet100(), seed, ScaleStack(), stack.Func,
+	g, err := core.NewClusterGroup(members, netsim.Ethernet100(), seed, ScaleStack(), stack.Func,
 		func(rank int) core.Handlers {
 			return core.Handlers{OnView: func(v *event.View) {
 				if installed[rank] == 0 {
 					installed[rank] = g.Eps[rank].Now()
 				}
 			}}
-		},
-		func(c *layer.Config) { c.MembFanout = fanout })
+		})
 	if err != nil {
 		return ViewChange{}, err
 	}
@@ -371,7 +365,7 @@ func MeasureViewChange(members, fanout int, seed int64) (ViewChange, error) {
 		g.Run(int64(100e6))
 	}
 	if !done() {
-		return ViewChange{}, fmt.Errorf("bench: view change at %d members (fanout %d) never completed", members, fanout)
+		return ViewChange{}, fmt.Errorf("bench: view change at %d members never completed", members)
 	}
 	after := g.Cluster.Net().Stats()
 	var last int64
@@ -382,7 +376,6 @@ func MeasureViewChange(members, fanout int, seed int64) (ViewChange, error) {
 	}
 	return ViewChange{
 		Members:        members,
-		Fanout:         fanout,
 		LatencyVirtual: last - t0,
 		Packets:        after.Sent - before.Sent,
 		Bytes:          after.BytesOnWire - before.BytesOnWire,
@@ -390,7 +383,7 @@ func MeasureViewChange(members, fanout int, seed int64) (ViewChange, error) {
 }
 
 // ScaleTable renders the member-count scaling sweep plus the
-// flat-vs-tree view-change comparison — the `-table scale` entry of
+// view-change cost at 8, 16 and 64 members — the `-table scale` entry of
 // cmd/ensemble-bench. workers sizes the concurrent runs.
 func ScaleTable(workers int) (string, error) {
 	var b strings.Builder
@@ -425,20 +418,15 @@ func ScaleTable(workers int) (string, error) {
 			}
 		}
 	}
-	fmt.Fprintf(&b, "\nView change cost: graceful leave, flat vs tree dissemination\n")
-	fmt.Fprintf(&b, "%-10s %-8s %14s %10s %10s\n", "members", "mode", "latency(ms)", "packets", "bytes")
-	for _, m := range []int{16, 64} {
-		for _, f := range []struct {
-			fanout int
-			label  string
-		}{{-1, "flat"}, {0, "tree"}} {
-			vc, err := MeasureViewChange(m, f.fanout, 37)
-			if err != nil {
-				return "", fmt.Errorf("view change %d/%s: %w", m, f.label, err)
-			}
-			fmt.Fprintf(&b, "%-10d %-8s %14.1f %10d %10d\n",
-				m, f.label, float64(vc.LatencyVirtual)/1e6, vc.Packets, vc.Bytes)
+	fmt.Fprintf(&b, "\nView change cost: graceful leave, fanout-4 tree dissemination\n")
+	fmt.Fprintf(&b, "%-10s %14s %10s %10s\n", "members", "latency(ms)", "packets", "bytes")
+	for _, m := range []int{8, 16, 64} {
+		vc, err := MeasureViewChange(m, 37)
+		if err != nil {
+			return "", fmt.Errorf("view change %d: %w", m, err)
 		}
+		fmt.Fprintf(&b, "%-10d %14.2f %10d %10d\n",
+			m, float64(vc.LatencyVirtual)/1e6, vc.Packets, vc.Bytes)
 	}
 	return b.String(), nil
 }

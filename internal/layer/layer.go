@@ -53,14 +53,6 @@ type Config struct {
 	// SignKey is the shared HMAC key for the sign layer; required when
 	// the stack contains it.
 	SignKey []byte
-
-	// MembFanout selects the membership layer's dissemination topology.
-	// 0 (the default) picks automatically: flush rounds and view
-	// announcements travel a k-ary tree over the survivor ranks once the
-	// view reaches treeThreshold members, and go coordinator-direct
-	// below it. -1 forces the flat protocol at any size; k > 0 forces a
-	// k-ary tree at any size.
-	MembFanout int
 }
 
 // DefaultConfig returns the parameters used by the paper-style stacks.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ensemble/internal/event"
+	"ensemble/internal/ir"
 	"ensemble/internal/transport"
 )
 
@@ -12,7 +13,7 @@ import (
 // can push (twice where a field's sign or absence changes the encoding).
 // Pooled headers come fresh from their pools: the caller owns them.
 func allHeaderVariants() []event.Header {
-	return []event.Header{
+	return append(membershipVariants(),
 		bottomHdr{},
 		&mnakData{Seqno: 12345}, mnakPass{}, mnakNak{Lo: -3, Hi: 900}, mnakRetrans{Seqno: 7},
 		&p2pData{Seqno: 3, Ack: 2}, p2pRetrans{Seqno: 5, Ack: 4}, p2pAck{Ack: 9}, p2pPass{},
@@ -24,15 +25,71 @@ func allHeaderVariants() []event.Header {
 		&totalData{LocalSeq: 11, GSeq: -1}, &totalData{LocalSeq: 11, GSeq: 42},
 		totalOrder{Origin: 2, LocalSeq: 5, GSeq: 6}, totalPass{},
 		suspectPass{}, suspectPing{},
-		membPass{},
-		membFlush{ViewSeq: 4, Round: 2, Frontier: []int64{1, 2, 3}},
-		membFlush{ViewSeq: 4, Round: 2}, // nil frontier
-		membFlushOk{ViewSeq: 4, Round: 2, Vector: []int64{9, 8}},
-		membView{ViewSeq: 5, Members: []event.Addr{1, 2, 9}},
-		membLeave{Rank: 3},
 		&seqnoData{Seqno: 77}, seqnoPass{},
 		chkHdr{Sum: 0xDEADBEEF},
 		traceHdr{},
+	)
+}
+
+// membershipVariants lists every header the membership layer can emit.
+func membershipVariants() []event.Header {
+	return []event.Header{
+		membPass{},
+		membFlushTree{ViewSeq: 4, Round: 2, Frontier: []int64{1, 2, 3}, Excluded: []int32{0, 2}},
+		membFlushTree{ViewSeq: 4, Round: 2}, // first round: no frontier, nobody excluded
+		membFlushAgg{ViewSeq: 4, Round: 2, Count: 5, Mismatch: true, Vector: []int64{9, 8}, Max: []int64{9, 11}},
+		membFlushAgg{ViewSeq: 4, Round: 2, Count: 1},
+		membView{ViewSeq: 5, Members: []event.Addr{1, 2, 9}},
+		membLeave{Rank: 3},
+	}
+}
+
+// TestMembershipReadHdrClassifiesEveryVariant: the layer's IR definition
+// must recognise every header the layer can emit (control variants fall
+// back to the full stack, but only once ReadHdr has named their tag).
+func TestMembershipReadHdrClassifiesEveryVariant(t *testing.T) {
+	def, err := ir.LookupDef(Membership)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range membershipVariants() {
+		var w transport.Writer
+		if err := transport.EncodeHeader(h, &w); err != nil {
+			t.Fatalf("%s: %v", h.HdrString(), err)
+		}
+		fields, err := def.ReadHdr(h)
+		if err != nil {
+			t.Fatalf("%s: %v", h.HdrString(), err)
+		}
+		// EncodeHeader writes the layer ID, then the variant tag.
+		if wire := int64(w.Header()[1]); fields["tag"] != wire {
+			t.Fatalf("%s: ReadHdr says tag %d, the wire says %d", h.HdrString(), fields["tag"], wire)
+		}
+	}
+}
+
+// TestMembershipRetiredTagsAreBadWire: tags 1 and 2 were the
+// coordinator-direct flush and its acknowledgement. No current header
+// may decode from them.
+func TestMembershipRetiredTagsAreBadWire(t *testing.T) {
+	ev := event.Alloc()
+	ev.Type = event.ECast
+	ev.Msg.Push(membPass{})
+	var w transport.Writer
+	if err := transport.Marshal(ev, 1, &w); err != nil {
+		t.Fatal(err)
+	}
+	event.Free(ev)
+	img := append([]byte(nil), w.Bytes()...)
+	tagAt := len(img) - 1 // membPass is one tag byte and there is no payload
+	if img[tagAt] != membTagPass {
+		t.Fatalf("image does not end in the Pass tag: % x", img)
+	}
+	for _, tag := range []byte{1, 2} {
+		img[tagAt] = tag
+		if got, err := transport.Unmarshal(img); err == nil {
+			t.Fatalf("retired tag %d decoded to %s", tag, got.Msg.Headers[0].HdrString())
+		}
 	}
 }
 

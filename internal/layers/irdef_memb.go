@@ -24,6 +24,23 @@ func (s *membershipState) IRVars() []ir.VarSpec {
 	}
 }
 
+// membCtrl is the spec of a control variant: recognized (so ReadHdr can
+// classify it for fallback dispatch, and a probe for another variant
+// misses without allocating) but never IR-constructed.
+func membCtrl[H event.Header](variant string, tag byte, fields []string, read func(H) []int64) ir.HdrSpec {
+	return ir.HdrSpec{
+		Variant: variant, Tag: int64(tag), Fields: fields,
+		Make: func([]int64) event.Header { panic("membership: control headers are not IR-constructible") },
+		Read: func(h event.Header) ([]int64, bool) {
+			v, ok := h.(H)
+			if !ok {
+				return nil, false
+			}
+			return read(v), true
+		},
+	}
+}
+
 func membershipDef() ir.LayerDef {
 	notBlocked := ir.Eq(ir.Var("blocked"), ir.Const(0))
 	tagIs := func(t byte) ir.Expr { return ir.Eq(ir.HdrField("tag"), ir.Const(int64(t))) }
@@ -51,30 +68,14 @@ func membershipDef() ir.LayerDef {
 					return nil, ok
 				},
 			},
-			// Control variants are recognized (so ReadHdr can classify
-			// them for fallback dispatch) but never IR-constructed.
-			{
-				Variant: "Flush", Tag: int64(membTagFlush), Fields: []string{"view_seq", "round"},
-				Make: func([]int64) event.Header { panic("membership: control headers are not IR-constructible") },
-				Read: func(h event.Header) ([]int64, bool) {
-					f, ok := h.(membFlush)
-					if !ok {
-						return nil, false
-					}
-					return []int64{f.ViewSeq, f.Round}, true
-				},
-			},
-			{
-				Variant: "View", Tag: int64(membTagView), Fields: []string{"view_seq"},
-				Make: func([]int64) event.Header { panic("membership: control headers are not IR-constructible") },
-				Read: func(h event.Header) ([]int64, bool) {
-					v, ok := h.(membView)
-					if !ok {
-						return nil, false
-					}
-					return []int64{v.ViewSeq}, true
-				},
-			},
+			membCtrl("View", membTagView, []string{"view_seq"},
+				func(v membView) []int64 { return []int64{v.ViewSeq} }),
+			membCtrl("Leave", membTagLeave, []string{"rank"},
+				func(l membLeave) []int64 { return []int64{int64(l.Rank)} }),
+			membCtrl("FlushAgg", membTagFlushAgg, []string{"view_seq", "round"},
+				func(a membFlushAgg) []int64 { return []int64{a.ViewSeq, a.Round} }),
+			membCtrl("FlushTree", membTagFlushTree, []string{"view_seq", "round"},
+				func(f membFlushTree) []int64 { return []int64{f.ViewSeq, f.Round} }),
 		},
 		CCP: map[ir.PathKey]ir.Expr{
 			ir.DnCast: notBlocked,

@@ -446,6 +446,42 @@ func TestCollectFrontierMatchesColumnScan(t *testing.T) {
 	}
 }
 
+// TestMembershipDropsVariantsOnWrongEventType: headers come off the
+// network, so a control variant on the kind of event that never carries
+// it (an aggregate on a cast, a leave on a send, another layer's
+// header) must be dropped — no panic, no output, no state change.
+func TestMembershipDropsVariantsOnWrongEventType(t *testing.T) {
+	fed := 0
+	for _, h := range append(membershipVariants(), suspectPing{}) {
+		var types []event.Type
+		switch h.(type) {
+		case membLeave:
+			types = []event.Type{event.ESend}
+		case membFlushTree, membFlushAgg:
+			types = []event.Type{event.ECast}
+		case suspectPing:
+			types = []event.Type{event.ECast, event.ESend}
+		} // Pass and View are legal on both
+		for _, typ := range types {
+			st := mkState(t, Membership, 4, 1)
+			ev := event.Alloc()
+			ev.Dir, ev.Type, ev.Peer = event.Up, typ, 0
+			ev.Msg.Push(h)
+			ups, dns := up(st, ev)
+			if len(ups)+len(dns) != 0 {
+				t.Errorf("%s on %v emitted %d ups, %d downs", h.HdrString(), typ, len(ups), len(dns))
+			}
+			if !reflect.DeepEqual(st, mkState(t, Membership, 4, 1)) {
+				t.Errorf("%s on %v changed the state", h.HdrString(), typ)
+			}
+			fed++
+		}
+	}
+	if fed != 7 { // 1 leave + 2 flush-down + 2 flush-up + the foreign header twice
+		t.Fatalf("fed %d misplaced headers, want 7", fed)
+	}
+}
+
 func TestLocalReflectsOwnCasts(t *testing.T) {
 	st := mkState(t, Local, 3, 2)
 	ev := event.CastEv([]byte("me"))
@@ -517,7 +553,8 @@ func TestHeaderStringsAreDistinct(t *testing.T) {
 		localHdr{}, topHdr{}, paplHdr{},
 		&totalData{LocalSeq: 1, GSeq: 2}, totalOrder{Origin: 1, LocalSeq: 2, GSeq: 3}, totalPass{},
 		suspectPass{}, suspectPing{},
-		membPass{}, membFlush{ViewSeq: 1, Round: 2},
+		membPass{}, membFlushTree{ViewSeq: 1, Round: 2}, membFlushAgg{ViewSeq: 1, Round: 2, Count: 3},
+		membView{ViewSeq: 1}, membLeave{Rank: 1},
 	}
 	seen := map[string]bool{}
 	for _, h := range hs {

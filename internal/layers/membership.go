@@ -2,6 +2,7 @@ package layers
 
 import (
 	"fmt"
+	"slices"
 
 	"ensemble/internal/event"
 	"ensemble/internal/layer"
@@ -18,8 +19,32 @@ import (
 // protocol stacks on the fly ([25], §4.1.3).
 //
 // Simplification versus Ensemble's full GMP (documented in DESIGN.md):
-// partitions do not merge back, and the coordinator is the lowest
-// unsuspected rank rather than an elected one.
+// the coordinator is the lowest unsuspected rank rather than an elected
+// one.
+//
+// Every view change travels a k-ary tree (k = treeFanout) laid over the
+// survivor ranks: the coordinator is the root, flush rounds fan out
+// along tree edges, and receive vectors come back *aggregated* — each
+// interior node folds its children's reports into one, so every member
+// sends and receives O(k) membership messages per round and the root
+// decides from k aggregates instead of N-1 vectors (coordinator-direct
+// dissemination is this tree with k ≥ N, and its O(N) messages of O(N)
+// size into one member are the scaling wall the tree removes). View
+// announcements travel the same tree. The agreement condition is
+// all-pairs equality of the survivors' receive vectors; equality is
+// transitive, so pairwise parent/child comparison up the tree decides it.
+//
+// The tree's shape is derived from the *coordinator's* exclusion list,
+// carried in every down-message — never from a node's own suspicion
+// books, which may transiently differ. Local books still gate
+// authority: the implied root (lowest rank the message does not
+// exclude) must be an authorized coordinator by the receiver's own
+// books, and the direct sender must be the receiver's computed tree
+// parent.
+//
+// Partition merges announce the adopted view with a cast (HandleDn,
+// EMergeRequest): a heal is a discontinuity between two trees, and no
+// single tree spans both sides.
 type membershipState struct {
 	view *event.View
 
@@ -42,20 +67,41 @@ type membershipState struct {
 	// changes the vectors, so the coordinator re-runs rounds until a
 	// consistent sample appears, ignoring stale replies.
 	round int64
-	// vectors[m] is the receive vector member m reported this round
-	// (flat mode only; tree mode folds vectors in agg instead).
-	vectors [][]int64
-
-	// fanout selects the dissemination topology: 0 is the flat
-	// coordinator-direct protocol, k > 0 a k-ary tree over the survivor
-	// ranks (see membership_tree.go).
-	fanout int
-	// agg is the current flush round's tree fold.
+	// agg is the current flush round's fold.
 	agg aggRound
-	// treeSeenSeq/treeSeenRound dedup down-tree flush rounds.
-	treeSeenSeq, treeSeenRound int64
+	// seenSeq/seenRound dedup down-tree flush rounds.
+	seenSeq, seenRound int64
 	// viewSent dedups tree view announcements (sent or installed).
 	viewSent int64
+}
+
+// treeFanout is the arity of the dissemination tree.
+const treeFanout = 4
+
+// treeSpan returns the half-open range of positions holding the
+// children of position pos (≥ 0) in a treeFanout-ary tree laid out
+// heap-style over n positions: k*pos+1 .. k*pos+k, cut at n.
+func treeSpan(pos, n int) (lo, hi int) {
+	lo = min(treeFanout*pos+1, n)
+	return lo, min(lo+treeFanout, n)
+}
+
+// treeParent returns the position of the parent of position pos (> 0).
+func treeParent(pos int) int { return (pos - 1) / treeFanout }
+
+// aggRound is one flush round's tree state: the round's survivor set
+// (as dictated by the coordinator), this node's position in it, and
+// the partially folded subtree report.
+type aggRound struct {
+	surv     []int  // survivor ranks, ascending; tree position i holds surv[i]
+	children []int  // this node's direct-child ranks
+	parent   int    // this node's parent rank; -1 at the root
+	from     []bool // which children already reported, indexed by rank
+	ownIn    bool
+	own      []int64 // this node's receive vector
+	max      []int64 // element-wise max over the subtree so far
+	count    int     // members folded into the subtree so far (incl. self)
+	mismatch bool
 }
 
 // PendingApp is an application message buffered during a view change,
@@ -80,22 +126,32 @@ type PendingDrainer interface {
 type (
 	// membPass tags data passing through.
 	membPass struct{}
-	// membFlush starts (or restarts) a flush round for view ViewSeq.
-	// Frontier is the coordinator's element-wise best knowledge of every
-	// member's send count, from the previous round's replies: receivers
-	// hand it to the reliability layer so trailing losses — which no
-	// further traffic would ever reveal during a flush — are NAKed and
-	// repaired, letting the vectors converge.
-	membFlush struct {
+	// membFlushTree carries a flush round for view ViewSeq down the
+	// dissemination tree. Excluded is the coordinator's exclusion list;
+	// every receiver derives the identical tree from it. Frontier is the
+	// coordinator's element-wise best knowledge of every member's send
+	// count, from the previous round's replies: receivers hand it to the
+	// reliability layer so trailing losses — which no further traffic
+	// would ever reveal during a flush — are NAKed and repaired, letting
+	// the vectors converge.
+	membFlushTree struct {
 		ViewSeq  int64
 		Round    int64
 		Frontier []int64
+		Excluded []int32
 	}
-	// membFlushOk reports a member's receive vector to the coordinator.
-	membFlushOk struct {
-		ViewSeq int64
-		Round   int64
-		Vector  []int64
+	// membFlushAgg reports a whole subtree's flush replies up one tree
+	// edge: how many members it folds (Count), a representative receive
+	// vector (the sender's own), the element-wise max over the subtree
+	// (the next round's repair frontier), and whether any pair within
+	// the subtree disagreed.
+	membFlushAgg struct {
+		ViewSeq  int64
+		Round    int64
+		Count    int32
+		Mismatch bool
+		Vector   []int64
+		Max      []int64
 	}
 	// membView announces the agreed next view.
 	membView struct {
@@ -106,29 +162,55 @@ type (
 	membLeave struct{ Rank int32 }
 )
 
-func (membPass) Layer() string    { return Membership }
-func (membFlush) Layer() string   { return Membership }
-func (membFlushOk) Layer() string { return Membership }
-func (membView) Layer() string    { return Membership }
-func (membLeave) Layer() string   { return Membership }
+func (membPass) Layer() string      { return Membership }
+func (membFlushTree) Layer() string { return Membership }
+func (membFlushAgg) Layer() string  { return Membership }
+func (membView) Layer() string      { return Membership }
+func (membLeave) Layer() string     { return Membership }
 
-func (membPass) HdrString() string      { return "membership:Pass" }
-func (h membFlush) HdrString() string   { return fmt.Sprintf("membership:Flush(%d)", h.ViewSeq) }
-func (h membFlushOk) HdrString() string { return fmt.Sprintf("membership:FlushOk(%d)", h.ViewSeq) }
+func (membPass) HdrString() string { return "membership:Pass" }
+func (h membFlushTree) HdrString() string {
+	return fmt.Sprintf("membership:FlushTree(%d.%d)", h.ViewSeq, h.Round)
+}
+func (h membFlushAgg) HdrString() string {
+	return fmt.Sprintf("membership:FlushAgg(%d.%d,n=%d)", h.ViewSeq, h.Round, h.Count)
+}
 func (h membView) HdrString() string {
 	return fmt.Sprintf("membership:View(%d,%v)", h.ViewSeq, h.Members)
 }
 func (h membLeave) HdrString() string { return fmt.Sprintf("membership:Leave(%d)", h.Rank) }
 
+// Wire tags. 1 and 2 belonged to the coordinator-direct flush and its
+// acknowledgement; they are retired, not reused, and decode as bad wire.
 const (
-	membTagPass byte = iota
-	membTagFlush
-	membTagFlushOk
-	membTagView
-	membTagLeave
-	membTagFlushAgg
-	membTagFlushTree
+	membTagPass      byte = 0
+	membTagView      byte = 3
+	membTagLeave     byte = 4
+	membTagFlushAgg  byte = 5
+	membTagFlushTree byte = 6
 )
+
+// putInts appends the length-prefixed varint list the control headers
+// carry (vectors, frontiers, rank and address lists).
+func putInts[T ~int32 | ~int64](w *transport.Writer, vs []T) {
+	w.Uvarint(uint64(len(vs)))
+	for _, v := range vs {
+		w.Varint(int64(v))
+	}
+}
+
+// getInts reads what putInts wrote, refusing lengths no view can have.
+func getInts[T ~int32 | ~int64](r *transport.Reader, what string) ([]T, error) {
+	n := r.Uvarint()
+	if n > 1<<16 {
+		return nil, transport.ErrBadWire("membership %s length %d", what, n)
+	}
+	vs := make([]T, n)
+	for i := range vs {
+		vs[i] = T(r.Varint())
+	}
+	return vs, nil
+}
 
 func init() {
 	layer.Register(Membership, func(cfg layer.Config) layer.State {
@@ -137,8 +219,6 @@ func init() {
 			view:     cfg.View,
 			suspects: make([]bool, n),
 			leaving:  make([]bool, n),
-			vectors:  make([][]int64, n),
-			fanout:   resolveMembFanout(cfg),
 		}
 	})
 	transport.RegisterCodec(transport.HeaderCodec{
@@ -148,29 +228,10 @@ func init() {
 			switch h := h.(type) {
 			case membPass:
 				w.Byte(membTagPass)
-			case membFlush:
-				w.Byte(membTagFlush)
-				w.Varint(h.ViewSeq)
-				w.Varint(h.Round)
-				w.Uvarint(uint64(len(h.Frontier)))
-				for _, v := range h.Frontier {
-					w.Varint(v)
-				}
-			case membFlushOk:
-				w.Byte(membTagFlushOk)
-				w.Varint(h.ViewSeq)
-				w.Varint(h.Round)
-				w.Uvarint(uint64(len(h.Vector)))
-				for _, v := range h.Vector {
-					w.Varint(v)
-				}
 			case membView:
 				w.Byte(membTagView)
 				w.Varint(h.ViewSeq)
-				w.Uvarint(uint64(len(h.Members)))
-				for _, m := range h.Members {
-					w.Varint(int64(m))
-				}
+				putInts(w, h.Members)
 			case membLeave:
 				w.Byte(membTagLeave)
 				w.Varint(int64(h.Rank))
@@ -179,114 +240,50 @@ func init() {
 				w.Varint(h.ViewSeq)
 				w.Varint(h.Round)
 				w.Varint(int64(h.Count))
-				if h.Mismatch {
-					w.Byte(1)
-				} else {
-					w.Byte(0)
-				}
-				w.Uvarint(uint64(len(h.Vector)))
-				for _, v := range h.Vector {
-					w.Varint(v)
-				}
-				w.Uvarint(uint64(len(h.Max)))
-				for _, v := range h.Max {
-					w.Varint(v)
-				}
+				w.Bool(h.Mismatch)
+				putInts(w, h.Vector)
+				putInts(w, h.Max)
 			case membFlushTree:
 				w.Byte(membTagFlushTree)
 				w.Varint(h.ViewSeq)
 				w.Varint(h.Round)
-				w.Uvarint(uint64(len(h.Frontier)))
-				for _, v := range h.Frontier {
-					w.Varint(v)
-				}
-				w.Uvarint(uint64(len(h.Excluded)))
-				for _, r := range h.Excluded {
-					w.Varint(int64(r))
-				}
+				putInts(w, h.Frontier)
+				putInts(w, h.Excluded)
 			default:
 				panic(fmt.Sprintf("membership: unknown header %T", h))
 			}
 		},
 		Decode: func(r *transport.Reader) (event.Header, error) {
+			var err error
 			switch tag := r.Byte(); tag {
 			case membTagPass:
 				return membPass{}, nil
-			case membTagFlush:
-				seq, round := r.Varint(), r.Varint()
-				n := r.Uvarint()
-				if n > 1<<16 {
-					return nil, transport.ErrBadWire("membership frontier length %d", n)
-				}
-				fr := make([]int64, n)
-				for i := range fr {
-					fr[i] = r.Varint()
-				}
-				return membFlush{ViewSeq: seq, Round: round, Frontier: fr}, nil
-			case membTagFlushOk:
-				seq, round := r.Varint(), r.Varint()
-				n := r.Uvarint()
-				if n > 1<<16 {
-					return nil, transport.ErrBadWire("membership vector length %d", n)
-				}
-				vec := make([]int64, n)
-				for i := range vec {
-					vec[i] = r.Varint()
-				}
-				return membFlushOk{ViewSeq: seq, Round: round, Vector: vec}, nil
 			case membTagView:
-				seq := r.Varint()
-				n := r.Uvarint()
-				if n > 1<<16 {
-					return nil, transport.ErrBadWire("membership member count %d", n)
+				h := membView{ViewSeq: r.Varint()}
+				if h.Members, err = getInts[event.Addr](r, "member list"); err != nil {
+					return nil, err
 				}
-				ms := make([]event.Addr, n)
-				for i := range ms {
-					ms[i] = event.Addr(r.Varint())
-				}
-				return membView{ViewSeq: seq, Members: ms}, nil
+				return h, nil
 			case membTagLeave:
 				return membLeave{Rank: int32(r.Varint())}, nil
 			case membTagFlushAgg:
-				seq, round, count := r.Varint(), r.Varint(), r.Varint()
-				mismatch := r.Byte() != 0
-				n := r.Uvarint()
-				if n > 1<<16 {
-					return nil, transport.ErrBadWire("membership agg vector length %d", n)
+				h := membFlushAgg{ViewSeq: r.Varint(), Round: r.Varint(), Count: int32(r.Varint()), Mismatch: r.Bool()}
+				if h.Vector, err = getInts[int64](r, "agg vector"); err != nil {
+					return nil, err
 				}
-				vec := make([]int64, n)
-				for i := range vec {
-					vec[i] = r.Varint()
+				if h.Max, err = getInts[int64](r, "agg max"); err != nil {
+					return nil, err
 				}
-				m := r.Uvarint()
-				if m > 1<<16 {
-					return nil, transport.ErrBadWire("membership agg max length %d", m)
-				}
-				max := make([]int64, m)
-				for i := range max {
-					max[i] = r.Varint()
-				}
-				return membFlushAgg{ViewSeq: seq, Round: round, Count: int32(count),
-					Mismatch: mismatch, Vector: vec, Max: max}, nil
+				return h, nil
 			case membTagFlushTree:
-				seq, round := r.Varint(), r.Varint()
-				n := r.Uvarint()
-				if n > 1<<16 {
-					return nil, transport.ErrBadWire("membership tree frontier length %d", n)
+				h := membFlushTree{ViewSeq: r.Varint(), Round: r.Varint()}
+				if h.Frontier, err = getInts[int64](r, "frontier"); err != nil {
+					return nil, err
 				}
-				fr := make([]int64, n)
-				for i := range fr {
-					fr[i] = r.Varint()
+				if h.Excluded, err = getInts[int32](r, "excluded list"); err != nil {
+					return nil, err
 				}
-				m := r.Uvarint()
-				if m > 1<<16 {
-					return nil, transport.ErrBadWire("membership tree excluded length %d", m)
-				}
-				exc := make([]int32, m)
-				for i := range exc {
-					exc[i] = int32(r.Varint())
-				}
-				return membFlushTree{ViewSeq: seq, Round: round, Frontier: fr, Excluded: exc}, nil
+				return h, nil
 			default:
 				return nil, transport.ErrBadWire("membership tag %d", tag)
 			}
@@ -306,7 +303,7 @@ func (s *membershipState) DrainPending() []PendingApp {
 // coord returns the lowest rank that is neither suspected nor leaving.
 func (s *membershipState) coord() int {
 	for r := 0; r < s.view.N(); r++ {
-		if !s.suspects[r] && !s.leaving[r] {
+		if !s.excluded(r) {
 			return r
 		}
 	}
@@ -358,12 +355,12 @@ func (s *membershipState) HandleDn(ev *event.Event, snk layer.Sink) {
 		event.Free(ev)
 	case event.EMergeRequest:
 		// Partition merge: the group runtime computed a merged view and
-		// asks this partition to adopt it. Announcing it through the
-		// ordinary view mechanism installs it reliably at every member
-		// of this partition (including us, via the local reflection).
-		// The adopting partition does not run a flush: a partition heal
-		// is already a discontinuity, and in-flight messages of the old
-		// epoch are dropped at the switch (documented simplification).
+		// asks this partition to adopt it. Announcing it with a cast
+		// installs it reliably at every member of this partition
+		// (including us, via the local reflection). The adopting
+		// partition does not run a flush: a partition heal is already a
+		// discontinuity, and in-flight messages of the old epoch are
+		// dropped at the switch (documented simplification).
 		if ev.View != nil {
 			v := event.Alloc()
 			v.Dir, v.Type = event.Dn, event.ECast
@@ -378,51 +375,35 @@ func (s *membershipState) HandleDn(ev *event.Event, snk layer.Sink) {
 
 func (s *membershipState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
-	case event.ECast:
+	case event.ECast, event.ESend:
+		// Leaves and merge views are cast; everything the tree carries is
+		// a send. The header came off the network, so a variant on the
+		// wrong kind of event is dropped like any other bad packet.
+		cast := ev.Type == event.ECast
 		switch h := ev.Msg.Pop().(type) {
 		case membPass:
 			snk.PassUp(ev)
-		case membFlush:
-			if s.authorized(ev.Peer) {
-				s.handleFlush(h, snk)
+			return
+		case membLeave:
+			if cast {
+				s.handleExclusion([]int{int(h.Rank)}, true, snk)
 			}
-			event.Free(ev)
 		case membView:
-			if s.authorized(ev.Peer) {
+			if !cast {
+				s.handleViewSend(ev.Peer, h, snk)
+			} else if s.authorized(ev.Peer) {
 				s.handleView(h, snk)
 			}
-			event.Free(ev)
-		case membLeave:
-			s.handleExclusion([]int{int(h.Rank)}, true, snk)
-			event.Free(ev)
-		default:
-			panic(fmt.Sprintf("membership: unexpected up cast header %T", h))
-		}
-	case event.ESend:
-		switch h := ev.Msg.Pop().(type) {
-		case membPass:
-			snk.PassUp(ev)
-		case membFlushOk:
-			s.handleFlushOk(ev.Peer, h, snk)
-			event.Free(ev)
 		case membFlushTree:
-			if s.fanout > 0 {
+			if !cast {
 				s.handleFlushTree(ev.Peer, h, snk)
 			}
-			event.Free(ev)
 		case membFlushAgg:
-			if s.fanout > 0 {
+			if !cast {
 				s.handleFlushAgg(ev.Peer, h, snk)
 			}
-			event.Free(ev)
-		case membView:
-			if s.fanout > 0 {
-				s.handleViewSend(ev.Peer, h, snk)
-			}
-			event.Free(ev)
-		default:
-			panic(fmt.Sprintf("membership: unexpected up send header %T", h))
 		}
+		event.Free(ev)
 	case event.ESuspect:
 		// Announce upward for application visibility, then react.
 		ranks := append([]int(nil), ev.Ranks...)
@@ -431,7 +412,7 @@ func (s *membershipState) HandleUp(ev *event.Event, snk layer.Sink) {
 	case event.EBlockOk:
 		s.handleBlockOk(ev, snk)
 	case event.ETimer:
-		// Re-drive an unfinished flush: lost flush casts or unequal
+		// Re-drive an unfinished flush: lost flush rounds or unequal
 		// vectors converge through the reliability layer's repair.
 		if s.flushing && s.iAmCoord() {
 			s.castFlush(snk)
@@ -467,51 +448,98 @@ func (s *membershipState) handleExclusion(ranks []int, leave bool, snk layer.Sin
 	}
 }
 
-// castFlush starts a fresh flush round: stale replies are recognized by
-// their round number.
-func (s *membershipState) castFlush(snk layer.Sink) {
-	if s.fanout > 0 {
-		s.castFlushTree(snk)
+// startAggRound resets the fold for a fresh round over the given
+// survivor set. It must run before the EBlock goes down: the EBlockOk
+// reply arrives synchronously and lands in this round's fold.
+func (s *membershipState) startAggRound(surv []int) {
+	s.agg = aggRound{surv: surv, parent: -1, from: make([]bool, s.view.N())}
+	pos := slices.Index(surv, s.view.Rank)
+	if pos < 0 {
 		return
 	}
-	// The frontier is the element-wise max over last round's reports.
-	var frontier []int64
-	for _, vec := range s.vectors {
-		if vec == nil {
-			continue
-		}
-		if frontier == nil {
-			frontier = make([]int64, len(vec))
-		}
-		for i, v := range vec {
-			if i < len(frontier) && v > frontier[i] {
-				frontier[i] = v
-			}
-		}
+	lo, hi := treeSpan(pos, len(surv))
+	s.agg.children = surv[lo:hi]
+	if pos > 0 {
+		s.agg.parent = surv[treeParent(pos)]
 	}
-	s.round++
-	s.vectors = make([][]int64, s.view.N())
-	f := event.Alloc()
-	f.Dir, f.Type = event.Dn, event.ECast
-	f.Msg.Push(membFlush{ViewSeq: s.proposedSeq, Round: s.round, Frontier: frontier})
-	snk.PassDn(f)
 }
 
-// handleFlush blocks the application and harvests the reliability
-// layer's receive vector via the EBlock/EBlockOk round trip. The
-// EBlockOk reply arrives synchronously within the same scheduling run,
-// so the round recorded here is the round the reply belongs to.
-func (s *membershipState) handleFlush(h membFlush, snk layer.Sink) {
-	s.flushing = true
-	s.proposedSeq = h.ViewSeq
+// sendFlush hands one flush round to each of this node's children.
+func (s *membershipState) sendFlush(h membFlushTree, snk layer.Sink) {
+	for _, c := range s.agg.children {
+		f := event.Alloc()
+		f.Dir, f.Type, f.Peer = event.Dn, event.ESend, c
+		f.Msg.Push(membFlushTree{ViewSeq: h.ViewSeq, Round: h.Round,
+			Frontier: append([]int64(nil), h.Frontier...),
+			Excluded: append([]int32(nil), h.Excluded...)})
+		snk.PassDn(f)
+	}
+}
+
+// castFlush starts a fresh flush round at the root: stale replies are
+// recognized by their round number. The tree is laid over the ranks
+// this node's own books do not exclude; the frontier is the
+// element-wise max the previous round's aggregates reported.
+func (s *membershipState) castFlush(snk layer.Sink) {
+	h := membFlushTree{ViewSeq: s.proposedSeq, Round: s.round + 1, Frontier: s.agg.max}
+	var surv []int
+	for r := 0; r < s.view.N(); r++ {
+		if s.excluded(r) {
+			h.Excluded = append(h.Excluded, int32(r))
+		} else {
+			surv = append(surv, r)
+		}
+	}
 	s.round = h.Round
+	s.startAggRound(surv)
+	s.sendFlush(h, snk)
 	s.applyFlush(h.Frontier, snk)
 }
 
-// applyFlush is the local half of a flush announcement, shared by the
-// flat cast path and the tree path: block the application, hand the
-// repair frontier to the reliability layer, and harvest our receive
-// vector through the EBlock/EBlockOk round trip.
+// handleFlushTree is a relay (or leaf) receiving a flush round from its
+// tree parent: validate, forward to the subtree, then run the local
+// flush.
+func (s *membershipState) handleFlushTree(from int, h membFlushTree, snk layer.Sink) {
+	// Drop stale or duplicate rounds: each re-drive bumps the round.
+	if h.ViewSeq < s.seenSeq || (h.ViewSeq == s.seenSeq && h.Round <= s.seenRound) {
+		return
+	}
+	exc := make([]bool, s.view.N())
+	for _, r := range h.Excluded {
+		if int(r) < 0 || int(r) >= s.view.N() {
+			return
+		}
+		exc[r] = true
+	}
+	if exc[s.view.Rank] {
+		return // not part of this tree
+	}
+	var surv []int
+	for r := 0; r < s.view.N(); r++ {
+		if !exc[r] {
+			surv = append(surv, r)
+		}
+	}
+	// The implied root must be an authorized coordinator by our own
+	// books, and the direct sender must be our parent in the tree the
+	// message defines.
+	pos := slices.Index(surv, s.view.Rank)
+	if !s.authorized(surv[0]) || pos == 0 || from != surv[treeParent(pos)] {
+		return
+	}
+	s.seenSeq, s.seenRound = h.ViewSeq, h.Round
+	s.flushing = true
+	s.proposedSeq, s.round = h.ViewSeq, h.Round
+	s.startAggRound(surv)
+	s.sendFlush(h, snk)
+	s.applyFlush(h.Frontier, snk)
+}
+
+// applyFlush is the local half of a flush round: block the application,
+// hand the repair frontier to the reliability layer, and harvest our
+// receive vector through the EBlock/EBlockOk round trip. The EBlockOk
+// reply arrives synchronously within the same scheduling run, so the
+// round recorded by the caller is the round the reply belongs to.
 func (s *membershipState) applyFlush(frontier []int64, snk layer.Sink) {
 	s.blocked = true
 	if len(frontier) == s.view.N() {
@@ -533,93 +561,167 @@ func (s *membershipState) applyFlush(frontier []int64, snk layer.Sink) {
 	snk.PassDn(blockDn)
 }
 
-// handleBlockOk forwards our receive vector to the coordinator.
+// handleBlockOk folds our own receive vector into the round.
 func (s *membershipState) handleBlockOk(ev *event.Event, snk layer.Sink) {
 	vec := append([]int64(nil), ev.Stability...)
 	event.Free(ev)
-	if !s.flushing {
+	if !s.flushing || s.agg.from == nil || s.agg.ownIn {
 		return
 	}
-	if s.fanout > 0 {
-		// Tree mode: our vector enters the local fold instead of going
-		// straight to the coordinator.
-		s.aggRecordOwn(vec, snk)
-		return
-	}
-	if s.iAmCoord() {
-		s.recordVector(s.view.Rank, vec, snk)
-		return
-	}
-	ok := event.Alloc()
-	ok.Dir, ok.Type, ok.Peer = event.Dn, event.ESend, s.coord()
-	ok.Msg.Push(membFlushOk{ViewSeq: s.proposedSeq, Round: s.round, Vector: vec})
-	snk.PassDn(ok)
+	s.agg.ownIn = true
+	s.agg.own = vec
+	s.agg.count++
+	s.aggMergeMax(vec)
+	s.tryCompleteAgg(snk)
 }
 
-func (s *membershipState) handleFlushOk(from int, h membFlushOk, snk layer.Sink) {
-	if !s.flushing || !s.iAmCoord() || h.ViewSeq != s.proposedSeq || h.Round != s.round {
+// handleFlushAgg folds a direct child's subtree report into the round.
+func (s *membershipState) handleFlushAgg(from int, h membFlushAgg, snk layer.Sink) {
+	if !s.flushing || h.ViewSeq != s.proposedSeq || h.Round != s.round || s.agg.from == nil {
 		return
 	}
-	s.recordVector(from, h.Vector, snk)
+	if !slices.Contains(s.agg.children, from) || s.agg.from[from] {
+		return
+	}
+	s.agg.from[from] = true
+	s.agg.count += int(h.Count)
+	// The child's representative vector must equal ours on every origin;
+	// a node without a vector of its own cannot vouch for its subtree.
+	agree := s.agg.own != nil && slices.Equal(s.agg.own, h.Vector)
+	s.agg.mismatch = s.agg.mismatch || h.Mismatch || !agree
+	s.aggMergeMax(h.Max)
+	s.tryCompleteAgg(snk)
 }
 
-// recordVector stores a member's receive vector and installs the new
-// view once every survivor holds the same casts from every survivor.
-func (s *membershipState) recordVector(from int, vec []int64, snk layer.Sink) {
-	s.vectors[from] = vec
-	for r := 0; r < s.view.N(); r++ {
-		if s.excluded(r) {
-			continue
+func (s *membershipState) aggMergeMax(vec []int64) {
+	if s.agg.max == nil {
+		s.agg.max = make([]int64, len(vec))
+	}
+	for i, v := range vec {
+		if i < len(s.agg.max) && v > s.agg.max[i] {
+			s.agg.max[i] = v
 		}
-		if s.vectors[r] == nil {
+	}
+}
+
+// tryCompleteAgg fires once this node's own vector and all its direct
+// children's reports are in: interior nodes pass the fold to their
+// parent; the root installs the view if the whole survivor set agreed,
+// and otherwise waits for its timer to re-drive a fresh round.
+//
+// Agreement is required on every origin, including excluded ones. An
+// excluded member's casts may have reached some survivors and not
+// others; installing the view anyway would let some members deliver
+// casts the rest never see (and, with an ordering layer on top, stall
+// the laggards behind a sequence number that can no longer be filled).
+// The frontier in the next flush round re-NAKs such gaps, and mnak's
+// kept-receive buffers let any survivor serve them on the unreachable
+// origin's behalf.
+func (s *membershipState) tryCompleteAgg(snk layer.Sink) {
+	if !s.agg.ownIn {
+		return
+	}
+	for _, c := range s.agg.children {
+		if !s.agg.from[c] {
 			return
 		}
 	}
-	// All survivors reported: require agreement on every origin,
-	// including excluded ones. An excluded member's casts may have
-	// reached some survivors and not others; installing the view anyway
-	// would let some members deliver casts the rest never see (and, with
-	// an ordering layer on top, stall the laggards behind a sequence
-	// number that can no longer be filled). The frontier in the next
-	// flush round re-NAKs such gaps, and mnak's kept-receive buffers let
-	// any survivor serve them on the unreachable origin's behalf.
-	var ref []int64
-	for r := 0; r < s.view.N(); r++ {
-		if s.excluded(r) {
-			continue
-		}
-		if ref == nil {
-			ref = s.vectors[r]
-			continue
-		}
-		for o := 0; o < s.view.N(); o++ {
-			if s.vectors[r][o] != ref[o] {
-				return // not yet stable; the timer re-drives the flush
-			}
-		}
+	if s.agg.parent >= 0 {
+		ok := event.Alloc()
+		ok.Dir, ok.Type, ok.Peer = event.Dn, event.ESend, s.agg.parent
+		ok.Msg.Push(membFlushAgg{ViewSeq: s.proposedSeq, Round: s.round,
+			Count: int32(s.agg.count), Mismatch: s.agg.mismatch,
+			Vector: append([]int64(nil), s.agg.own...),
+			Max:    append([]int64(nil), s.agg.max...)})
+		snk.PassDn(ok)
+		return
+	}
+	// A root with no survivors is itself leaving, last of its view:
+	// nobody is left to agree with, and the empty view it announces
+	// tells every member, this one included, to exit.
+	if len(s.agg.surv) > 0 && (s.agg.mismatch || s.agg.count != len(s.agg.surv)) {
+		return
 	}
 	s.announceView(snk)
 }
 
 // announceView builds the agreed next view from the current exclusion
-// books and disseminates it: a single cast in flat mode, tree sends
-// plus direct sends to the excluded in tree mode.
+// books and disseminates it from the root: down the tree laid over the
+// NEW member list (the new view's rank order is the survivor order, so
+// flush tree and view tree coincide), directly to each excluded member
+// (expelled members and graceful leavers must still learn the outcome),
+// and finally installs it locally. The relayed sends leave under the
+// old epoch — the stack rebuild that EView triggers is deferred to the
+// end of the scheduling run.
 func (s *membershipState) announceView(snk layer.Sink) {
-	var members []event.Addr
+	h := membView{ViewSeq: s.proposedSeq}
 	for r := 0; r < s.view.N(); r++ {
 		if !s.excluded(r) {
-			members = append(members, s.view.Members[r])
+			h.Members = append(h.Members, s.view.Members[r])
 		}
 	}
-	h := membView{ViewSeq: s.proposedSeq, Members: members}
-	if s.fanout > 0 {
-		s.sendTreeView(h, snk)
+	s.relayView(h, snk)
+	for r := 0; r < s.view.N(); r++ {
+		if s.excluded(r) && r != s.view.Rank {
+			s.sendView(r, h, snk)
+		}
+	}
+	s.handleView(h, snk)
+}
+
+func (s *membershipState) sendView(peer int, h membView, snk layer.Sink) {
+	v := event.Alloc()
+	v.Dir, v.Type, v.Peer = event.Dn, event.ESend, peer
+	v.Msg.Push(membView{ViewSeq: h.ViewSeq, Members: append([]event.Addr(nil), h.Members...)})
+	snk.PassDn(v)
+}
+
+// relayView marks the view handled and sends it to this node's direct
+// children in the tree over the new member list.
+func (s *membershipState) relayView(h membView, snk layer.Sink) {
+	s.viewSent = h.ViewSeq
+	pos := slices.Index(h.Members, s.view.Members[s.view.Rank])
+	if pos < 0 {
 		return
 	}
-	v := event.Alloc()
-	v.Dir, v.Type = event.Dn, event.ECast
-	v.Msg.Push(h)
-	snk.PassDn(v)
+	lo, hi := treeSpan(pos, len(h.Members))
+	for _, a := range h.Members[lo:hi] {
+		if r := s.view.RankOf(a); r >= 0 {
+			s.sendView(r, h, snk)
+		}
+	}
+}
+
+// handleViewSend is a member receiving a view announcement over a tree
+// edge (or, for excluded members, directly from the root): validate
+// the sender against the tree the member list defines, relay to the
+// subtree, then install.
+func (s *membershipState) handleViewSend(from int, h membView, snk layer.Sink) {
+	if h.ViewSeq <= s.viewSent {
+		return
+	}
+	// The root heads its own member list, except in the empty view the
+	// last coordinator out sends to everyone directly.
+	rootRank := from
+	if len(h.Members) > 0 {
+		rootRank = s.view.RankOf(h.Members[0])
+	}
+	if rootRank < 0 || !s.authorized(rootRank) {
+		return
+	}
+	switch pos := slices.Index(h.Members, s.view.Members[s.view.Rank]); {
+	case pos < 0:
+		// We are excluded from the new view; only the root says so.
+		if from != rootRank {
+			return
+		}
+		s.viewSent = h.ViewSeq
+	case pos == 0 || from != s.view.RankOf(h.Members[treeParent(pos)]):
+		return
+	default:
+		s.relayView(h, snk)
+	}
+	s.handleView(h, snk)
 }
 
 // handleView installs the announced view: the group runtime rebuilds the
@@ -627,41 +729,30 @@ func (s *membershipState) announceView(snk layer.Sink) {
 // excluded).
 func (s *membershipState) handleView(h membView, snk layer.Sink) {
 	myAddr := s.view.Members[s.view.Rank]
-	rank := -1
-	for i, m := range h.Members {
-		if m == myAddr {
-			rank = i
-			break
+	var nv *event.View
+	if rank := slices.Index(h.Members, myAddr); rank >= 0 {
+		nv = &event.View{
+			ID:      event.ViewID{Coord: h.Members[0], Seq: h.ViewSeq},
+			Group:   s.view.Group,
+			Members: h.Members,
+			Rank:    rank,
 		}
-	}
-	if rank < 0 {
-		if s.leaving[s.view.Rank] {
-			// Our own graceful leave: this stack is done.
-			ex := event.Alloc()
-			ex.Dir, ex.Type = event.Up, event.EExit
-			snk.PassUp(ex)
-			return
-		}
+	} else if s.leaving[s.view.Rank] {
+		// Our own graceful leave: this stack is done.
+		ex := event.Alloc()
+		ex.Dir, ex.Type = event.Up, event.EExit
+		snk.PassUp(ex)
+		return
+	} else {
 		// Excluded involuntarily (a false suspicion, or a partition seen
 		// from the other side): continue as a singleton group and let
 		// the merge protocol reunite us, exactly as if the network had
 		// partitioned us away.
-		nv := &event.View{
+		nv = &event.View{
 			ID:      event.ViewID{Coord: myAddr, Seq: h.ViewSeq + 1},
 			Group:   s.view.Group,
 			Members: []event.Addr{myAddr},
 		}
-		s.flushing = false
-		up := event.Alloc()
-		up.Dir, up.Type, up.View = event.Up, event.EView, nv
-		snk.PassUp(up)
-		return
-	}
-	nv := &event.View{
-		ID:      event.ViewID{Coord: h.Members[0], Seq: h.ViewSeq},
-		Group:   s.view.Group,
-		Members: h.Members,
-		Rank:    rank,
 	}
 	s.flushing = false
 	up := event.Alloc()
