@@ -3,6 +3,8 @@ package bench
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"ensemble/internal/core"
@@ -13,18 +15,36 @@ import (
 
 // goldenTraceSHA256 is the hash of the cluster delivery trace (every
 // transmission's time, endpoints, length and CRC) of the 8-member MACH
-// seed-7 workload below, recorded at commit 699768e — the last commit
-// that still carried the 0xB7/0xB8 encoders beside the production 0xB9
-// path. It pins every byte members put on the simulated wire.
-const goldenTraceSHA256 = "be412b95fd79f4eb88be27720b6f67c5bd1e7c1616d37c2ae48902eb6d71a912"
+// seed-7 workload below. It pins every byte members put on the
+// simulated wire. Recorded twice: at commit 699768e, the last that
+// still carried the 0xB7/0xB8 encoders beside the production 0xB9 path
+// (be412b95…), and again when the sequencer's order announcements
+// began to leave compressed like every other recognized control shape:
+// those wires shrink, and the delivery check below holds the run to the
+// interpreted stack's behaviour.
+const goldenTraceSHA256 = "e725214f35eddfad73a866bc937a541360d25137ba681d9aed7ce53f8414e93c"
 
-// TestGoldenProductionTrace runs 8 production-configured members (MACH
-// bypass, cross-frame chains, adaptive flush, adaptive quantum) through
-// four all-cast rounds with a forced generation bump in the middle and
-// hashes Cluster.TraceString().
-func TestGoldenProductionTrace(t *testing.T) {
+// productionRun runs 8 production-configured members (cross-frame
+// chains, adaptive flush, adaptive quantum; the MACH bypass when
+// optimized) through four all-cast rounds with a forced generation bump
+// in the middle. It returns Cluster.TraceString() and each member's
+// deliveries, in order.
+func productionRun(t *testing.T, optimized bool) (trace string, delivered [][]string) {
+	t.Helper()
 	const members = 8
-	g, err := core.NewOptimizedClusterGroup(members, netsim.Ethernet100(), 7, layers.Stack10(), stack.Func, nil)
+	delivered = make([][]string, members)
+	build := func(rank int) core.Handlers {
+		return core.Handlers{OnCast: func(origin int, payload []byte) {
+			delivered[rank] = append(delivered[rank], fmt.Sprintf("%d:%x", origin, payload[:2]))
+		}}
+	}
+	newGroup := core.NewClusterGroup
+	if optimized {
+		newGroup = func(n int, p netsim.Profile, seed int64, names []string, mode stack.Mode, b func(int) core.Handlers) (*core.ClusterGroup, error) {
+			return core.NewOptimizedClusterGroup(n, p, seed, names, mode, b)
+		}
+	}
+	g, err := newGroup(members, netsim.Ethernet100(), 7, layers.Stack10(), stack.Func, build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +63,29 @@ func TestGoldenProductionTrace(t *testing.T) {
 		}
 	}
 	g.Run(int64(200e6))
-	trace := g.Cluster.TraceString()
+	return g.Cluster.TraceString(), delivered
+}
+
+// TestGoldenProductionTrace hashes the MACH run's trace, and holds the
+// run to the plain FUNC stack's behaviour on the same seed: every
+// member delivers the same casts in the same order.
+func TestGoldenProductionTrace(t *testing.T) {
+	trace, mach := productionRun(t, true)
 	if trace == "" {
 		t.Fatal("empty trace")
 	}
 	sum := sha256.Sum256([]byte(trace))
 	if got := hex.EncodeToString(sum[:]); got != goldenTraceSHA256 {
-		t.Fatalf("production trace moved: sha256 %s, want %s (%d trace bytes)", got, goldenTraceSHA256, len(trace))
+		t.Errorf("production trace moved: sha256 %s, want %s (%d trace bytes)", got, goldenTraceSHA256, len(trace))
+	}
+	_, plain := productionRun(t, false)
+	for r := range plain {
+		if len(plain[r]) != 32 {
+			t.Fatalf("member %d of the FUNC run delivered %d casts, want 32", r, len(plain[r]))
+		}
+		if !reflect.DeepEqual(mach[r], plain[r]) {
+			t.Errorf("member %d delivers differently under MACH:\n mach %v\n func %v", r, mach[r], plain[r])
+		}
 	}
 }
 

@@ -11,9 +11,11 @@ import (
 	"testing"
 
 	"ensemble/internal/event"
+	"ensemble/internal/layer"
 	"ensemble/internal/layers"
 	"ensemble/internal/netsim"
 	"ensemble/internal/stack"
+	"ensemble/internal/transport"
 )
 
 func TestMalformedPacketsCountedStray(t *testing.T) {
@@ -104,6 +106,30 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 					t.Fatalf("%s: member state moved: %+v, was %+v", cname, now, state)
 				}
 			}
+			// A well-formed full image under the right epoch and view tag
+			// whose headers are not this stack's: every layer pops one
+			// header and asserts its type, so these used to panic the
+			// member. The engine counts them itself.
+			dropped := func() int64 {
+				if optimized {
+					return m.Engine().Stats().Undecodable
+				}
+				return m.Stats().StrayPackets
+			}
+			for cname, image := range foreignImages(t) {
+				was := dropped()
+				data := appendUvarint(append([]byte(nil), epoch...), m.viewTag)
+				m.receive(netsim.Packet{From: 2, To: 1, Data: append(data, image...)})
+				if got := dropped(); got != was+1 {
+					t.Fatalf("%s: dropped %d packets, want 1", cname, got-was)
+				}
+				if now := snapshot(); !reflect.DeepEqual(now, state) {
+					t.Fatalf("%s: member state moved: %+v, was %+v", cname, now, state)
+				}
+			}
+			if !optimized {
+				n += 3
+			}
 			// A well-formed control message nobody is waiting for is not stray.
 			m.receive(netsim.Packet{From: 2, To: 1, Data: []byte{0x00, ctrlGrantAck, 0x63}})
 			if got := m.Stats().StrayPackets; got != before+n {
@@ -117,4 +143,44 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 			}
 		})
 	}
+}
+
+// foreignImages returns well-formed full wire images from rank 1 that no
+// 10-layer member can have sent: a cast with no headers at all, the
+// 4-layer stack's cast (its top header sits where mflow expects its
+// own), and a 10-layer cast that lost its bottom header.
+func foreignImages(t *testing.T) map[string][]byte {
+	t.Helper()
+	images := map[string][]byte{}
+	marshal := func(name string, ev *event.Event) {
+		var w transport.Writer
+		if err := transport.Marshal(ev, 1, &w); err != nil {
+			t.Fatal(err)
+		}
+		images[name] = append([]byte(nil), w.Bytes()...)
+	}
+	bare := event.CastEv([]byte("no headers"))
+	marshal("empty-header-stack", bare)
+	event.Free(bare)
+	for name, names := range map[string][]string{"foreign-header-stack": layers.Stack4(), "unanchored-header-stack": layers.Stack10()} {
+		v := event.NewView("g", 1, []event.Addr{1, 2}, 1)
+		stk, err := stack.Build(names, layer.DefaultConfig(v), stack.Func, stack.Callbacks{Net: func(ev *event.Event) {
+			if ev.Type != event.ECast {
+				return
+			}
+			if name == "unanchored-header-stack" {
+				event.FreeHeader(ev.Msg.Pop())
+			}
+			marshal(name, ev)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stk.SubmitDn(event.InitEv(v))
+		stk.SubmitDn(event.CastEv([]byte("from another stack")))
+	}
+	if len(images) != 3 {
+		t.Fatalf("built %d foreign images, want 3", len(images))
+	}
+	return images
 }

@@ -172,19 +172,73 @@ func TestEveryMemberLeaves(t *testing.T) {
 	}
 }
 
+// TestHeldCastDeliveredInAnnouncedView: a cast the application issues
+// while blocked is held through the flush and resubmitted in the next
+// view. When its sender is that view's sequencer the resubmission is
+// delivered back to it on the spot — which must be after OnView told the
+// application about the view, and ahead of anything OnView itself casts.
+func TestHeldCastDeliveredInAnnouncedView(t *testing.T) {
+	for _, optimized := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mach=%t", optimized), func(t *testing.T) {
+			var g *ClusterGroup
+			var announced *event.View
+			var log []string
+			handlers := func(rank int) Handlers {
+				if rank != 1 {
+					return Handlers{}
+				}
+				return Handlers{
+					OnBlock: func() { g.Members[1].Cast([]byte("held")) },
+					OnView: func(v *event.View) {
+						announced = v
+						g.Members[1].Cast([]byte("from OnView"))
+					},
+					OnCast: func(origin int, payload []byte) {
+						if cur := g.Members[1].View(); cur.N() == 2 {
+							if announced == nil || announced.ID != cur.ID {
+								t.Errorf("%q delivered in view %v before OnView announced it", payload, cur.ID)
+							}
+							log = append(log, string(payload))
+						}
+					},
+				}
+			}
+			newGroup := NewClusterGroup
+			if optimized {
+				newGroup = func(n int, p netsim.Profile, seed int64, names []string, mode stack.Mode, h func(int) Handlers) (*ClusterGroup, error) {
+					return NewOptimizedClusterGroup(n, p, seed, names, mode, h)
+				}
+			}
+			g, err := newGroup(3, netsim.Profile{Latency: 50_000}, 73, layers.StackVsync(), stack.Func, handlers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Run(int64(200e6))
+			g.Do(0, 0, func() { g.Members[0].Leave() })
+			g.Run(int64(5e9))
+			if want := []string{"held", "from OnView"}; !slices.Equal(log, want) {
+				t.Fatalf("rank 1 delivered %v in the new view, want %v", log, want)
+			}
+		})
+	}
+}
+
 func viewChangeCase(t *testing.T, n, victim int, crash, optimized bool) {
 	var g *ClusterGroup
 	var err error
 	caster := (victim + 1) % n
 	got := make([][]string, n) // "view/origin address/payload" per delivery
+	views := make([]*event.View, n)
 	blocked := false
 	handlers := func(rank int) Handlers {
 		return Handlers{
+			OnView: func(v *event.View) { views[rank] = v },
 			OnCast: func(origin int, payload []byte) {
-				// Tagged with the member's view, not the last OnView: a
-				// cast held through the flush is resubmitted, and reflected
-				// to its sender, before OnView announces the install.
-				v := g.Members[rank].View()
+				// Tagged with the last view the application was told about.
+				v := views[rank]
+				if v == nil {
+					v = g.Members[rank].View() // the initial view is not announced
+				}
 				got[rank] = append(got[rank], fmt.Sprintf("%v/%d/%s", v.ID, v.Members[origin], payload))
 			},
 			OnBlock: func() {

@@ -81,6 +81,7 @@ func (m *Member) EnableObs(sc *obs.Scope, trk *obs.Track) {
 			sc.Func("mach/dn_partial", func() int64 { return m.eng.Stats().DnPartial })
 			sc.Func("mach/dn_full", func() int64 { return m.eng.Stats().DnFull })
 			sc.Func("mach/up_bypass", func() int64 { return m.eng.Stats().UpBypass })
+			sc.Func("mach/up_partial", func() int64 { return m.eng.Stats().UpPartial })
 			sc.Func("mach/up_full", func() int64 { return m.eng.Stats().UpFull })
 			sc.Func("mach/uncompressed", func() int64 { return m.eng.Stats().Uncompressed })
 			sc.Func("mach/undecodable", func() int64 { return m.eng.Stats().Undecodable })

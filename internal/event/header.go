@@ -11,6 +11,11 @@ import "fmt"
 type Header interface {
 	// Layer names the micro-protocol the header belongs to.
 	Layer() string
+	// WireID is the wire identifier of the layer's header codec
+	// (transport.HeaderCodec.ID): how the transport finds the encoder
+	// without looking the layer up by name. 0 for a header no codec
+	// serializes.
+	WireID() byte
 	// HdrString renders the header for traces.
 	HdrString() string
 }
@@ -66,6 +71,9 @@ type NoHdr struct{ L string }
 
 // Layer implements Header.
 func (h NoHdr) Layer() string { return h.L }
+
+// WireID implements Header: no codec serializes a NoHdr.
+func (h NoHdr) WireID() byte { return 0 }
 
 // HdrString implements Header.
 func (h NoHdr) HdrString() string { return h.L + ":NoHdr" }
@@ -125,6 +133,15 @@ func (m *Message) EncodedHeaders() ([]byte, bool) {
 		return m.enc[len(m.enc):], true
 	}
 	return m.enc[m.encOff[k-1]:], true
+}
+
+// Own makes the message independent of the buffers it arrived in, for a
+// layer that holds the event past the call that handed it over: the
+// payload is copied, and the record of where the headers were decoded
+// from is dropped.
+func (m *Message) Own() {
+	m.Payload = append([]byte(nil), m.Payload...)
+	m.enc = nil
 }
 
 // Pop removes and returns the top header. It panics if the stack is

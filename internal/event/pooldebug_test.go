@@ -18,6 +18,7 @@ func newPdHdr(v int64) *pdHdr {
 }
 
 func (*pdHdr) Layer() string       { return "pd" }
+func (*pdHdr) WireID() byte        { return 0 }
 func (h *pdHdr) HdrString() string { return "pd:Hdr" }
 func (h *pdHdr) CloneHdr() Header  { return newPdHdr(h.V) }
 func (h *pdHdr) FreeHdr()          { pdHdrPool.Put(h) }

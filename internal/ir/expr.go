@@ -13,6 +13,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -89,13 +90,13 @@ func (HdrField) isExpr() {}
 func (Bin) isExpr()      {}
 func (Not) isExpr()      {}
 
-func (c Const) String() string    { return fmt.Sprintf("%d", int64(c)) }
-func (v Var) String() string      { return "s." + string(v) }
-func (i Index) String() string    { return fmt.Sprintf("s.%s[%s]", i.Name, i.Idx) }
-func (f EvField) String() string  { return "ev." + string(f) }
-func (f HdrField) String() string { return "hdr." + string(f) }
-func (b Bin) String() string      { return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R) }
-func (n Not) String() string      { return fmt.Sprintf("!(%s)", n.E) }
+func (c Const) String() string    { return Key(c) }
+func (v Var) String() string      { return Key(v) }
+func (i Index) String() string    { return Key(i) }
+func (f EvField) String() string  { return Key(f) }
+func (f HdrField) String() string { return Key(f) }
+func (b Bin) String() string      { return Key(b) }
+func (n Not) String() string      { return Key(n) }
 
 // Convenience constructors keep the layer IR definitions readable.
 
@@ -130,10 +131,46 @@ func And(es ...Expr) Expr {
 	return out
 }
 
-// Key returns the canonical string form used for fact lookup during
-// partial evaluation. Structural equality of rendered forms is the
-// equality the evaluator reasons with.
-func Key(e Expr) string { return e.String() }
+// Key returns the canonical string form — what String prints — used
+// for fact lookup during partial evaluation. Structural equality of
+// rendered forms is the equality the evaluator reasons with, and the
+// evaluator asks for a key at every node it visits, so the rendering is
+// one append pass, not a Sprintf per node.
+func Key(e Expr) string {
+	var buf [96]byte
+	return string(appendKey(buf[:0], e))
+}
+
+func appendKey(b []byte, e Expr) []byte {
+	switch e := e.(type) {
+	case Const:
+		return strconv.AppendInt(b, int64(e), 10)
+	case Var:
+		return append(append(b, "s."...), e...)
+	case Index:
+		b = append(append(append(b, "s."...), e.Name...), '[')
+		return append(appendKey(b, e.Idx), ']')
+	case EvField:
+		return append(append(b, "ev."...), e...)
+	case HdrField:
+		return append(append(b, "hdr."...), e...)
+	case Bin:
+		b = append(appendKey(append(b, '('), e.L), ' ')
+		b = append(append(b, e.Op.String()...), ' ')
+		return append(appendKey(b, e.R), ')')
+	case Not:
+		return append(appendKey(append(b, "!("...), e.E), ')')
+	case QVar:
+		return append(append(append(append(b, "s_"...), e.Layer...), '.'), e.Name...)
+	case QIndex:
+		b = append(append(append(append(b, "s_"...), e.Layer...), '.'), e.Name...)
+		return append(appendKey(append(b, '['), e.Idx), ']')
+	case QHdr:
+		return append(append(append(append(b, "hdr_"...), e.Layer...), '.'), e.Field...)
+	default:
+		panic(fmt.Sprintf("ir: no rendering for expression %T", e))
+	}
+}
 
 // Walk visits e and every subexpression.
 func Walk(e Expr, visit func(Expr)) {

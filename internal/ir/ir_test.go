@@ -259,6 +259,7 @@ func TestReadHdr(t *testing.T) {
 type testHdr struct{ s int64 }
 
 func (testHdr) Layer() string     { return "t" }
+func (testHdr) WireID() byte      { return 0 }
 func (testHdr) HdrString() string { return "t" }
 
 func TestSizeAndPaths(t *testing.T) {

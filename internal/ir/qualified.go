@@ -1,7 +1,5 @@
 package ir
 
-import "fmt"
-
 // Qualified expression leaves. A layer's IR names its own variables
 // unqualified; when the optimizer composes theorems across a stack it
 // rewrites each layer's references into these qualified forms so the
@@ -26,9 +24,9 @@ func (QVar) isExpr()   {}
 func (QIndex) isExpr() {}
 func (QHdr) isExpr()   {}
 
-func (v QVar) String() string   { return fmt.Sprintf("s_%s.%s", v.Layer, v.Name) }
-func (i QIndex) String() string { return fmt.Sprintf("s_%s.%s[%s]", i.Layer, i.Name, i.Idx) }
-func (h QHdr) String() string   { return fmt.Sprintf("hdr_%s.%s", h.Layer, h.Field) }
+func (v QVar) String() string   { return Key(v) }
+func (i QIndex) String() string { return Key(i) }
+func (h QHdr) String() string   { return Key(h) }
 
 func (QVar) isLValue()   {}
 func (QIndex) isLValue() {}

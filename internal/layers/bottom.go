@@ -23,6 +23,7 @@ type bottomState struct {
 type bottomHdr struct{}
 
 func (bottomHdr) Layer() string     { return Bottom }
+func (bottomHdr) WireID() byte      { return idBottom }
 func (bottomHdr) HdrString() string { return "bottom:Full_nohdr" }
 
 func init() {

@@ -22,6 +22,7 @@ type chkState struct {
 type chkHdr struct{ Sum uint32 }
 
 func (chkHdr) Layer() string       { return Chk }
+func (chkHdr) WireID() byte        { return idChk }
 func (h chkHdr) HdrString() string { return fmt.Sprintf("chk:Sum(%08x)", h.Sum) }
 
 func init() {

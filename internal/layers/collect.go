@@ -53,7 +53,9 @@ type (
 )
 
 func (collectPass) Layer() string   { return Collect }
+func (collectPass) WireID() byte    { return idCollect }
 func (collectGossip) Layer() string { return Collect }
+func (collectGossip) WireID() byte  { return idCollect }
 
 func (collectPass) HdrString() string     { return "collect:Pass" }
 func (h collectGossip) HdrString() string { return fmt.Sprintf("collect:Gossip(%v)", h.Vector) }

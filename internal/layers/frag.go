@@ -50,7 +50,9 @@ type (
 )
 
 func (fragSolo) Layer() string { return Frag }
+func (fragSolo) WireID() byte  { return idFrag }
 func (fragFrag) Layer() string { return Frag }
+func (fragFrag) WireID() byte  { return idFrag }
 
 func (fragSolo) HdrString() string   { return "frag:Solo" }
 func (h fragFrag) HdrString() string { return fmt.Sprintf("frag:Frag(%d/%d)", h.Idx, h.Of) }

@@ -115,8 +115,8 @@ func copyHdrs(h []event.Header) []event.Header {
 // the *other* side of the queueing layer, which must be preserved for
 // re-emission), and the application-payload flag. It is what the layers
 // that hold messages in arrival order use — the flow-control queues
-// (mflow, pt2ptw) and total's pending sets; the layers that retain by
-// sequence number use msgLog.
+// (mflow, pt2ptw); the layers that retain by sequence number use msgLog,
+// and total holds the waiting events themselves.
 //
 // Boxes are pooled; ownership is explicit. A layer that queues a message
 // holds the box until it transferTo()s it (message re-emitted with

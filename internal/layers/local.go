@@ -18,6 +18,7 @@ type localState struct {
 type localHdr struct{}
 
 func (localHdr) Layer() string     { return Local }
+func (localHdr) WireID() byte      { return idLocal }
 func (localHdr) HdrString() string { return "local:NoHdr" }
 
 func init() {

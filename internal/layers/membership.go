@@ -163,10 +163,15 @@ type (
 )
 
 func (membPass) Layer() string      { return Membership }
+func (membPass) WireID() byte       { return idMembership }
 func (membFlushTree) Layer() string { return Membership }
+func (membFlushTree) WireID() byte  { return idMembership }
 func (membFlushAgg) Layer() string  { return Membership }
+func (membFlushAgg) WireID() byte   { return idMembership }
 func (membView) Layer() string      { return Membership }
+func (membView) WireID() byte       { return idMembership }
 func (membLeave) Layer() string     { return Membership }
+func (membLeave) WireID() byte      { return idMembership }
 
 func (membPass) HdrString() string { return "membership:Pass" }
 func (h membFlushTree) HdrString() string {

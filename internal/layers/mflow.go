@@ -54,8 +54,11 @@ type (
 )
 
 func (mflowData) Layer() string   { return Mflow }
+func (mflowData) WireID() byte    { return idMflow }
 func (mflowCredit) Layer() string { return Mflow }
+func (mflowCredit) WireID() byte  { return idMflow }
 func (mflowPass) Layer() string   { return Mflow }
+func (mflowPass) WireID() byte    { return idMflow }
 
 func (mflowData) HdrString() string     { return "mflow:Data" }
 func (h mflowCredit) HdrString() string { return fmt.Sprintf("mflow:Credit(%d)", h.Bytes) }

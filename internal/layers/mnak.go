@@ -84,9 +84,13 @@ func newMnakData(seq int64) *mnakData {
 }
 
 func (*mnakData) Layer() string   { return Mnak }
+func (*mnakData) WireID() byte    { return idMnak }
 func (mnakPass) Layer() string    { return Mnak }
+func (mnakPass) WireID() byte     { return idMnak }
 func (mnakNak) Layer() string     { return Mnak }
+func (mnakNak) WireID() byte      { return idMnak }
 func (mnakRetrans) Layer() string { return Mnak }
+func (mnakRetrans) WireID() byte  { return idMnak }
 
 func (h *mnakData) HdrString() string { return fmt.Sprintf("mnak:Data(%d)", h.Seqno) }
 func (mnakPass) HdrString() string    { return "mnak:Pass" }

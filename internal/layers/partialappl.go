@@ -18,16 +18,17 @@ type partialApplState struct {
 	// sent and delivered count application messages through this
 	// interface, per peer, matching the accounting Ensemble's
 	// application interface maintains.
-	castsSent     int64
-	sendsSent     []int64
-	castsDeliv    []int64
-	sendsDeliv    []int64
-	stableVec     []int64
+	castsSent  int64
+	sendsSent  []int64
+	castsDeliv []int64
+	sendsDeliv []int64
+	stableVec  []int64
 }
 
 type paplHdr struct{}
 
 func (paplHdr) Layer() string     { return PartialAppl }
+func (paplHdr) WireID() byte      { return idPartialAppl }
 func (paplHdr) HdrString() string { return "partial_appl:NoHdr" }
 
 func init() {

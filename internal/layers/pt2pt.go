@@ -62,14 +62,20 @@ func newP2pData(seq, ack int64) *p2pData {
 }
 
 func (*p2pData) Layer() string   { return Pt2pt }
+func (*p2pData) WireID() byte    { return idPt2pt }
 func (p2pRetrans) Layer() string { return Pt2pt }
+func (p2pRetrans) WireID() byte  { return idPt2pt }
 func (p2pAck) Layer() string     { return Pt2pt }
+func (p2pAck) WireID() byte      { return idPt2pt }
 func (p2pPass) Layer() string    { return Pt2pt }
+func (p2pPass) WireID() byte     { return idPt2pt }
 
-func (h *p2pData) HdrString() string   { return fmt.Sprintf("pt2pt:Data(%d,ack=%d)", h.Seqno, h.Ack) }
-func (h p2pRetrans) HdrString() string { return fmt.Sprintf("pt2pt:Retrans(%d,ack=%d)", h.Seqno, h.Ack) }
-func (h p2pAck) HdrString() string     { return fmt.Sprintf("pt2pt:Ack(%d)", h.Ack) }
-func (p2pPass) HdrString() string      { return "pt2pt:Pass" }
+func (h *p2pData) HdrString() string { return fmt.Sprintf("pt2pt:Data(%d,ack=%d)", h.Seqno, h.Ack) }
+func (h p2pRetrans) HdrString() string {
+	return fmt.Sprintf("pt2pt:Retrans(%d,ack=%d)", h.Seqno, h.Ack)
+}
+func (h p2pAck) HdrString() string { return fmt.Sprintf("pt2pt:Ack(%d)", h.Ack) }
+func (p2pPass) HdrString() string  { return "pt2pt:Pass" }
 
 func (h *p2pData) CloneHdr() event.Header { return newP2pData(h.Seqno, h.Ack) }
 func (h *p2pData) FreeHdr()               { p2pDataPool.Put(h) }

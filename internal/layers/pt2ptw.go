@@ -41,12 +41,15 @@ type (
 )
 
 func (p2pwData) Layer() string { return Pt2ptw }
+func (p2pwData) WireID() byte  { return idPt2ptw }
 func (p2pwAck) Layer() string  { return Pt2ptw }
+func (p2pwAck) WireID() byte   { return idPt2ptw }
 func (p2pwPass) Layer() string { return Pt2ptw }
+func (p2pwPass) WireID() byte  { return idPt2ptw }
 
-func (p2pwData) HdrString() string   { return "pt2ptw:Data" }
-func (h p2pwAck) HdrString() string  { return fmt.Sprintf("pt2ptw:Ack(%d)", h.Count) }
-func (p2pwPass) HdrString() string   { return "pt2ptw:Pass" }
+func (p2pwData) HdrString() string  { return "pt2ptw:Data" }
+func (h p2pwAck) HdrString() string { return fmt.Sprintf("pt2ptw:Ack(%d)", h.Count) }
+func (p2pwPass) HdrString() string  { return "pt2ptw:Pass" }
 
 const (
 	p2pwTagData byte = iota

@@ -44,7 +44,9 @@ func newSeqnoData(seq int64) *seqnoData {
 }
 
 func (*seqnoData) Layer() string { return Seqno }
+func (*seqnoData) WireID() byte  { return idSeqno }
 func (seqnoPass) Layer() string  { return Seqno }
+func (seqnoPass) WireID() byte   { return idSeqno }
 
 func (h *seqnoData) HdrString() string { return fmt.Sprintf("seqno:Data(%d)", h.Seqno) }
 func (seqnoPass) HdrString() string    { return "seqno:Pass" }

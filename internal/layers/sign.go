@@ -38,6 +38,7 @@ type signHdr struct {
 }
 
 func (signHdr) Layer() string       { return Sign }
+func (signHdr) WireID() byte        { return idSign }
 func (h signHdr) HdrString() string { return fmt.Sprintf("sign:Mac(%x…)", h.Mac[:4]) }
 
 // Sign is the component name.

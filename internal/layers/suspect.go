@@ -37,7 +37,9 @@ type (
 )
 
 func (suspectPass) Layer() string { return Suspect }
+func (suspectPass) WireID() byte  { return idSuspect }
 func (suspectPing) Layer() string { return Suspect }
+func (suspectPing) WireID() byte  { return idSuspect }
 
 func (suspectPass) HdrString() string { return "suspect:Pass" }
 func (suspectPing) HdrString() string { return "suspect:Ping" }

@@ -18,6 +18,7 @@ type topState struct {
 type topHdr struct{}
 
 func (topHdr) Layer() string     { return Top }
+func (topHdr) WireID() byte      { return idTop }
 func (topHdr) HdrString() string { return "top:NoHdr" }
 
 func init() {

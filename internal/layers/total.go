@@ -29,13 +29,14 @@ type totalState struct {
 	// gCount is the next global number to assign (coordinator only).
 	gCount int64
 
-	// pending holds ordered-but-not-yet-deliverable messages by global
-	// sequence number.
-	pending map[int64]totalPending
+	// pending holds ordered-but-not-yet-deliverable casts by global
+	// sequence number: the events themselves, total's header popped, each
+	// with its own copy of the payload (event.Message.Own).
+	pending map[int64]*event.Event
 
 	// unordered holds casts waiting for an order announcement, keyed by
 	// (origin, local sequence).
-	unordered map[totalKey]totalPending
+	unordered map[totalKey]*event.Event
 
 	// earlyOrders holds order announcements that arrived before their
 	// cast.
@@ -52,11 +53,6 @@ type totalState struct {
 type totalKey struct {
 	origin int
 	lseq   int64
-}
-
-type totalPending struct {
-	origin int
-	msg    *savedMsg
 }
 
 // total header variants.
@@ -87,8 +83,11 @@ func newTotalData(lseq, gseq int64) *totalData {
 }
 
 func (*totalData) Layer() string { return Total }
+func (*totalData) WireID() byte  { return idTotal }
 func (totalOrder) Layer() string { return Total }
+func (totalOrder) WireID() byte  { return idTotal }
 func (totalPass) Layer() string  { return Total }
+func (totalPass) WireID() byte   { return idTotal }
 
 func (h *totalData) HdrString() string {
 	return fmt.Sprintf("total:Data(%d,g=%d)", h.LocalSeq, h.GSeq)
@@ -111,8 +110,8 @@ func init() {
 	layer.Register(Total, func(cfg layer.Config) layer.State {
 		return &totalState{
 			view:        cfg.View,
-			pending:     make(map[int64]totalPending),
-			unordered:   make(map[totalKey]totalPending),
+			pending:     make(map[int64]*event.Event),
+			unordered:   make(map[totalKey]*event.Event),
 			earlyOrders: make(map[totalKey]int64),
 		}
 	})
@@ -207,31 +206,32 @@ func (s *totalState) HandleUp(ev *event.Event, snk layer.Sink) {
 // exactly the next global sequence number, with nothing pending, needs
 // no buffering — this is the same common-case predicate the optimizer
 // compiles (irdef_total.go upCCP), and it keeps the hot path free of
-// buffering. A cast that must wait hands its header stack to the box
-// (takeMsg); its payload is copied there, because the member's own casts
-// reach this layer through local's bounce still in the caller's buffer.
+// buffering. A cast that must wait is held as the event it is, with its
+// own copy of the payload: the bytes it arrived with belong to the
+// network's buffer or — the member's own casts reach this layer through
+// local's bounce — to the application.
 func (s *totalState) handleData(origin int, lseq, gseq int64, ev *event.Event, snk layer.Sink) {
 	if gseq == s.nextGlobal && len(s.pending) == 0 {
 		s.nextGlobal++
 		snk.PassUp(ev)
 		return
 	}
-	p := totalPending{origin: origin, msg: takeMsg(ev)}
+	ev.Msg.Own()
 	switch {
 	case gseq >= 0:
-		s.pending[gseq] = p
+		s.pending[gseq] = ev
 	case s.sequencer():
 		g := s.gCount
 		s.gCount++
-		s.pending[g] = p
+		s.pending[g] = ev
 		s.announce(origin, lseq, g, snk)
 	default:
 		key := totalKey{origin: origin, lseq: lseq}
 		if g, ok := s.earlyOrders[key]; ok {
 			delete(s.earlyOrders, key)
-			s.pending[g] = p
+			s.pending[g] = ev
 		} else {
-			s.unordered[key] = p
+			s.unordered[key] = ev
 		}
 	}
 	s.drain(snk)
@@ -247,7 +247,13 @@ func (s *totalState) handleOrder(h totalOrder, snk layer.Sink) {
 	key := totalKey{origin: int(h.Origin), lseq: h.LocalSeq}
 	if p, ok := s.unordered[key]; ok {
 		delete(s.unordered, key)
-		s.pending[h.GSeq] = p
+		if h.GSeq == s.nextGlobal {
+			// Next in the order: no need to go through the pending set.
+			s.nextGlobal++
+			snk.PassUp(p)
+		} else {
+			s.pending[h.GSeq] = p
+		}
 		s.drain(snk)
 		return
 	}
@@ -271,9 +277,6 @@ func (s *totalState) drain(snk layer.Sink) {
 		}
 		delete(s.pending, s.nextGlobal)
 		s.nextGlobal++
-		out := event.Alloc()
-		out.Dir, out.Type, out.Peer = event.Up, event.ECast, p.origin
-		p.msg.transferTo(out)
-		snk.PassUp(out)
+		snk.PassUp(p)
 	}
 }

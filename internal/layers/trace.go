@@ -39,6 +39,7 @@ const idTrace byte = 19
 type traceHdr struct{}
 
 func (traceHdr) Layer() string     { return Trace }
+func (traceHdr) WireID() byte      { return idTrace }
 func (traceHdr) HdrString() string { return "trace:NoHdr" }
 
 const traceRingSize = 64

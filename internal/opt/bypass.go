@@ -3,6 +3,7 @@ package opt
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ensemble/internal/event"
 	"ensemble/internal/ir"
@@ -24,6 +25,9 @@ type Engine struct {
 
 	stk    stack.Stack
 	states []layer.State
+	// wireIDs are the layers' header codec ids, top first: the shape a
+	// full wire image must have (transport.UnmarshalFor).
+	wireIDs []byte
 
 	dnCast *compiledDnPath
 	dnSend *compiledDnPath
@@ -31,7 +35,9 @@ type Engine struct {
 	// specialized, self-delivery through the shared stack. Tried when
 	// dnCast's CCP fails.
 	dnCastPartial *compiledDnPath
-	upByID        map[uint16]*compiledUpPath
+	// up holds the compiled up paths, one per wire signature that can
+	// arrive: a handful, found by scanning for the identifier.
+	up []*compiledUpPath
 
 	// castOrder is the profile-ranked probe order for down-going casts
 	// (see dispatch.go); ctrl are the sender-side control recognizers
@@ -45,10 +51,9 @@ type Engine struct {
 	ctrlVary []int64
 	ctrlWire []byte
 
-	// miniUp carries bounce-fallback self-delivery copies through the
-	// layers above the bouncing layer (sharing their states with the
-	// full stack).
-	miniUp stack.Stack
+	// bounceAt is the layer a bounce-fallback self-delivery copy enters
+	// the stack at (the one above the bouncing layer); -1 without one.
+	bounceAt int
 
 	// SendWire transmits a marshaled packet: cast fans out, send goes to
 	// the member at rank dst. The wire image lives in a reused buffer and
@@ -156,8 +161,10 @@ type pendingEffect struct {
 // capture evaluates the effects' arguments and encodes the header stacks
 // they buffer, in the read phase: both are pre-state values. The capped
 // subslices it carves from the arenas stay readable even if a later
-// append regrows an arena — values already written never move.
-func (s *scratch) capture(effects []compiledEffect, ctx *rtCtx, payload []byte) []pendingEffect {
+// append regrows an arena — values already written never move. have
+// holds the theorem's topmost headers where the caller has materialized
+// them already (a hand-off's event); they are encoded from there.
+func (s *scratch) capture(effects []compiledEffect, ctx *rtCtx, payload []byte, appl bool, have []event.Header) []pendingEffect {
 	pend := s.pend[:0]
 	for _, eff := range effects {
 		argStart := len(s.args)
@@ -171,15 +178,23 @@ func (s *scratch) capture(effects []compiledEffect, ctx *rtCtx, payload []byte) 
 				s.himg.Raw(p.fixed)
 				continue
 			}
-			h := p.hdr.materialize(ctx)
+			owned := p.entry >= len(have)
+			var h event.Header
+			if owned {
+				h = p.hdr.materialize(ctx)
+			} else {
+				h = have[p.entry]
+			}
 			if err := transport.EncodeHeader(h, &s.himg); err != nil {
 				panic(fmt.Sprintf("opt: encoding a buffered header: %v", err))
 			}
-			event.FreeHeader(h)
+			if owned {
+				event.FreeHeader(h)
+			}
 		}
 		img := s.himg.Header()
 		pend = append(pend, pendingEffect{run: eff.run, ectx: ir.EffectCtx{
-			Args: args, Payload: payload, ApplMsg: true,
+			Args: args, Payload: payload, ApplMsg: appl,
 			Hdrs: img[imgStart:len(img):len(img)], NHdrs: eff.nhdrs,
 		}})
 	}
@@ -187,18 +202,30 @@ func (s *scratch) capture(effects []compiledEffect, ctx *rtCtx, payload []byte) 
 	return pend
 }
 
-// EngineStats counts bypass routing decisions.
+// EngineStats counts bypass routing decisions. Every event the engine
+// routes lands on exactly one of DnBypass, DnPartial, DnFull, UpBypass
+// and UpFull.
 type EngineStats struct {
+	// DnBypass counts casts and sends that took a fully compiled down
+	// path, DnFull those the interpreted stack took from the top.
 	DnBypass, DnFull int64
 	// DnPartial counts casts that took the partial (bounce-fallback)
 	// bypass path.
 	DnPartial int64
+	// UpBypass counts compressed arrivals that ran compiled code for at
+	// least the bottom layer. UpPartial is the subset whose common case
+	// failed (or was never derivable) at a layer above it: the compiled
+	// code ran for the layers below and the stack took the event from
+	// there. UpFull counts arrivals the stack interpreted from the
+	// bottom: full wire images, and compressed ones whose bottom layer's
+	// common case failed — Uncompressed counts the latter alone.
 	UpBypass, UpFull int64
-	Uncompressed     int64 // compressed packets that failed the CCP and were expanded
+	UpPartial        int64
+	Uncompressed     int64
 	Undecodable      int64
 	// CtrlCompressed counts control messages recognized at the stack's
-	// net exit and emitted compressed; CtrlFull counts stack-exit sends
-	// no recognizer matched (full marshal).
+	// net exit and emitted compressed; CtrlFull counts stack-exit
+	// messages no recognizer matched (full marshal).
 	CtrlCompressed, CtrlFull int64
 	// PathHits and PathMisses are the per-path dispatch counters:
 	// Hits[p] counts events routed to path p (PathFullStack hits are
@@ -227,22 +254,33 @@ type compiledDnPath struct {
 }
 
 // compiledUpPath is one compiled up-going bypass, for one wire
-// signature.
+// signature. It is divisible at layer boundaries: ccp, writes and
+// effects hold the layers' contributions bottom first, and th.Cuts
+// records where each layer's end.
 type compiledUpPath struct {
-	th      *StackTheorem
-	sig     WireSig
-	nvary   int
-	cast    bool
-	pid     PathID
-	// consumed marks a partial-stack control path: the event is absorbed
-	// (no application delivery).
-	consumed bool
-	ccp      []cexpr
-	writes   []compiledWrite
-	effects  []compiledEffect
-	// full rebuilds the complete header stack for CCP misses: the
-	// generated uncompression function that wraps the stack (§4.1.3).
-	full []compiledHdr
+	th    *StackTheorem
+	sig   WireSig
+	id    uint16
+	nvary int
+	cast  bool
+	pid   PathID
+	// whole marks a theorem that covers its whole signature: when every
+	// conjunct holds the event is delivered, or — consumed — absorbed
+	// (a control path). Otherwise even then the event is handed to the
+	// stack at the first layer the theorem does not cover.
+	whole, consumed bool
+	// appl is the event's application-payload flag: set unless the
+	// message originated mid-stack (its signature starts below the top).
+	appl    bool
+	ccp     []cexpr
+	writes  []compiledWrite
+	effects []compiledEffect
+	// owner[i] is how many layers lie below the one ccp[i] belongs to.
+	owner []int
+	// hdrs rebuilds the signature's header stack, top first, for the
+	// layers an arrival is handed to: the generated uncompression
+	// function (§4.1.3), run for as many headers as are needed.
+	hdrs []compiledHdr
 }
 
 // NewEngine builds the optimized configuration for one member: the
@@ -266,6 +304,7 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode, opts ...Engine
 		return nil, err
 	}
 	e.states = states
+	e.wireIDs = transport.StackIDs(names)
 	e.stk = stack.FromStates(states, mode, stack.Callbacks{App: e.appEvent, Net: e.netEvent})
 
 	anyStates := make([]any, len(states))
@@ -277,8 +316,21 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode, opts ...Engine
 		return nil, err
 	}
 
-	e.dnCast = e.compileDn(comp, ir.DnCast)
-	e.dnSend = e.compileDn(comp, ir.DnSend)
+	// Every rank's down theorems, composed once: this member's own are
+	// compiled into its down bypasses, and everyone's wire signatures are
+	// what can arrive here. nil where a path has no bypass (every such
+	// event takes the stack).
+	dn := map[ir.PathKey][]*StackTheorem{}
+	for _, path := range []ir.PathKey{ir.DnCast, ir.DnSend} {
+		dn[path] = make([]*StackTheorem, e.N)
+		for r := range dn[path] {
+			if th, err := ComposeDn(names, path, r, e.N); err == nil {
+				dn[path][r] = th
+			}
+		}
+	}
+	e.dnCast = e.compileTheorem(comp, dn[ir.DnCast][e.Rank])
+	e.dnSend = e.compileTheorem(comp, dn[ir.DnSend][e.Rank])
 	if e.dnCast != nil && e.dnCast.th.SelfDeliver {
 		// The second bypass path: same wire image, self-delivery through
 		// the stack; fires when the full path's ordering conjuncts fail.
@@ -295,47 +347,24 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode, opts ...Engine
 	if e.dnCastPartial != nil {
 		e.dnCastPartial.pid = PathDnCastPartial
 	}
-	bounceLayer := ""
-	if e.dnCast != nil && e.dnCast.th.BounceFallback {
-		bounceLayer = e.dnCast.th.BounceLayer
-	}
-	if e.dnCastPartial != nil && e.dnCastPartial.th.BounceFallback {
-		bounceLayer = e.dnCastPartial.th.BounceLayer
-	}
-	if bounceLayer != "" {
-		// The fallback copy re-enters the layers above the bouncing one;
-		// they share state with the full stack. Data-path up handlers of
-		// those layers never emit downward (they only buffer or
-		// deliver), so the mini-stack's net exit is unreachable.
-		idx := -1
-		for i, n := range names {
-			if n == bounceLayer {
-				idx = i
-				break
-			}
-		}
-		if idx > 0 {
-			e.miniUp = stack.FromStates(states[:idx], mode, stack.Callbacks{
-				App: e.appEvent,
-				Net: func(ev *event.Event) {
-					panic("opt: bounce-fallback upper layer emitted a down event on the data path")
-				},
-			})
+	e.bounceAt = -1
+	for _, cp := range []*compiledDnPath{e.dnCast, e.dnCastPartial} {
+		if cp != nil && cp.th.BounceFallback {
+			// The fallback copy re-enters the shared stack at the layer
+			// above the bouncing one.
+			e.bounceAt = slices.Index(names, cp.th.BounceLayer) - 1
 		}
 	}
 
 	// Up paths: one per wire signature any member's down bypass can
 	// produce. All members compute the same set deterministically.
-	e.upByID = map[uint16]*compiledUpPath{}
 	for _, path := range []ir.PathKey{ir.DnCast, ir.DnSend} {
-		for r := 0; r < e.N; r++ {
-			dn, err := ComposeDn(names, path, r, e.N)
-			if err != nil {
+		for _, th := range dn[path] {
+			if th == nil {
 				continue
 			}
-			sig := SignatureOf(dn)
-			id := sig.ID()
-			if _, done := e.upByID[id]; done {
+			sig := SignatureOf(th)
+			if e.upPath(sig.ID()) != nil {
 				continue
 			}
 			upPath := ir.PathKey{Dir: event.Up, Kind: path.Kind}
@@ -351,21 +380,21 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode, opts ...Engine
 			if cp.cast {
 				cp.pid = PathUpCast
 			}
-			e.upByID[id] = cp
+			e.up = append(e.up, cp)
 		}
 	}
 
-	// Control paths: acknowledgment and retransmission signatures, one
-	// per emitting rank (deduplicated by identifier like the data set).
-	// The receive side is an ordinary compiled up path; the send side is
-	// a structural recognizer at the stack's net exit for this member's
-	// own signatures.
+	// Control paths: the signatures of messages that originate mid-stack
+	// (acknowledgments, retransmissions, order announcements), one set per
+	// emitting rank, deduplicated by identifier like the data set. The
+	// receive side is an ordinary compiled up path; the send side is a
+	// structural recognizer at the stack's net exit for this member's own
+	// signatures.
 	if !ec.noControl {
 		for r := 0; r < e.N; r++ {
-			for _, cs := range controlSigs(names, r, e.N) {
-				id := cs.sig.ID()
-				if _, done := e.upByID[id]; !done {
-					upTh, err := ComposeUp(names, ir.UpSend, e.Rank, e.N, cs.sig)
+			for _, cs := range controlSigs(names, r, dn[ir.DnSend][r]) {
+				if e.upPath(cs.sig.ID()) == nil {
+					upTh, err := ComposeUp(names, ir.PathKey{Dir: event.Up, Kind: cs.sig.Path.Kind}, e.Rank, e.N, cs.sig)
 					if err != nil {
 						continue
 					}
@@ -374,8 +403,7 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode, opts ...Engine
 						return nil, fmt.Errorf("opt: compiling control up bypass: %w", err)
 					}
 					cp.pid = cs.upPid
-					cp.consumed = upTh.Consumed
-					e.upByID[id] = cp
+					e.up = append(e.up, cp)
 				}
 				if r == e.Rank {
 					m, err := newCtrlMatcher(cs)
@@ -391,18 +419,11 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode, opts ...Engine
 	return e, nil
 }
 
-// compileDn derives and compiles one down path; nil when the path has no
-// bypass (every event then takes the stack).
-func (e *Engine) compileDn(comp *compiler, path ir.PathKey) *compiledDnPath {
-	th, err := ComposeDn(e.Names, path, e.Rank, e.N)
-	if err != nil {
+// compileTheorem compiles a composed down-path theorem; nil for none.
+func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem) *compiledDnPath {
+	if th == nil {
 		return nil
 	}
-	return e.compileTheorem(comp, th)
-}
-
-// compileTheorem compiles a composed down-path theorem.
-func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem) *compiledDnPath {
 	sig := SignatureOf(th)
 	comp.setVarying(nil)
 	cp := &compiledDnPath{th: th, sig: sig, id: sig.ID(), self: th.SelfDeliver}
@@ -460,7 +481,11 @@ func (e *Engine) compileUp(comp *compiler, th *StackTheorem, sig WireSig) (*comp
 	vary := sig.Varying()
 	comp.setVarying(vary)
 	defer comp.setVarying(nil)
-	cp := &compiledUpPath{th: th, sig: sig, nvary: len(vary), cast: th.Path.Kind == event.ECast}
+	cp := &compiledUpPath{
+		th: th, sig: sig, id: sig.ID(), nvary: len(vary), cast: th.Path.Kind == event.ECast,
+		whole: th.Delivered || th.Consumed, consumed: th.Consumed,
+		appl: len(sig.Entries) == len(th.Names), owner: th.ConjunctOwners(),
+	}
 	for _, conj := range th.CCP {
 		ce, err := comp.compile(conj)
 		if err != nil {
@@ -487,9 +512,19 @@ func (e *Engine) compileUp(comp *compiler, th *StackTheorem, sig WireSig) (*comp
 		if err != nil {
 			return nil, err
 		}
-		cp.full = append(cp.full, ch)
+		cp.hdrs = append(cp.hdrs, ch)
 	}
 	return cp, nil
+}
+
+// upPath finds the compiled up path of a wire signature identifier.
+func (e *Engine) upPath(id uint16) *compiledUpPath {
+	for _, cp := range e.up {
+		if cp.id == id {
+			return cp
+		}
+	}
+	return nil
 }
 
 // Stats returns a snapshot of the routing counters.
@@ -532,32 +567,38 @@ func (e *Engine) netEvent(ev *event.Event) {
 	default:
 		return
 	}
-	if ev.Type == event.ESend && len(e.ctrl) > 0 {
-		// Control recognition: match the exiting header stack against this
-		// member's control signatures (hottest first) and emit compressed
-		// on a hit. The probe entry's type assertion rejects data sends
-		// without allocating, so the data hot path pays one pointer
-		// comparison per recognizer. The stack still owns ev.
-		for _, m := range e.ctrl {
-			vary, ok := m.match(ev.Msg.Headers, e.ctrlVary[:0])
-			e.ctrlVary = vary
-			if ok {
-				e.stats.CtrlCompressed++
-				e.stats.PathHits[m.pid]++
-				wire := append(e.ctrlWire[:0], transport.WireCompressed, byte(m.id), byte(m.id>>8))
-				wire = binary.AppendUvarint(wire, uint64(e.Rank))
-				for _, v := range vary {
-					wire = binary.AppendVarint(wire, v)
-				}
-				wire = append(wire, ev.Msg.Payload...)
-				e.ctrlWire = wire
-				if e.SendWire != nil {
-					e.SendWire(false, ev.Peer, wire)
-				}
-				return
-			}
-			e.stats.PathMisses[m.pid]++
+	// Control recognition: match the exiting header stack against this
+	// member's control signatures of the event's kind (hottest first) and
+	// emit compressed on a hit. The depth check and the probe entry's type
+	// assertion reject data messages without allocating, so the data hot
+	// path pays a comparison or two per recognizer. The stack still owns
+	// ev.
+	cast, probed := ev.Type == event.ECast, false
+	for _, m := range e.ctrl {
+		if m.cast != cast {
+			continue
 		}
+		probed = true
+		vary, ok := m.match(ev.Msg.Headers, e.ctrlVary[:0])
+		e.ctrlVary = vary
+		if ok {
+			e.stats.CtrlCompressed++
+			e.stats.PathHits[m.pid]++
+			wire := append(e.ctrlWire[:0], transport.WireCompressed, byte(m.id), byte(m.id>>8))
+			wire = binary.AppendUvarint(wire, uint64(e.Rank))
+			for _, v := range vary {
+				wire = binary.AppendVarint(wire, v)
+			}
+			wire = append(wire, ev.Msg.Payload...)
+			e.ctrlWire = wire
+			if e.SendWire != nil {
+				e.SendWire(cast, ev.Peer, wire)
+			}
+			return
+		}
+		e.stats.PathMisses[m.pid]++
+	}
+	if probed {
 		e.stats.CtrlFull++
 	}
 	if err := transport.Marshal(ev, e.Rank, &e.wbuf); err != nil {
@@ -683,7 +724,7 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 		s.hdrs = append(s.hdrs, cp.bounceHdrs[i].materialize(ctx))
 	}
 	bounceHdrVals := s.hdrs[:len(cp.bounceHdrs):len(cp.bounceHdrs)]
-	pend := s.capture(cp.effects, ctx, payload)
+	pend := s.capture(cp.effects, ctx, payload, true, nil)
 	// Write phase.
 	for i, w := range cp.writes {
 		w.apply(vals[i], ctx)
@@ -692,17 +733,14 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 	// same order the full stack's scheduler produces.
 	if cp.self && e.Deliver != nil {
 		e.Deliver(e.Rank, payload, true)
-	} else if len(bounceHdrVals) > 0 && e.miniUp != nil {
+	} else if len(bounceHdrVals) > 0 && e.bounceAt >= 0 {
 		// Bounce fallback: the pre-state header values captured in the
 		// read phase move into the copy event's own storage (the event
-		// takes ownership and frees them) and the copy runs through the
-		// layers above the bouncing layer.
-		copyEv := event.Alloc()
-		copyEv.Dir, copyEv.Type, copyEv.Peer = event.Up, event.ECast, e.Rank
-		copyEv.ApplMsg = true
-		copyEv.Msg.Payload = payload
+		// takes ownership and frees them) and the copy enters the shared
+		// stack above the bouncing layer.
+		copyEv := upEvent(true, e.Rank, true, payload)
 		copyEv.Msg.Headers = append(copyEv.Msg.Headers[:0], bounceHdrVals...)
-		e.miniUp.DeliverUp(copyEv)
+		e.stk.UpAt(e.bounceAt, copyEv)
 	} else {
 		// No taker for the bounce copy: release the materialized headers.
 		for _, h := range bounceHdrVals {
@@ -740,16 +778,32 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 	}
 }
 
-// Packet routes an arriving wire image: compressed packets try the up
-// bypass and fall back through the generated uncompressor; full packets
-// go straight to the stack.
+// upEvent allocates an up-going data event with an empty header stack.
+func upEvent(cast bool, origin int, appl bool, payload []byte) *event.Event {
+	ev := event.Alloc()
+	ev.Dir, ev.Type, ev.Peer, ev.ApplMsg = event.Up, event.ESend, origin, appl
+	if cast {
+		ev.Type = event.ECast
+	}
+	ev.Msg.Payload = payload
+	return ev
+}
+
+// Packet routes an arriving wire image. A full image goes to the stack.
+// A compressed one names its signature's compiled up path, whose CCP is
+// evaluated in layer order, bottom first: the compiled code runs for
+// the layers below the first one whose common case fails, and the event
+// enters the stack at that layer with only the headers from there up
+// rebuilt. No failure at all is the whole bypass (unless the theorem
+// itself stops short: a static split); failure at the bottom layer is
+// the generated uncompressor in front of the whole stack (§4.1.3).
 func (e *Engine) Packet(data []byte) {
 	if len(data) == 0 {
 		e.stats.Undecodable++
 		return
 	}
 	if data[0] != transport.WireCompressed {
-		ev, err := transport.Unmarshal(data)
+		ev, err := transport.UnmarshalFor(data, e.wireIDs)
 		if err != nil {
 			e.stats.Undecodable++
 			return
@@ -772,8 +826,8 @@ func (e *Engine) Packet(data []byte) {
 		return
 	}
 	id := uint16(data[1]) | uint16(data[2])<<8
-	cp, ok := e.upByID[id]
-	if !ok {
+	cp := e.upPath(id)
+	if cp == nil {
 		e.stats.Undecodable++
 		return
 	}
@@ -787,7 +841,6 @@ func (e *Engine) Packet(data []byte) {
 	}
 	rest = rest[n:]
 	s := e.takeScratch()
-	defer e.putScratch(s)
 	ctx := &s.ctx
 	ctx.peer = int64(sender)
 	if cap(s.vary) < cp.nvary {
@@ -798,6 +851,7 @@ func (e *Engine) Packet(data []byte) {
 		v, n := binary.Varint(rest)
 		if n <= 0 {
 			e.stats.Undecodable++
+			e.putScratch(s)
 			return
 		}
 		ctx.vary[i] = v
@@ -809,57 +863,82 @@ func (e *Engine) Packet(data []byte) {
 		e.MarkUpStack()
 	}
 
-	if evalCCP(cp.ccp, ctx) {
+	// below is how many of the signature's layers, bottom first, the
+	// compiled code runs for: all the theorem covers, or those under the
+	// first failing conjunct's.
+	below := len(cp.th.Cuts)
+	for i, c := range cp.ccp {
+		if c(ctx) == 0 {
+			e.stats.PathMisses[cp.pid]++
+			below = cp.owner[i]
+			break
+		}
+	}
+	cut := cp.th.CutBelow(below)
+	if below == len(cp.th.Cuts) && cp.whole {
 		e.stats.UpBypass++
 		e.stats.PathHits[cp.pid]++
 		e.route(true, cp.pid)
-		e.runUp(cp, ctx, int(sender), payload, s)
+		e.runUp(cp, cut, ctx, payload, nil, s)
+		if !cp.consumed && e.Deliver != nil {
+			e.Deliver(int(sender), payload, cp.cast)
+		}
+		e.runEffects(s)
+		e.putScratch(s)
 		return
 	}
-	// CCP miss: uncompress into a full event and hand it to the
-	// original stack (the uncompression wrap of §4.1.3).
-	e.stats.PathMisses[cp.pid]++
-	e.stats.Uncompressed++
-	e.stats.UpFull++
-	e.stats.PathHits[PathFullStack]++
-	e.route(true, PathFullStack)
-	ev := event.Alloc()
-	ev.Dir = event.Up
-	ev.Type = event.ESend
-	if cp.cast {
-		ev.Type = event.ECast
+	pid := PathUpHandoff
+	if below > 0 {
+		e.stats.UpBypass++
+		e.stats.UpPartial++
+	} else {
+		pid = PathFullStack
+		e.stats.Uncompressed++
+		e.stats.UpFull++
 	}
-	ev.Peer = int(sender)
-	ev.ApplMsg = true
-	ev.Msg.Payload = payload
-	// Rebuild the header stack in the event's reused storage.
-	hdrs := ev.Msg.Headers[:0]
-	for i := range cp.full {
-		hdrs = append(hdrs, cp.full[i].materialize(ctx))
+	e.stats.PathHits[pid]++
+	e.route(true, pid)
+	// The event the layer below the entry point would have passed up:
+	// the signature's headers from that layer up, in the event's reused
+	// storage.
+	ev := upEvent(cp.cast, int(sender), cp.appl, payload)
+	for i := range cp.hdrs[:len(cp.hdrs)-below] {
+		ev.Msg.Headers = append(ev.Msg.Headers, cp.hdrs[i].materialize(ctx))
 	}
-	ev.Msg.Headers = hdrs
-	e.stk.DeliverUp(ev)
+	// The layers below have finished with the message before the ones
+	// above see it, as in the stack; and the frame is free again before
+	// they run, for whatever the application casts from inside a
+	// delivery.
+	e.runUp(cp, cut, ctx, payload, ev.Msg.Headers, s)
+	e.runEffects(s)
+	e.putScratch(s)
+	e.stk.UpAt(len(e.Names)-1-below, ev)
 }
 
-// runUp shares the caller's scratch frame: Packet already owns one, and
-// the fields it used (vary, hv) are disjoint from the ones used here.
-func (e *Engine) runUp(cp *compiledUpPath, ctx *rtCtx, sender int, payload []byte, s *scratch) {
-	if cap(s.tmp) < len(cp.writes) {
-		s.tmp = make([]int64, len(cp.writes))
+// runUp runs the compiled code of an up path's bottom-most layers, up
+// to cut: all reads first (update values, effect arguments), then the
+// writes. The captured effects are left pending in s; have is capture's.
+// It shares the caller's scratch frame: the fields Packet used (vary,
+// hv) are disjoint from the ones used here.
+func (e *Engine) runUp(cp *compiledUpPath, cut Cut, ctx *rtCtx, payload []byte, have []event.Header, s *scratch) {
+	writes := cp.writes[:cut.Updates]
+	if cap(s.tmp) < len(writes) {
+		s.tmp = make([]int64, len(writes))
 	}
-	vals := s.tmp[:len(cp.writes)]
-	for i, w := range cp.writes {
+	vals := s.tmp[:len(writes)]
+	for i, w := range writes {
 		vals[i] = w.eval(ctx)
 	}
-	pend := s.capture(cp.effects, ctx, payload)
-	for i, w := range cp.writes {
+	s.capture(cp.effects[:cut.Effects], ctx, payload, cp.appl, have)
+	for i, w := range writes {
 		w.apply(vals[i], ctx)
 	}
-	if !cp.consumed && e.Deliver != nil {
-		e.Deliver(sender, payload, cp.cast)
-	}
-	for _, p := range pend {
-		p.run(p.ectx)
+}
+
+// runEffects runs the effects capture left pending in s.
+func (e *Engine) runEffects(s *scratch) {
+	for i := range s.pend {
+		s.pend[i].run(s.pend[i].ectx)
 	}
 }
 
@@ -884,7 +963,7 @@ func (e *Engine) Theorems() []*StackTheorem {
 	if e.dnSend != nil {
 		out = append(out, e.dnSend.th)
 	}
-	for _, up := range e.upByID {
+	for _, up := range e.up {
 		out = append(out, up.th)
 	}
 	return out

@@ -277,10 +277,11 @@ type compiledEffect struct {
 }
 
 // imgPart is a pre-encoded run of constant headers (fixed) or one header
-// with run-time fields (hdr).
+// with run-time fields (hdr), the theorem's Headers[entry].
 type imgPart struct {
 	fixed []byte
 	hdr   *compiledHdr
+	entry int
 }
 
 func (c *compiler) compileEffect(e QEffect, headers []QHeader) (compiledEffect, error) {
@@ -313,7 +314,7 @@ func (c *compiler) compileEffect(e QEffect, headers []QHeader) (compiledEffect, 
 			return compiledEffect{}, err
 		}
 		if !constHeader(headers[i]) {
-			ce.img = append(ce.img, imgPart{hdr: &ch})
+			ce.img = append(ce.img, imgPart{hdr: &ch, entry: i})
 			continue
 		}
 		h := ch.materialize(&rtCtx{})

@@ -54,6 +54,18 @@ type StackTheorem struct {
 	// BounceLayer is the layer whose reflection fell back.
 	BounceLayer string
 
+	// Cuts records, for an up path, where each layer's contribution ends:
+	// Cuts[j] counts the CCP conjuncts, Updates and Effects of the j+1
+	// bottom-most layers. The layers are threaded bottom first and every
+	// expression is in pre-state terms, so the first Cuts[j] entries of
+	// each list are by themselves the theorem of those layers: when the
+	// first failing conjunct belongs to layer j+1 from the bottom, the
+	// bypass runs that prefix and hands the event to the stack there.
+	// Fewer cuts than Headers is a static split: the layer above the
+	// last cut has no common case for this signature, and every arrival
+	// is handed off there (neither Delivered nor Consumed is set).
+	Cuts []Cut
+
 	// Delivered marks an up path that delivers to the application.
 	Delivered bool
 
@@ -62,6 +74,32 @@ type StackTheorem struct {
 	// sender). The theorem covers only the layers from the bottom up to
 	// and including the consuming one; the signature is a partial stack.
 	Consumed bool
+}
+
+// Cut is a prefix of a theorem's CCP, Updates and Effects, by length.
+type Cut struct{ CCP, Updates, Effects int }
+
+// CutBelow is the prefix that belongs to an up theorem's below
+// bottom-most layers: what runs when the common case holds for exactly
+// those.
+func (t *StackTheorem) CutBelow(below int) Cut {
+	if below == 0 {
+		return Cut{}
+	}
+	return t.Cuts[below-1]
+}
+
+// ConjunctOwners maps each CCP conjunct of an up theorem to the number
+// of layers below the one it belongs to: where the event is handed off
+// when that conjunct is the first to fail.
+func (t *StackTheorem) ConjunctOwners() []int {
+	owners := make([]int, 0, len(t.CCP))
+	for j, cut := range t.Cuts {
+		for len(owners) < cut.CCP {
+			owners = append(owners, j)
+		}
+	}
+	return owners
 }
 
 // QAssign is a composed-namespace assignment.
@@ -116,6 +154,9 @@ func (t *StackTheorem) String() string {
 	}
 	if t.Consumed {
 		evs = append(evs, "consume ev")
+	}
+	if t.Path.Dir.String() == "Up" && len(t.Cuts) < len(t.Headers) {
+		evs = append(evs, fmt.Sprintf("UpM(ev) at %s", t.Headers[len(t.Headers)-1-len(t.Cuts)].Layer))
 	}
 	fmt.Fprintf(&b, "YIELDS EVENTS [:%s:]\n", strings.Join(evs, "; "))
 	if len(t.Updates) == 0 {
@@ -418,7 +459,16 @@ func (c *composer) bounce(upper []string, dnPath ir.PathKey, rank int) error {
 // given the wire signature of the sending bypass (which header variants
 // were pushed and which fields are compile-time constants). The
 // signature is what the compressed wire format's stack identifier
-// denotes, so sender and receiver agree on it without negotiation.
+// denotes, so sender and receiver agree on it without negotiation. Its
+// entries must be the stack's bottom-most layers, in stack order.
+//
+// Up events traverse bottom first, so the layers are threaded bottom-up
+// and Cuts records where each one's contribution ends. A consuming
+// layer theorem (pure control traffic) ends the traversal at the
+// signature's top entry. A layer with no derivable rule for the
+// signature (total on an Order header) ends it too, as a static split:
+// the theorem then covers the layers below only and every arrival is
+// handed to the stack at that layer.
 func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*StackTheorem, error) {
 	base := NewFacts()
 	base.AddEq(ir.EvField("rank"), int64(rank))
@@ -428,20 +478,19 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 		store: symStore{},
 		base:  base,
 	}
-	// Up events traverse bottom first: iterate the stack bottom-up. A
-	// consuming layer theorem (pure control traffic) ends the traversal:
-	// the signature is then a partial stack and layers above it never see
-	// the event.
-	processed := 0
-	for i := len(names) - 1; i >= 0; i-- {
-		name := names[i]
+	top := len(names) - len(sig.Entries)
+	if top < 0 {
+		return nil, fmt.Errorf("opt: signature has %d entries, the stack %d layers", len(sig.Entries), len(names))
+	}
+	c.th.Headers = make([]QHeader, len(sig.Entries))
+	for e := len(sig.Entries) - 1; e >= 0; e-- {
+		entry, name := &sig.Entries[e], names[top+e]
+		if entry.Layer != name {
+			return nil, fmt.Errorf("opt: signature entry %d is for layer %q, the stack has %q there", e, entry.Layer, name)
+		}
 		def, err := ir.LookupDef(name)
 		if err != nil {
 			return nil, err
-		}
-		entry := sig.Entry(name)
-		if entry == nil {
-			return nil, fmt.Errorf("opt: signature has no header entry for layer %q", name)
 		}
 		spec, err := def.HdrSpecByVariant(entry.Variant)
 		if err != nil {
@@ -452,6 +501,9 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 		derBase := base.Clone()
 		derBase.AddEq(ir.HdrField("tag"), spec.Tag)
 		capture := map[string]ir.Expr{"tag": ir.Const(spec.Tag)}
+		// The consumed header, so the bypass can rebuild the stack above
+		// any layer it hands the event to.
+		qh := QHeader{Layer: name, Variant: entry.Variant, Spec: spec}
 		for _, f := range entry.Fields {
 			if f.Const {
 				derBase.AddEq(ir.HdrField(f.Name), f.Val)
@@ -459,43 +511,36 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 			} else {
 				capture[f.Name] = ir.QHdr{Layer: name, Field: f.Name}
 			}
-		}
-		lt, err := deriveUpEntry(def, path, derBase)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.thread(name, lt, def, capture); err != nil {
-			return nil, err
-		}
-		// Record the consumed header so the uncompressor can rebuild the
-		// full stack for fallback deliveries.
-		qh := QHeader{Layer: name, Variant: entry.Variant, Spec: spec}
-		for _, f := range entry.Fields {
 			qh.Fields = append(qh.Fields, ir.HdrFieldVal{Name: f.Name, Val: capture[f.Name]})
 		}
-		c.th.Headers = append(c.th.Headers, qh)
-		processed++
-		if lt.Consumed {
+		c.th.Headers[e] = qh
+		if len(c.th.Cuts) < len(sig.Entries)-1-e {
+			continue // above a static split
+		}
+		nEff := len(c.th.Effects)
+		lt, err := deriveUpEntry(def, path, derBase)
+		if err == nil {
+			err = c.thread(name, lt, def, capture)
+		}
+		if err != nil {
+			continue // static split at this layer
+		}
+		// The header stack an effect captures is what the layers above
+		// it will see: the e entries above this one.
+		for k := nEff; k < len(c.th.Effects); k++ {
+			c.th.Effects[k].HdrsAbove = e
+		}
+		c.th.Cuts = append(c.th.Cuts, Cut{CCP: len(c.th.CCP), Updates: len(c.th.Updates), Effects: len(c.th.Effects)})
+		switch {
+		case lt.Consumed && e > 0:
+			return nil, fmt.Errorf("opt: layer %q consumes the event below the signature's top entry", name)
+		case lt.Consumed:
 			c.th.Consumed = true
-			break
+		case e == 0 && top > 0:
+			return nil, fmt.Errorf("opt: signature ends at layer %q, which passes the event on", name)
+		case e == 0:
+			c.th.Delivered = lt.Delivered
 		}
-		if i == 0 && lt.Delivered {
-			c.th.Delivered = true
-		}
-	}
-	if processed != len(sig.Entries) {
-		return nil, fmt.Errorf("opt: signature has %d entries but the up path composed %d (consumed=%v)",
-			len(sig.Entries), processed, c.th.Consumed)
-	}
-	// Restore push order (top first) for the header list. thread counted
-	// the headers recorded before each effect's layer — the layers below
-	// it, on this bottom-up walk; flipped, the same position counts the
-	// layers above.
-	for l, r := 0, len(c.th.Headers)-1; l < r; l, r = l+1, r-1 {
-		c.th.Headers[l], c.th.Headers[r] = c.th.Headers[r], c.th.Headers[l]
-	}
-	for k := range c.th.Effects {
-		c.th.Effects[k].HdrsAbove = len(c.th.Headers) - 1 - c.th.Effects[k].HdrsAbove
 	}
 	return c.th, nil
 }

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 
 	"ensemble/internal/event"
 	"ensemble/internal/ir"
@@ -19,20 +20,25 @@ import (
 // composed up theorem and a compiled up path like any data signature,
 // keyed by the same 16-bit identifier.
 //
-// Two control shapes are specialized here, both rooted at pt2pt:
+// Three control shapes are specialized here:
 //
-//   - the explicit acknowledgment (pt2pt.Ack over the layers below
+//   - pt2pt's explicit acknowledgment (pt2pt.Ack over the layers below
 //     pt2pt), whose up theorem *consumes* the event at pt2pt — a
 //     partial-stack theorem;
-//   - the retransmission (the saved data send with the pt2pt entry
+//   - pt2pt's retransmission (the saved data send with the pt2pt entry
 //     retyped to Retrans), whose up theorem spans the full stack and
-//     delivers exactly like in-order data.
+//     delivers exactly like in-order data;
+//   - the sequencer's order announcement (total.Order cast over the
+//     layers below total). total has no common case for it, so its up
+//     theorem stops below total — a static split: the compiled code
+//     runs the reliability and flow-control layers and total interprets
+//     the header.
 //
 // mnak's NAK-driven retransmissions and collect's stability gossip
 // remain interpreted: the former retypes a *cast* signature mid-stack
 // under mnak-specific buffering, the latter's gossip header is not
-// IR-constructible. Both are rare next to pt2pt control traffic, and
-// the interpreted stack remains their (correct) path.
+// IR-constructible. Both are rare next to the traffic above, and the
+// interpreted stack remains their (correct) path.
 
 // ctrlSpec pairs a control wire signature with its dispatch path
 // identities.
@@ -47,54 +53,51 @@ type ctrlSpec struct {
 }
 
 // controlSigs derives the control wire signatures a member at the given
-// rank can emit. An empty result (no pt2pt in the stack, or a layer
-// below it that defies derivation) simply means no control
-// specialization — never an error.
-func controlSigs(names []string, rank, n int) []ctrlSpec {
-	p2pIdx := -1
-	for i, name := range names {
-		if name == "pt2pt" {
-			p2pIdx = i
-			break
+// rank can emit; dnSend is that rank's data-send theorem (nil for none).
+// An empty result (no such layer in the stack, or a layer below it that
+// defies derivation) simply means no control specialization — never an
+// error.
+func controlSigs(names []string, rank int, dnSend *StackTheorem) []ctrlSpec {
+	var out []ctrlSpec
+	if i := slices.Index(names, "pt2pt"); i >= 0 {
+		ack := SigEntry{Layer: "pt2pt", Variant: "Ack", Fields: []SigField{{Name: "ack"}}}
+		if sig, ok := midStackSig(names, i, ir.DnSend, ack, rank); ok {
+			out = append(out, ctrlSpec{pid: PathDnCtrlAck, upPid: PathUpAck, sig: sig, probeLayer: "pt2pt"})
+		}
+		if sig, ok := retransSig(dnSend); ok {
+			out = append(out, ctrlSpec{pid: PathDnCtrlRetrans, upPid: PathUpRetrans, sig: sig, probeLayer: "pt2pt"})
 		}
 	}
-	if p2pIdx < 0 {
-		return nil
-	}
-	var out []ctrlSpec
-	if sig, ok := ackSig(names, p2pIdx, rank); ok {
-		out = append(out, ctrlSpec{pid: PathDnCtrlAck, upPid: PathUpAck, sig: sig, probeLayer: "pt2pt"})
-	}
-	if sig, ok := retransSig(names, rank, n); ok {
-		out = append(out, ctrlSpec{pid: PathDnCtrlRetrans, upPid: PathUpRetrans, sig: sig, probeLayer: "pt2pt"})
+	// Only the sequencer (rank 0) announces.
+	if i := slices.Index(names, "total"); i >= 0 && rank == 0 {
+		order := SigEntry{Layer: "total", Variant: "Order", Fields: []SigField{{Name: "origin"}, {Name: "lseq"}, {Name: "gseq"}}}
+		if sig, ok := midStackSig(names, i, ir.DnCast, order, rank); ok {
+			out = append(out, ctrlSpec{pid: PathDnCtrlOrder, upPid: PathUpHandoff, sig: sig, probeLayer: "total"})
+		}
 	}
 	return out
 }
 
-// ackSig builds the acknowledgment signature: pt2pt pushes Ack(ack) and
-// the event descends through the layers below, each contributing its
-// DnSend push. Field values that simplify to constants under the rank
-// facts become signature constants; everything else rides the wire.
-func ackSig(names []string, p2pIdx, rank int) (WireSig, bool) {
-	sig := WireSig{Path: ir.PathKey{Dir: event.Dn, Kind: event.ESend}}
-	sig.Entries = append(sig.Entries, SigEntry{
-		Layer:   "pt2pt",
-		Variant: "Ack",
-		Fields:  []SigField{{Name: "ack"}},
-	})
+// midStackSig builds the signature of a message that originates at
+// names[idx]: that layer pushes the given header and the event descends
+// through the layers below, each contributing its push for the path.
+// Field values that simplify to constants under the rank facts become
+// signature constants; everything else rides the wire.
+func midStackSig(names []string, idx int, path ir.PathKey, top SigEntry, rank int) (WireSig, bool) {
+	sig := WireSig{Path: path, Entries: []SigEntry{top}}
 	base := NewFacts()
 	base.AddEq(ir.EvField("rank"), int64(rank))
 	base.AddEq(ir.EvField("appl"), 1)
-	for _, name := range names[p2pIdx+1:] {
+	for _, name := range names[idx+1:] {
 		def, err := ir.LookupDef(name)
 		if err != nil {
 			return WireSig{}, false
 		}
-		ccp, ok := def.CCP[ir.DnSend]
+		ccp, ok := def.CCP[path]
 		if !ok {
 			return WireSig{}, false
 		}
-		lt, err := DeriveLayerTheorem(def, ir.DnSend, ccp, base)
+		lt, err := DeriveLayerTheorem(def, path, ccp, base)
 		if err != nil || lt.Push == nil {
 			return WireSig{}, false
 		}
@@ -116,12 +119,11 @@ func ackSig(names []string, p2pIdx, rank int) (WireSig, bool) {
 // layers below re-push, so only pt2pt's own entry differs from a live
 // send. Both of its fields (seqno of the saved message, current ack)
 // are wire inputs.
-func retransSig(names []string, rank, n int) (WireSig, bool) {
-	dn, err := ComposeDn(names, ir.DnSend, rank, n)
-	if err != nil {
+func retransSig(dnSend *StackTheorem) (WireSig, bool) {
+	if dnSend == nil {
 		return WireSig{}, false
 	}
-	sig := SignatureOf(dn)
+	sig := SignatureOf(dnSend)
 	entry := sig.Entry("pt2pt")
 	if entry == nil {
 		return WireSig{}, false
@@ -152,12 +154,13 @@ type ctrlEntry struct {
 type ctrlMatcher struct {
 	pid     PathID
 	id      uint16
+	cast    bool // the shape is a cast's (a send's otherwise)
 	probe   int
 	entries []ctrlEntry
 }
 
 func newCtrlMatcher(cs ctrlSpec) (*ctrlMatcher, error) {
-	m := &ctrlMatcher{pid: cs.pid, id: cs.sig.ID(), probe: -1}
+	m := &ctrlMatcher{pid: cs.pid, id: cs.sig.ID(), cast: cs.sig.Path.Kind == event.ECast, probe: -1}
 	for i, en := range cs.sig.Entries {
 		def, err := ir.LookupDef(en.Layer)
 		if err != nil {

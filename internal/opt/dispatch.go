@@ -43,6 +43,14 @@ const (
 	// PathFullStack is the interpreted fallback (a routing "hit" on this
 	// path is a miss of every specialized one).
 	PathFullStack
+	// PathDnCtrlOrder recognizes the sequencer's order announcements at
+	// the stack's net exit and emits them compressed.
+	PathDnCtrlOrder
+	// PathUpHandoff is a compressed arrival whose compiled code ran for
+	// the bottom-most layers only and handed the event to the stack at
+	// the layer whose common case failed — or, for an order
+	// announcement, the layer that has none (Engine.Packet).
+	PathUpHandoff
 
 	// NumPaths sizes the per-path counter arrays.
 	NumPaths
@@ -59,6 +67,8 @@ var pathNames = [NumPaths]string{
 	PathUpAck:         "up_ack",
 	PathUpRetrans:     "up_retrans",
 	PathFullStack:     "full_stack",
+	PathDnCtrlOrder:   "dn_ctrl_order",
+	PathUpHandoff:     "up_handoff",
 }
 
 // String returns a stable metric-friendly name.

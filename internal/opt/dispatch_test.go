@@ -51,9 +51,6 @@ func TestDispatchOutcomes(t *testing.T) {
 		// over both engines; miss likewise for probed-and-failed.
 		hit  []PathID
 		miss []PathID
-		// uncompressed requires at least one compressed arrival to have
-		// missed its CCP and been expanded through the full stack.
-		uncompressed bool
 	}{
 		{
 			// The sequencer's casts take the fully specialized down path
@@ -67,12 +64,13 @@ func TestDispatchOutcomes(t *testing.T) {
 			// The non-sequencer cannot self-deliver out of order, so its
 			// casts take the partial path: wire specialized, self-delivery
 			// through the shared stack. At the sequencer the compressed
-			// cast misses its CCP (ordering needs the stack) and is
-			// expanded — the up-path uncompress fallback.
-			name:         "cast_partial",
-			ops:          uniformOps(120, 1, true, 40),
-			hit:          []PathID{PathDnCastPartial},
-			uncompressed: true,
+			// cast misses its CCP at total (ordering needs the stack) and
+			// is handed off there; the order announcement that answers it
+			// leaves compressed and is handed to total on arrival.
+			name: "cast_partial",
+			ops:  uniformOps(120, 1, true, 40),
+			hit:  []PathID{PathDnCastPartial, PathDnCtrlOrder, PathUpHandoff},
+			miss: []PathID{PathUpCast},
 		},
 		{
 			// In-window pt2pt data rides the send bypass both ways; the
@@ -97,13 +95,12 @@ func TestDispatchOutcomes(t *testing.T) {
 			// queue, so the sweep's copy of message 6 arrives as exactly
 			// the next expected seqno — a retransmission CCP hit. The
 			// sweep's copies of the already-delivered 4 and 5 are
-			// duplicates — probed-and-missed, expanded via uncompress.
+			// duplicates — probed-and-missed at pt2pt, handed off there.
 			drop: func(member, n int) bool {
 				return member == 0 && n == 6
 			},
-			hit:          []PathID{PathDnCtrlRetrans, PathUpRetrans},
-			miss:         []PathID{PathUpRetrans},
-			uncompressed: true,
+			hit:  []PathID{PathDnCtrlRetrans, PathUpRetrans, PathUpHandoff},
+			miss: []PathID{PathUpRetrans},
 		},
 		{
 			// Payloads beyond the fragmenter's limit fail every down CCP:
@@ -128,8 +125,10 @@ func TestDispatchOutcomes(t *testing.T) {
 					t.Errorf("path %s was never probed-and-missed", pid)
 				}
 			}
-			if sc.uncompressed && uncompressed == 0 {
-				t.Error("no compressed arrival was expanded through the full stack")
+			// The bottom layer's common case (stack enabled) never fails
+			// here, so no arrival is expanded in front of the whole stack.
+			if uncompressed != 0 {
+				t.Errorf("%d compressed arrivals entered the stack at the bottom", uncompressed)
 			}
 		})
 	}

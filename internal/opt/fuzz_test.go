@@ -4,9 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"ensemble/internal/event"
 	"ensemble/internal/layer"
 	"ensemble/internal/layers"
 	"ensemble/internal/stack"
+	"ensemble/internal/transport"
 )
 
 // Adversarial wire input: whatever arrives from the network — random
@@ -37,6 +39,42 @@ func TestEnginePacketFuzz(t *testing.T) {
 	if len(samples) == 0 {
 		t.Fatal("no wire samples collected")
 	}
+	// Well-formed full images whose headers are not this stack's — none at
+	// all, and the 4-layer stack's — each dropped whole, and in the pool
+	// the mutations below draw from.
+	var w transport.Writer
+	bare := event.CastEv([]byte("no headers"))
+	if err := transport.Marshal(bare, 0, &w); err != nil {
+		t.Fatal(err)
+	}
+	event.Free(bare)
+	foreign := [][]byte{append([]byte(nil), w.Bytes()...)}
+	v := testView(2, 0)
+	other, err := stack.Build(layers.Stack4(), layer.DefaultConfig(v), stack.Func, stack.Callbacks{Net: func(ev *event.Event) {
+		if ev.Type != event.ECast {
+			return
+		}
+		if err := transport.Marshal(ev, 0, &w); err != nil {
+			t.Fatal(err)
+		}
+		foreign = append(foreign, append([]byte(nil), w.Bytes()...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.SubmitDn(event.InitEv(v))
+	other.SubmitDn(event.CastEv([]byte("from another stack")))
+	if len(foreign) != 2 {
+		t.Fatalf("built %d foreign images, want 2", len(foreign))
+	}
+	for _, img := range foreign {
+		was := eng.Stats().Undecodable
+		eng.Packet(img)
+		if got := eng.Stats().Undecodable; got != was+1 {
+			t.Fatalf("foreign image %x not dropped", img)
+		}
+	}
+	samples = append(samples, foreign...)
 
 	for trial := 0; trial < 20000; trial++ {
 		var pkt []byte

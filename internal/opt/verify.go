@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 
+	"ensemble/internal/event"
 	"ensemble/internal/ir"
 )
 
@@ -249,42 +250,61 @@ func VerifyLayerTheorem(def *ir.LayerDef, th *LayerTheorem, n, rank, trials int,
 // scalar, array element, or header field, the location is assigned a
 // satisfying value. Unsolvable conjuncts are left to resampling.
 func biasTowards(ccp ir.Expr, s *shadowState, hdr map[string]int64, f *ir.Frame, rng *rand.Rand) {
-	assign := func(loc ir.Expr, v int64) bool {
+	eval := func(e ir.Expr) int64 { return ir.Eval(e, f) }
+	bias(ccp, true, eval, func(loc ir.Expr, v int64) bool {
 		switch loc := loc.(type) {
 		case ir.Var:
 			s.scalars[string(loc)] = v
 			return true
 		case ir.Index:
-			s.arrays[loc.Name][ir.Eval(loc.Idx, f)] = v
+			s.arrays[loc.Name][eval(loc.Idx)] = v
 			return true
 		case ir.HdrField:
 			hdr[string(loc)] = v
 			return true
 		}
 		return false
+	}, rng)
+}
+
+// bias solves a predicate's conjuncts by assignment, towards holding
+// (want) or towards failing (one falsified conjunct is enough). It
+// reports whether it assigned anything.
+func bias(ccp ir.Expr, want bool, eval func(ir.Expr) int64, assign func(loc ir.Expr, v int64) bool, rng *rand.Rand) bool {
+	b, ok := ccp.(ir.Bin)
+	if !ok {
+		// A bare location is its own truth value.
+		return assign(ccp, b2i64(want))
 	}
-	var walk func(e ir.Expr)
-	walk = func(e ir.Expr) {
-		b, ok := e.(ir.Bin)
-		if !ok {
-			return
+	switch b.Op {
+	case ir.OpAnd:
+		l := bias(b.L, want, eval, assign, rng)
+		if l && !want {
+			return true
 		}
-		switch b.Op {
-		case ir.OpAnd:
-			walk(b.L)
-			walk(b.R)
-		case ir.OpEq:
-			if assign(b.L, ir.Eval(b.R, f)) {
-				return
-			}
-			assign(b.R, ir.Eval(b.L, f))
-		case ir.OpLt:
-			assign(b.L, ir.Eval(b.R, f)-1-rng.Int63n(3))
-		case ir.OpLe:
-			assign(b.L, ir.Eval(b.R, f)-rng.Int63n(3))
+		return bias(b.R, want, eval, assign, rng) || l
+	case ir.OpEq:
+		off := 1 - b2i64(want)
+		return assign(b.L, eval(b.R)+off) || assign(b.R, eval(b.L)+off)
+	case ir.OpLt:
+		if !want {
+			return assign(b.L, eval(b.R))
 		}
+		return assign(b.L, eval(b.R)-1-rng.Int63n(3))
+	case ir.OpLe:
+		if !want {
+			return assign(b.L, eval(b.R)+1)
+		}
+		return assign(b.L, eval(b.R)-rng.Int63n(3))
 	}
-	walk(ccp)
+	return false
+}
+
+func b2i64(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // randomHdrFields synthesizes header-field inputs for up paths: the tag
@@ -331,8 +351,191 @@ func randomHdrFields(def *ir.LayerDef, th *LayerTheorem, rng *rand.Rand) map[str
 	return fields
 }
 
+// stackEnv is the frame a composed up theorem is evaluated in: one
+// shadow state per layer, the event, and the wire's varying fields.
+type stackEnv struct {
+	shadows map[string]*shadowState
+	ev      ir.EvInfo
+	vary    map[string]int64 // by ir.Key of the QHdr
+}
+
+func (e *stackEnv) eval(x ir.Expr) int64 {
+	switch x := x.(type) {
+	case ir.Const:
+		return int64(x)
+	case ir.EvField:
+		return e.ev.Field(string(x))
+	case ir.QVar:
+		return e.shadows[x.Layer].scalars[x.Name]
+	case ir.QIndex:
+		return e.shadows[x.Layer].arrays[x.Name][e.eval(x.Idx)]
+	case ir.QHdr:
+		return e.vary[ir.Key(x)]
+	case ir.Not:
+		return b2i64(e.eval(x.E) == 0)
+	case ir.Bin:
+		switch x.Op {
+		case ir.OpAnd:
+			return b2i64(e.eval(x.L) != 0 && e.eval(x.R) != 0)
+		case ir.OpOr:
+			return b2i64(e.eval(x.L) != 0 || e.eval(x.R) != 0)
+		}
+		// The remaining operators are the interpreter's: evaluate the
+		// operands here and let it combine them.
+		return ir.Eval(ir.Bin{Op: x.Op, L: ir.Const(e.eval(x.L)), R: ir.Const(e.eval(x.R))}, nil)
+	}
+	panic(fmt.Sprintf("opt: verify: cannot evaluate %T (%s)", x, x))
+}
+
+func (e *stackEnv) assign(loc ir.Expr, v int64) bool {
+	switch loc := loc.(type) {
+	case ir.QVar:
+		e.shadows[loc.Layer].scalars[loc.Name] = v
+	case ir.QIndex:
+		e.shadows[loc.Layer].arrays[loc.Name][e.eval(loc.Idx)] = v
+	case ir.QHdr:
+		e.vary[ir.Key(loc)] = v
+	default:
+		return false
+	}
+	return true
+}
+
+func (e *stackEnv) clone() *stackEnv {
+	cp := &stackEnv{shadows: map[string]*shadowState{}, ev: e.ev, vary: e.vary}
+	for name, s := range e.shadows {
+		cp.shadows[name] = s.clone()
+	}
+	return cp
+}
+
+// VerifyUpTheorem re-checks a composed up theorem against the reference
+// semantics at every layer boundary. A frame is drawn at random and
+// biased so that the theorem's conjuncts hold up to a chosen layer and
+// fail there; whatever number of layers the CCP then says hold, bottom
+// first, interpreting exactly those layers' IR one after the other must
+// not fall back, and must leave the state and run the effects that the
+// theorem's prefix up to that cut (StackTheorem.Cuts) claims — which is
+// what the bypass runs before it hands the event to the stack there.
+// Every boundary a conjunct can fail at must come up, and the whole.
+func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	m, top := len(sig.Entries), len(th.Names)-len(sig.Entries)
+	defs := make([]*ir.LayerDef, m) // by signature entry
+	for e := range sig.Entries {
+		def, err := ir.LookupDef(sig.Entries[e].Layer)
+		if err != nil {
+			return err
+		}
+		defs[e] = def
+	}
+	owner := th.ConjunctOwners()
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("opt: verify %s %s (signature %#x): %s", th.Names[top], th.Path, sig.ID(), fmt.Sprintf(format, args...))
+	}
+	seen := make([]int, len(th.Cuts)+1)
+	for t := 0; t < trials; t++ {
+		env := &stackEnv{shadows: map[string]*shadowState{}, vary: map[string]int64{}}
+		for e, def := range defs {
+			env.shadows[sig.Entries[e].Layer] = newShadow(def, th.N, rng)
+		}
+		env.ev = ir.EvInfo{Peer: rng.Int63n(int64(th.N)), Len: rng.Int63n(256), Appl: true, Rank: int64(th.Rank)}
+		for _, q := range sig.Varying() {
+			env.vary[ir.Key(q)] = rng.Int63n(64)
+		}
+		// Hold every conjunct, then break the target's (none: the whole).
+		target := rng.Intn(len(th.CCP) + 1)
+		for i, conj := range th.CCP {
+			bias(conj, i != target, env.eval, env.assign, rng)
+		}
+		below := len(th.Cuts)
+		for i, conj := range th.CCP {
+			if env.eval(conj) == 0 {
+				below = owner[i]
+				break
+			}
+		}
+		cut := th.CutBelow(below)
+		seen[below]++
+
+		// Reference: the layers below the boundary, interpreted bottom first.
+		ref := env.clone()
+		var effects []ir.EffectCall
+		var last ir.Outcome
+		for j := 0; j < below; j++ {
+			e := m - 1 - j
+			entry, def := &sig.Entries[e], defs[e]
+			spec, err := def.HdrSpecByVariant(entry.Variant)
+			if err != nil {
+				return err
+			}
+			hdr := map[string]int64{"tag": spec.Tag}
+			for _, f := range entry.Fields {
+				hdr[f.Name] = f.Val
+				if !f.Const {
+					hdr[f.Name] = env.vary[ir.Key(ir.QHdr{Layer: entry.Layer, Field: f.Name})]
+				}
+			}
+			frame := &ir.Frame{B: ref.shadows[entry.Layer].binding(entry.Layer), Ev: env.ev, Hdr: hdr}
+			out, err := ir.Interp(def, th.Path, frame)
+			if err != nil {
+				return fail("interp %s: %v", entry.Layer, err)
+			}
+			if out.Fell {
+				return fail("the CCP holds for the %d bottom-most layers, but %s falls back (%s)", below, entry.Layer, out.Reason)
+			}
+			effects = append(effects, out.Effects...)
+			last = out
+		}
+		if below == m && (last.Delivered != th.Delivered || last.Consumed != th.Consumed) {
+			return fail("continuation mismatch at the top: interp %+v, theorem delivered=%v consumed=%v", last, th.Delivered, th.Consumed)
+		}
+
+		// The theorem's prefix: reads in the pre-state, then the writes.
+		post := env.clone()
+		for _, u := range th.Updates[:cut.Updates] {
+			v := env.eval(u.Val)
+			switch tgt := u.Target.(type) {
+			case ir.QVar:
+				post.shadows[tgt.Layer].scalars[tgt.Name] = v
+			case ir.QIndex:
+				post.shadows[tgt.Layer].arrays[tgt.Name][env.eval(tgt.Idx)] = v
+			}
+		}
+		for name, want := range ref.shadows {
+			got := post.shadows[name]
+			if !reflect.DeepEqual(want.scalars, got.scalars) || !reflect.DeepEqual(want.arrays, got.arrays) {
+				return fail("state of %s after %d layers:\n interp: %v %v\n theorem: %v %v", name, below, want.scalars, want.arrays, got.scalars, got.arrays)
+			}
+		}
+		if len(effects) != cut.Effects {
+			return fail("%d effects after %d layers, interp ran %d", cut.Effects, below, len(effects))
+		}
+		for i, te := range th.Effects[:cut.Effects] {
+			if te.Name != effects[i].Name {
+				return fail("effect %d is %s, interp ran %s", i, te.Name, effects[i].Name)
+			}
+			for j, arg := range te.Args {
+				if got := env.eval(arg); got != effects[i].Args[j] {
+					return fail("effect %s arg %d: theorem %d, interp %d", te.Name, j, got, effects[i].Args[j])
+				}
+			}
+		}
+	}
+	for i := range th.CCP {
+		if seen[owner[i]] == 0 {
+			return fail("no random frame failed at conjunct %d (%s)", i, th.CCP[i])
+		}
+	}
+	if seen[len(th.Cuts)] == 0 {
+		return fail("no random frame satisfied the whole CCP")
+	}
+	return nil
+}
+
 // VerifyAll derives and verifies every theorem of every layer in a
-// stack — the re-checking pass the tool runs before trusting a
+// stack, and every up theorem composed from them at each of its layer
+// boundaries — the re-checking pass the tool runs before trusting a
 // composition.
 func VerifyAll(names []string, n int, trials int, seed int64) error {
 	base := NewFacts()
@@ -365,6 +568,37 @@ func VerifyAll(names []string, n int, trials int, seed int64) error {
 						return err
 					}
 				}
+			}
+		}
+	}
+	// The up theorems an engine compiles: one per signature any rank can
+	// emit, at every receiving rank.
+	sigs := map[uint16]WireSig{}
+	for r := 0; r < n; r++ {
+		var dnSend *StackTheorem
+		for _, path := range []ir.PathKey{ir.DnCast, ir.DnSend} {
+			dn, err := ComposeDn(names, path, r, n)
+			if err != nil {
+				continue
+			}
+			if path == ir.DnSend {
+				dnSend = dn
+			}
+			sig := SignatureOf(dn)
+			sigs[sig.ID()] = sig
+		}
+		for _, cs := range controlSigs(names, r, dnSend) {
+			sigs[cs.sig.ID()] = cs.sig
+		}
+	}
+	for _, sig := range sigs {
+		for rank := 0; rank < n; rank++ {
+			th, err := ComposeUp(names, ir.PathKey{Dir: event.Up, Kind: sig.Path.Kind}, rank, n, sig)
+			if err != nil {
+				return err
+			}
+			if err := VerifyUpTheorem(th, sig, 5*trials, seed); err != nil {
+				return err
 			}
 		}
 	}

@@ -9,11 +9,12 @@ import (
 )
 
 // TestVerifyAllLayerTheorems re-checks every derivable layer theorem
-// against the IR interpreter on randomized CCP-satisfying frames — the
+// against the IR interpreter on randomized CCP-satisfying frames, and
+// every composed up theorem at each of its layer boundaries — the
 // "every rewrite accompanied by a proof" discipline, realized as
 // exhaustive re-interpretation.
 func TestVerifyAllLayerTheorems(t *testing.T) {
-	for _, names := range [][]string{layers.Stack10(), layers.Stack4()} {
+	for _, names := range [][]string{layers.Stack10(), layers.Stack4(), layers.StackVsync()} {
 		if err := VerifyAll(names, 3, 200, 42); err != nil {
 			t.Fatalf("VerifyAll(%v): %v", names, err)
 		}
@@ -90,5 +91,56 @@ func TestVerifyCatchesDroppedEffect(t *testing.T) {
 	_, err = VerifyLayerTheorem(def, th, 3, 0, 100, 11)
 	if err == nil || !strings.Contains(err.Error(), "effects") {
 		t.Fatalf("dropped effect not caught: %v", err)
+	}
+}
+
+// upCastTheorem composes rank 2's up theorem for rank 1's casts on the
+// 10-layer stack: unordered data, which fails at total.
+func upCastTheorem(t *testing.T) (*StackTheorem, WireSig) {
+	t.Helper()
+	dn, err := ComposeDn(layers.Stack10(), ir.DnCast, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := SignatureOf(dn)
+	th, err := ComposeUp(layers.Stack10(), ir.UpCast, 2, 3, sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyUpTheorem(th, sig, 2000, 5); err != nil {
+		t.Fatalf("the genuine theorem fails: %v", err)
+	}
+	return th, sig
+}
+
+// TestVerifyCatchesWrongCut moves the layer boundaries: a hand-off
+// above mflow would then skip its byte count.
+func TestVerifyCatchesWrongCut(t *testing.T) {
+	th, sig := upCastTheorem(t)
+	th.Cuts = append([]Cut(nil), th.Cuts...)
+	for j := range th.Cuts {
+		if th.Cuts[j].Updates > 0 {
+			th.Cuts[j].Updates--
+		}
+	}
+	err := VerifyUpTheorem(th, sig, 2000, 5)
+	if err == nil || !strings.Contains(err.Error(), "state of") {
+		t.Fatalf("moved cut not caught: %v", err)
+	}
+}
+
+// TestVerifyCatchesWeakPrefix drops a conjunct: the prefix would then
+// run a layer's compiled code where the layer itself falls back.
+func TestVerifyCatchesWeakPrefix(t *testing.T) {
+	th, sig := upCastTheorem(t)
+	// Conjunct 1 is mnak's (bottom's is 0).
+	th.CCP = append(append([]ir.Expr(nil), th.CCP[:1]...), th.CCP[2:]...)
+	th.Cuts = append([]Cut(nil), th.Cuts...)
+	for j := 1; j < len(th.Cuts); j++ {
+		th.Cuts[j].CCP--
+	}
+	err := VerifyUpTheorem(th, sig, 2000, 5)
+	if err == nil || !strings.Contains(err.Error(), "falls back") {
+		t.Fatalf("dropped conjunct not caught: %v", err)
 	}
 }

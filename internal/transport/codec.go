@@ -10,13 +10,15 @@ import (
 
 // HeaderCodec serializes one layer's headers. Each micro-protocol
 // component registers a codec for the header types it pushes; the
-// transport walks a message's header stack and dispatches on layer name
-// when marshaling, and on the wire-level layer id when unmarshaling.
+// transport walks a message's header stack and dispatches on the
+// wire-level layer id — event.Header.WireID when marshaling, the id
+// byte when unmarshaling.
 type HeaderCodec struct {
 	// Layer is the component name the codec belongs to.
 	Layer string
-	// ID is the wire identifier; stable across processes because layers
-	// register in init with fixed ids.
+	// ID is the wire identifier, never 0; stable across processes because
+	// layers register in init with fixed ids. The layer's headers report
+	// it as their WireID.
 	ID byte
 	// Encode appends the header body to w.
 	Encode func(h event.Header, w *Writer)
@@ -53,6 +55,9 @@ func RegisterCodec(c HeaderCodec) {
 	defer codecMu.Unlock()
 	if codecTab.Load() != nil {
 		panic(fmt.Sprintf("transport: RegisterCodec(%q) after the registry was sealed by a lookup — codecs must be registered in init", c.Layer))
+	}
+	if c.ID == 0 {
+		panic(fmt.Sprintf("transport: codec for layer %q has wire id 0, which means no codec", c.Layer))
 	}
 	if _, dup := codecByLayer[c.Layer]; dup {
 		panic(fmt.Sprintf("transport: duplicate codec for layer %q", c.Layer))
@@ -91,14 +96,6 @@ func codecs() *codecTables {
 		return t
 	}
 	return sealCodecs()
-}
-
-func lookupCodecByLayer(name string) (*HeaderCodec, error) {
-	c := codecs().byLayer[name]
-	if c == nil {
-		return nil, fmt.Errorf("transport: no codec registered for layer %q", name)
-	}
-	return c, nil
 }
 
 func lookupCodecByID(id byte) (*HeaderCodec, error) {
@@ -166,9 +163,9 @@ func encodeHeaders(hdrs []event.Header, w *Writer) error {
 // id, then the body. The optimizer uses it to pre-encode the header
 // stacks its bypasses buffer.
 func EncodeHeader(h event.Header, w *Writer) error {
-	c, err := lookupCodecByLayer(h.Layer())
-	if err != nil {
-		return err
+	c := codecs().byID[h.WireID()]
+	if c == nil {
+		return fmt.Errorf("transport: no codec registered for layer %q", h.Layer())
 	}
 	w.Byte(c.ID)
 	c.Encode(h, w)
@@ -183,16 +180,37 @@ var readerPool = sync.Pool{New: func() any { return new(Reader) }}
 // up-going event whose Peer is the sender's rank. The header stack is
 // rebuilt in the event's reused header storage so that the outermost
 // header is on top (popped first by the bottom layer).
-func Unmarshal(buf []byte) (*event.Event, error) {
+func Unmarshal(buf []byte) (*event.Event, error) { return UnmarshalFor(buf, nil) }
+
+// UnmarshalFor is Unmarshal at a receiver whose stack's layers have the
+// wire ids stack (top first, as StackIDs returns them): the image must
+// carry one header for each of the stack's bottom-most layers, at least
+// the bottom one, in stack order — what a peer running the same stack
+// sends. Anything else is ErrBadWire: each layer pops one header and
+// asserts its type, so a well-formed image of another shape would panic
+// the member instead of being dropped. A nil stack accepts any headers.
+func UnmarshalFor(buf []byte, stack []byte) (*event.Event, error) {
 	r := readerPool.Get().(*Reader)
 	r.Reset(buf)
-	ev, err := unmarshal(r)
+	ev, err := unmarshal(r, stack)
 	r.Reset(nil)
 	readerPool.Put(r)
 	return ev, err
 }
 
-func unmarshal(r *Reader) (*event.Event, error) {
+// StackIDs returns the wire ids of the named layers' codecs, 0 (which
+// matches no header) for a layer without one.
+func StackIDs(layers []string) []byte {
+	ids := make([]byte, len(layers))
+	for i, name := range layers {
+		if c := codecs().byLayer[name]; c != nil {
+			ids[i] = c.ID
+		}
+	}
+	return ids
+}
+
+func unmarshal(r *Reader, stack []byte) (*event.Event, error) {
 	if m := r.Byte(); m != wireFull {
 		return nil, ErrBadWire("magic %#x, want %#x", m, wireFull)
 	}
@@ -201,7 +219,7 @@ func unmarshal(r *Reader) (*event.Event, error) {
 	ev.Type = event.Type(r.Byte())
 	ev.Peer = int(r.Varint())
 	ev.ApplMsg = r.Bool()
-	if err := decodeHeaders(r, &ev.Msg, r.Uvarint()); err != nil {
+	if err := decodeHeaders(r, &ev.Msg, r.Uvarint(), stack); err != nil {
 		event.Free(ev)
 		return nil, err
 	}
@@ -219,12 +237,16 @@ const maxHeaders = 64
 
 // decodeHeaders reads n headers (outermost first) from r into m's reused
 // header storage, and records where each began so that m.EncodedHeaders
-// can hand back what is left of them after any number of pops. On error
-// m holds exactly the headers decoded so far (the caller frees them with
-// the event).
-func decodeHeaders(r *Reader, m *event.Message, n uint64) error {
+// can hand back what is left of them after any number of pops. With a
+// stack (see UnmarshalFor) the headers must be those of its bottom-most
+// layers. On error m holds exactly the headers decoded so far (the
+// caller frees them with the event).
+func decodeHeaders(r *Reader, m *event.Message, n uint64, stack []byte) error {
 	if n > maxHeaders {
 		return ErrBadWire("implausible header count %d", n)
+	}
+	if stack != nil && (n == 0 || n > uint64(len(stack))) {
+		return ErrBadWire("%d headers for a stack of %d layers", n, len(stack))
 	}
 	// Slots are nil-filled up front so that an error mid-decode frees
 	// exactly the headers decoded so far.
@@ -238,7 +260,11 @@ func decodeHeaders(r *Reader, m *event.Message, n uint64) error {
 	// the stack (highest index).
 	for i := int(n) - 1; i >= 0; i-- {
 		offs[i] = uint32(r.off)
-		c, err := lookupCodecByID(r.Byte())
+		id := r.Byte()
+		if stack != nil && id != stack[len(stack)-int(n)+i] {
+			return ErrBadWire("header %d has wire id %d, the stack's layer there has %d", i, id, stack[len(stack)-int(n)+i])
+		}
+		c, err := lookupCodecByID(id)
 		if err != nil {
 			return err
 		}

@@ -13,11 +13,13 @@ import (
 type tHdrA struct{ X, Y int64 }
 
 func (tHdrA) Layer() string       { return "test-a" }
+func (tHdrA) WireID() byte        { return 200 }
 func (h tHdrA) HdrString() string { return "test-a" }
 
 type tHdrB struct{ S int64 }
 
 func (tHdrB) Layer() string       { return "test-b" }
+func (tHdrB) WireID() byte        { return 201 }
 func (h tHdrB) HdrString() string { return "test-b" }
 
 func init() {
