@@ -3,9 +3,9 @@
 GO ?= go
 # BENCH_OUT is where bench-gate records the parsed benchmark trajectory;
 # override it to keep a run without clobbering the checked-in record.
-BENCH_OUT ?= BENCH_PR19.json
+BENCH_OUT ?= BENCH_PR20.json
 
-.PHONY: all build test race verify bench bench-throughput bench-gate benchmark-module multiproc flight fuzz pooldebug clean
+.PHONY: all build test race verify examples bench bench-throughput bench-gate benchmark-module multiproc flight fuzz pooldebug clean
 
 all: build test
 
@@ -30,9 +30,23 @@ verify:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/...
+	$(MAKE) examples
 	$(MAKE) benchmark-module
 	$(MAKE) bench-gate
 	$(MAKE) multiproc
+
+# The in-process examples are programs, not tests: each checks its own
+# outcome and panics (or exits non-zero) when it does not hold, so
+# running them is the check. Built first, so the timeout bounds the run
+# and not the compile; udpchat is interactive and stays out.
+EXAMPLES = quickstart totalorder failover partition bypass verify
+examples:
+	@for e in $(EXAMPLES); do \
+		$(GO) build -o .example.bin ./examples/$$e || exit 1; \
+		echo "== examples/$$e"; \
+		timeout 120 ./.example.bin > .example.out 2>&1 || { s=$$?; cat .example.out; rm -f .example.bin .example.out; echo "examples/$$e: FAILED (exit $$s; 124 = timed out)"; exit 1; }; \
+		tail -n 1 .example.out; \
+	done; rm -f .example.bin .example.out
 
 # benchmark/ is a module of its own (the repository benchmark builds
 # from there), so the root `go vet ./...` and `go test ./...` never
@@ -129,5 +143,5 @@ pooldebug:
 
 clean:
 	$(GO) clean
-	rm -f ensemble.test *.prof *.pprof flight.trace.json .bench_gate_*.out .ensemble-node.bin
+	rm -f ensemble.test *.prof *.pprof flight.trace.json .bench_gate_*.out .ensemble-node.bin .example.bin .example.out
 	rm -rf .multiproc-artifacts .bench_build

@@ -52,7 +52,7 @@
 //	go test -run xxx -bench 'BenchmarkThroughput_' -benchtime 100x . > unit.out
 //	go test -run xxx -bench 'BenchmarkThroughputNet_' -benchtime 150x . > net.out
 //	go test -run xxx -bench 'BenchmarkMixedTraffic_' -benchtime 1x . > mixed.out
-//	go run ./cmd/bench-gate -unit unit.out -net net.out -mixed mixed.out -out BENCH_PR19.json
+//	go run ./cmd/bench-gate -unit unit.out -net net.out -mixed mixed.out -out BENCH_PR20.json
 package main
 
 import (

@@ -47,7 +47,7 @@ func main() {
 		i := i
 		for r, m := range group.Members {
 			r, m := r, m
-			group.Sim.After(int64(i)*200e6, func() {
+			group.Do(r, int64(i)*200e6, func() {
 				if r == 3 && crashed {
 					return
 				}
@@ -55,16 +55,14 @@ func main() {
 			})
 		}
 	}
+	group.Run(int64(2e9))
 
 	// Member 3 crashes two seconds in: it stops sending and drops off
 	// the network.
-	group.Sim.After(int64(2e9), func() {
-		fmt.Println("--- member 3 crashes ---")
-		crashed = true
-		group.Net.Detach(group.Members[3].Addr())
-	})
-
-	group.Run(int64(40e9))
+	fmt.Println("--- member 3 crashes ---")
+	crashed = true
+	group.Cluster.Net().Detach(group.Members[3].Addr())
+	group.Run(int64(38e9))
 
 	fmt.Println()
 	for r := 0; r < 3; r++ {

@@ -23,7 +23,7 @@ import (
 
 func main() {
 	deliveries := make([]int, 4)
-	g, err := core.NewGroup(4, netsim.Lossy(0.05), 33, layers.StackVsync(), stack.Imp,
+	g, err := core.NewClusterGroup(4, netsim.Lossy(0.05), 33, layers.StackVsync(), stack.Imp,
 		func(rank int) core.Handlers {
 			return core.Handlers{
 				OnCast: func(origin int, payload []byte) { deliveries[rank]++ },
@@ -38,7 +38,7 @@ func main() {
 	g.Run(int64(2e9))
 
 	fmt.Println("--- network partitions: {1,2} | {3,4} ---")
-	g.Net.Partition(
+	g.Cluster.Net().Partition(
 		[]event.Addr{g.Members[0].Addr(), g.Members[1].Addr()},
 		[]event.Addr{g.Members[2].Addr(), g.Members[3].Addr()},
 	)
@@ -51,7 +51,7 @@ func main() {
 	fmt.Printf("side A view: %v\nside B view: %v\n", g.Members[0].View(), g.Members[2].View())
 
 	fmt.Println("--- network heals ---")
-	g.Net.SetFilter(nil)
+	g.Cluster.Net().SetFilter(nil)
 	g.Run(int64(60e9))
 
 	for r, m := range g.Members {

@@ -39,17 +39,17 @@ func TestBatchedFrameStrayEdgeCases(t *testing.T) {
 			name = "optimized"
 		}
 		t.Run(name, func(t *testing.T) {
-			var g *Group
+			var g *ClusterGroup
 			var err error
 			if optimized {
-				g, err = NewOptimizedGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
+				g, err = NewOptimizedClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
 			} else {
-				g, err = NewGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Imp, nil)
+				g, err = NewClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Imp, nil)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := g.Members[0]
+			m, out := g.Members[0], outsider(g)
 			garbage := appendUvarint(nil, 99) // wrong epoch
 			cases := []struct {
 				name   string
@@ -79,15 +79,15 @@ func TestBatchedFrameStrayEdgeCases(t *testing.T) {
 			}
 			for _, tc := range cases {
 				before := m.Stats().StrayPackets
-				g.Net.Send(99, m.addr, tc.frame)
-				g.Run(g.Sim.Now() + int64(1e7))
+				out.Send(out.Addr(), m.addr, tc.frame)
+				g.Run(int64(1e7))
 				if got := m.Stats().StrayPackets - before; got != tc.strays {
 					t.Errorf("%s: %d new strays, want %d", tc.name, got, tc.strays)
 				}
 			}
 			// The member is still live after the garbage.
 			m.Cast([]byte("still alive"))
-			g.Run(g.Sim.Now() + int64(1e8))
+			g.Run(int64(1e8))
 			if g.Members[1].Stats().CastsDelivered == 0 {
 				t.Fatal("member stopped delivering after malformed frames")
 			}
@@ -101,24 +101,24 @@ func TestBatchedFrameStrayEdgeCases(t *testing.T) {
 // per sweep. Stack4 keeps the sweep free of stability gossip so the
 // only periodic traffic is the pt2pt retransmission burst.
 func TestPt2ptSweepOneFlushPerPeer(t *testing.T) {
-	g, err := NewGroup(2, netsim.Profile{Latency: 1000}, 5, layers.Stack4(), stack.Imp, nil)
+	g, err := NewClusterGroup(2, netsim.Profile{Latency: 1000}, 5, layers.Stack4(), stack.Imp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := g.Members[0]
 	// Drop everything addressed to member 0: acks never arrive, so its
 	// unacked window stays full and every sweep retransmits all of it.
-	g.Net.SetFilter(func(from, to event.Addr) bool { return to != m.addr })
+	g.Cluster.Net().SetFilter(func(from, to event.Addr) bool { return to != m.addr })
 	const sends = 6
 	for i := 0; i < sends; i++ {
 		if err := m.Send(1, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var before, after transport.BatcherStats
-	g.Sim.After(int64(125e6), func() { before = m.Batcher().Stats() })
-	g.Sim.After(int64(375e6), func() { after = m.Batcher().Stats() })
-	g.Run(int64(400e6))
+	g.Run(int64(125e6))
+	before := m.Batcher().Stats()
+	g.Run(int64(250e6))
+	after := m.Batcher().Stats()
 
 	flushes := after.Flushes - before.Flushes
 	frames := after.Frames - before.Frames

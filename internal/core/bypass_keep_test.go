@@ -27,7 +27,7 @@ import (
 func TestBypassKeepsCastsForDepartedOrigin(t *testing.T) {
 	const n, missed = 4, 5
 	logs := make([][]string, n)
-	g, err := NewOptimizedGroup(n, netsim.Profile{Latency: 1000}, 5, layers.StackVsync(), stack.Func,
+	g, err := NewOptimizedClusterGroup(n, netsim.Profile{Latency: 1000}, 5, layers.StackVsync(), stack.Func,
 		func(rank int) Handlers {
 			return Handlers{OnCast: func(origin int, payload []byte) {
 				logs[rank] = append(logs[rank], fmt.Sprintf("%d:%s", origin, payload))
@@ -48,7 +48,7 @@ func TestBypassKeepsCastsForDepartedOrigin(t *testing.T) {
 	g.Run(int64(1e6))
 	before := g.Members[1].Engine().Stats().UpBypass
 
-	g.Net.SetFilter(func(from, to event.Addr) bool {
+	g.Cluster.Net().SetFilter(func(from, to event.Addr) bool {
 		return !(from == origin.Addr() && to == short.Addr())
 	})
 	for i := 0; i < missed; i++ {
@@ -63,7 +63,7 @@ func TestBypassKeepsCastsForDepartedOrigin(t *testing.T) {
 	}
 
 	// The origin is cut off both ways (and keeps running, alone).
-	g.Net.SetFilter(func(from, to event.Addr) bool {
+	g.Cluster.Net().SetFilter(func(from, to event.Addr) bool {
 		return from != origin.Addr() && to != origin.Addr()
 	})
 	g.Run(int64(60e9))

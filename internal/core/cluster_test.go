@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ensemble/internal/layers"
@@ -191,7 +192,7 @@ func TestClusterGroupReliabilityUnderLossConcurrent(t *testing.T) {
 // goroutine while it is busy panics with the discipline message instead
 // of corrupting pooled state.
 func TestMemberAffinityAssert(t *testing.T) {
-	g, err := NewGroup(2, netsim.Profile{Latency: 1000}, 1, layers.Stack4(), stack.Imp, nil)
+	g, err := NewClusterGroup(2, netsim.Profile{Latency: 1000}, 1, layers.Stack4(), stack.Imp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,4 +207,109 @@ func TestMemberAffinityAssert(t *testing.T) {
 		}
 	}()
 	m.Cast([]byte("intruder"))
+}
+
+// TestDirectlyDrivenGroup drives a group the way the examples and most
+// tests do — Member methods called from the driving goroutine between
+// runs, never through Do — on the networks the examples use: one that
+// loses a fifth of its packets under the 10-layer stack, and the lossy
+// one the failure detector tolerates under the membership stack, where
+// the last member then leaves. No barrier is coming for a call made
+// outside a run, so the wires must leave when the call returns; every
+// cast and send must arrive, in per-origin order; and the per-member
+// delivery sequences must not depend on whether the runs in between are
+// sequential or concurrent.
+func TestDirectlyDrivenGroup(t *testing.T) {
+	const members, rounds = 4, 10
+	drive := func(t *testing.T, names []string, profile netsim.Profile, seed int64, workers int) [][]string {
+		logs := make([][]string, members)
+		g, err := NewClusterGroup(members, profile, seed, names, stack.Imp, func(rank int) Handlers {
+			return Handlers{
+				OnCast: func(origin int, payload []byte) {
+					logs[rank] = append(logs[rank], fmt.Sprintf("c%d:%s", origin, payload))
+				},
+				OnSend: func(origin int, payload []byte) {
+					logs[rank] = append(logs[rank], fmt.Sprintf("s%d:%s", origin, payload))
+				},
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(d int64) {
+			if workers > 1 {
+				g.RunConcurrent(d, workers)
+			} else {
+				g.Run(d)
+			}
+		}
+		for i := 0; i < rounds; i++ {
+			for r, m := range g.Members {
+				before := m.Batcher().Stats()
+				m.Cast([]byte(fmt.Sprint(i)))
+				if err := m.Send((r+1)%members, []byte(fmt.Sprint(i))); err != nil {
+					t.Fatal(err)
+				}
+				// A chain's first wires have no cadence to be held for.
+				if st := m.Batcher().Stats(); i == 0 && (m.Batcher().PendingSubs() != 0 ||
+					st.EntryEndFlushes != before.EntryEndFlushes+2 || st.BarrierFlushes != before.BarrierFlushes) {
+					t.Fatalf("member %d: direct calls left %d wires pending; flushes %+v, were %+v",
+						r, m.Batcher().PendingSubs(), st, before)
+				}
+			}
+			run(int64(20e6))
+		}
+		run(int64(20e9))
+		if slices.Contains(names, layers.Membership) {
+			g.Members[members-1].Leave()
+			run(int64(30e9))
+			for r, m := range g.Members[:members-1] {
+				if m.View().N() != members-1 {
+					t.Fatalf("member %d: view %v after the leave", r, m.View())
+				}
+			}
+			if !g.Members[members-1].Exited() {
+				t.Fatal("the leaver never exited")
+			}
+		}
+		for r, log := range logs {
+			next := map[string]int{} // "c<origin>" / "s<origin>" -> next payload
+			for _, d := range log {
+				var n int
+				if _, err := fmt.Sscanf(d[3:], "%d", &n); err != nil || n != next[d[:2]] {
+					t.Fatalf("member %d: %q out of order (want %d)", r, d, next[d[:2]])
+				}
+				next[d[:2]]++
+			}
+			for o := 0; o < members; o++ {
+				if o != r && next[fmt.Sprintf("c%d", o)] != rounds {
+					t.Fatalf("member %d delivered %d of member %d's %d casts", r, next[fmt.Sprintf("c%d", o)], o, rounds)
+				}
+			}
+			if from := (r + members - 1) % members; next[fmt.Sprintf("s%d", from)] != rounds {
+				t.Fatalf("member %d delivered %d of member %d's %d sends", r, next[fmt.Sprintf("s%d", from)], from, rounds)
+			}
+		}
+		return logs
+	}
+	for _, tc := range []struct {
+		name    string
+		names   []string
+		profile netsim.Profile
+	}{
+		{"stack10/lossy0.2", layers.Stack10(), netsim.Lossy(0.2)},
+		{"vsync/lossy0.05/leave", layers.StackVsync(), netsim.Lossy(0.05)},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
+				seq := drive(t, tc.names, tc.profile, seed, 1)
+				conc := drive(t, tc.names, tc.profile, seed, members)
+				for r := range seq {
+					if fmt.Sprint(seq[r]) != fmt.Sprint(conc[r]) {
+						t.Fatalf("member %d: Run and RunConcurrent deliver different sequences:\n%v\n%v", r, seq[r], conc[r])
+					}
+				}
+			})
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -46,49 +47,34 @@ func checkLegacyBooks(t *testing.T, name string, before, after netsim.Stats, str
 	}
 }
 
-func TestLegacyMagicIsStrayOverNet(t *testing.T) {
-	g, err := NewOptimizedGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stop between two 50 ms housekeeping sweeps, start-up traffic long
-	// drained: the only packet in each 2 µs window below is the injected one.
-	g.Run(int64(110e6))
-	m := g.Members[0]
-	for _, tc := range legacyDatagrams {
-		before, ms := g.Net.Stats(), m.Stats()
-		g.Net.Send(g.Members[1].addr, m.addr, tc.data)
-		g.Run(2000)
-		after := m.Stats()
-		checkLegacyBooks(t, tc.name, before, g.Net.Stats(), after.StrayPackets-ms.StrayPackets, after.PacketsIn-ms.PacketsIn)
-	}
-	m.Cast([]byte("still alive"))
-	g.Run(int64(1e8))
-	if g.Members[1].Stats().CastsDelivered == 0 {
-		t.Fatal("member stopped delivering after legacy datagrams")
-	}
-}
-
-func TestLegacyMagicIsStrayOverShardedCluster(t *testing.T) {
-	g, err := NewOptimizedClusterGroup(4, netsim.Profile{Latency: 1000}, 5, layers.Stack10(), stack.Func, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Cluster.SetShards(2)
-	g.Run(int64(110e6)) // quiet books between sweeps, as above
-	// Member 3 lives on the second shard; the sender on the first.
-	m, from := g.Members[3], g.Members[0].addr
-	for _, tc := range legacyDatagrams {
-		before, ms := g.Cluster.Net().Stats(), m.Stats()
-		g.Cluster.Net().Send(from, m.addr, tc.data)
-		g.Run(2000)
-		after := m.Stats()
-		checkLegacyBooks(t, tc.name, before, g.Cluster.Net().Stats(), after.StrayPackets-ms.StrayPackets, after.PacketsIn-ms.PacketsIn)
-	}
-	g.Do(0, 0, func() { g.Members[0].Cast([]byte("still alive")) })
-	g.Run(int64(1e8))
-	if m.Stats().CastsDelivered == 0 {
-		t.Fatal("member stopped delivering after legacy datagrams")
+func TestLegacyMagicIsStrayOverCluster(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			g, err := NewOptimizedClusterGroup(4, netsim.Profile{Latency: 1000}, 5, layers.Stack10(), stack.Func, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Cluster.SetShards(shards)
+			// Stop between two 50 ms housekeeping sweeps, start-up traffic
+			// long drained: the only packet in each 2 µs window below is the
+			// injected one.
+			g.Run(int64(110e6))
+			// With two shards member 3 lives on the second, the sender on the
+			// first.
+			m, from := g.Members[3], g.Eps[0]
+			for _, tc := range legacyDatagrams {
+				before, ms := g.Cluster.Net().Stats(), m.Stats()
+				from.Send(from.Addr(), m.addr, tc.data)
+				g.Run(2000)
+				after := m.Stats()
+				checkLegacyBooks(t, tc.name, before, g.Cluster.Net().Stats(), after.StrayPackets-ms.StrayPackets, after.PacketsIn-ms.PacketsIn)
+			}
+			g.Members[0].Cast([]byte("still alive"))
+			g.Run(int64(1e8))
+			if m.Stats().CastsDelivered == 0 {
+				t.Fatal("member stopped delivering after legacy datagrams")
+			}
+		})
 	}
 }
 

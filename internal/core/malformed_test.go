@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -25,12 +26,12 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 			name = "optimized"
 		}
 		t.Run(name, func(t *testing.T) {
-			var g *Group
+			var g *ClusterGroup
 			var err error
 			if optimized {
-				g, err = NewOptimizedGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
+				g, err = NewOptimizedClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
 			} else {
-				g, err = NewGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Imp, nil)
+				g, err = NewClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Imp, nil)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -93,7 +94,7 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 					known[a] = ok
 				}
 				return mergeState{m.view.ID, append([]event.Addr(nil), m.view.Members...), known,
-					m.grantSeq, m.grantMembers, g.Net.Stats().Sent}
+					m.grantSeq, m.grantMembers, g.Cluster.Net().Stats().Sent}
 			}
 			state := snapshot()
 			for cname, data := range control {
@@ -116,7 +117,8 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 				}
 				return m.Stats().StrayPackets
 			}
-			for cname, image := range foreignImages(t) {
+			foreign := foreignImages(t)
+			for cname, image := range foreign {
 				was := dropped()
 				data := appendUvarint(append([]byte(nil), epoch...), m.viewTag)
 				m.receive(netsim.Packet{From: 2, To: 1, Data: append(data, image...)})
@@ -128,7 +130,24 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 				}
 			}
 			if !optimized {
-				n += 3
+				n += int64(len(foreign))
+			}
+			// This stack's own cast, whole, but typed as a send: its
+			// headers are variants a send never carries, which the layers
+			// used to assert on. The first layer to meet one drops the
+			// message; nothing is delivered and nothing moves.
+			data := appendUvarint(append([]byte(nil), epoch...), m.viewTag)
+			castLeaving(t, layers.Stack10(), func(ev *event.Event) {
+				ev.Type = event.ESend
+				data = append(data, wireImage(t, ev)...)
+			})
+			delivered := m.Stats()
+			m.receive(netsim.Packet{From: 2, To: 1, Data: data})
+			if now := m.Stats(); now.CastsDelivered != delivered.CastsDelivered || now.SendsDelivered != delivered.SendsDelivered {
+				t.Fatalf("cast-typed-send: delivered: %+v, was %+v", now, delivered)
+			}
+			if now := snapshot(); !reflect.DeepEqual(now, state) {
+				t.Fatalf("cast-typed-send: member state moved: %+v, was %+v", now, state)
 			}
 			// A well-formed control message nobody is waiting for is not stray.
 			m.receive(netsim.Packet{From: 2, To: 1, Data: []byte{0x00, ctrlGrantAck, 0x63}})
@@ -145,42 +164,64 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 	}
 }
 
+// wireImage marshals ev as rank 1 sends it.
+func wireImage(t *testing.T, ev *event.Event) []byte {
+	t.Helper()
+	var w transport.Writer
+	if err := transport.Marshal(ev, 1, &w); err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(nil), w.Bytes()...)
+}
+
+// castLeaving runs one cast down a stack of the named layers and hands
+// it to shape where it leaves the bottom.
+func castLeaving(t *testing.T, names []string, shape func(ev *event.Event)) {
+	t.Helper()
+	v := event.NewView("g", 1, []event.Addr{1, 2}, 1)
+	stk, err := stack.Build(names, layer.DefaultConfig(v), stack.Func, stack.Callbacks{Net: func(ev *event.Event) {
+		if ev.Type == event.ECast {
+			shape(ev)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk.SubmitDn(event.InitEv(v))
+	stk.SubmitDn(event.CastEv([]byte("from another stack")))
+}
+
 // foreignImages returns well-formed full wire images from rank 1 that no
 // 10-layer member can have sent: a cast with no headers at all, the
 // 4-layer stack's cast (its top header sits where mflow expects its
-// own), and a 10-layer cast that lost its bottom header.
+// own), a 10-layer cast that lost its bottom header, and the 10-layer
+// cast cut short to its k outermost headers, for every k — a valid
+// suffix of the stack ending in a header its layer passes up
+// ([mnak:Data, bottom] got past mnak and popped an empty stack at
+// pt2pt).
 func foreignImages(t *testing.T) map[string][]byte {
 	t.Helper()
 	images := map[string][]byte{}
-	marshal := func(name string, ev *event.Event) {
-		var w transport.Writer
-		if err := transport.Marshal(ev, 1, &w); err != nil {
-			t.Fatal(err)
-		}
-		images[name] = append([]byte(nil), w.Bytes()...)
-	}
 	bare := event.CastEv([]byte("no headers"))
-	marshal("empty-header-stack", bare)
+	images["empty-header-stack"] = wireImage(t, bare)
 	event.Free(bare)
-	for name, names := range map[string][]string{"foreign-header-stack": layers.Stack4(), "unanchored-header-stack": layers.Stack10()} {
-		v := event.NewView("g", 1, []event.Addr{1, 2}, 1)
-		stk, err := stack.Build(names, layer.DefaultConfig(v), stack.Func, stack.Callbacks{Net: func(ev *event.Event) {
-			if ev.Type != event.ECast {
-				return
-			}
-			if name == "unanchored-header-stack" {
-				event.FreeHeader(ev.Msg.Pop())
-			}
-			marshal(name, ev)
-		}})
-		if err != nil {
-			t.Fatal(err)
+	castLeaving(t, layers.Stack4(), func(ev *event.Event) { images["foreign-header-stack"] = wireImage(t, ev) })
+	castLeaving(t, layers.Stack10(), func(ev *event.Event) {
+		event.FreeHeader(ev.Msg.Pop())
+		images["unanchored-header-stack"] = wireImage(t, ev)
+	})
+	depth := len(layers.Stack10())
+	castLeaving(t, layers.Stack10(), func(ev *event.Event) {
+		// Headers[0] is the innermost: each round drops it and keeps the
+		// outermost k.
+		for k := depth - 1; k >= 1; k-- {
+			event.FreeHeader(ev.Msg.Headers[0])
+			ev.Msg.Headers = ev.Msg.Headers[1:]
+			images[fmt.Sprintf("short-header-stack-%d", k)] = wireImage(t, ev)
 		}
-		stk.SubmitDn(event.InitEv(v))
-		stk.SubmitDn(event.CastEv([]byte("from another stack")))
-	}
-	if len(images) != 3 {
-		t.Fatalf("built %d foreign images, want 3", len(images))
+	})
+	if len(images) != 3+depth-1 {
+		t.Fatalf("built %d foreign images, want %d", len(images), 3+depth-1)
 	}
 	return images
 }

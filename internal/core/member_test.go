@@ -18,10 +18,10 @@ type delivery struct {
 
 // runGroup builds a group, runs body to inject traffic, then advances
 // virtual time until quiescence (or the step bound trips).
-func runGroup(t *testing.T, n int, profile netsim.Profile, names []string, mode stack.Mode, body func(g *Group)) []delivery {
+func runGroup(t *testing.T, n int, profile netsim.Profile, names []string, mode stack.Mode, body func(g *ClusterGroup)) []delivery {
 	t.Helper()
 	var deliveries []delivery
-	g, err := NewGroup(n, profile, 42, names, mode, func(rank int) Handlers {
+	g, err := NewClusterGroup(n, profile, 42, names, mode, func(rank int) Handlers {
 		return Handlers{
 			OnCast: func(origin int, payload []byte) {
 				deliveries = append(deliveries, delivery{to: rank, from: origin, payload: string(payload), cast: true})
@@ -32,7 +32,7 @@ func runGroup(t *testing.T, n int, profile netsim.Profile, names []string, mode 
 		}
 	})
 	if err != nil {
-		t.Fatalf("NewGroup: %v", err)
+		t.Fatalf("NewClusterGroup: %v", err)
 	}
 	body(g)
 	g.Run(int64(20e9)) // 20 virtual seconds: plenty for retransmission to settle
@@ -51,7 +51,7 @@ func TestCastDeliveryPerfectNet(t *testing.T) {
 	for name, names := range stacksUnderTest() {
 		for _, mode := range []stack.Mode{stack.Imp, stack.Func} {
 			t.Run(fmt.Sprintf("%s/%s", name, mode), func(t *testing.T) {
-				ds := runGroup(t, 3, netsim.Profile{Latency: 1000}, names, mode, func(g *Group) {
+				ds := runGroup(t, 3, netsim.Profile{Latency: 1000}, names, mode, func(g *ClusterGroup) {
 					g.Members[0].Cast([]byte("hello"))
 				})
 				var got []delivery
@@ -84,7 +84,7 @@ func TestCastDeliveryPerfectNet(t *testing.T) {
 func TestSendDeliveryPerfectNet(t *testing.T) {
 	for name, names := range stacksUnderTest() {
 		t.Run(name, func(t *testing.T) {
-			ds := runGroup(t, 3, netsim.Profile{Latency: 1000}, names, stack.Imp, func(g *Group) {
+			ds := runGroup(t, 3, netsim.Profile{Latency: 1000}, names, stack.Imp, func(g *ClusterGroup) {
 				_ = g.Members[0].Send(2, []byte("direct"))
 				_ = g.Members[2].Send(0, []byte("reply"))
 			})
@@ -105,12 +105,12 @@ func TestFifoOrderPerOriginUnderLoss(t *testing.T) {
 	const msgs = 50
 	for _, mode := range []stack.Mode{stack.Imp, stack.Func} {
 		t.Run(mode.String(), func(t *testing.T) {
-			ds := runGroup(t, 3, netsim.Lossy(0.20), layers.Stack10(), mode, func(g *Group) {
+			ds := runGroup(t, 3, netsim.Lossy(0.20), layers.Stack10(), mode, func(g *ClusterGroup) {
 				for i := 0; i < msgs; i++ {
 					i := i
 					for r, m := range g.Members {
 						r, m := r, m
-						g.Sim.After(int64(i)*1e6, func() {
+						g.Do(r, int64(i)*1e6, func() {
 							m.Cast([]byte(fmt.Sprintf("m%d-%d", r, i)))
 						})
 					}
@@ -141,12 +141,12 @@ func TestFifoOrderPerOriginUnderLoss(t *testing.T) {
 func TestTotalOrderAgreementUnderLoss(t *testing.T) {
 	const msgs = 30
 	perMember := make([][]string, 3)
-	ds := runGroup(t, 3, netsim.Lossy(0.15), layers.Stack10(), stack.Imp, func(g *Group) {
+	ds := runGroup(t, 3, netsim.Lossy(0.15), layers.Stack10(), stack.Imp, func(g *ClusterGroup) {
 		for i := 0; i < msgs; i++ {
 			i := i
 			for r, m := range g.Members {
 				r, m := r, m
-				g.Sim.After(int64(i)*2e6, func() {
+				g.Do(r, int64(i)*2e6, func() {
 					m.Cast([]byte(fmt.Sprintf("t%d-%d", r, i)))
 				})
 			}
@@ -178,7 +178,7 @@ func TestLargeMessageFragmentation(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i * 31)
 	}
-	ds := runGroup(t, 2, netsim.Lossy(0.1), layers.Stack10(), stack.Imp, func(g *Group) {
+	ds := runGroup(t, 2, netsim.Lossy(0.1), layers.Stack10(), stack.Imp, func(g *ClusterGroup) {
 		g.Members[0].Cast(big)
 	})
 	got := 0
@@ -197,7 +197,7 @@ func TestLargeMessageFragmentation(t *testing.T) {
 
 func TestStabilityGarbageCollection(t *testing.T) {
 	var stableSeen []int64
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 1, layers.Stack10(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 1, layers.Stack10(), stack.Imp, func(rank int) Handlers {
 		if rank != 0 {
 			return Handlers{}
 		}

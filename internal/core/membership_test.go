@@ -12,15 +12,21 @@ import (
 
 // crash makes a member disappear abruptly: it stops participating and
 // its endpoint drops off the network, as a process failure would.
-func crash(g *Group, rank int) {
+func crash(g *ClusterGroup, rank int) {
 	m := g.Members[rank]
 	m.exited = true
-	g.Net.Detach(m.addr)
+	g.Cluster.Net().Detach(m.addr)
 }
+
+// outsider is an endpoint at an address no member has, for sending a
+// member packets from outside the group between runs. It never
+// attaches, so casts do not fan out to it and whatever is sent back to
+// it is dropped.
+func outsider(g *ClusterGroup) *netsim.Endpoint { return g.Cluster.NewEndpoint(99) }
 
 func TestViewChangeOnCrash(t *testing.T) {
 	var views [][]*event.View
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 7, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 7, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		return Handlers{}
 	})
 	if err != nil {
@@ -59,7 +65,7 @@ func TestViewChangeOnCrash(t *testing.T) {
 
 func TestTrafficContinuesAfterViewChange(t *testing.T) {
 	var got []string
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 9, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 9, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		if rank != 0 {
 			return Handlers{}
 		}
@@ -91,7 +97,7 @@ func TestTrafficContinuesAfterViewChange(t *testing.T) {
 
 func TestGracefulLeave(t *testing.T) {
 	exited := false
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 11, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 11, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		if rank != 2 {
 			return Handlers{}
 		}
@@ -118,7 +124,7 @@ func TestCastsDuringFlushAreNotLost(t *testing.T) {
 	// Virtual synchrony: casts submitted while the membership protocol
 	// is flushing must be delivered in the next view, not dropped.
 	deliveredAt0 := map[string]bool{}
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 13, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 13, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		if rank != 0 {
 			return Handlers{}
 		}
@@ -132,7 +138,7 @@ func TestCastsDuringFlushAreNotLost(t *testing.T) {
 	// casts across the detection window.
 	for i := 0; i < 20; i++ {
 		i := i
-		g.Sim.After(int64(i)*300e6, func() {
+		g.Do(1, int64(i)*300e6, func() {
 			g.Members[1].Cast([]byte(fmt.Sprintf("flush-%d", i)))
 		})
 	}

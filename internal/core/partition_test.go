@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"ensemble/internal/layers"
@@ -22,7 +23,7 @@ import (
 // therefore carries the coordinator address as well.
 func TestPartitionedMemberCannotPoisonSurvivors(t *testing.T) {
 	deliveries := make([]int, 4)
-	g, err := NewGroup(4, netsim.Lossy(0.05), 11, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(4, netsim.Lossy(0.05), 11, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		return Handlers{OnCast: func(origin int, payload []byte) { deliveries[rank]++ }}
 	})
 	if err != nil {
@@ -33,7 +34,7 @@ func TestPartitionedMemberCannotPoisonSurvivors(t *testing.T) {
 		i := i
 		for r, m := range g.Members {
 			r, m := r, m
-			g.Sim.After(int64(i)*200e6, func() {
+			g.Do(r, int64(i)*200e6, func() {
 				if r == 3 && partitioned {
 					return
 				}
@@ -43,11 +44,10 @@ func TestPartitionedMemberCannotPoisonSurvivors(t *testing.T) {
 	}
 	// Member 3 loses its receive path but — crucially — keeps running
 	// and transmitting, like a real partitioned process.
-	g.Sim.After(int64(2e9), func() {
-		partitioned = true
-		g.Net.Detach(g.Members[3].Addr())
-	})
-	g.Run(int64(40e9))
+	g.Run(int64(2e9))
+	partitioned = true
+	g.Cluster.Net().Detach(g.Members[3].Addr())
+	g.Run(int64(38e9))
 
 	if deliveries[0] == 0 {
 		t.Fatal("no deliveries at all")
@@ -75,7 +75,7 @@ func TestPartitionedMemberCannotPoisonSurvivors(t *testing.T) {
 // dropped across the change — the documented simplification.)
 func TestCoordinatorCrash(t *testing.T) {
 	deliveries := make([]int, 3)
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 31, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 31, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		return Handlers{OnCast: func(origin int, payload []byte) { deliveries[rank]++ }}
 	})
 	if err != nil {
@@ -86,7 +86,7 @@ func TestCoordinatorCrash(t *testing.T) {
 
 	// Rank 0 dies (stops participating entirely).
 	g.Members[0].exited = true
-	g.Net.Detach(g.Members[0].addr)
+	g.Cluster.Net().Detach(g.Members[0].addr)
 	g.Run(int64(30e9))
 
 	for r := 1; r < 3; r++ {
@@ -115,7 +115,7 @@ func TestCoordinatorCrash(t *testing.T) {
 // TestCascadingCrashes: members fail one after another until only one
 // remains; every surviving configuration must stay live.
 func TestCascadingCrashes(t *testing.T) {
-	g, err := NewGroup(4, netsim.Profile{Latency: 1000}, 37, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(4, netsim.Profile{Latency: 1000}, 37, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		return Handlers{}
 	})
 	if err != nil {
@@ -124,7 +124,7 @@ func TestCascadingCrashes(t *testing.T) {
 	g.Run(int64(1e9))
 	for victim := 3; victim >= 1; victim-- {
 		g.Members[victim].exited = true
-		g.Net.Detach(g.Members[victim].addr)
+		g.Cluster.Net().Detach(g.Members[victim].addr)
 		g.Run(int64(30e9))
 		want := victim
 		if got := g.Members[0].View().N(); got != want {
@@ -147,7 +147,7 @@ func TestCascadingCrashes(t *testing.T) {
 // traffic.
 func TestMemberSurvivesGarbagePackets(t *testing.T) {
 	delivered := 0
-	g, err := NewGroup(2, netsim.Profile{Latency: 1000}, 41, layers.Stack10(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(2, netsim.Profile{Latency: 1000}, 41, layers.Stack10(), stack.Imp, func(rank int) Handlers {
 		if rank != 1 {
 			return Handlers{}
 		}
@@ -156,11 +156,12 @@ func TestMemberSurvivesGarbagePackets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := g.Sim.Rand()
+	rng := rand.New(rand.NewSource(41))
+	out := outsider(g)
 	for i := 0; i < 3000; i++ {
 		garbage := make([]byte, rng.Intn(64))
 		rng.Read(garbage)
-		g.Net.Send(99, g.Members[1].addr, garbage)
+		out.Send(out.Addr(), g.Members[1].addr, garbage)
 	}
 	g.Members[0].Cast([]byte("clean"))
 	g.Run(int64(5e9))

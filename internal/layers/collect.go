@@ -116,6 +116,7 @@ func init() {
 				return nil, transport.ErrBadWire("collect tag %d", tag)
 			}
 		},
+		Ends: func(h event.Header) bool { _, gossip := h.(collectGossip); return gossip },
 	})
 }
 
@@ -146,7 +147,11 @@ func (s *collectState) HandleUp(ev *event.Event, snk layer.Sink) {
 			panic(fmt.Sprintf("collect: unexpected up cast header %T", h))
 		}
 	case event.ESend:
-		ev.Msg.Pop()
+		h := ev.Msg.Pop()
+		if _, pass := h.(collectPass); !pass {
+			dropBad(h, ev)
+			return
+		}
 		snk.PassUp(ev)
 	case event.EAck:
 		// Fresh local acknowledgment vector from the reliability layer.

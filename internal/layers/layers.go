@@ -84,6 +84,16 @@ func StackVsync() []string {
 	return []string{PartialAppl, Total, Membership, Suspect, Local, Collect, Frag, Pt2ptw, Mflow, Pt2pt, Mnak, Bottom}
 }
 
+// dropBad discards an up-going message whose popped header h is a
+// variant that its kind of event never carries. The header came off the
+// network, so this is a bad packet like any other — not a wiring bug to
+// panic on — and passing it up could hand the next layer an empty header
+// stack.
+func dropBad(h event.Header, ev *event.Event) {
+	event.FreeHeader(h)
+	event.Free(ev)
+}
+
 // isData reports whether an event carries a message through the data
 // path. Only data events get headers pushed/popped.
 func isData(ev *event.Event) bool {

@@ -293,6 +293,7 @@ func init() {
 				return nil, transport.ErrBadWire("membership tag %d", tag)
 			}
 		},
+		Ends: func(h event.Header) bool { _, pass := h.(membPass); return !pass },
 	})
 }
 

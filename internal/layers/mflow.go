@@ -109,6 +109,7 @@ func init() {
 				return nil, transport.ErrBadWire("mflow tag %d", tag)
 			}
 		},
+		Ends: func(h event.Header) bool { _, credit := h.(mflowCredit); return credit },
 	})
 }
 
@@ -160,7 +161,11 @@ func (s *mflowState) HandleDn(ev *event.Event, snk layer.Sink) {
 func (s *mflowState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
-		ev.Msg.Pop()
+		h := ev.Msg.Pop()
+		if _, data := h.(mflowData); !data {
+			dropBad(h, ev)
+			return
+		}
 		from := ev.Peer
 		s.recvBytes[from] += int64(len(ev.Msg.Payload))
 		if s.recvBytes[from]-s.creditSent[from] >= s.credit/2 {
@@ -182,7 +187,7 @@ func (s *mflowState) HandleUp(ev *event.Event, snk layer.Sink) {
 		case mflowPass:
 			snk.PassUp(ev)
 		default:
-			panic(fmt.Sprintf("mflow: unexpected up header %T", h))
+			dropBad(h, ev)
 		}
 	case event.ETimer:
 		if len(s.queue) > 0 {

@@ -163,6 +163,7 @@ func init() {
 				return nil, transport.ErrBadWire("mnak tag %d", tag)
 			}
 		},
+		Ends: func(h event.Header) bool { _, nak := h.(mnakNak); return nak },
 	})
 }
 
@@ -241,9 +242,11 @@ func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 func (s *mnakState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
-		h, ok := ev.Msg.Pop().(*mnakData)
+		hdr := ev.Msg.Pop()
+		h, ok := hdr.(*mnakData)
 		if !ok {
-			panic("mnak: up cast without mnak data header")
+			dropBad(hdr, ev)
+			return
 		}
 		seq := h.Seqno
 		h.FreeHdr()
@@ -278,7 +281,7 @@ func (s *mnakState) HandleUp(ev *event.Event, snk layer.Sink) {
 				event.Free(ev)
 			}
 		default:
-			panic(fmt.Sprintf("mnak: unexpected up send header %T", h))
+			dropBad(h, ev)
 		}
 	default:
 		snk.PassUp(ev)

@@ -131,6 +131,7 @@ func init() {
 				return nil, transport.ErrBadWire("pt2pt tag %d", tag)
 			}
 		},
+		Ends: func(h event.Header) bool { _, ack := h.(p2pAck); return ack },
 	})
 }
 
@@ -157,7 +158,11 @@ func (s *pt2ptState) HandleDn(ev *event.Event, snk layer.Sink) {
 func (s *pt2ptState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
-		ev.Msg.Pop()
+		h := ev.Msg.Pop()
+		if _, pass := h.(p2pPass); !pass {
+			dropBad(h, ev)
+			return
+		}
 		snk.PassUp(ev)
 	case event.ESend:
 		from := ev.Peer
@@ -174,7 +179,7 @@ func (s *pt2ptState) HandleUp(ev *event.Event, snk layer.Sink) {
 			s.applyAck(from, h.Ack)
 			event.Free(ev)
 		default:
-			panic(fmt.Sprintf("pt2pt: unexpected up header %T", h))
+			dropBad(h, ev)
 		}
 	case event.ETimer:
 		s.sweep(snk)

@@ -93,6 +93,7 @@ func init() {
 				return nil, transport.ErrBadWire("pt2ptw tag %d", tag)
 			}
 		},
+		Ends: func(h event.Header) bool { _, ack := h.(p2pwAck); return ack },
 	})
 }
 
@@ -120,7 +121,11 @@ func (s *pt2ptwState) HandleDn(ev *event.Event, snk layer.Sink) {
 func (s *pt2ptwState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
-		ev.Msg.Pop()
+		h := ev.Msg.Pop()
+		if _, pass := h.(p2pwPass); !pass {
+			dropBad(h, ev)
+			return
+		}
 		snk.PassUp(ev)
 	case event.ESend:
 		from := ev.Peer

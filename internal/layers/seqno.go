@@ -114,9 +114,11 @@ func (s *seqnoState) HandleDn(ev *event.Event, snk layer.Sink) {
 func (s *seqnoState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
-		h, ok := ev.Msg.Pop().(*seqnoData)
+		hdr := ev.Msg.Pop()
+		h, ok := hdr.(*seqnoData)
 		if !ok {
-			panic("seqno: up cast without data header")
+			dropBad(hdr, ev)
+			return
 		}
 		seq := h.Seqno
 		h.FreeHdr()

@@ -79,6 +79,7 @@ func init() {
 				return nil, transport.ErrBadWire("suspect tag %d", tag)
 			}
 		},
+		Ends: func(h event.Header) bool { _, ping := h.(suspectPing); return ping },
 	})
 }
 

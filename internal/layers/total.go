@@ -147,6 +147,7 @@ func init() {
 				return nil, transport.ErrBadWire("total tag %d", tag)
 			}
 		},
+		Ends: func(h event.Header) bool { _, order := h.(totalOrder); return order },
 	})
 }
 
@@ -186,10 +187,14 @@ func (s *totalState) HandleUp(ev *event.Event, snk layer.Sink) {
 			s.handleOrder(h, snk)
 			event.Free(ev)
 		default:
-			panic(fmt.Sprintf("total: unexpected up cast header %T", h))
+			dropBad(h, ev)
 		}
 	case event.ESend:
-		ev.Msg.Pop()
+		h := ev.Msg.Pop()
+		if _, pass := h.(totalPass); !pass {
+			dropBad(h, ev)
+			return
+		}
 		snk.PassUp(ev)
 	case event.EBlock:
 		s.blocked = true

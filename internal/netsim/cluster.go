@@ -1,8 +1,8 @@
 package netsim
 
-// The N-member concurrent harness. A Cluster wraps one Sim and one Net
-// and grows the single-goroutine lockstep simulation into per-member
-// execution with a deterministic sharded scheduler:
+// The simulated network. A Cluster is the one scheduler every simulated
+// group runs on — a clock (Sim), the medium's shared tables (Net) and a
+// deterministic sharded scheduler with per-member execution:
 //
 //   - Endpoints are partitioned into shards (contiguous blocks, so
 //     hierarchical groups land shard-local); each shard owns an event
@@ -38,7 +38,7 @@ import (
 	"fmt"
 
 	"ensemble/internal/event"
-	"ensemble/internal/obs"
+	"ensemble/internal/transport"
 )
 
 // Cluster is an N-member deterministic network simulation with
@@ -54,7 +54,7 @@ type Cluster struct {
 	byAddr map[event.Addr]int
 
 	// nshards is the requested shard count; shards is the frozen
-	// partition, built at the first run (or the first scheduling call).
+	// partition, built at the first run.
 	nshards int
 	shards  []*shard
 	frozen  bool
@@ -64,12 +64,10 @@ type Cluster struct {
 
 	// quantum widens the batch window: all events within quantum of the
 	// earliest pending time are routed before the members run. Zero
-	// batches exact virtual-time ties only.
-	quantum int64
-
-	// adaptive scales quantum between qMin and qMax from observed
-	// per-shard routed-event densities (see EnableAdaptiveQuantum).
-	adaptive   bool
+	// batches exact virtual-time ties only. EnableAdaptiveQuantum scales
+	// it between qMin and qMax from observed per-shard routed-event
+	// densities; qMax == 0 means it was never called.
+	quantum    int64
 	qMin, qMax int64
 
 	tracing bool
@@ -79,17 +77,24 @@ type Cluster struct {
 // NewCluster builds a cluster simulation with a seeded RNG and the
 // given link profile.
 func NewCluster(seed int64, profile Profile) *Cluster {
-	c := &Cluster{sim: NewSim(seed), seed: seed, byAddr: map[event.Addr]int{}, nshards: 1}
-	c.net = NewNet(c.sim, profile)
-	c.net.route = c.route
-	return c
+	return &Cluster{
+		sim: &Sim{},
+		net: &Net{
+			profile: profile,
+			eps:     map[event.Addr]bool{},
+			walker:  transport.NewFrameWalker(transport.EpochPrefixUvarints, true),
+		},
+		seed:    seed,
+		byAddr:  map[event.Addr]int{},
+		nshards: 1,
+	}
 }
 
-// Sim exposes the underlying simulator (for Now, global scheduling from
-// the driving goroutine between runs, and seeding checks).
+// Sim exposes the cluster's virtual clock (for Now).
 func (c *Cluster) Sim() *Sim { return c.sim }
 
-// Net exposes the underlying network (for Stats, Partition, SetFilter).
+// Net exposes the medium's shared tables (for Stats, Partition,
+// SetFilter, Detach).
 func (c *Cluster) Net() *Net { return c.net }
 
 // SetShards sets how many scheduler shards the endpoints are split
@@ -107,15 +112,6 @@ func (c *Cluster) SetShards(n int) {
 		n = 1
 	}
 	c.nshards = n
-}
-
-// Shards reports the effective shard count (after clamping to the
-// endpoint count once frozen).
-func (c *Cluster) Shards() int {
-	if c.frozen {
-		return len(c.shards)
-	}
-	return c.nshards
 }
 
 // freeze builds the shard partition: nshards contiguous blocks of the
@@ -149,46 +145,30 @@ func (c *Cluster) freeze() {
 	c.pending = nil
 }
 
-// RegisterShardMetrics adopts the per-shard scheduler counters into reg
-// under "netsim/shard<k>/" scopes (routed events, committed effects,
-// cross-shard transfers in/out). It freezes the shard partition.
-func (c *Cluster) RegisterShardMetrics(reg *obs.Registry) {
-	c.freeze()
-	for _, s := range c.shards {
-		sc := reg.Scope(fmt.Sprintf("netsim/shard%d/", s.id))
-		sc.Adopt("routed", &s.ctrRouted)
-		sc.Adopt("committed", &s.ctrCommitted)
-		sc.Adopt("xshard_in", &s.ctrXIn)
-		sc.Adopt("xshard_out", &s.ctrXOut)
-	}
-}
-
-// SetQuantum sets the batch window in nanoseconds: events within
-// quantum of the earliest pending time are routed together, so members
+// EnableAdaptiveQuantum sets the batch window: events within the
+// window of the earliest pending time are routed together, so members
 // whose deliveries land close in virtual time actually run in parallel
-// in RunConcurrent. Zero (the default) batches exact ties only.
-// Deliveries are never reordered across batches; a window only affects
-// how much work each barrier round hands the members. The window must
-// not exceed the link latency, or a member's response could be
-// scheduled into the past of the current batch (the scheduler clamps
-// such times forward to the shard's floor, which distorts the
-// profile's timing).
-func (c *Cluster) SetQuantum(q int64) { c.quantum = q; c.adaptive = false }
-
-// EnableAdaptiveQuantum replaces the fixed quantum with a controller
-// that scales the batch window from observed load: after each round,
-// if every shard routed fewer than 4 events per member the window
-// doubles (batches are too fine to coalesce or parallelize), and if
-// any shard routed more than 32 events per member it halves (batches
-// are so coarse that virtual-time fidelity and memory suffer), clamped
-// to [min, max]. The thresholds scale with the *shard* population, not
-// the cluster's: with per-shard routing the denominator of "events per
-// member" is the shard a member shares a heap with, so one hot shard
-// inside a mostly-idle cluster is enough to hold (or shrink) the
-// window. The controller reads only routed-event counts — identical
-// between Run and RunConcurrent by construction — so adaptive runs
-// remain byte-identical per seed across both modes. min is clamped to
-// at least 1ns (a zero quantum could never double).
+// in RunConcurrent and their wires coalesce. Deliveries are never
+// reordered across batches; a window only affects how much work each
+// barrier round hands the members. A window wider than the link latency
+// can schedule a member's response into the past of the current batch;
+// the scheduler clamps such times forward to the shard's floor, which
+// stretches the profile's timing. Without this call the window is zero:
+// exact virtual-time ties only.
+//
+// A controller scales the window between min and max from observed
+// load (min == max is a fixed window): after each round, if every shard
+// routed fewer than 4 events per member the window doubles (batches are
+// too fine to coalesce or parallelize), and if any shard routed more
+// than 32 events per member it halves (batches are so coarse that
+// virtual-time fidelity and memory suffer). The thresholds scale with
+// the *shard* population, not the cluster's: with per-shard routing the
+// denominator of "events per member" is the shard a member shares a
+// heap with, so one hot shard inside a mostly-idle cluster is enough to
+// hold (or shrink) the window. The controller reads only routed-event
+// counts — identical between Run and RunConcurrent by construction — so
+// adaptive runs remain byte-identical per seed across both modes. min
+// is clamped to at least 1ns (a zero quantum could never double).
 func (c *Cluster) EnableAdaptiveQuantum(min, max int64) {
 	if min < 1 {
 		min = 1
@@ -196,7 +176,6 @@ func (c *Cluster) EnableAdaptiveQuantum(min, max int64) {
 	if max < min {
 		max = min
 	}
-	c.adaptive = true
 	c.qMin, c.qMax = min, max
 	if c.quantum < min {
 		c.quantum = min
@@ -366,9 +345,7 @@ func (ep *Endpoint) Attach(addr event.Addr, recv func(Packet)) {
 		panic(fmt.Sprintf("netsim: cluster endpoint is member %d, not %d", ep.addr, addr))
 	}
 	ep.recv = recv
-	ep.c.net.Attach(addr, func(Packet) {
-		panic("netsim: cluster-managed endpoint delivered outside the scheduler")
-	})
+	ep.c.net.attach(addr)
 }
 
 // Detach implements the member network contract; the detach takes
@@ -456,7 +433,7 @@ func (ep *Endpoint) drain() {
 // snapshotting Net stats at a fixed virtual time, say — and fn must
 // not touch member state or the RNGs, or the Run/RunConcurrent
 // determinism guarantee is forfeit.
-func (c *Cluster) AtVirtual(t int64, fn func()) { c.sim.At(t, fn) }
+func (c *Cluster) AtVirtual(t int64, fn func()) { c.sim.at(t, fn) }
 
 // Enqueue schedules fn to run on member idx's goroutine at now+delay —
 // the way a test or benchmark injects application work (casts, sends)
@@ -477,21 +454,6 @@ func (c *Cluster) Enqueue(idx int, delay int64, fn func()) {
 		return
 	}
 	ep.shard.push(ev)
-}
-
-// route is installed as the Net's delivery hook, reached only by
-// direct Net.Send/Cast calls from the driving goroutine between runs
-// (during runs, commit delivers through per-shard sinks instead):
-// schedule the arrival on the destination's shard heap.
-func (c *Cluster) route(p Packet, delay int64) {
-	c.freeze()
-	t := c.sim.now + delay
-	idx, ok := c.byAddr[p.To]
-	if !ok {
-		c.net.stats.dropped.Inc()
-		return
-	}
-	c.eps[idx].shard.push(shardEvent{t: t, idx: int32(idx), kind: sevArrive, pkt: p})
 }
 
 // nextEventTime reports the earliest pending time across every shard
@@ -597,7 +559,7 @@ func (c *Cluster) run(deadline int64, workers int) int {
 		// routed densities. The counts are a pure function of the
 		// (deterministic) schedule, so the trajectory is identical in
 		// Run and RunConcurrent for the same seed.
-		if c.adaptive {
+		if c.qMax > 0 {
 			c.adaptQuantum()
 		}
 	}
@@ -607,6 +569,13 @@ func (c *Cluster) run(deadline int64, workers int) int {
 	for _, s := range shards {
 		if s.now < deadline {
 			s.now = deadline
+		}
+	}
+	// Between runs every member's clock reads the cluster's, so what the
+	// driving goroutine submits directly is stamped with the current time.
+	for _, ep := range c.eps {
+		if ep.now < deadline {
+			ep.now = deadline
 		}
 	}
 	return n

@@ -79,7 +79,7 @@ func TestClusterDeterministicReplay(t *testing.T) {
 func TestClusterQuantumDeterminism(t *testing.T) {
 	mk := func() *Cluster {
 		c := clusterEcho(7, Lossy(0.2), 6, 5)
-		c.SetQuantum(10_000) // 10µs window, below the 50µs link latency
+		c.EnableAdaptiveQuantum(10_000, 10_000) // fixed 10µs window, below the 50µs link latency
 		return c
 	}
 	seq := mk()

@@ -7,6 +7,7 @@ package netsim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"ensemble/internal/event"
@@ -25,61 +26,30 @@ func buildFrame(subs ...[]byte) []byte {
 	return buf
 }
 
-func TestNetDeliversFrameSubPackets(t *testing.T) {
-	s := NewSim(1)
-	n := NewNet(s, Profile{Latency: 1000})
-	var got [][]byte
-	n.Attach(1, func(Packet) {})
-	n.Attach(2, func(p Packet) { got = append(got, append([]byte(nil), p.Data...)) })
+// TestClusterArriveUnpacksFrames: a frame is one transmission on the
+// books and one recv call per sub-packet, in order, at the receiver; a
+// raw packet passes through whole; a cast frame fans out the same way.
+func TestClusterArriveUnpacksFrames(t *testing.T) {
+	var got []string
+	c := wired(3, Profile{Latency: 1000}, 2, func(_ event.Addr, p Packet) { got = append(got, string(p.Data)) })
+	c.eps[0].Send(1, 2, buildFrame([]byte("alpha"), []byte("b"), []byte("ccc")))
+	c.eps[0].Send(1, 2, []byte{0x01, 0x02})
+	c.eps[0].Cast(1, buildFrame([]byte("y1")))
+	c.Run(int64(1e9))
 
-	frame := buildFrame([]byte("alpha"), []byte("b"), []byte("ccc"))
-	n.Send(1, 2, frame)
-	n.Send(1, 2, []byte{0x01, 0x02}) // raw packet, passed through whole
-	s.Run(int64(1e9))
-
-	if len(got) != 4 {
-		t.Fatalf("receiver saw %d packets, want 4 (3 subs + 1 raw)", len(got))
+	want := []string{"alpha", "b", "ccc", "\x01\x02", "y1"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("got %q, want %q", got, want)
 	}
-	if string(got[0]) != "alpha" || string(got[1]) != "b" || string(got[2]) != "ccc" {
-		t.Fatalf("sub-packets mangled: %q", got[:3])
-	}
-	st := n.Stats()
-	if st.Sent != 2 || st.Delivered != 2 {
+	st := c.Net().Stats()
+	if st.Sent != 3 || st.Delivered != 3 {
 		t.Fatalf("invariant must stay frame-level: %+v", st)
 	}
-	if st.Frames != 1 || st.SubPackets != 3 {
-		t.Fatalf("Frames=%d SubPackets=%d, want 1/3", st.Frames, st.SubPackets)
+	if st.Frames != 2 || st.SubPackets != 4 {
+		t.Fatalf("Frames=%d SubPackets=%d, want 2/4", st.Frames, st.SubPackets)
 	}
 	if st.Sent+st.Duplicated != st.Delivered+st.Dropped {
 		t.Fatalf("stats invariant broken: %+v", st)
-	}
-}
-
-func TestClusterArriveUnpacksFrames(t *testing.T) {
-	c := NewCluster(3, Profile{Latency: 1000})
-	var got []string
-	for i := 0; i < 2; i++ {
-		ep := c.NewEndpoint(event.Addr(i + 1))
-		ep.Attach(ep.Addr(), func(p Packet) { got = append(got, string(p.Data)) })
-	}
-	c.Enqueue(0, 0, func() {
-		c.eps[0].Send(1, 2, buildFrame([]byte("x1"), []byte("x2")))
-		c.eps[0].Cast(1, buildFrame([]byte("y1")))
-	})
-	c.Run(int64(1e9))
-
-	want := []string{"x1", "x2", "y1"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	st := c.Net().Stats()
-	if st.Sent != 2 || st.Delivered != 2 || st.Frames != 2 || st.SubPackets != 3 {
-		t.Fatalf("cluster frame accounting: %+v", st)
 	}
 }
 
@@ -159,10 +129,13 @@ func deltaFrame(t *testing.T, wires ...[]byte) []byte {
 	return sink.frames[0]
 }
 
-// TestNetDeliversDeltaFrameSubPackets: a delta-compressed frame fans out
-// into the original wires, byte for byte, while the Stats invariant stays
-// at the transmission level and BytesOnWire counts the compressed frame.
-func TestNetDeliversDeltaFrameSubPackets(t *testing.T) {
+// TestClusterArriveUnpacksDeltaFrames: a delta-compressed frame fans
+// out into the original wires, byte for byte, while the Stats invariant
+// stays at the transmission level and BytesOnWire counts the compressed
+// frame. The link runs in stable mode, so subs the receiver retains
+// without copying stay intact after further frames are walked
+// (mailboxes hold subs across deliveries within a drain).
+func TestClusterArriveUnpacksDeltaFrames(t *testing.T) {
 	wires := [][]byte{
 		compressedWire(3, 7, 12, 1, 100, 0xAA),
 		compressedWire(3, 7, 12, 1, 101, 0xBB), // pure delta: elided header
@@ -177,54 +150,54 @@ func TestNetDeliversDeltaFrameSubPackets(t *testing.T) {
 	if len(frame) >= sum {
 		t.Fatalf("delta frame (%dB) not smaller than its wires (%dB)", len(frame), sum)
 	}
+	castFrame := deltaFrame(t, wires[0])
 
-	s := NewSim(1)
-	n := NewNet(s, Profile{Latency: 1000})
 	var got [][]byte
-	n.Attach(1, func(Packet) {})
-	n.Attach(2, func(p Packet) { got = append(got, p.Data) }) // retained, no copy: stable walker
-	n.Send(1, 2, frame)
-	s.Run(int64(1e9))
+	c := wired(3, Profile{Latency: 1000}, 2, func(_ event.Addr, p Packet) { got = append(got, p.Data) }) // retained, no copy
+	c.eps[0].Send(1, 2, frame)
+	c.eps[0].Cast(1, castFrame)
+	c.Run(int64(1e9))
 
-	if len(got) != len(wires) {
-		t.Fatalf("receiver saw %d subs, want %d", len(got), len(wires))
+	if len(got) != len(wires)+1 {
+		t.Fatalf("receiver saw %d subs, want %d", len(got), len(wires)+1)
 	}
-	for i, w := range wires {
+	for i, w := range append(wires, wires[0]) {
 		if string(got[i]) != string(w) {
 			t.Fatalf("sub %d: got % x, want % x", i, got[i], w)
 		}
 	}
-	st := n.Stats()
-	if st.Sent != 1 || st.Delivered != 1 || st.Frames != 1 || st.SubPackets != int64(len(wires)) {
+	st := c.Net().Stats()
+	if st.Sent != 2 || st.Delivered != 2 || st.Frames != 2 || st.SubPackets != int64(len(wires)+1) {
 		t.Fatalf("frame accounting: %+v", st)
 	}
-	if st.BytesOnWire != int64(len(frame)) {
-		t.Fatalf("BytesOnWire = %d, want frame size %d", st.BytesOnWire, len(frame))
+	if st.BytesOnWire != int64(len(frame)+len(castFrame)) {
+		t.Fatalf("BytesOnWire = %d, want the frames' sizes %d", st.BytesOnWire, len(frame)+len(castFrame))
 	}
 	if st.Sent+st.Duplicated != st.Delivered+st.Dropped {
 		t.Fatalf("stats invariant broken: %+v", st)
 	}
 }
 
-// TestNetDeltaGarbageKeepsInvariant: a corrupt frame (a delta sub with
-// no parsed base before it) surfaces its tail as one garbage sub —
+// TestDeltaGarbageKeepsInvariant: a corrupt frame (a delta sub with no
+// parsed base before it) surfaces its tail as one garbage sub —
 // delivered, counted, no panic — so the frame-level invariant survives
 // malformed input.
-func TestNetDeltaGarbageKeepsInvariant(t *testing.T) {
+func TestDeltaGarbageKeepsInvariant(t *testing.T) {
 	tail := []byte{0x01, 0x00, 0x02, 0xFF}
 	frame := append(buildFrame([]byte("ok")), tail...)
-	s := NewSim(1)
-	n := NewNet(s, Profile{Latency: 1000})
 	var got [][]byte
-	n.Attach(1, func(Packet) {})
-	n.Attach(2, func(p Packet) { got = append(got, p.Data) })
-	n.Send(1, 2, frame)
-	s.Run(int64(1e9))
+	c := wired(1, Profile{Latency: 1000}, 2, func(to event.Addr, p Packet) {
+		if to == 2 {
+			got = append(got, p.Data)
+		}
+	})
+	c.eps[0].Send(1, 2, frame)
+	c.Run(int64(1e9))
 
 	if len(got) != 2 || string(got[0]) != "ok" || string(got[1]) != string(tail) {
 		t.Fatalf("garbage tail not surfaced whole: %v", got)
 	}
-	st := n.Stats()
+	st := c.Net().Stats()
 	// The broken frame earns a resync back to its sender: one more Sent,
 	// one more Delivered (a raw packet endpoint 1 swallows).
 	if st.Sent != 2 || st.Delivered != 2 || st.Frames != 1 || st.SubPackets != 2 || st.GenMisses != 1 || st.Resyncs != 1 {
@@ -235,59 +208,15 @@ func TestNetDeltaGarbageKeepsInvariant(t *testing.T) {
 	}
 }
 
-// TestClusterArriveUnpacksDeltaFrames: the mailbox path decodes
-// batcher-built frames too, and because the link runs in stable mode the subs stay
-// intact after further frames are walked (mailboxes hold subs across
-// deliveries within a drain).
-func TestClusterArriveUnpacksDeltaFrames(t *testing.T) {
-	wires := [][]byte{
-		compressedWire(1, 1, 9, 1, 5, 'a'),
-		compressedWire(1, 1, 9, 1, 6, 'b'),
-		compressedWire(1, 1, 9, 1, 7, 'c'),
-	}
-	c := NewCluster(3, Profile{Latency: 1000})
-	var got [][]byte
-	for i := 0; i < 2; i++ {
-		ep := c.NewEndpoint(event.Addr(i + 1))
-		ep.Attach(ep.Addr(), func(p Packet) { got = append(got, p.Data) })
-	}
-	frame := deltaFrame(t, wires...)
-	c.Enqueue(0, 0, func() {
-		c.eps[0].Send(1, 2, frame)
-		c.eps[0].Cast(1, deltaFrame(t, wires[0]))
-	})
-	c.Run(int64(1e9))
-
-	if len(got) != 4 {
-		t.Fatalf("got %d subs, want 4", len(got))
-	}
-	for i := 0; i < 3; i++ {
-		if string(got[i]) != string(wires[i]) {
-			t.Fatalf("sub %d mangled: % x", i, got[i])
-		}
-	}
-	if string(got[3]) != string(wires[0]) {
-		t.Fatalf("cast sub mangled: % x", got[3])
-	}
-	st := c.Net().Stats()
-	if st.Sent != 2 || st.Delivered != 2 || st.Frames != 2 || st.SubPackets != 4 {
-		t.Fatalf("cluster delta accounting: %+v", st)
-	}
-}
-
-// TestNetCastBytesOnWireCountsOnce: a multicast frame's bytes land on the
+// TestCastBytesOnWireCountsOnce: a multicast frame's bytes land on the
 // wire once, however many receivers fan out (BytesSent keeps the
 // per-receiver figure).
-func TestNetCastBytesOnWireCountsOnce(t *testing.T) {
-	s := NewSim(1)
-	n := NewNet(s, Profile{})
-	for i := 1; i <= 4; i++ {
-		n.Attach(event.Addr(i), func(Packet) {})
-	}
+func TestCastBytesOnWireCountsOnce(t *testing.T) {
+	c := wired(1, Profile{}, 4, func(event.Addr, Packet) {})
 	data := []byte("hello world")
-	n.Cast(1, data)
-	s.Run(int64(1e9))
-	st := n.Stats()
+	c.eps[0].Cast(1, data)
+	c.Run(int64(1e9))
+	st := c.Net().Stats()
 	if st.BytesOnWire != int64(len(data)) {
 		t.Fatalf("BytesOnWire = %d, want %d (counted once)", st.BytesOnWire, len(data))
 	}

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ensemble/internal/event"
 	"ensemble/internal/obs"
@@ -76,23 +75,26 @@ type Stats struct {
 	GenMisses, StaleGenFrames, Resyncs int64
 }
 
-// netCounters is the live, atomically-updated form of Stats. The
-// simulator/scheduler goroutine is the only writer, but benches and
-// instrumentation goroutines snapshot mid-run, so every counter is an
-// atomic and Snapshot reads outcomes before attempts (see Snapshot).
-// The frame-level counters live in the receive link (walker.Counters).
+// netCounters is the live, atomically-updated form of Stats. The shards
+// write it (from their own goroutines in RunConcurrent) and benches and
+// instrumentation goroutines read it mid-run, so every counter is an
+// atomic and Stats reads outcomes before attempts (see Stats). The
+// frame-level counters live in the receive link (walker.Counters).
 type netCounters struct {
 	sent, delivered, dropped, duplicated obs.Counter
 	bytesSent, bytesOnWire               obs.Counter
 }
 
-// Net is a simulated network attached to a Sim. It implements both
-// point-to-point send and group multicast (multicast fans out to every
-// attached endpoint except the sender, as Ethernet multicast would).
+// Net is the medium of a Cluster: the tables every shard shares — who
+// is attached (multicast fans out to every attached endpoint except the
+// sender, in attach order, as Ethernet multicast would), the
+// reachability filter, the traffic counters and the receive link. It
+// schedules nothing: transmission and delivery are the shards' (see
+// shard.go). Partition, SetFilter and Detach are for the driving
+// goroutine between runs.
 type Net struct {
-	sim     *Sim
 	profile Profile
-	eps     map[event.Addr]func(Packet)
+	eps     map[event.Addr]bool
 	order   []event.Addr
 	stats   netCounters
 
@@ -100,18 +102,11 @@ type Net struct {
 	// returning false drops the packet. Used to create partitions.
 	filter func(from, to event.Addr) bool
 
-	// route, when set, takes over delivery scheduling: the Cluster
-	// installs it to route packets through per-member mailboxes instead
-	// of direct callbacks (see cluster.go). delay is relative to the
-	// transmission time.
-	route func(p Packet, delay int64)
-
-	// walker is the receive link every delivery passes through. Stable
-	// mode: surfaced subs live as long as the frame buffer — a
-	// per-transmit copy here — so receivers may retain decoded payload
-	// slices, as the member Handlers contract allows. Direct deliveries
-	// run on the simulator goroutine; a Cluster's shards each receive
-	// through a Fork of it, so the counters stay one network's.
+	// walker is the receive link every delivery passes through; each
+	// shard receives through a Fork of it, so the counters stay one
+	// network's. Stable mode: surfaced subs live as long as the frame
+	// buffer — a per-transmit copy — so receivers may retain decoded
+	// payload slices, as the member Handlers contract allows.
 	walker *transport.FrameWalker
 }
 
@@ -141,21 +136,7 @@ func (n *Net) Partition(islands ...[]event.Addr) {
 	})
 }
 
-// NewNet attaches a network with the given behaviour profile to sim.
-func NewNet(sim *Sim, profile Profile) *Net {
-	return &Net{
-		sim:     sim,
-		profile: profile,
-		eps:     map[event.Addr]func(Packet){},
-		walker:  transport.NewFrameWalker(transport.EpochPrefixUvarints, true),
-	}
-}
-
-// Stats returns a snapshot of the traffic counters (alias of Snapshot,
-// kept for existing call sites).
-func (n *Net) Stats() Stats { return n.Snapshot() }
-
-// Snapshot reads the traffic counters. It is safe to call from any
+// Stats reads the traffic counters. It is safe to call from any
 // goroutine while a run is in progress. The counters are read outcomes
 // first (Delivered, Dropped) and attempts second (Sent, Duplicated): a
 // delivery's Sent increment happens before its Delivered increment on
@@ -165,8 +146,8 @@ func (n *Net) Stats() Stats { return n.Snapshot() }
 //	Delivered + Dropped <= Sent + Duplicated
 //
 // holds for every snapshot; equality is reached once the simulator
-// drains (see Stats).
-func (n *Net) Snapshot() Stats {
+// drains (see the Stats type).
+func (n *Net) Stats() Stats {
 	var s Stats
 	link := n.walker.Counters()
 	s.Delivered = n.stats.delivered.Load()
@@ -201,18 +182,17 @@ func (n *Net) RegisterMetrics(reg *obs.Registry) {
 	sc.Adopt("resyncs", &link.Resyncs)
 }
 
-// Attach registers an endpoint. The recv callback runs on the simulator
-// goroutine at the packet's delivery time.
-func (n *Net) Attach(addr event.Addr, recv func(Packet)) {
-	if _, dup := n.eps[addr]; dup {
+// attach enters addr in the cast fan-out (Endpoint.Attach).
+func (n *Net) attach(addr event.Addr) {
+	if n.eps[addr] {
 		panic(fmt.Sprintf("netsim: duplicate endpoint %d", addr))
 	}
-	n.eps[addr] = recv
+	n.eps[addr] = true
 	n.order = append(n.order, addr)
 }
 
-// Detach removes an endpoint; in-flight packets to it are dropped at
-// delivery time.
+// Detach removes an endpoint — a crash, as the network sees it;
+// in-flight packets to it are dropped at delivery time.
 func (n *Net) Detach(addr event.Addr) {
 	delete(n.eps, addr)
 	for i, a := range n.order {
@@ -220,120 +200,5 @@ func (n *Net) Detach(addr event.Addr) {
 			n.order = append(n.order[:i], n.order[i+1:]...)
 			break
 		}
-	}
-}
-
-// Send transmits a point-to-point packet. The data is copied: the caller
-// may reuse its buffer.
-func (n *Net) Send(from, to event.Addr, data []byte) {
-	n.sendVia(n.sim.rng, nil, from, to, data)
-}
-
-// Cast transmits a multicast packet to every attached endpoint except
-// the sender. Loss is independent per receiver. Every receiver gets its
-// own copy of data: transports decode in place, so a shared backing
-// slice would let one member's decode corrupt another's packet.
-func (n *Net) Cast(from event.Addr, data []byte) {
-	n.castVia(n.sim.rng, nil, from, data)
-}
-
-// sendVia is Send parameterized by the random source and delivery sink:
-// the sharded cluster commit calls it with the emitting shard's RNG so
-// shards can commit in parallel without racing on one generator, and
-// with the shard as sink so deliveries land on shard heaps instead of
-// the global one. sink == nil delivers through the plain simulator
-// path. The draw order (filter, loss, delay, dup, dup delay — per
-// receiver, in attach order) is fixed: it is part of the deterministic
-// schedule.
-func (n *Net) sendVia(rng *rand.Rand, sink *shard, from, to event.Addr, data []byte) {
-	n.stats.sent.Inc()
-	n.stats.bytesSent.Add(int64(len(data)))
-	n.stats.bytesOnWire.Add(int64(len(data)))
-	n.transmitVia(rng, sink, Packet{From: from, To: to, Data: append([]byte(nil), data...)})
-}
-
-// castVia is Cast parameterized like sendVia.
-func (n *Net) castVia(rng *rand.Rand, sink *shard, from event.Addr, data []byte) {
-	n.stats.bytesOnWire.Add(int64(len(data)))
-	for _, to := range n.order {
-		if to == from {
-			continue
-		}
-		n.stats.sent.Inc()
-		n.stats.bytesSent.Add(int64(len(data)))
-		n.transmitVia(rng, sink, Packet{From: from, To: to, Data: append([]byte(nil), data...), Cast: true})
-	}
-}
-
-func (n *Net) transmitVia(rng *rand.Rand, sink *shard, p Packet) {
-	if n.filter != nil && !n.filter(p.From, p.To) {
-		n.stats.dropped.Inc()
-		return
-	}
-	if n.profile.LossProb > 0 && rng.Float64() < n.profile.LossProb {
-		n.stats.dropped.Inc()
-		return
-	}
-	n.deliverVia(sink, p, n.delayVia(rng))
-	if n.profile.DupProb > 0 && rng.Float64() < n.profile.DupProb {
-		n.stats.duplicated.Inc()
-		// The duplicate needs its own buffer too: both copies reach the
-		// same endpoint, and an in-place decode of the first must not
-		// mangle the second.
-		q := p
-		q.Data = append([]byte(nil), p.Data...)
-		n.deliverVia(sink, q, n.delayVia(rng))
-	}
-}
-
-func (n *Net) delayVia(rng *rand.Rand) int64 {
-	d := n.profile.Latency
-	if n.profile.Jitter > 0 {
-		d += rng.Int63n(n.profile.Jitter)
-	}
-	return d
-}
-
-func (n *Net) deliverVia(sink *shard, p Packet, delay int64) {
-	if sink != nil {
-		sink.deliver(p, delay)
-		return
-	}
-	n.deliverAfter(p, delay)
-}
-
-func (n *Net) deliverAfter(p Packet, delay int64) {
-	if n.route != nil {
-		n.route(p, delay)
-		return
-	}
-	n.sim.After(delay, func() { n.deliverNow(p) })
-}
-
-// deliverNow hands p to its endpoint at delivery time. A packet whose
-// endpoint detached while it was in flight counts as dropped — without
-// that, such packets vanish from the books and the Sent/Delivered/
-// Dropped invariant (see stats) silently breaks. A batched frame is one
-// delivery on the books but fans out into one recv call per sub-packet,
-// in order — the receiving member cannot tell batched wires from raw
-// ones (malformed sub-packets surface as garbage and land in the
-// member's stray-packet accounting, like any malformed raw packet). A
-// resync answer is an ordinary raw send from the receiving endpoint back
-// to the frame's sender, so the invariant and the deterministic schedule
-// both see it as a normal transmission.
-func (n *Net) deliverNow(p Packet) {
-	recv, ok := n.eps[p.To]
-	if !ok {
-		n.stats.dropped.Inc()
-		return
-	}
-	n.stats.delivered.Inc()
-	resync, _ := n.walker.WalkLink(p.From, p.To, p.Data, func(sub []byte) {
-		q := p
-		q.Data = sub
-		recv(q)
-	})
-	if resync != nil {
-		n.Send(p.To, p.From, resync)
 	}
 }

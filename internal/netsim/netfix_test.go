@@ -7,6 +7,7 @@ package netsim
 // load-bearing.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,22 +17,17 @@ import (
 // TestCastReceiversDoNotShareBuffers: transports decode in place, so a
 // receiver that mutates its packet must not affect any other receiver.
 func TestCastReceiversDoNotShareBuffers(t *testing.T) {
-	s := NewSim(1)
-	n := NewNet(s, Profile{Latency: 1000})
 	got := map[event.Addr][]byte{}
-	for _, a := range []event.Addr{1, 2, 3, 4} {
-		a := a
-		n.Attach(a, func(p Packet) {
-			// Simulate an in-place decode: scribble over the buffer, then
-			// record it.
-			for i := range p.Data {
-				p.Data[i] = byte(a)
-			}
-			got[a] = p.Data
-		})
-	}
-	n.Cast(1, []byte{0xAA, 0xAA, 0xAA})
-	s.Run(int64(1e6))
+	c := wired(1, Profile{Latency: 1000}, 4, func(to event.Addr, p Packet) {
+		// Simulate an in-place decode: scribble over the buffer, then
+		// record it.
+		for i := range p.Data {
+			p.Data[i] = byte(to)
+		}
+		got[to] = p.Data
+	})
+	c.eps[0].Cast(1, []byte{0xAA, 0xAA, 0xAA})
+	c.Run(int64(1e6))
 	if len(got) != 3 {
 		t.Fatalf("delivered to %d receivers, want 3", len(got))
 	}
@@ -48,19 +44,15 @@ func TestCastReceiversDoNotShareBuffers(t *testing.T) {
 // the same endpoint as the original; decoding the first in place must
 // not corrupt the second.
 func TestDuplicateDeliveryDoesNotShareBuffer(t *testing.T) {
-	s := NewSim(5)
-	n := NewNet(s, Profile{Latency: 10, DupProb: 1.0})
 	var seen [][]byte
-	n.Attach(2, func(p Packet) {
-		cp := append([]byte(nil), p.Data...)
-		seen = append(seen, cp)
+	c := wired(5, Profile{Latency: 10, DupProb: 1.0}, 2, func(_ event.Addr, p Packet) {
+		seen = append(seen, append([]byte(nil), p.Data...))
 		for i := range p.Data {
 			p.Data[i] = 0xFF // in-place decode scribble
 		}
 	})
-	n.Attach(1, func(Packet) {})
-	n.Send(1, 2, []byte{1, 2, 3})
-	s.Run(int64(1e6))
+	c.eps[0].Send(1, 2, []byte{1, 2, 3})
+	c.Run(int64(1e6))
 	if len(seen) != 2 {
 		t.Fatalf("delivered %d copies, want 2 (DupProb=1)", len(seen))
 	}
@@ -73,7 +65,8 @@ func TestDuplicateDeliveryDoesNotShareBuffer(t *testing.T) {
 
 // TestStatsInvariant: after the simulator drains, every transmission is
 // accounted for — Sent + Duplicated == Delivered + Dropped — under
-// loss, duplication, partitions, and mid-flight detaches.
+// loss, duplication, partitions, and mid-flight detaches, whether the
+// packets stay on one shard or cross between three.
 func TestStatsInvariant(t *testing.T) {
 	profiles := map[string]Profile{
 		"perfect":   {Latency: 1000},
@@ -83,48 +76,41 @@ func TestStatsInvariant(t *testing.T) {
 		"lossmodel": Lossy(0.25),
 	}
 	for name, profile := range profiles {
-		t.Run(name, func(t *testing.T) {
-			s := NewSim(11)
-			n := NewNet(s, profile)
-			rng := rand.New(rand.NewSource(99))
-			addrs := []event.Addr{1, 2, 3, 4, 5}
-			for _, a := range addrs {
-				n.Attach(a, func(Packet) {})
-			}
-			for i := 0; i < 2000; i++ {
-				switch i {
-				case 500:
-					n.Partition([]event.Addr{1, 2}, []event.Addr{3, 4}) // 5 unlisted: isolated
-				case 1000:
-					n.SetFilter(nil)
-				case 1500:
-					n.Detach(4) // in-flight packets to 4 must be counted dropped
-				}
-				from := addrs[rng.Intn(len(addrs))]
-				if rng.Intn(2) == 0 {
-					n.Cast(from, []byte{byte(i)})
-				} else {
-					to := addrs[rng.Intn(len(addrs))]
-					if to != from {
-						n.Send(from, to, []byte{byte(i)})
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				c := wired(11, profile, 5, func(event.Addr, Packet) {})
+				c.SetShards(shards)
+				n := c.Net()
+				rng := rand.New(rand.NewSource(99))
+				for i := 0; i < 2000; i++ {
+					switch i {
+					case 500:
+						n.Partition([]event.Addr{1, 2}, []event.Addr{3, 4}) // 5 unlisted: isolated
+					case 1000:
+						n.SetFilter(nil)
+					case 1500:
+						n.Detach(4) // in-flight packets to 4 must be counted dropped
 					}
+					from := c.eps[rng.Intn(len(c.eps))]
+					if rng.Intn(2) == 0 {
+						from.Cast(from.Addr(), []byte{byte(i)})
+					} else if to := c.eps[rng.Intn(len(c.eps))]; to != from {
+						from.Send(from.Addr(), to.Addr(), []byte{byte(i)})
+					}
+					c.Run(c.Sim().Now() + int64(rng.Intn(3000)))
 				}
-				s.Run(s.Now() + int64(rng.Intn(3000)))
-			}
-			s.Run(int64(1e15)) // drain everything in flight
-			if s.Pending() != 0 {
-				t.Fatalf("simulator not drained: %d pending", s.Pending())
-			}
-			st := n.Stats()
-			if st.Delivered+st.Dropped != st.Sent+st.Duplicated {
-				t.Fatalf("accounting leak: Sent=%d Dup=%d Delivered=%d Dropped=%d (missing %d)",
-					st.Sent, st.Duplicated, st.Delivered, st.Dropped,
-					st.Sent+st.Duplicated-st.Delivered-st.Dropped)
-			}
-			if st.Sent == 0 || st.Delivered == 0 {
-				t.Fatalf("degenerate run: %+v", st)
-			}
-		})
+				c.Run(int64(1e15)) // drain everything in flight
+				st := n.Stats()
+				if st.Delivered+st.Dropped != st.Sent+st.Duplicated {
+					t.Fatalf("accounting leak: Sent=%d Dup=%d Delivered=%d Dropped=%d (missing %d)",
+						st.Sent, st.Duplicated, st.Delivered, st.Dropped,
+						st.Sent+st.Duplicated-st.Delivered-st.Dropped)
+				}
+				if st.Sent == 0 || st.Delivered == 0 {
+					t.Fatalf("degenerate run: %+v", st)
+				}
+			})
+		}
 	}
 }
 
@@ -132,27 +118,22 @@ func TestStatsInvariant(t *testing.T) {
 // isolated — they reach no one, and crucially not each other (they all
 // used to share implicit island 0).
 func TestPartitionUnlistedIsolated(t *testing.T) {
-	s := NewSim(1)
-	n := NewNet(s, Profile{Latency: 100})
 	delivered := map[event.Addr]int{}
-	for _, a := range []event.Addr{1, 2, 3, 4} {
-		a := a
-		n.Attach(a, func(Packet) { delivered[a]++ })
-	}
-	n.Partition([]event.Addr{1, 2}) // 3 and 4 unlisted
-	n.Send(3, 4, []byte("x"))       // unlisted -> unlisted: must not flow
-	n.Send(4, 3, []byte("x"))
-	n.Send(3, 1, []byte("x")) // unlisted -> listed: must not flow
-	n.Send(1, 3, []byte("x")) // listed -> unlisted: must not flow
-	n.Send(1, 2, []byte("x")) // same island: flows
-	s.Run(int64(1e6))
+	c := wired(1, Profile{Latency: 100}, 4, func(to event.Addr, _ Packet) { delivered[to]++ })
+	c.Net().Partition([]event.Addr{1, 2}) // 3 and 4 unlisted
+	c.eps[2].Send(3, 4, []byte("x"))      // unlisted -> unlisted: must not flow
+	c.eps[3].Send(4, 3, []byte("x"))
+	c.eps[2].Send(3, 1, []byte("x")) // unlisted -> listed: must not flow
+	c.eps[0].Send(1, 3, []byte("x")) // listed -> unlisted: must not flow
+	c.eps[0].Send(1, 2, []byte("x")) // same island: flows
+	c.Run(int64(1e6))
 	if delivered[3] != 0 || delivered[4] != 0 || delivered[1] != 0 {
 		t.Fatalf("unlisted endpoints reachable: %v", delivered)
 	}
 	if delivered[2] != 1 {
 		t.Fatalf("same-island traffic blocked: %v", delivered)
 	}
-	st := n.Stats()
+	st := c.Net().Stats()
 	if st.Dropped != 4 {
 		t.Fatalf("Dropped = %d, want 4", st.Dropped)
 	}

@@ -1,96 +1,63 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
 	"ensemble/internal/event"
 )
 
-func TestSimOrdering(t *testing.T) {
-	s := NewSim(1)
+// wired builds a cluster of n endpoints at addresses 1..n, each attached
+// with recv (told which endpoint the packet reached). The tests below
+// transmit from the driving goroutine between runs, through c.eps[i].
+func wired(seed int64, profile Profile, n int, recv func(to event.Addr, p Packet)) *Cluster {
+	c := NewCluster(seed, profile)
+	for i := 0; i < n; i++ {
+		ep := c.NewEndpoint(event.Addr(i + 1))
+		ep.Attach(ep.Addr(), func(p Packet) { recv(ep.Addr(), p) })
+	}
+	return c
+}
+
+// TestAtVirtualOrdering: instrumentation callbacks run in time order,
+// ties in insertion order, a past time is clamped to now, and a run
+// leaves the clock at its deadline.
+func TestAtVirtualOrdering(t *testing.T) {
+	c := NewCluster(1, Profile{})
 	var got []int
-	s.At(30, func() { got = append(got, 3) })
-	s.At(10, func() { got = append(got, 1) })
-	s.At(20, func() { got = append(got, 2) })
-	// Ties fire in insertion order.
-	s.At(20, func() { got = append(got, 4) })
-	s.Run(100)
-	want := []int{1, 2, 4, 3}
+	c.AtVirtual(30, func() { got = append(got, 3) })
+	c.AtVirtual(10, func() { got = append(got, 1) })
+	c.AtVirtual(20, func() {
+		got = append(got, 2)
+		c.AtVirtual(5, func() { got = append(got, 5) }) // in the past: runs at now
+	})
+	c.AtVirtual(20, func() { got = append(got, 4) })
+	c.Run(100)
+	want := []int{1, 2, 4, 5, 3}
+	if len(got) != len(want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order = %v, want %v", got, want)
 		}
 	}
-	if s.Now() != 100 {
-		t.Fatalf("Now = %d after Run(100)", s.Now())
+	if c.Sim().Now() != 100 {
+		t.Fatalf("Now = %d after Run(100)", c.Sim().Now())
 	}
 }
 
-func TestSimPastSchedulesClampToNow(t *testing.T) {
-	s := NewSim(1)
-	s.At(50, func() {
-		fired := false
-		s.At(10, func() { fired = true }) // in the past: runs at now
-		s.Run(50)
-		if !fired {
-			t.Error("past-scheduled event never fired")
+func TestFifoWithoutJitter(t *testing.T) {
+	var got []int
+	c := wired(3, Profile{Latency: 1000}, 2, func(to event.Addr, p Packet) {
+		if to == 2 {
+			got = append(got, int(p.Data[0]))
 		}
 	})
-	s.Run(100)
-}
-
-func TestSimDeterminism(t *testing.T) {
-	trace := func(seed int64) string {
-		s := NewSim(seed)
-		n := NewNet(s, Lossy(0.3))
-		var log string
-		for i := 0; i < 3; i++ {
-			a := event.Addr(i + 1)
-			n.Attach(a, func(p Packet) {
-				log += fmt.Sprintf("%d<-%d:%d;", p.To, p.From, len(p.Data))
-			})
-		}
-		for i := 0; i < 50; i++ {
-			n.Cast(1, make([]byte, i))
-			n.Send(2, 3, make([]byte, i))
-		}
-		s.Run(int64(1e9))
-		return log
-	}
-	if trace(7) != trace(7) {
-		t.Fatal("same seed produced different traces")
-	}
-	if trace(7) == trace(8) {
-		t.Fatal("different seeds produced identical traces (suspicious)")
-	}
-}
-
-func TestSimRunSteps(t *testing.T) {
-	s := NewSim(1)
-	count := 0
-	for i := 0; i < 10; i++ {
-		s.After(int64(i), func() { count++ })
-	}
-	if ran := s.RunSteps(4); ran != 4 || count != 4 {
-		t.Fatalf("RunSteps: ran=%d count=%d", ran, count)
-	}
-	if s.Pending() != 6 {
-		t.Fatalf("Pending = %d", s.Pending())
-	}
-}
-
-func TestNetFifoWithoutJitter(t *testing.T) {
-	s := NewSim(3)
-	n := NewNet(s, Profile{Latency: 1000})
-	var got []int
-	n.Attach(2, func(p Packet) { got = append(got, int(p.Data[0])) })
-	n.Attach(1, func(Packet) {})
 	for i := 0; i < 100; i++ {
-		n.Send(1, 2, []byte{byte(i)})
+		c.eps[0].Send(1, 2, []byte{byte(i)})
 	}
-	s.Run(int64(1e9))
+	c.Run(int64(1e9))
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("delivery %d = %d: reordering on a jitter-free link", i, v)
@@ -101,84 +68,79 @@ func TestNetFifoWithoutJitter(t *testing.T) {
 	}
 }
 
-func TestNetLossRate(t *testing.T) {
-	s := NewSim(5)
-	n := NewNet(s, Profile{Latency: 10, LossProb: 0.25})
+func TestLossRate(t *testing.T) {
 	delivered := 0
-	n.Attach(2, func(Packet) { delivered++ })
-	n.Attach(1, func(Packet) {})
+	c := wired(5, Profile{Latency: 10, LossProb: 0.25}, 2, func(event.Addr, Packet) { delivered++ })
 	const total = 20000
 	for i := 0; i < total; i++ {
-		n.Send(1, 2, []byte{1})
+		c.eps[0].Send(1, 2, []byte{1})
 	}
-	s.Run(int64(1e9))
+	c.Run(int64(1e9))
+	// Six standard deviations of a 20000-draw binomial at p = 0.25.
 	rate := 1 - float64(delivered)/total
 	if math.Abs(rate-0.25) > 0.02 {
 		t.Fatalf("loss rate %.3f, want ≈0.25", rate)
 	}
-	st := n.Stats()
+	st := c.Net().Stats()
 	if st.Dropped != int64(total-delivered) {
 		t.Fatalf("stats dropped=%d, observed %d", st.Dropped, total-delivered)
 	}
 }
 
-func TestNetDuplication(t *testing.T) {
-	s := NewSim(5)
-	n := NewNet(s, Profile{Latency: 10, DupProb: 0.5})
+func TestDuplicationRate(t *testing.T) {
 	delivered := 0
-	n.Attach(2, func(Packet) { delivered++ })
-	n.Attach(1, func(Packet) {})
+	c := wired(5, Profile{Latency: 10, DupProb: 0.5}, 2, func(event.Addr, Packet) { delivered++ })
 	const total = 10000
 	for i := 0; i < total; i++ {
-		n.Send(1, 2, []byte{1})
+		c.eps[0].Send(1, 2, []byte{1})
 	}
-	s.Run(int64(1e9))
+	c.Run(int64(1e9))
+	// Six standard deviations of a 10000-draw binomial at p = 0.5.
 	extra := float64(delivered-total) / total
 	if math.Abs(extra-0.5) > 0.03 {
 		t.Fatalf("duplication rate %.3f, want ≈0.5", extra)
 	}
+	if st := c.Net().Stats(); st.Duplicated != int64(delivered-total) {
+		t.Fatalf("stats duplicated=%d, observed %d", st.Duplicated, delivered-total)
+	}
 }
 
-func TestNetCastExcludesSender(t *testing.T) {
-	s := NewSim(1)
-	n := NewNet(s, Profile{})
+func TestCastExcludesSender(t *testing.T) {
 	counts := map[event.Addr]int{}
-	for _, a := range []event.Addr{1, 2, 3} {
-		a := a
-		n.Attach(a, func(Packet) { counts[a]++ })
-	}
-	n.Cast(1, []byte("x"))
-	s.Run(10)
+	c := wired(1, Profile{}, 3, func(to event.Addr, _ Packet) { counts[to]++ })
+	c.eps[0].Cast(1, []byte("x"))
+	c.Run(10)
 	if counts[1] != 0 || counts[2] != 1 || counts[3] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
 }
 
-func TestNetDetach(t *testing.T) {
-	s := NewSim(1)
-	n := NewNet(s, Profile{Latency: 100})
+// TestDetachDropsInFlight: a packet in flight when its endpoint drops
+// off the network is not delivered, and neither is anything sent later —
+// and both are on the books as dropped.
+func TestDetachDropsInFlight(t *testing.T) {
 	got := 0
-	n.Attach(2, func(Packet) { got++ })
-	n.Attach(1, func(Packet) {})
-	n.Send(1, 2, []byte("a")) // in flight
-	n.Detach(2)
-	n.Send(1, 2, []byte("b"))
-	s.Run(int64(1e6))
+	c := wired(1, Profile{Latency: 100}, 2, func(event.Addr, Packet) { got++ })
+	c.eps[0].Send(1, 2, []byte("a"))
+	c.Run(50) // committed, in flight
+	c.Net().Detach(2)
+	c.eps[0].Send(1, 2, []byte("b"))
+	c.Run(int64(1e6))
 	if got != 0 {
 		t.Fatalf("detached endpoint received %d packets", got)
 	}
+	if st := c.Net().Stats(); st.Sent != 2 || st.Dropped != 2 {
+		t.Fatalf("in-flight and late packets not counted dropped: %+v", st)
+	}
 }
 
-func TestNetSendCopiesData(t *testing.T) {
-	s := NewSim(1)
-	n := NewNet(s, Profile{Latency: 100})
+func TestSendCopiesData(t *testing.T) {
 	var seen []byte
-	n.Attach(2, func(p Packet) { seen = p.Data })
-	n.Attach(1, func(Packet) {})
+	c := wired(1, Profile{Latency: 100}, 2, func(_ event.Addr, p Packet) { seen = p.Data })
 	buf := []byte{1, 2, 3}
-	n.Send(1, 2, buf)
+	c.eps[0].Send(1, 2, buf)
 	buf[0] = 99 // caller reuses its buffer before delivery
-	s.Run(int64(1e6))
+	c.Run(int64(1e6))
 	if seen[0] != 1 {
 		t.Fatal("network aliased the caller's buffer")
 	}
@@ -190,10 +152,10 @@ func TestDuplicateAttachPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	s := NewSim(1)
-	n := NewNet(s, Profile{})
-	n.Attach(1, func(Packet) {})
-	n.Attach(1, func(Packet) {})
+	c := NewCluster(1, Profile{})
+	ep := c.NewEndpoint(1)
+	ep.Attach(1, func(Packet) {})
+	ep.Attach(1, func(Packet) {})
 }
 
 func TestProfiles(t *testing.T) {

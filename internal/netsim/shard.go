@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"ensemble/internal/event"
-	"ensemble/internal/obs"
 	"ensemble/internal/transport"
 )
 
@@ -121,19 +120,16 @@ type shard struct {
 	// routed is the event count of the last route phase; the adaptive
 	// quantum controller reads per-shard routed density.
 	routed int64
-
-	ctrRouted, ctrCommitted, ctrXIn, ctrXOut obs.Counter
 }
 
 func newShard(c *Cluster, id int, nshards int) *shard {
-	s := &shard{
+	return &shard{
 		c:      c,
 		id:     id,
 		rng:    rand.New(rand.NewSource(c.seed ^ int64(0x9E3779B97F4A7C15*uint64(id+1)))),
 		walker: c.net.walker.Fork(),
 		outbox: make([][]shardEvent, nshards),
 	}
-	return s
 }
 
 // push assigns a sequence number and schedules ev on this shard's heap,
@@ -147,20 +143,78 @@ func (s *shard) push(ev shardEvent) {
 	heap.Push(&s.pq, ev)
 }
 
-// deliver is the commit-phase delivery sink handed to Net.sendVia: a
-// transmission leaving a member of this shard lands either on this
-// shard's own heap or in the outbox cell of the destination's shard.
+// send transmits one point-to-point packet from a member of this shard.
+// The data is copied. The draw order (filter, loss, delay, dup, dup
+// delay — per receiver, in attach order) is fixed: it is part of the
+// deterministic schedule, and every draw comes from the emitting
+// shard's RNG so shards can commit in parallel.
+func (s *shard) send(from, to event.Addr, data []byte) {
+	st := &s.c.net.stats
+	st.sent.Inc()
+	st.bytesSent.Add(int64(len(data)))
+	st.bytesOnWire.Add(int64(len(data)))
+	s.transmit(Packet{From: from, To: to, Data: append([]byte(nil), data...)})
+}
+
+// cast transmits a multicast to every attached endpoint except the
+// sender. Loss is independent per receiver. Every receiver gets its own
+// copy of data: transports decode in place, so a shared backing slice
+// would let one member's decode corrupt another's packet.
+func (s *shard) cast(from event.Addr, data []byte) {
+	st := &s.c.net.stats
+	st.bytesOnWire.Add(int64(len(data)))
+	for _, to := range s.c.net.order {
+		if to == from {
+			continue
+		}
+		st.sent.Inc()
+		st.bytesSent.Add(int64(len(data)))
+		s.transmit(Packet{From: from, To: to, Data: append([]byte(nil), data...), Cast: true})
+	}
+}
+
+func (s *shard) transmit(p Packet) {
+	n := s.c.net
+	if n.filter != nil && !n.filter(p.From, p.To) {
+		n.stats.dropped.Inc()
+		return
+	}
+	if n.profile.LossProb > 0 && s.rng.Float64() < n.profile.LossProb {
+		n.stats.dropped.Inc()
+		return
+	}
+	s.deliver(p, s.delay())
+	if n.profile.DupProb > 0 && s.rng.Float64() < n.profile.DupProb {
+		n.stats.duplicated.Inc()
+		// The duplicate needs its own buffer too: both copies reach the
+		// same endpoint, and an in-place decode of the first must not
+		// mangle the second.
+		q := p
+		q.Data = append([]byte(nil), p.Data...)
+		s.deliver(q, s.delay())
+	}
+}
+
+func (s *shard) delay() int64 {
+	d := s.c.net.profile.Latency
+	if j := s.c.net.profile.Jitter; j > 0 {
+		d += s.rng.Int63n(j)
+	}
+	return d
+}
+
+// deliver schedules p's arrival delay after the effect being committed:
+// on this shard's own heap or in the outbox cell of the destination's
+// shard.
 func (s *shard) deliver(p Packet, delay int64) {
-	t := s.commitBase + delay
 	idx, ok := s.c.byAddr[p.To]
 	if !ok {
 		// Destination was never a cluster endpoint: account the drop
-		// (there is no trace line for it, matching the unsharded
-		// scheduler).
+		// (there is no trace line for it).
 		s.c.net.stats.dropped.Inc()
 		return
 	}
-	s.post(shardEvent{t: t, idx: int32(idx), kind: sevArrive, pkt: p})
+	s.post(shardEvent{t: s.commitBase + delay, idx: int32(idx), kind: sevArrive, pkt: p})
 }
 
 // post routes ev to the shard owning its destination endpoint: own heap
@@ -171,7 +225,6 @@ func (s *shard) post(ev shardEvent) {
 		s.push(ev)
 		return
 	}
-	s.ctrXOut.Inc()
 	s.outbox[target.id] = append(s.outbox[target.id], ev)
 }
 
@@ -182,7 +235,6 @@ func (s *shard) ingestFrom(shards []*shard) {
 	for _, src := range shards {
 		box := src.outbox[s.id]
 		for i := range box {
-			s.ctrXIn.Inc()
 			s.push(box[i])
 			box[i] = shardEvent{}
 		}
@@ -211,16 +263,19 @@ func (s *shard) routePhase(batchEnd int64) {
 		routed++
 	}
 	s.routed = routed
-	s.ctrRouted.Add(routed)
 }
 
-// arrive delivers one transmission to ep at time t. Delivery (and the
-// trace line, and the books) is per transmission: a batched frame is
-// one 'd' however many wires it carries; the fan-out into one mail per
-// sub-packet happens here, so the member's recv sees exactly the
-// raw-wire interface it always did.
+// arrive delivers one transmission to ep at time t. A packet whose
+// endpoint detached while it was in flight counts as dropped — without
+// that it would vanish from the books and break the Stats invariant.
+// Delivery (and the trace line, and the books) is per transmission: a
+// batched frame is one 'd' however many wires it carries; the fan-out
+// into one mail per sub-packet happens here, so the member's recv
+// cannot tell batched wires from raw ones (malformed sub-packets
+// surface as garbage and land in the member's stray-packet accounting,
+// like any malformed raw packet).
 func (s *shard) arrive(ep *Endpoint, t int64, p Packet) {
-	if _, attached := s.c.net.eps[p.To]; !attached || ep.detached || ep.recv == nil {
+	if !s.c.net.eps[p.To] || ep.detached || ep.recv == nil {
 		s.c.net.stats.dropped.Inc()
 		s.traceLine('x', t, p)
 		return
@@ -257,7 +312,7 @@ func (s *shard) commitPhase() {
 		for i := range rq {
 			r := &rq[i]
 			s.commitBase = r.t
-			s.c.net.sendVia(s.rng, s, r.from, r.to, r.data)
+			s.send(r.from, r.to, r.data)
 			rq[i] = resyncReq{}
 		}
 	}
@@ -273,13 +328,13 @@ func (s *shard) commitPhase() {
 					s.trace = fmt.Appendf(s.trace, "s t=%d %d->%d n=%d crc=%08x\n",
 						e.base, ep.addr, e.to, len(e.data), crc32.ChecksumIEEE(e.data))
 				}
-				s.c.net.sendVia(s.rng, s, ep.addr, e.to, e.data)
+				s.send(ep.addr, e.to, e.data)
 			case effCast:
 				if s.c.tracing {
 					s.trace = fmt.Appendf(s.trace, "s t=%d %d->* n=%d crc=%08x\n",
 						e.base, ep.addr, len(e.data), crc32.ChecksumIEEE(e.data))
 				}
-				s.c.net.castVia(s.rng, s, ep.addr, e.data)
+				s.cast(ep.addr, e.data)
 			case effAfter:
 				s.push(shardEvent{t: e.base + e.delay, idx: int32(ep.idx), kind: sevMail, fn: e.fn})
 			case effPost:
@@ -294,7 +349,6 @@ func (s *shard) commitPhase() {
 				ep.spare = append(ep.spare, e.data)
 			}
 			*e = effect{}
-			s.ctrCommitted.Inc()
 		}
 	}
 }

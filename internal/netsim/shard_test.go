@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ensemble/internal/event"
-	"ensemble/internal/obs"
 )
 
 // shardedEcho is clusterEcho with a shard count.
@@ -169,40 +168,4 @@ func TestEndpointPostCrossShard(t *testing.T) {
 	if seq[1] != "sent=3 delivered=3" {
 		t.Fatalf("bridged cast accounting wrong: %v", seq)
 	}
-}
-
-// TestShardMetricsAccounting: the per-shard counters register under
-// netsim/shard<k>/ and the cross-shard transfer books balance (every
-// transfer leaving one shard is ingested by another).
-func TestShardMetricsAccounting(t *testing.T) {
-	c := shardedEcho(11, Profile{Latency: 1000}, 8, 4, 4)
-	reg := obs.NewRegistry()
-	c.RegisterShardMetrics(reg)
-	c.RunConcurrent(int64(5e9), 4)
-
-	snap := reg.Snapshot()
-	var out, in, routed int64
-	for i := 0; i < 4; i++ {
-		out += regGet(t, snap, fmt.Sprintf("netsim/shard%d/xshard_out", i))
-		in += regGet(t, snap, fmt.Sprintf("netsim/shard%d/xshard_in", i))
-		routed += regGet(t, snap, fmt.Sprintf("netsim/shard%d/routed", i))
-	}
-	if out == 0 {
-		t.Fatal("an 8-member echo across 4 shards produced no cross-shard traffic")
-	}
-	if out != in {
-		t.Fatalf("cross-shard transfer books don't balance: out=%d in=%d", out, in)
-	}
-	if routed == 0 {
-		t.Fatal("no routed events counted")
-	}
-}
-
-func regGet(t *testing.T, snap obs.Snapshot, name string) int64 {
-	t.Helper()
-	v, ok := snap.Get(name)
-	if !ok {
-		t.Fatalf("metric %q not registered", name)
-	}
-	return v
 }

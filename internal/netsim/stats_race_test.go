@@ -38,7 +38,7 @@ func TestStatsSnapshotMidRunInvariant(t *testing.T) {
 				return
 			default:
 			}
-			s := c.Net().Snapshot()
+			s := c.Net().Stats()
 			if s.Delivered+s.Dropped > s.Sent+s.Duplicated {
 				if violations.Add(1) == 1 {
 					firstBad.Store(fmt.Sprintf("%+v", s))
@@ -55,7 +55,7 @@ func TestStatsSnapshotMidRunInvariant(t *testing.T) {
 	if n := violations.Load(); n > 0 {
 		t.Fatalf("mid-run invariant violated %d time(s); first bad snapshot: %s", n, firstBad.Load())
 	}
-	final := c.Net().Snapshot()
+	final := c.Net().Stats()
 	if final.Sent+final.Duplicated != final.Delivered+final.Dropped {
 		t.Fatalf("drained books don't balance: %+v", final)
 	}

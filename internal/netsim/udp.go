@@ -346,8 +346,10 @@ func (u *UDPNet) write(data []byte, ua *net.UDPAddr) {
 		}
 		return
 	}
-	u.stats.datagrams.Inc()
+	// Bytes before the count: Snapshot reads the count first, so every
+	// datagram it sees has its bytes on the books.
 	u.stats.bytesOnWire.Add(int64(len(buf)))
+	u.stats.datagrams.Inc()
 }
 
 func (u *UDPNet) isClosed() bool {

@@ -40,8 +40,8 @@ func TestEnginePacketFuzz(t *testing.T) {
 		t.Fatal("no wire samples collected")
 	}
 	// Well-formed full images whose headers are not this stack's — none at
-	// all, and the 4-layer stack's — each dropped whole, and in the pool
-	// the mutations below draw from.
+	// all, the 4-layer stack's, and proper suffixes of this stack's — each
+	// dropped whole, and in the pool the mutations below draw from.
 	var w transport.Writer
 	bare := event.CastEv([]byte("no headers"))
 	if err := transport.Marshal(bare, 0, &w); err != nil {
@@ -64,8 +64,30 @@ func TestEnginePacketFuzz(t *testing.T) {
 	}
 	other.SubmitDn(event.InitEv(v))
 	other.SubmitDn(event.CastEv([]byte("from another stack")))
-	if len(foreign) != 2 {
-		t.Fatalf("built %d foreign images, want 2", len(foreign))
+	// And this stack's own cast cut short to its k outermost headers,
+	// for every k: a valid suffix of the stack that ends in a header its
+	// layer passes up, to a layer that would pop an empty stack.
+	depth := len(layers.Stack10())
+	short, err := stack.Build(layers.Stack10(), layer.DefaultConfig(v), stack.Func, stack.Callbacks{Net: func(ev *event.Event) {
+		if ev.Type != event.ECast {
+			return
+		}
+		for k := depth - 1; k >= 1; k-- {
+			event.FreeHeader(ev.Msg.Headers[0]) // the innermost
+			ev.Msg.Headers = ev.Msg.Headers[1:]
+			if err := transport.Marshal(ev, 0, &w); err != nil {
+				t.Fatal(err)
+			}
+			foreign = append(foreign, append([]byte(nil), w.Bytes()...))
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short.SubmitDn(event.InitEv(v))
+	short.SubmitDn(event.CastEv([]byte("cut short")))
+	if len(foreign) != 2+depth-1 {
+		t.Fatalf("built %d foreign images, want %d", len(foreign), 2+depth-1)
 	}
 	for _, img := range foreign {
 		was := eng.Stats().Undecodable

@@ -24,6 +24,11 @@ type HeaderCodec struct {
 	Encode func(h event.Header, w *Writer)
 	// Decode reads one header body from r.
 	Decode func(r *Reader) (event.Header, error)
+	// Ends reports whether h ends its message at this layer: the layer
+	// consumes it (an acknowledgment, a NAK, a heartbeat) instead of
+	// passing the event up, so the image carries no headers for the
+	// layers above. Nil for a layer that passes everything up.
+	Ends func(h event.Header) bool
 }
 
 // The registry has two phases. During init, components register codecs
@@ -185,10 +190,12 @@ func Unmarshal(buf []byte) (*event.Event, error) { return UnmarshalFor(buf, nil)
 // UnmarshalFor is Unmarshal at a receiver whose stack's layers have the
 // wire ids stack (top first, as StackIDs returns them): the image must
 // carry one header for each of the stack's bottom-most layers, at least
-// the bottom one, in stack order — what a peer running the same stack
-// sends. Anything else is ErrBadWire: each layer pops one header and
-// asserts its type, so a well-formed image of another shape would panic
-// the member instead of being dropped. A nil stack accepts any headers.
+// the bottom one, in stack order, and an image with fewer headers than
+// the stack has layers must end in a header its layer consumes (see
+// HeaderCodec.Ends) — what a peer running the same stack sends. Anything
+// else is ErrBadWire: each layer pops one header, so a well-formed
+// image of another shape would hand some layer another layer's header,
+// or an empty stack to pop. A nil stack accepts any headers.
 func UnmarshalFor(buf []byte, stack []byte) (*event.Event, error) {
 	r := readerPool.Get().(*Reader)
 	r.Reset(buf)
@@ -222,6 +229,15 @@ func unmarshal(r *Reader, stack []byte) (*event.Event, error) {
 	if err := decodeHeaders(r, &ev.Msg, r.Uvarint(), stack); err != nil {
 		event.Free(ev)
 		return nil, err
+	}
+	if hdrs := ev.Msg.Headers; stack != nil && len(hdrs) < len(stack) {
+		// hdrs[0] is the innermost: passed up, the next layer would pop
+		// an empty stack.
+		if c := codecs().byID[hdrs[0].WireID()]; c.Ends == nil || !c.Ends(hdrs[0]) {
+			err := ErrBadWire("%d headers for a stack of %d layers, and %s passes the message up", len(hdrs), len(stack), hdrs[0].HdrString())
+			event.Free(ev)
+			return nil, err
+		}
 	}
 	ev.Msg.Payload = r.Rest()
 	if err := r.Err(); err != nil {

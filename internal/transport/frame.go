@@ -69,7 +69,7 @@ func IsFrame(data []byte) bool { return len(data) > 0 && data[0] == FrameMagic }
 const xflagCast = 0x01
 
 // BatchSink consumes flushed frames. core.Network's transmit half
-// (netsim.Net, netsim.Endpoint, netsim.UDPNet) satisfies it.
+// (netsim.Endpoint, netsim.UDPNet) satisfies it.
 type BatchSink interface {
 	Send(from, to event.Addr, data []byte)
 	Cast(from event.Addr, data []byte)
