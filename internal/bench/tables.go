@@ -136,7 +136,7 @@ func MeasureCounters(cfg Config, names []string, size, rounds int) (Counters, er
 					wire := wbuf.Seal()
 					event.Free(ev)
 					c.WireBytes += int64(len(wire))
-					up, err := transport.Unmarshal(wire)
+					up, err := unmarshalBorrowed(wire)
 					if err != nil {
 						return err
 					}

@@ -227,7 +227,7 @@ func (r *ThroughputRunner) initStacks(names []string, mode stack.Mode) error {
 	var stks [2]stack.Stack
 	var wbufs [2]transport.Writer
 	pump := newPump(func(to int, wire []byte) {
-		up, err := transport.Unmarshal(wire)
+		up, err := unmarshalBorrowed(wire)
 		if err != nil {
 			panic(fmt.Sprintf("bench: unmarshal: %v", err))
 		}
@@ -277,6 +277,7 @@ func (r *ThroughputRunner) initMach(names []string) error {
 			return err
 		}
 		eng.Deliver = func(int, []byte, bool) { r.delivered++ }
+		eng.ArrivalsBorrowed = true // the pump recycles its buffers
 		eng.SendWire = func(cast bool, dst int, wire []byte) {
 			to := dst
 			if cast {

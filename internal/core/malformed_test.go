@@ -26,16 +26,20 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 			name = "optimized"
 		}
 		t.Run(name, func(t *testing.T) {
-			var g *ClusterGroup
-			var err error
-			if optimized {
-				g, err = NewOptimizedClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
-			} else {
-				g, err = NewClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Imp, nil)
+			build := func() *ClusterGroup {
+				var g *ClusterGroup
+				var err error
+				if optimized {
+					g, err = NewOptimizedClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
+				} else {
+					g, err = NewClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Imp, nil)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := build()
 			m := g.Members[0]
 			epoch := appendUvarint(nil, uint64(m.view.ID.Seq))
 			cases := map[string][]byte{
@@ -149,16 +153,54 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 			if now := snapshot(); !reflect.DeepEqual(now, state) {
 				t.Fatalf("cast-typed-send: member state moved: %+v, was %+v", now, state)
 			}
+			// This stack's own cast, whole, typed as every event type but
+			// the two that are ever marshaled. Bottom passes non-data events
+			// through, so an Exit used to make the member exit and a Block
+			// to block the sequencer's total layer. Each is dropped and
+			// counted, and nothing moves.
+			for typ := 0; typ < 256; typ++ {
+				if typ == int(event.ECast) || typ == int(event.ESend) {
+					continue
+				}
+				data := appendUvarint(append([]byte(nil), epoch...), m.viewTag)
+				castLeaving(t, layers.Stack10(), func(ev *event.Event) {
+					ev.Type = event.Type(typ)
+					data = append(data, wireImage(t, ev)...)
+				})
+				was, delivered := dropped(), m.Stats()
+				m.receive(netsim.Packet{From: 2, To: 1, Data: data})
+				if got := dropped(); got != was+1 {
+					t.Fatalf("cast typed %v: dropped %d packets, want 1", event.Type(typ), got-was)
+				}
+				if now := m.Stats(); m.Exited() || now.CastsDelivered != delivered.CastsDelivered || now.PacketsOut != delivered.PacketsOut {
+					t.Fatalf("cast typed %v: exited %t, stats %+v, were %+v", event.Type(typ), m.Exited(), now, delivered)
+				}
+				if now := snapshot(); !reflect.DeepEqual(now, state) {
+					t.Fatalf("cast typed %v: member state moved: %+v, was %+v", event.Type(typ), now, state)
+				}
+				if !optimized {
+					n++
+				}
+			}
 			// A well-formed control message nobody is waiting for is not stray.
 			m.receive(netsim.Packet{From: 2, To: 1, Data: []byte{0x00, ctrlGrantAck, 0x63}})
 			if got := m.Stats().StrayPackets; got != before+n {
 				t.Fatalf("unawaited grant ack: StrayPackets = %d, want %d", got, before+n)
 			}
-			// The member is still live after the garbage.
-			m.Cast([]byte("still alive"))
-			g.Run(int64(1e7))
-			if m.Stats().PacketsOut == 0 {
-				t.Fatal("member stopped sending after malformed input")
+			// The member is still live after the garbage, and the group runs
+			// exactly as a twin that never saw any: a sequencer blocked by
+			// an off-wire Block announces its own casts instead of stamping
+			// them.
+			twin := build()
+			for _, g := range []*ClusterGroup{g, twin} {
+				g.Members[0].Cast([]byte("still alive"))
+				g.Run(int64(1e7))
+			}
+			if got, want := m.Stats().PacketsOut, twin.Members[0].Stats().PacketsOut; got == 0 || got != want {
+				t.Fatalf("member sent %d packets after malformed input, its twin %d", got, want)
+			}
+			if got, want := g.Members[1].Stats().CastsDelivered, twin.Members[1].Stats().CastsDelivered; got != want {
+				t.Fatalf("peer delivered %d casts after malformed input, its twin %d", got, want)
 			}
 		})
 	}

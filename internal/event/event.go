@@ -141,7 +141,30 @@ type Event struct {
 	// than protocol-internal data such as acknowledgments or gossip).
 	ApplMsg bool
 
+	// Borrowed marks a payload the event does not own: the caller's
+	// buffer from Cast/Send entry, which the caller may rewrite as soon
+	// as the call returns, or arrival bytes a harness recycles. Arrivals
+	// off a stable link, payloads decoded from a log and payloads frag
+	// joins are owned. An event built to alias another's payload carries
+	// its bit; a layer that holds a message past the call that handed it
+	// over goes through OwnPayload.
+	Borrowed bool
+
 	pooled bool
+}
+
+// OwnPayload makes the message safe to hold past the call that handed
+// the event over, and returns the payload: a borrowed payload is copied
+// (and the record of where the headers were decoded from, which points
+// into the same borrowed buffer, is dropped); an owned one is kept by
+// reference. Either way the event is owned afterwards.
+func (e *Event) OwnPayload() []byte {
+	if e.Borrowed {
+		e.Msg.Payload = append([]byte(nil), e.Msg.Payload...)
+		e.Msg.enc = nil
+		e.Borrowed = false
+	}
+	return e.Msg.Payload
 }
 
 // String renders the event compactly for traces and test failures.
@@ -231,18 +254,20 @@ func debugFree(e *Event) {
 	})
 }
 
-// CastEv builds a down-going multicast request carrying payload.
+// CastEv builds a down-going multicast request carrying payload, which
+// stays the caller's (the event is Borrowed).
 func CastEv(payload []byte) *Event {
 	e := Alloc()
-	e.Dir, e.Type, e.ApplMsg = Dn, ECast, true
+	e.Dir, e.Type, e.ApplMsg, e.Borrowed = Dn, ECast, true, true
 	e.Msg.Payload = payload
 	return e
 }
 
-// SendEv builds a down-going point-to-point request to rank dst.
+// SendEv builds a down-going point-to-point request to rank dst; the
+// payload stays the caller's (the event is Borrowed).
 func SendEv(dst int, payload []byte) *Event {
 	e := Alloc()
-	e.Dir, e.Type, e.Peer, e.ApplMsg = Dn, ESend, dst, true
+	e.Dir, e.Type, e.Peer, e.ApplMsg, e.Borrowed = Dn, ESend, dst, true, true
 	e.Msg.Payload = payload
 	return e
 }

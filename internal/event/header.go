@@ -135,15 +135,6 @@ func (m *Message) EncodedHeaders() ([]byte, bool) {
 	return m.enc[m.encOff[k-1]:], true
 }
 
-// Own makes the message independent of the buffers it arrived in, for a
-// layer that holds the event past the call that handed it over: the
-// payload is copied, and the record of where the headers were decoded
-// from is dropped.
-func (m *Message) Own() {
-	m.Payload = append([]byte(nil), m.Payload...)
-	m.enc = nil
-}
-
 // Pop removes and returns the top header. It panics if the stack is
 // empty: a layer popping past the bottom is a wiring bug, not a runtime
 // condition.

@@ -216,8 +216,8 @@ func (hp *HdrPool[T]) Put(p *T) {
 
 // Dup returns an independently owned copy of e for fan-out paths: the
 // header stack is deep-cloned (pooled headers copied), mutable vectors
-// are copied, and the payload is shared — payload bytes are immutable
-// on the data path.
+// are copied, and the payload is shared, Borrowed bit and all — payload
+// bytes are immutable on the data path.
 func Dup(e *Event) *Event {
 	d := Alloc()
 	hdrs, offs := d.Msg.Headers, d.Msg.encOff

@@ -238,12 +238,12 @@ func TestReadHdr(t *testing.T) {
 		Hdrs: []HdrSpec{{
 			Variant: "D", Tag: 3, Fields: []string{"s"},
 			Make: func(f []int64) event.Header { return testHdr{s: f[0]} },
-			Read: func(h event.Header) ([]int64, bool) {
+			Read: func(h event.Header, dst []int64) ([]int64, bool) {
 				th, ok := h.(testHdr)
 				if !ok {
-					return nil, false
+					return dst, false
 				}
-				return []int64{th.s}, true
+				return append(dst, th.s), true
 			},
 		}},
 	}

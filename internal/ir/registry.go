@@ -45,7 +45,7 @@ func (d *LayerDef) ReadHdr(h event.Header) (map[string]int64, error) {
 	}
 	for i := range d.Hdrs {
 		spec := &d.Hdrs[i]
-		vals, ok := spec.Read(h)
+		vals, ok := spec.Read(h, nil)
 		if !ok {
 			continue
 		}

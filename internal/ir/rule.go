@@ -169,9 +169,10 @@ type HdrSpec struct {
 	// Make builds the executable header from field values (in Fields
 	// order). The slice is caller-owned scratch: Make must not retain it.
 	Make func(fields []int64) event.Header
-	// Read extracts the field values from an executable header of this
-	// variant; it reports false for other variants.
-	Read func(h event.Header) ([]int64, bool)
+	// Read appends the field values of an executable header of this
+	// variant to dst, caller-owned scratch, and returns the result; it
+	// reports false (and dst unchanged) for other variants.
+	Read func(h event.Header, dst []int64) ([]int64, bool)
 }
 
 // VarSpec binds one IR state variable to a live layer state. Exactly one
@@ -195,7 +196,7 @@ type StateModel interface {
 type EffectCtx struct {
 	// Args holds the evaluated effect arguments. Like Hdrs, the slice is
 	// caller-owned transient scratch: read the values, don't keep it.
-	Args []int64
+	Args    []int64
 	Payload []byte
 	ApplMsg bool
 	// Hdrs is the header stack of the message as the layers above this

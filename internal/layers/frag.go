@@ -27,8 +27,9 @@ type fragState struct {
 // fragAsm reassembles one channel's current message. The parts are held
 // by reference until the last one arrives: frag sits below local, so
 // what comes up through it is an arrival buffer (or a slab of a log
-// below) that the receiver owns and nobody rewrites. The one copy is the
-// one that joins them.
+// below) that the receiver owns and nobody rewrites — unless the event
+// says its payload is borrowed, and then the part is copied. The one
+// copy of owned parts is the one that joins them.
 type fragAsm struct {
 	parts   [][]byte
 	expect  uint32
@@ -119,7 +120,7 @@ func (s *fragState) HandleDn(ev *event.Event, snk layer.Sink) {
 		hi := min(lo+s.maxFrag, len(payload))
 		out := event.Alloc()
 		out.Dir, out.Type, out.Peer = event.Dn, ev.Type, ev.Peer
-		out.ApplMsg = ev.ApplMsg
+		out.ApplMsg, out.Borrowed = ev.ApplMsg, ev.Borrowed
 		out.Msg.Payload = payload[lo:hi]
 		// Every fragment carries the upper layers' headers so the
 		// receiver can hand the reassembled message up with them.
@@ -156,7 +157,7 @@ func (s *fragState) HandleUp(ev *event.Event, snk layer.Sink) {
 		if h.Idx == 0 {
 			asm.applMsg = ev.ApplMsg
 		}
-		asm.parts = append(asm.parts, ev.Msg.Payload)
+		asm.parts = append(asm.parts, ev.OwnPayload())
 		asm.expect = h.Idx + 1
 		if asm.expect == h.Of {
 			total := 0

@@ -198,7 +198,9 @@ func (h *HandEngine) Send(dst int, payload []byte) {
 	p.unacked.put(seq, img)
 }
 
-// Packet routes an arriving wire image.
+// Packet routes an arriving wire image. The hand engine runs in the
+// in-process harnesses, which recycle data once Packet returns, so the
+// events built from it are borrowed.
 func (h *HandEngine) Packet(data []byte) {
 	if len(data) == 0 {
 		return
@@ -208,6 +210,7 @@ func (h *HandEngine) Packet(data []byte) {
 		if err != nil {
 			return
 		}
+		ev.Borrowed = true
 		h.Stats.UpFull++
 		h.stk.DeliverUp(ev)
 		return
@@ -277,7 +280,7 @@ func (h *HandEngine) uncompressToStack(origin int, payload []byte, cast bool, se
 	ev := event.Alloc()
 	ev.Dir = event.Up
 	ev.Peer = origin
-	ev.ApplMsg = true
+	ev.ApplMsg, ev.Borrowed = true, true
 	ev.Msg.Payload = payload
 	// Push order top-down into the event's reused header storage.
 	if cast {

@@ -84,28 +84,28 @@ func pt2ptwDef() ir.LayerDef {
 			{
 				Variant: "Data", Tag: int64(p2pwTagData),
 				Make: func([]int64) event.Header { return p2pwData{} },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					_, ok := h.(p2pwData)
-					return nil, ok
+					return dst, ok
 				},
 			},
 			{
 				Variant: "Ack", Tag: int64(p2pwTagAck), Fields: []string{"count"},
 				Make: func(f []int64) event.Header { return p2pwAck{Count: f[0]} },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					a, ok := h.(p2pwAck)
 					if !ok {
-						return nil, false
+						return dst, false
 					}
-					return []int64{a.Count}, true
+					return append(dst, a.Count), true
 				},
 			},
 			{
 				Variant: "Pass", Tag: int64(p2pwTagPass),
 				Make: func([]int64) event.Header { return p2pwPass{} },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					_, ok := h.(p2pwPass)
-					return nil, ok
+					return dst, ok
 				},
 			},
 		},
@@ -183,28 +183,28 @@ func mflowDef() ir.LayerDef {
 			{
 				Variant: "Data", Tag: int64(mflowTagData),
 				Make: func([]int64) event.Header { return mflowData{} },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					_, ok := h.(mflowData)
-					return nil, ok
+					return dst, ok
 				},
 			},
 			{
 				Variant: "Credit", Tag: int64(mflowTagCredit), Fields: []string{"bytes"},
 				Make: func(f []int64) event.Header { return mflowCredit{Bytes: f[0]} },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					c, ok := h.(mflowCredit)
 					if !ok {
-						return nil, false
+						return dst, false
 					}
-					return []int64{c.Bytes}, true
+					return append(dst, c.Bytes), true
 				},
 			},
 			{
 				Variant: "Pass", Tag: int64(mflowTagPass),
 				Make: func([]int64) event.Header { return mflowPass{} },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					_, ok := h.(mflowPass)
-					return nil, ok
+					return dst, ok
 				},
 			},
 		},
@@ -259,20 +259,20 @@ func fragDef() ir.LayerDef {
 			{
 				Variant: "Solo", Tag: int64(fragTagSolo),
 				Make: func([]int64) event.Header { return fragSolo{} },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					_, ok := h.(fragSolo)
-					return nil, ok
+					return dst, ok
 				},
 			},
 			{
 				Variant: "Frag", Tag: int64(fragTagFrag), Fields: []string{"idx", "of"},
 				Make: func(f []int64) event.Header { return fragFrag{Idx: uint32(f[0]), Of: uint32(f[1])} },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					g, ok := h.(fragFrag)
 					if !ok {
-						return nil, false
+						return dst, false
 					}
-					return []int64{int64(g.Idx), int64(g.Of)}, true
+					return append(dst, int64(g.Idx), int64(g.Of)), true
 				},
 			},
 		},

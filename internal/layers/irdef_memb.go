@@ -27,16 +27,16 @@ func (s *membershipState) IRVars() []ir.VarSpec {
 // membCtrl is the spec of a control variant: recognized (so ReadHdr can
 // classify it for fallback dispatch, and a probe for another variant
 // misses without allocating) but never IR-constructed.
-func membCtrl[H event.Header](variant string, tag byte, fields []string, read func(H) []int64) ir.HdrSpec {
+func membCtrl[H event.Header](variant string, tag byte, fields []string, read func(H, []int64) []int64) ir.HdrSpec {
 	return ir.HdrSpec{
 		Variant: variant, Tag: int64(tag), Fields: fields,
 		Make: func([]int64) event.Header { panic("membership: control headers are not IR-constructible") },
-		Read: func(h event.Header) ([]int64, bool) {
+		Read: func(h event.Header, dst []int64) ([]int64, bool) {
 			v, ok := h.(H)
 			if !ok {
-				return nil, false
+				return dst, false
 			}
-			return read(v), true
+			return read(v, dst), true
 		},
 	}
 }
@@ -63,19 +63,19 @@ func membershipDef() ir.LayerDef {
 			{
 				Variant: "Pass", Tag: int64(membTagPass),
 				Make: func([]int64) event.Header { return membPass{} },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					_, ok := h.(membPass)
-					return nil, ok
+					return dst, ok
 				},
 			},
 			membCtrl("View", membTagView, []string{"view_seq"},
-				func(v membView) []int64 { return []int64{v.ViewSeq} }),
+				func(v membView, dst []int64) []int64 { return append(dst, v.ViewSeq) }),
 			membCtrl("Leave", membTagLeave, []string{"rank"},
-				func(l membLeave) []int64 { return []int64{int64(l.Rank)} }),
+				func(l membLeave, dst []int64) []int64 { return append(dst, int64(l.Rank)) }),
 			membCtrl("FlushAgg", membTagFlushAgg, []string{"view_seq", "round"},
-				func(a membFlushAgg) []int64 { return []int64{a.ViewSeq, a.Round} }),
+				func(a membFlushAgg, dst []int64) []int64 { return append(dst, a.ViewSeq, a.Round) }),
 			membCtrl("FlushTree", membTagFlushTree, []string{"view_seq", "round"},
-				func(f membFlushTree) []int64 { return []int64{f.ViewSeq, f.Round} }),
+				func(f membFlushTree, dst []int64) []int64 { return append(dst, f.ViewSeq, f.Round) }),
 		},
 		CCP: map[ir.PathKey]ir.Expr{
 			ir.DnCast: notBlocked,
@@ -145,17 +145,17 @@ func suspectDef() ir.LayerDef {
 			{
 				Variant: "Pass", Tag: int64(suspectTagPass),
 				Make: func([]int64) event.Header { return suspectPass{} },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					_, ok := h.(suspectPass)
-					return nil, ok
+					return dst, ok
 				},
 			},
 			{
 				Variant: "Ping", Tag: int64(suspectTagPing),
 				Make: func([]int64) event.Header { return suspectPing{} },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					_, ok := h.(suspectPing)
-					return nil, ok
+					return dst, ok
 				},
 			},
 		},

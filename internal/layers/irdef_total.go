@@ -82,12 +82,12 @@ func totalDef() ir.LayerDef {
 			{
 				Variant: "Data", Tag: int64(totalTagData), Fields: []string{"lseq", "gseq"},
 				Make: func(f []int64) event.Header { return newTotalData(f[0], f[1]) },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					d, ok := h.(*totalData)
 					if !ok {
-						return nil, false
+						return dst, false
 					}
-					return []int64{d.LocalSeq, d.GSeq}, true
+					return append(dst, d.LocalSeq, d.GSeq), true
 				},
 			},
 			{
@@ -95,20 +95,20 @@ func totalDef() ir.LayerDef {
 				Make: func(f []int64) event.Header {
 					return totalOrder{Origin: int32(f[0]), LocalSeq: f[1], GSeq: f[2]}
 				},
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					o, ok := h.(totalOrder)
 					if !ok {
-						return nil, false
+						return dst, false
 					}
-					return []int64{int64(o.Origin), o.LocalSeq, o.GSeq}, true
+					return append(dst, int64(o.Origin), o.LocalSeq, o.GSeq), true
 				},
 			},
 			{
 				Variant: "Pass", Tag: int64(totalTagPass),
 				Make: func([]int64) event.Header { return totalPass{} },
-				Read: func(h event.Header) ([]int64, bool) {
+				Read: func(h event.Header, dst []int64) ([]int64, bool) {
 					_, ok := h.(totalPass)
-					return nil, ok
+					return dst, ok
 				},
 			},
 		},

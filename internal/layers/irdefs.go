@@ -56,11 +56,11 @@ func noHdrSpec(mk func() event.Header, is func(event.Header) bool) []ir.HdrSpec 
 		Variant: "NoHdr",
 		Tag:     0,
 		Make:    func([]int64) event.Header { return mk() },
-		Read: func(h event.Header) ([]int64, bool) {
+		Read: func(h event.Header, dst []int64) ([]int64, bool) {
 			if is(h) {
-				return nil, true
+				return dst, true
 			}
-			return nil, false
+			return dst, false
 		},
 	}}
 }
@@ -216,9 +216,9 @@ func collectDef() ir.LayerDef {
 			Variant: "Pass",
 			Tag:     int64(collectTagPass),
 			Make:    func([]int64) event.Header { return collectPass{} },
-			Read: func(h event.Header) ([]int64, bool) {
+			Read: func(h event.Header, dst []int64) ([]int64, bool) {
 				_, ok := h.(collectPass)
-				return nil, ok
+				return dst, ok
 			},
 		},
 		{
@@ -227,9 +227,9 @@ func collectDef() ir.LayerDef {
 			// Gossip vectors are not expressible as fixed int fields;
 			// gossip is never a bypass path, so Make is never invoked.
 			Make: func([]int64) event.Header { panic("collect: gossip headers are not IR-constructible") },
-			Read: func(h event.Header) ([]int64, bool) {
+			Read: func(h event.Header, dst []int64) ([]int64, bool) {
 				_, ok := h.(collectGossip)
-				return nil, ok
+				return dst, ok
 			},
 		},
 	}

@@ -100,15 +100,6 @@ func isData(ev *event.Event) bool {
 	return ev.Type == event.ECast || ev.Type == event.ESend
 }
 
-// copyPayload snapshots a payload for buffering: the sender may reuse the
-// original backing array after the send returns.
-func copyPayload(p []byte) []byte {
-	if len(p) == 0 {
-		return nil
-	}
-	return append([]byte(nil), p...)
-}
-
 // copyHdrs snapshots a header stack into a fresh slice. Pooled headers
 // are cloned so the copy is independently owned (a plain slice copy
 // would alias them and free them twice). Used off the steady-state path
@@ -142,9 +133,9 @@ var savedMsgPool = sync.Pool{New: func() any { return new(savedMsg) }}
 
 // takeMsg moves a dying event's message into a box and frees the event.
 // The header stack changes owner — nothing is cloned. The payload is
-// copied: an event coming down, or reflected up by local, still carries
-// the application's own buffer, which the application may rewrite as
-// soon as Cast returns.
+// copied only when borrowed (event.Event.OwnPayload): an application's
+// cast coming down still carries its own buffer, which it may rewrite
+// as soon as Cast returns.
 func takeMsg(ev *event.Event) *savedMsg {
 	var m *savedMsg
 	if event.PoolDebugEnabled() {
@@ -153,7 +144,7 @@ func takeMsg(ev *event.Event) *savedMsg {
 	} else {
 		m = savedMsgPool.Get().(*savedMsg)
 	}
-	m.payload = append([]byte(nil), ev.Msg.Payload...)
+	m.payload = ev.OwnPayload()
 	m.hdrs = append(m.hdrs[:0], ev.Msg.Headers...)
 	m.applMsg = ev.ApplMsg
 	clear(ev.Msg.Headers)

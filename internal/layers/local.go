@@ -45,7 +45,7 @@ func (s *localState) HandleDn(ev *event.Event, snk layer.Sink) {
 		// stack grows as it descends.
 		copyEv := event.Alloc()
 		copyEv.Dir, copyEv.Type, copyEv.Peer = event.Up, event.ECast, s.view.Rank
-		copyEv.ApplMsg = ev.ApplMsg
+		copyEv.ApplMsg, copyEv.Borrowed = ev.ApplMsg, ev.Borrowed
 		copyEv.Msg.Payload = ev.Msg.Payload
 		// Deep-clone: pooled headers must not be shared between the two
 		// events, or both will free them.

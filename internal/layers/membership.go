@@ -343,7 +343,7 @@ func (s *membershipState) HandleDn(ev *event.Event, snk layer.Sink) {
 		// traffic from the layers above (order announcements) must keep
 		// flowing or the flush itself cannot complete.
 		if s.blocked && ev.ApplMsg {
-			p := PendingApp{IsCast: ev.Type == event.ECast, Payload: copyPayload(ev.Msg.Payload)}
+			p := PendingApp{IsCast: ev.Type == event.ECast, Payload: ev.OwnPayload()}
 			if !p.IsCast {
 				p.Dst = s.view.Members[ev.Peer]
 			}

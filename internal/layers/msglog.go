@@ -27,6 +27,13 @@ import (
 // — and the payload of an event decoded from it — stays valid for as
 // long as anything references it, even after the log trimmed past it.
 //
+// A record large enough to get a slab of its own is not copied when it
+// needs no copy: an owned image (transport.Image.Borrowed unset) whose
+// header bytes and payload are one contiguous run — a message off the
+// wire, everything above this layer being a suffix of the sub-packet —
+// becomes that slab by reference. Nobody rewrites arrival bytes, so the
+// reference is as immutable as a slab.
+//
 // The zero value is an empty log, sixteen bytes of it: a member holds
 // one or two per peer, most of which never carry a message, so
 // everything past the base waits for the first put.
@@ -54,6 +61,11 @@ type logBody struct {
 // never trimmed — a stack without a stability layer — holds as many
 // slabs as it was given messages, and a reference must still find its
 // own.
+//
+// A by-reference record (logRefBit set; no offset is that large) fills
+// its slab, which is the image's run itself, and off holds what the
+// record's flag byte and lengths would: ApplMsg (logRefAppl), the header
+// count and the header segment's length.
 type logRef struct {
 	slab uint32
 	off  uint32
@@ -63,7 +75,8 @@ type logRef struct {
 // sequence number stored in it: the slab can go once the base passes it.
 //
 // A record is one flag byte (header count, high bit = ApplMsg), the
-// uvarint lengths of the image's two segments, and the segments.
+// uvarint lengths of the image's two segments, and the segments — or, by
+// reference, the segments alone.
 type logSlab struct {
 	buf  []byte
 	last int64
@@ -85,6 +98,14 @@ const (
 	logMaxAhead = 1 << 16
 
 	logApplBit = 0x80
+
+	// The by-reference logRef.off, high bit first: the marker, ApplMsg, a
+	// 7-bit header count and a 23-bit header length.
+	logRefBit      = 1 << 31
+	logRefAppl     = 1 << 30
+	logRefNHdrs    = 23
+	logRefMaxNHdrs = 1<<7 - 1
+	logRefHdrs     = 1<<logRefNHdrs - 1
 )
 
 // put retains img as sequence number seq. It reports false, and keeps
@@ -101,27 +122,37 @@ func (l *msgLog) put(seq int64, img transport.Image) bool {
 	if l.logBody == nil {
 		l.logBody = new(logBody)
 	}
+	var ref logRef
 	need := 1 + 2*binary.MaxVarintLen32 + len(img.Hdrs) + len(img.Payload)
-	if n := len(l.slabs); n == 0 || cap(l.slabs[n-1].buf)-len(l.slabs[n-1].buf) < need {
-		size := max(need*logSlabRecs, logMinSlab)
-		if size > logMaxSlab {
-			size = need
-		}
-		l.slabs = append(l.slabs, logSlab{buf: make([]byte, 0, size), last: seq})
+	if run, ok := arrivalRun(img, need); ok {
+		l.slabs = append(l.slabs, logSlab{buf: run, last: seq})
 		l.made++
+		ref = logRef{slab: l.made - 1, off: logRefBit | uint32(img.NHdrs)<<logRefNHdrs | uint32(len(img.Hdrs))}
+		if img.ApplMsg {
+			ref.off |= logRefAppl
+		}
+	} else {
+		if n := len(l.slabs); n == 0 || cap(l.slabs[n-1].buf)-len(l.slabs[n-1].buf) < need {
+			size := max(need*logSlabRecs, logMinSlab)
+			if size > logMaxSlab {
+				size = need
+			}
+			l.slabs = append(l.slabs, logSlab{buf: make([]byte, 0, size), last: seq})
+			l.made++
+		}
+		s := &l.slabs[len(l.slabs)-1]
+		ref = logRef{slab: l.made - 1, off: uint32(len(s.buf) + 1)}
+		flag := img.NHdrs
+		if img.ApplMsg {
+			flag |= logApplBit
+		}
+		s.buf = append(s.buf, flag)
+		s.buf = binary.AppendUvarint(s.buf, uint64(len(img.Hdrs)))
+		s.buf = binary.AppendUvarint(s.buf, uint64(len(img.Payload)))
+		s.buf = append(s.buf, img.Hdrs...)
+		s.buf = append(s.buf, img.Payload...)
+		s.last = max(s.last, seq)
 	}
-	s := &l.slabs[len(l.slabs)-1]
-	ref := logRef{slab: l.made - 1, off: uint32(len(s.buf) + 1)}
-	flag := img.NHdrs
-	if img.ApplMsg {
-		flag |= logApplBit
-	}
-	s.buf = append(s.buf, flag)
-	s.buf = binary.AppendUvarint(s.buf, uint64(len(img.Hdrs)))
-	s.buf = binary.AppendUvarint(s.buf, uint64(len(img.Payload)))
-	s.buf = append(s.buf, img.Hdrs...)
-	s.buf = append(s.buf, img.Payload...)
-	s.last = max(s.last, seq)
 	// The index grows by a quarter, not append's doubling: there is one
 	// per origin per member, most of them a few hundred entries long.
 	if grow := int(i) + 1 - len(l.idx); grow > cap(l.idx)-len(l.idx) {
@@ -134,6 +165,23 @@ func (l *msgLog) put(seq int64, img transport.Image) bool {
 	return true
 }
 
+// arrivalRun returns an owned image's two segments as the one run of
+// bytes they occupy, when its record of need bytes would get a slab of
+// its own, the payload begins where the header bytes end in the same
+// backing array, and the facts the run does not carry fit a
+// by-reference logRef.
+func arrivalRun(img transport.Image, need int) ([]byte, bool) {
+	h, n := img.Hdrs, len(img.Hdrs)+len(img.Payload)
+	if need*logSlabRecs <= logMaxSlab || img.Borrowed || len(img.Payload) == 0 || cap(h) < n ||
+		len(h) > logRefHdrs || img.NHdrs > logRefMaxNHdrs {
+		return nil, false
+	}
+	if &h[:len(h)+1][len(h)] != &img.Payload[0] {
+		return nil, false
+	}
+	return h[:n:n], true
+}
+
 // get returns seq's image, or false when the log does not hold it. The
 // image aliases the slab (see the type comment for how long that lasts).
 func (l *msgLog) get(seq int64) (transport.Image, bool) {
@@ -143,6 +191,13 @@ func (l *msgLog) get(seq int64) (transport.Image, bool) {
 	}
 	ref := l.idx[i]
 	oldest := l.made - uint32(len(l.slabs))
+	if ref.off&logRefBit != 0 {
+		run, h := l.slabs[ref.slab-oldest].buf, int(ref.off&logRefHdrs)
+		return transport.Image{
+			Hdrs: run[:h:h], Payload: run[h:],
+			NHdrs: uint8(ref.off >> logRefNHdrs & logRefMaxNHdrs), ApplMsg: ref.off&logRefAppl != 0,
+		}, true
+	}
 	rec := l.slabs[ref.slab-oldest].buf[ref.off-1:]
 	nh, k := binary.Uvarint(rec[1:])
 	np, k2 := binary.Uvarint(rec[1+k:])
@@ -194,9 +249,10 @@ func imageOf(ev *event.Event, w *transport.Writer) transport.Image {
 }
 
 // effectImage is the image a bypass effect buffers: the optimizer hands
-// it the header stack already encoded.
+// it the header stack already encoded, in its scratch frame — so the
+// image is borrowed, whatever the payload's provenance.
 func effectImage(ctx ir.EffectCtx) transport.Image {
-	return transport.Image{Hdrs: ctx.Hdrs, Payload: ctx.Payload, NHdrs: uint8(ctx.NHdrs), ApplMsg: ctx.ApplMsg}
+	return transport.Image{Hdrs: ctx.Hdrs, Payload: ctx.Payload, NHdrs: uint8(ctx.NHdrs), ApplMsg: ctx.ApplMsg, Borrowed: true}
 }
 
 // fromImage is transport.FromImage for an image this layer put itself:

@@ -2,6 +2,7 @@ package layers
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"ensemble/internal/transport"
@@ -222,13 +223,28 @@ func TestMsgLogNeverTrimmed(t *testing.T) {
 	}
 }
 
+// arrivalImage is testImage laid out as a message off the wire is: the
+// header bytes and the payload one contiguous run, borrowed or owned.
+func arrivalImage(seq int64, size int, borrowed bool) transport.Image {
+	img := testImage(seq, size)
+	run := append(append([]byte(nil), img.Hdrs...), img.Payload...)
+	img.Hdrs, img.Payload = run[:len(img.Hdrs)], run[len(img.Hdrs):]
+	img.Borrowed = borrowed
+	return img
+}
+
 // FuzzMsgLog drives a log and a map side by side through an arbitrary
 // operation sequence; they must agree on every sequence number near the
-// action after every step.
+// action after every step. Puts come in three kinds, interleaved: images
+// in two separate buffers (always copied), owned arrival runs (kept by
+// reference once a record would get a slab of its own), and borrowed
+// arrival runs, whose bytes the fuzzer rewrites as soon as put returns.
 func FuzzMsgLog(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 0, 1, 10, 2, 0, 0, 1, 1, 0})
 	f.Add([]byte{0, 5, 200, 0, 2, 7, 0, 9, 255, 2, 3, 0, 0, 5, 9, 1, 3, 0})
 	f.Add(bytes.Repeat([]byte{0, 1, 90}, 300))
+	f.Add([]byte{3, 4, 200, 6, 5, 200, 0, 6, 20, 3, 7, 150, 6, 8, 255, 1, 6, 0, 3, 9, 140})
+	f.Add(bytes.Repeat([]byte{3, 1, 160, 6, 1, 170, 0, 1, 30, 1, 9, 0}, 40))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var l msgLog
 		model := map[int64]transport.Image{}
@@ -238,16 +254,34 @@ func FuzzMsgLog(f *testing.F) {
 			ops = ops[3:]
 			switch op % 3 {
 			case 0: // put near the frontier: behind it, at it, ahead of it
-				seq := next + a%16 - 4
-				img := testImage(seq, b*b/8)
+				seq, size, kind := next+a%16-4, b*b/8, op/3%3
+				img := testImage(seq, size)
+				if kind > 0 {
+					img = arrivalImage(seq, size, kind == 2)
+				}
 				_, dup := model[seq]
 				want := seq >= base && !dup
 				if got := l.put(seq, img); got != want {
 					t.Fatalf("put(%d) = %t, want %t (base %d)", seq, got, want, base)
 				}
 				if want {
-					model[seq] = img
+					model[seq] = testImage(seq, size)
 					next = max(next, seq+1)
+				}
+				if kind == 0 {
+					break
+				}
+				run := img.Hdrs[:len(img.Hdrs)+size]
+				if kept, _ := l.get(seq); want && size > 0 {
+					ownSlab := (1+2*binary.MaxVarintLen32+len(run))*logSlabRecs > logMaxSlab
+					if byRef := within(kept.Payload, run); byRef != (kind == 1 && ownSlab) {
+						t.Fatalf("put(%d) of %d bytes, borrowed %t: kept by reference = %t", seq, len(run), img.Borrowed, byRef)
+					}
+				}
+				if img.Borrowed {
+					for i := range run {
+						run[i] = 0xEE
+					}
 				}
 			case 1: // trim, sometimes past the end
 				seq := base + a%24

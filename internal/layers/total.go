@@ -31,7 +31,7 @@ type totalState struct {
 
 	// pending holds ordered-but-not-yet-deliverable casts by global
 	// sequence number: the events themselves, total's header popped, each
-	// with its own copy of the payload (event.Message.Own).
+	// owning its payload (event.Event.OwnPayload).
 	pending map[int64]*event.Event
 
 	// unordered holds casts waiting for an order announcement, keyed by
@@ -211,17 +211,17 @@ func (s *totalState) HandleUp(ev *event.Event, snk layer.Sink) {
 // exactly the next global sequence number, with nothing pending, needs
 // no buffering — this is the same common-case predicate the optimizer
 // compiles (irdef_total.go upCCP), and it keeps the hot path free of
-// buffering. A cast that must wait is held as the event it is, with its
-// own copy of the payload: the bytes it arrived with belong to the
-// network's buffer or — the member's own casts reach this layer through
-// local's bounce — to the application.
+// buffering. A cast that must wait is held as the event it is. Its
+// payload is copied only when borrowed — the member's own casts reach
+// this layer through local's bounce still aliasing the application's
+// buffer; arrival bytes and frag's joins are kept by reference.
 func (s *totalState) handleData(origin int, lseq, gseq int64, ev *event.Event, snk layer.Sink) {
 	if gseq == s.nextGlobal && len(s.pending) == 0 {
 		s.nextGlobal++
 		snk.PassUp(ev)
 		return
 	}
-	ev.Msg.Own()
+	ev.OwnPayload()
 	switch {
 	case gseq >= 0:
 		s.pending[gseq] = ev

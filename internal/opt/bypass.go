@@ -91,6 +91,13 @@ type Engine struct {
 	// measuring what the deferral buys.
 	InlineEffects bool
 
+	// ArrivalsBorrowed says the bytes handed to Packet are recycled once
+	// it returns (an in-process harness's pump), not arrival bytes nobody
+	// rewrites (a stable-mode link): the events built from them are then
+	// borrowed (event.Event.Borrowed), and the layers that hold messages
+	// copy them.
+	ArrivalsBorrowed bool
+
 	wbuf  transport.Writer
 	stats EngineStats
 
@@ -738,7 +745,7 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 		// read phase move into the copy event's own storage (the event
 		// takes ownership and frees them) and the copy enters the shared
 		// stack above the bouncing layer.
-		copyEv := upEvent(true, e.Rank, true, payload)
+		copyEv := upEvent(true, e.Rank, true, payload, true)
 		copyEv.Msg.Headers = append(copyEv.Msg.Headers[:0], bounceHdrVals...)
 		e.stk.UpAt(e.bounceAt, copyEv)
 	} else {
@@ -779,9 +786,9 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 }
 
 // upEvent allocates an up-going data event with an empty header stack.
-func upEvent(cast bool, origin int, appl bool, payload []byte) *event.Event {
+func upEvent(cast bool, origin int, appl bool, payload []byte, borrowed bool) *event.Event {
 	ev := event.Alloc()
-	ev.Dir, ev.Type, ev.Peer, ev.ApplMsg = event.Up, event.ESend, origin, appl
+	ev.Dir, ev.Type, ev.Peer, ev.ApplMsg, ev.Borrowed = event.Up, event.ESend, origin, appl, borrowed
 	if cast {
 		ev.Type = event.ECast
 	}
@@ -808,6 +815,7 @@ func (e *Engine) Packet(data []byte) {
 			e.stats.Undecodable++
 			return
 		}
+		ev.Borrowed = e.ArrivalsBorrowed
 		// The claimed origin indexes per-member state throughout the
 		// stack: it must be a rank of this view.
 		if ev.Peer < 0 || ev.Peer >= e.N {
@@ -901,7 +909,7 @@ func (e *Engine) Packet(data []byte) {
 	// The event the layer below the entry point would have passed up:
 	// the signature's headers from that layer up, in the event's reused
 	// storage.
-	ev := upEvent(cp.cast, int(sender), cp.appl, payload)
+	ev := upEvent(cp.cast, int(sender), cp.appl, payload, e.ArrivalsBorrowed)
 	for i := range cp.hdrs[:len(cp.hdrs)-below] {
 		ev.Msg.Headers = append(ev.Msg.Headers, cp.hdrs[i].materialize(ctx))
 	}

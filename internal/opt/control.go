@@ -149,14 +149,17 @@ type ctrlEntry struct {
 
 // ctrlMatcher recognizes one control wire shape at the stack's net
 // exit. The depth check and the probe entry's type assertion reject
-// non-matching stacks without allocating; only an actual match pays for
-// Read's field extraction (control traffic, never the data hot path).
+// non-matching stacks first; field values are read into the matcher's
+// own scratch, so a match allocates nothing either. One buffer per
+// matcher suffices, like the engine's other recognizer buffers: the net
+// exit is never re-entered while a recognizer runs.
 type ctrlMatcher struct {
 	pid     PathID
 	id      uint16
 	cast    bool // the shape is a cast's (a send's otherwise)
 	probe   int
 	entries []ctrlEntry
+	vals    []int64
 }
 
 func newCtrlMatcher(cs ctrlSpec) (*ctrlMatcher, error) {
@@ -201,36 +204,32 @@ func newCtrlMatcher(cs ctrlSpec) (*ctrlMatcher, error) {
 // same order sig.Entries uses) and, on success, appends the varying
 // field values in wire order.
 func (m *ctrlMatcher) match(hdrs []event.Header, vary []int64) ([]int64, bool) {
-	if len(hdrs) != len(m.entries) {
+	if len(hdrs) != len(m.entries) || !m.read(m.probe, hdrs) {
 		return vary, false
-	}
-	pe := &m.entries[m.probe]
-	pv, ok := pe.spec.Read(hdrs[m.probe])
-	if !ok {
-		return vary, false
-	}
-	for _, c := range pe.consts {
-		if pv[c.idx] != c.val {
-			return vary, false
-		}
 	}
 	for i := range m.entries {
-		en := &m.entries[i]
-		vals := pv
-		if i != m.probe {
-			vals, ok = en.spec.Read(hdrs[i])
-			if !ok {
-				return vary, false
-			}
-			for _, c := range en.consts {
-				if vals[c.idx] != c.val {
-					return vary, false
-				}
-			}
+		if !m.read(i, hdrs) {
+			return vary, false
 		}
-		for _, j := range en.varies {
-			vary = append(vary, vals[j])
+		for _, j := range m.entries[i].varies {
+			vary = append(vary, m.vals[j])
 		}
 	}
 	return vary, true
+}
+
+// read reads entry i's header into m.vals and checks its constants.
+func (m *ctrlMatcher) read(i int, hdrs []event.Header) bool {
+	en := &m.entries[i]
+	vals, ok := en.spec.Read(hdrs[i], m.vals[:0])
+	m.vals = vals
+	if !ok {
+		return false
+	}
+	for _, c := range en.consts {
+		if vals[c.idx] != c.val {
+			return false
+		}
+	}
+	return true
 }

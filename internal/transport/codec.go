@@ -192,8 +192,9 @@ func Unmarshal(buf []byte) (*event.Event, error) { return UnmarshalFor(buf, nil)
 // carry one header for each of the stack's bottom-most layers, at least
 // the bottom one, in stack order, and an image with fewer headers than
 // the stack has layers must end in a header its layer consumes (see
-// HeaderCodec.Ends) — what a peer running the same stack sends. Anything
-// else is ErrBadWire: each layer pops one header, so a well-formed
+// HeaderCodec.Ends) — what a peer running the same stack sends. An image
+// of any type but ECast or ESend is ErrBadWire, with or without a stack,
+// as is anything else: each layer pops one header, so a well-formed
 // image of another shape would hand some layer another layer's header,
 // or an empty stack to pop. A nil stack accepts any headers.
 func UnmarshalFor(buf []byte, stack []byte) (*event.Event, error) {
@@ -221,9 +222,16 @@ func unmarshal(r *Reader, stack []byte) (*event.Event, error) {
 	if m := r.Byte(); m != wireFull {
 		return nil, ErrBadWire("magic %#x, want %#x", m, wireFull)
 	}
+	// Only casts and sends are ever marshaled; any other type off the
+	// wire would reach layers that pass it through as their own event (an
+	// Exit, a Block).
+	typ := event.Type(r.Byte())
+	if typ != event.ECast && typ != event.ESend {
+		return nil, ErrBadWire("event type %v", typ)
+	}
 	ev := event.Alloc()
 	ev.Dir = event.Up
-	ev.Type = event.Type(r.Byte())
+	ev.Type = typ
 	ev.Peer = int(r.Varint())
 	ev.ApplMsg = r.Bool()
 	if err := decodeHeaders(r, &ev.Msg, r.Uvarint(), stack); err != nil {

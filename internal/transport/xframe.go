@@ -119,11 +119,13 @@ type LinkCounters struct {
 // stableSubs, every reconstruction goes into fresh storage, so surfaced
 // subs stay valid as long as the frame buffer itself — what the netsim
 // substrates need, because decoded payloads may be retained by the
-// application (the frame buffer is a per-transmit copy there). Without
-// it the walker reuses one scratch buffer and a reconstructed sub is
-// only valid until the next WalkLink call — the zero-allocation choice
-// for harnesses whose consumers copy whatever they keep (the bench pumps
-// already recycle delivered buffers under that contract).
+// application and the layers keep arrival bytes by reference (the frame
+// buffer is a per-transmit copy there, which its caller never rewrites;
+// a parked frame is kept by reference too). Without it the walker
+// reuses one scratch buffer and a reconstructed sub is only valid until
+// the next WalkLink call — the zero-allocation choice for harnesses
+// whose consumers treat arrivals as borrowed (event.Event.Borrowed; the
+// bench pumps recycle delivered buffers under that contract).
 type FrameWalker struct {
 	nPrefix int
 	stable  bool
@@ -316,7 +318,12 @@ func (w *FrameWalker) walkLink(from, to event.Addr, data []byte, fn func(sub []b
 				m.stash = make(map[uint64][]byte)
 			}
 			if _, dup := m.stash[seq]; !dup {
-				m.stash[seq] = append([]byte(nil), data...)
+				// A stable link's frame buffer is never rewritten, so it is
+				// parked as it is; a scratch link's caller recycles it.
+				if !w.stable {
+					data = append([]byte(nil), data...)
+				}
+				m.stash[seq] = data
 			}
 			r.stashed = true
 			if len(m.stash) <= xStashNag {
