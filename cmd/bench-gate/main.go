@@ -45,14 +45,15 @@
 //
 // It optionally records the parsed numbers as a JSON trajectory file so
 // the repository keeps a machine-readable history of the batching
-// figures next to the PR that produced them.
+// figures next to the PR that produced them; a file named
+// BENCH_PR<n>.json records n as its "pr".
 //
 // Usage:
 //
 //	go test -run xxx -bench 'BenchmarkThroughput_' -benchtime 100x . > unit.out
 //	go test -run xxx -bench 'BenchmarkThroughputNet_' -benchtime 150x . > net.out
 //	go test -run xxx -bench 'BenchmarkMixedTraffic_' -benchtime 1x . > mixed.out
-//	go run ./cmd/bench-gate -unit unit.out -net net.out -mixed mixed.out -out BENCH_PR20.json
+//	go run ./cmd/bench-gate -unit unit.out -net net.out -mixed mixed.out -out BENCH_PR23.json
 package main
 
 import (
@@ -60,6 +61,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -451,8 +453,6 @@ func main() {
 
 	if *outPath != "" {
 		doc := map[string]any{
-			"pr":      19,
-			"title":   "A CCP miss hands off at the layer that failed: the compiled prefix runs below total",
 			"date":    time.Now().Format("2006-01-02"),
 			"machine": machine(),
 			"method": "make bench-gate: go test -run xxx -bench BenchmarkThroughput_ -benchtime 100x (alloc gate), " +
@@ -489,6 +489,9 @@ func main() {
 			"net_throughput": net,
 			"mixed_traffic":  mixed,
 		}
+		if pr, ok := prFromPath(*outPath); ok {
+			doc["pr"] = pr
+		}
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			fatal("marshal: %v", err)
@@ -508,6 +511,21 @@ func main() {
 	}
 	fmt.Printf("bench-gate: OK (%d ten-layer benchmarks at 0 allocs/op incl. %d observed with live histograms, %d 8-member net runs >= 2 subs/frame, wire %.2f bytes/msg = %.3fx unbatched classic %.2f, obs-ratio %.3f, interp-share ratio %.3f, %d scale points identical, xframe identity OK, %.0f causal spans complete, 256-member point %s)\n",
 		tenLayer, obsUnit, net8, wireBytes, bytesRatio, classicBytes, obsRatio, interpRatio, scalePoints, spanCount, scale256)
+}
+
+// prFromPath reads the PR number out of a trajectory file named
+// BENCH_PR<n>.json; any other name records no number.
+func prFromPath(path string) (int, bool) {
+	rest, ok := strings.CutPrefix(filepath.Base(path), "BENCH_PR")
+	if !ok {
+		return 0, false
+	}
+	num, ok := strings.CutSuffix(rest, ".json")
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.Atoi(num)
+	return n, err == nil && n > 0
 }
 
 func fatal(format string, args ...any) {

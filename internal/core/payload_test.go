@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"testing"
 
+	"ensemble/internal/event"
 	"ensemble/internal/layers"
 	"ensemble/internal/netsim"
 	"ensemble/internal/stack"
@@ -160,5 +162,103 @@ func TestApplicationRewritesItsBuffer(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// auditedEndpoint is a member's cluster endpoint that records every wire
+// delivered to it together with the CRC it had on arrival.
+type auditedEndpoint struct {
+	*netsim.Endpoint
+	arrivals []auditedWire
+}
+
+type auditedWire struct {
+	data []byte
+	crc  uint32
+}
+
+func (a *auditedEndpoint) Attach(addr event.Addr, recv func(netsim.Packet)) {
+	a.Endpoint.Attach(addr, func(p netsim.Packet) {
+		a.arrivals = append(a.arrivals, auditedWire{p.Data, crc32.ChecksumIEEE(p.Data)})
+		recv(p)
+	})
+}
+
+// TestNoConsumerRewritesAnArrival: the simulator hands every receiver of
+// a transmission, and every duplicate, the same buffer, so nothing that
+// consumes an arrival — the receive path, the stack or the bypass, the
+// layers that keep arrival bytes by reference — may write into it. Every
+// wire a member is handed is checksummed on arrival and again after the
+// run, on a lossy network (duplicates, NAK service, retransmissions),
+// with one and three scheduler shards, members draining concurrently.
+func TestNoConsumerRewritesAnArrival(t *testing.T) {
+	const members, rounds = 4, 3
+	castSizes := []int{100, 9000, 20000}
+	for _, tc := range []struct {
+		name      string
+		names     []string
+		mode      stack.Mode
+		optimized bool
+	}{
+		{"stack10/func", layers.Stack10(), stack.Func, false},
+		{"stack10/imp", layers.Stack10(), stack.Imp, false},
+		{"stack10/mach", layers.Stack10(), stack.Func, true},
+		{"vsync", layers.StackVsync(), stack.Func, false},
+		{"stack4", layers.Stack4(), stack.Imp, false},
+	} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				c := netsim.NewCluster(7, netsim.Lossy(0.1))
+				addrs := make([]event.Addr, members)
+				for i := range addrs {
+					addrs[i] = event.Addr(i + 1)
+				}
+				eps := make([]*auditedEndpoint, members)
+				ms := make([]*Member, members)
+				for i := range eps {
+					eps[i] = &auditedEndpoint{Endpoint: c.NewEndpoint(addrs[i])}
+					m, err := newMember(eps[i], eps[i], event.NewView("group", 1, addrs, i), tc.names, tc.mode, Handlers{}, tc.optimized)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.Start()
+					ms[i] = m
+				}
+				c.SetShards(shards)
+				run := func(d int64) { c.RunConcurrent(c.Sim().Now()+d, members) }
+				for i := 0; i < rounds; i++ {
+					for r, m := range ms {
+						for j, size := range castSizes {
+							m.Cast(appPayload('c', r, i*len(castSizes)+j, size))
+						}
+						if err := m.Send((r+1)%members, appPayload('s', r, i, 9000)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run(int64(20e6))
+				}
+				leave := slices.Contains(tc.names, layers.Membership)
+				if leave {
+					ms[members-1].Leave()
+				}
+				run(int64(30e9))
+				if v := ms[0].View(); leave && len(v.Members) != members-1 {
+					t.Fatalf("the leave never completed: member 0 is in view %v", v.Members)
+				}
+				if st := c.Net().Stats(); st.Duplicated == 0 {
+					t.Fatalf("no duplicate was delivered: %+v", st)
+				}
+				for r, ep := range eps {
+					if len(ep.arrivals) == 0 {
+						t.Fatalf("member %d received nothing", r)
+					}
+					for k, w := range ep.arrivals {
+						if crc32.ChecksumIEEE(w.data) != w.crc {
+							t.Fatalf("member %d: arrival %d of %d (%d bytes) was rewritten after it arrived", r, k, len(ep.arrivals), len(w.data))
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package layers
 
 import (
+	"bytes"
 	"fmt"
 
 	"ensemble/internal/event"
@@ -160,14 +161,8 @@ func (s *fragState) HandleUp(ev *event.Event, snk layer.Sink) {
 		asm.parts = append(asm.parts, ev.OwnPayload())
 		asm.expect = h.Idx + 1
 		if asm.expect == h.Of {
-			total := 0
-			for _, p := range asm.parts {
-				total += len(p)
-			}
-			whole := make([]byte, 0, total)
-			for _, p := range asm.parts {
-				whole = append(whole, p...)
-			}
+			// bytes.Join allocates without zeroing what it overwrites.
+			whole := bytes.Join(asm.parts, nil)
 			// The last fragment's event carries the message on: what is left
 			// of its header stack is the upper layers' (every fragment
 			// carries a copy), so nothing is cloned.

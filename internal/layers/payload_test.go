@@ -81,10 +81,11 @@ func TestMnakKeepsOnlyOwnedArrivalsByReference(t *testing.T) {
 }
 
 // TestOneCopyAboveTheNetwork: an 8-member FUNC group casting 20 000 B
-// messages over a network that hands every receiver its own copy. Above
-// that copy the receivers allocate one payload per delivery — frag's
-// join — plus a bounded remainder: mnak keeps the fragments as the
-// arrival bytes, total holds the joined message by reference.
+// messages over a network that copies each transmission once and hands
+// every receiver that read-only copy, as the simulator does. Above that
+// copy the receivers allocate one payload per delivery — frag's join —
+// plus a bounded remainder: mnak keeps the fragments as the arrival
+// bytes, total holds the joined message by reference.
 func TestOneCopyAboveTheNetwork(t *testing.T) {
 	if event.PoolDebugEnabled() {
 		t.Skip("pool debugging allocates every event and header")
@@ -114,9 +115,10 @@ func TestOneCopyAboveTheNetwork(t *testing.T) {
 				if err := transport.Marshal(ev, r, &w); err != nil {
 					t.Fatal(err)
 				}
+				data := w.Bytes()
 				for to := range stks {
 					if to != r && (ev.Type == event.ECast || to == ev.Peer) {
-						queue = append(queue, packet{to, w.Bytes()})
+						queue = append(queue, packet{to, data})
 					}
 				}
 			},

@@ -34,7 +34,6 @@ package netsim
 // drains scale with cores instead of serializing on one global heap.
 
 import (
-	"container/heap"
 	"fmt"
 
 	"ensemble/internal/event"
@@ -466,7 +465,7 @@ func (c *Cluster) nextEventTime() (int64, bool) {
 			tmin, ok = t, true
 		}
 	}
-	if c.sim.pq.Len() > 0 {
+	if len(c.sim.pq) > 0 {
 		if t := c.sim.pq[0].t; !ok || t < tmin {
 			tmin, ok = t, true
 		}
@@ -530,8 +529,8 @@ func (c *Cluster) run(deadline int64, workers int) int {
 		if batchEnd > deadline {
 			batchEnd = deadline
 		}
-		for c.sim.pq.Len() > 0 && c.sim.pq[0].t <= batchEnd {
-			ev := heap.Pop(&c.sim.pq).(simEvent)
+		for len(c.sim.pq) > 0 && c.sim.pq[0].t <= batchEnd {
+			ev := c.sim.pq.pop()
 			if ev.t > c.sim.now {
 				c.sim.now = ev.t
 			}

@@ -8,7 +8,11 @@ import (
 	"ensemble/internal/transport"
 )
 
-// Packet is what the network delivers to an endpoint.
+// Packet is what the network delivers to an endpoint. A delivered Data
+// is read-only and shared: every receiver of a multicast, and every
+// duplicate, gets the same buffer, and sub-packets of a frame alias it.
+// A receiver may keep it for as long as it likes and must never write
+// into it.
 type Packet struct {
 	From event.Addr
 	To   event.Addr
@@ -105,8 +109,10 @@ type Net struct {
 	// walker is the receive link every delivery passes through; each
 	// shard receives through a Fork of it, so the counters stay one
 	// network's. Stable mode: surfaced subs live as long as the frame
-	// buffer — a per-transmit copy — so receivers may retain decoded
-	// payload slices, as the member Handlers contract allows.
+	// buffer — one read-only copy per transmission, shared by all its
+	// receivers and duplicates — so receivers may retain decoded payload
+	// slices, and must not modify them, as the member Handlers contract
+	// says.
 	walker *transport.FrameWalker
 }
 

@@ -1,12 +1,13 @@
 package netsim
 
-// Regression tests for the delivery bugs the fault-injection substrate
-// itself had: buffer aliasing across receivers, vanishing packets in the
+// Regression tests for the fault-injection substrate itself: one shared
+// read-only buffer per transmission, packets vanishing from the
 // accounting, and the island-0 partition hole. The LossyNetwork is what
 // every reliability layer is verified against, so its own correctness is
 // load-bearing.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -14,52 +15,66 @@ import (
 	"ensemble/internal/event"
 )
 
-// TestCastReceiversDoNotShareBuffers: transports decode in place, so a
-// receiver that mutates its packet must not affect any other receiver.
-func TestCastReceiversDoNotShareBuffers(t *testing.T) {
-	got := map[event.Addr][]byte{}
-	c := wired(1, Profile{Latency: 1000}, 4, func(to event.Addr, p Packet) {
-		// Simulate an in-place decode: scribble over the buffer, then
-		// record it.
-		for i := range p.Data {
-			p.Data[i] = byte(to)
-		}
-		got[to] = p.Data
-	})
-	c.eps[0].Cast(1, []byte{0xAA, 0xAA, 0xAA})
-	c.Run(int64(1e6))
-	if len(got) != 3 {
-		t.Fatalf("delivered to %d receivers, want 3", len(got))
-	}
-	for a, data := range got {
-		for _, b := range data {
-			if b != byte(a) {
-				t.Fatalf("receiver %d's buffer was scribbled by another receiver: % x", a, data)
-			}
+// TestCastReceiversShareOneBuffer: a multicast is copied once, however
+// many receivers it fans out to and on whichever shards they live: every
+// receiver, and every duplicate, gets the same bytes from one backing
+// array. A sender that rewrites its buffer right after Cast changes
+// nothing delivered.
+func TestCastReceiversShareOneBuffer(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		for _, dup := range []float64{0, 1} {
+			t.Run(fmt.Sprintf("shards=%d/dup=%g", shards, dup), func(t *testing.T) {
+				var got []Packet
+				c := wired(1, Profile{Latency: 1000, DupProb: dup}, 4, func(_ event.Addr, p Packet) {
+					got = append(got, p)
+				})
+				c.SetShards(shards)
+				buf := []byte{0xAA, 0xBB, 0xCC}
+				c.eps[0].Cast(1, buf)
+				buf[0], buf[1], buf[2] = 1, 1, 1
+				c.Run(int64(1e6))
+				want := 3
+				if dup == 1 {
+					want = 6
+				}
+				if len(got) != want {
+					t.Fatalf("%d deliveries, want %d", len(got), want)
+				}
+				for _, p := range got {
+					if !bytes.Equal(p.Data, []byte{0xAA, 0xBB, 0xCC}) {
+						t.Fatalf("receiver %d got % x: the sender's rewrite reached it", p.To, p.Data)
+					}
+					if &p.Data[0] != &got[0].Data[0] {
+						t.Fatalf("receiver %d got its own copy: the multicast was copied per receiver", p.To)
+					}
+				}
+			})
 		}
 	}
 }
 
-// TestDuplicateDeliveryDoesNotShareBuffer: a DupProb duplicate reaches
-// the same endpoint as the original; decoding the first in place must
-// not corrupt the second.
-func TestDuplicateDeliveryDoesNotShareBuffer(t *testing.T) {
-	var seen [][]byte
+// TestDuplicateSharesTheBuffer: a DupProb duplicate of a point-to-point
+// send is the original's buffer again, and a sender that rewrites its
+// buffer right after Send changes neither delivery.
+func TestDuplicateSharesTheBuffer(t *testing.T) {
+	var got [][]byte
 	c := wired(5, Profile{Latency: 10, DupProb: 1.0}, 2, func(_ event.Addr, p Packet) {
-		seen = append(seen, append([]byte(nil), p.Data...))
-		for i := range p.Data {
-			p.Data[i] = 0xFF // in-place decode scribble
-		}
+		got = append(got, p.Data)
 	})
-	c.eps[0].Send(1, 2, []byte{1, 2, 3})
+	buf := []byte{1, 2, 3}
+	c.eps[0].Send(1, 2, buf)
+	buf[0] = 0xFF
 	c.Run(int64(1e6))
-	if len(seen) != 2 {
-		t.Fatalf("delivered %d copies, want 2 (DupProb=1)", len(seen))
+	if len(got) != 2 {
+		t.Fatalf("delivered %d copies, want 2 (DupProb=1)", len(got))
 	}
-	for i, data := range seen {
-		if data[0] != 1 || data[1] != 2 || data[2] != 3 {
-			t.Fatalf("delivery %d corrupted by the other copy's decode: % x", i, data)
+	for i, data := range got {
+		if !bytes.Equal(data, []byte{1, 2, 3}) {
+			t.Fatalf("delivery %d is % x: the sender's rewrite reached it", i, data)
 		}
+	}
+	if &got[0][0] != &got[1][0] {
+		t.Fatal("the duplicate was given a buffer of its own")
 	}
 }
 

@@ -13,7 +13,6 @@ package netsim
 // seed and the shard count — Run and RunConcurrent stay byte-identical.
 
 import (
-	"container/heap"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -42,7 +41,8 @@ type resyncReq struct {
 // member's mailbox (kind sevMail — timers, Enqueue work, Post
 // handoffs). seq is assigned by the owning shard at push time; events
 // crossing shards travel seq-less in an outbox and get their target
-// sequence at barrier ingest.
+// sequence at barrier ingest. Sim's instrumentation callbacks are
+// shardEvents too, with only t, seq and fn set.
 type shardEvent struct {
 	t    int64
 	seq  int64
@@ -57,24 +57,63 @@ const (
 	sevMail
 )
 
-type shardPQ []shardEvent
+// eventHeap is a binary min-heap of scheduled events ordered by
+// (t, seq): the shards' arrival and mail heaps and Sim's instrumentation
+// heap. seq is unique within a heap, so the order is total and pop order
+// does not depend on how the heap is laid out. Events are moved, never
+// boxed — push and pop allocate nothing once the backing array has grown
+// to the heap's high-water mark — and pop clears the slot it vacates, so
+// a popped event's packet and callback are not kept reachable from the
+// backing array.
+type eventHeap []shardEvent
 
-func (q shardPQ) Len() int { return len(q) }
-func (q shardPQ) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
-	}
-	return q[i].seq < q[j].seq
+func (e *shardEvent) before(o *shardEvent) bool {
+	return e.t < o.t || (e.t == o.t && e.seq < o.seq)
 }
-func (q shardPQ) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *shardPQ) Push(x any)   { *q = append(*q, x.(shardEvent)) }
-func (q *shardPQ) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = shardEvent{}
-	*q = old[:n-1]
-	return it
+
+func (h *eventHeap) push(ev shardEvent) {
+	q := append(*h, shardEvent{})
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+	*h = q
+}
+
+// pop removes and returns the earliest event; the heap must not be empty.
+func (h *eventHeap) pop() shardEvent {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = shardEvent{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].before(&q[c]) {
+				c++
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // shard owns a contiguous block of the cluster's endpoints and all
@@ -85,7 +124,7 @@ type shard struct {
 	id  int
 	eps []*Endpoint
 
-	pq  shardPQ
+	pq  eventHeap
 	seq int64
 	// now is the shard's monotone time floor: the time of the last event
 	// this shard popped. Pushes clamp past times to it, exactly as the
@@ -140,14 +179,15 @@ func (s *shard) push(ev shardEvent) {
 	}
 	s.seq++
 	ev.seq = s.seq
-	heap.Push(&s.pq, ev)
+	s.pq.push(ev)
 }
 
 // send transmits one point-to-point packet from a member of this shard.
-// The data is copied. The draw order (filter, loss, delay, dup, dup
-// delay — per receiver, in attach order) is fixed: it is part of the
-// deterministic schedule, and every draw comes from the emitting
-// shard's RNG so shards can commit in parallel.
+// The data (the sender's recycled snapshot) is copied once. The draw
+// order (filter, loss, delay, dup, dup delay — per receiver, in attach
+// order) is fixed: it is part of the deterministic schedule, and every
+// draw comes from the emitting shard's RNG so shards can commit in
+// parallel.
 func (s *shard) send(from, to event.Addr, data []byte) {
 	st := &s.c.net.stats
 	st.sent.Inc()
@@ -157,19 +197,21 @@ func (s *shard) send(from, to event.Addr, data []byte) {
 }
 
 // cast transmits a multicast to every attached endpoint except the
-// sender. Loss is independent per receiver. Every receiver gets its own
-// copy of data: transports decode in place, so a shared backing slice
-// would let one member's decode corrupt another's packet.
+// sender. Loss is independent per receiver. The data (the sender's
+// recycled snapshot) is copied once, before the fan-out: every receiver,
+// on any shard, and every duplicate gets that one buffer, read-only —
+// nothing below or above the network writes into an arrival.
 func (s *shard) cast(from event.Addr, data []byte) {
 	st := &s.c.net.stats
 	st.bytesOnWire.Add(int64(len(data)))
+	buf := append([]byte(nil), data...)
 	for _, to := range s.c.net.order {
 		if to == from {
 			continue
 		}
 		st.sent.Inc()
 		st.bytesSent.Add(int64(len(data)))
-		s.transmit(Packet{From: from, To: to, Data: append([]byte(nil), data...), Cast: true})
+		s.transmit(Packet{From: from, To: to, Data: buf, Cast: true})
 	}
 }
 
@@ -186,12 +228,7 @@ func (s *shard) transmit(p Packet) {
 	s.deliver(p, s.delay())
 	if n.profile.DupProb > 0 && s.rng.Float64() < n.profile.DupProb {
 		n.stats.duplicated.Inc()
-		// The duplicate needs its own buffer too: both copies reach the
-		// same endpoint, and an in-place decode of the first must not
-		// mangle the second.
-		q := p
-		q.Data = append([]byte(nil), p.Data...)
-		s.deliver(q, s.delay())
+		s.deliver(p, s.delay()) // the same read-only buffer
 	}
 }
 
@@ -247,7 +284,7 @@ func (s *shard) ingestFrom(shards []*shard) {
 func (s *shard) routePhase(batchEnd int64) {
 	routed := int64(0)
 	for len(s.pq) > 0 && s.pq[0].t <= batchEnd {
-		ev := heap.Pop(&s.pq).(shardEvent)
+		ev := s.pq.pop()
 		s.now = ev.t
 		if ev.idx < 0 {
 			routed++
@@ -283,10 +320,10 @@ func (s *shard) arrive(ep *Endpoint, t int64, p Packet) {
 	s.c.net.stats.delivered.Inc()
 	s.traceLine('d', t, p)
 	// The link runs in stable mode, so reconstructed subs (like full
-	// ones, which alias the per-transmit frame copy) stay valid from this
-	// mailbox append through the member's drain-phase consumption and
-	// beyond. Per-link mirror state is consistent because deliveries to
-	// an endpoint always run on its owning shard.
+	// ones, which alias the transmission's shared read-only buffer) stay
+	// valid from this mailbox append through the member's drain-phase
+	// consumption and beyond. Per-link mirror state is consistent because
+	// deliveries to an endpoint always run on its owning shard.
 	resync, _ := s.walker.WalkLink(p.From, p.To, p.Data, func(sub []byte) {
 		q := p
 		q.Data = sub

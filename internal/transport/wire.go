@@ -168,7 +168,8 @@ func (r *Reader) Bool() bool { return r.Byte() != 0 }
 // Bytes64 reads a length-prefixed byte slice (aliasing the input buffer).
 func (r *Reader) Bytes64() []byte {
 	n := r.Uvarint()
-	if r.err != nil || r.off+int(n) > len(r.buf) {
+	// Compared unsigned: a length past 2^63 must not wrap int(n) negative.
+	if r.err != nil || n > uint64(len(r.buf)-r.off) {
 		r.fail()
 		return nil
 	}

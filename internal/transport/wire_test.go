@@ -54,6 +54,18 @@ func TestReaderBytes64Truncation(t *testing.T) {
 	}
 }
 
+// TestReaderBytes64HugeLength: a length prefix that does not fit in an
+// int is a corrupt image, not a slice bound to panic on.
+func TestReaderBytes64HugeLength(t *testing.T) {
+	var w Writer
+	w.Uvarint(1<<63 + 6)
+	w.Byte(0)
+	r := NewReader(w.Bytes())
+	if r.Bytes64() != nil || r.Err() == nil {
+		t.Fatal("a length past 2^63 was not reported")
+	}
+}
+
 func TestWriterReset(t *testing.T) {
 	var w Writer
 	w.Byte(1)

@@ -120,7 +120,8 @@ type LinkCounters struct {
 // subs stay valid as long as the frame buffer itself — what the netsim
 // substrates need, because decoded payloads may be retained by the
 // application and the layers keep arrival bytes by reference (the frame
-// buffer is a per-transmit copy there, which its caller never rewrites;
+// buffer there is a read-only copy nobody rewrites — one per transmission
+// in the simulator, shared by its receivers, one per datagram under UDP;
 // a parked frame is kept by reference too). Without it the walker
 // reuses one scratch buffer and a reconstructed sub is only valid until
 // the next WalkLink call — the zero-allocation choice for harnesses
