@@ -6,7 +6,6 @@ package ensemble_test
 // the same data formatted as the paper's tables.
 
 import (
-	"os"
 	"runtime"
 	"testing"
 
@@ -333,16 +332,13 @@ func BenchmarkThroughputNet_8Members_MACH_Seq_Obs(b *testing.B) {
 	b.ReportMetric(on.SubsPerFrame, "subs/frame")
 }
 
-// The multi-CCP dispatch gate pair: the mixed workload (ring sends,
-// periodic casts, loss-forced retransmissions on the FIFO stack) run
-// with the single-CCP baseline engine (data bypasses only) and with the
-// full dispatch family (control acks and retransmissions specialized,
-// profile-guided probe order). Both report interp-share — the fraction
-// of routed events that fell through to the interpreted full stack.
-// Gate 5 requires the multi-CCP share to come in at no more than half
-// the single-CCP share on the identical workload.
-func benchMixedTraffic(b *testing.B, multiCCP bool) {
-	b.Helper()
+// The multi-CCP dispatch gate point: the mixed workload (ring sends,
+// periodic casts, loss-forced retransmissions on the FIFO stack) with
+// the full dispatch family, control acks and retransmissions
+// specialized. It reports interp-share — the fraction of routed events
+// that fell through to the interpreted full stack — and how many
+// control messages left compressed; Gate 5 bounds both.
+func BenchmarkMixedTraffic(b *testing.B) {
 	// Floor the round count: the share is a ratio of event populations,
 	// and a handful of rounds would measure startup noise, not the
 	// steady traffic mix.
@@ -350,7 +346,7 @@ func benchMixedTraffic(b *testing.B, multiCCP bool) {
 	if rounds < 600 {
 		rounds = 600
 	}
-	res, err := bench.MeasureMixedTraffic(5, rounds, multiCCP, 42)
+	res, err := bench.MeasureMixedTraffic(5, rounds, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -358,9 +354,6 @@ func benchMixedTraffic(b *testing.B, multiCCP bool) {
 	b.ReportMetric(float64(res.TotalRouted())/float64(rounds), "routed/round")
 	b.ReportMetric(float64(res.CtrlCompressed), "ctrl-compressed")
 }
-
-func BenchmarkMixedTraffic_SingleCCP(b *testing.B) { benchMixedTraffic(b, false) }
-func BenchmarkMixedTraffic_MultiCCP(b *testing.B)  { benchMixedTraffic(b, true) }
 
 // Member-count scaling sweep: the sharded scheduler and the tree-shaped
 // membership at 16, 64, and 256 members (the last as 16 hierarchical
@@ -406,17 +399,6 @@ func scaleConcWorkers() int {
 	return w
 }
 
-// scale256Enabled gates the 256-member point. A 256-member all-cast
-// round is ~65k deliveries; on small machines the point would dominate
-// `make verify`'s wall time for no signal, so it skips below 4 cores —
-// the same spirit as `make multiproc`'s environment check. Setting
-// ENSEMBLE_SCALE_FORCE=1 runs it anyway (used to record the full sweep
-// in the benchmark trajectory file); the bench gate accepts either the
-// measured point or the skip marker.
-func scale256Enabled() bool {
-	return runtime.NumCPU() >= 4 || os.Getenv("ENSEMBLE_SCALE_FORCE") != ""
-}
-
 func BenchmarkThroughputNet_16Members_Scale_Seq(b *testing.B) {
 	benchThroughputNetScale(b, func(w int) (bench.ScaleResult, error) { return bench.MeasureScale(16, 20, 31, w) }, 1)
 }
@@ -430,15 +412,9 @@ func BenchmarkThroughputNet_64Members_Scale_Conc(b *testing.B) {
 	benchThroughputNetScale(b, func(w int) (bench.ScaleResult, error) { return bench.MeasureScale(64, 8, 31, w) }, scaleConcWorkers())
 }
 func BenchmarkThroughputNet_256Members_Scale_Seq(b *testing.B) {
-	if !scale256Enabled() {
-		b.Skip("256-member scale point needs >= 4 cores (ENSEMBLE_SCALE_FORCE=1 overrides)")
-	}
 	benchThroughputNetScale(b, func(w int) (bench.ScaleResult, error) { return bench.MeasureHierScale(16, 16, 3, 31, w) }, 1)
 }
 func BenchmarkThroughputNet_256Members_Scale_Conc(b *testing.B) {
-	if !scale256Enabled() {
-		b.Skip("256-member scale point needs >= 4 cores (ENSEMBLE_SCALE_FORCE=1 overrides)")
-	}
 	benchThroughputNetScale(b, func(w int) (bench.ScaleResult, error) { return bench.MeasureHierScale(16, 16, 3, 31, w) }, scaleConcWorkers())
 }
 

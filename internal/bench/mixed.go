@@ -23,16 +23,14 @@ import (
 // sequencer and stability gossip would add interpreted control traffic
 // the dispatch family deliberately leaves alone (see opt/control.go),
 // drowning the signal Gate 5 measures. It is the workload behind Gate
-// 5: with the full multi-CCP dispatch the interpreted (full-stack)
-// share of routed events must drop well below the single-CCP
-// configuration's on the same seed.
+// 5: the interpreted (full-stack) share of routed events must stay
+// near zero, and control traffic must leave compressed.
 
 // MixedStats is one mixed-traffic run's dispatch accounting, summed
 // over all members. The group installs exactly one view, so the
 // engines' per-view counters cover the whole run.
 type MixedStats struct {
 	Members, Rounds int
-	MultiCCP        bool
 	Wall            time.Duration
 	// Hits[p] counts events routed to path p (PathFullStack hits are
 	// interpreter fall-throughs); Misses[p] counts probed-and-failed.
@@ -56,8 +54,7 @@ func (s MixedStats) TotalRouted() int64 {
 }
 
 // InterpShare is the fraction of routed events that fell through to the
-// interpreted full stack — the number Gate 5 compares across
-// configurations.
+// interpreted full stack — the number Gate 5 bounds.
 func (s MixedStats) InterpShare() float64 {
 	total := s.TotalRouted()
 	if total == 0 {
@@ -68,15 +65,13 @@ func (s MixedStats) InterpShare() float64 {
 
 // MeasureMixedTraffic drives the mixed workload over a lossy simulated
 // link: members all run the optimized FIFO stack, ring-sending twice
-// per round and casting every twentieth. multiCCP selects the full
-// dispatch family; false builds the single-CCP baseline (data paths
-// only, no control specialization). Identical seeds yield identical
-// traffic, so the two configurations are directly comparable.
-func MeasureMixedTraffic(members, rounds int, multiCCP bool, seed int64) (MixedStats, error) {
+// per round and casting every twentieth. Identical seeds yield
+// identical traffic.
+func MeasureMixedTraffic(members, rounds int, seed int64) (MixedStats, error) {
 	if members < 2 {
 		return MixedStats{}, fmt.Errorf("bench: mixed traffic needs >= 2 members, got %d", members)
 	}
-	res := MixedStats{Members: members, Rounds: rounds, MultiCCP: multiCCP}
+	res := MixedStats{Members: members, Rounds: rounds}
 	delivered := make([]int64, members)
 	build := func(rank int) core.Handlers {
 		return core.Handlers{
@@ -84,12 +79,8 @@ func MeasureMixedTraffic(members, rounds int, multiCCP bool, seed int64) (MixedS
 			OnSend: func(origin int, payload []byte) { delivered[rank]++ },
 		}
 	}
-	var engOpts []opt.EngineOpt
-	if !multiCCP {
-		engOpts = append(engOpts, opt.WithoutControlPaths())
-	}
 	g, err := core.NewOptimizedClusterGroup(members, netsim.Lossy(0.03), seed,
-		layers.StackFifo(), stack.Func, build, engOpts...)
+		layers.StackFifo(), stack.Func, build)
 	if err != nil {
 		return res, err
 	}
@@ -139,14 +130,10 @@ func MeasureMixedTraffic(members, rounds int, multiCCP bool, seed int64) (MixedS
 }
 
 // MixedTable renders the per-path dispatch accounting of one mixed run
-// in each configuration — the `-table ccp` companion to the CCP check
-// cost, and the table EXPERIMENTS.md records.
+// — the `-table ccp` companion to the CCP check cost, and the table
+// EXPERIMENTS.md records.
 func MixedTable(members, rounds int, seed int64) (string, error) {
-	single, err := MeasureMixedTraffic(members, rounds, false, seed)
-	if err != nil {
-		return "", err
-	}
-	multi, err := MeasureMixedTraffic(members, rounds, true, seed)
+	res, err := MeasureMixedTraffic(members, rounds, seed)
 	if err != nil {
 		return "", err
 	}
@@ -154,17 +141,15 @@ func MixedTable(members, rounds int, seed int64) (string, error) {
 	app := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
 	app("Multi-CCP dispatch: per-path hits/misses, mixed workload (%d members, %d rounds, seed %d)\n",
 		members, rounds, seed)
-	app("%-18s %10s %10s %10s %10s\n", "path", "single:hit", "single:mis", "multi:hit", "multi:mis")
+	app("%-18s %10s %10s\n", "path", "hit", "miss")
 	for p := opt.PathID(0); p < opt.NumPaths; p++ {
-		if single.Hits[p]+single.Misses[p]+multi.Hits[p]+multi.Misses[p] == 0 {
+		if res.Hits[p]+res.Misses[p] == 0 {
 			continue
 		}
-		app("%-18s %10d %10d %10d %10d\n", p.String(),
-			single.Hits[p], single.Misses[p], multi.Hits[p], multi.Misses[p])
+		app("%-18s %10d %10d\n", p.String(), res.Hits[p], res.Misses[p])
 	}
-	app("%-18s %10d %10s %10d %10s\n", "ctrl compressed", single.CtrlCompressed, "", multi.CtrlCompressed, "")
-	app("%-18s %10d %10s %10d %10s\n", "uncompressed", single.Uncompressed, "", multi.Uncompressed, "")
-	app("%-18s %9.1f%% %10s %9.1f%% %10s\n", "interpreted share",
-		100*single.InterpShare(), "", 100*multi.InterpShare(), "")
+	app("%-18s %10d\n", "ctrl compressed", res.CtrlCompressed)
+	app("%-18s %10d\n", "uncompressed", res.Uncompressed)
+	app("%-18s %9.1f%%\n", "interpreted share", 100*res.InterpShare())
 	return string(b), nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"ensemble/internal/event"
 	"ensemble/internal/netsim"
-	"ensemble/internal/opt"
 	"ensemble/internal/stack"
 )
 
@@ -33,15 +32,12 @@ func NewClusterGroup(n int, profile netsim.Profile, seed int64, names []string, 
 }
 
 // NewOptimizedClusterGroup is NewClusterGroup with every member running
-// the machine-generated bypass (see NewOptimizedMember). Trailing
-// engine options apply to every member's engine at every rebuild —
-// benchmarks pass opt.WithoutControlPaths() here to measure the
-// single-CCP baseline against the full dispatch family.
-func NewOptimizedClusterGroup(n int, profile netsim.Profile, seed int64, names []string, mode stack.Mode, handlers func(rank int) Handlers, engOpts ...opt.EngineOpt) (*ClusterGroup, error) {
-	return newClusterGroup(n, profile, seed, names, mode, handlers, true, engOpts...)
+// the machine-generated bypass (see NewOptimizedMember).
+func NewOptimizedClusterGroup(n int, profile netsim.Profile, seed int64, names []string, mode stack.Mode, handlers func(rank int) Handlers) (*ClusterGroup, error) {
+	return newClusterGroup(n, profile, seed, names, mode, handlers, true)
 }
 
-func newClusterGroup(n int, profile netsim.Profile, seed int64, names []string, mode stack.Mode, handlers func(rank int) Handlers, optimized bool, engOpts ...opt.EngineOpt) (*ClusterGroup, error) {
+func newClusterGroup(n int, profile netsim.Profile, seed int64, names []string, mode stack.Mode, handlers func(rank int) Handlers, optimized bool) (*ClusterGroup, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: group size %d", n)
 	}
@@ -58,7 +54,7 @@ func newClusterGroup(n int, profile netsim.Profile, seed int64, names []string, 
 		if handlers != nil {
 			h = handlers(i)
 		}
-		m, err := newMember(ep, ep, v, names, mode, h, optimized, engOpts...)
+		m, err := newMember(ep, ep, v, names, mode, h, optimized)
 		if err != nil {
 			return nil, err
 		}

@@ -104,11 +104,8 @@ type Member struct {
 
 	// optimized members run the machine-generated bypass: the engine
 	// wraps the stack and dispatches per event on the composed CCP.
-	// engOpts are construction options applied to every rebuilt engine
-	// (benchmark baselines disable the control paths through them).
 	optimized bool
 	eng       *opt.Engine
-	engOpts   []opt.EngineOpt
 
 	// held is application traffic the old stack buffered during a view
 	// change, between install and its resubmission in the new view.
@@ -222,7 +219,7 @@ func NewOptimizedMember(sim Clock, net Network, v0 *event.View, names []string, 
 	return newMember(sim, net, v0, names, mode, h, true)
 }
 
-func newMember(sim Clock, net Network, v0 *event.View, names []string, mode stack.Mode, h Handlers, optimized bool, engOpts ...opt.EngineOpt) (*Member, error) {
+func newMember(sim Clock, net Network, v0 *event.View, names []string, mode stack.Mode, h Handlers, optimized bool) (*Member, error) {
 	m := &Member{
 		sim:       sim,
 		net:       net,
@@ -231,7 +228,6 @@ func newMember(sim Clock, net Network, v0 *event.View, names []string, mode stac
 		mode:      mode,
 		h:         h,
 		optimized: optimized,
-		engOpts:   engOpts,
 		known:     map[event.Addr]bool{},
 		installT:  -1,
 	}
@@ -504,15 +500,7 @@ func (m *Member) install(v *event.View) error {
 	}
 	m.cfg = layer.DefaultConfig(v)
 	if m.optimized {
-		opts := append([]opt.EngineOpt(nil), m.engOpts...)
-		if m.eng != nil {
-			// Profile-guided dispatch: the outgoing engine's per-path
-			// counters are exactly the previous view's window (engines are
-			// rebuilt per view), so the new engine probes hottest-first.
-			st := m.eng.Stats()
-			opts = append(opts, opt.WithDispatchRank(st.PathHits, st.PathMisses))
-		}
-		eng, err := opt.NewEngine(m.names, m.cfg, m.mode, opts...)
+		eng, err := opt.NewEngine(m.names, m.cfg, m.mode)
 		if err != nil {
 			return err
 		}

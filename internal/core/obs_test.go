@@ -22,13 +22,11 @@ import (
 // obsRun drives the randomized MACH mixed workload (casts plus a ring
 // of pt2pt sends, so the lossy link exercises the ack and
 // retransmission dispatch paths too) with full observability on and
-// returns the flight dump and a metrics snapshot. engOpts configure the
-// engines — tests pass a dispatch profile here to run the whole
-// workload on reranked probe orders.
-func obsRun(t *testing.T, members, workers int, seed int64, engOpts ...opt.EngineOpt) ([]byte, obs.Snapshot) {
+// returns the flight dump and a metrics snapshot.
+func obsRun(t *testing.T, members, workers int, seed int64) ([]byte, obs.Snapshot) {
 	t.Helper()
 	build := func(rank int) Handlers { return Handlers{} }
-	g, err := NewOptimizedClusterGroup(members, netsim.Lossy(0.15), seed, layers.Stack10(), stack.Func, build, engOpts...)
+	g, err := NewOptimizedClusterGroup(members, netsim.Lossy(0.15), seed, layers.Stack10(), stack.Func, build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,37 +81,6 @@ func TestFlightDumpSeqConcIdentical(t *testing.T) {
 	otherDump, _ := obsRun(t, members, 1, 72)
 	if bytes.Equal(seqDump, otherDump) {
 		t.Fatal("different seeds produced identical flight dumps")
-	}
-}
-
-// TestFlightDumpIdenticalWithDispatchRank: the determinism contract
-// holds with the profile-guided probe reordering active. Every engine
-// is built on a profile that inverts the default probe orders (control
-// retransmissions hotter than acks, the partial cast path hotter than
-// the full one — which the dominance constraint must override), so a
-// reranked dispatch routes the whole run; Run and RunConcurrent must
-// still dump byte-identical recordings, and the reranked engines must
-// still route traffic off the interpreted stack.
-func TestFlightDumpIdenticalWithDispatchRank(t *testing.T) {
-	const members = 5
-	var hits, misses [opt.NumPaths]int64
-	hits[opt.PathDnCtrlRetrans] = 900
-	hits[opt.PathDnCtrlAck] = 10
-	hits[opt.PathDnCastPartial] = 900
-	hits[opt.PathDnCast] = 10
-	rank := opt.WithDispatchRank(hits, misses)
-	seqDump, snap := obsRun(t, members, 1, 71, rank)
-	concDump, _ := obsRun(t, members, members, 71, rank)
-	if !bytes.Equal(seqDump, concDump) {
-		t.Fatalf("reranked flight dumps diverge: seq %d bytes, conc %d bytes", len(seqDump), len(concDump))
-	}
-	if hit, _ := snap.Get("member0/mach/ccp_hit"); hit == 0 {
-		t.Fatal("reranked dispatch routed nothing off the interpreted stack")
-	}
-	// The profile must not have starved the dominant cast path: the
-	// sequencer's casts still ride the full bypass.
-	if v, _ := snap.Get("member0/mach/path/dn_cast"); v == 0 {
-		t.Fatal("dominant dn_cast path starved by the partial-favoring profile")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"ensemble/internal/layers"
 	"ensemble/internal/netsim"
+	"ensemble/internal/opt"
 	"ensemble/internal/stack"
 )
 
@@ -198,5 +199,52 @@ func TestBypassCarriesTheFlagshipWorkload(t *testing.T) {
 	}
 	if uncompressed != 0 {
 		t.Fatalf("%d compressed arrivals were expanded in front of the whole stack", uncompressed)
+	}
+}
+
+// TestEveryCastIsOneCompiledProbe: on the flagship workload every cast
+// is decided by one evaluation of one compiled CCP. The sequencer's
+// casts run whole; every other member's run compiled on the wire side
+// and hand their self-delivery copy to the stack, because the bounce
+// segment's ordering conjunct fails — and that failure is not a probe
+// of a path that misses. Nothing is probed twice and nothing reaches
+// the interpreter from the top.
+func TestEveryCastIsOneCompiledProbe(t *testing.T) {
+	const members, rounds = 8, 200
+	g, err := NewOptimizedClusterGroup(members, netsim.Ethernet100(), 1, layers.Stack10(), stack.Func, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rounds; i++ {
+		for r := 0; r < members; r++ {
+			buf := make([]byte, 64)
+			buf[0], buf[1] = byte(i), byte(r)
+			g.Do(r, int64(i)*200_000, func() { g.Members[r].Cast(buf) })
+		}
+	}
+	g.Run(int64(rounds)*200_000 + int64(1e9))
+	var sum opt.EngineStats
+	for _, m := range g.Members {
+		st := m.Engine().Stats()
+		sum.DnBypass += st.DnBypass
+		sum.DnPartial += st.DnPartial
+		sum.DnFull += st.DnFull
+		for p := range st.PathMisses {
+			sum.PathHits[p] += st.PathHits[p]
+			sum.PathMisses[p] += st.PathMisses[p]
+		}
+	}
+	t.Logf("down: bypass %d partial %d full %d; hits %v misses %v", sum.DnBypass, sum.DnPartial, sum.DnFull, sum.PathHits, sum.PathMisses)
+	for _, p := range []opt.PathID{opt.PathDnCast, opt.PathDnCastPartial} {
+		if sum.PathMisses[p] != 0 {
+			t.Errorf("%s missed %d times", p, sum.PathMisses[p])
+		}
+	}
+	if sum.DnBypass != rounds || sum.DnPartial != (members-1)*rounds || sum.DnFull != 0 {
+		t.Errorf("DnBypass %d, DnPartial %d, DnFull %d; want %d, %d, 0",
+			sum.DnBypass, sum.DnPartial, sum.DnFull, rounds, (members-1)*rounds)
+	}
+	if sum.PathHits[opt.PathDnCastPartial] != sum.DnPartial {
+		t.Errorf("%d hand-offs routed on %s, want %d", sum.PathHits[opt.PathDnCastPartial], opt.PathDnCastPartial, sum.DnPartial)
 	}
 }

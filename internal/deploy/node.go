@@ -159,7 +159,7 @@ func RunNode(cfg NodeConfig, ctrl io.Reader, status io.Writer) (NodeResult, erro
 		res.Log = driver.log
 		res.Flight = rec.DumpBytes()
 		res.Metrics = reg.Snapshot()
-		res.UDP = u.Snapshot()
+		res.UDP = u.Stats()
 	}
 
 	// Live telemetry: a loopback HTTP server over the registry. The
@@ -229,7 +229,7 @@ func RunNode(cfg NodeConfig, ctrl io.Reader, status io.Writer) (NodeResult, erro
 		// DONE (protocol waits tolerate the chatter): how much resync and
 		// drop traffic this run actually generated, without digging into
 		// the JSON artifact.
-		s := u.Snapshot()
+		s := u.Stats()
 		fmt.Fprintf(status, "STATS gen_misses=%d stale_gen_frames=%d resyncs=%d injected_drops=%d peer_moves=%d\n",
 			s.GenMisses, s.StaleGenFrames, s.Resyncs, s.InjectedDrops, s.PeerMoves)
 		fmt.Fprintln(status, protoDone)

@@ -10,12 +10,18 @@ import (
 	"ensemble/internal/transport"
 )
 
-// cloneMsg is the deep clone the buffering layers used before they
-// retained images (saveMsg): a payload copy and an independently owned
-// copy of the header stack. It survives here as the oracle the image
-// round trip is held to.
-func cloneMsg(ev *event.Event) *savedMsg {
-	return &savedMsg{
+// msgClone is the deep clone the buffering layers used before they
+// retained images: a payload copy and an independently owned copy of
+// the header stack. It survives here as the oracle the image round trip
+// is held to.
+type msgClone struct {
+	payload []byte
+	hdrs    []event.Header
+	applMsg bool
+}
+
+func cloneMsg(ev *event.Event) *msgClone {
+	return &msgClone{
 		payload: append([]byte(nil), ev.Msg.Payload...),
 		hdrs:    event.AppendClonedHeaders(nil, ev.Msg.Headers),
 		applMsg: ev.ApplMsg,
@@ -54,7 +60,7 @@ func randomEvent(rng *rand.Rand) *event.Event {
 }
 
 // sameMsg holds ev's message to the oracle.
-func sameMsg(t *testing.T, what string, ev *event.Event, want *savedMsg) {
+func sameMsg(t *testing.T, what string, ev *event.Event, want *msgClone) {
 	t.Helper()
 	if ev.ApplMsg != want.applMsg || !bytes.Equal(ev.Msg.Payload, want.payload) {
 		t.Fatalf("%s: payload or ApplMsg differ", what)

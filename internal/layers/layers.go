@@ -8,11 +8,7 @@
 // plus ordering, failure-detection, and membership components.
 package layers
 
-import (
-	"sync"
-
-	"ensemble/internal/event"
-)
+import "ensemble/internal/event"
 
 // Component names. Stacks are lists of these, top first, matching the
 // order Table 2(b) prints them.
@@ -100,6 +96,14 @@ func isData(ev *event.Event) bool {
 	return ev.Type == event.ECast || ev.Type == event.ESend
 }
 
+// Layers that hold a message past its handler hold it one of two ways.
+// The ones that retain by sequence number (mnak, pt2pt, seqno) keep its
+// wire image in a msgLog. The ones that hold it in arrival order until
+// its turn — total's waiting casts, the flow-control queues of mflow and
+// pt2ptw — keep the event itself, header stack and all, and pass it on
+// when it is released; each makes its payload its own first
+// (event.Event.OwnPayload).
+
 // copyHdrs snapshots a header stack into a fresh slice. Pooled headers
 // are cloned so the copy is independently owned (a plain slice copy
 // would alias them and free them twice). Used off the steady-state path
@@ -109,65 +113,4 @@ func copyHdrs(h []event.Header) []event.Header {
 		return nil
 	}
 	return event.AppendClonedHeaders(make([]event.Header, 0, len(h)), h)
-}
-
-// savedMsg is a queued message: payload, the header stack that was on
-// the event when it was queued (the headers belonging to the layers on
-// the *other* side of the queueing layer, which must be preserved for
-// re-emission), and the application-payload flag. It is what the layers
-// that hold messages in arrival order use — the flow-control queues
-// (mflow, pt2ptw); the layers that retain by sequence number use msgLog,
-// and total holds the waiting events themselves.
-//
-// Boxes are pooled; ownership is explicit. A layer that queues a message
-// holds the box until it transferTo()s it (message re-emitted with
-// storage handed to the outgoing event). The box's header-slice backing
-// is reused across uses.
-type savedMsg struct {
-	payload []byte
-	hdrs    []event.Header
-	applMsg bool
-}
-
-var savedMsgPool = sync.Pool{New: func() any { return new(savedMsg) }}
-
-// takeMsg moves a dying event's message into a box and frees the event.
-// The header stack changes owner — nothing is cloned. The payload is
-// copied only when borrowed (event.Event.OwnPayload): an application's
-// cast coming down still carries its own buffer, which it may rewrite
-// as soon as Cast returns.
-func takeMsg(ev *event.Event) *savedMsg {
-	var m *savedMsg
-	if event.PoolDebugEnabled() {
-		// Fresh boxes keep the header-pool debug checks deterministic.
-		m = new(savedMsg)
-	} else {
-		m = savedMsgPool.Get().(*savedMsg)
-	}
-	m.payload = ev.OwnPayload()
-	m.hdrs = append(m.hdrs[:0], ev.Msg.Headers...)
-	m.applMsg = ev.ApplMsg
-	clear(ev.Msg.Headers)
-	ev.Msg.Headers = ev.Msg.Headers[:0]
-	event.Free(ev)
-	return m
-}
-
-// transferTo moves the buffered message into ev and recycles the box.
-// Header ownership passes to the event. The payload backing is donated
-// outright — the application may retain delivered payload slices, so it
-// is never reused.
-func (m *savedMsg) transferTo(ev *event.Event) {
-	ev.Msg.Payload = m.payload
-	ev.Msg.Headers = append(ev.Msg.Headers[:0], m.hdrs...)
-	ev.ApplMsg = m.applMsg
-	m.payload = nil
-	for i := range m.hdrs {
-		m.hdrs[i] = nil
-	}
-	m.hdrs = m.hdrs[:0]
-	m.applMsg = false
-	if !event.PoolDebugEnabled() {
-		savedMsgPool.Put(m)
-	}
 }

@@ -24,8 +24,9 @@ type mflowState struct {
 	// the byte count we last credited to it.
 	recvBytes  []int64
 	creditSent []int64
-	// queue holds casts blocked on exhausted credit.
-	queue []*savedMsg
+	// queue holds casts blocked on exhausted credit: the events
+	// themselves, each owning its payload (event.Event.OwnPayload).
+	queue []*event.Event
 	// blockedSweeps counts consecutive timer sweeps spent with casts
 	// queued, pacing the zero-window probe.
 	blockedSweeps int
@@ -144,7 +145,8 @@ func (s *mflowState) HandleDn(ev *event.Event, snk layer.Sink) {
 		// With no other members there is no receiver to exhaust: credit
 		// never applies (and nothing could ever return it).
 		if s.view.N() > 1 && (len(s.queue) > 0 || s.inFlight()+need > s.credit) {
-			s.queue = append(s.queue, takeMsg(ev))
+			ev.OwnPayload()
+			s.queue = append(s.queue, ev)
 			return
 		}
 		s.sentBytes += need
@@ -193,8 +195,12 @@ func (s *mflowState) HandleUp(ev *event.Event, snk layer.Sink) {
 		if len(s.queue) > 0 {
 			s.blockedSweeps++
 			if s.blockedSweeps >= mflowProbeSweeps {
+				// The zero-window probe (see mflowProbeSweeps): the head
+				// queued cast goes out past the exhausted credit limit. The
+				// overcommitted bytes still count as sent, so regular
+				// releases stay blocked until real credit returns.
 				s.blockedSweeps = 0
-				s.probe(snk)
+				s.release(snk)
 			}
 		} else {
 			s.blockedSweeps = 0
@@ -205,36 +211,19 @@ func (s *mflowState) HandleUp(ev *event.Event, snk layer.Sink) {
 	}
 }
 
-// probe forces the head queued cast out past an exhausted credit limit —
-// the credit scheme's zero-window probe (see mflowProbeSweeps). The
-// overcommitted bytes still count as sent, so regular releases stay
-// blocked until real credit returns.
-func (s *mflowState) probe(snk layer.Sink) {
-	m := s.queue[0]
-	s.queue[0] = nil
-	s.queue = s.queue[1:]
-	s.sentBytes += int64(len(m.payload))
-	out := event.Alloc()
-	out.Dir, out.Type = event.Dn, event.ECast
-	m.transferTo(out)
-	out.Msg.Push(mflowData{})
-	snk.PassDn(out)
-}
-
 // flush releases queued casts that now fit under the credit limit.
 func (s *mflowState) flush(snk layer.Sink) {
-	for len(s.queue) > 0 {
-		m := s.queue[0]
-		if s.inFlight()+int64(len(m.payload)) > s.credit {
-			return
-		}
-		s.queue[0] = nil
-		s.queue = s.queue[1:]
-		s.sentBytes += int64(len(m.payload))
-		out := event.Alloc()
-		out.Dir, out.Type = event.Dn, event.ECast
-		m.transferTo(out)
-		out.Msg.Push(mflowData{})
-		snk.PassDn(out)
+	for len(s.queue) > 0 && s.inFlight()+int64(len(s.queue[0].Msg.Payload)) <= s.credit {
+		s.release(snk)
 	}
+}
+
+// release passes the head queued cast down, counting its bytes as sent.
+func (s *mflowState) release(snk layer.Sink) {
+	ev := s.queue[0]
+	s.queue[0] = nil
+	s.queue = s.queue[1:]
+	s.sentBytes += int64(len(ev.Msg.Payload))
+	ev.Msg.Push(mflowData{})
+	snk.PassDn(ev)
 }

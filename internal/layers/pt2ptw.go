@@ -25,8 +25,9 @@ type pt2ptwPeer struct {
 	// recvd and ackSent count messages from this peer and the count we
 	// last acknowledged.
 	recvd, ackSent int64
-	// queue holds sends blocked on a full window.
-	queue []*savedMsg
+	// queue holds sends blocked on a full window: the events themselves,
+	// each owning its payload (event.Event.OwnPayload).
+	queue []*event.Event
 }
 
 // pt2ptw header variants.
@@ -104,7 +105,8 @@ func (s *pt2ptwState) HandleDn(ev *event.Event, snk layer.Sink) {
 	case event.ESend:
 		p := &s.peers[ev.Peer]
 		if p.sent-p.acked >= s.window {
-			p.queue = append(p.queue, takeMsg(ev))
+			ev.OwnPayload()
+			p.queue = append(p.queue, ev)
 			return
 		}
 		p.sent++
@@ -162,14 +164,11 @@ func (s *pt2ptwState) openWindow(peer int, count int64, snk layer.Sink) {
 		p.acked = count
 	}
 	for len(p.queue) > 0 && p.sent-p.acked < s.window {
-		m := p.queue[0]
+		ev := p.queue[0]
 		p.queue[0] = nil
 		p.queue = p.queue[1:]
 		p.sent++
-		out := event.Alloc()
-		out.Dir, out.Type, out.Peer = event.Dn, event.ESend, peer
-		m.transferTo(out)
-		out.Msg.Push(p2pwData{})
-		snk.PassDn(out)
+		ev.Msg.Push(p2pwData{})
+		snk.PassDn(ev)
 	}
 }

@@ -19,7 +19,7 @@ import (
 //
 //	Delivered + Dropped <= Sent + Duplicated
 //
-// (outcomes never outrun attempts; Snapshot's read order guarantees it
+// (outcomes never outrun attempts; Stats' read order guarantees it
 // per cut), and the drained equality Sent+Dup == Delivered+Dropped at
 // the end.
 func TestStatsSnapshotMidRunInvariant(t *testing.T) {
@@ -102,7 +102,7 @@ func TestUDPStatsConcurrentSnapshot(t *testing.T) {
 				return
 			default:
 			}
-			s := a.Snapshot()
+			s := a.Stats()
 			if s.BytesOnWire < s.Datagrams { // every datagram here carries >= 1 byte
 				t.Errorf("snapshot inconsistent: %+v", s)
 				return
@@ -120,12 +120,12 @@ func TestUDPStatsConcurrentSnapshot(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for a.Snapshot().Datagrams+a.Snapshot().SendErrors < 2*perSender && time.Now().Before(deadline) {
+	for a.Stats().Datagrams+a.Stats().SendErrors < 2*perSender && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
-	if got := a.Snapshot().Datagrams + a.Snapshot().SendErrors; got != 2*perSender {
+	if got := a.Stats().Datagrams + a.Stats().SendErrors; got != 2*perSender {
 		t.Fatalf("accounted %d datagrams, want %d", got, 2*perSender)
 	}
 }

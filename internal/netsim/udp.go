@@ -211,13 +211,9 @@ func NewUDPNet(self event.Addr, listen string, peers map[event.Addr]string) (*UD
 // LocalAddr reports the bound socket address (useful with port 0).
 func (u *UDPNet) LocalAddr() string { return u.conn.LocalAddr().String() }
 
-// Stats returns a snapshot of the socket counters (alias of Snapshot,
-// kept for existing call sites).
-func (u *UDPNet) Stats() UDPStats { return u.Snapshot() }
-
-// Snapshot reads the socket counters; safe from any goroutine while
-// the endpoint runs.
-func (u *UDPNet) Snapshot() UDPStats {
+// Stats reads the socket counters; safe from any goroutine while the
+// endpoint runs.
+func (u *UDPNet) Stats() UDPStats {
 	link := u.walker.Counters()
 	return UDPStats{
 		Datagrams:      u.stats.datagrams.Load(),
@@ -346,7 +342,7 @@ func (u *UDPNet) write(data []byte, ua *net.UDPAddr) {
 		}
 		return
 	}
-	// Bytes before the count: Snapshot reads the count first, so every
+	// Bytes before the count: Stats reads the count first, so every
 	// datagram it sees has its bytes on the books.
 	u.stats.bytesOnWire.Add(int64(len(buf)))
 	u.stats.datagrams.Inc()

@@ -140,7 +140,7 @@ func TestUDPXFrameBitFlippedHeader(t *testing.T) {
 	}
 	// No mirror was seeded and no resync answered: a corrupted header
 	// cannot be trusted to name a chain.
-	if s := b.Snapshot(); s.GenMisses != 0 || s.Resyncs != 0 || s.StaleGenFrames != 0 {
+	if s := b.Stats(); s.GenMisses != 0 || s.Resyncs != 0 || s.StaleGenFrames != 0 {
 		t.Fatalf("corrupted headers moved generation counters: %+v", s)
 	}
 	// The endpoint is still live for well-formed traffic.
@@ -166,7 +166,7 @@ func TestUDPXFrameTruncatedBaseRef(t *testing.T) {
 	a.Send(1, 2, cut)
 
 	waitFor(t, "gen-miss accounting", func() bool {
-		s := b.Snapshot()
+		s := b.Stats()
 		return s.GenMisses >= 1 && s.Resyncs >= 1
 	})
 	// The resync is a raw control datagram, delivered to the sender
@@ -202,8 +202,8 @@ func TestUDPXFrameStaleAndFutureGenerations(t *testing.T) {
 	// The gen-1 anchor is now a pre-bump straggler: stale, surfaced
 	// whole, no resync.
 	a.Send(1, 2, frames[0])
-	waitFor(t, "stale-generation accounting", func() bool { return b.Snapshot().StaleGenFrames >= 1 })
-	if s := b.Snapshot(); s.GenMisses != 0 || s.Resyncs != 0 {
+	waitFor(t, "stale-generation accounting", func() bool { return b.Stats().StaleGenFrames >= 1 })
+	if s := b.Stats(); s.GenMisses != 0 || s.Resyncs != 0 {
 		t.Fatalf("stale straggler was answered: %+v", s)
 	}
 	got := gotB()
@@ -223,7 +223,7 @@ func TestUDPXFrameStaleAndFutureGenerations(t *testing.T) {
 		a.Send(1, 2, f)
 	}
 	waitFor(t, "future-generation nag", func() bool {
-		s := b.Snapshot()
+		s := b.Stats()
 		return s.GenMisses >= 1 && s.Resyncs >= 1
 	})
 	waitFor(t, "future-generation resync at sender", func() bool {

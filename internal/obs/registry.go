@@ -56,9 +56,9 @@ func (c *Counter) Load() int64 {
 
 // Window is a counter with a resettable reading window on top of its
 // lifetime total: Add feeds both, Total reads the lifetime value,
-// Window reads only what accumulated since the last ResetWindow. The
-// profile-guided dispatch reranker reads windows (it wants the previous
-// view's mix, not history since boot) while dashboards keep the
+// Window reads only what accumulated since the last ResetWindow. A
+// member resets its dispatch-path windows at every view install, so a
+// window reads the current view's mix while dashboards keep the
 // lifetime totals; both views cost the same single atomic add per
 // event. The zero value is ready; methods are nil-safe like Counter's.
 type Window struct {

@@ -31,29 +31,19 @@ type Engine struct {
 
 	dnCast *compiledDnPath
 	dnSend *compiledDnPath
-	// dnCastPartial is the second bypass path for casts: wire-side
-	// specialized, self-delivery through the shared stack. Tried when
-	// dnCast's CCP fails.
-	dnCastPartial *compiledDnPath
 	// up holds the compiled up paths, one per wire signature that can
 	// arrive: a handful, found by scanning for the identifier.
 	up []*compiledUpPath
 
-	// castOrder is the profile-ranked probe order for down-going casts
-	// (see dispatch.go); ctrl are the sender-side control recognizers
-	// probed at the stack's net exit, hottest first.
-	castOrder []*compiledDnPath
-	ctrl      []*ctrlMatcher
+	// ctrl are the sender-side control recognizers probed at the stack's
+	// net exit.
+	ctrl []*ctrlMatcher
 	// ctrlVary and ctrlWire are the recognizer's reusable buffers. The
 	// net exit is never re-entered while a recognizer runs (emission is
 	// asynchronous), so one set per engine suffices — same discipline as
 	// wbuf.
 	ctrlVary []int64
 	ctrlWire []byte
-
-	// bounceAt is the layer a bounce-fallback self-delivery copy enters
-	// the stack at (the one above the bouncing layer); -1 without one.
-	bounceAt int
 
 	// SendWire transmits a marshaled packet: cast fans out, send goes to
 	// the member at rank dst. The wire image lives in a reused buffer and
@@ -170,9 +160,10 @@ type pendingEffect struct {
 // subslices it carves from the arenas stay readable even if a later
 // append regrows an arena — values already written never move. have
 // holds the theorem's topmost headers where the caller has materialized
-// them already (a hand-off's event); they are encoded from there.
+// them already (a hand-off's event); they are encoded from there. The
+// effects join those already pending in s; all of them are returned.
 func (s *scratch) capture(effects []compiledEffect, ctx *rtCtx, payload []byte, appl bool, have []event.Header) []pendingEffect {
-	pend := s.pend[:0]
+	pend := s.pend
 	for _, eff := range effects {
 		argStart := len(s.args)
 		for _, a := range eff.args {
@@ -216,8 +207,9 @@ type EngineStats struct {
 	// DnBypass counts casts and sends that took a fully compiled down
 	// path, DnFull those the interpreted stack took from the top.
 	DnBypass, DnFull int64
-	// DnPartial counts casts that took the partial (bounce-fallback)
-	// bypass path.
+	// DnPartial counts casts that ran compiled and sent the compressed
+	// image but handed their self-delivery copy to the stack above the
+	// bouncing layer — the down counterpart of UpPartial.
 	DnPartial int64
 	// UpBypass counts compressed arrivals that ran compiled code for at
 	// least the bottom layer. UpPartial is the subset whose common case
@@ -238,7 +230,7 @@ type EngineStats struct {
 	// Hits[p] counts events routed to path p (PathFullStack hits are
 	// interpreter fallbacks), Misses[p] counts events that probed p's
 	// discriminator and failed. The engine lives for one view, so these
-	// are also the per-view window the reranker reads.
+	// are also per-view counts.
 	PathHits, PathMisses [NumPaths]int64
 }
 
@@ -255,9 +247,10 @@ type compiledDnPath struct {
 	pid     PathID
 
 	// bounceHdrs materializes the headers above the bouncing layer when
-	// the self-delivery copy falls back to the shared stack's upper
-	// layers (th.BounceFallback).
+	// the self-delivery copy is handed to the shared stack at bounceAt,
+	// the layer above the bouncing one.
 	bounceHdrs []compiledHdr
+	bounceAt   int
 }
 
 // compiledUpPath is one compiled up-going bypass, for one wire
@@ -293,14 +286,8 @@ type compiledUpPath struct {
 // NewEngine builds the optimized configuration for one member: the
 // fallback stack (in the given execution model) and every bypass the
 // optimizer can derive for this stack. Derivation failures are not
-// errors: paths without a bypass simply always use the stack. Options
-// select the path family (WithoutControlPaths) and feed back an
-// observed hit mix for profile-guided dispatch (WithDispatchRank).
-func NewEngine(names []string, cfg layer.Config, mode stack.Mode, opts ...EngineOpt) (*Engine, error) {
-	var ec engineConfig
-	for _, o := range opts {
-		o(&ec)
-	}
+// errors: paths without a bypass simply always use the stack.
+func NewEngine(names []string, cfg layer.Config, mode stack.Mode) (*Engine, error) {
 	e := &Engine{
 		Names: names,
 		Rank:  cfg.View.Rank,
@@ -336,32 +323,8 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode, opts ...Engine
 			}
 		}
 	}
-	e.dnCast = e.compileTheorem(comp, dn[ir.DnCast][e.Rank])
-	e.dnSend = e.compileTheorem(comp, dn[ir.DnSend][e.Rank])
-	if e.dnCast != nil && e.dnCast.th.SelfDeliver {
-		// The second bypass path: same wire image, self-delivery through
-		// the stack; fires when the full path's ordering conjuncts fail.
-		if th, err := ComposeDnNoBounce(names, ir.DnCast, e.Rank, e.N); err == nil {
-			e.dnCastPartial = e.compileTheorem(comp, th)
-		}
-	}
-	if e.dnCast != nil {
-		e.dnCast.pid = PathDnCast
-	}
-	if e.dnSend != nil {
-		e.dnSend.pid = PathDnSend
-	}
-	if e.dnCastPartial != nil {
-		e.dnCastPartial.pid = PathDnCastPartial
-	}
-	e.bounceAt = -1
-	for _, cp := range []*compiledDnPath{e.dnCast, e.dnCastPartial} {
-		if cp != nil && cp.th.BounceFallback {
-			// The fallback copy re-enters the shared stack at the layer
-			// above the bouncing one.
-			e.bounceAt = slices.Index(names, cp.th.BounceLayer) - 1
-		}
-	}
+	e.dnCast = e.compileTheorem(comp, dn[ir.DnCast][e.Rank], PathDnCast)
+	e.dnSend = e.compileTheorem(comp, dn[ir.DnSend][e.Rank], PathDnSend)
 
 	// Up paths: one per wire signature any member's down bypass can
 	// produce. All members compute the same set deterministically.
@@ -397,43 +360,40 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode, opts ...Engine
 	// receive side is an ordinary compiled up path; the send side is a
 	// structural recognizer at the stack's net exit for this member's own
 	// signatures.
-	if !ec.noControl {
-		for r := 0; r < e.N; r++ {
-			for _, cs := range controlSigs(names, r, dn[ir.DnSend][r]) {
-				if e.upPath(cs.sig.ID()) == nil {
-					upTh, err := ComposeUp(names, ir.PathKey{Dir: event.Up, Kind: cs.sig.Path.Kind}, e.Rank, e.N, cs.sig)
-					if err != nil {
-						continue
-					}
-					cp, err := e.compileUp(comp, upTh, cs.sig)
-					if err != nil {
-						return nil, fmt.Errorf("opt: compiling control up bypass: %w", err)
-					}
-					cp.pid = cs.upPid
-					e.up = append(e.up, cp)
+	for r := 0; r < e.N; r++ {
+		for _, cs := range controlSigs(names, r, dn[ir.DnSend][r]) {
+			if e.upPath(cs.sig.ID()) == nil {
+				upTh, err := ComposeUp(names, ir.PathKey{Dir: event.Up, Kind: cs.sig.Path.Kind}, e.Rank, e.N, cs.sig)
+				if err != nil {
+					continue
 				}
-				if r == e.Rank {
-					m, err := newCtrlMatcher(cs)
-					if err != nil {
-						return nil, fmt.Errorf("opt: control recognizer: %w", err)
-					}
-					e.ctrl = append(e.ctrl, m)
+				cp, err := e.compileUp(comp, upTh, cs.sig)
+				if err != nil {
+					return nil, fmt.Errorf("opt: compiling control up bypass: %w", err)
 				}
+				cp.pid = cs.upPid
+				e.up = append(e.up, cp)
+			}
+			if r == e.Rank {
+				m, err := newCtrlMatcher(cs)
+				if err != nil {
+					return nil, fmt.Errorf("opt: control recognizer: %w", err)
+				}
+				e.ctrl = append(e.ctrl, m)
 			}
 		}
 	}
-	e.applyDispatchRank(&ec)
 	return e, nil
 }
 
 // compileTheorem compiles a composed down-path theorem; nil for none.
-func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem) *compiledDnPath {
+func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem, pid PathID) *compiledDnPath {
 	if th == nil {
 		return nil
 	}
 	sig := SignatureOf(th)
 	comp.setVarying(nil)
-	cp := &compiledDnPath{th: th, sig: sig, id: sig.ID(), self: th.SelfDeliver}
+	cp := &compiledDnPath{th: th, sig: sig, id: sig.ID(), self: th.SelfDeliver, pid: pid}
 	for _, conj := range th.CCP {
 		ce, err := comp.compile(conj)
 		if err != nil {
@@ -469,7 +429,8 @@ func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem) *compiledDnPat
 		}
 		cp.effects = append(cp.effects, ce)
 	}
-	if th.BounceFallback {
+	if th.BounceLayer != "" {
+		cp.bounceAt = slices.Index(th.Names, th.BounceLayer) - 1
 		for _, h := range th.Headers {
 			if h.Layer == th.BounceLayer {
 				break
@@ -575,7 +536,7 @@ func (e *Engine) netEvent(ev *event.Event) {
 		return
 	}
 	// Control recognition: match the exiting header stack against this
-	// member's control signatures of the event's kind (hottest first) and
+	// member's control signatures of the event's kind and
 	// emit compressed on a hit. The depth check and the probe entry's type
 	// assertion reject data messages without allocating, so the data hot
 	// path pays a comparison or two per recognizer. The stack still owns
@@ -644,57 +605,61 @@ func evalCCP(ccp []cexpr, ctx *rtCtx) bool {
 	return true
 }
 
-// Cast multicasts an application payload: the compiled cast paths are
-// probed in profile rank order (full bypass and partial bypass by
-// default), the full stack takes whatever misses every discriminator.
+// Cast multicasts an application payload: through the compiled cast
+// path when its wire conjuncts hold, the full stack otherwise.
 func (e *Engine) Cast(payload []byte) {
-	// The context lives in the pooled scratch frame: compiled expressions
-	// receive it through indirect calls, so a stack-local would escape
-	// (one heap allocation per cast).
-	s := e.takeScratch()
-	defer e.putScratch(s)
-	ctx := &s.ctx
-	ctx.peer, ctx.length = int64(e.Rank), int64(len(payload))
-	for _, cp := range e.castOrder {
-		if evalCCP(cp.ccp, ctx) {
-			if cp.pid == PathDnCastPartial {
-				e.stats.DnPartial++
-			} else {
-				e.stats.DnBypass++
-			}
-			e.stats.PathHits[cp.pid]++
-			e.route(false, cp.pid)
-			e.runDn(cp, ctx, true, 0, payload, s)
-			return
+	if !e.down(e.dnCast, true, 0, payload) {
+		e.stk.SubmitDn(event.CastEv(payload))
+	}
+}
+
+// Send transmits an application payload point-to-point.
+func (e *Engine) Send(dst int, payload []byte) {
+	if !e.down(e.dnSend, false, dst, payload) {
+		e.stk.SubmitDn(event.SendEv(dst, payload))
+	}
+}
+
+// down routes one application payload with one evaluation of a compiled
+// down path's CCP. The conjuncts outside the theorem's bounce segment
+// decide between the path and the full stack: false means the caller
+// submits the payload to the stack. The segment's conjuncts decide how
+// the self-delivery copy runs — compiled inline, or handed to the stack
+// above the bouncing layer (PathDnCastPartial).
+func (e *Engine) down(cp *compiledDnPath, cast bool, dst int, payload []byte) bool {
+	if cp != nil {
+		// The context lives in the pooled scratch frame: compiled
+		// expressions receive it through indirect calls, so a stack-local
+		// would escape (one heap allocation per event).
+		s := e.takeScratch()
+		ctx := &s.ctx
+		ctx.peer, ctx.length = int64(dst), int64(len(payload))
+		if cast {
+			ctx.peer = int64(e.Rank)
 		}
+		b := cp.th.Bounce
+		if evalCCP(cp.ccp[:b[0].CCP], ctx) && evalCCP(cp.ccp[b[1].CCP:], ctx) {
+			inline := !cp.th.BounceFallback && evalCCP(cp.ccp[b[0].CCP:b[1].CCP], ctx)
+			pid := cp.pid
+			if inline {
+				e.stats.DnBypass++
+			} else {
+				e.stats.DnPartial++
+				pid = PathDnCastPartial
+			}
+			e.stats.PathHits[pid]++
+			e.route(false, pid)
+			e.runDn(cp, ctx, cast, dst, payload, inline, s)
+			e.putScratch(s)
+			return true
+		}
+		e.putScratch(s)
 		e.stats.PathMisses[cp.pid]++
 	}
 	e.stats.DnFull++
 	e.stats.PathHits[PathFullStack]++
 	e.route(false, PathFullStack)
-	e.stk.SubmitDn(event.CastEv(payload))
-}
-
-// Send transmits an application payload point-to-point.
-func (e *Engine) Send(dst int, payload []byte) {
-	if e.dnSend != nil {
-		s := e.takeScratch()
-		defer e.putScratch(s)
-		ctx := &s.ctx
-		ctx.peer, ctx.length = int64(dst), int64(len(payload))
-		if evalCCP(e.dnSend.ccp, ctx) {
-			e.stats.DnBypass++
-			e.stats.PathHits[PathDnSend]++
-			e.route(false, PathDnSend)
-			e.runDn(e.dnSend, ctx, false, dst, payload, s)
-			return
-		}
-		e.stats.PathMisses[PathDnSend]++
-	}
-	e.stats.DnFull++
-	e.stats.PathHits[PathFullStack]++
-	e.route(false, PathFullStack)
-	e.stk.SubmitDn(event.SendEv(dst, payload))
+	return false
 }
 
 // Compressed wire format:
@@ -704,19 +669,26 @@ func (e *Engine) Send(dst int, payload []byte) {
 //	sender   uvarint (rank)
 //	varying  n × varint (field count fixed by the signature)
 //	payload  rest
-func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, payload []byte, s *scratch) {
+func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, payload []byte, inline bool, s *scratch) {
 	// Read phase: everything is a pre-state expression, so all reads —
 	// update values, varying wire fields, effect arguments and captured
 	// headers — happen before any write. The caller owns the scratch
 	// frame (ctx is embedded in it) and returns it when we're done; a
 	// re-entrant invocation from an application callback takes a fresh
-	// frame instead of clobbering this one.
+	// frame instead of clobbering this one. A self-delivery copy that is
+	// handed off skips the bounce segment's updates and effects.
+	var skip [2]Cut
+	if !inline {
+		skip = cp.th.Bounce
+	}
 	if cap(s.tmp) < len(cp.writes) {
 		s.tmp = make([]int64, len(cp.writes))
 	}
 	vals := s.tmp[:len(cp.writes)]
 	for i, w := range cp.writes {
-		vals[i] = w.eval(ctx)
+		if i < skip[0].Updates || i >= skip[1].Updates {
+			vals[i] = w.eval(ctx)
+		}
 	}
 	if cap(s.vary) < len(cp.varying) {
 		s.vary = make([]int64, len(cp.varying))
@@ -725,34 +697,32 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 	for i, v := range cp.varying {
 		varyVals[i] = v(ctx)
 	}
-	// Bounce headers are pre-state values too, so they materialize here;
-	// the bounce branch below moves them into the copy event's storage.
-	for i := range cp.bounceHdrs {
-		s.hdrs = append(s.hdrs, cp.bounceHdrs[i].materialize(ctx))
+	if !inline {
+		// The handed-off copy's headers are pre-state values too, so they
+		// materialize here; the copy event takes them over below.
+		for i := range cp.bounceHdrs {
+			s.hdrs = append(s.hdrs, cp.bounceHdrs[i].materialize(ctx))
+		}
 	}
-	bounceHdrVals := s.hdrs[:len(cp.bounceHdrs):len(cp.bounceHdrs)]
-	pend := s.capture(cp.effects, ctx, payload, true, nil)
+	s.capture(cp.effects[:skip[0].Effects], ctx, payload, true, nil)
+	pend := s.capture(cp.effects[skip[1].Effects:], ctx, payload, true, nil)
 	// Write phase.
 	for i, w := range cp.writes {
-		w.apply(vals[i], ctx)
+		if i < skip[0].Updates || i >= skip[1].Updates {
+			w.apply(vals[i], ctx)
+		}
 	}
 	// The local copy surfaces before the packet reaches the wire — the
 	// same order the full stack's scheduler produces.
-	if cp.self && e.Deliver != nil {
-		e.Deliver(e.Rank, payload, true)
-	} else if len(bounceHdrVals) > 0 && e.bounceAt >= 0 {
-		// Bounce fallback: the pre-state header values captured in the
-		// read phase move into the copy event's own storage (the event
-		// takes ownership and frees them) and the copy enters the shared
-		// stack above the bouncing layer.
+	if !inline {
+		// The header values captured in the read phase move into the copy
+		// event's own storage (the event takes ownership and frees them)
+		// and the copy enters the shared stack above the bouncing layer.
 		copyEv := upEvent(true, e.Rank, true, payload, true)
-		copyEv.Msg.Headers = append(copyEv.Msg.Headers[:0], bounceHdrVals...)
-		e.stk.UpAt(e.bounceAt, copyEv)
-	} else {
-		// No taker for the bounce copy: release the materialized headers.
-		for _, h := range bounceHdrVals {
-			event.FreeHeader(h)
-		}
+		copyEv.Msg.Headers = append(copyEv.Msg.Headers[:0], s.hdrs...)
+		e.stk.UpAt(cp.bounceAt, copyEv)
+	} else if cp.self && e.Deliver != nil {
+		e.Deliver(e.Rank, payload, true)
 	}
 	if e.InlineEffects {
 		// Ablation: buffering on the critical path, as an unoptimized

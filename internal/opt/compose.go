@@ -43,16 +43,23 @@ type StackTheorem struct {
 	// (the bounce through the layers above local).
 	SelfDeliver bool
 
-	// BounceFallback marks a down path whose wire side is fully
-	// specialized but whose self-delivery could not be (the reflected
-	// copy is not a common case — a non-sequencer's own cast awaiting an
-	// order announcement, for instance). The bypass sends the compressed
-	// wire image and hands the reflected copy to the upper layers of the
-	// shared stack — one of the "multiple bypass paths" the paper
-	// anticipates (§4.1.3).
-	BounceFallback bool
-	// BounceLayer is the layer whose reflection fell back.
+	// BounceLayer is the layer that reflects a self-delivery copy (local),
+	// "" on a path without one. Bounce[0] and Bounce[1] bound that copy's
+	// segment of the theorem: the CCP conjuncts, Updates and Effects the
+	// bounce through the layers above BounceLayer contributed. It sits in
+	// the middle of each list, right after BounceLayer's own contribution,
+	// and is in pre-state terms like the rest, so the theorem without it
+	// is by itself the path that sends the same wire image and hands the
+	// copy to the shared stack above BounceLayer — one of the "multiple
+	// bypass paths" the paper anticipates (§4.1.3). Whether the copy runs
+	// inline is decided per event by the segment's conjuncts (a
+	// non-sequencer's own cast awaiting its order announcement fails
+	// them).
 	BounceLayer string
+	Bounce      [2]Cut
+	// BounceFallback marks a bounce that could not be composed at all:
+	// its segment is empty and never holds.
+	BounceFallback bool
 
 	// Cuts records, for an up path, where each layer's contribution ends:
 	// Cuts[j] counts the CCP conjuncts, Updates and Effects of the j+1
@@ -319,21 +326,9 @@ func (c *composer) thread(layerName string, lt *LayerTheorem, def *ir.LayerDef, 
 // ComposeDn builds the stack optimization theorem for a down-going path
 // of the named stack (top first), for the member at the given rank. The
 // bounce composition routes the local layer's self-delivery copy back
-// through the up paths of the layers above it.
+// through the up paths of the layers above it, as the theorem's Bounce
+// segment.
 func ComposeDn(names []string, path ir.PathKey, rank, n int) (*StackTheorem, error) {
-	return composeDn(names, path, rank, n, true)
-}
-
-// ComposeDnNoBounce builds the bounce-fallback variant unconditionally:
-// the wire side fully specialized, the self-delivery copy routed through
-// the shared stack. Together with ComposeDn it gives the engine two
-// bypass paths per down case — the "multiple bypass paths" the paper
-// anticipates — selected per event by their CCPs.
-func ComposeDnNoBounce(names []string, path ir.PathKey, rank, n int) (*StackTheorem, error) {
-	return composeDn(names, path, rank, n, false)
-}
-
-func composeDn(names []string, path ir.PathKey, rank, n int, tryBounce bool) (*StackTheorem, error) {
 	base := NewFacts()
 	base.AddEq(ir.EvField("rank"), int64(rank))
 	base.AddEq(ir.EvField("appl"), 1)
@@ -361,20 +356,24 @@ func composeDn(names []string, path ir.PathKey, rank, n int, tryBounce bool) (*S
 		if lt.Bounced {
 			// The bounce is composed transactionally: when the reflected
 			// copy's path through the upper layers is not a common case,
-			// the wire side remains fully specialized and the copy is
-			// routed through the shared stack instead.
-			if tryBounce {
-				trial := c.clone()
-				if err := trial.bounce(names[:i], path, rank); err == nil {
-					*c = *trial
-					continue
-				}
+			// the wire side remains fully specialized and the segment stays
+			// empty.
+			start := c.cut()
+			if trial := c.clone(); trial.bounce(names[:i], path, rank) == nil {
+				*c = *trial
+			} else {
+				c.th.BounceFallback = true
 			}
-			c.th.BounceFallback = true
 			c.th.BounceLayer = name
+			c.th.Bounce = [2]Cut{start, c.cut()}
 		}
 	}
 	return c.th, nil
+}
+
+// cut is where the theorem's lists end so far.
+func (c *composer) cut() Cut {
+	return Cut{CCP: len(c.th.CCP), Updates: len(c.th.Updates), Effects: len(c.th.Effects)}
 }
 
 // clone copies the composer so a sub-composition can be attempted and
@@ -530,7 +529,7 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 		for k := nEff; k < len(c.th.Effects); k++ {
 			c.th.Effects[k].HdrsAbove = e
 		}
-		c.th.Cuts = append(c.th.Cuts, Cut{CCP: len(c.th.CCP), Updates: len(c.th.Updates), Effects: len(c.th.Effects)})
+		c.th.Cuts = append(c.th.Cuts, c.cut())
 		switch {
 		case lt.Consumed && e > 0:
 			return nil, fmt.Errorf("opt: layer %q consumes the event below the signature's top entry", name)

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,36 +41,54 @@ func TestComposeDnCastStack10NonSequencer(t *testing.T) {
 	// full composition still succeeds — partial evaluation discovers
 	// that the self-delivery is only a common case when the announced
 	// order has caught up, surfacing the conjunct -1 == next_global,
-	// which is unsatisfiable at run time. The no-bounce variant is the
-	// second bypass path: wire specialized, self-delivery via the stack.
+	// which is unsatisfiable at run time. It lies in the bounce segment,
+	// so the cast still runs compiled on the wire side and hands its
+	// self-delivery copy to the stack.
 	th, err := ComposeDn(layers.Stack10(), ir.DnCast, 1, 2)
 	if err != nil {
 		t.Fatalf("composition failed: %v", err)
 	}
-	if !th.SelfDeliver {
-		t.Fatal("bounce should compose symbolically")
+	if !th.SelfDeliver || th.BounceFallback || th.BounceLayer != layers.Local {
+		t.Fatalf("bounce should compose symbolically at local: %+v", th)
 	}
+	b := th.Bounce
 	found := false
-	for _, c := range th.CCP {
+	for i, c := range th.CCP {
 		if strings.Contains(c.String(), "(-1 == s_total.next_global)") {
 			found = true
+			if i < b[0].CCP || i >= b[1].CCP {
+				t.Errorf("the ordering conjunct (%d) lies outside the bounce segment %+v", i, b)
+			}
 		}
 	}
 	if !found {
 		t.Fatalf("expected the unsatisfiable ordering conjunct; CCP = %v", th.CCP)
 	}
-
-	partial, err := ComposeDnNoBounce(layers.Stack10(), ir.DnCast, 1, 2)
-	if err != nil {
-		t.Fatalf("no-bounce composition failed: %v", err)
+	// The segment sits in the middle of every list: the layers below
+	// local thread after it.
+	if b[1].CCP == len(th.CCP) || b[1].Updates == len(th.Updates) || b[0].Updates == b[1].Updates {
+		t.Fatalf("bounce segment %+v is not in the middle of %d conjuncts and %d updates", b, len(th.CCP), len(th.Updates))
 	}
-	if partial.SelfDeliver || !partial.BounceFallback || partial.BounceLayer != "local" {
-		t.Fatalf("partial variant mis-shaped: %+v", partial)
-	}
-	// Both variants share the wire signature, so receivers are agnostic.
-	sigA, sigB := SignatureOf(th), SignatureOf(partial)
+	// The theorem without its segment is the wire side alone: the wire
+	// signature is the same, since the bounce pushes no header...
+	wire := *th
+	wire.CCP = slices.Concat(th.CCP[:b[0].CCP], th.CCP[b[1].CCP:])
+	wire.Updates = slices.Concat(th.Updates[:b[0].Updates], th.Updates[b[1].Updates:])
+	sigA, sigB := SignatureOf(th), SignatureOf(&wire)
 	if sigA.ID() != sigB.ID() {
-		t.Fatalf("variants have different wire signatures: %#x vs %#x", sigA.ID(), sigB.ID())
+		t.Fatalf("the wire side has a different signature: %#x vs %#x", sigA.ID(), sigB.ID())
+	}
+	// ...and no conjunct or update left in it touches the bounce's
+	// ordering state.
+	for _, c := range wire.CCP {
+		if strings.Contains(c.String(), "next_global") {
+			t.Errorf("wire conjunct %s reads the bounce's ordering state", c)
+		}
+	}
+	for _, u := range wire.Updates {
+		if strings.Contains(u.Target.String(), "next_global") {
+			t.Errorf("wire update %s := %s writes the bounce's ordering state", u.Target, u.Val)
+		}
 	}
 	// The stamped order is the unordered sentinel.
 	e := sigB.Entry("total")

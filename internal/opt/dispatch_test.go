@@ -134,68 +134,6 @@ func TestDispatchOutcomes(t *testing.T) {
 	}
 }
 
-// TestDispatchRankProfile pins the profile-guided reordering rules:
-// hottest-first, the dominance constraint (the full cast bypass stays
-// ahead of the partial path whose predicate it implies), cold-path
-// dropping, and the single-CCP construction.
-func TestDispatchRankProfile(t *testing.T) {
-	names := layers.Stack10()
-	cfg := layer.DefaultConfig(testView(2, 0))
-
-	// A profile that saw the partial path hot must still probe the full
-	// cast bypass first — probed first, the weaker predicate would catch
-	// everything and starve the full path forever.
-	var hits, misses [NumPaths]int64
-	hits[PathDnCastPartial] = 500
-	hits[PathDnCast] = 1
-	eng, err := NewEngine(names, cfg, stack.Func, WithDispatchRank(hits, misses))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eng.castOrder) < 2 || eng.castOrder[0].pid != PathDnCast {
-		t.Fatalf("dominance constraint violated: castOrder[0] = %v", eng.castOrder[0].pid)
-	}
-
-	// A partial path probed a full window without a single hit is
-	// dropped from the probe order.
-	var coldHits, coldMisses [NumPaths]int64
-	coldMisses[PathDnCastPartial] = coldDropProbes
-	eng, err = NewEngine(names, cfg, stack.Func, WithDispatchRank(coldHits, coldMisses))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cp := range eng.castOrder {
-		if cp.pid == PathDnCastPartial {
-			t.Fatal("cold partial path not dropped from the probe order")
-		}
-	}
-
-	// A profile where retransmissions outnumber acknowledgments probes
-	// the retransmission recognizer first at the net exit.
-	var ctrlHits, ctrlMisses [NumPaths]int64
-	ctrlHits[PathDnCtrlRetrans] = 100
-	ctrlHits[PathDnCtrlAck] = 1
-	eng, err = NewEngine(names, cfg, stack.Func, WithDispatchRank(ctrlHits, ctrlMisses))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eng.ctrl) < 2 {
-		t.Fatalf("expected ack and retransmission recognizers, got %d", len(eng.ctrl))
-	}
-	if eng.ctrl[0].pid != PathDnCtrlRetrans {
-		t.Fatalf("hottest control path not probed first: ctrl[0] = %v", eng.ctrl[0].pid)
-	}
-
-	// The single-CCP baseline compiles no control recognizers at all.
-	eng, err = NewEngine(names, cfg, stack.Func, WithoutControlPaths())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eng.ctrl) != 0 {
-		t.Fatalf("WithoutControlPaths left %d control recognizers", len(eng.ctrl))
-	}
-}
-
 // Adversarial input against the control-path wire format: collect
 // genuine compressed control wires (acks and retransmissions) from a
 // lossy exchange, then feed truncations, bit flips and id-swaps to a
