@@ -3,7 +3,7 @@
 GO ?= go
 # BENCH_OUT is where bench-gate records the parsed benchmark trajectory;
 # override it to keep a run without clobbering the checked-in record.
-BENCH_OUT ?= BENCH_PR24.json
+BENCH_OUT ?= BENCH_PR25.json
 
 .PHONY: all build test race verify examples bench bench-throughput bench-gate benchmark-module multiproc flight fuzz pooldebug clean
 

@@ -185,19 +185,6 @@ func BenchmarkCCPCheck(b *testing.B) {
 	b.ReportMetric(float64(d.Nanoseconds()), "ns/check")
 }
 
-// Ablation: the deferred-buffering optimization (§4, item 3) switched
-// off — buffering back on the critical path. Compare the down-stack
-// metric against BenchmarkTable1a_MACH.
-
-func BenchmarkAblation_MACH_InlineEffects(b *testing.B) {
-	seg, err := bench.MeasureMachInlineEffects(layers.Stack10(), 4, b.N)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(seg.DownStack, "ns/down-stack")
-	b.ReportMetric(seg.Total(), "ns/total")
-}
-
 // N-member sustained throughput over the simulated network: the whole
 // group (one goroutine per member when concurrent) with the transport
 // and the 100Mb Ethernet model on the measured path. The reported

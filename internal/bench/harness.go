@@ -17,7 +17,6 @@ import (
 	"ensemble/internal/layers"
 	"ensemble/internal/opt"
 	"ensemble/internal/stack"
-	"ensemble/internal/transport"
 )
 
 // Config selects one of the four versions of §4.2.
@@ -64,202 +63,167 @@ func benchView(n, rank int) *event.View {
 	return event.NewView("bench", 1, addrs, rank)
 }
 
+// endpoint is one member of the two-member pair: an opt.Engine, plain
+// (IMP, FUNC) or with its bypasses (MACH), or the hand engine (HAND).
+type endpoint interface {
+	Cast(payload []byte)
+	Packet(data []byte) bool
+	Timer(now int64)
+}
+
+// pair is the two members every in-process harness drives — a rank-0
+// sender and a rank-1 receiver back to back (the paper's two
+// UltraSparcs) — built for one configuration. Every wire a member emits
+// goes to out; what reaches a member goes in through packet.
+type pair struct {
+	ends      [2]endpoint
+	delivered int // application deliveries at either member
+	out       func(from, to int, wire []byte)
+	// dnFull counts the sender's casts the stack took from the top, which
+	// code-latency rounds exclude ("the outcome of the CCP checks is
+	// always the choice to run the bypass"); always 0 for a plain stack.
+	dnFull func() int64
+}
+
+// newPair builds the pair for cfg. markDn is the sender's
+// MarkDnTransport and markUp the receiver's MarkUpStack (either may be
+// nil). Arrivals are borrowed: every harness recycles its wire buffers.
+func newPair(cfg Config, names []string, markDn, markUp func()) (*pair, error) {
+	p := &pair{dnFull: func() int64 { return 0 }}
+	deliver := func(int, []byte, bool) { p.delivered++ }
+	for m := range p.ends {
+		send := func(cast bool, dst int, wire []byte) {
+			to := dst
+			if cast {
+				to = 1 - m
+			}
+			p.out(m, to, wire)
+		}
+		dn, up := markDn, markUp
+		if m == 0 {
+			up = nil
+		} else {
+			dn = nil
+		}
+		lc := layer.DefaultConfig(benchView(2, m))
+		if cfg == HAND {
+			h, err := layers.NewHandEngine(lc, stack.Func)
+			if err != nil {
+				return nil, err
+			}
+			h.SendWire = send
+			h.Deliver = deliver
+			h.MarkDnTransport = dn
+			h.MarkUpStack = up
+			if m == 0 {
+				p.dnFull = func() int64 { return h.Stats.DnFull }
+			}
+			p.ends[m] = h
+			continue
+		}
+		var e *opt.Engine
+		var err error
+		switch cfg {
+		case IMP:
+			e, err = opt.NewStackEngine(names, lc, stack.Imp)
+		case FUNC:
+			e, err = opt.NewStackEngine(names, lc, stack.Func)
+		case MACH:
+			e, err = opt.NewEngine(names, lc, stack.Func)
+			if m == 0 && err == nil {
+				p.dnFull = func() int64 { return e.Stats().DnFull }
+			}
+		default:
+			return nil, fmt.Errorf("bench: unknown config %d", cfg)
+		}
+		if err != nil {
+			return nil, err
+		}
+		e.SendWire = send
+		e.Deliver = deliver
+		e.MarkDnTransport = dn
+		e.MarkUpStack = up
+		e.ArrivalsBorrowed = true
+		p.ends[m] = e
+	}
+	return p, nil
+}
+
+// packet hands a wire to member to. The link between the two members of
+// one stack is lossless, so an arrival that does not decode is a bug.
+func (p *pair) packet(to int, wire []byte) {
+	if !p.ends[to].Packet(wire) {
+		panic(fmt.Sprintf("bench: member %d could not decode % x", to, wire))
+	}
+}
+
+// timers drives both members' housekeeping sweeps, so retransmission
+// buffers stay garbage-collected during long runs.
+func (p *pair) timers(now int64) {
+	p.ends[0].Timer(now)
+	p.ends[1].Timer(now)
+}
+
 // MeasureCodeLatency runs `rounds` one-way cast rounds of `size`-byte
 // messages from a rank-0 sender to a rank-1 receiver under the given
 // configuration and stack, and reports the averaged segment latencies.
-// Matching the paper's setup, rounds that would not take the bypass are
+// The segment boundaries are the engines' marks, the same for every
+// configuration: Down Stack ends where the message leaves the stack or
+// the bypass (MarkDnTransport), Down Transport where the encoded wire is
+// handed on, Up Transport where it has decoded (MarkUpStack). Matching
+// the paper's setup, rounds whose cast the stack took from the top are
 // excluded from MACH/HAND averages ("the outcome of the CCP checks is
-// always the choice to run the bypass").
+// always the choice to run the bypass"). Everything else a round emits —
+// credits, acknowledgments, gossip — waits untimed in the pump.
 func MeasureCodeLatency(cfg Config, names []string, size, rounds int) (Segments, error) {
-	switch cfg {
-	case IMP, FUNC:
-		return measureStack(cfg, names, size, rounds)
-	case MACH:
-		return measureMach(names, size, rounds, false)
-	case HAND:
-		return measureHand(size, rounds)
-	}
-	return Segments{}, fmt.Errorf("bench: unknown config %d", cfg)
-}
-
-// stackNode is one member running a plain stack, capturing its outputs.
-type stackNode struct {
-	stk    stack.Stack
-	outs   []*event.Event
-	delivs int
-	rank   int
-	wbuf   transport.Writer
-}
-
-func newStackNode(names []string, mode stack.Mode, rank int) (*stackNode, error) {
-	n := &stackNode{rank: rank}
-	cfg := layer.DefaultConfig(benchView(2, rank))
-	stk, err := stack.Build(names, cfg, mode, stack.Callbacks{
-		App: func(ev *event.Event) {
-			if (ev.Type == event.ECast || ev.Type == event.ESend) && ev.ApplMsg {
-				n.delivs++
-			}
-		},
-		Net: func(ev *event.Event) {
-			if ev.Type == event.ECast || ev.Type == event.ESend {
-				// Capture without marshaling: the transport segment is
-				// timed separately, as in Table 1.
-				n.outs = append(n.outs, cloneForWire(ev))
-			}
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	n.stk = stk
-	return n, nil
-}
-
-// cloneForWire snapshots an outgoing event (the original returns to the
-// pool when the callback returns).
-func cloneForWire(ev *event.Event) *event.Event {
-	cp := event.Alloc()
-	cp.Dir, cp.Type, cp.Peer, cp.ApplMsg = ev.Dir, ev.Type, ev.Peer, ev.ApplMsg
-	cp.Msg.Payload = append([]byte(nil), ev.Msg.Payload...)
-	// Deep-clone: pooled headers must not be shared between two events.
-	cp.Msg.Headers = event.AppendClonedHeaders(cp.Msg.Headers[:0], ev.Msg.Headers)
-	return cp
-}
-
-func (n *stackNode) takeOuts() []*event.Event {
-	o := n.outs
-	n.outs = nil
-	return o
-}
-
-// shuttle marshals an event at src and delivers it into dst, untimed —
-// the feedback path (credits, acks, gossip) of the measurement loop.
-func shuttle(src, dst *stackNode, ev *event.Event) error {
-	if err := transport.Marshal(ev, src.rank, &src.wbuf); err != nil {
-		return err
-	}
-	// Seal reuses the writer's buffer; safe here because the receiving
-	// stack's outputs are captured, never marshaled recursively.
-	wire := src.wbuf.Seal()
-	event.Free(ev)
-	up, err := unmarshalBorrowed(wire)
-	if err != nil {
-		return err
-	}
-	dst.stk.DeliverUp(up)
-	return nil
-}
-
-// unmarshalBorrowed decodes a wire the harness recycles once delivery
-// returns (a writer's sealed buffer, a pump slot): the event is
-// borrowed, so the layers copy whatever they hold past the call.
-func unmarshalBorrowed(wire []byte) (*event.Event, error) {
-	ev, err := transport.Unmarshal(wire)
-	if err == nil {
-		ev.Borrowed = true
-	}
-	return ev, err
-}
-
-// drainFeedback routes every pending output of both nodes until quiet.
-func drainFeedback(a, b *stackNode) error {
-	for len(a.outs)+len(b.outs) > 0 {
-		for _, ev := range a.takeOuts() {
-			if err := shuttle(a, b, ev); err != nil {
-				return err
-			}
-		}
-		for _, ev := range b.takeOuts() {
-			if err := shuttle(b, a, ev); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func measureStack(cfg Config, names []string, size, rounds int) (Segments, error) {
-	mode := stack.Imp
-	if cfg == FUNC {
-		mode = stack.Func
-	}
-	sender, err := newStackNode(names, mode, 0)
+	var tMarkDn, tSend, tMarkUp time.Time
+	var timing, marked, sent, upMarked bool
+	p, err := newPair(cfg, names,
+		func() { tMarkDn, marked = time.Now(), true },
+		func() { tMarkUp, upMarked = time.Now(), true })
 	if err != nil {
 		return Segments{}, err
 	}
-	receiver, err := newStackNode(names, mode, 1)
-	if err != nil {
-		return Segments{}, err
+	pump := &wirePump{deliver: p.packet}
+	var wire []byte
+	p.out = func(from, to int, w []byte) {
+		if timing && marked && !sent {
+			tSend, sent = time.Now(), true
+			wire = append(wire[:0], w...)
+			return
+		}
+		pump.send(to, w)
 	}
 	payload := make([]byte, size)
 	var seg Segments
-	var wbuf transport.Writer
-
 	for i := 0; i < rounds; i++ {
+		full := p.dnFull()
+		marked, sent, upMarked = false, false, false
+		timing, pump.active = true, true // hold what the round emits
 		t0 := time.Now()
-		sender.stk.SubmitDn(event.CastEv(payload))
-		t1 := time.Now()
-
-		outs := sender.takeOuts()
-		// Exactly one data packet leaves in the common case; protocol
-		// chatter (none expected mid-round) goes through the feedback
-		// path after the timed window.
-		var data *event.Event
-		var rest []*event.Event
-		for _, ev := range outs {
-			if ev.ApplMsg && data == nil {
-				data = ev
-			} else {
-				rest = append(rest, ev)
+		p.ends[0].Cast(payload)
+		timing = false
+		if sent {
+			t2 := time.Now()
+			p.packet(1, wire)
+			t3 := time.Now()
+			if upMarked && p.dnFull() == full {
+				seg.DownStack += float64(tMarkDn.Sub(t0))
+				seg.DownTransport += float64(tSend.Sub(tMarkDn))
+				seg.UpTransport += float64(tMarkUp.Sub(t2))
+				seg.UpStack += float64(t3.Sub(tMarkUp))
+				seg.Rounds++
 			}
 		}
-		if data == nil {
-			return Segments{}, fmt.Errorf("bench: round %d produced no data packet", i)
-		}
-
-		t2 := time.Now()
-		if err := transport.Marshal(data, 0, &wbuf); err != nil {
-			return Segments{}, err
-		}
-		wire := wbuf.Seal()
-		t3 := time.Now()
-		up, err := unmarshalBorrowed(wire)
-		if err != nil {
-			return Segments{}, err
-		}
-		t4 := time.Now()
-		receiver.stk.DeliverUp(up)
-		t5 := time.Now()
-
-		seg.DownStack += float64(t1.Sub(t0))
-		seg.DownTransport += float64(t3.Sub(t2))
-		seg.UpTransport += float64(t4.Sub(t3))
-		seg.UpStack += float64(t5.Sub(t4))
-		seg.Rounds++
-
-		event.Free(data)
-		for _, ev := range rest {
-			if err := shuttle(sender, receiver, ev); err != nil {
-				return Segments{}, err
-			}
-		}
-		if err := drainFeedback(sender, receiver); err != nil {
-			return Segments{}, err
-		}
+		pump.drain() // the untimed rest of the round
 		if i%256 == 255 {
-			sweep(sender, receiver, int64(i))
+			p.timers(int64(i) * int64(1e6))
 		}
 	}
+	if seg.Rounds < rounds/2 {
+		return Segments{}, fmt.Errorf("bench: only %d/%d %s rounds took the bypass", seg.Rounds, rounds, cfg)
+	}
 	return average(seg), nil
-}
-
-// sweep drives the housekeeping timers untimed so retransmission buffers
-// stay garbage-collected during long runs.
-func sweep(a, b *stackNode, round int64) {
-	now := round * int64(1e6)
-	a.stk.DeliverUp(event.TimerEv(now))
-	b.stk.DeliverUp(event.TimerEv(now))
-	_ = drainFeedback(a, b)
 }
 
 func average(s Segments) Segments {
@@ -272,209 +236,6 @@ func average(s Segments) Segments {
 	s.UpTransport /= n
 	s.UpStack /= n
 	return s
-}
-
-// machPair wires two optimized engines back to back. The sender's timed
-// data packet is captured for explicit delivery; all other traffic
-// (receiver credits and acks, timer gossip) queues per destination and
-// drains untimed.
-type machPair struct {
-	engs    [2]*opt.Engine
-	wire    []byte
-	tMarkDn time.Time
-	tSend   time.Time
-	tMarkUp time.Time
-	marked  bool
-	upMark  bool
-	timing  bool
-	queues  [2][][]byte // packets awaiting delivery to member i
-	delivs  int
-}
-
-func newMachPair(names []string) (*machPair, error) {
-	p := &machPair{}
-	for m := 0; m < 2; m++ {
-		m := m
-		eng, err := opt.NewEngine(names, layer.DefaultConfig(benchView(2, m)), stack.Func)
-		if err != nil {
-			return nil, err
-		}
-		eng.Deliver = func(origin int, payload []byte, cast bool) { p.delivs++ }
-		eng.SendWire = func(cast bool, dst int, wire []byte) {
-			if m == 0 && p.timing {
-				p.tSend = time.Now()
-				p.wire = append(p.wire[:0], wire...)
-				return
-			}
-			to := dst
-			if cast {
-				to = 1 - m
-			}
-			p.queues[to] = append(p.queues[to], append([]byte(nil), wire...))
-		}
-		eng.ArrivalsBorrowed = true // p.wire is reused round to round
-		p.engs[m] = eng
-	}
-	p.engs[0].MarkDnTransport = func() { p.tMarkDn = time.Now(); p.marked = true }
-	p.engs[1].MarkUpStack = func() { p.tMarkUp = time.Now(); p.upMark = true }
-	return p, nil
-}
-
-// drain processes queued feedback packets untimed.
-func (p *machPair) drain() {
-	for len(p.queues[0])+len(p.queues[1]) > 0 {
-		for m := 0; m < 2; m++ {
-			for len(p.queues[m]) > 0 {
-				w := p.queues[m][0]
-				p.queues[m] = p.queues[m][1:]
-				p.engs[m].Packet(w)
-			}
-		}
-	}
-}
-
-// MeasureMachInlineEffects is the ablation of §4's optimization 3: the
-// bypass with buffering forced back onto the critical path.
-func MeasureMachInlineEffects(names []string, size, rounds int) (Segments, error) {
-	return measureMach(names, size, rounds, true)
-}
-
-func measureMach(names []string, size, rounds int, inlineEffects bool) (Segments, error) {
-	p, err := newMachPair(names)
-	if err != nil {
-		return Segments{}, err
-	}
-	p.engs[0].InlineEffects = inlineEffects
-	p.engs[1].InlineEffects = inlineEffects
-	payload := make([]byte, size)
-	var seg Segments
-	for i := 0; i < rounds; i++ {
-		p.marked = false
-		p.timing = true
-		p.wire = p.wire[:0]
-		t0 := time.Now()
-		p.engs[0].Cast(payload)
-		p.timing = false
-		if !p.marked {
-			// The CCP chose the full stack this round (credit return
-			// due, etc.): process it and exclude it from the averages,
-			// as the paper's measurement setup does ("the outcome of the
-			// CCP checks is always the choice to run the bypass").
-			if len(p.wire) > 0 {
-				p.queues[1] = append(p.queues[1], append([]byte(nil), p.wire...))
-			}
-			p.drain()
-			continue
-		}
-		// Receiver side, timed.
-		p.upMark = false
-		t2 := time.Now()
-		p.engs[1].Packet(p.wire)
-		t3 := time.Now()
-		if !p.upMark {
-			// The receive side missed its CCP (credit return due):
-			// already processed, just excluded from the averages.
-			p.drain()
-			continue
-		}
-
-		seg.DownStack += float64(p.tMarkDn.Sub(t0))
-		seg.DownTransport += float64(p.tSend.Sub(p.tMarkDn))
-		seg.UpTransport += float64(p.tMarkUp.Sub(t2))
-		seg.UpStack += float64(t3.Sub(p.tMarkUp))
-		seg.Rounds++
-
-		p.drain()
-		if i%256 == 255 {
-			now := int64(i) * int64(1e6)
-			p.engs[0].Timer(now)
-			p.engs[1].Timer(now)
-			p.drain()
-		}
-	}
-	if seg.Rounds < rounds/2 {
-		return Segments{}, fmt.Errorf("bench: only %d/%d MACH rounds took the bypass", seg.Rounds, rounds)
-	}
-	return average(seg), nil
-}
-
-func measureHand(size, rounds int) (Segments, error) {
-	var hands [2]*layers.HandEngine
-	var tMarkDn, tSend, tMarkUp time.Time
-	var wire []byte
-	marked := false
-	forwarding := false
-	var pending [][]byte
-	for m := 0; m < 2; m++ {
-		m := m
-		h, err := layers.NewHandEngine(layer.DefaultConfig(benchView(2, m)), stack.Func)
-		if err != nil {
-			return Segments{}, err
-		}
-		h.Deliver = func(int, []byte, bool) {}
-		h.SendWire = func(cast bool, dst int, w []byte) {
-			if forwarding {
-				pending = append(pending, append([]byte(nil), w...))
-				return
-			}
-			tSend = time.Now()
-			wire = append(wire[:0], w...)
-		}
-		hands[m] = h
-	}
-	hands[0].MarkDnTransport = func() { tMarkDn = time.Now(); marked = true }
-	upMarked := false
-	hands[1].MarkUpStack = func() { tMarkUp = time.Now(); upMarked = true }
-
-	drain := func() {
-		forwarding = true
-		for len(pending) > 0 {
-			w := pending[0]
-			pending = pending[1:]
-			hands[0].Packet(w)
-		}
-		forwarding = false
-	}
-
-	payload := make([]byte, size)
-	var seg Segments
-	for i := 0; i < rounds; i++ {
-		marked = false
-		t0 := time.Now()
-		hands[0].Cast(payload)
-		if !marked {
-			forwarding = true
-			hands[1].Packet(wire)
-			forwarding = false
-			drain()
-			continue
-		}
-		upMarked = false
-		t2 := time.Now()
-		hands[1].Packet(wire)
-		t3 := time.Now()
-		if !upMarked {
-			drain()
-			continue
-		}
-
-		seg.DownStack += float64(tMarkDn.Sub(t0))
-		seg.DownTransport += float64(tSend.Sub(tMarkDn))
-		seg.UpTransport += float64(tMarkUp.Sub(t2))
-		seg.UpStack += float64(t3.Sub(tMarkUp))
-		seg.Rounds++
-
-		drain()
-		if i%256 == 255 {
-			now := int64(i) * int64(1e6)
-			forwarding = true
-			hands[0].Timer(now)
-			hands[1].Timer(now)
-			forwarding = false
-			drain()
-		}
-	}
-	return average(seg), nil
 }
 
 // MeasureCCPCheck times the composed common-case predicate alone — the

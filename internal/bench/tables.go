@@ -11,7 +11,6 @@ import (
 	"ensemble/internal/opt"
 	"ensemble/internal/perfcount"
 	"ensemble/internal/stack"
-	"ensemble/internal/transport"
 )
 
 // This file regenerates each table and figure of §4.2 as formatted text.
@@ -106,91 +105,41 @@ type Counters struct {
 }
 
 // MeasureCounters runs rounds of send/receive and reports the counters.
+// WireBytes counts what the sender's casts put on the wire, not the
+// receiver's answers or the housekeeping sweeps.
 func MeasureCounters(cfg Config, names []string, size, rounds int) (Counters, error) {
-	var c Counters
-	c.Rounds = rounds
-	payload := make([]byte, size)
-
-	switch cfg {
-	case IMP, FUNC:
-		mode := stack.Imp
-		if cfg == FUNC {
-			mode = stack.Func
-		}
-		sender, err := newStackNode(names, mode, 0)
-		if err != nil {
-			return c, err
-		}
-		receiver, err := newStackNode(names, mode, 1)
-		if err != nil {
-			return c, err
-		}
-		var wbuf transport.Writer
-		run := func() error {
-			for i := 0; i < rounds; i++ {
-				sender.stk.SubmitDn(event.CastEv(payload))
-				for _, ev := range sender.takeOuts() {
-					if err := transport.Marshal(ev, 0, &wbuf); err != nil {
-						return err
-					}
-					wire := wbuf.Seal()
-					event.Free(ev)
-					c.WireBytes += int64(len(wire))
-					up, err := unmarshalBorrowed(wire)
-					if err != nil {
-						return err
-					}
-					receiver.stk.DeliverUp(up)
-				}
-				if err := drainFeedback(receiver, sender); err != nil {
-					return err
-				}
-				if i%256 == 255 {
-					sweep(sender, receiver, int64(i))
-				}
-			}
-			return nil
-		}
-		smp, err := perfcount.Measure(run)
-		if err != nil {
-			return c, err
-		}
-		c.apply(smp)
-		c.Deliveries = receiver.delivs
-	case MACH:
-		p, err := newMachPair(names)
-		if err != nil {
-			return c, err
-		}
-		run := func() error {
-			for i := 0; i < rounds; i++ {
-				p.timing = true
-				p.wire = p.wire[:0]
-				p.engs[0].Cast(payload)
-				p.timing = false
-				if len(p.wire) > 0 {
-					c.WireBytes += int64(len(p.wire))
-					p.engs[1].Packet(p.wire)
-				}
-				p.drain()
-				if i%256 == 255 {
-					now := int64(i) * int64(1e6)
-					p.engs[0].Timer(now)
-					p.engs[1].Timer(now)
-					p.drain()
-				}
-			}
-			return nil
-		}
-		smp, err := perfcount.Measure(run)
-		if err != nil {
-			return c, err
-		}
-		c.apply(smp)
-		c.Deliveries = p.delivs
-	default:
-		return c, fmt.Errorf("bench: counters unsupported for %s", cfg)
+	c := Counters{Rounds: rounds}
+	p, err := newPair(cfg, names, nil, nil)
+	if err != nil {
+		return c, err
 	}
+	pump := &wirePump{deliver: p.packet}
+	casting := false
+	p.out = func(from, to int, wire []byte) {
+		if casting {
+			c.WireBytes += int64(len(wire))
+		}
+		pump.send(to, wire)
+	}
+	payload := make([]byte, size)
+	smp, err := perfcount.Measure(func() error {
+		for i := 0; i < rounds; i++ {
+			// What the cast emits is counted and held, then delivered.
+			casting, pump.active = true, true
+			p.ends[0].Cast(payload)
+			casting = false
+			pump.drain()
+			if i%256 == 255 {
+				p.timers(int64(i) * int64(1e6))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return c, err
+	}
+	c.apply(smp)
+	c.Deliveries = p.delivered
 	return c, nil
 }
 

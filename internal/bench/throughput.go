@@ -5,12 +5,9 @@ import (
 	"time"
 
 	"ensemble/internal/event"
-	"ensemble/internal/layer"
 	"ensemble/internal/layers"
 	"ensemble/internal/obs"
-	"ensemble/internal/opt"
 	"ensemble/internal/perfcount"
-	"ensemble/internal/stack"
 	"ensemble/internal/transport"
 )
 
@@ -28,13 +25,9 @@ import (
 // (stack build, bypass compilation) is separated from Run so benchmarks
 // can exclude setup from the timed region.
 type ThroughputRunner struct {
-	cfg       Config
-	payload   []byte
-	delivered int
-
-	submit func()
-	sweep  func(now int64)
-	rounds int
+	payload []byte
+	pair    *pair
+	rounds  int
 
 	// Outgoing wires coalesce in per-member Batchers that are flushed
 	// every flushEvery rounds (and at the end of every Run), so the frame
@@ -56,8 +49,9 @@ type ThroughputRunner struct {
 // wirePump moves marshaled packets between the two members without
 // recursion: a send snapshots the wire into a recycled buffer (the
 // sender's marshal buffer is reused, so the image is only valid during
-// the call) and the outermost send drains the queue. Queue slots and
-// buffers are recycled, so the steady state allocates nothing, and a
+// the call) and the outermost send drains the queue — or, while a caller
+// holds the pump (active), leaves it for the caller's drain. Queue slots
+// and buffers are recycled, so the steady state allocates nothing, and a
 // packet's buffer is only reused after its delivery has returned —
 // every longer-lived reference (retransmission buffers, reassembly) is
 // copied by the buffering layer that keeps it.
@@ -81,9 +75,14 @@ func (p *wirePump) send(to int, wire []byte) {
 		p.spare = p.spare[:n-1]
 	}
 	p.pending = append(p.pending, wireItem{to: to, buf: append(buf[:0], wire...)})
-	if p.active {
-		return
+	if !p.active {
+		p.drain()
 	}
+}
+
+// drain delivers every queued wire, and every wire those deliveries
+// send, in order.
+func (p *wirePump) drain() {
 	p.active = true
 	for p.head < len(p.pending) {
 		it := p.pending[p.head]
@@ -115,11 +114,14 @@ func NewObservedThroughputRunner(cfg Config, names []string, size int) (*Through
 }
 
 func newThroughputRunner(cfg Config, names []string, size int, observed bool) (*ThroughputRunner, error) {
-	r := &ThroughputRunner{cfg: cfg, payload: make([]byte, size)}
+	p, err := newPair(cfg, names, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	r := &ThroughputRunner{payload: make([]byte, size), pair: p}
 	if observed {
-		// The registry and recorder must exist before init*, because the
-		// emit closures (where the instrumentation hangs) are captured
-		// there.
+		// The registry and recorder must exist before emitters, because the
+		// emit closures (where the instrumentation hangs) are built there.
 		r.obsReg = obs.NewRegistry()
 		r.obsRec = obs.NewRecorder(2, 1024)
 		for m := range r.obsOut {
@@ -127,29 +129,11 @@ func newThroughputRunner(cfg Config, names []string, size int, observed bool) (*
 			r.obsOut[m] = sc.Counter("wires_out")
 			r.obsHist[m] = sc.Histogram("wire_bytes")
 		}
-		r.obsReg.Func("delivered", func() int64 { return int64(r.delivered) })
+		r.obsReg.Func("delivered", func() int64 { return int64(p.delivered) })
 		r.obsReg.Func("rounds", func() int64 { return int64(r.rounds) })
 	}
-	switch cfg {
-	case IMP, FUNC:
-		mode := stack.Imp
-		if cfg == FUNC {
-			mode = stack.Func
-		}
-		if err := r.initStacks(names, mode); err != nil {
-			return nil, err
-		}
-	case MACH:
-		if err := r.initMach(names); err != nil {
-			return nil, err
-		}
-	case HAND:
-		if err := r.initHand(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("bench: unknown config %d", cfg)
-	}
+	emit := r.emitters(newPump(p.packet))
+	p.out = func(from, to int, wire []byte) { emit[from](to, wire) }
 	return r, nil
 }
 
@@ -219,110 +203,6 @@ func newPump(deliver func(to int, sub []byte)) *wirePump {
 	}}
 }
 
-// initStacks wires two plain stacks back to back over an in-process
-// perfect link: every outgoing data event is marshaled and pumped into
-// the peer, so the transport is on the measured path (unlike the
-// latency harness, which times it separately).
-func (r *ThroughputRunner) initStacks(names []string, mode stack.Mode) error {
-	var stks [2]stack.Stack
-	var wbufs [2]transport.Writer
-	pump := newPump(func(to int, wire []byte) {
-		up, err := unmarshalBorrowed(wire)
-		if err != nil {
-			panic(fmt.Sprintf("bench: unmarshal: %v", err))
-		}
-		stks[to].DeliverUp(up)
-	})
-	emit := r.emitters(pump)
-	for m := 0; m < 2; m++ {
-		m := m
-		cfg := layer.DefaultConfig(benchView(2, m))
-		stk, err := stack.Build(names, cfg, mode, stack.Callbacks{
-			App: func(ev *event.Event) {
-				if (ev.Type == event.ECast || ev.Type == event.ESend) && ev.ApplMsg {
-					r.delivered++
-				}
-			},
-			Net: func(ev *event.Event) {
-				if ev.Type != event.ECast && ev.Type != event.ESend {
-					return
-				}
-				if err := transport.Marshal(ev, m, &wbufs[m]); err != nil {
-					panic(fmt.Sprintf("bench: marshal: %v", err))
-				}
-				emit[m](1-m, wbufs[m].Seal())
-			},
-		})
-		if err != nil {
-			return err
-		}
-		stks[m] = stk
-	}
-	r.submit = func() { stks[0].SubmitDn(event.CastEv(r.payload)) }
-	r.sweep = func(now int64) {
-		stks[0].DeliverUp(event.TimerEv(now))
-		stks[1].DeliverUp(event.TimerEv(now))
-	}
-	return nil
-}
-
-func (r *ThroughputRunner) initMach(names []string) error {
-	var engs [2]*opt.Engine
-	pump := newPump(func(to int, wire []byte) { engs[to].Packet(wire) })
-	emit := r.emitters(pump)
-	for m := 0; m < 2; m++ {
-		m := m
-		eng, err := opt.NewEngine(names, layer.DefaultConfig(benchView(2, m)), stack.Func)
-		if err != nil {
-			return err
-		}
-		eng.Deliver = func(int, []byte, bool) { r.delivered++ }
-		eng.ArrivalsBorrowed = true // the pump recycles its buffers
-		eng.SendWire = func(cast bool, dst int, wire []byte) {
-			to := dst
-			if cast {
-				to = 1 - m
-			}
-			emit[m](to, wire)
-		}
-		engs[m] = eng
-	}
-	r.submit = func() { engs[0].Cast(r.payload) }
-	r.sweep = func(now int64) {
-		engs[0].Timer(now)
-		engs[1].Timer(now)
-	}
-	return nil
-}
-
-func (r *ThroughputRunner) initHand() error {
-	var hands [2]*layers.HandEngine
-	pump := newPump(func(to int, wire []byte) { hands[to].Packet(wire) })
-	emit := r.emitters(pump)
-	for m := 0; m < 2; m++ {
-		m := m
-		h, err := layers.NewHandEngine(layer.DefaultConfig(benchView(2, m)), stack.Func)
-		if err != nil {
-			return err
-		}
-		h.Deliver = func(int, []byte, bool) { r.delivered++ }
-		h.SendWire = func(cast bool, dst int, wire []byte) {
-			to := dst
-			if cast {
-				to = 1 - m
-			}
-			emit[m](to, wire)
-		}
-		hands[m] = h
-	}
-	r.submit = func() { hands[0].Cast(r.payload) }
-	r.sweep = func(now int64) {
-		hands[0].Timer(now)
-		hands[1].Timer(now)
-	}
-	return nil
-}
-
 // Run drives n cast rounds, sweeping the housekeeping timers every 256
 // rounds as the latency harness does (stability gossip keeps the
 // retransmission buffers garbage-collected during long runs). The
@@ -330,13 +210,13 @@ func (r *ThroughputRunner) initHand() error {
 // every submitted round is delivered before Run returns.
 func (r *ThroughputRunner) Run(n int) {
 	for i := 0; i < n; i++ {
-		r.submit()
+		r.pair.ends[0].Cast(r.payload)
 		r.rounds++
 		if r.rounds%flushEvery == 0 {
 			r.flush()
 		}
 		if r.rounds%256 == 0 {
-			r.sweep(int64(r.rounds) * int64(1e6))
+			r.pair.timers(int64(r.rounds) * int64(1e6))
 			r.flush()
 		}
 	}
@@ -353,7 +233,7 @@ func (r *ThroughputRunner) BatchStats() transport.BatcherStats {
 
 // Delivered reports application deliveries observed so far (two per
 // round for stacks with self-delivery, one otherwise).
-func (r *ThroughputRunner) Delivered() int { return r.delivered }
+func (r *ThroughputRunner) Delivered() int { return r.pair.delivered }
 
 // Metrics snapshots the observed runner's registry (empty when the
 // runner was built without observability).

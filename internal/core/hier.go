@@ -101,7 +101,7 @@ func NewHierGroup(groups, per int, profile netsim.Profile, seed int64, names []s
 		for i := 0; i < per; i++ {
 			ep := hg.Cluster.NewEndpoint(leafAddrs[i])
 			v := event.NewView(fmt.Sprintf("leaf%d", g), 1, leafAddrs, i)
-			m, err := newMember(ep, ep, v, names, mode, hg.leafHandlers(g, i, handlers), false)
+			m, err := NewMember(ep, ep, v, names, mode, hg.leafHandlers(g, i, handlers))
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +114,7 @@ func NewHierGroup(groups, per int, profile netsim.Profile, seed int64, names []s
 
 		sep := hg.Cluster.NewEndpoint(spineAddrs[g])
 		sv := event.NewView("spine", 1, spineAddrs, g)
-		sm, err := newMember(sep, sep, sv, names, mode, hg.spineHandlers(g), false)
+		sm, err := NewMember(sep, sep, sv, names, mode, hg.spineHandlers(g))
 		if err != nil {
 			return nil, err
 		}

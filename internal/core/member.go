@@ -95,17 +95,14 @@ type Member struct {
 
 	view   *event.View
 	cfg    layer.Config
-	stk    stack.Stack
 	exited bool
-	// wireIDs are the stack's header codec ids, top first: the shape a
-	// full wire image must have (transport.UnmarshalFor). Plain members
-	// only; an engine keeps its own.
-	wireIDs []byte
 
-	// optimized members run the machine-generated bypass: the engine
-	// wraps the stack and dispatches per event on the composed CCP.
-	optimized bool
+	// eng is the stack runtime of the current view, rebuilt at every
+	// install: a plain engine, or — on optimized members — one with the
+	// machine-generated bypass, which dispatches per event on the
+	// composed CCP.
 	eng       *opt.Engine
+	optimized bool
 
 	// held is application traffic the old stack buffered during a view
 	// change, between install and its resubmission in the new view.
@@ -120,6 +117,15 @@ type Member struct {
 	// viewTag digests the current view's full membership for the epoch
 	// tag on every packet.
 	viewTag uint64
+	// epoch is the current view's epoch prefix, which the batcher gathers
+	// in front of every wire the engine emits. It tags a packet with the
+	// full view identity: the sequence number plus viewTag. Neither alone
+	// suffices — a partitioned member installs its own next view with the
+	// same sequence number as the survivors' next view, and one
+	// coordinator can install *different* views with the same sequence
+	// number when a regular view change races a partition merge. Only
+	// identical membership means identical epoch.
+	epoch []byte
 	// known remembers every address ever seen in a view, for partition
 	// merge probing (merge.go).
 	known map[event.Addr]bool
@@ -142,11 +148,6 @@ type Member struct {
 	busy   atomic.Int32
 	inside bool
 
-	wbuf transport.Writer
-	// pkt assembles epoch-prefixed wire images, reused across sends: the
-	// network contract is that Send/Cast consume the data during the
-	// call (the simulator copies, the UDP transport writes through).
-	pkt   []byte
 	stats MemberStats
 
 	// batch coalesces outgoing wires into per-destination frames. Flush
@@ -233,7 +234,7 @@ func newMember(sim Clock, net Network, v0 *event.View, names []string, mode stac
 	}
 	net.Attach(m.addr, m.receive)
 	m.batch = transport.NewBatcher(net, m.addr, 0)
-	// Data wires always carry the epoch prefix (see epochPrefix), so the
+	// Data wires always carry the epoch prefix (see epoch), so the
 	// batcher can elide it between consecutive sub-packets; every
 	// substrate's receive link decodes with the same prefix arity. The
 	// clock lets flush points hold sub-threshold frames on fast-cadence
@@ -296,8 +297,14 @@ func (m *Member) peerRebound(to event.Addr) {
 }
 
 // Engine exposes the bypass engine of an optimized member (nil for
-// plain members); its stats show the bypass/full-stack routing split.
-func (m *Member) Engine() *opt.Engine { return m.eng }
+// plain members, whose engine derives no bypass); its stats show the
+// bypass/full-stack routing split.
+func (m *Member) Engine() *opt.Engine {
+	if !m.optimized {
+		return nil
+	}
+	return m.eng
+}
 
 // enter asserts that this goroutine has exclusive use of the member and
 // reports whether this call took it: the caller then owes a leave.
@@ -343,11 +350,7 @@ func (m *Member) tick() {
 	if m.exited {
 		return
 	}
-	if m.eng != nil {
-		m.eng.Timer(m.sim.Now())
-	} else {
-		m.stk.DeliverUp(event.TimerEv(m.sim.Now()))
-	}
+	m.eng.Timer(m.sim.Now())
 	m.settle()
 	m.ticks++
 	if m.trk != nil {
@@ -415,11 +418,7 @@ func (m *Member) doCast(payload []byte) {
 		}
 		m.castT[m.castSubmits%castQCap] = now
 	}
-	if m.eng != nil {
-		m.eng.Cast(payload)
-	} else {
-		m.stk.SubmitDn(event.CastEv(payload))
-	}
+	m.eng.Cast(payload)
 	m.settle()
 }
 
@@ -439,11 +438,7 @@ func (m *Member) doSend(dst int, payload []byte) error {
 		return fmt.Errorf("core: rank %d out of range for view of %d", dst, m.view.N())
 	}
 	m.resubmitHeld()
-	if m.eng != nil {
-		m.eng.Send(dst, payload)
-	} else {
-		m.stk.SubmitDn(event.SendEv(dst, payload))
-	}
+	m.eng.Send(dst, payload)
 	m.settle()
 	return nil
 }
@@ -478,11 +473,7 @@ func (m *Member) Leave() {
 	}
 	lv := event.Alloc()
 	lv.Dir, lv.Type = event.Dn, event.ELeave
-	if m.eng != nil {
-		m.eng.Submit(lv)
-	} else {
-		m.stk.SubmitDn(lv)
-	}
+	m.eng.Submit(lv)
 	m.settle()
 }
 
@@ -495,45 +486,28 @@ func (m *Member) install(v *event.View) error {
 	m.batch.BumpGenerations()
 	m.view = v
 	m.viewTag = viewDigest(v)
+	m.epoch = appendUvarint(appendUvarint(m.epoch[:0], uint64(v.ID.Seq)), m.viewTag)
 	for _, a := range v.Members {
 		m.known[a] = true
 	}
 	m.cfg = layer.DefaultConfig(v)
+	newEngine := opt.NewStackEngine
 	if m.optimized {
-		eng, err := opt.NewEngine(m.names, m.cfg, m.mode)
-		if err != nil {
-			return err
-		}
-		for _, w := range m.pathWin {
-			w.ResetWindow() // a fresh view starts a fresh observation window
-		}
-		eng.Deliver = m.deliverApp
-		eng.Control = m.appEvent
-		// The engine emits bare wire images; add the epoch prefix here.
-		eng.SendWire = func(cast bool, dst int, wire []byte) {
-			m.pkt = append(m.epochPrefix(), wire...)
-			m.sendWire(cast, dst, m.pkt)
-		}
-		eng.OnRoute = m.obsRoute // re-wire observability onto the rebuilt engine
-		eng.Init(v)
-		m.eng = eng
-		m.stk = eng.Stack()
-	} else {
-		states, err := stack.BuildStates(m.names, m.cfg)
-		if err != nil {
-			return err
-		}
-		m.stk = stack.FromStates(states, m.mode, stack.Callbacks{App: m.appEvent, Net: m.netEvent})
-		// By the states' names, not m.names: a wrapper component (the
-		// benchmark's timing shims) is registered under another name
-		// than the layer whose headers it pushes.
-		layerNames := make([]string, len(states))
-		for i, st := range states {
-			layerNames[i] = st.Name()
-		}
-		m.wireIDs = transport.StackIDs(layerNames)
-		m.stk.SubmitDn(event.InitEv(v))
+		newEngine = opt.NewEngine
 	}
+	eng, err := newEngine(m.names, m.cfg, m.mode)
+	if err != nil {
+		return err
+	}
+	for _, w := range m.pathWin {
+		w.ResetWindow() // a fresh view starts a fresh observation window
+	}
+	eng.Deliver = m.deliverApp
+	eng.Control = m.appEvent
+	eng.SendWire = m.sendWire
+	eng.OnRoute = m.obsRoute // re-wire observability onto the rebuilt engine
+	eng.Init(v)
+	m.eng = eng
 	m.stats.Views++
 	if m.trk != nil {
 		m.trk.Record(m.sim.Now(), obs.KindViewInstall, obs.DirUp, 0, m.stats.Views)
@@ -596,17 +570,10 @@ func (m *Member) observeDeliver(origin int, cast bool) {
 	}
 }
 
-// appEvent handles events exiting the top of the stack.
+// appEvent handles the non-data events exiting the top of the stack
+// (the engine hands application deliveries to deliverApp).
 func (m *Member) appEvent(ev *event.Event) {
 	switch ev.Type {
-	case event.ECast:
-		if ev.ApplMsg {
-			m.deliverApp(ev.Peer, ev.Msg.Payload, true)
-		}
-	case event.ESend:
-		if ev.ApplMsg {
-			m.deliverApp(ev.Peer, ev.Msg.Payload, false)
-		}
 	case event.EView:
 		m.pendingView = ev.View
 	case event.ESuspect:
@@ -632,7 +599,7 @@ func (m *Member) appEvent(ev *event.Event) {
 // is reflected to its own sender at once, and that delivery belongs to
 // the view the application has just been told about.
 func (m *Member) rebuild(v *event.View) {
-	for _, st := range m.stk.States() {
+	for _, st := range m.eng.States() {
 		if d, ok := st.(layers.PendingDrainer); ok {
 			m.held = append(m.held, d.DrainPending()...)
 		}
@@ -678,49 +645,23 @@ func (m *Member) exit() {
 	}
 }
 
-// netEvent marshals events exiting the bottom of the stack and hands
-// them to the network.
-func (m *Member) netEvent(ev *event.Event) {
-	switch ev.Type {
-	case event.ECast, event.ESend:
-	default:
-		return // EInit and friends end here
-	}
-	if err := transport.Marshal(ev, m.view.Rank, &m.wbuf); err != nil {
-		panic(fmt.Sprintf("core: marshal: %v", err))
-	}
-	m.pkt = m.wbuf.AppendTo(m.epochPrefix())
-	m.sendWire(ev.Type == event.ECast, ev.Peer, m.pkt)
-}
-
-// epochPrefix tags a packet with the full view identity: the sequence
-// number plus a digest of the entire membership. Neither alone suffices
-// — a partitioned member installs its own next view with the same
-// sequence number as the survivors' next view, and one coordinator can
-// install *different* views with the same sequence number when a
-// regular view change races a partition merge. Only identical
-// membership means identical epoch.
-func (m *Member) epochPrefix() []byte {
-	pkt := appendUvarint(m.pkt[:0], uint64(m.view.ID.Seq))
-	return appendUvarint(pkt, m.viewTag)
-}
-
-// sendWire hands an epoch-prefixed wire image to the batcher, which
-// copies it during the call (pkt is the member's reused assembly
-// buffer). Data packets always travel framed — even a lone wire is a
-// one-sub frame — so the first byte of every batched transmission is
-// the frame magic and can never be confused with an epoch varint.
-// Merge control traffic (merge.go) bypasses this path and stays raw.
-func (m *Member) sendWire(cast bool, dst int, pkt []byte) {
+// sendWire is the engine's exit to the network: it hands a bare wire
+// image to the batcher behind the epoch prefix, and the batcher gathers
+// the two during the call. Data packets always travel framed — even a
+// lone wire is a one-sub frame — so the first byte of every batched
+// transmission is the frame magic and can never be confused with an
+// epoch varint. Merge control traffic (merge.go) bypasses this path and
+// stays raw.
+func (m *Member) sendWire(cast bool, dst int, wire []byte) {
 	m.stats.PacketsOut++
 	if m.trk != nil {
 		m.trk.Record(m.sim.Now(), obs.KindPktOut, obs.DirDn, 0, m.stats.PacketsOut)
 	}
 	if cast {
-		m.batch.Cast(pkt)
+		m.batch.Cast(m.epoch, wire)
 		return
 	}
-	m.batch.Send(m.view.Members[dst], pkt)
+	m.batch.Send(m.view.Members[dst], m.epoch, wire)
 }
 
 // receive decodes a packet and injects it at the bottom of the stack.
@@ -773,23 +714,10 @@ func (m *Member) receive(p netsim.Packet) {
 		m.stats.StrayPackets++
 		return
 	}
-	if m.eng != nil {
-		// The engine dispatches on the wire magic: compressed images hit
-		// the receive bypass, full images the stack.
-		m.eng.Packet(data[n:])
-		m.settle()
-		return
-	}
-	ev, err := transport.UnmarshalFor(data[n:], m.wireIDs)
-	if err != nil {
+	// The engine dispatches on the wire magic: compressed images hit the
+	// receive bypass, full images the stack.
+	if !m.eng.Packet(data[n:]) {
 		m.stats.StrayPackets++
-		return
 	}
-	if ev.Peer < 0 || ev.Peer >= m.view.N() {
-		m.stats.StrayPackets++
-		event.Free(ev)
-		return
-	}
-	m.stk.DeliverUp(ev)
 	m.settle()
 }

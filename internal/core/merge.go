@@ -204,11 +204,7 @@ func (m *Member) adopt(seq int64, members []event.Addr) {
 		Group:   m.view.Group,
 		Members: append([]event.Addr(nil), members...),
 	}
-	if m.eng != nil {
-		m.eng.Submit(ev)
-	} else {
-		m.stk.SubmitDn(ev)
-	}
+	m.eng.Submit(ev)
 	m.settle()
 }
 

@@ -56,7 +56,7 @@ func runUntilReunited(t *testing.T, g *ClusterGroup, want int, chunks int) {
 // debugVars dumps the membership and suspect IR state of a member.
 func debugVars(m *Member) map[string]any {
 	out := map[string]any{}
-	for _, st := range m.stk.States() {
+	for _, st := range m.eng.States() {
 		if st.Name() != "membership" && st.Name() != "suspect" {
 			continue
 		}

@@ -33,10 +33,13 @@ type HandEngine struct {
 
 	stk    stack.Stack
 	states []layer.State
-	top    *topState
-	p2p    *pt2ptState
-	mnak   *mnakState
-	bot    *bottomState
+	// wireIDs are the 4-layer stack's header codec ids: the shape a full
+	// wire image must have (transport.UnmarshalFor).
+	wireIDs []byte
+	top     *topState
+	p2p     *pt2ptState
+	mnak    *mnakState
+	bot     *bottomState
 
 	trustDn bool
 
@@ -85,13 +88,14 @@ func NewHandEngine(cfg layer.Config, mode stack.Mode) (*HandEngine, error) {
 		return nil, err
 	}
 	h := &HandEngine{
-		Rank:   cfg.View.Rank,
-		N:      cfg.View.N(),
-		states: states,
-		top:    states[0].(*topState),
-		p2p:    states[1].(*pt2ptState),
-		mnak:   states[2].(*mnakState),
-		bot:    states[3].(*bottomState),
+		Rank:    cfg.View.Rank,
+		N:       cfg.View.N(),
+		states:  states,
+		wireIDs: transport.StackIDs(Stack4()),
+		top:     states[0].(*topState),
+		p2p:     states[1].(*pt2ptState),
+		mnak:    states[2].(*mnakState),
+		bot:     states[3].(*bottomState),
 	}
 	h.stk = stack.FromStates(states, mode, stack.Callbacks{App: h.appEvent, Net: h.netEvent})
 	h.castImg = h.constImage(topHdr{}, p2pPass{})
@@ -198,36 +202,49 @@ func (h *HandEngine) Send(dst int, payload []byte) {
 	p.unacked.put(seq, img)
 }
 
-// Packet routes an arriving wire image. The hand engine runs in the
-// in-process harnesses, which recycle data once Packet returns, so the
-// events built from it are borrowed.
-func (h *HandEngine) Packet(data []byte) {
+// Packet routes an arriving wire image and reports whether it decoded,
+// as opt.Engine.Packet does: an image that did not — a full image of
+// another stack's shape, a hand image cut short, of an unknown kind or
+// from an origin outside the view — is dropped for the caller to count.
+// The hand engine runs in the in-process harnesses, which recycle data
+// once Packet returns, so the events built from it are borrowed.
+func (h *HandEngine) Packet(data []byte) bool {
 	if len(data) == 0 {
-		return
+		return false
 	}
 	if data[0] != handMagic {
-		ev, err := transport.Unmarshal(data)
+		ev, err := transport.UnmarshalFor(data, h.wireIDs)
 		if err != nil {
-			return
+			return false
+		}
+		if ev.Peer < 0 || ev.Peer >= h.N {
+			event.Free(ev)
+			return false
 		}
 		ev.Borrowed = true
 		h.Stats.UpFull++
 		h.stk.DeliverUp(ev)
-		return
+		return true
+	}
+	if len(data) < 3 {
+		return false
 	}
 	kind := data[1]
 	origin := int(data[2])
+	if (kind != handKindCast && kind != handKindSend) || origin >= h.N {
+		return false
+	}
 	rest := data[3:]
 	seq, n := binary.Varint(rest)
 	if n <= 0 {
-		return
+		return false
 	}
 	rest = rest[n:]
 	var ack int64
 	if kind == handKindSend {
 		ack, n = binary.Varint(rest)
 		if n <= 0 {
-			return
+			return false
 		}
 		rest = rest[n:]
 	}
@@ -245,11 +262,11 @@ func (h *HandEngine) Packet(data []byte) {
 			img := h.castImg
 			img.Payload = payload
 			h.mnak.logs[origin].put(seq, img)
-			return
+			return true
 		}
 		h.Stats.UpFull++
 		h.uncompressToStack(origin, payload, true, seq, 0)
-		return
+		return true
 	}
 	p := &h.p2p.peers[origin]
 	if h.bot.enabled && seq == p.recvNext && p.oooLen == 0 && p.pendingAcks+1 < h.p2p.ackThreshold {
@@ -258,10 +275,11 @@ func (h *HandEngine) Packet(data []byte) {
 		p.recvNext = seq + 1
 		p.pendingAcks++
 		h.deliverBypass(origin, payload, false)
-		return
+		return true
 	}
 	h.Stats.UpFull++
 	h.uncompressToStack(origin, payload, false, seq, ack)
+	return true
 }
 
 func (h *HandEngine) deliverBypass(origin int, payload []byte, cast bool) {

@@ -104,6 +104,56 @@ func TestHandEngineEquivalence(t *testing.T) {
 	}
 }
 
+// TestHandPacketDropsMalformed feeds the hand engine images no member
+// sends: each used to index past the image or past per-origin state, or
+// (an unknown kind) to be read as a send. Each is dropped, and the engine
+// still carries the next cast.
+func TestHandPacketDropsMalformed(t *testing.T) {
+	var fromRank9 []byte
+	stk, err := stack.Build(Stack4(), layer.DefaultConfig(testView(2, 0)), stack.Func, stack.Callbacks{Net: func(ev *event.Event) {
+		var w transport.Writer
+		if err := transport.Marshal(ev, 9, &w); err != nil {
+			t.Fatal(err)
+		}
+		fromRank9 = w.Bytes()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk.SubmitDn(event.CastEv([]byte("x")))
+	if fromRank9 == nil {
+		t.Fatal("the 4-layer stack sent nothing")
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"c1", []byte{0xc1}},
+		{"c100", []byte{0xc1, 0x00}},
+		{"c1000902", []byte{0xc1, 0x00, 0x09, 0x02}},
+		{"c1070102", []byte{0xc1, 0x07, 0x01, 0x02}},
+		{"full-image-from-rank-9", fromRank9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []string
+			h, err := NewHandEngine(layer.DefaultConfig(testView(2, 1)), stack.Func)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Deliver = func(origin int, payload []byte, cast bool) { got = append(got, string(payload)) }
+			if h.Packet(tc.data) {
+				t.Fatalf("% x decoded", tc.data)
+			}
+			if h.Stats.UpBypass+h.Stats.UpFull != 0 || len(got) != 0 {
+				t.Fatalf("% x reached the layers: stats %+v, delivered %q", tc.data, h.Stats, got)
+			}
+			if !h.Packet([]byte{0xc1, handKindCast, 0x00, 0x00, 'o', 'k'}) || len(got) != 1 || got[0] != "ok" {
+				t.Fatalf("after % x: delivered %q, want the next cast", tc.data, got)
+			}
+		})
+	}
+}
+
 // TestHandTrustAfterDeliver checks the skip-check optimization: after a
 // bypass delivery, the next send skips the common-case check and still
 // produces correct traffic on the common path.

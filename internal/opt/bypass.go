@@ -12,12 +12,13 @@ import (
 	"ensemble/internal/transport"
 )
 
-// Engine is the machine-optimized configuration (MACH in §4.2): a full
-// protocol stack plus the compiled bypasses generated from it. Every
-// application event and every arriving packet is routed by the run-time
-// CCP check — bypass when the common case holds, original stack
-// otherwise (Fig. 4). The bypass and the stack share layer state, so the
-// routing decision can differ event by event.
+// Engine is the stack runtime of Fig. 4: a full protocol stack, the
+// transport glue around it, and the compiled bypasses generated from it
+// (none for a plain member — NewStackEngine — which is IMP or FUNC in
+// §4.2; MACH is NewEngine). Every application event and every arriving
+// packet is routed by the run-time CCP check — bypass when the common
+// case holds, original stack otherwise. The bypass and the stack share
+// layer state, so the routing decision can differ event by event.
 type Engine struct {
 	Names []string
 	Rank  int
@@ -61,7 +62,10 @@ type Engine struct {
 
 	// MarkDnTransport and MarkUpStack are optional instrumentation hooks
 	// at the stack/transport boundary, used by the code-latency
-	// benchmarks to attribute time the way Table 1 does.
+	// benchmarks to attribute time the way Table 1 does: MarkDnTransport
+	// fires when an application message leaves the compiled path or the
+	// stack's net exit, before it is encoded; MarkUpStack once an
+	// arrival, compressed or full, has decoded.
 	MarkDnTransport func()
 	MarkUpStack     func()
 
@@ -74,12 +78,6 @@ type Engine struct {
 	// EngineStats. Undecodable packets route nowhere and are not
 	// reported.
 	OnRoute func(up bool, pid PathID)
-
-	// InlineEffects disables the deferral of non-critical work (§4,
-	// optimization 3): buffering runs before the send instead of after.
-	// Semantically identical; it exists as the ablation knob for
-	// measuring what the deferral buys.
-	InlineEffects bool
 
 	// ArrivalsBorrowed says the bytes handed to Packet are recycled once
 	// it returns (an in-process harness's pump), not arrival bytes nobody
@@ -283,31 +281,61 @@ type compiledUpPath struct {
 	hdrs []compiledHdr
 }
 
-// NewEngine builds the optimized configuration for one member: the
-// fallback stack (in the given execution model) and every bypass the
-// optimizer can derive for this stack. Derivation failures are not
-// errors: paths without a bypass simply always use the stack.
-func NewEngine(names []string, cfg layer.Config, mode stack.Mode) (*Engine, error) {
-	e := &Engine{
-		Names: names,
-		Rank:  cfg.View.Rank,
-		N:     cfg.View.N(),
-	}
+// NewStackEngine builds the plain configuration for one member (IMP or
+// FUNC in §4.2): the runtime NewEngine wraps its bypasses around — the
+// stack in the given execution model, marshaled at its net exit and
+// decoded and shape-checked on arrival — with no bypass derived, so
+// every event takes the stack.
+func NewStackEngine(names []string, cfg layer.Config, mode stack.Mode) (*Engine, error) {
 	states, err := stack.BuildStates(names, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.states = states
-	e.wireIDs = transport.StackIDs(names)
+	e := &Engine{
+		Names:  names,
+		Rank:   cfg.View.Rank,
+		N:      cfg.View.N(),
+		states: states,
+	}
+	// By the states' names, not the component names: a wrapper component
+	// (the benchmark's timing shims) is registered under another name
+	// than the layer whose headers it pushes.
+	layerNames := make([]string, len(states))
+	for i, st := range states {
+		layerNames[i] = st.Name()
+	}
+	e.wireIDs = transport.StackIDs(layerNames)
 	e.stk = stack.FromStates(states, mode, stack.Callbacks{App: e.appEvent, Net: e.netEvent})
+	return e, nil
+}
 
-	anyStates := make([]any, len(states))
-	for i, s := range states {
+// NewEngine builds the optimized configuration for one member: the
+// runtime of NewStackEngine plus every bypass the optimizer can derive
+// for this stack. Derivation failures are not errors: paths without a
+// bypass simply always use the stack.
+func NewEngine(names []string, cfg layer.Config, mode stack.Mode) (*Engine, error) {
+	e, err := NewStackEngine(names, cfg, mode)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.derive(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// derive composes, compiles and installs the engine's bypasses: the down
+// paths of this member, the up path of every wire signature any member
+// can send, and this member's control recognizers.
+func (e *Engine) derive() error {
+	names := e.Names
+	anyStates := make([]any, len(e.states))
+	for i, s := range e.states {
 		anyStates[i] = s
 	}
 	comp, err := newCompiler(names, anyStates, e.Rank)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Every rank's down theorems, composed once: this member's own are
@@ -344,7 +372,7 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode) (*Engine, erro
 			}
 			cp, err := e.compileUp(comp, upTh, sig)
 			if err != nil {
-				return nil, fmt.Errorf("opt: compiling up bypass: %w", err)
+				return fmt.Errorf("opt: compiling up bypass: %w", err)
 			}
 			cp.pid = PathUpSend
 			if cp.cast {
@@ -369,7 +397,7 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode) (*Engine, erro
 				}
 				cp, err := e.compileUp(comp, upTh, cs.sig)
 				if err != nil {
-					return nil, fmt.Errorf("opt: compiling control up bypass: %w", err)
+					return fmt.Errorf("opt: compiling control up bypass: %w", err)
 				}
 				cp.pid = cs.upPid
 				e.up = append(e.up, cp)
@@ -377,13 +405,13 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode) (*Engine, erro
 			if r == e.Rank {
 				m, err := newCtrlMatcher(cs)
 				if err != nil {
-					return nil, fmt.Errorf("opt: control recognizer: %w", err)
+					return fmt.Errorf("opt: control recognizer: %w", err)
 				}
 				e.ctrl = append(e.ctrl, m)
 			}
 		}
 	}
-	return e, nil
+	return nil
 }
 
 // compileTheorem compiles a composed down-path theorem; nil for none.
@@ -534,6 +562,9 @@ func (e *Engine) netEvent(ev *event.Event) {
 	case event.ECast, event.ESend:
 	default:
 		return
+	}
+	if ev.ApplMsg && e.MarkDnTransport != nil {
+		e.MarkDnTransport()
 	}
 	// Control recognition: match the exiting header stack against this
 	// member's control signatures of the event's kind and
@@ -724,14 +755,6 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 	} else if cp.self && e.Deliver != nil {
 		e.Deliver(e.Rank, payload, true)
 	}
-	if e.InlineEffects {
-		// Ablation: buffering on the critical path, as an unoptimized
-		// stack would do it.
-		for _, p := range pend {
-			p.run(p.ectx)
-		}
-		pend = pend[:0]
-	}
 	// Transport: the compressed image is the stack identifier plus only
 	// the varying header fields (§4.1.3), built in the frame's reused
 	// buffer — valid only during the SendWire callback.
@@ -774,16 +797,18 @@ func upEvent(cast bool, origin int, appl bool, payload []byte, borrowed bool) *e
 // rebuilt. No failure at all is the whole bypass (unless the theorem
 // itself stops short: a static split); failure at the bottom layer is
 // the generated uncompressor in front of the whole stack (§4.1.3).
-func (e *Engine) Packet(data []byte) {
+// Packet reports whether the arrival decoded: an image that did not is
+// dropped (EngineStats.Undecodable) for the caller to count.
+func (e *Engine) Packet(data []byte) bool {
 	if len(data) == 0 {
 		e.stats.Undecodable++
-		return
+		return false
 	}
 	if data[0] != transport.WireCompressed {
 		ev, err := transport.UnmarshalFor(data, e.wireIDs)
 		if err != nil {
 			e.stats.Undecodable++
-			return
+			return false
 		}
 		ev.Borrowed = e.ArrivalsBorrowed
 		// The claimed origin indexes per-member state throughout the
@@ -791,23 +816,26 @@ func (e *Engine) Packet(data []byte) {
 		if ev.Peer < 0 || ev.Peer >= e.N {
 			e.stats.Undecodable++
 			event.Free(ev)
-			return
+			return false
+		}
+		if e.MarkUpStack != nil {
+			e.MarkUpStack()
 		}
 		e.stats.UpFull++
 		e.stats.PathHits[PathFullStack]++
 		e.route(true, PathFullStack)
 		e.stk.DeliverUp(ev)
-		return
+		return true
 	}
 	if len(data) < 3 {
 		e.stats.Undecodable++
-		return
+		return false
 	}
 	id := uint16(data[1]) | uint16(data[2])<<8
 	cp := e.upPath(id)
 	if cp == nil {
 		e.stats.Undecodable++
-		return
+		return false
 	}
 	rest := data[3:]
 	sender, n := binary.Uvarint(rest)
@@ -815,7 +843,7 @@ func (e *Engine) Packet(data []byte) {
 		// A sender rank outside the view would index per-member state
 		// out of range inside the compiled common-case predicate.
 		e.stats.Undecodable++
-		return
+		return false
 	}
 	rest = rest[n:]
 	s := e.takeScratch()
@@ -830,7 +858,7 @@ func (e *Engine) Packet(data []byte) {
 		if n <= 0 {
 			e.stats.Undecodable++
 			e.putScratch(s)
-			return
+			return false
 		}
 		ctx.vary[i] = v
 		rest = rest[n:]
@@ -863,7 +891,7 @@ func (e *Engine) Packet(data []byte) {
 		}
 		e.runEffects(s)
 		e.putScratch(s)
-		return
+		return true
 	}
 	pid := PathUpHandoff
 	if below > 0 {
@@ -891,6 +919,7 @@ func (e *Engine) Packet(data []byte) {
 	e.runEffects(s)
 	e.putScratch(s)
 	e.stk.UpAt(len(e.Names)-1-below, ev)
+	return true
 }
 
 // runUp runs the compiled code of an up path's bottom-most layers, up

@@ -271,9 +271,11 @@ type Batcher struct {
 	// prev holds a copy of the last wire appended to the newest frame —
 	// the base for shared-prefix encoding. One buffer suffices because
 	// only the newest frame is ever appendable; tail() reseeds it when a
-	// fresh frame starts.
-	prev  []byte
-	stats BatcherStats
+	// fresh frame starts. next is where append gathers the incoming
+	// wire's segments; the two swap once it is encoded, so gathering is
+	// the only copy the base costs.
+	prev, next []byte
+	stats      BatcherStats
 }
 
 // NewBatcher builds a batcher for the member at from, flushing frames
@@ -340,13 +342,15 @@ func (b *Batcher) PendingSubs() int {
 	return n
 }
 
-// Send appends a point-to-point wire image headed to peer to. The data
-// is copied during the call; the caller may reuse its buffer.
-func (b *Batcher) Send(to event.Addr, wire []byte) { b.append(false, to, wire) }
+// Send appends a point-to-point wire image headed to peer to, given as
+// segments that are gathered in order (a member's epoch prefix and the
+// engine's image). The data is copied during the call; the caller may
+// reuse its buffers.
+func (b *Batcher) Send(to event.Addr, wire ...[]byte) { b.append(false, to, wire) }
 
-// Cast appends a multicast wire image. The data is copied during the
-// call.
-func (b *Batcher) Cast(wire []byte) { b.append(true, 0, wire) }
+// Cast appends a multicast wire image, gathered from its segments like
+// Send's. The data is copied during the call.
+func (b *Batcher) Cast(wire ...[]byte) { b.append(true, 0, wire) }
 
 // append encodes wire into the tail frame: field-delta-encoded when both
 // it and the previous sub parse as compressed images and the seqno delta
@@ -356,7 +360,11 @@ func (b *Batcher) Cast(wire []byte) { b.append(true, 0, wire) }
 // last resort. Either way the wire becomes the next delta base (an
 // unparseable wire clears the field base, so a following delta sub can
 // never refer past an opaque one) and the next prefix base.
-func (b *Batcher) append(cast bool, to event.Addr, wire []byte) {
+func (b *Batcher) append(cast bool, to event.Addr, segs [][]byte) {
+	wire := b.next[:0]
+	for _, s := range segs {
+		wire = append(wire, s...)
+	}
 	b.stats.SubPackets++
 	b.stats.ClassicBytes += int64(1 + uvarintLen(uint64(len(wire))) + len(wire))
 	f := b.tail(cast, to, 1+binary.MaxVarintLen32+len(wire))
@@ -414,7 +422,7 @@ func (b *Batcher) append(cast bool, to event.Addr, wire []byte) {
 		b.stats.XFirstDelta++
 	}
 	f.base = cur
-	b.prev = append(b.prev[:0], wire...)
+	b.prev, b.next = wire, b.prev
 	if len(f.buf) >= b.maxBytes {
 		b.FlushFor(FlushSize)
 	}
