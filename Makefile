@@ -3,7 +3,7 @@
 GO ?= go
 # BENCH_OUT is where bench-gate records the parsed benchmark trajectory;
 # override it to keep a run without clobbering the checked-in record.
-BENCH_OUT ?= BENCH_PR25.json
+BENCH_OUT ?= BENCH_PR26.json
 
 .PHONY: all build test race verify examples bench bench-throughput bench-gate benchmark-module multiproc flight fuzz pooldebug clean
 
@@ -114,16 +114,19 @@ multiproc:
 
 # A short fuzzing smoke pass over the stateful wire-format decoders:
 # the cross-frame walker under adversarial frames (seeded and cold
-# mirrors) and the encode/decode round trip; and over retention: the
+# mirrors) and the encode/decode round trip; over retention: the
 # message log against a map model, and the image decoder under arbitrary
-# bytes. The checked-in seed corpora under internal/transport/testdata/fuzz/
-# and the f.Add seeds run as regular tests in every `make test`; this
-# target additionally mutates for a few seconds per target.
+# bytes; and over admission: a full image checked against the 10-layer
+# and vsync stacks' wire contracts, and re-marshaled when admitted. The
+# checked-in seed corpora under internal/transport/testdata/fuzz/ and
+# the f.Add seeds run as regular tests in every `make test`; this target
+# additionally mutates for a few seconds per target.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzXFrameWalkLink -fuzztime 10s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzXFrameRoundTrip -fuzztime 10s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzMsgLog -fuzztime 10s ./internal/layers/
 	$(GO) test -run xxx -fuzz FuzzFromImage -fuzztime 10s ./internal/layers/
+	$(GO) test -run xxx -fuzz FuzzUnmarshalFor -fuzztime 10s ./internal/layers/
 
 # A flight recording of the standard 8-member MACH workload (members as
 # they ship), exported as Chrome trace_event JSON — open flight.trace.json

@@ -129,8 +129,9 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 			}
 			// This stack's own cast, whole, but typed as a send: its
 			// headers are variants a send never carries, which the layers
-			// used to assert on. The first layer to meet one drops the
-			// message; nothing is delivered and nothing moves.
+			// used to assert on. Their contracts reject the image at
+			// decode, so it is stray; nothing is delivered and nothing
+			// moves.
 			data := appendUvarint(append([]byte(nil), epoch...), m.viewTag)
 			castLeaving(t, layers.Stack10(), func(ev *event.Event) {
 				ev.Type = event.ESend
@@ -138,6 +139,10 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 			})
 			delivered := m.Stats()
 			m.receive(netsim.Packet{From: 2, To: 1, Data: data})
+			n++
+			if got := m.Stats().StrayPackets; got != before+n {
+				t.Fatalf("cast-typed-send: StrayPackets = %d, want %d", got, before+n)
+			}
 			if now := m.Stats(); now.CastsDelivered != delivered.CastsDelivered || now.SendsDelivered != delivered.SendsDelivered {
 				t.Fatalf("cast-typed-send: delivered: %+v, was %+v", now, delivered)
 			}

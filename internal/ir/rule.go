@@ -161,11 +161,17 @@ type LayerIR struct {
 
 // HdrSpec describes one header variant of a layer: its discriminant tag
 // (the value of the pseudo-field "tag"), its field names in wire order,
-// and the bridges to the executable header values.
+// its wire contract, and the bridges to the executable header values.
 type HdrSpec struct {
 	Variant string
 	Tag     int64
 	Fields  []string
+	// On lists the event kinds the variant rides, and Fate says what its
+	// layer does with it on arrival: the wire contract that
+	// transport.UnmarshalFor holds every decoded header to, so a handler
+	// never meets a variant its peers do not send it.
+	On   []event.Type
+	Fate Fate
 	// Make builds the executable header from field values (in Fields
 	// order). The slice is caller-owned scratch: Make must not retain it.
 	Make func(fields []int64) event.Header
@@ -174,6 +180,21 @@ type HdrSpec struct {
 	// reports false (and dst unchanged) for other variants.
 	Read func(h event.Header, dst []int64) ([]int64, bool)
 }
+
+// Fate is what a layer does with an arriving header variant. The zero
+// value declares nothing, which a codec refuses.
+type Fate uint8
+
+const (
+	// PassedUp: the layer pops the header and passes the event up.
+	PassedUp Fate = iota + 1
+	// PassedUpAsCast: the layer passes the event up re-typed as a cast
+	// (a retransmitted cast carried point-to-point).
+	PassedUpAsCast
+	// Consumed: the layer absorbs the event, so no header rides above
+	// this one.
+	Consumed
+)
 
 // VarSpec binds one IR state variable to a live layer state. Exactly one
 // of the scalar pair and the array pair is set.

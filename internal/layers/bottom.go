@@ -26,16 +26,13 @@ func (bottomHdr) Layer() string     { return Bottom }
 func (bottomHdr) WireID() byte      { return idBottom }
 func (bottomHdr) HdrString() string { return "bottom:Full_nohdr" }
 
+var bottomHdrs = noHdrSpec[bottomHdr]()
+
 func init() {
 	layer.Register(Bottom, func(cfg layer.Config) layer.State {
 		return &bottomState{view: cfg.View, enabled: true}
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer:  Bottom,
-		ID:     idBottom,
-		Encode: func(event.Header, *transport.Writer) {},
-		Decode: func(*transport.Reader) (event.Header, error) { return bottomHdr{}, nil },
-	})
+	transport.RegisterCodec(transport.SpecCodec(Bottom, idBottom, bottomHdrs))
 }
 
 func (s *bottomState) Name() string { return Bottom }

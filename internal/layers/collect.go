@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ensemble/internal/event"
+	"ensemble/internal/ir"
 	"ensemble/internal/layer"
 	"ensemble/internal/transport"
 )
@@ -65,6 +66,16 @@ const (
 	collectTagGossip
 )
 
+var collectHdrs = []ir.HdrSpec{
+	bareHdr[collectPass]("Pass", collectTagPass, onData, ir.PassedUp),
+	// Gossip vectors are not expressible as fixed int fields; gossip is
+	// never a bypass path, so Make is never invoked.
+	{Variant: "Gossip", Tag: int64(collectTagGossip),
+		On: onCast, Fate: ir.Consumed,
+		Make: func([]int64) event.Header { panic("collect: gossip headers are not IR-constructible") },
+		Read: readAs(func(_ collectGossip, dst []int64) []int64 { return dst })},
+}
+
 func init() {
 	layer.Register(Collect, func(cfg layer.Config) layer.State {
 		n := cfg.View.N()
@@ -81,43 +92,41 @@ func init() {
 		}
 		return s
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer: Collect,
-		ID:    idCollect,
-		Encode: func(h event.Header, w *transport.Writer) {
-			switch h := h.(type) {
-			case collectPass:
-				w.Byte(collectTagPass)
-			case collectGossip:
-				w.Byte(collectTagGossip)
-				w.Uvarint(uint64(len(h.Vector)))
-				for _, v := range h.Vector {
-					w.Varint(v)
-				}
-			default:
-				panic(fmt.Sprintf("collect: unknown header %T", h))
+	// The gossip vector is a list, so the codec is written out.
+	c := transport.SpecCodec(Collect, idCollect, collectHdrs)
+	c.Encode = func(h event.Header, w *transport.Writer) {
+		switch h := h.(type) {
+		case collectPass:
+			w.Byte(collectTagPass)
+		case collectGossip:
+			w.Byte(collectTagGossip)
+			w.Uvarint(uint64(len(h.Vector)))
+			for _, v := range h.Vector {
+				w.Varint(v)
 			}
-		},
-		Decode: func(r *transport.Reader) (event.Header, error) {
-			switch tag := r.Byte(); tag {
-			case collectTagPass:
-				return collectPass{}, nil
-			case collectTagGossip:
-				n := r.Uvarint()
-				if n > 1<<16 {
-					return nil, transport.ErrBadWire("collect vector length %d", n)
-				}
-				vec := make([]int64, n)
-				for i := range vec {
-					vec[i] = r.Varint()
-				}
-				return collectGossip{Vector: vec}, nil
-			default:
-				return nil, transport.ErrBadWire("collect tag %d", tag)
+		default:
+			panic(fmt.Sprintf("collect: unknown header %T", h))
+		}
+	}
+	c.Decode = func(r *transport.Reader) (event.Header, error) {
+		switch tag := r.Byte(); tag {
+		case collectTagPass:
+			return collectPass{}, nil
+		case collectTagGossip:
+			n := r.Uvarint()
+			if n > 1<<16 {
+				return nil, transport.ErrBadWire("collect vector length %d", n)
 			}
-		},
-		Ends: func(h event.Header) bool { _, gossip := h.(collectGossip); return gossip },
-	})
+			vec := make([]int64, n)
+			for i := range vec {
+				vec[i] = r.Varint()
+			}
+			return collectGossip{Vector: vec}, nil
+		default:
+			return nil, transport.ErrBadWire("collect tag %d", tag)
+		}
+	}
+	transport.RegisterCodec(c)
 }
 
 func (s *collectState) Name() string { return Collect }
@@ -143,15 +152,9 @@ func (s *collectState) HandleUp(ev *event.Event, snk layer.Sink) {
 				s.update(ev.Peer, h.Vector, snk)
 			}
 			event.Free(ev)
-		default:
-			panic(fmt.Sprintf("collect: unexpected up cast header %T", h))
 		}
 	case event.ESend:
-		h := ev.Msg.Pop()
-		if _, pass := h.(collectPass); !pass {
-			dropBad(h, ev)
-			return
-		}
+		ev.Msg.Pop()
 		snk.PassUp(ev)
 	case event.EAck:
 		// Fresh local acknowledgment vector from the reliability layer.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ensemble/internal/event"
+	"ensemble/internal/ir"
 	"ensemble/internal/layer"
 	"ensemble/internal/transport"
 )
@@ -64,6 +65,14 @@ const (
 	fragTagFrag
 )
 
+var fragHdrs = []ir.HdrSpec{
+	bareHdr[fragSolo]("Solo", fragTagSolo, onData, ir.PassedUp),
+	{Variant: "Frag", Tag: int64(fragTagFrag), Fields: []string{"idx", "of"},
+		On: onData, Fate: ir.PassedUp,
+		Make: func(f []int64) event.Header { return fragFrag{Idx: uint32(f[0]), Of: uint32(f[1])} },
+		Read: readAs(func(g fragFrag, dst []int64) []int64 { return append(dst, int64(g.Idx), int64(g.Of)) })},
+}
+
 func init() {
 	layer.Register(Frag, func(cfg layer.Config) layer.State {
 		n := cfg.View.N()
@@ -74,32 +83,31 @@ func init() {
 			sends:   make([]fragAsm, n),
 		}
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer: Frag,
-		ID:    idFrag,
-		Encode: func(h event.Header, w *transport.Writer) {
-			switch h := h.(type) {
-			case fragSolo:
-				w.Byte(fragTagSolo)
-			case fragFrag:
-				w.Byte(fragTagFrag)
-				w.Uvarint(uint64(h.Idx))
-				w.Uvarint(uint64(h.Of))
-			default:
-				panic(fmt.Sprintf("frag: unknown header %T", h))
-			}
-		},
-		Decode: func(r *transport.Reader) (event.Header, error) {
-			switch tag := r.Byte(); tag {
-			case fragTagSolo:
-				return fragSolo{}, nil
-			case fragTagFrag:
-				return fragFrag{Idx: uint32(r.Uvarint()), Of: uint32(r.Uvarint())}, nil
-			default:
-				return nil, transport.ErrBadWire("frag tag %d", tag)
-			}
-		},
-	})
+	// Fragment numbers are unsigned varints, so the codec is written out.
+	c := transport.SpecCodec(Frag, idFrag, fragHdrs)
+	c.Encode = func(h event.Header, w *transport.Writer) {
+		switch h := h.(type) {
+		case fragSolo:
+			w.Byte(fragTagSolo)
+		case fragFrag:
+			w.Byte(fragTagFrag)
+			w.Uvarint(uint64(h.Idx))
+			w.Uvarint(uint64(h.Of))
+		default:
+			panic(fmt.Sprintf("frag: unknown header %T", h))
+		}
+	}
+	c.Decode = func(r *transport.Reader) (event.Header, error) {
+		switch tag := r.Byte(); tag {
+		case fragTagSolo:
+			return fragSolo{}, nil
+		case fragTagFrag:
+			return fragFrag{Idx: uint32(r.Uvarint()), Of: uint32(r.Uvarint())}, nil
+		default:
+			return nil, transport.ErrBadWire("frag tag %d", tag)
+		}
+	}
+	transport.RegisterCodec(c)
 }
 
 func (s *fragState) Name() string { return Frag }

@@ -1,9 +1,6 @@
 package layers
 
-import (
-	"ensemble/internal/event"
-	"ensemble/internal/ir"
-)
+import "ensemble/internal/ir"
 
 // IR definitions for the flow-control and fragmentation layers.
 
@@ -80,35 +77,7 @@ func pt2ptwDef() ir.LayerDef {
 				{Guard: ir.True, Actions: []ir.Action{ir.Fallback{Reason: "unexpected cast header"}}},
 			},
 		}},
-		Hdrs: []ir.HdrSpec{
-			{
-				Variant: "Data", Tag: int64(p2pwTagData),
-				Make: func([]int64) event.Header { return p2pwData{} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					_, ok := h.(p2pwData)
-					return dst, ok
-				},
-			},
-			{
-				Variant: "Ack", Tag: int64(p2pwTagAck), Fields: []string{"count"},
-				Make: func(f []int64) event.Header { return p2pwAck{Count: f[0]} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					a, ok := h.(p2pwAck)
-					if !ok {
-						return dst, false
-					}
-					return append(dst, a.Count), true
-				},
-			},
-			{
-				Variant: "Pass", Tag: int64(p2pwTagPass),
-				Make: func([]int64) event.Header { return p2pwPass{} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					_, ok := h.(p2pwPass)
-					return dst, ok
-				},
-			},
-		},
+		Hdrs: pt2ptwHdrs,
 		CCP: map[ir.PathKey]ir.Expr{
 			ir.DnSend: dnCCP,
 			ir.DnCast: ir.True,
@@ -179,35 +148,7 @@ func mflowDef() ir.LayerDef {
 				{Guard: ir.True, Actions: []ir.Action{ir.Fallback{Reason: "credit message"}}},
 			},
 		}},
-		Hdrs: []ir.HdrSpec{
-			{
-				Variant: "Data", Tag: int64(mflowTagData),
-				Make: func([]int64) event.Header { return mflowData{} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					_, ok := h.(mflowData)
-					return dst, ok
-				},
-			},
-			{
-				Variant: "Credit", Tag: int64(mflowTagCredit), Fields: []string{"bytes"},
-				Make: func(f []int64) event.Header { return mflowCredit{Bytes: f[0]} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					c, ok := h.(mflowCredit)
-					if !ok {
-						return dst, false
-					}
-					return append(dst, c.Bytes), true
-				},
-			},
-			{
-				Variant: "Pass", Tag: int64(mflowTagPass),
-				Make: func([]int64) event.Header { return mflowPass{} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					_, ok := h.(mflowPass)
-					return dst, ok
-				},
-			},
-		},
+		Hdrs: mflowHdrs,
 		CCP: map[ir.PathKey]ir.Expr{
 			ir.DnCast: dnCCP,
 			ir.DnSend: ir.True,
@@ -255,27 +196,7 @@ func fragDef() ir.LayerDef {
 			ir.UpCast: upRules("cast_expect"),
 			ir.UpSend: upRules("send_expect"),
 		}},
-		Hdrs: []ir.HdrSpec{
-			{
-				Variant: "Solo", Tag: int64(fragTagSolo),
-				Make: func([]int64) event.Header { return fragSolo{} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					_, ok := h.(fragSolo)
-					return dst, ok
-				},
-			},
-			{
-				Variant: "Frag", Tag: int64(fragTagFrag), Fields: []string{"idx", "of"},
-				Make: func(f []int64) event.Header { return fragFrag{Idx: uint32(f[0]), Of: uint32(f[1])} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					g, ok := h.(fragFrag)
-					if !ok {
-						return dst, false
-					}
-					return append(dst, int64(g.Idx), int64(g.Of)), true
-				},
-			},
-		},
+		Hdrs: fragHdrs,
 		CCP: map[ir.PathKey]ir.Expr{
 			ir.DnCast: dnCCP,
 			ir.DnSend: dnCCP,

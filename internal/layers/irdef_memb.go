@@ -1,9 +1,6 @@
 package layers
 
-import (
-	"ensemble/internal/event"
-	"ensemble/internal/ir"
-)
+import "ensemble/internal/ir"
 
 // IR definitions for the membership machinery's data paths. Both layers
 // are pass-throughs for application traffic in the common case — no
@@ -21,23 +18,6 @@ func (s *membershipState) IRVars() []ir.VarSpec {
 		scalarRO("flushing", func() int64 { return b2i(s.flushing) }),
 		scalarRO("proposed_seq", func() int64 { return s.proposedSeq }),
 		arrayRO("excluded", func(i int64) int64 { return b2i(s.excluded(int(i))) }),
-	}
-}
-
-// membCtrl is the spec of a control variant: recognized (so ReadHdr can
-// classify it for fallback dispatch, and a probe for another variant
-// misses without allocating) but never IR-constructed.
-func membCtrl[H event.Header](variant string, tag byte, fields []string, read func(H, []int64) []int64) ir.HdrSpec {
-	return ir.HdrSpec{
-		Variant: variant, Tag: int64(tag), Fields: fields,
-		Make: func([]int64) event.Header { panic("membership: control headers are not IR-constructible") },
-		Read: func(h event.Header, dst []int64) ([]int64, bool) {
-			v, ok := h.(H)
-			if !ok {
-				return dst, false
-			}
-			return read(v, dst), true
-		},
 	}
 }
 
@@ -59,24 +39,7 @@ func membershipDef() ir.LayerDef {
 		IR: ir.LayerIR{Layer: Membership, Paths: map[ir.PathKey][]ir.Rule{
 			ir.DnCast: dn, ir.DnSend: dn, ir.UpCast: up, ir.UpSend: up,
 		}},
-		Hdrs: []ir.HdrSpec{
-			{
-				Variant: "Pass", Tag: int64(membTagPass),
-				Make: func([]int64) event.Header { return membPass{} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					_, ok := h.(membPass)
-					return dst, ok
-				},
-			},
-			membCtrl("View", membTagView, []string{"view_seq"},
-				func(v membView, dst []int64) []int64 { return append(dst, v.ViewSeq) }),
-			membCtrl("Leave", membTagLeave, []string{"rank"},
-				func(l membLeave, dst []int64) []int64 { return append(dst, int64(l.Rank)) }),
-			membCtrl("FlushAgg", membTagFlushAgg, []string{"view_seq", "round"},
-				func(a membFlushAgg, dst []int64) []int64 { return append(dst, a.ViewSeq, a.Round) }),
-			membCtrl("FlushTree", membTagFlushTree, []string{"view_seq", "round"},
-				func(f membFlushTree, dst []int64) []int64 { return append(dst, f.ViewSeq, f.Round) }),
-		},
+		Hdrs: membHdrs,
 		CCP: map[ir.PathKey]ir.Expr{
 			ir.DnCast: notBlocked,
 			ir.DnSend: notBlocked,
@@ -141,24 +104,7 @@ func suspectDef() ir.LayerDef {
 		IR: ir.LayerIR{Layer: Suspect, Paths: map[ir.PathKey][]ir.Rule{
 			ir.DnCast: dn, ir.DnSend: dn, ir.UpCast: up, ir.UpSend: up,
 		}},
-		Hdrs: []ir.HdrSpec{
-			{
-				Variant: "Pass", Tag: int64(suspectTagPass),
-				Make: func([]int64) event.Header { return suspectPass{} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					_, ok := h.(suspectPass)
-					return dst, ok
-				},
-			},
-			{
-				Variant: "Ping", Tag: int64(suspectTagPing),
-				Make: func([]int64) event.Header { return suspectPing{} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					_, ok := h.(suspectPing)
-					return dst, ok
-				},
-			},
-		},
+		Hdrs: suspectHdrs,
 		CCP: map[ir.PathKey]ir.Expr{
 			ir.DnCast: ir.True,
 			ir.DnSend: ir.True,

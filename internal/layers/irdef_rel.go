@@ -1,9 +1,6 @@
 package layers
 
-import (
-	"ensemble/internal/event"
-	"ensemble/internal/ir"
-)
+import "ensemble/internal/ir"
 
 // IR definitions for the reliability layers (mnak, pt2pt). Their common
 // cases are the paper's canonical CCP example (§4.1): the event carries
@@ -81,49 +78,7 @@ func mnakDef() ir.LayerDef {
 			ir.UpCast: upCast,
 			ir.UpSend: upSend,
 		}},
-		Hdrs: []ir.HdrSpec{
-			{
-				Variant: "Data", Tag: int64(mnakTagData), Fields: []string{"seqno"},
-				Make: func(f []int64) event.Header { return newMnakData(f[0]) },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					d, ok := h.(*mnakData)
-					if !ok {
-						return dst, false
-					}
-					return append(dst, d.Seqno), true
-				},
-			},
-			{
-				Variant: "Pass", Tag: int64(mnakTagPass),
-				Make: func([]int64) event.Header { return mnakPass{} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					_, ok := h.(mnakPass)
-					return dst, ok
-				},
-			},
-			{
-				Variant: "Nak", Tag: int64(mnakTagNak), Fields: []string{"origin", "lo", "hi"},
-				Make: func(f []int64) event.Header { return mnakNak{Origin: int32(f[0]), Lo: f[1], Hi: f[2]} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					n, ok := h.(mnakNak)
-					if !ok {
-						return dst, false
-					}
-					return append(dst, int64(n.Origin), n.Lo, n.Hi), true
-				},
-			},
-			{
-				Variant: "Retrans", Tag: int64(mnakTagRetrans), Fields: []string{"origin", "seqno"},
-				Make: func(f []int64) event.Header { return mnakRetrans{Origin: int32(f[0]), Seqno: f[1]} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					r, ok := h.(mnakRetrans)
-					if !ok {
-						return dst, false
-					}
-					return append(dst, int64(r.Origin), r.Seqno), true
-				},
-			},
-		},
+		Hdrs: mnakHdrs,
 		CCP: map[ir.PathKey]ir.Expr{
 			ir.DnCast: ir.True,
 			ir.DnSend: ir.True,
@@ -246,49 +201,7 @@ func pt2ptDef() ir.LayerDef {
 				{Guard: ir.True, Actions: []ir.Action{ir.Fallback{Reason: "unexpected cast header"}}},
 			},
 		}},
-		Hdrs: []ir.HdrSpec{
-			{
-				Variant: "Data", Tag: int64(p2pTagData), Fields: []string{"seqno", "ack"},
-				Make: func(f []int64) event.Header { return newP2pData(f[0], f[1]) },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					d, ok := h.(*p2pData)
-					if !ok {
-						return dst, false
-					}
-					return append(dst, d.Seqno, d.Ack), true
-				},
-			},
-			{
-				Variant: "Retrans", Tag: int64(p2pTagRetrans), Fields: []string{"seqno", "ack"},
-				Make: func(f []int64) event.Header { return p2pRetrans{Seqno: f[0], Ack: f[1]} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					d, ok := h.(p2pRetrans)
-					if !ok {
-						return dst, false
-					}
-					return append(dst, d.Seqno, d.Ack), true
-				},
-			},
-			{
-				Variant: "Ack", Tag: int64(p2pTagAck), Fields: []string{"ack"},
-				Make: func(f []int64) event.Header { return p2pAck{Ack: f[0]} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					a, ok := h.(p2pAck)
-					if !ok {
-						return dst, false
-					}
-					return append(dst, a.Ack), true
-				},
-			},
-			{
-				Variant: "Pass", Tag: int64(p2pTagPass),
-				Make: func([]int64) event.Header { return p2pPass{} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					_, ok := h.(p2pPass)
-					return dst, ok
-				},
-			},
-		},
+		Hdrs: pt2ptHdrs,
 		CCP: map[ir.PathKey]ir.Expr{
 			ir.DnSend: ir.True,
 			ir.DnCast: ir.True,

@@ -1,9 +1,6 @@
 package layers
 
-import (
-	"ensemble/internal/event"
-	"ensemble/internal/ir"
-)
+import "ensemble/internal/ir"
 
 // IR definition of the sequencer-based total ordering layer. ev.rank is
 // a per-view constant, so partial evaluation specializes each member's
@@ -78,40 +75,7 @@ func totalDef() ir.LayerDef {
 				{Guard: ir.True, Actions: []ir.Action{ir.Fallback{Reason: "unexpected send header"}}},
 			},
 		}},
-		Hdrs: []ir.HdrSpec{
-			{
-				Variant: "Data", Tag: int64(totalTagData), Fields: []string{"lseq", "gseq"},
-				Make: func(f []int64) event.Header { return newTotalData(f[0], f[1]) },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					d, ok := h.(*totalData)
-					if !ok {
-						return dst, false
-					}
-					return append(dst, d.LocalSeq, d.GSeq), true
-				},
-			},
-			{
-				Variant: "Order", Tag: int64(totalTagOrder), Fields: []string{"origin", "lseq", "gseq"},
-				Make: func(f []int64) event.Header {
-					return totalOrder{Origin: int32(f[0]), LocalSeq: f[1], GSeq: f[2]}
-				},
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					o, ok := h.(totalOrder)
-					if !ok {
-						return dst, false
-					}
-					return append(dst, int64(o.Origin), o.LocalSeq, o.GSeq), true
-				},
-			},
-			{
-				Variant: "Pass", Tag: int64(totalTagPass),
-				Make: func([]int64) event.Header { return totalPass{} },
-				Read: func(h event.Header, dst []int64) ([]int64, bool) {
-					_, ok := h.(totalPass)
-					return dst, ok
-				},
-			},
-		},
+		Hdrs: totalHdrs,
 		CCP: map[ir.PathKey]ir.Expr{
 			// Rule selection is decided by the member's rank (a view
 			// constant) once the no-flush-in-progress predicate holds.

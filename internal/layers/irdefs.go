@@ -6,10 +6,11 @@ import (
 )
 
 // This file and its siblings (irdef_*.go) give each component's IR
-// definition: the data-path rules, header variant specs, and the Common
-// Case Predicates the layer's author specifies (paper §4.1.2, the
-// "static level" performed under the guidance of the programmer who
-// developed the layer). The IRVars/IREffects methods on the state
+// definition: the data-path rules and the Common Case Predicates the
+// layer's author specifies (paper §4.1.2, the "static level" performed
+// under the guidance of the programmer who developed the layer), over
+// the header variant specs declared beside each layer's header types
+// (bottomHdrs, mnakHdrs, ...). The IRVars/IREffects methods on the state
 // structs bind the IR's variables to live states so that the compiled
 // bypass shares state with the running stack.
 
@@ -51,18 +52,8 @@ func b2i(b bool) int64 {
 
 // noHdrSpec is the single-variant header spec shared by the layers that
 // only delimit the stack (bottom, local, top, partial_appl).
-func noHdrSpec(mk func() event.Header, is func(event.Header) bool) []ir.HdrSpec {
-	return []ir.HdrSpec{{
-		Variant: "NoHdr",
-		Tag:     0,
-		Make:    func([]int64) event.Header { return mk() },
-		Read: func(h event.Header, dst []int64) ([]int64, bool) {
-			if is(h) {
-				return dst, true
-			}
-			return dst, false
-		},
-	}}
+func noHdrSpec[H event.Header]() []ir.HdrSpec {
+	return []ir.HdrSpec{bareHdr[H]("NoHdr", 0, onData, ir.PassedUp)}
 }
 
 // linearPush is the rule list "always push my (empty) header".
@@ -113,9 +104,7 @@ func bottomDef() ir.LayerDef {
 		IR: ir.LayerIR{Layer: Bottom, Paths: map[ir.PathKey][]ir.Rule{
 			ir.DnCast: dn, ir.DnSend: dn, ir.UpCast: up, ir.UpSend: up,
 		}},
-		Hdrs: noHdrSpec(
-			func() event.Header { return bottomHdr{} },
-			func(h event.Header) bool { _, ok := h.(bottomHdr); return ok }),
+		Hdrs: bottomHdrs,
 		CCP: map[ir.PathKey]ir.Expr{
 			ir.DnCast: enabled, ir.DnSend: enabled, ir.UpCast: enabled, ir.UpSend: enabled,
 		},
@@ -141,10 +130,8 @@ func localDef() ir.LayerDef {
 			ir.UpCast: linearPop(),
 			ir.UpSend: linearPop(),
 		}},
-		Hdrs: noHdrSpec(
-			func() event.Header { return localHdr{} },
-			func(h event.Header) bool { _, ok := h.(localHdr); return ok }),
-		CCP: alwaysTrueCCP(),
+		Hdrs: localHdrs,
+		CCP:  alwaysTrueCCP(),
 	}
 }
 
@@ -162,10 +149,8 @@ func topDef() ir.LayerDef {
 			ir.UpCast: linearPop(),
 			ir.UpSend: linearPop(),
 		}},
-		Hdrs: noHdrSpec(
-			func() event.Header { return topHdr{} },
-			func(h event.Header) bool { _, ok := h.(topHdr); return ok }),
-		CCP: alwaysTrueCCP(),
+		Hdrs: topHdrs,
+		CCP:  alwaysTrueCCP(),
 	}
 }
 
@@ -197,10 +182,8 @@ func partialApplDef() ir.LayerDef {
 			ir.UpSend: linearPop(
 				ir.Assign{Target: ir.Index{Name: "sends_deliv", Idx: peer}, Val: ir.Add(ir.Index{Name: "sends_deliv", Idx: peer}, ir.Const(1))}),
 		}},
-		Hdrs: noHdrSpec(
-			func() event.Header { return paplHdr{} },
-			func(h event.Header) bool { _, ok := h.(paplHdr); return ok }),
-		CCP: alwaysTrueCCP(),
+		Hdrs: paplHdrs,
+		CCP:  alwaysTrueCCP(),
 	}
 }
 
@@ -211,28 +194,6 @@ func partialApplDef() ir.LayerDef {
 func (s *collectState) IRVars() []ir.VarSpec { return nil }
 
 func collectDef() ir.LayerDef {
-	hdrs := []ir.HdrSpec{
-		{
-			Variant: "Pass",
-			Tag:     int64(collectTagPass),
-			Make:    func([]int64) event.Header { return collectPass{} },
-			Read: func(h event.Header, dst []int64) ([]int64, bool) {
-				_, ok := h.(collectPass)
-				return dst, ok
-			},
-		},
-		{
-			Variant: "Gossip",
-			Tag:     int64(collectTagGossip),
-			// Gossip vectors are not expressible as fixed int fields;
-			// gossip is never a bypass path, so Make is never invoked.
-			Make: func([]int64) event.Header { panic("collect: gossip headers are not IR-constructible") },
-			Read: func(h event.Header, dst []int64) ([]int64, bool) {
-				_, ok := h.(collectGossip)
-				return dst, ok
-			},
-		},
-	}
 	pass := ir.Eq(ir.HdrField("tag"), ir.Const(int64(collectTagPass)))
 	up := []ir.Rule{
 		{Guard: pass, Actions: []ir.Action{ir.PopDeliver{}}},
@@ -246,7 +207,7 @@ func collectDef() ir.LayerDef {
 			ir.UpCast: up,
 			ir.UpSend: up,
 		}},
-		Hdrs: hdrs,
+		Hdrs: collectHdrs,
 		CCP: map[ir.PathKey]ir.Expr{
 			ir.DnCast: ir.True, ir.DnSend: ir.True, ir.UpCast: pass, ir.UpSend: pass,
 		},

@@ -8,7 +8,10 @@
 // plus ordering, failure-detection, and membership components.
 package layers
 
-import "ensemble/internal/event"
+import (
+	"ensemble/internal/event"
+	"ensemble/internal/ir"
+)
 
 // Component names. Stacks are lists of these, top first, matching the
 // order Table 2(b) prints them.
@@ -80,14 +83,44 @@ func StackVsync() []string {
 	return []string{PartialAppl, Total, Membership, Suspect, Local, Collect, Frag, Pt2ptw, Mflow, Pt2pt, Mnak, Bottom}
 }
 
-// dropBad discards an up-going message whose popped header h is a
-// variant that its kind of event never carries. The header came off the
-// network, so this is a bad packet like any other — not a wiring bug to
-// panic on — and passing it up could hand the next layer an empty header
-// stack.
-func dropBad(h event.Header, ev *event.Event) {
-	event.FreeHeader(h)
-	event.Free(ev)
+// Each component declares its header variants once, as ir.HdrSpecs: the
+// optimizer reads them, the transport builds the layer's codec from them
+// (transport.SpecCodec), and their wire contracts — the event kinds a
+// variant rides, and whether its layer consumes it — are what
+// transport.UnmarshalFor admits. A handler therefore pops only variants
+// its contract lets ride the event's kind, and asserts their types.
+
+// The event kinds a header variant rides (ir.HdrSpec.On).
+var (
+	onCast = []event.Type{event.ECast}
+	onSend = []event.Type{event.ESend}
+	onData = []event.Type{event.ECast, event.ESend}
+)
+
+// bareHdr declares a variant without fields, whose header is H's zero
+// value.
+func bareHdr[H event.Header](variant string, tag byte, on []event.Type, fate ir.Fate) ir.HdrSpec {
+	var zero H
+	return ir.HdrSpec{
+		Variant: variant, Tag: int64(tag), On: on, Fate: fate,
+		Make: func([]int64) event.Header { return zero },
+		Read: func(h event.Header, dst []int64) ([]int64, bool) {
+			_, ok := h.(H)
+			return dst, ok
+		},
+	}
+}
+
+// readAs is the HdrSpec.Read of variant type H, whose field values read
+// appends to dst.
+func readAs[H event.Header](read func(h H, dst []int64) []int64) func(event.Header, []int64) ([]int64, bool) {
+	return func(h event.Header, dst []int64) ([]int64, bool) {
+		v, ok := h.(H)
+		if !ok {
+			return dst, false
+		}
+		return read(v, dst), true
+	}
 }
 
 // isData reports whether an event carries a message through the data

@@ -21,16 +21,13 @@ func (localHdr) Layer() string     { return Local }
 func (localHdr) WireID() byte      { return idLocal }
 func (localHdr) HdrString() string { return "local:NoHdr" }
 
+var localHdrs = noHdrSpec[localHdr]()
+
 func init() {
 	layer.Register(Local, func(cfg layer.Config) layer.State {
 		return &localState{view: cfg.View}
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer:  Local,
-		ID:     idLocal,
-		Encode: func(event.Header, *transport.Writer) {},
-		Decode: func(*transport.Reader) (event.Header, error) { return localHdr{}, nil },
-	})
+	transport.RegisterCodec(transport.SpecCodec(Local, idLocal, localHdrs))
 }
 
 func (s *localState) Name() string { return Local }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"ensemble/internal/event"
+	"ensemble/internal/ir"
 	"ensemble/internal/layer"
 	"ensemble/internal/transport"
 )
@@ -195,6 +196,31 @@ const (
 	membTagFlushTree byte = 6
 )
 
+// membHdrs declares the variants. Leaves and merge views are cast;
+// everything the tree carries is a send.
+var membHdrs = []ir.HdrSpec{
+	bareHdr[membPass]("Pass", membTagPass, onData, ir.PassedUp),
+	membCtrl("View", membTagView, []string{"view_seq"}, onData,
+		func(v membView, dst []int64) []int64 { return append(dst, v.ViewSeq) }),
+	membCtrl("Leave", membTagLeave, []string{"rank"}, onCast,
+		func(l membLeave, dst []int64) []int64 { return append(dst, int64(l.Rank)) }),
+	membCtrl("FlushAgg", membTagFlushAgg, []string{"view_seq", "round"}, onSend,
+		func(a membFlushAgg, dst []int64) []int64 { return append(dst, a.ViewSeq, a.Round) }),
+	membCtrl("FlushTree", membTagFlushTree, []string{"view_seq", "round"}, onSend,
+		func(f membFlushTree, dst []int64) []int64 { return append(dst, f.ViewSeq, f.Round) }),
+}
+
+// membCtrl is the spec of a control variant: consumed, recognized (so
+// ReadHdr can classify it for fallback dispatch, and a probe for another
+// variant misses without allocating) but never IR-constructed.
+func membCtrl[H event.Header](variant string, tag byte, fields []string, on []event.Type, read func(H, []int64) []int64) ir.HdrSpec {
+	return ir.HdrSpec{
+		Variant: variant, Tag: int64(tag), Fields: fields, On: on, Fate: ir.Consumed,
+		Make: func([]int64) event.Header { panic("membership: control headers are not IR-constructible") },
+		Read: readAs(read),
+	}
+}
+
 // putInts appends the length-prefixed varint list the control headers
 // carry (vectors, frontiers, rank and address lists).
 func putInts[T ~int32 | ~int64](w *transport.Writer, vs []T) {
@@ -226,75 +252,73 @@ func init() {
 			leaving:  make([]bool, n),
 		}
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer: Membership,
-		ID:    idMembership,
-		Encode: func(h event.Header, w *transport.Writer) {
-			switch h := h.(type) {
-			case membPass:
-				w.Byte(membTagPass)
-			case membView:
-				w.Byte(membTagView)
-				w.Varint(h.ViewSeq)
-				putInts(w, h.Members)
-			case membLeave:
-				w.Byte(membTagLeave)
-				w.Varint(int64(h.Rank))
-			case membFlushAgg:
-				w.Byte(membTagFlushAgg)
-				w.Varint(h.ViewSeq)
-				w.Varint(h.Round)
-				w.Varint(int64(h.Count))
-				w.Bool(h.Mismatch)
-				putInts(w, h.Vector)
-				putInts(w, h.Max)
-			case membFlushTree:
-				w.Byte(membTagFlushTree)
-				w.Varint(h.ViewSeq)
-				w.Varint(h.Round)
-				putInts(w, h.Frontier)
-				putInts(w, h.Excluded)
-			default:
-				panic(fmt.Sprintf("membership: unknown header %T", h))
+	// The control variants carry lists, so the codec is written out.
+	c := transport.SpecCodec(Membership, idMembership, membHdrs)
+	c.Encode = func(h event.Header, w *transport.Writer) {
+		switch h := h.(type) {
+		case membPass:
+			w.Byte(membTagPass)
+		case membView:
+			w.Byte(membTagView)
+			w.Varint(h.ViewSeq)
+			putInts(w, h.Members)
+		case membLeave:
+			w.Byte(membTagLeave)
+			w.Varint(int64(h.Rank))
+		case membFlushAgg:
+			w.Byte(membTagFlushAgg)
+			w.Varint(h.ViewSeq)
+			w.Varint(h.Round)
+			w.Varint(int64(h.Count))
+			w.Bool(h.Mismatch)
+			putInts(w, h.Vector)
+			putInts(w, h.Max)
+		case membFlushTree:
+			w.Byte(membTagFlushTree)
+			w.Varint(h.ViewSeq)
+			w.Varint(h.Round)
+			putInts(w, h.Frontier)
+			putInts(w, h.Excluded)
+		default:
+			panic(fmt.Sprintf("membership: unknown header %T", h))
+		}
+	}
+	c.Decode = func(r *transport.Reader) (event.Header, error) {
+		var err error
+		switch tag := r.Byte(); tag {
+		case membTagPass:
+			return membPass{}, nil
+		case membTagView:
+			h := membView{ViewSeq: r.Varint()}
+			if h.Members, err = getInts[event.Addr](r, "member list"); err != nil {
+				return nil, err
 			}
-		},
-		Decode: func(r *transport.Reader) (event.Header, error) {
-			var err error
-			switch tag := r.Byte(); tag {
-			case membTagPass:
-				return membPass{}, nil
-			case membTagView:
-				h := membView{ViewSeq: r.Varint()}
-				if h.Members, err = getInts[event.Addr](r, "member list"); err != nil {
-					return nil, err
-				}
-				return h, nil
-			case membTagLeave:
-				return membLeave{Rank: int32(r.Varint())}, nil
-			case membTagFlushAgg:
-				h := membFlushAgg{ViewSeq: r.Varint(), Round: r.Varint(), Count: int32(r.Varint()), Mismatch: r.Bool()}
-				if h.Vector, err = getInts[int64](r, "agg vector"); err != nil {
-					return nil, err
-				}
-				if h.Max, err = getInts[int64](r, "agg max"); err != nil {
-					return nil, err
-				}
-				return h, nil
-			case membTagFlushTree:
-				h := membFlushTree{ViewSeq: r.Varint(), Round: r.Varint()}
-				if h.Frontier, err = getInts[int64](r, "frontier"); err != nil {
-					return nil, err
-				}
-				if h.Excluded, err = getInts[int32](r, "excluded list"); err != nil {
-					return nil, err
-				}
-				return h, nil
-			default:
-				return nil, transport.ErrBadWire("membership tag %d", tag)
+			return h, nil
+		case membTagLeave:
+			return membLeave{Rank: int32(r.Varint())}, nil
+		case membTagFlushAgg:
+			h := membFlushAgg{ViewSeq: r.Varint(), Round: r.Varint(), Count: int32(r.Varint()), Mismatch: r.Bool()}
+			if h.Vector, err = getInts[int64](r, "agg vector"); err != nil {
+				return nil, err
 			}
-		},
-		Ends: func(h event.Header) bool { _, pass := h.(membPass); return !pass },
-	})
+			if h.Max, err = getInts[int64](r, "agg max"); err != nil {
+				return nil, err
+			}
+			return h, nil
+		case membTagFlushTree:
+			h := membFlushTree{ViewSeq: r.Varint(), Round: r.Varint()}
+			if h.Frontier, err = getInts[int64](r, "frontier"); err != nil {
+				return nil, err
+			}
+			if h.Excluded, err = getInts[int32](r, "excluded list"); err != nil {
+				return nil, err
+			}
+			return h, nil
+		default:
+			return nil, transport.ErrBadWire("membership tag %d", tag)
+		}
+	}
+	transport.RegisterCodec(c)
 }
 
 func (s *membershipState) Name() string { return Membership }
@@ -383,8 +407,8 @@ func (s *membershipState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast, event.ESend:
 		// Leaves and merge views are cast; everything the tree carries is
-		// a send. The header came off the network, so a variant on the
-		// wrong kind of event is dropped like any other bad packet.
+		// a send (membHdrs). The kind picks the View handler; a variant
+		// on the other kind, which no arrival carries, is dropped.
 		cast := ev.Type == event.ECast
 		switch h := ev.Msg.Pop().(type) {
 		case membPass:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ensemble/internal/event"
+	"ensemble/internal/ir"
 	"ensemble/internal/layer"
 	"ensemble/internal/transport"
 )
@@ -71,6 +72,15 @@ const (
 	mflowTagPass
 )
 
+var mflowHdrs = []ir.HdrSpec{
+	bareHdr[mflowData]("Data", mflowTagData, onCast, ir.PassedUp),
+	{Variant: "Credit", Tag: int64(mflowTagCredit), Fields: []string{"bytes"},
+		On: onSend, Fate: ir.Consumed,
+		Make: func(f []int64) event.Header { return mflowCredit{Bytes: f[0]} },
+		Read: readAs(func(c mflowCredit, dst []int64) []int64 { return append(dst, c.Bytes) })},
+	bareHdr[mflowPass]("Pass", mflowTagPass, onSend, ir.PassedUp),
+}
+
 func init() {
 	layer.Register(Mflow, func(cfg layer.Config) layer.State {
 		n := cfg.View.N()
@@ -82,36 +92,7 @@ func init() {
 			creditSent: make([]int64, n),
 		}
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer: Mflow,
-		ID:    idMflow,
-		Encode: func(h event.Header, w *transport.Writer) {
-			switch h := h.(type) {
-			case mflowData:
-				w.Byte(mflowTagData)
-			case mflowCredit:
-				w.Byte(mflowTagCredit)
-				w.Varint(h.Bytes)
-			case mflowPass:
-				w.Byte(mflowTagPass)
-			default:
-				panic(fmt.Sprintf("mflow: unknown header %T", h))
-			}
-		},
-		Decode: func(r *transport.Reader) (event.Header, error) {
-			switch tag := r.Byte(); tag {
-			case mflowTagData:
-				return mflowData{}, nil
-			case mflowTagCredit:
-				return mflowCredit{Bytes: r.Varint()}, nil
-			case mflowTagPass:
-				return mflowPass{}, nil
-			default:
-				return nil, transport.ErrBadWire("mflow tag %d", tag)
-			}
-		},
-		Ends: func(h event.Header) bool { _, credit := h.(mflowCredit); return credit },
-	})
+	transport.RegisterCodec(transport.SpecCodec(Mflow, idMflow, mflowHdrs))
 }
 
 func (s *mflowState) Name() string { return Mflow }
@@ -163,11 +144,7 @@ func (s *mflowState) HandleDn(ev *event.Event, snk layer.Sink) {
 func (s *mflowState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
-		h := ev.Msg.Pop()
-		if _, data := h.(mflowData); !data {
-			dropBad(h, ev)
-			return
-		}
+		ev.Msg.Pop()
 		from := ev.Peer
 		s.recvBytes[from] += int64(len(ev.Msg.Payload))
 		if s.recvBytes[from]-s.creditSent[from] >= s.credit/2 {
@@ -188,8 +165,6 @@ func (s *mflowState) HandleUp(ev *event.Event, snk layer.Sink) {
 			event.Free(ev)
 		case mflowPass:
 			snk.PassUp(ev)
-		default:
-			dropBad(h, ev)
 		}
 	case event.ETimer:
 		if len(s.queue) > 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ensemble/internal/event"
+	"ensemble/internal/ir"
 	"ensemble/internal/layer"
 	"ensemble/internal/transport"
 )
@@ -111,6 +112,22 @@ const (
 	mnakTagRetrans
 )
 
+var mnakHdrs = []ir.HdrSpec{
+	{Variant: "Data", Tag: int64(mnakTagData), Fields: []string{"seqno"},
+		On: onCast, Fate: ir.PassedUp,
+		Make: func(f []int64) event.Header { return newMnakData(f[0]) },
+		Read: readAs(func(d *mnakData, dst []int64) []int64 { return append(dst, d.Seqno) })},
+	bareHdr[mnakPass]("Pass", mnakTagPass, onSend, ir.PassedUp),
+	{Variant: "Nak", Tag: int64(mnakTagNak), Fields: []string{"origin", "lo", "hi"},
+		On: onSend, Fate: ir.Consumed,
+		Make: func(f []int64) event.Header { return mnakNak{Origin: int32(f[0]), Lo: f[1], Hi: f[2]} },
+		Read: readAs(func(n mnakNak, dst []int64) []int64 { return append(dst, int64(n.Origin), n.Lo, n.Hi) })},
+	{Variant: "Retrans", Tag: int64(mnakTagRetrans), Fields: []string{"origin", "seqno"},
+		On: onSend, Fate: ir.PassedUpAsCast,
+		Make: func(f []int64) event.Header { return mnakRetrans{Origin: int32(f[0]), Seqno: f[1]} },
+		Read: readAs(func(r mnakRetrans, dst []int64) []int64 { return append(dst, int64(r.Origin), r.Seqno) })},
+}
+
 func init() {
 	layer.Register(Mnak, func(cfg layer.Config) layer.State {
 		n := cfg.View.N()
@@ -126,45 +143,7 @@ func init() {
 		}
 		return s
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer: Mnak,
-		ID:    idMnak,
-		Encode: func(h event.Header, w *transport.Writer) {
-			switch h := h.(type) {
-			case *mnakData:
-				w.Byte(mnakTagData)
-				w.Varint(h.Seqno)
-			case mnakPass:
-				w.Byte(mnakTagPass)
-			case mnakNak:
-				w.Byte(mnakTagNak)
-				w.Varint(int64(h.Origin))
-				w.Varint(h.Lo)
-				w.Varint(h.Hi)
-			case mnakRetrans:
-				w.Byte(mnakTagRetrans)
-				w.Varint(int64(h.Origin))
-				w.Varint(h.Seqno)
-			default:
-				panic(fmt.Sprintf("mnak: unknown header %T", h))
-			}
-		},
-		Decode: func(r *transport.Reader) (event.Header, error) {
-			switch tag := r.Byte(); tag {
-			case mnakTagData:
-				return newMnakData(r.Varint()), nil
-			case mnakTagPass:
-				return mnakPass{}, nil
-			case mnakTagNak:
-				return mnakNak{Origin: int32(r.Varint()), Lo: r.Varint(), Hi: r.Varint()}, nil
-			case mnakTagRetrans:
-				return mnakRetrans{Origin: int32(r.Varint()), Seqno: r.Varint()}, nil
-			default:
-				return nil, transport.ErrBadWire("mnak tag %d", tag)
-			}
-		},
-		Ends: func(h event.Header) bool { _, nak := h.(mnakNak); return nak },
-	})
+	transport.RegisterCodec(transport.SpecCodec(Mnak, idMnak, mnakHdrs))
 }
 
 func (s *mnakState) Name() string { return Mnak }
@@ -242,12 +221,7 @@ func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 func (s *mnakState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
-		hdr := ev.Msg.Pop()
-		h, ok := hdr.(*mnakData)
-		if !ok {
-			dropBad(hdr, ev)
-			return
-		}
+		h := ev.Msg.Pop().(*mnakData)
 		seq := h.Seqno
 		h.FreeHdr()
 		s.deliverCast(ev.Peer, seq, ev, true, snk)
@@ -280,8 +254,6 @@ func (s *mnakState) HandleUp(ev *event.Event, snk layer.Sink) {
 			} else {
 				event.Free(ev)
 			}
-		default:
-			dropBad(h, ev)
 		}
 	default:
 		snk.PassUp(ev)

@@ -31,6 +31,8 @@ func (paplHdr) Layer() string     { return PartialAppl }
 func (paplHdr) WireID() byte      { return idPartialAppl }
 func (paplHdr) HdrString() string { return "partial_appl:NoHdr" }
 
+var paplHdrs = noHdrSpec[paplHdr]()
+
 func init() {
 	layer.Register(PartialAppl, func(cfg layer.Config) layer.State {
 		n := cfg.View.N()
@@ -41,12 +43,7 @@ func init() {
 			sendsDeliv: make([]int64, n),
 		}
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer:  PartialAppl,
-		ID:     idPartialAppl,
-		Encode: func(event.Header, *transport.Writer) {},
-		Decode: func(*transport.Reader) (event.Header, error) { return paplHdr{}, nil },
-	})
+	transport.RegisterCodec(transport.SpecCodec(PartialAppl, idPartialAppl, paplHdrs))
 }
 
 func (s *partialApplState) Name() string { return PartialAppl }

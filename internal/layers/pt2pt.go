@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ensemble/internal/event"
+	"ensemble/internal/ir"
 	"ensemble/internal/layer"
 	"ensemble/internal/transport"
 )
@@ -87,6 +88,22 @@ const (
 	p2pTagPass
 )
 
+var pt2ptHdrs = []ir.HdrSpec{
+	{Variant: "Data", Tag: int64(p2pTagData), Fields: []string{"seqno", "ack"},
+		On: onSend, Fate: ir.PassedUp,
+		Make: func(f []int64) event.Header { return newP2pData(f[0], f[1]) },
+		Read: readAs(func(d *p2pData, dst []int64) []int64 { return append(dst, d.Seqno, d.Ack) })},
+	{Variant: "Retrans", Tag: int64(p2pTagRetrans), Fields: []string{"seqno", "ack"},
+		On: onSend, Fate: ir.PassedUp,
+		Make: func(f []int64) event.Header { return p2pRetrans{Seqno: f[0], Ack: f[1]} },
+		Read: readAs(func(d p2pRetrans, dst []int64) []int64 { return append(dst, d.Seqno, d.Ack) })},
+	{Variant: "Ack", Tag: int64(p2pTagAck), Fields: []string{"ack"},
+		On: onSend, Fate: ir.Consumed,
+		Make: func(f []int64) event.Header { return p2pAck{Ack: f[0]} },
+		Read: readAs(func(a p2pAck, dst []int64) []int64 { return append(dst, a.Ack) })},
+	bareHdr[p2pPass]("Pass", p2pTagPass, onCast, ir.PassedUp),
+}
+
 func init() {
 	layer.Register(Pt2pt, func(cfg layer.Config) layer.State {
 		return &pt2ptState{
@@ -95,44 +112,7 @@ func init() {
 			ackThreshold: 4,
 		}
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer: Pt2pt,
-		ID:    idPt2pt,
-		Encode: func(h event.Header, w *transport.Writer) {
-			switch h := h.(type) {
-			case *p2pData:
-				w.Byte(p2pTagData)
-				w.Varint(h.Seqno)
-				w.Varint(h.Ack)
-			case p2pRetrans:
-				w.Byte(p2pTagRetrans)
-				w.Varint(h.Seqno)
-				w.Varint(h.Ack)
-			case p2pAck:
-				w.Byte(p2pTagAck)
-				w.Varint(h.Ack)
-			case p2pPass:
-				w.Byte(p2pTagPass)
-			default:
-				panic(fmt.Sprintf("pt2pt: unknown header %T", h))
-			}
-		},
-		Decode: func(r *transport.Reader) (event.Header, error) {
-			switch tag := r.Byte(); tag {
-			case p2pTagData:
-				return newP2pData(r.Varint(), r.Varint()), nil
-			case p2pTagRetrans:
-				return p2pRetrans{Seqno: r.Varint(), Ack: r.Varint()}, nil
-			case p2pTagAck:
-				return p2pAck{Ack: r.Varint()}, nil
-			case p2pTagPass:
-				return p2pPass{}, nil
-			default:
-				return nil, transport.ErrBadWire("pt2pt tag %d", tag)
-			}
-		},
-		Ends: func(h event.Header) bool { _, ack := h.(p2pAck); return ack },
-	})
+	transport.RegisterCodec(transport.SpecCodec(Pt2pt, idPt2pt, pt2ptHdrs))
 }
 
 func (s *pt2ptState) Name() string { return Pt2pt }
@@ -158,11 +138,7 @@ func (s *pt2ptState) HandleDn(ev *event.Event, snk layer.Sink) {
 func (s *pt2ptState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
-		h := ev.Msg.Pop()
-		if _, pass := h.(p2pPass); !pass {
-			dropBad(h, ev)
-			return
-		}
+		ev.Msg.Pop()
 		snk.PassUp(ev)
 	case event.ESend:
 		from := ev.Peer
@@ -178,8 +154,6 @@ func (s *pt2ptState) HandleUp(ev *event.Event, snk layer.Sink) {
 		case p2pAck:
 			s.applyAck(from, h.Ack)
 			event.Free(ev)
-		default:
-			dropBad(h, ev)
 		}
 	case event.ETimer:
 		s.sweep(snk)

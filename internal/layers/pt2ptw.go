@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ensemble/internal/event"
+	"ensemble/internal/ir"
 	"ensemble/internal/layer"
 	"ensemble/internal/transport"
 )
@@ -58,6 +59,15 @@ const (
 	p2pwTagPass
 )
 
+var pt2ptwHdrs = []ir.HdrSpec{
+	bareHdr[p2pwData]("Data", p2pwTagData, onSend, ir.PassedUp),
+	{Variant: "Ack", Tag: int64(p2pwTagAck), Fields: []string{"count"},
+		On: onSend, Fate: ir.Consumed,
+		Make: func(f []int64) event.Header { return p2pwAck{Count: f[0]} },
+		Read: readAs(func(a p2pwAck, dst []int64) []int64 { return append(dst, a.Count) })},
+	bareHdr[p2pwPass]("Pass", p2pwTagPass, onCast, ir.PassedUp),
+}
+
 func init() {
 	layer.Register(Pt2ptw, func(cfg layer.Config) layer.State {
 		return &pt2ptwState{
@@ -66,36 +76,7 @@ func init() {
 			peers:  make([]pt2ptwPeer, cfg.View.N()),
 		}
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer: Pt2ptw,
-		ID:    idPt2ptw,
-		Encode: func(h event.Header, w *transport.Writer) {
-			switch h := h.(type) {
-			case p2pwData:
-				w.Byte(p2pwTagData)
-			case p2pwAck:
-				w.Byte(p2pwTagAck)
-				w.Varint(h.Count)
-			case p2pwPass:
-				w.Byte(p2pwTagPass)
-			default:
-				panic(fmt.Sprintf("pt2ptw: unknown header %T", h))
-			}
-		},
-		Decode: func(r *transport.Reader) (event.Header, error) {
-			switch tag := r.Byte(); tag {
-			case p2pwTagData:
-				return p2pwData{}, nil
-			case p2pwTagAck:
-				return p2pwAck{Count: r.Varint()}, nil
-			case p2pwTagPass:
-				return p2pwPass{}, nil
-			default:
-				return nil, transport.ErrBadWire("pt2ptw tag %d", tag)
-			}
-		},
-		Ends: func(h event.Header) bool { _, ack := h.(p2pwAck); return ack },
-	})
+	transport.RegisterCodec(transport.SpecCodec(Pt2ptw, idPt2ptw, pt2ptwHdrs))
 }
 
 func (s *pt2ptwState) Name() string { return Pt2ptw }
@@ -123,11 +104,7 @@ func (s *pt2ptwState) HandleDn(ev *event.Event, snk layer.Sink) {
 func (s *pt2ptwState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
-		h := ev.Msg.Pop()
-		if _, pass := h.(p2pwPass); !pass {
-			dropBad(h, ev)
-			return
-		}
+		ev.Msg.Pop()
 		snk.PassUp(ev)
 	case event.ESend:
 		from := ev.Peer
@@ -146,10 +123,6 @@ func (s *pt2ptwState) HandleUp(ev *event.Event, snk layer.Sink) {
 		case p2pwAck:
 			s.openWindow(from, h.Count, snk)
 			event.Free(ev)
-		case p2pwPass:
-			snk.PassUp(ev)
-		default:
-			panic(fmt.Sprintf("pt2ptw: unexpected up header %T", h))
 		}
 	default:
 		snk.PassUp(ev)

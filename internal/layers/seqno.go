@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ensemble/internal/event"
+	"ensemble/internal/ir"
 	"ensemble/internal/layer"
 	"ensemble/internal/transport"
 )
@@ -59,6 +60,16 @@ const (
 	seqnoTagPass
 )
 
+// seqnoHdrs declares the variants as the other layers do, though seqno
+// has no IR: they build its codec and contract.
+var seqnoHdrs = []ir.HdrSpec{
+	{Variant: "Data", Tag: int64(seqnoTagData), Fields: []string{"seqno"},
+		On: onCast, Fate: ir.PassedUp,
+		Make: func(f []int64) event.Header { return newSeqnoData(f[0]) },
+		Read: readAs(func(d *seqnoData, dst []int64) []int64 { return append(dst, d.Seqno) })},
+	bareHdr[seqnoPass]("Pass", seqnoTagPass, onSend, ir.PassedUp),
+}
+
 func init() {
 	layer.Register(Seqno, func(cfg layer.Config) layer.State {
 		n := cfg.View.N()
@@ -68,31 +79,7 @@ func init() {
 			ahead:    make([]msgLog, n),
 		}
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer: Seqno,
-		ID:    idSeqno,
-		Encode: func(h event.Header, w *transport.Writer) {
-			switch h := h.(type) {
-			case *seqnoData:
-				w.Byte(seqnoTagData)
-				w.Varint(h.Seqno)
-			case seqnoPass:
-				w.Byte(seqnoTagPass)
-			default:
-				panic(fmt.Sprintf("seqno: unknown header %T", h))
-			}
-		},
-		Decode: func(r *transport.Reader) (event.Header, error) {
-			switch tag := r.Byte(); tag {
-			case seqnoTagData:
-				return newSeqnoData(r.Varint()), nil
-			case seqnoTagPass:
-				return seqnoPass{}, nil
-			default:
-				return nil, transport.ErrBadWire("seqno tag %d", tag)
-			}
-		},
-	})
+	transport.RegisterCodec(transport.SpecCodec(Seqno, idSeqno, seqnoHdrs))
 }
 
 func (s *seqnoState) Name() string { return Seqno }
@@ -114,12 +101,7 @@ func (s *seqnoState) HandleDn(ev *event.Event, snk layer.Sink) {
 func (s *seqnoState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
-		hdr := ev.Msg.Pop()
-		h, ok := hdr.(*seqnoData)
-		if !ok {
-			dropBad(hdr, ev)
-			return
-		}
+		h := ev.Msg.Pop().(*seqnoData)
 		seq := h.Seqno
 		h.FreeHdr()
 		origin := ev.Peer

@@ -2,6 +2,7 @@ package layers
 
 import (
 	"ensemble/internal/event"
+	"ensemble/internal/ir"
 	"ensemble/internal/layer"
 	"ensemble/internal/transport"
 )
@@ -49,6 +50,11 @@ const (
 	suspectTagPing
 )
 
+var suspectHdrs = []ir.HdrSpec{
+	bareHdr[suspectPass]("Pass", suspectTagPass, onData, ir.PassedUp),
+	bareHdr[suspectPing]("Ping", suspectTagPing, onData, ir.Consumed),
+}
+
 func init() {
 	layer.Register(Suspect, func(cfg layer.Config) layer.State {
 		// lastHeard stays nil until the first timer sweep supplies the
@@ -59,28 +65,7 @@ func init() {
 			suspected: make([]bool, cfg.View.N()),
 		}
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer: Suspect,
-		ID:    idSuspect,
-		Encode: func(h event.Header, w *transport.Writer) {
-			if _, ping := h.(suspectPing); ping {
-				w.Byte(suspectTagPing)
-			} else {
-				w.Byte(suspectTagPass)
-			}
-		},
-		Decode: func(r *transport.Reader) (event.Header, error) {
-			switch tag := r.Byte(); tag {
-			case suspectTagPass:
-				return suspectPass{}, nil
-			case suspectTagPing:
-				return suspectPing{}, nil
-			default:
-				return nil, transport.ErrBadWire("suspect tag %d", tag)
-			}
-		},
-		Ends: func(h event.Header) bool { _, ping := h.(suspectPing); return ping },
-	})
+	transport.RegisterCodec(transport.SpecCodec(Suspect, idSuspect, suspectHdrs))
 }
 
 func (s *suspectState) Name() string { return Suspect }

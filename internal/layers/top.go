@@ -21,16 +21,13 @@ func (topHdr) Layer() string     { return Top }
 func (topHdr) WireID() byte      { return idTop }
 func (topHdr) HdrString() string { return "top:NoHdr" }
 
+var topHdrs = noHdrSpec[topHdr]()
+
 func init() {
 	layer.Register(Top, func(cfg layer.Config) layer.State {
 		return &topState{view: cfg.View}
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer:  Top,
-		ID:     idTop,
-		Encode: func(event.Header, *transport.Writer) {},
-		Decode: func(*transport.Reader) (event.Header, error) { return topHdr{}, nil },
-	})
+	transport.RegisterCodec(transport.SpecCodec(Top, idTop, topHdrs))
 }
 
 func (s *topState) Name() string { return Top }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ensemble/internal/event"
+	"ensemble/internal/ir"
 	"ensemble/internal/layer"
 	"ensemble/internal/transport"
 )
@@ -106,6 +107,18 @@ const (
 	totalTagPass
 )
 
+var totalHdrs = []ir.HdrSpec{
+	{Variant: "Data", Tag: int64(totalTagData), Fields: []string{"lseq", "gseq"},
+		On: onCast, Fate: ir.PassedUp,
+		Make: func(f []int64) event.Header { return newTotalData(f[0], f[1]) },
+		Read: readAs(func(d *totalData, dst []int64) []int64 { return append(dst, d.LocalSeq, d.GSeq) })},
+	{Variant: "Order", Tag: int64(totalTagOrder), Fields: []string{"origin", "lseq", "gseq"},
+		On: onCast, Fate: ir.Consumed,
+		Make: func(f []int64) event.Header { return totalOrder{Origin: int32(f[0]), LocalSeq: f[1], GSeq: f[2]} },
+		Read: readAs(func(o totalOrder, dst []int64) []int64 { return append(dst, int64(o.Origin), o.LocalSeq, o.GSeq) })},
+	bareHdr[totalPass]("Pass", totalTagPass, onSend, ir.PassedUp),
+}
+
 func init() {
 	layer.Register(Total, func(cfg layer.Config) layer.State {
 		return &totalState{
@@ -115,40 +128,7 @@ func init() {
 			earlyOrders: make(map[totalKey]int64),
 		}
 	})
-	transport.RegisterCodec(transport.HeaderCodec{
-		Layer: Total,
-		ID:    idTotal,
-		Encode: func(h event.Header, w *transport.Writer) {
-			switch h := h.(type) {
-			case *totalData:
-				w.Byte(totalTagData)
-				w.Varint(h.LocalSeq)
-				w.Varint(h.GSeq)
-			case totalOrder:
-				w.Byte(totalTagOrder)
-				w.Varint(int64(h.Origin))
-				w.Varint(h.LocalSeq)
-				w.Varint(h.GSeq)
-			case totalPass:
-				w.Byte(totalTagPass)
-			default:
-				panic(fmt.Sprintf("total: unknown header %T", h))
-			}
-		},
-		Decode: func(r *transport.Reader) (event.Header, error) {
-			switch tag := r.Byte(); tag {
-			case totalTagData:
-				return newTotalData(r.Varint(), r.Varint()), nil
-			case totalTagOrder:
-				return totalOrder{Origin: int32(r.Varint()), LocalSeq: r.Varint(), GSeq: r.Varint()}, nil
-			case totalTagPass:
-				return totalPass{}, nil
-			default:
-				return nil, transport.ErrBadWire("total tag %d", tag)
-			}
-		},
-		Ends: func(h event.Header) bool { _, order := h.(totalOrder); return order },
-	})
+	transport.RegisterCodec(transport.SpecCodec(Total, idTotal, totalHdrs))
 }
 
 func (s *totalState) Name() string { return Total }
@@ -186,15 +166,9 @@ func (s *totalState) HandleUp(ev *event.Event, snk layer.Sink) {
 		case totalOrder:
 			s.handleOrder(h, snk)
 			event.Free(ev)
-		default:
-			dropBad(h, ev)
 		}
 	case event.ESend:
-		h := ev.Msg.Pop()
-		if _, pass := h.(totalPass); !pass {
-			dropBad(h, ev)
-			return
-		}
+		ev.Msg.Pop()
 		snk.PassUp(ev)
 	case event.EBlock:
 		s.blocked = true

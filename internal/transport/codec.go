@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"ensemble/internal/event"
+	"ensemble/internal/ir"
 )
 
 // HeaderCodec serializes one layer's headers. Each micro-protocol
@@ -20,15 +21,102 @@ type HeaderCodec struct {
 	// layers register in init with fixed ids. The layer's headers report
 	// it as their WireID.
 	ID byte
-	// Encode appends the header body to w.
+	// Encode appends the header body to w, and Decode reads one from r.
+	// Nil in a codec derived from its variants (SpecCodec).
 	Encode func(h event.Header, w *Writer)
-	// Decode reads one header body from r.
 	Decode func(r *Reader) (event.Header, error)
-	// Ends reports whether h ends its message at this layer: the layer
-	// consumes it (an acknowledgment, a NAK, a heartbeat) instead of
-	// passing the event up, so the image carries no headers for the
-	// layers above. Nil for a layer that passes everything up.
-	Ends func(h event.Header) bool
+	// byTag, built at registration, holds hdrs by tag; a codec of one
+	// variant without fields writes no tag (tagged is false) and keeps it
+	// at 0. An array, so that decoding a header touches no memory beyond
+	// its codec but the header's own spec.
+	tagged bool
+	byTag  [8]variant
+	// hdrs are the layer's variants and their wire contracts (SpecCodec).
+	// A codec without them admits its headers on any event, passed up.
+	hdrs []ir.HdrSpec
+}
+
+// variant is one entry of a codec's byTag: its spec, with the contract
+// copied out of it (on has bit k set for each event type k in spec.On).
+type variant struct {
+	spec *ir.HdrSpec
+	on   uint64
+	fate ir.Fate
+	// hdr is the header of a derived variant without fields, the same
+	// value on every decode; nil for the others.
+	hdr event.Header
+}
+
+// SpecCodec returns the codec of a layer whose header variants are
+// hdrs, with their wire contracts for UnmarshalFor to hold arrivals to.
+// The encoding is derived from them: a layer of one variant without
+// fields writes nothing after its layer id; otherwise a header is its
+// variant's tag byte, then its fields as signed varints in Fields order.
+// A layer whose variants carry other shapes sets Encode and Decode and
+// keeps the contract: its encodings must still open with the tag.
+func SpecCodec(layer string, id byte, hdrs []ir.HdrSpec) HeaderCodec {
+	return HeaderCodec{Layer: layer, ID: id, hdrs: hdrs}
+}
+
+// lookup returns the entry of the header r is at. Nil for an unknown
+// tag, or for a codec without a contract.
+func (c *HeaderCodec) lookup(r *Reader) *variant {
+	t := 0
+	if c.tagged {
+		if r.off >= len(r.buf) {
+			return nil
+		}
+		t = int(r.buf[r.off])
+	}
+	if t >= len(c.byTag) || c.byTag[t].spec == nil {
+		return nil
+	}
+	return &c.byTag[t]
+}
+
+// encode appends h's body to w.
+func (c *HeaderCodec) encode(h event.Header, w *Writer) {
+	if c.Encode != nil {
+		c.Encode(h, w)
+		return
+	}
+	if !c.tagged {
+		return
+	}
+	for i := range c.hdrs {
+		if vals, ok := c.hdrs[i].Read(h, w.vals[:0]); ok {
+			w.Byte(byte(c.hdrs[i].Tag))
+			for _, v := range vals {
+				w.Varint(v)
+			}
+			return
+		}
+	}
+	panic(fmt.Sprintf("transport: layer %q has no variant for header %T", c.Layer, h))
+}
+
+// decode reads one header body and returns it with its variant's entry
+// (nil without a contract).
+func (c *HeaderCodec) decode(r *Reader) (event.Header, *variant, error) {
+	v := c.lookup(r)
+	if c.Decode != nil {
+		h, err := c.Decode(r)
+		return h, v, err
+	}
+	if v == nil {
+		return nil, nil, ErrBadWire("%s tag %d", c.Layer, r.Byte())
+	}
+	if c.tagged {
+		r.off++
+	}
+	if v.hdr != nil {
+		return v.hdr, v, nil
+	}
+	vals := r.vals[:0]
+	for range v.spec.Fields {
+		vals = append(vals, r.Varint())
+	}
+	return v.spec.Make(vals), v, nil
 }
 
 // The registry has two phases. During init, components register codecs
@@ -69,6 +157,28 @@ func RegisterCodec(c HeaderCodec) {
 	}
 	if prev, dup := codecByID[c.ID]; dup {
 		panic(fmt.Sprintf("transport: codec id %d used by both %q and %q", c.ID, prev.Layer, c.Layer))
+	}
+	c.tagged = len(c.hdrs) != 1 || len(c.hdrs[0].Fields) != 0
+	for i := range c.hdrs {
+		s := &c.hdrs[i]
+		if len(s.On) == 0 || s.Fate == 0 || s.Tag < 0 || s.Tag >= int64(len(c.byTag)) {
+			panic(fmt.Sprintf("transport: header variant %s.%s declares no wire contract, or a tag past %d", c.Layer, s.Variant, len(c.byTag)-1))
+		}
+		t := 0
+		if c.tagged {
+			t = int(s.Tag)
+		}
+		c.byTag[t].spec, c.byTag[t].fate = s, s.Fate
+		for _, k := range s.On {
+			c.byTag[t].on |= 1 << k
+		}
+		if c.Decode == nil && len(s.Fields) == 0 {
+			// Every decode shares it, so a pooled header may not.
+			h := s.Make(nil)
+			if _, pooled := h.(event.PooledHeader); !pooled {
+				c.byTag[t].hdr = h
+			}
+		}
 	}
 	cc := c
 	codecByLayer[c.Layer] = &cc
@@ -173,7 +283,7 @@ func EncodeHeader(h event.Header, w *Writer) error {
 		return fmt.Errorf("transport: no codec registered for layer %q", h.Layer())
 	}
 	w.Byte(c.ID)
-	c.Encode(h, w)
+	c.encode(h, w)
 	return nil
 }
 
@@ -188,15 +298,17 @@ var readerPool = sync.Pool{New: func() any { return new(Reader) }}
 func Unmarshal(buf []byte) (*event.Event, error) { return UnmarshalFor(buf, nil) }
 
 // UnmarshalFor is Unmarshal at a receiver whose stack's layers have the
-// wire ids stack (top first, as StackIDs returns them): the image must
-// carry one header for each of the stack's bottom-most layers, at least
-// the bottom one, in stack order, and an image with fewer headers than
-// the stack has layers must end in a header its layer consumes (see
-// HeaderCodec.Ends) — what a peer running the same stack sends. An image
-// of any type but ECast or ESend is ErrBadWire, with or without a stack,
-// as is anything else: each layer pops one header, so a well-formed
-// image of another shape would hand some layer another layer's header,
-// or an empty stack to pop. A nil stack accepts any headers.
+// wire ids stack (top first, as StackIDs returns them). It admits what a
+// peer running the same stack sends, checked in the one decoding pass:
+// one header for each of the stack's bottom-most layers, at least the
+// bottom one, in stack order; each a variant its layer's contract
+// (ir.HdrSpec.On) lets ride the event's kind, which is a cast above a
+// variant passed up as one; no header above a variant its layer
+// consumes; and an image shorter than the stack ends in one. An image of
+// any type but ECast or ESend is ErrBadWire, with or without a stack, as
+// is anything else: each layer pops one header, so a well-formed image
+// of another shape would hand some layer a variant it never meets, or an
+// empty stack to pop. A nil stack accepts any headers.
 func UnmarshalFor(buf []byte, stack []byte) (*event.Event, error) {
 	r := readerPool.Get().(*Reader)
 	r.Reset(buf)
@@ -234,18 +346,9 @@ func unmarshal(r *Reader, stack []byte) (*event.Event, error) {
 	ev.Type = typ
 	ev.Peer = int(r.Varint())
 	ev.ApplMsg = r.Bool()
-	if err := decodeHeaders(r, &ev.Msg, r.Uvarint(), stack); err != nil {
+	if err := decodeHeaders(r, &ev.Msg, r.Uvarint(), stack, typ); err != nil {
 		event.Free(ev)
 		return nil, err
-	}
-	if hdrs := ev.Msg.Headers; stack != nil && len(hdrs) < len(stack) {
-		// hdrs[0] is the innermost: passed up, the next layer would pop
-		// an empty stack.
-		if c := codecs().byID[hdrs[0].WireID()]; c.Ends == nil || !c.Ends(hdrs[0]) {
-			err := ErrBadWire("%d headers for a stack of %d layers, and %s passes the message up", len(hdrs), len(stack), hdrs[0].HdrString())
-			event.Free(ev)
-			return nil, err
-		}
 	}
 	ev.Msg.Payload = r.Rest()
 	if err := r.Err(); err != nil {
@@ -263,9 +366,10 @@ const maxHeaders = 64
 // header storage, and records where each began so that m.EncodedHeaders
 // can hand back what is left of them after any number of pops. With a
 // stack (see UnmarshalFor) the headers must be those of its bottom-most
-// layers. On error m holds exactly the headers decoded so far (the
-// caller frees them with the event).
-func decodeHeaders(r *Reader, m *event.Message, n uint64, stack []byte) error {
+// layers, each admitted by its contract on an event of the given kind.
+// On error m holds exactly the headers decoded so far (the caller frees
+// them with the event).
+func decodeHeaders(r *Reader, m *event.Message, n uint64, stack []byte, kind event.Type) error {
 	if n > maxHeaders {
 		return ErrBadWire("implausible header count %d", n)
 	}
@@ -282,6 +386,7 @@ func decodeHeaders(r *Reader, m *event.Message, n uint64, stack []byte) error {
 	offs := m.EncOffsets()
 	// Decoded outermost-first; store so the outermost ends at the top of
 	// the stack (highest index).
+	consumed := false
 	for i := int(n) - 1; i >= 0; i-- {
 		offs[i] = uint32(r.off)
 		id := r.Byte()
@@ -292,14 +397,31 @@ func decodeHeaders(r *Reader, m *event.Message, n uint64, stack []byte) error {
 		if err != nil {
 			return err
 		}
-		h, err := c.Decode(r)
+		h, v, err := c.decode(r)
 		if err != nil {
 			return err
 		}
 		hdrs[i] = h
+		if stack == nil || v == nil && c.hdrs == nil {
+			continue
+		}
+		switch {
+		case v == nil || v.on&(1<<kind) == 0:
+			return ErrBadWire("%s on a %v", h.HdrString(), kind)
+		case v.fate == ir.Consumed && i > 0:
+			return ErrBadWire("%s ends the message, and %d headers ride above it", h.HdrString(), i)
+		case v.fate == ir.PassedUpAsCast:
+			kind = event.ECast
+		}
+		consumed = v.fate == ir.Consumed
 	}
 	if err := r.Err(); err != nil {
 		return err
+	}
+	if stack != nil && n < uint64(len(stack)) && !consumed {
+		// hdrs[0] is the innermost: passed up, the next layer would pop
+		// an empty stack.
+		return ErrBadWire("%d headers for a stack of %d layers, and %s passes the message up", n, len(stack), hdrs[0].HdrString())
 	}
 	m.SetEncoded(r.buf[:r.off])
 	return nil

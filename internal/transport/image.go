@@ -52,7 +52,7 @@ func ImageOf(ev *event.Event, w *Writer) (Image, error) {
 func FromImage(img Image, ev *event.Event) error {
 	r := readerPool.Get().(*Reader)
 	r.Reset(img.Hdrs)
-	err := decodeHeaders(r, &ev.Msg, uint64(img.NHdrs), nil)
+	err := decodeHeaders(r, &ev.Msg, uint64(img.NHdrs), nil, 0)
 	if err == nil && r.Remaining() != 0 {
 		err = ErrBadWire("%d bytes after the image's %d headers", r.Remaining(), img.NHdrs)
 	}

@@ -25,6 +25,9 @@ type Writer struct {
 	hdr     []byte
 	payload []byte
 	out     []byte
+	// vals is scratch for a header's field values (SpecCodec): an array,
+	// so that taking it stores no pointer.
+	vals [8]int64
 }
 
 // Reset clears the writer for reuse, keeping its buffer.
@@ -103,6 +106,9 @@ type Reader struct {
 	buf []byte
 	off int
 	err error
+	// vals is scratch for a header's field values (SpecCodec): an array,
+	// so that taking it stores no pointer.
+	vals [8]int64
 }
 
 // NewReader wraps buf.
