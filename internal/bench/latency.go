@@ -17,9 +17,9 @@ import (
 // so the self column is a real latency, not a shortcut.
 
 // SpanReconProbe runs the members-rank netsim reference workload and
-// reconstructs its causal spans — the probe behind Gate 8's
-// span-reconstruction check. Every delivered message must map to a
-// complete chain (stats.Complete == stats.Spans) on a loss-free run.
+// reconstructs its causal spans. Every delivered message must map to a
+// complete chain (stats.Complete == stats.Spans) on a loss-free run
+// (TestSpanReconComplete).
 func SpanReconProbe(members, rounds, size int, seed int64) (obs.SpanStats, error) {
 	ref, err := deploy.Reference(deploy.Workload{Members: members, Rounds: rounds, Size: size, Seed: seed})
 	if err != nil {

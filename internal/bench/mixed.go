@@ -22,9 +22,9 @@ import (
 // stack, whose traffic is exactly this mix — the 10-layer stack's
 // sequencer and stability gossip would add interpreted control traffic
 // the dispatch family deliberately leaves alone (see opt/control.go),
-// drowning the signal Gate 5 measures. It is the workload behind Gate
-// 5: the interpreted (full-stack) share of routed events must stay
-// near zero, and control traffic must leave compressed.
+// drowning the signal measured here. TestMixedTrafficStaysCompiled
+// holds the interpreted (full-stack) share of routed events near zero,
+// and requires control traffic to leave compressed.
 
 // MixedStats is one mixed-traffic run's dispatch accounting, summed
 // over all members. The group installs exactly one view, so the
@@ -54,7 +54,7 @@ func (s MixedStats) TotalRouted() int64 {
 }
 
 // InterpShare is the fraction of routed events that fell through to the
-// interpreted full stack — the number Gate 5 bounds.
+// interpreted full stack.
 func (s MixedStats) InterpShare() float64 {
 	total := s.TotalRouted()
 	if total == 0 {

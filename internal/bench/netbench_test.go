@@ -49,22 +49,54 @@ func TestNetThroughputRejectsBadShapes(t *testing.T) {
 }
 
 // TestNetThroughputCoalesces: at 8 members with the adaptive quantum
-// on, the run must actually coalesce — at least two sub-packets per
-// frame on average (the batching acceptance bar) — and put fewer bytes
-// on the wire than the same wires would cost as unbatched classic
-// frames. 150 rounds keeps the run data-dominated; the fixed 2 s
-// stability tail is mostly lonely gossip frames and would dilute the
-// factor on a short run.
+// on, every configuration must actually coalesce — at least two
+// sub-packets per frame on average (the batching acceptance bar) — and
+// put fewer bytes on the wire than the same wires would cost as
+// unbatched classic frames. 150 rounds keeps the run data-dominated; the
+// fixed 2 s stability tail is mostly lonely gossip frames and would
+// dilute the factor on a short run. The observed MACH run is the
+// observability-overhead benchmark's workload.
+//
+// The MACH run at the minimum stamped payload (8 bytes: header-dominated
+// wires, the case the sub grammar's elisions exist for) also holds the
+// wire format to paying for itself: bytes/msg at most 0.487x the same
+// run's classic-bytes/msg (measured 17.56 against 48.08, 0.365x). The
+// bar continues the one it replaced, <= 0.5x a separately measured
+// batched-classic run (30.67 bytes/msg at 699768e, when the computed
+// yardstick read 62.95), so it admits no more than before.
 func TestNetThroughputCoalesces(t *testing.T) {
-	res, err := MeasureNetThroughput(IMP, layers.Stack10(), 8, 64, 150, 29, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SubsPerFrame < 2 {
-		t.Fatalf("8-member run coalesced only %.2f subs/frame, want >= 2", res.SubsPerFrame)
-	}
-	if res.ClassicBytesPerMsg <= 0 || res.BytesPerMsg >= res.ClassicBytesPerMsg {
-		t.Fatalf("%.2f bytes/msg on the wire against an unbatched-classic yardstick of %.2f",
-			res.BytesPerMsg, res.ClassicBytesPerMsg)
+	for _, c := range []struct {
+		name    string
+		measure func(Config, []string, int, int, int, int64, int) (NetThroughput, error)
+		cfg     Config
+		size    int
+		rounds  int
+		// wireBar, when set, bounds bytes/msg as a share of
+		// classic-bytes/msg.
+		wireBar float64
+	}{
+		{"IMP", MeasureNetThroughput, IMP, 64, 150, 0},
+		{"FUNC", MeasureNetThroughput, FUNC, 64, 150, 0},
+		{"MACH", MeasureNetThroughput, MACH, 8, 150, 0.487},
+		{"MACH_Obs", MeasureObservedNetThroughput, MACH, 8, 600, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := c.measure(c.cfg, layers.Stack10(), 8, c.size, c.rounds, 29, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%.2f subs/frame, %.2f bytes/msg against %.2f classic", res.SubsPerFrame, res.BytesPerMsg, res.ClassicBytesPerMsg)
+			if res.SubsPerFrame < 2 {
+				t.Errorf("8-member run coalesced only %.2f subs/frame, want >= 2", res.SubsPerFrame)
+			}
+			if res.ClassicBytesPerMsg <= 0 || res.BytesPerMsg >= res.ClassicBytesPerMsg {
+				t.Errorf("%.2f bytes/msg on the wire against an unbatched-classic yardstick of %.2f",
+					res.BytesPerMsg, res.ClassicBytesPerMsg)
+			}
+			if c.wireBar > 0 && res.BytesPerMsg > c.wireBar*res.ClassicBytesPerMsg {
+				t.Errorf("wire format costs %.2f bytes/msg against %.2f unbatched-classic (%.3fx), want <= %.3fx",
+					res.BytesPerMsg, res.ClassicBytesPerMsg, res.BytesPerMsg/res.ClassicBytesPerMsg, c.wireBar)
+			}
+		})
 	}
 }

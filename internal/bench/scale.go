@@ -190,8 +190,8 @@ func MeasureHierScale(groups, per, rounds int, seed int64, workers int) (ScaleRe
 
 // flatIdentityProbe replays a short traced workload at full member
 // count in both execution modes and compares the cluster's delivery
-// traces byte for byte — the determinism half of the scaling gate,
-// kept short so the probe does not dominate the measurement.
+// traces byte for byte (TestRunMatchesRunConcurrent), kept short so the
+// probe does not dominate the measurement.
 func flatIdentityProbe(members int, seed int64, workers int) (bool, error) {
 	run := func(workers int) (string, error) {
 		g, err := core.NewClusterGroup(members, netsim.Ethernet100(), seed+1, ScaleStack(), stack.Func, nil)
@@ -229,14 +229,14 @@ func flatIdentityProbe(members int, seed int64, workers int) (bool, error) {
 	return seq != "" && seq == conc, nil
 }
 
-// XFrameIdentityProbe is the wire-format determinism check behind Gate
-// 7: a short traced cast workload through a MACH group with the
-// production wire defaults left on — cross-frame delta chains and the
-// adaptive flush controller — replayed in both execution modes and
-// compared byte for byte. A scheduled mid-run generation bump on every
-// member forces the chains through the full-resend state machine under
-// concurrency, so the probe covers exactly the stateful machinery that
-// could have cost determinism.
+// XFrameIdentityProbe is the wire-format determinism check
+// (TestRunMatchesRunConcurrent): a short traced cast workload through a
+// MACH group with the production wire defaults left on — cross-frame
+// delta chains and the adaptive flush controller — replayed in both
+// execution modes and compared byte for byte. A scheduled mid-run
+// generation bump on every member forces the chains through the
+// full-resend state machine under concurrency, so the probe covers
+// exactly the stateful machinery that could have cost determinism.
 func XFrameIdentityProbe(members int, seed int64, workers int) (bool, error) {
 	run := func(workers int) (string, error) {
 		g, err := core.NewOptimizedClusterGroup(members, netsim.Ethernet100(), seed+1, layers.Stack10(), stack.Func, nil)

@@ -284,7 +284,8 @@ func CCPTable(rounds int) (string, error) {
 	fmt.Fprintf(&b, "10-layer composed CCP: %v per check\n", d10)
 	fmt.Fprintf(&b, " 4-layer composed CCP: %v per check\n", d4)
 	// The dispatch half of the ccp table: per-path hit/miss rates and the
-	// interpreted share for the mixed workload (Gate 5's numbers).
+	// interpreted share for the mixed workload (what
+	// TestMixedTrafficStaysCompiled bounds).
 	mixedRounds := rounds
 	if mixedRounds > 2000 {
 		mixedRounds = 2000

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ensemble/internal/event"
-	"ensemble/internal/layers"
 	"ensemble/internal/obs"
 	"ensemble/internal/perfcount"
 	"ensemble/internal/transport"
@@ -15,10 +14,10 @@ import (
 // where Table 1 times individual segments with the network factored out,
 // this drives back-to-back steady-state cast rounds — submit, marshal,
 // wire, unmarshal, deliver, plus the periodic housekeeping sweeps — and
-// reports messages per second and allocation pressure. It is the
-// regression gate for the paper's first optimization (§4, item 1:
-// avoiding garbage-collection cycles): the steady-state data path is
-// expected to run allocation-free.
+// reports messages per second and allocation pressure. It holds the
+// paper's first optimization (§4, item 1: avoiding garbage-collection
+// cycles): the steady-state data path runs allocation-free
+// (TestThroughputAllocFree).
 
 // ThroughputRunner drives steady-state cast rounds between a rank-0
 // sender and a rank-1 receiver under one configuration. Construction
@@ -37,9 +36,7 @@ type ThroughputRunner struct {
 
 	// Observed runners carry the full obs substrate on the measured
 	// path: every emitted wire bumps a registry counter and lands a
-	// flight record. This is the configuration the overhead gate (Gate 4)
-	// measures — it must stay allocation-free and within 3% of the
-	// unobserved throughput.
+	// flight record. It must stay as allocation-free as the bare runner.
 	obsReg  *obs.Registry
 	obsRec  *obs.Recorder
 	obsOut  [2]*obs.Counter
@@ -279,8 +276,8 @@ func MeasureThroughput(cfg Config, names []string, size, rounds int) (Throughput
 }
 
 // MeasureObservedThroughput is MeasureThroughput with the obs substrate
-// (registry + flight recorder) live on the emit path — the overhead
-// configuration Gate 4 compares against the unobserved figures.
+// (registry + flight recorder) live on the emit path — the observed side
+// of MeasureObsOverhead.
 func MeasureObservedThroughput(cfg Config, names []string, size, rounds int) (Throughput, error) {
 	return measureThroughput(cfg, names, size, rounds, true)
 }
@@ -290,7 +287,7 @@ func measureThroughput(cfg Config, names []string, size, rounds int, observed bo
 	if err != nil {
 		return Throughput{}, err
 	}
-	r.Run(520) // past the 256-round sweep boundary, see bench_test.go
+	r.Run(520) // past the 256-round sweep boundary, see TestThroughputAllocFree
 	base := r.Delivered()
 	baseBytes := r.BatchStats().FrameBytes
 	smp, err := perfcount.Measure(func() error { r.Run(rounds); return nil })
@@ -319,34 +316,4 @@ func measureThroughput(cfg Config, names []string, size, rounds int, observed bo
 		tp.BytesPerMsg = float64(bs.FrameBytes-baseBytes) / n
 	}
 	return tp, nil
-}
-
-// ThroughputTable renders the sustained-throughput comparison across
-// configurations and both evaluation stacks.
-func ThroughputTable(rounds int) (string, error) {
-	type row struct {
-		cfg   Config
-		names []string
-		label string
-	}
-	rows := []row{
-		{IMP, layers.Stack10(), "10-layer"},
-		{FUNC, layers.Stack10(), "10-layer"},
-		{MACH, layers.Stack10(), "10-layer"},
-		{IMP, layers.Stack4(), "4-layer"},
-		{FUNC, layers.Stack4(), "4-layer"},
-		{MACH, layers.Stack4(), "4-layer"},
-		{HAND, layers.Stack4(), "4-layer"},
-	}
-	out := "Sustained throughput, 4-byte casts (steady state):\n"
-	out += fmt.Sprintf("%-10s %-6s %12s %12s %14s\n", "stack", "cfg", "msgs/sec", "allocs/msg", "allocB/msg")
-	for _, rw := range rows {
-		tp, err := MeasureThroughput(rw.cfg, rw.names, 4, rounds)
-		if err != nil {
-			return "", fmt.Errorf("%s/%s: %w", rw.label, rw.cfg, err)
-		}
-		out += fmt.Sprintf("%-10s %-6s %12.0f %12.3f %14.1f\n",
-			rw.label, rw.cfg, tp.MsgsPerSec, tp.AllocsPerMsg, tp.AllocBytesPerMsg)
-	}
-	return out, nil
 }

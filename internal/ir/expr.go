@@ -14,7 +14,6 @@ package ir
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Op enumerates binary operators. Comparisons and connectives yield 0/1.
@@ -246,13 +245,4 @@ func Size(e Expr) int {
 	n := 0
 	Walk(e, func(Expr) { n++ })
 	return n
-}
-
-// indent is shared by the String methods of rules and theorems.
-func indent(s, pad string) string {
-	lines := strings.Split(s, "\n")
-	for i := range lines {
-		lines[i] = pad + lines[i]
-	}
-	return strings.Join(lines, "\n")
 }
