@@ -21,8 +21,9 @@ import (
 // (be412b95…), and again when the sequencer's order announcements
 // began to leave compressed like every other recognized control shape:
 // those wires shrink, and the delivery check below holds the run to the
-// interpreted stack's behaviour.
-const goldenTraceSHA256 = "e725214f35eddfad73a866bc937a541360d25137ba681d9aed7ce53f8414e93c"
+// interpreted stack's behaviour. Recorded a third time when the
+// sequencer began to announce runs of casts, one order per run.
+const goldenTraceSHA256 = "adc2f1b442b7f1516f6deaf992466ae3eb0984dd4dc38b7aa22249f3764f1d4b"
 
 // productionRun runs 8 production-configured members (cross-frame
 // chains, adaptive flush, adaptive quantum; the MACH bypass when
@@ -95,10 +96,14 @@ func TestGoldenProductionTrace(t *testing.T) {
 // at commit ac970d7, the last with a coordinator-direct path beside the
 // tree: views of 16 and more took the tree there (hence 17, so that the
 // second change still runs in a view of 16), and every byte and its
-// order must survive any refactoring of the tree's helpers.
+// order must survive any refactoring of the tree's helpers. Recorded
+// again when the sequencer began to announce runs of casts, a graceful
+// leaver began to go quiet after its leave, a blocked member began to
+// announce its cast count at each sweep, and mflow began to release its
+// queue on a block.
 var goldenVsyncTraceSHA256 = map[int]string{
-	17: "a7561c8147395228bff19d844475c189911d29e4951c1a11d66aecb2e4c5ce3d",
-	64: "e5d92ee2f0390f4067b2f857462bb6a8649256e61cf0f03da7fc99af05947a84",
+	17: "daab854ae376648e2b783c3dca1c0e143d9b12c47a815aa27db64206cc500556",
+	64: "0087456f6ee41fad5cae9f704a100645f28f8a4c372ea7dc1c5315b1fa59efad",
 }
 
 func TestGoldenViewChangeTrace(t *testing.T) {

@@ -148,6 +148,9 @@ type Member struct {
 	busy   atomic.Int32
 	inside bool
 
+	// releaseDue marks a releaseHeld timer pending (endBurst).
+	releaseDue bool
+
 	stats MemberStats
 
 	// batch coalesces outgoing wires into per-destination frames. Flush
@@ -259,8 +262,10 @@ func newMember(sim Clock, net Network, v0 *event.View, names []string, mode stac
 func (m *Member) Batcher() *transport.Batcher { return m.batch }
 
 // flushWires is the drain-flush hook a cluster Endpoint runs at the end
-// of each drain phase: it emits every frame batched across the phase
-// (minus what the adaptive controller holds for the next one). The
+// of each drain phase: it tells the stack the burst has ended (so the
+// sequencer announces its open order run into this flush), then emits
+// every frame batched across the phase (minus what the adaptive
+// controller holds for the next one). The
 // flight records fire only when the flush did something — emitted
 // frames or held some back: the concurrent scheduler skips members with
 // empty mailboxes (which by the drain-flush invariant batched nothing
@@ -270,7 +275,7 @@ func (m *Member) flushWires() {
 	if m.enter("batch flush") {
 		defer m.leave()
 	}
-	emitted := m.batch.FlushFor(transport.FlushBarrier)
+	emitted := m.endBurst(transport.FlushBarrier)
 	if m.trk == nil {
 		return
 	}
@@ -280,6 +285,40 @@ func (m *Member) flushWires() {
 	if held := m.batch.PendingSubs(); held > 0 {
 		m.trk.Record(m.sim.Now(), obs.KindFlushDecision, obs.DirDn,
 			uint8(transport.FlushBarrier), int64(held))
+	}
+}
+
+// endBurst ends the member's input burst: the stack gets its
+// event.EBurstEnd (the sequencer announces its open order run), then
+// the batcher flushes for cause; it reports how many frames went out.
+// The flush may hold a small frame for the next burst's wires to join.
+// If the burst end sent something, every other member's deliveries may
+// wait on it, and the next burst may be a sweep away: a release is due
+// when the hold cap runs out.
+func (m *Member) endBurst(cause transport.FlushCause) int {
+	announced := false
+	if !m.exited {
+		out := m.stats.PacketsOut
+		m.eng.Submit(event.BurstEndEv())
+		announced = m.stats.PacketsOut != out
+	}
+	n := m.batch.FlushFor(cause)
+	if announced && !m.releaseDue && m.batch.PendingSubs() > 0 {
+		m.releaseDue = true
+		m.sim.After(transport.HoldMaxNs, m.releaseHeld)
+	}
+	return n
+}
+
+// releaseHeld is the hold cap's flush point for frames held behind an
+// announcement (endBurst).
+func (m *Member) releaseHeld() {
+	if m.enter("held release") {
+		defer m.leave()
+	}
+	m.releaseDue = false
+	if !m.exited {
+		m.batch.Flush()
 	}
 }
 
@@ -327,11 +366,12 @@ func (m *Member) enter(what string) bool {
 // leave hands the member back after an outermost enter.
 func (m *Member) leave() {
 	// No barrier is coming for work done outside a drain phase, so
-	// flush batched wires before handing the member back. Inside a
-	// drain phase the flush is deferred to the phase barrier
-	// (flushWires), where it is one frame per destination per phase.
+	// the entry is the burst: end it and flush batched wires before
+	// handing the member back. Inside a drain phase both are deferred to
+	// the phase barrier (flushWires), where the flush is one frame per
+	// destination per phase.
 	if !m.net.InDrain() {
-		m.batch.FlushFor(transport.FlushEntryEnd)
+		m.endBurst(transport.FlushEntryEnd)
 	}
 	m.inside = false
 	m.busy.Store(0)
@@ -458,7 +498,7 @@ func (m *Member) Shutdown() {
 	if m.exited {
 		return
 	}
-	m.batch.Flush() // force out held frames too; no future entry will
+	m.endBurst(transport.FlushExplicit) // force out held frames too; no future entry will
 	m.exit()
 }
 

@@ -75,6 +75,12 @@ const (
 	// accepted by the layer interface but the shipped stacks treat them
 	// as unknown events and pass them through.
 	EMergeRequest
+	// EBurstEnd marks the end of a member's input burst (a scheduler
+	// drain phase, a socket read burst, or one direct call), just before
+	// the wires batched across it leave. Travels down. A layer holding
+	// work for the burst's end — the sequencer's open order run — emits
+	// it here; every other layer passes the event through.
+	EBurstEnd
 
 	numTypes
 )
@@ -95,6 +101,7 @@ var typeNames = [...]string{
 	ELostMessage:  "LostMessage",
 	EAck:          "Ack",
 	EMergeRequest: "MergeRequest",
+	EBurstEnd:     "BurstEnd",
 }
 
 // String returns the Ensemble-style name of the event type.
@@ -276,6 +283,13 @@ func SendEv(dst int, payload []byte) *Event {
 func TimerEv(t int64) *Event {
 	e := Alloc()
 	e.Dir, e.Type, e.Time = Up, ETimer, t
+	return e
+}
+
+// BurstEndEv builds the down-going end-of-burst marker.
+func BurstEndEv() *Event {
+	e := Alloc()
+	e.Dir, e.Type = Dn, EBurstEnd
 	return e
 }
 

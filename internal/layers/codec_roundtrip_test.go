@@ -15,7 +15,7 @@ import (
 func allHeaderVariants() []event.Header {
 	return append(membershipVariants(),
 		bottomHdr{},
-		&mnakData{Seqno: 12345}, mnakPass{}, mnakNak{Lo: -3, Hi: 900}, mnakRetrans{Seqno: 7},
+		&mnakData{Seqno: 12345}, mnakPass{}, mnakNak{Lo: -3, Hi: 900}, mnakRetrans{Seqno: 7}, mnakTail{Seqno: 40},
 		&p2pData{Seqno: 3, Ack: 2}, p2pRetrans{Seqno: 5, Ack: 4}, p2pAck{Ack: 9}, p2pPass{},
 		p2pwData{}, p2pwAck{Count: 17}, p2pwPass{},
 		mflowData{}, mflowCredit{Bytes: 65536}, mflowPass{},
@@ -23,7 +23,7 @@ func allHeaderVariants() []event.Header {
 		collectPass{},
 		localHdr{}, topHdr{}, paplHdr{},
 		&totalData{LocalSeq: 11, GSeq: -1}, &totalData{LocalSeq: 11, GSeq: 42},
-		totalOrder{Origin: 2, LocalSeq: 5, GSeq: 6}, totalPass{},
+		totalOrder{Origin: 2, LocalSeq: 5, GSeq: 6, Count: 3}, totalPass{},
 		suspectPass{}, suspectPing{},
 		&seqnoData{Seqno: 77}, seqnoPass{},
 		chkHdr{Sum: 0xDEADBEEF},

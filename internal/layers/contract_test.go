@@ -46,7 +46,7 @@ func shapeSamples() map[string][]event.Header {
 	zeros := make([]int64, shapeN)
 	return map[string][]event.Header{
 		Bottom:      {bottomHdr{}},
-		Mnak:        {&mnakData{}, mnakPass{}, mnakNak{}, mnakRetrans{}},
+		Mnak:        {&mnakData{}, mnakPass{}, mnakNak{}, mnakRetrans{}, mnakTail{}},
 		Pt2pt:       {&p2pData{}, p2pRetrans{}, p2pAck{}, p2pPass{}},
 		Mflow:       {mflowData{}, mflowCredit{}, mflowPass{}},
 		Pt2ptw:      {p2pwData{}, p2pwAck{}, p2pwPass{}},
@@ -268,6 +268,53 @@ func stackImages(t testing.TB, names []string) (cast, send []byte) {
 	return cast, send
 }
 
+// runImage is the wire of an order announcement for a run: the
+// sequencer of a two-member view orders two casts of rank 1's that
+// arrive in one burst.
+func runImage(t testing.TB, names []string) []byte {
+	t.Helper()
+	views := [2]*event.View{event.NewView("g", 1, []event.Addr{1, 2}, 0), event.NewView("g", 1, []event.Addr{1, 2}, 1)}
+	var casts [][]byte
+	var run []byte
+	for rank := 1; rank >= 0; rank-- {
+		stk, err := stack.Build(names, layer.DefaultConfig(views[rank]), stack.Func, stack.Callbacks{Net: func(ev *event.Event) {
+			if ev.Type != event.ECast {
+				return
+			}
+			var w transport.Writer
+			if err := transport.Marshal(ev, rank, &w); err != nil {
+				t.Fatal(err)
+			}
+			if ev.ApplMsg {
+				casts = append(casts, w.Bytes())
+			} else if o, ok := ev.Msg.Headers[0].(totalOrder); ok && o.Count == 2 {
+				run = w.Bytes()
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stk.SubmitDn(event.InitEv(views[rank]))
+		if rank == 1 {
+			stk.SubmitDn(event.CastEv([]byte("one")))
+			stk.SubmitDn(event.CastEv([]byte("two")))
+			continue
+		}
+		for _, c := range casts {
+			ev, err := transport.Unmarshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stk.DeliverUp(ev)
+		}
+		stk.SubmitDn(event.BurstEndEv())
+	}
+	if run == nil {
+		t.Fatal("the sequencer announced no run of two")
+	}
+	return run
+}
+
 // FuzzUnmarshalFor: no bytes may make UnmarshalFor panic for the 10-layer
 // or the virtually synchronous stack, and an image it admits must
 // survive Marshal: decoded again, it has the same type, sender, payload
@@ -278,6 +325,7 @@ func FuzzUnmarshalFor(f *testing.F) {
 		cast, send := stackImages(f, names)
 		f.Add(cast, vsync)
 		f.Add(send, vsync)
+		f.Add(runImage(f, names), vsync)
 		// The foreign shapes of core's malformed-wire test: no headers at
 		// all, the 4-layer stack's cast, and the cast without its bottom
 		// header or cut short to its k outermost headers.

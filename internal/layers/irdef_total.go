@@ -23,6 +23,7 @@ func (s *totalState) IRVars() []ir.VarSpec {
 			func(v int64) { s.gCount = v }),
 		scalarRO("pending_len", func() int64 { return int64(len(s.pending)) }),
 		scalarRO("blocked", func() int64 { return b2i(s.blocked) }),
+		scalarRO("run_len", func() int64 { return s.run.Count }),
 	}
 }
 
@@ -78,8 +79,10 @@ func totalDef() ir.LayerDef {
 		Hdrs: totalHdrs,
 		CCP: map[ir.PathKey]ir.Expr{
 			// Rule selection is decided by the member's rank (a view
-			// constant) once the no-flush-in-progress predicate holds.
-			ir.DnCast: ir.Eq(ir.Var("blocked"), ir.Const(0)),
+			// constant) once the no-flush-in-progress predicate holds. An
+			// open order run (only ever the sequencer's) must be announced
+			// before the next stamp, which the stack does.
+			ir.DnCast: ir.And(ir.Eq(ir.Var("blocked"), ir.Const(0)), ir.Eq(ir.Var("run_len"), ir.Const(0))),
 			ir.DnSend: ir.True,
 			ir.UpCast: upCCP,
 			ir.UpSend: tagIs(totalTagPass),

@@ -293,14 +293,19 @@ func TestTotalSequencerOrdersForeignCasts(t *testing.T) {
 	if len(ups) != 1 {
 		t.Fatalf("sequencer delivered %d, want 1 (immediate order assignment)", len(ups))
 	}
-	if len(dns) != 1 {
-		t.Fatalf("sequencer announced %d orders, want 1", len(dns))
-	}
-	ord, ok := dns[0].Msg.Top().(totalOrder)
-	if !ok || ord.GSeq != 0 || ord.Origin != 1 {
-		t.Fatalf("announcement = %v", dns[0].Msg.Top())
+	if len(dns) != 0 {
+		t.Fatalf("sequencer announced %d orders before the burst ended, want 0", len(dns))
 	}
 	freeAll(ups)
+	// The run of one closes at the end of the burst, ahead of the marker.
+	ups, dns = dn(seq, event.BurstEndEv())
+	if len(ups) != 0 || len(dns) != 2 || dns[1].Type != event.EBurstEnd {
+		t.Fatalf("burst end emitted ups=%d dns=%d, want the announcement and the marker", len(ups), len(dns))
+	}
+	ord, ok := dns[0].Msg.Top().(totalOrder)
+	if !ok || ord.GSeq != 0 || ord.Origin != 1 || ord.Count != 1 {
+		t.Fatalf("announcement = %v", dns[0].Msg.Top())
+	}
 	freeAll(dns)
 }
 
@@ -317,7 +322,7 @@ func TestTotalNonSequencerBuffersUntilOrder(t *testing.T) {
 	}
 	ord := event.Alloc()
 	ord.Dir, ord.Type, ord.Peer = event.Up, event.ECast, 0
-	ord.Msg.Push(totalOrder{Origin: 1, LocalSeq: 0, GSeq: 0})
+	ord.Msg.Push(totalOrder{Origin: 1, LocalSeq: 0, GSeq: 0, Count: 1})
 	ups, dns = up(member, ord)
 	if len(ups) != 1 || string(ups[0].Msg.Payload) != "y" {
 		t.Fatalf("order announcement did not release the cast: %v", ups)
@@ -330,7 +335,7 @@ func TestTotalOrderBeforeData(t *testing.T) {
 	member := mkState(t, Total, 2, 1)
 	ord := event.Alloc()
 	ord.Dir, ord.Type, ord.Peer = event.Up, event.ECast, 0
-	ord.Msg.Push(totalOrder{Origin: 1, LocalSeq: 0, GSeq: 0})
+	ord.Msg.Push(totalOrder{Origin: 1, LocalSeq: 0, GSeq: 0, Count: 1})
 	ups, dns := up(member, ord)
 	if len(ups)+len(dns) != 0 {
 		t.Fatal("early order produced output")
@@ -551,7 +556,7 @@ func TestHeaderStringsAreDistinct(t *testing.T) {
 		fragSolo{}, fragFrag{Idx: 1, Of: 2},
 		collectPass{}, collectGossip{Vector: []int64{1}},
 		localHdr{}, topHdr{}, paplHdr{},
-		&totalData{LocalSeq: 1, GSeq: 2}, totalOrder{Origin: 1, LocalSeq: 2, GSeq: 3}, totalPass{},
+		&totalData{LocalSeq: 1, GSeq: 2}, totalOrder{Origin: 1, LocalSeq: 2, GSeq: 3, Count: 1}, totalPass{},
 		suspectPass{}, suspectPing{},
 		membPass{}, membFlushTree{ViewSeq: 1, Round: 2}, membFlushAgg{ViewSeq: 1, Round: 2, Count: 3},
 		membView{ViewSeq: 1}, membLeave{Rank: 1},

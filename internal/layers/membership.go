@@ -331,9 +331,18 @@ func (s *membershipState) DrainPending() []PendingApp {
 }
 
 // coord returns the lowest rank that is neither suspected nor leaving.
+// When every rank is excluded, the lowest one not suspected coordinates:
+// a leaver last of its view — everyone leaving, or everyone else gone
+// silent, as when the new view's announcement to it was lost — announces
+// the empty view that makes it exit.
 func (s *membershipState) coord() int {
 	for r := 0; r < s.view.N(); r++ {
 		if !s.excluded(r) {
+			return r
+		}
+	}
+	for r := 0; r < s.view.N(); r++ {
+		if !s.suspects[r] {
 			return r
 		}
 	}
@@ -378,11 +387,19 @@ func (s *membershipState) HandleDn(ev *event.Event, snk layer.Sink) {
 		ev.Msg.Push(membPass{})
 		snk.PassDn(ev)
 	case event.ELeave:
+		// The leave is cast, so every survivor learns of it only after
+		// the leaver's earlier casts. Then the leaver goes quiet as a
+		// flushed member does: it is outside the flush tree, so nothing
+		// else would stop its heartbeat and gossip casts, and its column
+		// in the survivors' receive vectors would never agree.
 		lv := event.Alloc()
 		lv.Dir, lv.Type = event.Dn, event.ECast
 		lv.Msg.Push(membLeave{Rank: int32(s.view.Rank)})
 		snk.PassDn(lv)
 		event.Free(ev)
+		if !s.blocked {
+			s.applyFlush(nil, snk)
+		}
 	case event.EMergeRequest:
 		// Partition merge: the group runtime computed a merged view and
 		// asks this partition to adopt it. Announcing it with a cast

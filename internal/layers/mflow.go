@@ -136,6 +136,15 @@ func (s *mflowState) HandleDn(ev *event.Event, snk layer.Sink) {
 	case event.ESend:
 		ev.Msg.Push(mflowPass{})
 		snk.PassDn(ev)
+	case event.EBlock:
+		// A flush agrees on the casts mnak below has numbered, and the
+		// stack is dropped at the next view: a cast still queued here
+		// would be lost. Release them all, past the credit limit, before
+		// mnak reports its vector.
+		for len(s.queue) > 0 {
+			s.release(snk)
+		}
+		snk.PassDn(ev)
 	default:
 		snk.PassDn(ev)
 	}

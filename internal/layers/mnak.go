@@ -46,6 +46,11 @@ type mnakState struct {
 	// to avoid duplicate NAKs for the same gap.
 	naked []int64
 
+	// blocked is set once a flush (or this member's graceful leave) has
+	// stopped the casts above: from then on each sweep announces mySeq
+	// (mnakTail), since no later cast will reveal a loss of the last ones.
+	blocked bool
+
 	// wbuf encodes the images of events that did not come off the wire.
 	wbuf transport.Writer
 }
@@ -74,6 +79,10 @@ type (
 		Origin int32
 		Seqno  int64
 	}
+	// mnakTail announces the sender's cast count, Seqno being the next
+	// sequence number it would use. A blocked member multicasts one
+	// unnumbered at every sweep; a receiver short of it NAKs the rest.
+	mnakTail struct{ Seqno int64 }
 )
 
 var mnakDataPool event.HdrPool[mnakData]
@@ -92,6 +101,8 @@ func (mnakNak) Layer() string     { return Mnak }
 func (mnakNak) WireID() byte      { return idMnak }
 func (mnakRetrans) Layer() string { return Mnak }
 func (mnakRetrans) WireID() byte  { return idMnak }
+func (mnakTail) Layer() string    { return Mnak }
+func (mnakTail) WireID() byte     { return idMnak }
 
 func (h *mnakData) HdrString() string { return fmt.Sprintf("mnak:Data(%d)", h.Seqno) }
 func (mnakPass) HdrString() string    { return "mnak:Pass" }
@@ -101,6 +112,7 @@ func (h mnakNak) HdrString() string {
 func (h mnakRetrans) HdrString() string {
 	return fmt.Sprintf("mnak:Retrans(o=%d,%d)", h.Origin, h.Seqno)
 }
+func (h mnakTail) HdrString() string { return fmt.Sprintf("mnak:Tail(%d)", h.Seqno) }
 
 func (h *mnakData) CloneHdr() event.Header { return newMnakData(h.Seqno) }
 func (h *mnakData) FreeHdr()               { mnakDataPool.Put(h) }
@@ -110,6 +122,7 @@ const (
 	mnakTagPass
 	mnakTagNak
 	mnakTagRetrans
+	mnakTagTail
 )
 
 var mnakHdrs = []ir.HdrSpec{
@@ -126,6 +139,10 @@ var mnakHdrs = []ir.HdrSpec{
 		On: onSend, Fate: ir.PassedUpAsCast,
 		Make: func(f []int64) event.Header { return mnakRetrans{Origin: int32(f[0]), Seqno: f[1]} },
 		Read: readAs(func(r mnakRetrans, dst []int64) []int64 { return append(dst, int64(r.Origin), r.Seqno) })},
+	{Variant: "Tail", Tag: int64(mnakTagTail), Fields: []string{"seqno"},
+		On: onCast, Fate: ir.Consumed,
+		Make: func(f []int64) event.Header { return mnakTail{Seqno: f[0]} },
+		Read: readAs(func(t mnakTail, dst []int64) []int64 { return append(dst, t.Seqno) })},
 }
 
 func init() {
@@ -166,6 +183,7 @@ func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 		// View-change flush (membership layer): report our
 		// contiguous-receive vector so the coordinator can decide when
 		// every surviving member holds the same casts.
+		s.blocked = true
 		ok := event.Alloc()
 		ok.Dir, ok.Type = event.Up, event.EBlockOk
 		ok.Stability = append([]int64(nil), s.recvNext...)
@@ -221,11 +239,25 @@ func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 func (s *mnakState) HandleUp(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
-		h := ev.Msg.Pop().(*mnakData)
-		seq := h.Seqno
-		h.FreeHdr()
-		s.deliverCast(ev.Peer, seq, ev, true, snk)
+		switch h := ev.Msg.Pop().(type) {
+		case *mnakData:
+			seq := h.Seqno
+			h.FreeHdr()
+			s.deliverCast(ev.Peer, seq, ev, true, snk)
+		case mnakTail:
+			if o := ev.Peer; o != s.view.Rank && h.Seqno > s.recvNext[o] {
+				s.naked[o] = max(s.naked[o], h.Seqno-1)
+				s.sendNak(o, o, s.recvNext[o], h.Seqno-1, snk)
+			}
+			event.Free(ev)
+		}
 	case event.ETimer:
+		if s.blocked && s.mySeq > 0 {
+			tail := event.Alloc()
+			tail.Dir, tail.Type = event.Dn, event.ECast
+			tail.Msg.Push(mnakTail{Seqno: s.mySeq})
+			snk.PassDn(tail)
+		}
 		// Report the contiguous-receive vector upward so the stability
 		// protocol (collect layer) can gossip it. Our own slot is our
 		// send count: everything we sent, we trivially have.

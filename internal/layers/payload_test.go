@@ -148,6 +148,12 @@ func TestOneCopyAboveTheNetwork(t *testing.T) {
 				t.Fatal(err)
 			}
 			stks[queue[i].to].DeliverUp(ev)
+			if i == len(queue)-1 {
+				// The network is quiet: every member's burst ends.
+				for _, stk := range stks {
+					stk.SubmitDn(event.BurstEndEv())
+				}
+			}
 		}
 		runtime.ReadMemStats(&after)
 		above += after.TotalAlloc - before.TotalAlloc

@@ -2,6 +2,7 @@ package layers
 
 import (
 	"fmt"
+	"math"
 
 	"ensemble/internal/event"
 	"ensemble/internal/ir"
@@ -18,6 +19,14 @@ import (
 // so all members deliver all casts in the same order — the property whose
 // manual proof located a subtle bug in Ensemble's implementation
 // (paper §3.1, [11]).
+//
+// The sequencer announces runs, not single casts: consecutive
+// assignments to one origin (lseq, lseq+1, … numbered g, g+1, …) travel
+// as one Order with a count. A run closes when the next assignment does
+// not continue it, before the sequencer stamps its own cast, on EBlock,
+// at the end of the member's input burst (EBurstEnd), at the sweep
+// timer as a backstop, and at maxRun casts. Where origins interleave
+// this is one Order per cast, as before.
 type totalState struct {
 	view *event.View
 
@@ -43,6 +52,10 @@ type totalState struct {
 	// cast.
 	earlyOrders map[totalKey]int64
 
+	// run is the sequencer's open order run, assigned but not yet
+	// announced (Count == 0: none open).
+	run totalOrder
+
 	// blocked is set when a view-change flush begins (EBlock passing
 	// up). A blocked sequencer must not stamp its casts: the membership
 	// layer below will queue them for the next view, and a consumed
@@ -64,12 +77,13 @@ type (
 		LocalSeq int64
 		GSeq     int64
 	}
-	// totalOrder announces that the cast (Origin, LocalSeq) has global
-	// sequence number GSeq. Multicast by the sequencer.
+	// totalOrder announces that the Count casts (Origin, LocalSeq+i)
+	// have global sequence numbers GSeq+i. Multicast by the sequencer.
 	totalOrder struct {
 		Origin   int32
 		LocalSeq int64
 		GSeq     int64
+		Count    int64
 	}
 	// totalPass tags point-to-point traffic passing through.
 	totalPass struct{}
@@ -97,7 +111,7 @@ func (h *totalData) HdrString() string {
 func (h *totalData) CloneHdr() event.Header { return newTotalData(h.LocalSeq, h.GSeq) }
 func (h *totalData) FreeHdr()               { totalDataPool.Put(h) }
 func (h totalOrder) HdrString() string {
-	return fmt.Sprintf("total:Order(%d,%d->g=%d)", h.Origin, h.LocalSeq, h.GSeq)
+	return fmt.Sprintf("total:Order(%d,%d->g=%d,n=%d)", h.Origin, h.LocalSeq, h.GSeq, h.Count)
 }
 func (totalPass) HdrString() string { return "total:Pass" }
 
@@ -112,10 +126,14 @@ var totalHdrs = []ir.HdrSpec{
 		On: onCast, Fate: ir.PassedUp,
 		Make: func(f []int64) event.Header { return newTotalData(f[0], f[1]) },
 		Read: readAs(func(d *totalData, dst []int64) []int64 { return append(dst, d.LocalSeq, d.GSeq) })},
-	{Variant: "Order", Tag: int64(totalTagOrder), Fields: []string{"origin", "lseq", "gseq"},
+	{Variant: "Order", Tag: int64(totalTagOrder), Fields: []string{"origin", "lseq", "gseq", "count"},
 		On: onCast, Fate: ir.Consumed,
-		Make: func(f []int64) event.Header { return totalOrder{Origin: int32(f[0]), LocalSeq: f[1], GSeq: f[2]} },
-		Read: readAs(func(o totalOrder, dst []int64) []int64 { return append(dst, int64(o.Origin), o.LocalSeq, o.GSeq) })},
+		Make: func(f []int64) event.Header {
+			return totalOrder{Origin: int32(f[0]), LocalSeq: f[1], GSeq: f[2], Count: f[3]}
+		},
+		Read: readAs(func(o totalOrder, dst []int64) []int64 {
+			return append(dst, int64(o.Origin), o.LocalSeq, o.GSeq, o.Count)
+		})},
 	bareHdr[totalPass]("Pass", totalTagPass, onSend, ir.PassedUp),
 }
 
@@ -135,6 +153,10 @@ func (s *totalState) Name() string { return Total }
 
 func (s *totalState) sequencer() bool { return s.view.Rank == 0 }
 
+// maxRun bounds an order run: the sequencer closes a run at this many
+// casts, so a receiver drops any longer one without looking at it.
+const maxRun = 256
+
 func (s *totalState) HandleDn(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
@@ -142,6 +164,9 @@ func (s *totalState) HandleDn(ev *event.Event, snk layer.Sink) {
 		s.myLocalSeq++
 		g := int64(-1)
 		if s.sequencer() && !s.blocked {
+			// The open run's numbers precede this one: announce them
+			// first, so receivers can deliver the stamped cast on arrival.
+			s.closeRun(snk)
 			g = s.gCount
 			s.gCount++
 		}
@@ -149,6 +174,9 @@ func (s *totalState) HandleDn(ev *event.Event, snk layer.Sink) {
 		snk.PassDn(ev)
 	case event.ESend:
 		ev.Msg.Push(totalPass{})
+		snk.PassDn(ev)
+	case event.EBurstEnd:
+		s.closeRun(snk)
 		snk.PassDn(ev)
 	default:
 		snk.PassDn(ev)
@@ -172,6 +200,12 @@ func (s *totalState) HandleUp(ev *event.Event, snk layer.Sink) {
 		snk.PassUp(ev)
 	case event.EBlock:
 		s.blocked = true
+		s.closeRun(snk)
+		snk.PassUp(ev)
+	case event.ETimer:
+		// A backstop: every burst ends in an EBurstEnd, but a harness
+		// driving the stack directly may never send one.
+		s.closeRun(snk)
 		snk.PassUp(ev)
 	default:
 		snk.PassUp(ev)
@@ -203,7 +237,7 @@ func (s *totalState) handleData(origin int, lseq, gseq int64, ev *event.Event, s
 		g := s.gCount
 		s.gCount++
 		s.pending[g] = ev
-		s.announce(origin, lseq, g, snk)
+		s.assign(origin, lseq, g, snk)
 	default:
 		key := totalKey{origin: origin, lseq: lseq}
 		if g, ok := s.earlyOrders[key]; ok {
@@ -216,34 +250,71 @@ func (s *totalState) handleData(origin int, lseq, gseq int64, ev *event.Event, s
 	s.drain(snk)
 }
 
-// handleOrder processes a sequencer announcement.
+// handleOrder processes a sequencer announcement: each cast of the run
+// is delivered, held for its turn, or — not here yet — remembered.
 func (s *totalState) handleOrder(h totalOrder, snk layer.Sink) {
 	if s.sequencer() {
-		// Our own announcement, reflected by the local layer: the cast
-		// it references was ordered when we assigned the number.
+		// Our own announcement, reflected by the local layer: the casts
+		// it references were ordered when we assigned the numbers.
 		return
 	}
-	key := totalKey{origin: int(h.Origin), lseq: h.LocalSeq}
-	if p, ok := s.unordered[key]; ok {
-		delete(s.unordered, key)
-		if h.GSeq == s.nextGlobal {
+	if !s.validRun(h) {
+		return
+	}
+	for i := range h.Count {
+		key := totalKey{origin: int(h.Origin), lseq: h.LocalSeq + i}
+		g := h.GSeq + i
+		p, ok := s.unordered[key]
+		switch {
+		case !ok:
+			s.earlyOrders[key] = g
+		case g == s.nextGlobal:
 			// Next in the order: no need to go through the pending set.
+			delete(s.unordered, key)
 			s.nextGlobal++
 			snk.PassUp(p)
-		} else {
-			s.pending[h.GSeq] = p
+		default:
+			delete(s.unordered, key)
+			s.pending[g] = p
 		}
-		s.drain(snk)
-		return
 	}
-	s.earlyOrders[key] = h.GSeq
+	s.drain(snk)
 }
 
-// announce multicasts an order assignment.
-func (s *totalState) announce(origin int, lseq, g int64, snk layer.Sink) {
+// validRun reports whether an announcement is one the sequencer can
+// have sent: a run of 1..maxRun casts of a member of the view, numbered
+// from a global number not yet delivered. Anything else is dropped
+// before its count is looked at.
+func (s *totalState) validRun(h totalOrder) bool {
+	return h.Count > 0 && h.Count <= maxRun &&
+		h.Origin >= 0 && int(h.Origin) < s.view.N() &&
+		h.LocalSeq >= 0 && h.LocalSeq <= math.MaxInt64-maxRun &&
+		h.GSeq >= s.nextGlobal && h.GSeq <= math.MaxInt64-maxRun
+}
+
+// assign records the sequencer's assignment of global number g to the
+// cast (origin, lseq): it extends the open run when it continues it,
+// and otherwise closes that run and opens a new one.
+func (s *totalState) assign(origin int, lseq, g int64, snk layer.Sink) {
+	r := &s.run
+	if r.Count > 0 && r.Count < maxRun && int(r.Origin) == origin &&
+		r.LocalSeq+r.Count == lseq && r.GSeq+r.Count == g {
+		r.Count++
+		return
+	}
+	s.closeRun(snk)
+	s.run = totalOrder{Origin: int32(origin), LocalSeq: lseq, GSeq: g, Count: 1}
+}
+
+// closeRun multicasts the open run's announcement, if one is open.
+func (s *totalState) closeRun(snk layer.Sink) {
+	if s.run.Count == 0 {
+		return
+	}
 	ord := event.Alloc()
 	ord.Dir, ord.Type = event.Dn, event.ECast
-	ord.Msg.Push(totalOrder{Origin: int32(origin), LocalSeq: lseq, GSeq: g})
+	ord.Msg.Push(s.run)
+	s.run = totalOrder{}
 	snk.PassDn(ord)
 }
 

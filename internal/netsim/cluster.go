@@ -68,6 +68,8 @@ type Cluster struct {
 	// densities; qMax == 0 means it was never called.
 	quantum    int64
 	qMin, qMax int64
+	// quantumRounds counts the rounds routed under each window size.
+	quantumRounds map[int64]int64
 
 	tracing bool
 	running bool
@@ -83,9 +85,10 @@ func NewCluster(seed int64, profile Profile) *Cluster {
 			eps:     map[event.Addr]bool{},
 			walker:  transport.NewFrameWalker(transport.EpochPrefixUvarints, true),
 		},
-		seed:    seed,
-		byAddr:  map[event.Addr]int{},
-		nshards: 1,
+		seed:          seed,
+		byAddr:        map[event.Addr]int{},
+		nshards:       1,
+		quantumRounds: map[int64]int64{},
 	}
 }
 
@@ -211,6 +214,19 @@ func (c *Cluster) adaptQuantum() {
 			c.quantum = c.qMax
 		}
 	}
+}
+
+// QuantumRounds reports how many scheduler rounds were routed under each
+// batch window (in virtual ns) since the cluster was built: a window the
+// adaptive controller doubled shows as rounds counted under the wider
+// size. A virtual-latency shift between two runs of one workload reads
+// off these counts.
+func (c *Cluster) QuantumRounds() map[int64]int64 {
+	out := make(map[int64]int64, len(c.quantumRounds))
+	for q, n := range c.quantumRounds {
+		out[q] = n
+	}
+	return out
 }
 
 // EnableTrace starts recording the delivery trace (sends at commit
@@ -529,6 +545,7 @@ func (c *Cluster) run(deadline int64, workers int) int {
 		if batchEnd > deadline {
 			batchEnd = deadline
 		}
+		c.quantumRounds[c.quantum]++
 		for len(c.sim.pq) > 0 && c.sim.pq[0].t <= batchEnd {
 			ev := c.sim.pq.pop()
 			if ev.t > c.sim.now {

@@ -91,6 +91,40 @@ func TestClusterQuantumDeterminism(t *testing.T) {
 	}
 }
 
+// TestSparserScheduleDoublesQuantum: the adaptive window widens until a
+// round routes about four events per member, so a schedule with half as
+// many events settles on a window twice as wide — what a group sending
+// fewer frames sees, and why its virtual latencies grow.
+func TestSparserScheduleDoublesQuantum(t *testing.T) {
+	const members, span = 4, int64(100e6)
+	settled := func(gap int64) (int64, map[int64]int64) {
+		c := NewCluster(1, Profile{Latency: 1000})
+		for i := 0; i < members; i++ {
+			c.NewEndpoint(event.Addr(i + 1))
+		}
+		c.EnableAdaptiveQuantum(100_000, 100_000_000)
+		for at := int64(0); at < span; at += gap {
+			for i := 0; i < members; i++ {
+				c.Enqueue(i, at, func() {})
+			}
+		}
+		c.Run(span)
+		rounds := c.QuantumRounds()
+		var most int64
+		for q, n := range rounds {
+			if n > rounds[most] {
+				most = q
+			}
+		}
+		return most, rounds
+	}
+	dense, dr := settled(50_000)
+	sparse, sr := settled(100_000)
+	if dense != 200_000 || sparse != 2*dense {
+		t.Fatalf("most rounds ran under %d ns (dense, %v) and %d ns (sparse, %v), want 200000 and twice that", dense, dr, sparse, sr)
+	}
+}
+
 // TestClusterTimersAndDetach: member timers fire on the member
 // goroutine in virtual-time order, and a detach mid-run drops (and
 // accounts) in-flight packets identically in both modes.

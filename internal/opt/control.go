@@ -70,7 +70,7 @@ func controlSigs(names []string, rank int, dnSend *StackTheorem) []ctrlSpec {
 	}
 	// Only the sequencer (rank 0) announces.
 	if i := slices.Index(names, "total"); i >= 0 && rank == 0 {
-		order := SigEntry{Layer: "total", Variant: "Order", Fields: []SigField{{Name: "origin"}, {Name: "lseq"}, {Name: "gseq"}}}
+		order := SigEntry{Layer: "total", Variant: "Order", Fields: []SigField{{Name: "origin"}, {Name: "lseq"}, {Name: "gseq"}, {Name: "count"}}}
 		if sig, ok := midStackSig(names, i, ir.DnCast, order, rank); ok {
 			out = append(out, ctrlSpec{pid: PathDnCtrlOrder, upPid: PathUpHandoff, sig: sig, probeLayer: "total"})
 		}

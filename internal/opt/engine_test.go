@@ -220,6 +220,11 @@ func runEquivalenceDrop(t *testing.T, names []string, mode stack.Mode, ops []op,
 			engined.engs[0].Timer(now)
 			engined.engs[1].Timer(now)
 		}
+		// Each operation is one input burst of each member's.
+		for m := 0; m < 2; m++ {
+			plain.stks[m].SubmitDn(event.BurstEndEv())
+			engined.engs[m].Submit(event.BurstEndEv())
+		}
 	}
 	for i := range ops {
 		apply(i)
@@ -314,6 +319,7 @@ func TestPartialBypassFires(t *testing.T) {
 	p := newEnginePair(t, layers.Stack10(), stack.Func)
 	for i := 0; i < 100; i++ {
 		p.engs[1].Cast([]byte("from the non-sequencer"))
+		p.engs[0].Submit(event.BurstEndEv()) // the arrival's burst: the sequencer announces
 	}
 	st := p.engs[1].Stats()
 	t.Logf("rank1 stats: %+v", st)

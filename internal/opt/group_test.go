@@ -126,18 +126,32 @@ func newSystem(t *testing.T, names []string, mode stack.Mode, n int, engines boo
 	return s
 }
 
+// drain delivers every queued wire and then ends every member's input
+// burst (event.EBurstEnd), until the network is quiet.
 func (s *system) drain(t *testing.T) {
-	s.net.drain(func(to int, wire []byte) {
-		if s.engs != nil {
-			s.engs[to].Packet(wire)
+	for {
+		s.net.drain(func(to int, wire []byte) {
+			if s.engs != nil {
+				s.engs[to].Packet(wire)
+				return
+			}
+			ev, err := transport.Unmarshal(wire)
+			if err != nil {
+				t.Fatalf("unmarshal: %v", err)
+			}
+			s.stks[to].DeliverUp(ev)
+		})
+		for m := range s.stks {
+			if s.engs != nil {
+				s.engs[m].Submit(event.BurstEndEv())
+			} else {
+				s.stks[m].SubmitDn(event.BurstEndEv())
+			}
+		}
+		if len(s.net.q) == 0 {
 			return
 		}
-		ev, err := transport.Unmarshal(wire)
-		if err != nil {
-			t.Fatalf("unmarshal: %v", err)
-		}
-		s.stks[to].DeliverUp(ev)
-	})
+	}
 }
 
 func (s *system) apply(t *testing.T, o op) {
