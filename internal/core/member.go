@@ -148,9 +148,6 @@ type Member struct {
 	busy   atomic.Int32
 	inside bool
 
-	// releaseDue marks a releaseHeld timer pending (endBurst).
-	releaseDue bool
-
 	stats MemberStats
 
 	// batch coalesces outgoing wires into per-destination frames. Flush
@@ -291,35 +288,11 @@ func (m *Member) flushWires() {
 // endBurst ends the member's input burst: the stack gets its
 // event.EBurstEnd (the sequencer announces its open order run), then
 // the batcher flushes for cause; it reports how many frames went out.
-// The flush may hold a small frame for the next burst's wires to join.
-// If the burst end sent something, every other member's deliveries may
-// wait on it, and the next burst may be a sweep away: a release is due
-// when the hold cap runs out.
 func (m *Member) endBurst(cause transport.FlushCause) int {
-	announced := false
 	if !m.exited {
-		out := m.stats.PacketsOut
 		m.eng.Submit(event.BurstEndEv())
-		announced = m.stats.PacketsOut != out
 	}
-	n := m.batch.FlushFor(cause)
-	if announced && !m.releaseDue && m.batch.PendingSubs() > 0 {
-		m.releaseDue = true
-		m.sim.After(transport.HoldMaxNs, m.releaseHeld)
-	}
-	return n
-}
-
-// releaseHeld is the hold cap's flush point for frames held behind an
-// announcement (endBurst).
-func (m *Member) releaseHeld() {
-	if m.enter("held release") {
-		defer m.leave()
-	}
-	m.releaseDue = false
-	if !m.exited {
-		m.batch.Flush()
-	}
+	return m.batch.FlushFor(cause)
 }
 
 // peerRebound restarts the cross-frame delta chains toward a peer whose

@@ -141,39 +141,6 @@ func TestTotalOrderUnderRuns(t *testing.T) {
 	}
 }
 
-// TestRunAnnouncementIsNotHeld: at a drain barrier the batcher may hold
-// a small young frame on a chain with a fast cadence, for the next
-// burst's wires to join it; the next flush point releases it. A run's
-// announcement is the last wire of its burst, and every other member's
-// deliveries wait for it, so a frame held behind one is released when
-// the hold cap runs out, not at whatever entry comes next. Here the
-// sequencer casts every 200 µs, then stops; one cast of member 1's
-// arrives after its last, and must be delivered everywhere before the
-// first sweep.
-func TestRunAnnouncementIsNotHeld(t *testing.T) {
-	const members, rounds, interval = 4, 20, 200_000
-	got := make([]int, members)
-	g, err := NewOptimizedClusterGroup(members, netsim.Profile{Latency: 50_000}, 1, layers.Stack10(), stack.Func,
-		func(rank int) Handlers {
-			return Handlers{OnCast: func(origin int, _ []byte) {
-				if origin == 1 {
-					got[rank]++
-				}
-			}}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < rounds; i++ {
-		g.Do(0, int64(i)*interval, func() { g.Members[0].Cast([]byte{byte(i)}) })
-	}
-	g.Do(1, rounds*interval, func() { g.Members[1].Cast([]byte("late")) })
-	g.Run(int64(40e6)) // the first sweep is due at 50 ms
-	if !slices.Equal(got, []int{1, 1, 1, 1}) {
-		t.Fatalf("member 1's cast delivered %v times per member before the first sweep, want once everywhere", got)
-	}
-}
-
 // forgeOrderCount rewrites the count of an order announcement the
 // sequencer is sending, full or compressed. Every other wire passes
 // untouched. In the test below the sequencer casts no application data,

@@ -229,7 +229,7 @@ type peerState struct {
 // 8 did.
 const xAnchorEvery = 16
 
-// Hold tuning: a frame may be held at most HoldMaxNs past its creation,
+// Hold tuning: a frame may be held at most holdMaxNs past its creation,
 // only for a chain whose smoothed inter-append gap is at most holdGapNs,
 // and only while it is under holdMinBytes. The gap ceiling sits above
 // the steady cast cadences the workloads run (200µs rounds) — a chain
@@ -239,14 +239,10 @@ const xAnchorEvery = 16
 // has widened past the submission interval. The layer sweep tick (50ms)
 // and the barrier cadence bound staleness even if traffic stops dead.
 const (
+	holdMaxNs    = 2_000_000
 	holdGapNs    = 500_000
 	holdMinBytes = 600
 )
-
-// HoldMaxNs is how long past its creation a frame may be held. A flush
-// point releases an older one; an owner with a wire that must not wait
-// for its next entry schedules that flush point itself.
-const HoldMaxNs = 2_000_000
 
 // Batcher coalesces outgoing wire images into per-destination frames.
 // It is single-goroutine, like the member that owns it, and recycles
@@ -515,7 +511,7 @@ func (b *Batcher) closeTail() {
 // small, still young, and headed to a chain whose observed append
 // cadence says more wires are imminent.
 func (f *batchFrame) holdable(now int64) bool {
-	if len(f.buf) >= holdMinBytes || now-f.born >= HoldMaxNs {
+	if len(f.buf) >= holdMinBytes || now-f.born >= holdMaxNs {
 		return false
 	}
 	g := f.st.gapEWMA

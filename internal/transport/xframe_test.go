@@ -481,8 +481,8 @@ func TestAdaptiveFlushHoldsAndAgesOut(t *testing.T) {
 	// More appends keep landing in the held frame.
 	clk.t += 10_000
 	b.Send(2, cwire(prefix, 1, 1, 3))
-	// Past HoldMaxNs the frame ages out and the barrier emits it.
-	clk.t += HoldMaxNs
+	// Past holdMaxNs the frame ages out and the barrier emits it.
+	clk.t += holdMaxNs
 	if n := b.FlushFor(FlushBarrier); n != 1 {
 		t.Fatalf("aged frame must emit, got %d", n)
 	}
@@ -567,7 +567,7 @@ func TestAdaptiveFlushHoldsOnlySuffix(t *testing.T) {
 	if len(sink.calls) != base+1 || sink.calls[base].to != 2 {
 		t.Fatalf("emitted wrong frame: %+v", sink.calls)
 	}
-	clk.t += HoldMaxNs
+	clk.t += holdMaxNs
 	if n := b.FlushFor(FlushBarrier); n != 1 {
 		t.Fatalf("held frame must age out, got %d", n)
 	}
