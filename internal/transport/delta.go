@@ -30,7 +30,8 @@ package transport
 //	    flag == 0x10 (prefix): uvarint shared-prefix length n, uvarint
 //	                           rest length, rest bytes — the sub is the
 //	                           previous sub's first n bytes followed by
-//	                           rest, verbatim
+//	                           rest, verbatim; with n = 0 the sub is rest
+//	                           alone
 //	    flag == 0x30 (prefix+suffix): uvarint n, uvarint s, uvarint mid
 //	                           length, mid bytes — the sub is the
 //	                           previous sub's first n bytes, mid, then
@@ -43,6 +44,14 @@ package transport
 // most of their header bytes even though the coder has no model of their
 // fields, so eliding the shared byte prefix against the previous sub
 // still recovers most of the redundancy.
+//
+// A prefix sub with n = 0 and no suffix is how a frame-sized wire rides
+// (frame.go): its bytes are the wire, verbatim, so the walker surfaces it
+// in place like a full sub instead of rebuilding it. It is not a full
+// sub because a full first sub makes its frame self-contained, and the
+// receive link adopts such a frame across a sequence gap, dropping a
+// reordered predecessor still in flight. A prefix sub keeps the frame
+// dependent on its predecessor, so the frame waits for it.
 //
 // The 0x20 suffix bit (both forms) recovers the redundancy *after* the
 // varying bytes: consecutive wires typically differ in one or two
@@ -254,7 +263,8 @@ const maxOutHint = 1 << 20
 // returns an upper bound on the bytes walkSubs will reconstruct: for
 // each delta or prefix sub its explicit bytes, the bytes it takes from
 // its predecessor, and for a delta sub the longest header the elided
-// fields can spell. Full subs are surfaced in place and count nothing.
+// fields can spell. Full subs and n = 0, suffix-free prefix subs are
+// surfaced in place and count nothing.
 // The scan stops where walkSubs would surface garbage. prevLen is the
 // seeded previous sub's length.
 func (w *FrameWalker) outBound(data []byte, off, prevLen int) int {
@@ -323,7 +333,7 @@ func (w *FrameWalker) outBound(data []byte, off, prevLen int) int {
 		}
 		off = end
 		prevLen = size + int(n)
-		if flag != subFull {
+		if size > 0 {
 			total += prevLen
 		}
 	}
@@ -334,12 +344,14 @@ func (w *FrameWalker) outBound(data []byte, off, prevLen int) int {
 // pre-seeds w.base and prev (zero/nil for a self-contained frame, the
 // link mirror for cross-frame continuity). It returns the subs surfaced
 // (a trailing garbage sub included), the last surfaced sub's bytes (the
-// seeded prev if none), and whether the decode ran clean — !clean means
-// the tail from the offending sub's flag byte on went to fn as garbage.
-func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []byte)) (int, []byte, bool) {
+// seeded prev if none), whether that sub was surfaced in place (a slice
+// of data), and whether the decode ran clean — !clean means the tail
+// from the offending sub's flag byte on went to fn as garbage.
+func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []byte)) (subs int, last []byte, inPlace, clean bool) {
 	// prev is the previous surfaced sub's bytes — the base for subPrefix
-	// reconstruction. It may point into data (full subs), into out
-	// (reconstructed subs), or into mirror-owned storage (the seed). out
+	// reconstruction. It may point into data (subs surfaced in place),
+	// into out (reconstructed subs), or wherever the mirror keeps the
+	// seed (its own storage, or an earlier frame it references). out
 	// is never truncated mid-walk; in stable mode it is one buffer sized
 	// for the whole frame up front, so prev and every surfaced sub stay
 	// where they are. (Should a walk outgrow its buffer — scratch mode
@@ -351,15 +363,14 @@ func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []
 	} else if n := w.outBound(data, off, len(prev)); n > 0 {
 		out = make([]byte, 0, n)
 	}
-	subs := 0
 	for off < len(data) {
 		subStart := off
-		garbage := func() (int, []byte, bool) {
+		garbage := func() (int, []byte, bool, bool) {
 			fn(data[subStart:])
 			if !w.stable {
 				w.scratch = out[:0]
 			}
-			return subs + 1, prev, false
+			return subs + 1, prev, false, false
 		}
 		flag := data[off]
 		off++
@@ -375,7 +386,7 @@ func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []
 			}
 			sub := data[off:end:end]
 			w.base = parseSub(sub, w.nPrefix)
-			prev = sub
+			prev, inPlace = sub, true
 			fn(sub)
 			subs++
 			off = end
@@ -409,13 +420,20 @@ func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []
 			if end < off || end > len(data) {
 				return garbage()
 			}
-			start := len(out)
-			out = append(out, prev[:n]...)
-			out = append(out, data[off:end]...)
-			if sfx > 0 {
-				out = append(out, prev[uint64(len(prev))-sfx:]...)
+			var sub []byte
+			if n == 0 && sfx == 0 {
+				// Nothing shared: the sub is its explicit bytes, surfaced
+				// in place like a full one.
+				sub, inPlace = data[off:end:end], true
+			} else {
+				start := len(out)
+				out = append(out, prev[:n]...)
+				out = append(out, data[off:end]...)
+				if sfx > 0 {
+					out = append(out, prev[uint64(len(prev))-sfx:]...)
+				}
+				sub, inPlace = out[start:len(out):len(out)], false
 			}
-			sub := out[start:len(out):len(out)]
 			w.base = parseSub(sub, w.nPrefix)
 			prev = sub
 			fn(sub)
@@ -502,7 +520,7 @@ func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []
 		}
 		w.base = cur
 		sub := out[start:len(out):len(out)]
-		prev = sub
+		prev, inPlace = sub, false
 		fn(sub)
 		subs++
 		off = end
@@ -510,5 +528,5 @@ func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []
 	if !w.stable {
 		w.scratch = out[:0]
 	}
-	return subs, prev, true
+	return subs, prev, inPlace, true
 }

@@ -114,6 +114,12 @@ type BatcherStats struct {
 	// PrefixSubs counts wires that went out as shared-prefix subs — the
 	// shape-agnostic fallback for wires the field delta cannot parse.
 	PrefixSubs int64
+	// VerbatimSubs counts frame-sized wires (at least the frame budget
+	// long), which ride verbatim so receivers surface them where they
+	// landed: as a prefix sub sharing nothing when they share a prefix
+	// with their predecessor, full otherwise. DeltaSubs and PrefixSubs
+	// count none of them.
+	VerbatimSubs int64
 	// FrameBytes counts frame bytes handed to the sink — the batcher's
 	// own bytes-on-wire figure, for substrates that do not keep one.
 	FrameBytes int64
@@ -148,6 +154,7 @@ func (s *BatcherStats) Add(o BatcherStats) {
 	s.BarrierFlushes += o.BarrierFlushes
 	s.DeltaSubs += o.DeltaSubs
 	s.PrefixSubs += o.PrefixSubs
+	s.VerbatimSubs += o.VerbatimSubs
 	s.FrameBytes += o.FrameBytes
 	s.ClassicBytes += o.ClassicBytes
 	s.XFrames += o.XFrames
@@ -281,7 +288,7 @@ type Batcher struct {
 // NewBatcher builds a batcher for the member at from, flushing frames
 // into sink. maxBytes <= 0 selects DefaultFrameBytes; maxBytes == 1 is
 // the no-coalescing setting (every wire flushes as its own frame during
-// the call that appended it).
+// the call that appended it, and, being frame-sized, rides verbatim).
 func NewBatcher(sink BatchSink, from event.Addr, maxBytes int) *Batcher {
 	if maxBytes <= 0 {
 		maxBytes = DefaultFrameBytes
@@ -360,6 +367,13 @@ func (b *Batcher) Cast(wire ...[]byte) { b.append(true, 0, wire) }
 // last resort. Either way the wire becomes the next delta base (an
 // unparseable wire clears the field base, so a following delta sub can
 // never refer past an opaque one) and the next prefix base.
+//
+// A wire at least maxBytes long fills a frame on its own, and a few
+// elided header bytes would cost each receiver a rebuild of the whole
+// wire. It rides verbatim instead: where a shared prefix would apply, as
+// a prefix sub with n = 0 (still dependent on its predecessor, so the
+// frame keeps its place in the chain), and full otherwise. Receivers
+// surface both in place (delta.go).
 func (b *Batcher) append(cast bool, to event.Addr, segs [][]byte) {
 	wire := b.next[:0]
 	for _, s := range segs {
@@ -388,13 +402,21 @@ func (b *Batcher) append(cast bool, to event.Addr, segs [][]byte) {
 	first := f.subs == 0
 	f.subs++
 	cur := parseSub(wire, b.nPrefix)
+	verbatim := len(wire) >= b.maxBytes
 	delta, full := false, false
-	if cur.ok && f.base.ok {
+	if cur.ok && f.base.ok && !verbatim {
 		f.buf, delta = appendDeltaSub(f.buf, wire, cur, f.base, b.nPrefix, b.prev)
+	}
+	if verbatim {
+		b.stats.VerbatimSubs++
 	}
 	if delta {
 		b.stats.DeltaSubs++
-	} else if n := commonPrefixLen(b.prev, wire); n >= minPrefixLen {
+	} else if n := commonPrefixLen(b.prev, wire); n >= minPrefixLen && verbatim {
+		f.buf = append(f.buf, subPrefix, 0)
+		f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)))
+		f.buf = append(f.buf, wire...)
+	} else if n >= minPrefixLen {
 		s := commonSuffixLen(wire[n:], b.prev[n:])
 		if s < minSuffixLen {
 			s = 0

@@ -122,7 +122,8 @@ type LinkCounters struct {
 // application and the layers keep arrival bytes by reference (the frame
 // buffer there is a read-only copy nobody rewrites — one per transmission
 // in the simulator, shared by its receivers, one per datagram under UDP;
-// a parked frame is kept by reference too). Without it the walker
+// a parked frame is kept by reference too, and so is a trailing sub the
+// mirror keeps that was surfaced in place). Without it the walker
 // reuses one scratch buffer and a reconstructed sub is only valid until
 // the next WalkLink call — the zero-allocation choice for harnesses
 // whose consumers treat arrivals as borrowed (event.Event.Borrowed; the
@@ -177,13 +178,33 @@ const (
 )
 
 // genState is one generation's trailing decode state: the frame counter
-// last accepted and the last surfaced sub (always mirror-owned storage —
-// frame buffers are recycled).
+// last accepted and the last surfaced sub. prev is storage the mirror
+// owns, or, when ref is set, a sub a stable link surfaced in place: a
+// slice of a frame nobody rewrites, kept by reference (see keep).
 type genState struct {
 	gen      uint64 // 0 = dead
 	frameSeq uint64
 	base     subMeta
 	prev     []byte
+	ref      bool
+}
+
+// keep makes last, the trailing sub of a frame just walked, g's base for
+// the next frame. A stable link keeps a sub it surfaced in place by
+// reference: its frame is read-only and already retained downstream.
+// Everything else is copied into storage g owns: a rebuilt sub sits in
+// the walk's buffer beside every other sub of the frame, and a scratch
+// link's caller recycles both. The copy never appends into a referenced
+// frame; g drops the reference and starts storage of its own instead.
+func (w *FrameWalker) keep(g *genState, last []byte, inPlace bool) {
+	if w.stable && inPlace {
+		g.prev, g.ref = last, true
+		return
+	}
+	if g.ref {
+		g.prev, g.ref = nil, false
+	}
+	g.prev = append(g.prev[:0], last...)
 }
 
 // linkMirror is the receiver's copy of a chain's trailing state. It
@@ -337,7 +358,7 @@ func (w *FrameWalker) walkLink(from, to event.Addr, data []byte, fn func(sub []b
 	// Self-contained frame (full first sub): decode statelessly and adopt
 	// the mirror forward.
 	w.base = subMeta{}
-	subs, last, clean := w.walkSubs(data, off, nil, fn)
+	subs, last, inPlace, clean := w.walkSubs(data, off, nil, fn)
 	r.subs = subs
 	if !clean {
 		r.genMiss = true
@@ -350,15 +371,17 @@ func (w *FrameWalker) walkLink(from, to event.Addr, data []byte, fn func(sub []b
 		m = w.mirror(key)
 		if m.valid && gen > m.cur.gen {
 			// The chain moved on; keep the outgoing generation's trailing
-			// state so its in-flight stragglers still decode.
+			// state so its in-flight stragglers still decode. The new
+			// generation starts with no storage: the two must never share
+			// what keep appends into.
 			m.old = m.cur
-			m.cur.prev = nil
+			m.cur.prev, m.cur.ref = nil, false
 		}
 		m.valid = true
 		m.cur.gen = gen
 		m.cur.frameSeq = seq
 		m.cur.base = w.base
-		m.cur.prev = append(m.cur.prev[:0], last...)
+		w.keep(&m.cur, last, inPlace)
 		w.drainStash(m, &m.cur, &r, fn)
 	}
 	return r
@@ -386,7 +409,7 @@ func (w *FrameWalker) mirror(key linkKey) *linkMirror {
 // the live chain untouched.
 func (w *FrameWalker) advance(m *linkMirror, g *genState, data []byte, off int, seq uint64, r *walkResult, fn func(sub []byte)) bool {
 	w.base = g.base
-	subs, last, clean := w.walkSubs(data, off, g.prev, fn)
+	subs, last, inPlace, clean := w.walkSubs(data, off, g.prev, fn)
 	r.subs += subs
 	if !clean {
 		m.old.gen = 0
@@ -401,7 +424,7 @@ func (w *FrameWalker) advance(m *linkMirror, g *genState, data []byte, off int, 
 	g.frameSeq = seq
 	g.base = w.base
 	if subs > 0 {
-		g.prev = append(g.prev[:0], last...)
+		w.keep(g, last, inPlace)
 	}
 	return true
 }

@@ -600,8 +600,26 @@ func FuzzXFrameWalkLink(f *testing.F) {
 	f.Add([]byte{FrameMagic, 0x01, 0xFF, 0x01}, false)
 	f.Add(appendResync(nil, true, 77), true)
 	f.Add([]byte{FrameMagic, 0x80}, false)
+	// n = 0 prefix subs (frame-sized wires): first in a frame in
+	// continuity with the seeded mirror, mid-frame after a full sub, and
+	// first in a frame with no mirror to extend.
+	verbatim := cwire(prefix, 1, 0, 10, bytes.Repeat([]byte{0x5A}, 40)...)
+	f.Add(vSub([]byte{FrameMagic, 0x00, 0x01, 0x02}, verbatim), true)
+	f.Add(vSub(fullSub(xhdr(), cwire(prefix, 1, 0, 9)), verbatim), false)
+	f.Add(vSub([]byte{FrameMagic, 0x00, 0x01, 0x02}, verbatim), false)
 	f.Fuzz(func(t *testing.T, data []byte, seeded bool) {
 		for _, stable := range []bool{true, false} {
+			if _, _, _, off, ok := parseXHeader(data); ok && off < len(data) && data[off] != subFull {
+				// No mirror: a dependent first sub decoded with nothing
+				// seeded surfaces as garbage, the tail from its flag byte
+				// on (WalkLink parks such a frame, then asks for a resync).
+				var got [][]byte
+				w := NewFrameWalker(2, stable)
+				n, _, _, clean := w.walkSubs(data, off, nil, func(sub []byte) { got = append(got, sub) })
+				if clean || n != 1 || !bytes.Equal(got[0], data[off:]) {
+					t.Fatalf("unseeded dependent frame %x: clean %v, %d subs", data, clean, n)
+				}
+			}
 			w := NewFrameWalker(2, stable)
 			if seeded {
 				// Pre-seed a mirror so continuity/stale paths run too.
