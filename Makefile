@@ -35,8 +35,11 @@ verify:
 # The in-process examples are programs, not tests: each checks its own
 # outcome and panics (or exits non-zero) when it does not hold, so
 # running them is the check. Built first, so the timeout bounds the run
-# and not the compile; udpchat is interactive and stays out.
+# and not the compile; udpchat is interactive and stays out. The checker
+# command runs too, on one predefined stack, one property selection and
+# the FIFO trace-inclusion check, and fails on a non-zero exit.
 EXAMPLES = quickstart totalorder failover partition bypass verify
+CHECK_ARGS = -stack vsync -properties total-order,fragmentation -fifo
 examples:
 	@for e in $(EXAMPLES); do \
 		$(GO) build -o .example.bin ./examples/$$e || exit 1; \
@@ -44,6 +47,10 @@ examples:
 		timeout 120 ./.example.bin > .example.out 2>&1 || { s=$$?; cat .example.out; rm -f .example.bin .example.out; echo "examples/$$e: FAILED (exit $$s; 124 = timed out)"; exit 1; }; \
 		tail -n 1 .example.out; \
 	done; rm -f .example.bin .example.out
+	@$(GO) build -o .example.bin ./cmd/ensemble-check || exit 1; \
+	echo "== cmd/ensemble-check $(CHECK_ARGS)"; \
+	timeout 120 ./.example.bin $(CHECK_ARGS) > .example.out 2>&1 || { s=$$?; cat .example.out; rm -f .example.bin .example.out; echo "cmd/ensemble-check: FAILED (exit $$s; 124 = timed out)"; exit 1; }; \
+	tail -n 1 .example.out; rm -f .example.bin .example.out
 
 # benchmark/ is a module of its own (the repository benchmark builds
 # from there), so the root `go vet ./...` and `go test ./...` never

@@ -2,10 +2,11 @@
 // FifoProtocol specification (Fig. 3) with lossy channels by tying
 // events (§3.1), and exhaustively checks that every external trace of
 // the composition is a trace of the abstract FifoNetwork (Fig. 2(a)).
-// Then it checks a deliberately broken receiver — no duplicate
-// suppression, no ordering — and prints the counterexample trace the
-// checker finds, the way the paper's verification effort "located a
-// subtle bug in the original implementation".
+// Then it checks the total-ordering protocol the paper's manual proof
+// found a bug in, in the variant that skips the ordering wait, and
+// prints the counterexample trace the checker finds, the way the paper's
+// verification effort "located a subtle bug in the original
+// implementation".
 //
 // This example uses the internal packages directly because it is part of
 // the repository; external users drive the same machinery through
@@ -15,6 +16,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"os"
 
 	"ensemble/internal/check"
 	"ensemble/internal/layers"
@@ -24,14 +26,13 @@ import (
 func main() {
 	fmt.Println("== trace inclusion: FifoProtocol ∘ LossyChannels ⊑ FifoNetwork ==")
 	impl := spec.FifoProtocolSystem(2)
-	abstract := &spec.FifoNetwork{N: 1, Msgs: 2}
 	states, err := check.Reachable(impl, 2_000_000)
 	if err != nil {
-		panic(err)
+		fail(err)
 	}
 	fmt.Printf("composition has %d reachable states\n", states)
-	if err := check.TraceInclusion(impl, abstract, 2_000_000); err != nil {
-		panic(err)
+	if err := check.TraceInclusion(impl, &spec.FifoNetwork{}, 2_000_000); err != nil {
+		fail(err)
 	}
 	fmt.Println("OK: the protocol implements FIFO delivery over loss, duplication, and reordering")
 
@@ -39,75 +40,29 @@ func main() {
 	for _, names := range [][]string{layers.Stack4(), layers.Stack10(), layers.StackVsync()} {
 		gs, err := check.CheckStack(names)
 		if err != nil {
-			panic(err)
+			fail(err)
 		}
 		fmt.Printf("%v\n  provides %v\n", names, gs)
 	}
 	// A misconfiguration: total order stacked over an unreliable base.
 	bad := []string{layers.PartialAppl, layers.Total, layers.Local, layers.Bottom}
-	if _, err := check.CheckStack(bad); err != nil {
-		fmt.Printf("misconfiguration rejected as expected:\n  %v\n", err)
+	if _, err := check.CheckStack(bad); err == nil {
+		fail(errors.New("misconfigured stack passed the adjacency check"))
 	} else {
-		panic("misconfigured stack passed the adjacency check")
+		fmt.Printf("misconfiguration rejected as expected:\n  %v\n", err)
 	}
 
-	fmt.Println("\n== finding a protocol bug ==")
-	broken := brokenSystem()
-	err = check.TraceInclusion(broken, abstract, 2_000_000)
+	fmt.Println("\n== finding a protocol bug: TotalProtocol without the ordering wait ⋢ TotalNetwork ==")
+	buggy := &spec.TotalProtocol{N: 2, MsgsPerSender: 2, Orderly: false}
+	err = check.TraceInclusion(buggy, &spec.TotalNetwork{}, 4_000_000)
 	var v *check.Violation
 	if !errors.As(err, &v) {
-		panic(fmt.Sprintf("broken protocol not caught: %v", err))
+		fail(fmt.Errorf("buggy total-order protocol not caught: %v", err))
 	}
 	fmt.Printf("checker found the bug; counterexample trace:\n  %v\n", v)
 }
 
-// brokenReceiver ignores sequence numbers: duplicates and reordering
-// leak through to the application.
-type brokenReceiver struct{ msgs int }
-
-func (b *brokenReceiver) Name() string { return "BrokenReceiver" }
-func (b *brokenReceiver) Signature() map[string]spec.Kind {
-	return map[string]spec.Kind{
-		"data.deliver": spec.Input,
-		"Deliver":      spec.Output,
-		"ack.send":     spec.Output,
-	}
-}
-func (b *brokenReceiver) Initial() []spec.State {
-	return []spec.State{&brokenState{msgs: b.msgs}}
-}
-
-type brokenState struct {
-	msgs    int
-	pending []int
-}
-
-func (s *brokenState) Key() string { return "brok|" + spec.IntsKey(s.pending) }
-func (s *brokenState) Steps() []spec.Step {
-	var steps []spec.Step
-	for seq := 0; seq < s.msgs; seq++ {
-		for m := 0; m < s.msgs; m++ {
-			next := &brokenState{msgs: s.msgs, pending: append(append([]int(nil), s.pending...), m)}
-			if len(next.pending) > 3 {
-				next.pending = next.pending[:3]
-			}
-			steps = append(steps, spec.Step{Ev: spec.Event{Name: "data.deliver", Params: []int{seq, m}}, Next: next})
-		}
-	}
-	if len(s.pending) > 0 {
-		next := &brokenState{msgs: s.msgs, pending: append([]int(nil), s.pending[1:]...)}
-		steps = append(steps, spec.Step{Ev: spec.Event{Name: "Deliver", Params: []int{0, s.pending[0]}}, Next: next})
-	}
-	steps = append(steps, spec.Step{Ev: spec.Event{Name: "ack.send", Params: []int{0}}, Next: &brokenState{msgs: s.msgs, pending: append([]int(nil), s.pending...)}})
-	return steps
-}
-
-func brokenSystem() spec.Automaton {
-	return spec.Compose("Broken∘LossyChannels",
-		[]string{"data.send", "data.deliver", "data.drop", "ack.send", "ack.deliver", "ack.drop"},
-		spec.NewFifoSender(0, 2),
-		&spec.PacketChannel{Tag: "data", Universe: [][]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}}},
-		&spec.PacketChannel{Tag: "ack", Universe: [][]int{{0}, {1}, {2}}},
-		&brokenReceiver{msgs: 2},
-	)
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "verify: FAIL: %v\n", err)
+	os.Exit(1)
 }

@@ -6,141 +6,23 @@ import (
 	"ensemble/internal/layers"
 )
 
-// The §3.2 configuration-checking discipline: "For each micro-protocol
-// p, we present two abstract specifications, p.Above and p.Below ...
-// when proving the correctness of a stack we can limit ourselves to
-// showing that, for each pair p and q of adjacent protocol layers,
-// every execution of p.Above is also an execution of q.Below". Our
-// abstract specifications at layer boundaries are characterized by a
-// guarantee set; a layer states which guarantees it requires of the
-// service below and which it adds above, and a configuration is checked
-// pairwise up the stack.
-
-// Guarantee names one property of the service at a layer boundary.
-type Guarantee string
-
-// The boundary guarantee vocabulary.
-const (
-	// GReliableCast: multicasts are delivered gap-free FIFO per origin.
-	GReliableCast Guarantee = "reliable-cast"
-	// GReliableSend: point-to-point messages are delivered gap-free FIFO.
-	GReliableSend Guarantee = "reliable-send"
-	// GTotalOrder: all members deliver multicasts in one total order.
-	GTotalOrder Guarantee = "total-order"
-	// GFlowCast / GFlowSend: bounded outstanding traffic.
-	GFlowCast Guarantee = "flow-cast"
-	GFlowSend Guarantee = "flow-send"
-	// GAnySize: arbitrarily large payloads are framed.
-	GAnySize Guarantee = "any-size"
-	// GStability: stability vectors are computed and announced.
-	GStability Guarantee = "stability"
-	// GSelfDelivery: a member's own multicasts are delivered back.
-	GSelfDelivery Guarantee = "self-delivery"
-	// GMembership: views are installed with virtual synchrony.
-	GMembership Guarantee = "membership"
-	// GFailureDetection: unresponsive members are suspected.
-	GFailureDetection Guarantee = "failure-detection"
-	// GAppInterface: the boundary is an application interface.
-	GAppInterface Guarantee = "app-interface"
-	// GAuthenticity: payloads carry epoch-bound authentication tags.
-	GAuthenticity Guarantee = "authenticity"
-	// GFifoCast: multicasts are ordered per origin but NOT repaired —
-	// weaker than GReliableCast, sufficient only over lossless links.
-	GFifoCast Guarantee = "fifo-cast"
-	// GChecksum: payload corruption is detected and dropped.
-	GChecksum Guarantee = "checksum"
-)
-
-// LayerContract is a layer's Above/Below pair in guarantee terms.
-type LayerContract struct {
-	// Requires must hold of the service below the layer.
-	Requires []Guarantee
-	// Adds are the guarantees the layer contributes above itself.
-	Adds []Guarantee
-}
-
-// contracts encodes the component library's Above/Below specifications.
-var contracts = map[string]LayerContract{
-	layers.Bottom: {},
-	layers.Mnak:   {Adds: []Guarantee{GReliableCast}},
-	layers.Pt2pt:  {Adds: []Guarantee{GReliableSend}},
-	layers.Mflow: {
-		Requires: []Guarantee{GReliableCast, GReliableSend},
-		Adds:     []Guarantee{GFlowCast},
-	},
-	layers.Pt2ptw: {
-		Requires: []Guarantee{GReliableSend},
-		Adds:     []Guarantee{GFlowSend},
-	},
-	layers.Frag: {
-		Requires: []Guarantee{GReliableCast, GReliableSend},
-		Adds:     []Guarantee{GAnySize},
-	},
-	layers.Collect: {
-		Requires: []Guarantee{GReliableCast, GReliableSend},
-		Adds:     []Guarantee{GStability},
-	},
-	layers.Local: {
-		Requires: []Guarantee{GReliableCast},
-		Adds:     []Guarantee{GSelfDelivery},
-	},
-	layers.Suspect: {
-		Requires: []Guarantee{GReliableCast},
-		Adds:     []Guarantee{GFailureDetection},
-	},
-	layers.Membership: {
-		Requires: []Guarantee{GReliableCast, GReliableSend, GFailureDetection, GSelfDelivery},
-		Adds:     []Guarantee{GMembership},
-	},
-	layers.Total: {
-		Requires: []Guarantee{GReliableCast, GSelfDelivery},
-		Adds:     []Guarantee{GTotalOrder},
-	},
-	layers.Sign: {
-		Requires: []Guarantee{GReliableCast, GReliableSend},
-		Adds:     []Guarantee{GAuthenticity},
-	},
-	layers.Trace: {},
-	layers.Seqno: {Adds: []Guarantee{GFifoCast}},
-	layers.Chk: {
-		Requires: []Guarantee{GReliableCast, GReliableSend},
-		Adds:     []Guarantee{GChecksum},
-	},
-	layers.Top: {
-		Requires: []Guarantee{GReliableCast, GReliableSend},
-		Adds:     []Guarantee{GAppInterface},
-	},
-	layers.PartialAppl: {
-		Requires: []Guarantee{GReliableCast, GReliableSend},
-		Adds:     []Guarantee{GAppInterface},
-	},
-}
-
-// Contract returns a component's boundary contract.
-func Contract(name string) (LayerContract, error) {
-	c, ok := contracts[name]
-	if !ok {
-		return LayerContract{}, fmt.Errorf("check: no Above/Below contract for layer %q", name)
-	}
-	return c, nil
-}
-
-// CheckStack validates a configuration (component names, top first): it
-// folds guarantees bottom-up, verifying at every boundary that the layer
-// above requires nothing the service below does not provide, and returns
-// the guarantee set at the top of the stack.
-func CheckStack(names []string) ([]Guarantee, error) {
+// CheckStack validates a configuration (component names, top first)
+// against the components' Above/Below contracts (layers.ContractOf,
+// §3.2): it folds guarantees bottom-up, verifying at every boundary that
+// the layer above requires nothing the service below does not provide,
+// and returns the guarantee set at the top of the stack.
+func CheckStack(names []string) ([]layers.Guarantee, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("check: empty stack")
 	}
 	if names[len(names)-1] != layers.Bottom {
 		return nil, fmt.Errorf("check: stack must terminate in %q, got %q", layers.Bottom, names[len(names)-1])
 	}
-	have := map[Guarantee]bool{}
+	have := map[layers.Guarantee]bool{}
 	for i := len(names) - 1; i >= 0; i-- {
-		c, err := Contract(names[i])
-		if err != nil {
-			return nil, err
+		c, ok := layers.ContractOf(names[i])
+		if !ok {
+			return nil, fmt.Errorf("check: no Above/Below contract for layer %q", names[i])
 		}
 		for _, r := range c.Requires {
 			if !have[r] {
@@ -153,19 +35,15 @@ func CheckStack(names []string) ([]Guarantee, error) {
 			have[a] = true
 		}
 	}
-	if !have[GAppInterface] {
+	if !have[layers.GAppInterface] {
 		return nil, fmt.Errorf("check: stack %v lacks an application interface layer at the top", names)
 	}
 	return guaranteeList(have), nil
 }
 
-func guaranteeList(have map[Guarantee]bool) []Guarantee {
-	out := make([]Guarantee, 0, len(have))
-	for _, g := range []Guarantee{
-		GReliableCast, GReliableSend, GTotalOrder, GFlowCast, GFlowSend,
-		GAnySize, GStability, GSelfDelivery, GMembership, GFailureDetection, GAppInterface,
-		GAuthenticity, GFifoCast, GChecksum,
-	} {
+func guaranteeList(have map[layers.Guarantee]bool) []layers.Guarantee {
+	var out []layers.Guarantee
+	for _, g := range layers.Guarantees() {
 		if have[g] {
 			out = append(out, g)
 		}

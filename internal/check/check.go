@@ -1,15 +1,14 @@
 // Package check discharges the paper's §3 proof obligations by bounded
-// exhaustive state-space exploration: trace inclusion between a composed
-// implementation and its abstract specification (the role played by
-// Nuprl proofs and by the hand proof of [11], which found a subtle bug
-// in Ensemble's total ordering protocol), invariants over reachable
+// exhaustive state-space exploration: trace inclusion of a composed
+// implementation in an abstract specification monitor (the role played
+// by Nuprl proofs and by the hand proof of [11], which found a subtle
+// bug in Ensemble's total ordering protocol), invariants over reachable
 // states, and the Above/Below adjacency discipline for checking stack
 // configurations (§3.2).
 package check
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ensemble/internal/spec"
@@ -23,41 +22,45 @@ func (e ErrLimit) Error() string {
 	return fmt.Sprintf("check: state limit %d exceeded (bounded result inconclusive)", e.Limit)
 }
 
-// Reachable explores an automaton's state space and returns the number
-// of distinct states, failing with ErrLimit when the budget trips.
-func Reachable(a spec.Automaton, limit int) (int, error) {
-	seen := map[string]bool{}
-	var queue []spec.State
-	for _, s := range a.Initial() {
-		if !seen[s.Key()] {
-			seen[s.Key()] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		for _, st := range s.Steps() {
-			k := st.Next.Key()
-			if seen[k] {
-				continue
-			}
-			if len(seen) >= limit {
-				return len(seen), ErrLimit{Limit: limit}
-			}
-			seen[k] = true
-			queue = append(queue, st.Next)
-		}
-	}
-	return len(seen), nil
+// Violation is a trace-inclusion counterexample: an external trace the
+// implementation can produce that the specification cannot.
+type Violation struct {
+	Trace []spec.Event
+	// Reason is the monitor's rejection of the trace's last event.
+	Reason error
 }
 
-// CheckInvariant verifies a predicate over every reachable state.
-func CheckInvariant(a spec.Automaton, limit int, inv func(spec.State) error) error {
+// Error implements error.
+func (v *Violation) Error() string {
+	parts := make([]string, len(v.Trace))
+	for i, e := range v.Trace {
+		parts[i] = e.String()
+	}
+	return fmt.Sprintf("check: trace not allowed by specification: %s (%v)", strings.Join(parts, " · "), v.Reason)
+}
+
+// node is one state of the explored product: an implementation state,
+// the monitor that has read its external trace (nil when there is no
+// monitor), and that trace.
+type node struct {
+	s     spec.State
+	m     spec.Monitor
+	trace []spec.Event
+}
+
+// explore walks the states of a — paired with m, when m is not nil —
+// breadth first, calling visit once per distinct state, and returns how
+// many there are. It stops at the first error of visit or of the
+// monitor, and with ErrLimit once limit states are exceeded.
+func explore(a spec.Automaton, m spec.Monitor, limit int, visit func(spec.State) error) (int, error) {
+	sig := a.Signature()
 	seen := map[string]bool{}
-	var queue []spec.State
-	push := func(s spec.State) error {
-		k := s.Key()
+	var queue []node
+	push := func(n node) error {
+		k := n.s.Key()
+		if n.m != nil {
+			k += "#" + n.m.Key()
+		}
 		if seen[k] {
 			return nil
 		}
@@ -65,27 +68,49 @@ func CheckInvariant(a spec.Automaton, limit int, inv func(spec.State) error) err
 			return ErrLimit{Limit: limit}
 		}
 		seen[k] = true
-		if err := inv(s); err != nil {
-			return fmt.Errorf("check: invariant violated in state %s: %w", k, err)
+		if visit != nil {
+			if err := visit(n.s); err != nil {
+				return fmt.Errorf("check: invariant violated in state %s: %w", n.s.Key(), err)
+			}
 		}
-		queue = append(queue, s)
+		queue = append(queue, n)
 		return nil
 	}
 	for _, s := range a.Initial() {
-		if err := push(s); err != nil {
-			return err
+		if err := push(node{s: s, m: m}); err != nil {
+			return len(seen), err
 		}
 	}
 	for len(queue) > 0 {
-		s := queue[0]
+		n := queue[0]
 		queue = queue[1:]
-		for _, st := range s.Steps() {
-			if err := push(st.Next); err != nil {
-				return err
+		for _, st := range n.s.Steps() {
+			next := node{s: st.Next, m: n.m, trace: n.trace}
+			if k, ok := sig[st.Ev.Name]; n.m != nil && ok && k != spec.Internal {
+				next.m = n.m.Clone()
+				next.trace = append(n.trace[:len(n.trace):len(n.trace)], st.Ev)
+				if err := next.m.Step(st.Ev); err != nil {
+					return len(seen), &Violation{Trace: next.trace, Reason: err}
+				}
+			}
+			if err := push(next); err != nil {
+				return len(seen), err
 			}
 		}
 	}
-	return nil
+	return len(seen), nil
+}
+
+// Reachable explores an automaton's state space and returns the number
+// of distinct states, failing with ErrLimit when the budget trips.
+func Reachable(a spec.Automaton, limit int) (int, error) {
+	return explore(a, nil, limit, nil)
+}
+
+// CheckInvariant verifies a predicate over every reachable state.
+func CheckInvariant(a spec.Automaton, limit int, inv func(spec.State) error) error {
+	_, err := explore(a, nil, limit, inv)
+	return err
 }
 
 // CheckDeadlockFree verifies that no reachable state is stuck: every
@@ -102,118 +127,14 @@ func CheckDeadlockFree(a spec.Automaton, limit int, done func(spec.State) bool) 
 	})
 }
 
-// Violation is a trace-inclusion counterexample: an external trace the
-// implementation can produce that the specification cannot.
-type Violation struct {
-	Trace []spec.Event
-}
-
-// Error implements error.
-func (v *Violation) Error() string {
-	parts := make([]string, len(v.Trace))
-	for i, e := range v.Trace {
-		parts[i] = e.String()
-	}
-	return "check: trace not allowed by specification: " + strings.Join(parts, " · ")
-}
-
-// TraceInclusion verifies that every external trace of impl is also a
-// trace of specA ("we then have to show that any execution of this
+// TraceInclusion verifies that every external trace of impl is allowed
+// by the monitor m ("we then have to show that any execution of this
 // composed specification is also an execution of FifoNetwork", §3.1).
-// The check is the standard subset construction: implementation states
-// are paired with the set of specification states reachable on the same
-// external trace; an external implementation step with no specification
-// match is a counterexample. Exact on bounded instances.
-func TraceInclusion(impl, specA spec.Automaton, limit int) error {
-	type node struct {
-		is      spec.State
-		specSet []spec.State
-		trace   []spec.Event
-	}
-	closure := func(set []spec.State) []spec.State {
-		seen := map[string]spec.State{}
-		var stack []spec.State
-		for _, s := range set {
-			if _, ok := seen[s.Key()]; !ok {
-				seen[s.Key()] = s
-				stack = append(stack, s)
-			}
-		}
-		for len(stack) > 0 {
-			s := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, st := range s.Steps() {
-				if spec.External(specA, st.Ev) {
-					continue
-				}
-				if _, ok := seen[st.Next.Key()]; !ok {
-					seen[st.Next.Key()] = st.Next
-					stack = append(stack, st.Next)
-				}
-			}
-		}
-		out := make([]spec.State, 0, len(seen))
-		keys := make([]string, 0, len(seen))
-		for k := range seen {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			out = append(out, seen[k])
-		}
-		return out
-	}
-	setKey := func(set []spec.State) string {
-		keys := make([]string, len(set))
-		for i, s := range set {
-			keys[i] = s.Key()
-		}
-		return strings.Join(keys, "∪")
-	}
-
-	start := closure(specA.Initial())
-	visited := map[string]bool{}
-	var queue []node
-	for _, is := range impl.Initial() {
-		n := node{is: is, specSet: start}
-		k := is.Key() + "#" + setKey(start)
-		if !visited[k] {
-			visited[k] = true
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, st := range n.is.Steps() {
-			succSet := n.specSet
-			trace := n.trace
-			if spec.External(impl, st.Ev) {
-				// The specification must match the event.
-				var matched []spec.State
-				for _, ss := range n.specSet {
-					for _, sst := range ss.Steps() {
-						if spec.External(specA, sst.Ev) && sst.Ev.Key() == st.Ev.Key() {
-							matched = append(matched, sst.Next)
-						}
-					}
-				}
-				if len(matched) == 0 {
-					return &Violation{Trace: append(append([]spec.Event(nil), n.trace...), st.Ev)}
-				}
-				succSet = closure(matched)
-				trace = append(append([]spec.Event(nil), n.trace...), st.Ev)
-			}
-			k := st.Next.Key() + "#" + setKey(succSet)
-			if visited[k] {
-				continue
-			}
-			if len(visited) >= limit {
-				return ErrLimit{Limit: limit}
-			}
-			visited[k] = true
-			queue = append(queue, node{is: st.Next, specSet: succSet, trace: trace})
-		}
-	}
-	return nil
+// Because the monitor is deterministic, this is a breadth-first walk of
+// impl × m: every external step of impl is fed to the monitor of its
+// source state, and the first one rejected ends the walk, its trace the
+// counterexample. Exact on bounded instances. m itself is not changed.
+func TraceInclusion(impl spec.Automaton, m spec.Monitor, limit int) error {
+	_, err := explore(impl, m.Clone(), limit, nil)
+	return err
 }

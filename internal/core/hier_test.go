@@ -50,17 +50,23 @@ func TestHierGroupDelivery(t *testing.T) {
 		if len(log) != len(origins) {
 			t.Fatalf("member %d delivered %d messages, want %d: %v", global, len(log), len(origins), log)
 		}
-		seen := map[string]bool{}
-		for _, e := range log {
-			if seen[e] {
-				t.Fatalf("member %d delivered %q twice: %v", global, e, log)
-			}
-			seen[e] = true
-		}
+		// One FIFO monitor per origin stream: a delivery must be the
+		// origin's cast, once, so len(origins) accepted deliveries are
+		// all of them.
+		streams := map[int]*spec.FifoNetwork{}
 		for i, o := range origins {
-			want := fmt.Sprintf("%d:m%d", o, i)
-			if !seen[want] {
-				t.Fatalf("member %d missing %q: %v", global, want, log)
+			streams[o] = &spec.FifoNetwork{}
+			if err := streams[o].Step(spec.Event{Name: "Send", Params: []int{0, i}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range log {
+			var o, i int
+			if _, err := fmt.Sscanf(e, "%d:m%d", &o, &i); err != nil || streams[o] == nil {
+				t.Fatalf("member %d delivered %q, which no origin cast: %v", global, e, log)
+			}
+			if err := streams[o].Step(spec.Event{Name: "Deliver", Params: []int{0, i}}); err != nil {
+				t.Fatalf("member %d: %v: %v", global, err, log)
 			}
 		}
 	}

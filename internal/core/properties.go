@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"ensemble/internal/layers"
 )
@@ -71,46 +70,29 @@ var layerOrder = []string{
 	layers.Bottom,
 }
 
-// requires maps each property to the components that implement it, and
-// needs maps components to the components they depend on.
-var (
-	requires = map[Property][]string{
-		// Reliable multicast as a *service* includes repair liveness:
-		// mnak's NAKs only fire when later traffic reveals a gap, and the
-		// collect layer's periodic gossip is that traffic. (The paper's
-		// 4-layer stack omits collect and accepts the weaker guarantee.)
-		PropReliableMcast:    {layers.Mnak, layers.Collect},
-		PropReliableSend:     {layers.Pt2pt},
-		PropTotalOrder:       {layers.Total},
-		PropFlowControl:      {layers.Mflow, layers.Pt2ptw},
-		PropFragmentation:    {layers.Frag},
-		PropStability:        {layers.Collect},
-		PropSelfDelivery:     {layers.Local},
-		PropMembership:       {layers.Membership},
-		PropFailureDetection: {layers.Suspect},
-		PropAuthenticity:     {layers.Sign},
-	}
-	needs = map[string][]string{
-		// Everything rides on the reliability base.
-		layers.Mnak:  {layers.Bottom},
-		layers.Pt2pt: {layers.Mnak, layers.Bottom},
-		// Total order assigns meaning to a member's own casts only if
-		// they are delivered back to it.
-		layers.Total: {layers.Local, layers.Mnak},
-		// Ordering and control casts must be reliable.
-		layers.Local:   {layers.Mnak},
-		layers.Collect: {layers.Mnak},
-		layers.Frag:    {layers.Mnak, layers.Pt2pt},
-		layers.Pt2ptw:  {layers.Pt2pt},
-		layers.Mflow:   {layers.Mnak, layers.Pt2pt},
-		// Membership's flush needs the receive vectors (mnak), failure
-		// detection, reliable control traffic, and the reflection of its
-		// own flush casts (local).
-		layers.Membership: {layers.Suspect, layers.Mnak, layers.Pt2pt, layers.Local},
-		layers.Suspect:    {layers.Mnak},
-		layers.Sign:       {layers.Mnak, layers.Pt2pt},
-	}
-)
+// asks maps each property to the boundary guarantees it asks of the
+// stack. The components are then those adding the guarantees, closed
+// under what each component's contract requires (layers.ContractOf).
+var asks = map[Property][]layers.Guarantee{
+	// Reliable multicast as a *service* includes repair liveness: mnak's
+	// NAKs only fire when later traffic reveals a gap, and the collect
+	// layer's periodic gossip is that traffic. (The paper's 4-layer stack
+	// omits collect and accepts the weaker guarantee.)
+	PropReliableMcast:    {layers.GReliableCast, layers.GStability},
+	PropReliableSend:     {layers.GReliableSend},
+	PropTotalOrder:       {layers.GTotalOrder},
+	PropFlowControl:      {layers.GFlowCast, layers.GFlowSend},
+	PropFragmentation:    {layers.GAnySize},
+	PropStability:        {layers.GStability},
+	PropSelfDelivery:     {layers.GSelfDelivery},
+	PropMembership:       {layers.GMembership},
+	PropFailureDetection: {layers.GFailureDetection},
+	PropAuthenticity:     {layers.GAuthenticity},
+}
+
+// Guarantees returns the boundary guarantees p asks of a stack, nil for
+// an unknown property.
+func (p Property) Guarantees() []layers.Guarantee { return asks[p] }
 
 // SelectStack computes a protocol stack (component names, top first)
 // providing the requested properties, mirroring Ensemble's stack
@@ -121,22 +103,33 @@ func SelectStack(props []Property) ([]string, error) {
 	// reliable point-to-point, as in the paper's 4-layer stack. The
 	// application interface layers assume both.
 	selected := map[string]bool{layers.Mnak: true, layers.Pt2pt: true, layers.Bottom: true}
-	var work []string
+	// provider[g] is the component of the library adding g; the two
+	// application interfaces add the same guarantee, and no component
+	// requires it, so which one is kept does not matter.
+	provider := map[layers.Guarantee]string{}
+	for _, c := range layerOrder {
+		contract, _ := layers.ContractOf(c)
+		for _, g := range contract.Adds {
+			provider[g] = c
+		}
+	}
+	var work []layers.Guarantee
 	for _, p := range props {
-		comps, ok := requires[p]
+		gs, ok := asks[p]
 		if !ok {
 			return nil, fmt.Errorf("core: unknown property %q", p)
 		}
-		work = append(work, comps...)
+		work = append(work, gs...)
 	}
 	for len(work) > 0 {
-		c := work[len(work)-1]
+		c := provider[work[len(work)-1]]
 		work = work[:len(work)-1]
 		if selected[c] {
 			continue
 		}
 		selected[c] = true
-		work = append(work, needs[c]...)
+		contract, _ := layers.ContractOf(c)
+		work = append(work, contract.Requires...)
 	}
 	// Pick the application interface: the large-stack interface when the
 	// configuration carries ordering or membership machinery, the plain
@@ -146,17 +139,11 @@ func SelectStack(props []Property) ([]string, error) {
 	} else {
 		selected[layers.Top] = true
 	}
-	idx := make(map[string]int, len(layerOrder))
-	for i, n := range layerOrder {
-		idx[n] = i
-	}
 	var out []string
-	for c := range selected {
-		if _, ok := idx[c]; !ok {
-			return nil, fmt.Errorf("core: component %q missing from layer order", c)
+	for _, c := range layerOrder {
+		if selected[c] {
+			out = append(out, c)
 		}
-		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return idx[out[i]] < idx[out[j]] })
 	return out, nil
 }

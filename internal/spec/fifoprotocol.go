@@ -72,7 +72,7 @@ func (s *chanState) Steps() []Step {
 	var steps []Step
 	for _, params := range s.ch.Universe {
 		next := s.clone()
-		next.transit[pktKey(params)] = params
+		next.transit[IntsKey(params)] = params
 		steps = append(steps, Step{Ev: Event{Name: s.ch.Tag + ".send", Params: params}, Next: next})
 	}
 	for k, params := range s.transit {
@@ -83,14 +83,6 @@ func (s *chanState) Steps() []Step {
 		steps = append(steps, Step{Ev: Event{Name: s.ch.Tag + ".drop", Params: params}, Next: next})
 	}
 	return steps
-}
-
-func pktKey(params []int) string {
-	parts := make([]string, len(params))
-	for i, p := range params {
-		parts[i] = fmt.Sprintf("%d", p)
-	}
-	return strings.Join(parts, ",")
 }
 
 // fifoSender is the sending half of FifoProtocol: it numbers accepted
@@ -109,9 +101,9 @@ func (f *fifoSender) Name() string { return "FifoSender" }
 
 func (f *fifoSender) Signature() map[string]Kind {
 	return map[string]Kind{
-		"Send":         Input,  // Above.Send(dst, msg)
-		"data.send":    Output, // Below.Send of a (seq,msg) packet
-		"ack.deliver":  Input,  // Below.Deliver of a cumulative ack
+		"Send":        Input,  // Above.Send(dst, msg)
+		"data.send":   Output, // Below.Send of a (seq,msg) packet
+		"ack.deliver": Input,  // Below.Deliver of a cumulative ack
 	}
 }
 

@@ -1,12 +1,15 @@
-// Package spec is the I/O-automaton specification framework of §3:
-// behavioural specifications of networks and protocols as state machines
-// with event-condition-action rules. Abstract specifications (the
-// FifoNetwork and LossyNetwork of Fig. 2) use global state and are not
-// executable; concrete specifications (the FifoProtocol of Fig. 3) only
-// involve state and events local to one participant and compose with a
-// network automaton by tying events together. The check package verifies
-// trace inclusion between compositions and abstract specifications on
-// bounded instances — the role Nuprl proofs play in the paper.
+// Package spec is the I/O-automaton specification framework of §3.
+// Implementations are automata with event-condition-action rules: the
+// concrete specifications (the FifoProtocol of Fig. 3, the sequencer of
+// the total-order study) only involve state and events local to one
+// participant, and compose with channel automata by tying events
+// together. Abstract specifications (the FifoNetwork and LossyNetwork of
+// Fig. 2, the totally ordered network) are monitors: deterministic trace
+// predicates that take one external event at a time, in the style of
+// composable temporal-logic components. The check package verifies
+// trace inclusion of an implementation in a monitor on bounded
+// instances — the role Nuprl proofs play in the paper — and tests run
+// the same monitors online over a running group's deliveries.
 package spec
 
 import (
@@ -39,11 +42,7 @@ func (e Event) String() string {
 	if len(e.Params) == 0 {
 		return e.Name
 	}
-	parts := make([]string, len(e.Params))
-	for i, p := range e.Params {
-		parts[i] = fmt.Sprintf("%d", p)
-	}
-	return fmt.Sprintf("%s(%s)", e.Name, strings.Join(parts, ","))
+	return e.Name + "(" + IntsKey(e.Params) + ")"
 }
 
 // Key is the canonical form used to match events across automata.
@@ -61,6 +60,20 @@ type State interface {
 	Key() string
 	// Steps enumerates every enabled transition from this state.
 	Steps() []Step
+}
+
+// Monitor is an abstract specification as a deterministic trace
+// predicate: it reads a trace one external event at a time and rejects
+// the first event the specification does not allow. A rejected event
+// leaves the monitor unchanged.
+type Monitor interface {
+	// Step takes one event, or returns why the specification cannot.
+	Step(Event) error
+	// Key encodes everything Step reads: monitors with equal keys accept
+	// the same continuations.
+	Key() string
+	// Clone returns an independent copy.
+	Clone() Monitor
 }
 
 // Automaton is a (bounded) I/O automaton.
@@ -81,12 +94,6 @@ func ActionKind(a Automaton, name string) Kind {
 		return k
 	}
 	return Internal
-}
-
-// External reports whether an event is externally visible for the
-// automaton (input or output).
-func External(a Automaton, ev Event) bool {
-	return ActionKind(a, ev.Name) != Internal
 }
 
 // --- generic helpers for building state keys ---

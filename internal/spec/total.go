@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 )
 
 // The total ordering protocol study of §3.1: the paper reports a manual
@@ -9,105 +10,27 @@ import (
 // located a subtle bug. Here the sequencer protocol implemented by the
 // total layer is modelled as an automaton over reliable FIFO channels
 // (the service mnak provides — itself checked by FifoProtocolSystem, the
-// same compositional split the paper uses) and checked against an
-// abstract totally-ordered network.
-
-// TotalNetwork is the abstract specification: multicasts enter a pending
-// set, an internal Order step fixes each message's position in one
-// global log, and every process delivers the log in order. Any total
-// order is allowed; what is specified is that all processes agree on it.
-type TotalNetwork struct {
-	N, MsgsPerSender int
-}
-
-// Name implements Automaton.
-func (t *TotalNetwork) Name() string { return "TotalNetwork" }
-
-// Signature implements Automaton.
-func (t *TotalNetwork) Signature() map[string]Kind {
-	return map[string]Kind{"Cast": Input, "Order": Internal, "Deliver": Output}
-}
-
-// Initial implements Automaton.
-func (t *TotalNetwork) Initial() []State {
-	return []State{&totalNetState{a: t, ptr: make([]int, t.N)}}
-}
-
-// msgID packs (sender, index) into one int for compact keys.
-func (t *TotalNetwork) msgID(p, i int) int { return p*t.MsgsPerSender + i }
-
-type totalNetState struct {
-	a       *TotalNetwork
-	pending []int
-	log     []int
-	ptr     []int
-	casted  map[int]bool
-}
-
-func (s *totalNetState) Key() string {
-	return KeyOf("tn", IntsKey(s.pending), IntsKey(s.log), IntsKey(s.ptr))
-}
-
-func (s *totalNetState) clone() *totalNetState {
-	cp := &totalNetState{
-		a:       s.a,
-		pending: append([]int(nil), s.pending...),
-		log:     append([]int(nil), s.log...),
-		ptr:     append([]int(nil), s.ptr...),
-		casted:  map[int]bool{},
-	}
-	for k := range s.casted {
-		cp.casted[k] = true
-	}
-	return cp
-}
-
-// Steps implements State.
-func (s *totalNetState) Steps() []Step {
-	var steps []Step
-	// Cast(p, i): input, each message once.
-	for p := 0; p < s.a.N; p++ {
-		for i := 0; i < s.a.MsgsPerSender; i++ {
-			id := s.a.msgID(p, i)
-			if s.casted != nil && s.casted[id] {
-				continue
-			}
-			next := s.clone()
-			next.pending = append(next.pending, id)
-			next.casted[id] = true
-			steps = append(steps, Step{Ev: Event{Name: "Cast", Params: []int{p, i}}, Next: next})
-		}
-	}
-	// Order: any pending message takes the next log position.
-	for k, id := range s.pending {
-		next := s.clone()
-		next.pending = append(next.pending[:k], next.pending[k+1:]...)
-		next.log = append(next.log, id)
-		steps = append(steps, Step{Ev: Event{Name: "Order", Params: []int{id}}, Next: next})
-	}
-	// Deliver(q, p, i): strictly in log order per process.
-	for q := 0; q < s.a.N; q++ {
-		if s.ptr[q] >= len(s.log) {
-			continue
-		}
-		id := s.log[s.ptr[q]]
-		next := s.clone()
-		next.ptr[q]++
-		steps = append(steps, Step{
-			Ev:   Event{Name: "Deliver", Params: []int{q, id / s.a.MsgsPerSender, id % s.a.MsgsPerSender}},
-			Next: next,
-		})
-	}
-	return steps
-}
+// same compositional split the paper uses) and checked against the
+// TotalNetwork monitor.
 
 // TotalProtocol models the sequencer protocol of the total layer over
 // reliable FIFO channels: rank 0 stamps its own casts at send time and
 // assigns positions to other members' casts on arrival, members learn
 // the announcement stream in order and deliver a position once they hold
-// its message. Orderly is the protocol as implemented; with Orderly set
-// to false the model delivers data on arrival — the subtle-bug variant
-// the checker must reject.
+// its message. Its external actions, Cast(p,i) and Deliver(q,p,i), are
+// TotalNetwork's.
+//
+// The total layer announces runs: one announcement with a count orders
+// count consecutive positions of one origin. Taking it is count
+// consecutive learns at once, and learns are internal, so every trace of
+// the run protocol is a trace of this per-cast model, and checking the
+// model covers the runs. The model leaves out the close of an open run
+// at the end of the sequencer's input burst and the sequencer blocked by
+// a flush — both only decide when an announcement leaves — and view
+// changes: its group is fixed, and no member fails or leaves.
+//
+// With Orderly false the model delivers data on arrival, skipping the
+// ordering wait: the subtle-bug variant the checker must reject.
 type TotalProtocol struct {
 	N, MsgsPerSender int
 	// Orderly selects the correct protocol (true) or the buggy variant
@@ -134,108 +57,115 @@ func (t *TotalProtocol) Initial() []State {
 	st := &totalProtoState{
 		a:         t,
 		sent:      make([]int, n),
-		got:       make([]map[int]bool, n),
-		anncIdx:   make([]int, n),
-		delivered: make([]int, n),
 		dataCh:    make([][][]int, n),
+		got:       make([][]bool, n),
+		anncIdx:   make([]int, n),
+		delivered: make([][]int, n),
 	}
 	for p := 0; p < n; p++ {
-		st.got[p] = map[int]bool{}
 		st.dataCh[p] = make([][]int, n)
+		st.got[p] = make([]bool, n*t.MsgsPerSender)
 	}
 	return []State{st}
 }
 
-func (t *TotalProtocol) msgID(p, i int) int { return p*t.MsgsPerSender + i }
+// Agreement returns an error when, in a state of this automaton, some
+// member's deliveries are not a prefix of the sequencer's order.
+func (t *TotalProtocol) Agreement(s State) error {
+	ps := s.(*totalProtoState)
+	for q, d := range ps.delivered {
+		if len(d) > len(ps.announced) || !slices.Equal(d, ps.announced[:len(d)]) {
+			return fmt.Errorf("member %d delivered %v, not a prefix of the order %v", q, d, ps.announced)
+		}
+	}
+	return nil
+}
+
+// Completed reports whether a state of this automaton is the bounded
+// instance's legitimate end: every member has delivered every message.
+func (t *TotalProtocol) Completed(s State) bool {
+	for _, d := range s.(*totalProtoState).delivered {
+		if len(d) != t.N*t.MsgsPerSender {
+			return false
+		}
+	}
+	return true
+}
 
 type totalProtoState struct {
 	a *TotalProtocol
 
-	// sent[p]: casts submitted by p so far.
+	// sent[p]: casts submitted by p so far. A message's id is
+	// p*MsgsPerSender + i.
 	sent []int
 	// dataCh[p][q]: FIFO channel of message ids from p to q (p ≠ q).
 	dataCh [][][]int
-	// got[q]: message ids held by q (own casts immediately).
-	got []map[int]bool
+	// got[q][id]: q holds the message (its own casts immediately).
+	got [][]bool
 	// announced: the sequencer's global order.
 	announced []int
 	// anncIdx[q]: announcements learned by q (rank 0 learns its own
 	// instantly).
 	anncIdx []int
-	// delivered[q]: prefix of announced delivered by q.
-	delivered []int
+	// delivered[q]: the ids q delivered, in order.
+	delivered [][]int
 }
 
 func (s *totalProtoState) Key() string {
-	k := fmt.Sprintf("tp|%v|%v|%v|%v|", s.sent, s.announced, s.anncIdx, s.delivered)
-	for p := range s.dataCh {
-		for q := range s.dataCh[p] {
-			if len(s.dataCh[p][q]) > 0 {
-				k += fmt.Sprintf("c%d.%d:%v;", p, q, s.dataCh[p][q])
-			}
-		}
-	}
-	for q := range s.got {
-		k += fmt.Sprintf("g%d:", q)
-		for id := 0; id < s.a.N*s.a.MsgsPerSender; id++ {
-			if s.got[q][id] {
-				k += fmt.Sprintf("%d,", id)
-			}
-		}
-		k += ";"
-	}
-	return k
+	return fmt.Sprintf("tp|%v|%v|%v|%v|%v|%v", s.sent, s.dataCh, s.got, s.announced, s.anncIdx, s.delivered)
 }
 
 func (s *totalProtoState) clone() *totalProtoState {
-	n := s.a.N
 	cp := &totalProtoState{
 		a:         s.a,
-		sent:      append([]int(nil), s.sent...),
-		announced: append([]int(nil), s.announced...),
-		anncIdx:   append([]int(nil), s.anncIdx...),
-		delivered: append([]int(nil), s.delivered...),
-		got:       make([]map[int]bool, n),
-		dataCh:    make([][][]int, n),
+		sent:      slices.Clone(s.sent),
+		dataCh:    make([][][]int, len(s.dataCh)),
+		got:       make([][]bool, len(s.got)),
+		announced: slices.Clone(s.announced),
+		anncIdx:   slices.Clone(s.anncIdx),
+		delivered: make([][]int, len(s.delivered)),
 	}
-	for p := 0; p < n; p++ {
-		cp.got[p] = map[int]bool{}
-		for id, v := range s.got[p] {
-			cp.got[p][id] = v
+	for p := range s.dataCh {
+		cp.dataCh[p] = make([][]int, len(s.dataCh[p]))
+		for q, ch := range s.dataCh[p] {
+			cp.dataCh[p][q] = slices.Clone(ch)
 		}
-		cp.dataCh[p] = make([][]int, n)
-		for q := 0; q < n; q++ {
-			cp.dataCh[p][q] = append([]int(nil), s.dataCh[p][q]...)
-		}
+		cp.got[p] = slices.Clone(s.got[p])
+		cp.delivered[p] = slices.Clone(s.delivered[p])
 	}
 	return cp
+}
+
+// arrive records that member q now holds message id; at the sequencer
+// that assigns the message its position.
+func (s *totalProtoState) arrive(q, id int) {
+	s.got[q][id] = true
+	if q == 0 {
+		s.announced = append(s.announced, id)
+		s.anncIdx[0] = len(s.announced)
+	}
 }
 
 // Steps implements State.
 func (s *totalProtoState) Steps() []Step {
 	var steps []Step
-	n := s.a.N
-	// Cast(p, i): the next message of sender p.
+	n, m := s.a.N, s.a.MsgsPerSender
+	// Cast(p, i): the next message of sender p, held by p at once (the
+	// local layer) and stamped at once if p is the sequencer.
 	for p := 0; p < n; p++ {
-		if s.sent[p] >= s.a.MsgsPerSender {
+		if s.sent[p] == m {
 			continue
 		}
-		i := s.sent[p]
-		id := s.a.msgID(p, i)
+		id := p*m + s.sent[p]
 		next := s.clone()
 		next.sent[p]++
-		next.got[p][id] = true // self-delivery via the local layer
+		next.arrive(p, id)
 		for q := 0; q < n; q++ {
 			if q != p {
 				next.dataCh[p][q] = append(next.dataCh[p][q], id)
 			}
 		}
-		if p == 0 {
-			// The sequencer stamps its own casts at send time.
-			next.announced = append(next.announced, id)
-			next.anncIdx[0] = len(next.announced)
-		}
-		steps = append(steps, Step{Ev: Event{Name: "Cast", Params: []int{p, i}}, Next: next})
+		steps = append(steps, Step{Ev: Event{Name: "Cast", Params: []int{p, s.sent[p]}}, Next: next})
 	}
 	// xfer: a channel head arrives.
 	for p := 0; p < n; p++ {
@@ -246,12 +176,7 @@ func (s *totalProtoState) Steps() []Step {
 			id := s.dataCh[p][q][0]
 			next := s.clone()
 			next.dataCh[p][q] = next.dataCh[p][q][1:]
-			next.got[q][id] = true
-			if q == 0 && p != 0 {
-				// The sequencer assigns the arrival its position.
-				next.announced = append(next.announced, id)
-				next.anncIdx[0] = len(next.announced)
-			}
+			next.arrive(q, id)
 			steps = append(steps, Step{Ev: Event{Name: "xfer", Params: []int{p, q, id}}, Next: next})
 		}
 	}
@@ -264,59 +189,32 @@ func (s *totalProtoState) Steps() []Step {
 		}
 	}
 	// Deliver.
-	if s.a.Orderly {
-		for q := 0; q < n; q++ {
-			k := s.delivered[q]
-			if k >= s.anncIdx[q] {
-				continue
-			}
-			id := s.announced[k]
-			if !s.got[q][id] {
-				continue
-			}
-			next := s.clone()
-			next.delivered[q]++
-			steps = append(steps, Step{
-				Ev:   Event{Name: "Deliver", Params: []int{q, id / s.a.MsgsPerSender, id % s.a.MsgsPerSender}},
-				Next: next,
-			})
-		}
-		return steps
-	}
-	// The buggy variant: deliver anything held, skipping the order wait.
 	for q := 0; q < n; q++ {
-		for id := range s.got[q] {
-			if s.deliveredHas(q, id) {
-				continue
-			}
+		for _, id := range s.deliverable(q) {
 			next := s.clone()
-			next.delivered[q]++ // count only; order ignored
-			next.got[q][id] = false
-			steps = append(steps, Step{
-				Ev:   Event{Name: "Deliver", Params: []int{q, id / s.a.MsgsPerSender, id % s.a.MsgsPerSender}},
-				Next: next,
-			})
+			next.delivered[q] = append(next.delivered[q], id)
+			steps = append(steps, Step{Ev: Event{Name: "Deliver", Params: []int{q, id / m, id % m}}, Next: next})
 		}
 	}
 	return steps
 }
 
-func (s *totalProtoState) deliveredHas(q, id int) bool {
-	return !s.got[q][id]
-}
-
-// Completed reports whether a state of this automaton is the bounded
-// instance's legitimate end: every member has delivered every message.
-func (t *TotalProtocol) Completed(s State) bool {
-	ps, ok := s.(*totalProtoState)
-	if !ok {
-		return false
+// deliverable lists the messages member q may deliver next: the next
+// learned position once q holds its message, or, in the buggy variant,
+// anything q holds and has not delivered.
+func (s *totalProtoState) deliverable(q int) []int {
+	if s.a.Orderly {
+		k := len(s.delivered[q])
+		if k < s.anncIdx[q] && s.got[q][s.announced[k]] {
+			return []int{s.announced[k]}
+		}
+		return nil
 	}
-	total := t.N * t.MsgsPerSender
-	for _, d := range ps.delivered {
-		if d != total {
-			return false
+	var out []int
+	for id, held := range s.got[q] {
+		if held && !slices.Contains(s.delivered[q], id) {
+			out = append(out, id)
 		}
 	}
-	return true
+	return out
 }
