@@ -53,10 +53,12 @@ func (m *Member) EnableObs(sc *obs.Scope, trk *obs.Track) {
 		// one per-path windowed counter — one atomic add per event, zero
 		// allocations — whose lifetime total feeds the dashboards and
 		// whose window (reset at every view install) is the per-view mix.
-		// mach/ccp_hit and mach/ccp_miss stay registered under their
-		// historical names as sums over the path family: a hit is a route
-		// to any specialized path, a miss is a fall-through to the
-		// interpreted stack.
+		// Three sums over the path family split every route: mach/ccp_hit
+		// counts the routes compiled code carried to the end,
+		// mach/handoff those it handed to the interpreted stack part-way
+		// (an arrival at the layer whose common case failed, a cast's
+		// self-delivery copy above local), and mach/ccp_miss the
+		// fall-throughs to the interpreted stack from the start.
 		for p := opt.PathID(0); p < opt.NumPaths; p++ {
 			w := &obs.Window{}
 			m.pathWin[p] = w
@@ -65,17 +67,21 @@ func (m *Member) EnableObs(sc *obs.Scope, trk *obs.Track) {
 			}
 		}
 		if sc != nil {
-			sumSpecialized := func(read func(*obs.Window) int64) int64 {
-				var sum int64
+			sum := func(read func(*obs.Window) int64, in func(opt.PathID) bool) int64 {
+				var n int64
 				for p := opt.PathID(0); p < opt.NumPaths; p++ {
-					if p != opt.PathFullStack {
-						sum += read(m.pathWin[p])
+					if in(p) {
+						n += read(m.pathWin[p])
 					}
 				}
-				return sum
+				return n
 			}
-			sc.Func("mach/ccp_hit", func() int64 { return sumSpecialized((*obs.Window).Total) })
-			sc.Func("mach/ccp_hit/window", func() int64 { return sumSpecialized((*obs.Window).Window) })
+			handoff := func(p opt.PathID) bool { return p == opt.PathUpHandoff || p == opt.PathDnCastPartial }
+			hit := func(p opt.PathID) bool { return p != opt.PathFullStack && !handoff(p) }
+			sc.Func("mach/ccp_hit", func() int64 { return sum((*obs.Window).Total, hit) })
+			sc.Func("mach/ccp_hit/window", func() int64 { return sum((*obs.Window).Window, hit) })
+			sc.Func("mach/handoff", func() int64 { return sum((*obs.Window).Total, handoff) })
+			sc.Func("mach/handoff/window", func() int64 { return sum((*obs.Window).Window, handoff) })
 			sc.Func("mach/ccp_miss", func() int64 { return m.pathWin[opt.PathFullStack].Total() })
 			sc.Func("mach/ccp_miss/window", func() int64 { return m.pathWin[opt.PathFullStack].Window() })
 			sc.Func("mach/dn_bypass", func() int64 { return m.eng.Stats().DnBypass })
@@ -88,6 +94,8 @@ func (m *Member) EnableObs(sc *obs.Scope, trk *obs.Track) {
 			sc.Func("mach/undecodable", func() int64 { return m.eng.Stats().Undecodable })
 			sc.Func("mach/ctrl_compressed", func() int64 { return m.eng.Stats().CtrlCompressed })
 			sc.Func("mach/ctrl_full", func() int64 { return m.eng.Stats().CtrlFull })
+			sc.Func("mach/parked", func() int64 { return m.eng.Stats().Parked })
+			sc.Func("mach/released", func() int64 { return m.eng.Stats().Released })
 		}
 		m.obsRoute = func(up bool, pid opt.PathID) {
 			dir := obs.DirDn

@@ -262,3 +262,90 @@ func TestOrderRunCountChecked(t *testing.T) {
 		}
 	}
 }
+
+// forgeCastLseq rewrites the local sequence number total's header gives
+// a cast a member is sending, full or compressed. The member in the test
+// below is not the sequencer, so a compressed cast it sends is data,
+// whose first varying field is total's lseq.
+func forgeCastLseq(t *testing.T, cast bool, wire []byte, lseq int64) ([]byte, bool) {
+	if !cast || len(wire) == 0 {
+		return wire, false
+	}
+	if wire[0] == transport.WireCompressed {
+		out := append([]byte(nil), wire[:3]...)
+		rest := wire[3:]
+		sender, k := binary.Uvarint(rest)
+		out = binary.AppendUvarint(out, sender)
+		if _, k2 := binary.Varint(rest[k:]); k2 > 0 {
+			out = binary.AppendVarint(out, lseq)
+			return append(out, rest[k+k2:]...), true
+		}
+		t.Fatalf("compressed cast cut short: % x", wire)
+	}
+	ev, err := transport.Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := ir.LookupDef(layers.Total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := def.HdrSpecByVariant("Data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range ev.Msg.Headers {
+		if f, ok := spec.Read(h, nil); ok {
+			ev.Msg.Headers[i] = spec.Make([]int64{lseq, f[1]})
+			var w transport.Writer
+			if err := transport.Marshal(ev, ev.Peer, &w); err != nil {
+				t.Fatal(err)
+			}
+			return w.Bytes(), true
+		}
+	}
+	return wire, false
+}
+
+// TestParkedLseqBounded: a cast whose local sequence number no member
+// sends — 1<<40, the first of three — is refused where it would be
+// parked, by plain and optimized members alike: the parked casts'
+// index never sizes itself from it. The sequencer numbers all three on
+// arrival and delivers them; everywhere else the refused cast's number
+// never comes up, so the two behind it wait.
+func TestParkedLseqBounded(t *testing.T) {
+	const n = 3
+	for _, model := range []string{"FUNC", "MACH"} {
+		t.Run(model, func(t *testing.T) {
+			delivered := make([]int, n)
+			g := runsGroup(t, n, layers.Stack10(), model, netsim.Profile{Latency: 50_000}, 3,
+				func(rank int) Handlers {
+					return Handlers{OnCast: func(int, []byte) { delivered[rank]++ }}
+				})
+			g.Run(int64(10e6))
+			origin := g.Members[1].eng
+			send, forged := origin.SendWire, 0
+			origin.SendWire = func(cast bool, dst int, wire []byte) {
+				if forged == 0 {
+					if w, ok := forgeCastLseq(t, cast, wire, 1<<40); ok {
+						forged++
+						wire = w
+					}
+				}
+				send(cast, dst, wire)
+			}
+			g.Do(1, 0, func() {
+				for k := 0; k < 3; k++ {
+					g.Members[1].Cast([]byte{byte(k)})
+				}
+			})
+			g.Run(int64(200e6))
+			if forged != 1 {
+				t.Fatalf("forged %d casts, want one", forged)
+			}
+			if want := []int{3, 0, 0}; !slices.Equal(delivered, want) {
+				t.Fatalf("deliveries per member %v, want %v", delivered, want)
+			}
+		})
+	}
+}

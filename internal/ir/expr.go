@@ -65,7 +65,8 @@ type Index struct {
 // EvField reads a field of the event being processed: "peer" (origin or
 // destination rank), "len" (payload length), "appl" (application-payload
 // flag), "rank" (this member's rank: constant per view, exposed as an
-// event field so specialization can fold it).
+// event field so specialization can fold it), "n" (the view's size, a
+// view constant too).
 type EvField string
 
 // HdrField reads a field of the layer's own popped header on the up

@@ -12,6 +12,7 @@ type Binding struct {
 	scalars map[string]VarSpec
 	arrays  map[string]VarSpec
 	effects map[string]EffectSpec
+	holds   map[string]HoldSpec
 }
 
 // Bind builds a binding from a layer state. States without an IR model
@@ -26,6 +27,7 @@ func Bind(layerName string, st any) (*Binding, error) {
 		scalars: map[string]VarSpec{},
 		arrays:  map[string]VarSpec{},
 		effects: map[string]EffectSpec{},
+		holds:   map[string]HoldSpec{},
 	}
 	for _, v := range sm.IRVars() {
 		switch {
@@ -40,6 +42,11 @@ func Bind(layerName string, st any) (*Binding, error) {
 	if em, ok := st.(EffectModel); ok {
 		for _, e := range em.IREffects() {
 			b.effects[e.Name] = e
+		}
+	}
+	if hm, ok := st.(HoldModel); ok {
+		for _, h := range hm.IRHolds() {
+			b.holds[h.Name] = h
 		}
 	}
 	return b, nil
@@ -88,6 +95,12 @@ func (b *Binding) Effect(name string) (EffectSpec, bool) {
 	return e, ok
 }
 
+// Hold finds a bound hold.
+func (b *Binding) Hold(name string) (HoldSpec, bool) {
+	h, ok := b.holds[name]
+	return h, ok
+}
+
 // ScalarSpec exposes a scalar's accessors for the bypass compiler.
 func (b *Binding) ScalarSpec(name string) (VarSpec, bool) {
 	v, ok := b.scalars[name]
@@ -106,6 +119,8 @@ type EvInfo struct {
 	Len  int64
 	Appl bool
 	Rank int64
+	// N is the view's size, constant per view like Rank.
+	N int64
 }
 
 // Field reads a named event field.
@@ -122,6 +137,8 @@ func (e EvInfo) Field(name string) int64 {
 		return 0
 	case "rank":
 		return e.Rank
+	case "n":
+		return e.N
 	default:
 		panic(fmt.Sprintf("ir: unknown event field %q", name))
 	}
@@ -217,11 +234,28 @@ type Outcome struct {
 	// Bounced is set when a self-delivery copy was reflected.
 	Bounced bool
 	// Consumed is set when the layer absorbed the up-going message (pure
-	// control traffic; nothing continues above this layer).
+	// control traffic, or a message parked; nothing continues above this
+	// layer).
 	Consumed bool
+	// Parked holds the evaluated Park of a parking rule; Released the
+	// evaluated Release of a releasing one.
+	Parked   *HoldCall
+	Released *ReleaseCall
 	// Effects lists the effect invocations, in order, with evaluated
 	// arguments.
 	Effects []EffectCall
+}
+
+// HoldCall is a recorded Park: the hold and its evaluated arguments.
+type HoldCall struct {
+	Hold string
+	Args []int64
+}
+
+// ReleaseCall is a recorded Release, evaluated.
+type ReleaseCall struct {
+	HoldCall
+	Peer, Count int64
 }
 
 // EffectCall is one recorded effect invocation.
@@ -276,12 +310,17 @@ func applyActions(def *LayerDef, actions []Action, f *Frame) (Outcome, error) {
 			out.Bounced = true
 		case Consume:
 			out.Consumed = true
-		case CallEffect:
-			args := make([]int64, len(a.Args))
-			for i, e := range a.Args {
-				args[i] = Eval(e, f)
+		case Park:
+			out.Consumed = true
+			out.Parked = &HoldCall{Hold: a.Hold, Args: evalAll(a.Args, f)}
+		case Release:
+			out.Consumed = true
+			out.Released = &ReleaseCall{
+				HoldCall: HoldCall{Hold: a.Hold, Args: evalAll(a.Args, f)},
+				Peer:     Eval(a.Peer, f), Count: Eval(a.Count, f),
 			}
-			out.Effects = append(out.Effects, EffectCall{Name: a.Name, Args: args})
+		case CallEffect:
+			out.Effects = append(out.Effects, EffectCall{Name: a.Name, Args: evalAll(a.Args, f)})
 		case Fallback:
 			if out.Pushed != nil || out.Delivered || out.Consumed || len(out.Effects) > 0 {
 				return out, fmt.Errorf("ir: layer %q: fallback after visible actions", def.Name)
@@ -290,6 +329,14 @@ func applyActions(def *LayerDef, actions []Action, f *Frame) (Outcome, error) {
 		}
 	}
 	return out, nil
+}
+
+func evalAll(es []Expr, f *Frame) []int64 {
+	vals := make([]int64, len(es))
+	for i, e := range es {
+		vals[i] = Eval(e, f)
+	}
+	return vals
 }
 
 // evalHdrFields evaluates a header construction's fields in the order

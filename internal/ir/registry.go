@@ -23,6 +23,12 @@ type LayerDef struct {
 	// to several specialized paths). Order is the author's preference;
 	// candidates are tried in order during composition.
 	AltCCP map[PathKey][]Expr
+	// Invariants are facts about the layer's state that hold in every
+	// reachable state (a counter never negative), assumed whenever a
+	// guard or CCP is simplified: they let derivation reject a candidate
+	// a signature contradicts, instead of compiling a predicate that
+	// fails at run time.
+	Invariants []Expr
 }
 
 // HdrSpecByVariant finds a header variant by name.

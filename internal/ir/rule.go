@@ -60,6 +60,26 @@ type CallEffect struct {
 // into a partial stack theorem.
 type Consume struct{}
 
+// Park consumes the up-going message at this layer by holding it: the
+// layer's named hold (HoldSpec) keeps the event, with the headers of the
+// layers above still on it, under the evaluated Args, until a Release
+// hands it on. It is the one consuming shape that may end an arrival
+// below the top of its signature.
+type Park struct {
+	Hold string
+	Args []Expr
+}
+
+// Release, in a rule that consumes its own message, hands Count messages
+// the named hold parked on to the layers above, oldest first, each as an
+// arrival from Peer: the continuation each would have had, had it not
+// been parked. Args select them in the hold (HoldSpec.Take).
+type Release struct {
+	Hold        string
+	Args        []Expr
+	Peer, Count Expr
+}
+
 // Fallback abandons the bypass: this input is not a common case.
 type Fallback struct{ Reason string }
 
@@ -69,6 +89,8 @@ func (PopDeliver) isAction() {}
 func (Bounce) isAction()     {}
 func (CallEffect) isAction() {}
 func (Consume) isAction()    {}
+func (Park) isAction()       {}
+func (Release) isAction()    {}
 func (Fallback) isAction()   {}
 
 func (a Assign) String() string { return fmt.Sprintf("%s := %s", a.Target, a.Val) }
@@ -78,13 +100,23 @@ func (p PushHdr) String() string {
 func (PopDeliver) String() string { return "pop; deliver" }
 func (Bounce) String() string     { return "bounce copy up" }
 func (c CallEffect) String() string {
-	args := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		args[i] = a.String()
-	}
-	return fmt.Sprintf("effect %s(%s)", c.Name, strings.Join(args, ", "))
+	return fmt.Sprintf("effect %s(%s)", c.Name, exprsString(c.Args))
 }
-func (Consume) String() string    { return "pop; consume" }
+func (Consume) String() string { return "pop; consume" }
+func (p Park) String() string {
+	return fmt.Sprintf("pop; park in %s(%s)", p.Hold, exprsString(p.Args))
+}
+func (r Release) String() string {
+	return fmt.Sprintf("pop; consume; release %s parked in %s(%s) up from %s", r.Count, r.Hold, exprsString(r.Args), r.Peer)
+}
+
+func exprsString(es []Expr) string {
+	parts := make([]string, len(es))
+	for i, e := range es {
+		parts[i] = e.String()
+	}
+	return strings.Join(parts, ", ")
+}
 func (f Fallback) String() string { return "fallback: " + f.Reason }
 
 // HdrFieldVal is one field of a constructed header.
@@ -242,4 +274,24 @@ type EffectSpec struct {
 // EffectModel is implemented by layer states with bypass effects.
 type EffectModel interface {
 	IREffects() []EffectSpec
+}
+
+// HoldSpec binds a named hold — where a layer parks messages it cannot
+// pass on yet — to a live layer state. The interpreted handler parks and
+// releases through the same hold, so the compiled path and the stack
+// share it.
+type HoldSpec struct {
+	Name string
+	// Park keeps ev, an up-going message with this layer's header popped,
+	// under args. It owns ev either way: it reports false, having freed
+	// it, when the hold refuses it.
+	Park func(args []int64, ev *event.Event) bool
+	// Take removes and returns the oldest message held under args (a
+	// Release's), nil when there is none.
+	Take func(args []int64) *event.Event
+}
+
+// HoldModel is implemented by layer states with holds.
+type HoldModel interface {
+	IRHolds() []HoldSpec
 }

@@ -2,6 +2,7 @@ package layers
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -55,6 +56,9 @@ type diffHarness struct {
 	sinkB  collectorSink
 	hits   int // events where the IR took the fast path
 	misses int
+	// parks and releases count the fast-path events that parked a
+	// message or released parked ones.
+	parks, releases int
 }
 
 func newDiffHarness(t *testing.T, name string, cfg layer.Config) *diffHarness {
@@ -108,7 +112,7 @@ func (h *diffHarness) feed(ev *event.Event) (ups, dns []*event.Event) {
 	path := ir.PathKey{Dir: ev.Dir, Kind: ev.Type}
 	frame := &ir.Frame{
 		B:  h.bindB,
-		Ev: ir.EvInfo{Peer: int64(ev.Peer), Len: int64(len(ev.Msg.Payload)), Appl: ev.ApplMsg, Rank: h.rank},
+		Ev: ir.EvInfo{Peer: int64(ev.Peer), Len: int64(len(ev.Msg.Payload)), Appl: ev.ApplMsg, Rank: h.rank, N: h.n},
 	}
 	// What the layers above this one pushed (or will pop), encoded the
 	// way the optimizer hands it to buffering effects.
@@ -154,8 +158,21 @@ func (h *diffHarness) feed(ev *event.Event) (ups, dns []*event.Event) {
 			}
 			spec.Run(ir.EffectCtx{Args: ec.Args, Payload: evB.Msg.Payload, ApplMsg: evB.ApplMsg, Hdrs: img.Hdrs, NHdrs: int(img.NHdrs)})
 		}
-		event.Free(evB)
 		h.checkFastPath(path, out)
+		switch {
+		case out.Parked != nil:
+			// B's copy is what the layer would have held: its own header
+			// popped.
+			h.parks++
+			event.FreeHeader(evB.Msg.Pop())
+			h.hold(out.Parked.Hold).Park(out.Parked.Args, evB)
+		case out.Released != nil:
+			h.releases++
+			event.Free(evB)
+			h.checkReleased(out.Released)
+		default:
+			event.Free(evB)
+		}
 	}
 
 	// The IR-visible states of both instances must agree after every
@@ -198,6 +215,14 @@ func (h *diffHarness) checkFastPath(path ir.PathKey, out ir.Outcome) {
 		}
 		return
 	}
+	if r := out.Released; r != nil {
+		// The release hands on what it names: nothing else moves.
+		if int64(len(h.sinkA.ups)) != r.Count || len(h.sinkA.dns) != 0 {
+			h.t.Fatalf("%s %s: releasing %d, the handler emitted ups=%d dns=%d",
+				name, path, r.Count, len(h.sinkA.ups), len(h.sinkA.dns))
+		}
+		return
+	}
 	if out.Consumed {
 		// Absorbed control traffic: nothing may continue in either direction.
 		if len(h.sinkA.ups) != 0 || len(h.sinkA.dns) != 0 {
@@ -212,6 +237,33 @@ func (h *diffHarness) checkFastPath(path ir.PathKey, out ir.Outcome) {
 	if len(h.sinkA.ups) != 1 || len(h.sinkA.dns) != 0 {
 		h.t.Fatalf("%s %s: fast path emitted ups=%d dns=%d, want 1/0",
 			name, path, len(h.sinkA.ups), len(h.sinkA.dns))
+	}
+}
+
+// hold finds one of B's holds.
+func (h *diffHarness) hold(name string) ir.HoldSpec {
+	hs, ok := h.bindB.Hold(name)
+	if !ok {
+		h.t.Fatalf("%s: hold %q not bound", h.def.Name, name)
+	}
+	return hs
+}
+
+// checkReleased takes what the IR released from B's hold and requires
+// the messages the handler passed up on A, in order.
+func (h *diffHarness) checkReleased(r *ir.ReleaseCall) {
+	h.t.Helper()
+	take := h.hold(r.Hold).Take
+	for i, up := range h.sinkA.ups {
+		got := take(r.Args)
+		if got == nil {
+			h.t.Fatalf("%s: release of %d ran dry at %d", h.def.Name, r.Count, i)
+		}
+		if got.Peer != up.Peer || got.Peer != int(r.Peer) || string(got.Msg.Payload) != string(up.Msg.Payload) {
+			h.t.Fatalf("%s: released message %d is %q from %d, the handler passed up %q from %d",
+				h.def.Name, i, got.Msg.Payload, got.Peer, up.Msg.Payload, up.Peer)
+		}
+		event.Free(got)
 	}
 }
 
@@ -463,4 +515,228 @@ func TestIRDiffUpPassThroughLayers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// totalUp builds an arriving cast as total sees it: the header of the
+// layer above under total's own.
+func totalUp(origin int, h event.Header, payload string) *event.Event {
+	ev := event.Alloc()
+	ev.Dir, ev.Type, ev.Peer = event.Up, event.ECast, origin
+	if payload != "" {
+		ev.ApplMsg = true
+		ev.Msg.Payload = []byte(payload)
+		ev.Msg.Push(paplHdr{})
+	}
+	ev.Msg.Push(h)
+	return ev
+}
+
+// both hands a non-data event to both instances of a harness, as the
+// stack would: neither path has IR to compare. A's emissions are
+// returned, B's dropped.
+func (h *diffHarness) both(mk func() *event.Event, up bool) (ups, dns []*event.Event) {
+	h.sinkA.reset()
+	h.sinkB.reset()
+	if up {
+		h.a.HandleUp(mk(), &h.sinkA)
+		h.b.HandleUp(mk(), &h.sinkB)
+	} else {
+		h.a.HandleDn(mk(), &h.sinkA)
+		h.b.HandleDn(mk(), &h.sinkB)
+	}
+	freeAll(h.sinkB.ups)
+	freeAll(h.sinkB.dns)
+	return h.sinkA.ups, h.sinkA.dns
+}
+
+// TestIRDiffUpTotal drives total's receive path — the rules compiled
+// from its alternates as well as its primary common case — against the
+// handler: a member parking unordered casts and an announcement
+// releasing them in order, announcements ahead of their casts, a gap in
+// the sequencer's stamped casts with casts pending behind it, the
+// sequencer opening, extending and closing order runs, a blocked
+// sequencer, and announcements just inside and outside each of
+// validRun's bounds. After every event the ordering state agrees, and
+// whatever the IR claims as a fast path the handler did: the same
+// deliveries, in the same order.
+func TestIRDiffUpTotal(t *testing.T) {
+	const n = 4
+	payload := func(origin int, lseq int64) string { return fmt.Sprintf("m%d/%d", origin, lseq) }
+	data := func(origin int, lseq, gseq int64) *event.Event {
+		return totalUp(origin, newTotalData(lseq, gseq), payload(origin, lseq))
+	}
+	order := func(origin int32, lseq, gseq, count int64) *event.Event {
+		return totalUp(0, totalOrder{Origin: origin, LocalSeq: lseq, GSeq: gseq, Count: count}, "")
+	}
+	feed := func(h *diffHarness, ev *event.Event) []*event.Event {
+		t.Helper()
+		ups, dns := h.feed(ev)
+		freeAll(dns)
+		return ups
+	}
+	delivered := func(ups []*event.Event) []string {
+		var out []string
+		for _, u := range ups {
+			out = append(out, string(u.Msg.Payload))
+		}
+		freeAll(ups)
+		return out
+	}
+	expect := func(got []string, want ...string) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
+			t.Fatalf("delivered %q, want %q", got, want)
+		}
+	}
+
+	t.Run("park_release", func(t *testing.T) {
+		h := newDiffHarness(t, Total, layer.DefaultConfig(testView(n, 2)))
+		var got []string
+		for l := int64(0); l < 3; l++ {
+			got = append(got, delivered(feed(h, data(1, l, -1)))...)
+		}
+		expect(got)
+		// Another origin's cast parks beside them; its run comes first.
+		expect(delivered(feed(h, data(3, 0, -1))))
+		expect(delivered(feed(h, order(3, 0, 0, 1))), payload(3, 0))
+		expect(delivered(feed(h, order(1, 0, 1, 2))), payload(1, 0), payload(1, 1))
+		expect(delivered(feed(h, order(1, 2, 3, 1))), payload(1, 2))
+		if h.parks != 4 || h.releases != 3 || h.misses != 0 {
+			t.Fatalf("parks %d releases %d misses %d; want 4, 3 and none", h.parks, h.releases, h.misses)
+		}
+	})
+
+	t.Run("early_order", func(t *testing.T) {
+		h := newDiffHarness(t, Total, layer.DefaultConfig(testView(n, 2)))
+		expect(delivered(feed(h, order(1, 0, 0, 2))))
+		expect(delivered(feed(h, data(3, 0, -1)))) // parked by the handler: an announcement is early
+		expect(delivered(feed(h, data(1, 0, -1))), payload(1, 0))
+		expect(delivered(feed(h, data(1, 1, -1))), payload(1, 1))
+		expect(delivered(feed(h, order(3, 0, 2, 1))), payload(3, 0))
+		// Nothing early any more: the next cast parks compiled.
+		expect(delivered(feed(h, data(1, 2, -1))))
+		expect(delivered(feed(h, order(1, 2, 3, 1))), payload(1, 2))
+		if h.parks != 1 || h.releases != 2 {
+			t.Fatalf("parks %d releases %d; want 1 and 2", h.parks, h.releases)
+		}
+	})
+
+	t.Run("gap_with_pending", func(t *testing.T) {
+		h := newDiffHarness(t, Total, layer.DefaultConfig(testView(n, 2)))
+		expect(delivered(feed(h, data(0, 0, 0))), payload(0, 0))
+		// The sequencer's g=1 is late: g=2 waits for it, and so does a run
+		// numbered after it.
+		expect(delivered(feed(h, data(0, 2, 2))))
+		expect(delivered(feed(h, data(1, 0, -1))))
+		expect(delivered(feed(h, order(1, 0, 3, 1))))
+		expect(delivered(feed(h, data(0, 1, 1))), payload(0, 1), payload(0, 2), payload(1, 0))
+		expect(delivered(feed(h, data(0, 3, 4))), payload(0, 3))
+	})
+
+	t.Run("sequencer_runs", func(t *testing.T) {
+		h := newDiffHarness(t, Total, layer.DefaultConfig(testView(n, 0)))
+		var orders []totalOrder
+		arrive := func(origin int, lseq int64) []string {
+			ups, dns := h.feed(data(origin, lseq, -1))
+			for _, d := range dns {
+				orders = append(orders, d.Msg.Top().(totalOrder))
+			}
+			freeAll(dns)
+			return delivered(ups)
+		}
+		expect(arrive(1, 0), payload(1, 0)) // opens
+		expect(arrive(1, 1), payload(1, 1)) // extends
+		expect(arrive(2, 0), payload(2, 0)) // closes 1's, opens 2's
+		hits := h.hits
+		// A run closes at maxRun casts. The first of these closes 2's run
+		// and the last the full one: the handler's.
+		for l := int64(2); l < 2+maxRun+1; l++ {
+			expect(arrive(1, l), payload(1, l))
+		}
+		if h.hits-hits != maxRun-1 {
+			t.Fatalf("%d of %d arrivals extended a run compiled, want %d", h.hits-hits, maxRun+1, maxRun-1)
+		}
+		_, dns := h.both(event.BurstEndEv, false)
+		for _, d := range dns {
+			if d.Type == event.ECast {
+				orders = append(orders, d.Msg.Top().(totalOrder))
+			}
+		}
+		freeAll(dns)
+		want := []totalOrder{
+			{Origin: 1, LocalSeq: 0, GSeq: 0, Count: 2},
+			{Origin: 2, LocalSeq: 0, GSeq: 2, Count: 1},
+			{Origin: 1, LocalSeq: 2, GSeq: 3, Count: maxRun},
+			{Origin: 1, LocalSeq: 2 + maxRun, GSeq: 3 + maxRun, Count: 1},
+		}
+		if !reflect.DeepEqual(orders, want) {
+			t.Fatalf("announced %+v, want %+v", orders, want)
+		}
+	})
+
+	t.Run("sequencer_blocked", func(t *testing.T) {
+		h := newDiffHarness(t, Total, layer.DefaultConfig(testView(n, 0)))
+		expect(delivered(feed(h, data(1, 0, -1))), payload(1, 0))
+		ups, dns := h.both(func() *event.Event {
+			ev := event.Alloc()
+			ev.Dir, ev.Type = event.Up, event.EBlock
+			return ev
+		}, true)
+		freeAll(ups)
+		if len(dns) != 1 || dns[0].Type != event.ECast {
+			t.Fatalf("the block passed down %v, want the open run's announcement", dns)
+		}
+		freeAll(dns)
+		// Blocked, the sequencer's own cast goes out unstamped; its copy
+		// comes back up and is numbered like anyone's.
+		_, dns = h.feed(event.CastEv([]byte(payload(0, 0))))
+		if len(dns) != 1 || dns[0].Msg.Top().(*totalData).GSeq != -1 {
+			t.Fatalf("a blocked sequencer stamped its cast: %v", dns)
+		}
+		freeAll(dns)
+		expect(delivered(feed(h, data(0, 0, -1))), payload(0, 0))
+		expect(delivered(feed(h, data(2, 0, -1))), payload(2, 0))
+	})
+
+	t.Run("valid_run_bounds", func(t *testing.T) {
+		h := newDiffHarness(t, Total, layer.DefaultConfig(testView(n, 2)))
+		for l := int64(0); l < maxRun+1; l++ {
+			expect(delivered(feed(h, data(1, l, -1))))
+		}
+		releases := h.releases
+		for _, o := range []totalOrder{
+			{Origin: 1, LocalSeq: 0, GSeq: 0, Count: 0},
+			{Origin: 1, LocalSeq: 0, GSeq: 0, Count: -1},
+			{Origin: 1, LocalSeq: 0, GSeq: 0, Count: maxRun + 1},
+			{Origin: -1, LocalSeq: 0, GSeq: 0, Count: 1},
+			{Origin: n, LocalSeq: 0, GSeq: 0, Count: 1},
+			{Origin: 1, LocalSeq: -1, GSeq: 0, Count: 1},
+			{Origin: 1, LocalSeq: math.MaxInt64 - maxRun + 1, GSeq: 0, Count: 1},
+			{Origin: 1, LocalSeq: 0, GSeq: math.MaxInt64 - maxRun + 1, Count: 1},
+		} {
+			expect(delivered(feed(h, order(o.Origin, o.LocalSeq, o.GSeq, o.Count))))
+		}
+		if h.releases != releases {
+			t.Fatal("an announcement outside validRun's bounds released casts")
+		}
+		var want []string
+		for l := int64(0); l < maxRun; l++ {
+			want = append(want, payload(1, l))
+		}
+		expect(delivered(feed(h, order(1, 0, 0, maxRun))), want...)
+		// The last one, and a run numbered below next_global.
+		expect(delivered(feed(h, order(1, maxRun, maxRun-1, 1))))
+		expect(delivered(feed(h, order(1, maxRun, maxRun, 1))), payload(1, maxRun))
+		if h.releases != releases+2 {
+			t.Fatalf("%d releases at the bounds, want 2", h.releases-releases)
+		}
+		// A run of casts that are not the oldest parked is the handler's.
+		expect(delivered(feed(h, data(1, maxRun+1, -1))))
+		expect(delivered(feed(h, data(1, maxRun+2, -1))))
+		expect(delivered(feed(h, order(1, maxRun+2, maxRun+1, 1))), payload(1, maxRun+2))
+		expect(delivered(feed(h, order(1, maxRun+1, maxRun+2, 1))), payload(1, maxRun+1))
+		if h.releases != releases+3 {
+			t.Fatalf("%d releases, want 3", h.releases-releases)
+		}
+	})
 }

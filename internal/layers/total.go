@@ -39,18 +39,15 @@ type totalState struct {
 	// gCount is the next global number to assign (coordinator only).
 	gCount int64
 
-	// pending holds ordered-but-not-yet-deliverable casts by global
-	// sequence number: the events themselves, total's header popped, each
-	// owning its payload (event.Event.OwnPayload).
-	pending map[int64]*event.Event
+	// ordered is what is known of the global numbers from nextGlobal up
+	// (orderSlot); pendingN counts its casts that are here and wait for
+	// their turn, earlyN the announcements that arrived before their cast.
+	ordered          slab[orderSlot]
+	pendingN, earlyN int64
 
-	// unordered holds casts waiting for an order announcement, keyed by
-	// (origin, local sequence).
-	unordered map[totalKey]*event.Event
-
-	// earlyOrders holds order announcements that arrived before their
-	// cast.
-	earlyOrders map[totalKey]int64
+	// parked holds, per origin, the casts that arrived before their
+	// order: the hold the compiled path parks in and releases from too.
+	parked []parkSlab
 
 	// run is the sequencer's open order run, assigned but not yet
 	// announced (Count == 0: none open).
@@ -64,9 +61,149 @@ type totalState struct {
 	blocked bool
 }
 
-type totalKey struct {
-	origin int
+// orderSlot is one global number's cast — origin and local sequence —
+// as far as it is known: the event itself once it is here (its header
+// popped, owning its payload), or only the announcement.
+type orderSlot struct {
+	ev     *event.Event
+	origin int32
+	known  bool
 	lseq   int64
+}
+
+// totalMaxAhead bounds how far past the first slot of a slab (ordered,
+// or an origin's parked casts) a message may land: the slabs are dense,
+// and a corrupt or hostile sequence number must not size them (msgLog's
+// logMaxAhead).
+const totalMaxAhead = 1 << 16
+
+// slab is a dense window of slots from a moving first one: at(i) is the
+// i-th from the front, pop drops the front. The backing array is reused
+// from its start whenever the window empties, so a slab that drains as
+// fast as it fills never allocates.
+type slab[T any] struct {
+	buf  []T
+	head int
+}
+
+func (w *slab[T]) width() int64  { return int64(len(w.buf) - w.head) }
+func (w *slab[T]) at(i int64) *T { return &w.buf[w.head+int(i)] }
+
+// reach makes slot i exist.
+func (w *slab[T]) reach(i int64) {
+	var zero T
+	for w.width() <= i {
+		w.buf = append(w.buf, zero)
+	}
+}
+
+// pop drops the front slot.
+func (w *slab[T]) pop() {
+	var zero T
+	w.buf[w.head] = zero
+	w.head++
+	switch {
+	case w.head == len(w.buf):
+		w.buf, w.head = w.buf[:0], 0
+	case w.head >= 32 && 2*w.head >= len(w.buf):
+		n := copy(w.buf, w.buf[w.head:])
+		clear(w.buf[n:])
+		w.buf, w.head = w.buf[:n], 0
+	}
+}
+
+// parkSlab is one origin's unordered casts from the oldest this member
+// has not seen yet, by local sequence number: slot i holds base+i —
+// parked until its announcement, or gone (delivered, or held once its
+// announcement came first) — and the slots of casts not seen yet are
+// empty. The front advances past gone slots, so base is the origin's
+// oldest unordered cast not yet seen or still parked; the first run
+// slots are all parked.
+//
+// Stamped casts, the sequencer's, pass by without moving the window: its
+// casts are unordered only while it is blocked for a view change, and
+// then the membership layer below holds them for the next view.
+type parkSlab struct {
+	base  int64
+	slots slab[parkSlot]
+	run   int64
+}
+
+type parkSlot struct {
+	ev   *event.Event
+	gone bool
+}
+
+// put parks ev as local sequence number lseq. It reports false, keeping
+// nothing, when lseq was seen already or is implausibly far ahead.
+func (p *parkSlab) put(lseq int64, ev *event.Event) bool {
+	i := lseq - p.base
+	if i < 0 || i >= totalMaxAhead {
+		return false
+	}
+	if i < p.slots.width() {
+		if sl := p.slots.at(i); sl.ev != nil || sl.gone {
+			return false
+		}
+	}
+	p.slots.reach(i)
+	p.slots.at(i).ev = ev
+	for p.run < p.slots.width() && p.slots.at(p.run).ev != nil {
+		p.run++
+	}
+	return true
+}
+
+// seen records that the unordered cast lseq arrived and was not parked.
+func (p *parkSlab) seen(lseq int64) {
+	i := lseq - p.base
+	switch {
+	case i == 0 && p.slots.width() == 0:
+		p.base++
+	case i >= 0 && i < totalMaxAhead:
+		p.slots.reach(i)
+		if sl := p.slots.at(i); sl.ev == nil {
+			sl.gone = true
+			p.trim()
+		}
+	}
+}
+
+// remove unparks lseq's cast, nil when it is not parked.
+func (p *parkSlab) remove(lseq int64) *event.Event {
+	i := lseq - p.base
+	if i < 0 || i >= p.slots.width() {
+		return nil
+	}
+	sl := p.slots.at(i)
+	ev := sl.ev
+	if ev == nil {
+		return nil
+	}
+	*sl = parkSlot{gone: true}
+	switch {
+	case i == 0 && p.run > 0:
+		p.run-- // the rest of the run stays parked
+	case i < p.run:
+		p.run = i
+	}
+	p.trim()
+	return ev
+}
+
+// trim moves the front past the gone slots there and, once the run of
+// parked ones has ended, counts the one behind them.
+func (p *parkSlab) trim() {
+	for p.slots.width() > 0 && p.slots.at(0).gone {
+		p.slots.pop()
+		p.base++
+	}
+	if p.run > 0 {
+		return
+	}
+	for p.run < p.slots.width() && p.slots.at(p.run).ev != nil {
+		p.run++
+	}
 }
 
 // total header variants.
@@ -139,12 +276,7 @@ var totalHdrs = []ir.HdrSpec{
 
 func init() {
 	layer.Register(Total, func(cfg layer.Config) layer.State {
-		return &totalState{
-			view:        cfg.View,
-			pending:     make(map[int64]*event.Event),
-			unordered:   make(map[totalKey]*event.Event),
-			earlyOrders: make(map[totalKey]int64),
-		}
+		return &totalState{view: cfg.View, parked: make([]parkSlab, cfg.View.N())}
 	})
 	transport.RegisterCodec(transport.SpecCodec(Total, idTotal, totalHdrs))
 }
@@ -212,39 +344,36 @@ func (s *totalState) HandleUp(ev *event.Event, snk layer.Sink) {
 	}
 }
 
-// handleData processes a cast: self-ordered casts go straight to the
-// pending set; unordered casts wait for (or are assigned) an order.
-//
-// The steady-state fast path delivers in place: a cast stamped with
-// exactly the next global sequence number, with nothing pending, needs
-// no buffering — this is the same common-case predicate the optimizer
-// compiles (irdef_total.go upCCP), and it keeps the hot path free of
-// buffering. A cast that must wait is held as the event it is. Its
-// payload is copied only when borrowed — the member's own casts reach
-// this layer through local's bounce still aliasing the application's
-// buffer; arrival bytes and frag's joins are kept by reference.
+// handleData processes a cast: one stamped with the next global number
+// is delivered at once, with nothing pending ahead of it; a stamped one
+// waits for its turn; an unordered one is assigned its number at the
+// sequencer, and elsewhere waits for it — the number announced already,
+// or parked. The compiled path takes the same decisions through the
+// same state (irdef_total.go). A cast that must wait is held as the
+// event it is. Its payload is copied only when borrowed — the member's
+// own casts reach this layer through local's bounce still aliasing the
+// application's buffer; arrival bytes and frag's joins are kept by
+// reference.
 func (s *totalState) handleData(origin int, lseq, gseq int64, ev *event.Event, snk layer.Sink) {
-	if gseq == s.nextGlobal && len(s.pending) == 0 {
-		s.nextGlobal++
+	if gseq == s.nextGlobal && s.pendingN == 0 {
+		s.advance(1)
 		snk.PassUp(ev)
 		return
 	}
-	ev.OwnPayload()
 	switch {
 	case gseq >= 0:
-		s.pending[gseq] = ev
+		s.order(gseq, origin, lseq, ev)
 	case s.sequencer():
 		g := s.gCount
 		s.gCount++
-		s.pending[g] = ev
+		s.order(g, origin, lseq, ev)
 		s.assign(origin, lseq, g, snk)
 	default:
-		key := totalKey{origin: origin, lseq: lseq}
-		if g, ok := s.earlyOrders[key]; ok {
-			delete(s.earlyOrders, key)
-			s.pending[g] = ev
+		if g, ok := s.announced(origin, lseq); ok {
+			s.parked[origin].seen(lseq)
+			s.order(g, origin, lseq, ev)
 		} else {
-			s.unordered[key] = ev
+			s.park(origin, lseq, ev)
 		}
 	}
 	s.drain(snk)
@@ -262,23 +391,96 @@ func (s *totalState) handleOrder(h totalOrder, snk layer.Sink) {
 		return
 	}
 	for i := range h.Count {
-		key := totalKey{origin: int(h.Origin), lseq: h.LocalSeq + i}
-		g := h.GSeq + i
-		p, ok := s.unordered[key]
+		origin, lseq, g := int(h.Origin), h.LocalSeq+i, h.GSeq+i
+		ev := s.parked[origin].remove(lseq)
 		switch {
-		case !ok:
-			s.earlyOrders[key] = g
+		case ev == nil:
+			s.announce(g, origin, lseq)
 		case g == s.nextGlobal:
 			// Next in the order: no need to go through the pending set.
-			delete(s.unordered, key)
-			s.nextGlobal++
-			snk.PassUp(p)
+			s.advance(1)
+			snk.PassUp(ev)
 		default:
-			delete(s.unordered, key)
-			s.pending[g] = p
+			s.order(g, origin, lseq, ev)
 		}
 	}
 	s.drain(snk)
+}
+
+// slot is global number g's slot of ordered, made to exist; nil when g
+// is delivered already or implausibly far ahead.
+func (s *totalState) slot(g int64) *orderSlot {
+	i := g - s.nextGlobal
+	if i < 0 || i >= totalMaxAhead {
+		return nil
+	}
+	s.ordered.reach(i)
+	return s.ordered.at(i)
+}
+
+// order holds ev, the cast (origin, lseq), as global number g.
+func (s *totalState) order(g int64, origin int, lseq int64, ev *event.Event) {
+	sl := s.slot(g)
+	if sl == nil || sl.ev != nil {
+		event.Free(ev)
+		return
+	}
+	if sl.known {
+		s.earlyN--
+	}
+	ev.OwnPayload()
+	*sl = orderSlot{ev: ev, origin: int32(origin), known: true, lseq: lseq}
+	s.pendingN++
+}
+
+// announce remembers that the cast (origin, lseq), not here yet, is
+// global number g.
+func (s *totalState) announce(g int64, origin int, lseq int64) {
+	sl := s.slot(g)
+	if sl == nil || sl.known {
+		return
+	}
+	*sl = orderSlot{origin: int32(origin), known: true, lseq: lseq}
+	s.earlyN++
+}
+
+// announced finds the number announced for the cast (origin, lseq) ahead
+// of it.
+func (s *totalState) announced(origin int, lseq int64) (int64, bool) {
+	for i := int64(0); s.earlyN > 0 && i < s.ordered.width(); i++ {
+		if sl := s.ordered.at(i); sl.known && sl.ev == nil && int(sl.origin) == origin && sl.lseq == lseq {
+			return s.nextGlobal + i, true
+		}
+	}
+	return 0, false
+}
+
+// park holds the unordered cast (origin, lseq) until its announcement.
+func (s *totalState) park(origin int, lseq int64, ev *event.Event) bool {
+	ev.OwnPayload()
+	if !s.parked[origin].put(lseq, ev) {
+		event.Free(ev)
+		return false
+	}
+	return true
+}
+
+// advance moves nextGlobal on by k, dropping what ordered held for the
+// numbers passed — nothing, unless an announcement contradicted another.
+func (s *totalState) advance(k int64) {
+	for ; k > 0 && s.ordered.width() > 0; k-- {
+		sl := s.ordered.at(0)
+		switch {
+		case sl.ev != nil:
+			event.Free(sl.ev)
+			s.pendingN--
+		case sl.known:
+			s.earlyN--
+		}
+		s.ordered.pop()
+		s.nextGlobal++
+	}
+	s.nextGlobal += k
 }
 
 // validRun reports whether an announcement is one the sequencer can
@@ -320,13 +522,12 @@ func (s *totalState) closeRun(snk layer.Sink) {
 
 // drain delivers pending casts in global order.
 func (s *totalState) drain(snk layer.Sink) {
-	for {
-		p, ok := s.pending[s.nextGlobal]
-		if !ok {
-			return
-		}
-		delete(s.pending, s.nextGlobal)
-		s.nextGlobal++
-		snk.PassUp(p)
+	for s.pendingN > 0 && s.ordered.width() > 0 && s.ordered.at(0).ev != nil {
+		sl := s.ordered.at(0)
+		ev := sl.ev
+		*sl = orderSlot{}
+		s.pendingN--
+		s.advance(1)
+		snk.PassUp(ev)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
+	"sync"
 
 	"ensemble/internal/event"
 	"ensemble/internal/ir"
@@ -105,9 +107,9 @@ type Engine struct {
 // fields (vary), the effect-argument and encoded-header arenas (args,
 // himg — deferred effects carve capped subslices that stay valid until
 // the effects run at the end of the invocation), the bounce copy's
-// headers (hdrs), the deferred effect list (pend), and the compressed
-// wire image (wire). The header-field staging buffer lives on as ctx.hv
-// across invocations.
+// headers (hdrs), a hold's arguments (hold), the deferred effect list
+// (pend), and the compressed wire image (wire). The header-field staging
+// buffer lives on as ctx.hv across invocations.
 type scratch struct {
 	ctx  rtCtx
 	tmp  []int64
@@ -115,6 +117,7 @@ type scratch struct {
 	args []int64
 	himg transport.Writer
 	hdrs []event.Header
+	hold []int64
 	pend []pendingEffect
 	wire []byte
 }
@@ -133,7 +136,7 @@ func (e *Engine) takeScratch() *scratch {
 // effects by now, and stale pointers must not keep them reachable.
 func (e *Engine) putScratch(s *scratch) {
 	s.ctx = rtCtx{hv: s.ctx.hv[:0]}
-	s.tmp, s.vary, s.args = s.tmp[:0], s.vary[:0], s.args[:0]
+	s.tmp, s.vary, s.args, s.hold = s.tmp[:0], s.vary[:0], s.args[:0], s.hold[:0]
 	s.himg.Reset()
 	for i := range s.hdrs {
 		s.hdrs[i] = nil
@@ -220,6 +223,11 @@ type EngineStats struct {
 	UpPartial        int64
 	Uncompressed     int64
 	Undecodable      int64
+	// Parked counts messages compiled code parked in a layer's hold (an
+	// arrival, or a cast's self-delivery copy) and the hold kept; Released
+	// those a compiled release loop handed on and delivered. Messages the
+	// stack parks and releases are not counted.
+	Parked, Released int64
 	// CtrlCompressed counts control messages recognized at the stack's
 	// net exit and emitted compressed; CtrlFull counts stack-exit
 	// messages no recognizer matched (full marshal).
@@ -249,6 +257,9 @@ type compiledDnPath struct {
 	// the layer above the bouncing one.
 	bounceHdrs []compiledHdr
 	bounceAt   int
+	// park parks the self-delivery copy when the bounce segment ends in
+	// a parking layer (its headers: the first park.hdrs of bounceHdrs).
+	park *compiledPark
 }
 
 // compiledUpPath is one compiled up-going bypass, for one wire
@@ -279,6 +290,10 @@ type compiledUpPath struct {
 	// layers an arrival is handed to: the generated uncompression
 	// function (§4.1.3), run for as many headers as are needed.
 	hdrs []compiledHdr
+	// park parks a whole path's arrival; release is a whole consuming
+	// path's release loop.
+	park    *compiledPark
+	release *compiledRelease
 }
 
 // NewStackEngine builds the plain configuration for one member (IMP or
@@ -333,44 +348,36 @@ func (e *Engine) derive() error {
 	for i, s := range e.states {
 		anyStates[i] = s
 	}
-	comp, err := newCompiler(names, anyStates, e.Rank)
+	comp, err := newCompiler(names, anyStates, e.Rank, e.N)
 	if err != nil {
 		return err
 	}
 
-	// Every rank's down theorems, composed once: this member's own are
-	// compiled into its down bypasses, and everyone's wire signatures are
-	// what can arrive here. nil where a path has no bypass (every such
-	// event takes the stack).
-	dn := map[ir.PathKey][]*StackTheorem{}
+	// This member's own down theorems, compiled into its down bypasses.
+	// nil where a path has no bypass (every such event takes the stack).
+	own := map[ir.PathKey]*StackTheorem{}
 	for _, path := range []ir.PathKey{ir.DnCast, ir.DnSend} {
-		dn[path] = make([]*StackTheorem, e.N)
-		for r := range dn[path] {
-			if th, err := ComposeDn(names, path, r, e.N); err == nil {
-				dn[path][r] = th
-			}
+		if th, err := ComposeDn(names, path, e.Rank, e.N); err == nil {
+			own[path] = th
 		}
 	}
-	e.dnCast = e.compileTheorem(comp, dn[ir.DnCast][e.Rank], PathDnCast)
-	e.dnSend = e.compileTheorem(comp, dn[ir.DnSend][e.Rank], PathDnSend)
+	e.dnCast = e.compileTheorem(comp, own[ir.DnCast], PathDnCast)
+	e.dnSend = e.compileTheorem(comp, own[ir.DnSend], PathDnSend)
 
 	// Up paths: one per wire signature any member's down bypass can
-	// produce. All members compute the same set deterministically.
+	// produce, deduplicated by identifier.
+	sent := sendable(names, e.N)
 	for _, path := range []ir.PathKey{ir.DnCast, ir.DnSend} {
-		for _, th := range dn[path] {
-			if th == nil {
-				continue
-			}
-			sig := SignatureOf(th)
-			if e.upPath(sig.ID()) != nil {
+		for _, sig := range sent.dn[path] {
+			if sig == nil || e.upPath(sig.ID()) != nil {
 				continue
 			}
 			upPath := ir.PathKey{Dir: event.Up, Kind: path.Kind}
-			upTh, err := ComposeUp(names, upPath, e.Rank, e.N, sig)
+			upTh, err := ComposeUp(names, upPath, e.Rank, e.N, *sig)
 			if err != nil {
 				continue
 			}
-			cp, err := e.compileUp(comp, upTh, sig)
+			cp, err := e.compileUp(comp, upTh, *sig)
 			if err != nil {
 				return fmt.Errorf("opt: compiling up bypass: %w", err)
 			}
@@ -388,8 +395,8 @@ func (e *Engine) derive() error {
 	// receive side is an ordinary compiled up path; the send side is a
 	// structural recognizer at the stack's net exit for this member's own
 	// signatures.
-	for r := 0; r < e.N; r++ {
-		for _, cs := range controlSigs(names, r, dn[ir.DnSend][r]) {
+	for r, specs := range sent.ctrl {
+		for _, cs := range specs {
 			if e.upPath(cs.sig.ID()) == nil {
 				upTh, err := ComposeUp(names, ir.PathKey{Dir: event.Up, Kind: cs.sig.Path.Kind}, e.Rank, e.N, cs.sig)
 				if err != nil {
@@ -412,6 +419,43 @@ func (e *Engine) derive() error {
 		}
 	}
 	return nil
+}
+
+// sendableSigs is what the members of a view can send compressed: each
+// rank's data cast and send signatures (nil where that path has no
+// bypass) and its control messages' signatures.
+type sendableSigs struct {
+	dn   map[ir.PathKey][]*WireSig
+	ctrl [][]ctrlSpec
+}
+
+// sendableMemo holds sendable's results by stack and view size.
+var sendableMemo sync.Map
+
+// sendable derives what the members of a view of n can send. It is a
+// function of the registered IR, the stack and n alone, which every
+// member of a view needs alike, so a process derives it once: the
+// values are shared and must not be modified.
+func sendable(names []string, n int) *sendableSigs {
+	key := fmt.Sprintf("%d/%s", n, strings.Join(names, "|"))
+	if v, ok := sendableMemo.Load(key); ok {
+		return v.(*sendableSigs)
+	}
+	s := &sendableSigs{dn: map[ir.PathKey][]*WireSig{}, ctrl: make([][]ctrlSpec, n)}
+	for _, path := range []ir.PathKey{ir.DnCast, ir.DnSend} {
+		s.dn[path] = make([]*WireSig, n)
+		for r := range n {
+			if th, err := ComposeDn(names, path, r, n); err == nil {
+				sig := SignatureOf(th)
+				s.dn[path][r] = &sig
+			}
+		}
+	}
+	for r := range n {
+		s.ctrl[r] = controlSigs(names, r, s.dn[ir.DnSend][r])
+	}
+	v, _ := sendableMemo.LoadOrStore(key, s)
+	return v.(*sendableSigs)
 }
 
 // compileTheorem compiles a composed down-path theorem; nil for none.
@@ -470,6 +514,13 @@ func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem, pid PathID) *c
 			cp.bounceHdrs = append(cp.bounceHdrs, ch)
 		}
 	}
+	if th.Park != nil {
+		p, err := comp.compilePark(th.Park)
+		if err != nil {
+			return nil
+		}
+		cp.park = p
+	}
 	return cp
 }
 
@@ -509,6 +560,17 @@ func (e *Engine) compileUp(comp *compiler, th *StackTheorem, sig WireSig) (*comp
 			return nil, err
 		}
 		cp.hdrs = append(cp.hdrs, ch)
+	}
+	var err error
+	if th.Park != nil {
+		if cp.park, err = comp.compilePark(th.Park); err != nil {
+			return nil, err
+		}
+	}
+	if th.Release != nil {
+		if cp.release, err = comp.compileRelease(th.Release); err != nil {
+			return nil, err
+		}
 	}
 	return cp, nil
 }
@@ -728,12 +790,20 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 	for i, v := range cp.varying {
 		varyVals[i] = v(ctx)
 	}
-	if !inline {
-		// The handed-off copy's headers are pre-state values too, so they
-		// materialize here; the copy event takes them over below.
-		for i := range cp.bounceHdrs {
-			s.hdrs = append(s.hdrs, cp.bounceHdrs[i].materialize(ctx))
-		}
+	// The copy's headers are pre-state values too, so they materialize
+	// here — all above the bouncing layer for a copy handed off, those
+	// above the parking layer for a copy parked — and the copy event takes
+	// them over below; so are a parking hold's arguments.
+	var copyHdrs []compiledHdr
+	switch {
+	case !inline:
+		copyHdrs = cp.bounceHdrs
+	case cp.park != nil:
+		copyHdrs = cp.bounceHdrs[:cp.park.hdrs]
+		s.hold = evalInto(s.hold[:0], cp.park.args, ctx)
+	}
+	for i := range copyHdrs {
+		s.hdrs = append(s.hdrs, copyHdrs[i].materialize(ctx))
 	}
 	s.capture(cp.effects[:skip[0].Effects], ctx, payload, true, nil)
 	pend := s.capture(cp.effects[skip[1].Effects:], ctx, payload, true, nil)
@@ -745,14 +815,22 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 	}
 	// The local copy surfaces before the packet reaches the wire — the
 	// same order the full stack's scheduler produces.
-	if !inline {
+	switch {
+	case !inline || cp.park != nil:
 		// The header values captured in the read phase move into the copy
-		// event's own storage (the event takes ownership and frees them)
-		// and the copy enters the shared stack above the bouncing layer.
+		// event's own storage (the event takes ownership and frees them),
+		// and the copy enters the shared stack above the bouncing layer or
+		// is parked.
 		copyEv := upEvent(true, e.Rank, true, payload, true)
 		copyEv.Msg.Headers = append(copyEv.Msg.Headers[:0], s.hdrs...)
-		e.stk.UpAt(cp.bounceAt, copyEv)
-	} else if cp.self && e.Deliver != nil {
+		if inline {
+			if cp.park.park(s.hold, copyEv) {
+				e.stats.Parked++
+			}
+		} else {
+			e.stk.UpAt(cp.bounceAt, copyEv)
+		}
+	case cp.self && e.Deliver != nil:
 		e.Deliver(e.Rank, payload, true)
 	}
 	// Transport: the compressed image is the stack identifier plus only
@@ -886,7 +964,12 @@ func (e *Engine) Packet(data []byte) bool {
 		e.stats.PathHits[cp.pid]++
 		e.route(true, cp.pid)
 		e.runUp(cp, cut, ctx, payload, nil, s)
-		if !cp.consumed && e.Deliver != nil {
+		switch {
+		case cp.park != nil:
+			e.park(cp, ctx, int(sender), payload, s)
+		case cp.release != nil:
+			e.release(cp.release, ctx, s)
+		case !cp.consumed && e.Deliver != nil:
 			e.Deliver(int(sender), payload, cp.cast)
 		}
 		e.runEffects(s)
@@ -939,6 +1022,48 @@ func (e *Engine) runUp(cp *compiledUpPath, cut Cut, ctx *rtCtx, payload []byte, 
 	s.capture(cp.effects[:cut.Effects], ctx, payload, cp.appl, have)
 	for i, w := range writes {
 		w.apply(vals[i], ctx)
+	}
+}
+
+// park parks a whole path's arrival: the event the parking layer would
+// have been handed, with the headers of the layers above it.
+func (e *Engine) park(cp *compiledUpPath, ctx *rtCtx, sender int, payload []byte, s *scratch) {
+	ev := upEvent(cp.cast, sender, cp.appl, payload, e.ArrivalsBorrowed)
+	for i := range cp.hdrs[:cp.park.hdrs] {
+		ev.Msg.Headers = append(ev.Msg.Headers, cp.hdrs[i].materialize(ctx))
+	}
+	s.hold = evalInto(s.hold[:0], cp.park.args, ctx)
+	if cp.park.park(s.hold, ev) {
+		e.stats.Parked++
+	}
+}
+
+// release runs a release loop: each parked message it takes runs the
+// compiled code of the layers above — reads, then writes — and is
+// delivered. The frame's reads stay valid across deliveries: an
+// application that casts from inside one takes a fresh frame.
+func (e *Engine) release(r *compiledRelease, ctx *rtCtx, s *scratch) {
+	s.hold = evalInto(s.hold[:0], r.args, ctx)
+	if cap(s.tmp) < len(r.writes) {
+		s.tmp = make([]int64, len(r.writes))
+	}
+	vals := s.tmp[:len(r.writes)]
+	for n := r.count(ctx); n > 0; n-- {
+		ev := r.take(s.hold)
+		if ev == nil {
+			return
+		}
+		for i, w := range r.writes {
+			vals[i] = w.eval(ctx)
+		}
+		for i, w := range r.writes {
+			w.apply(vals[i], ctx)
+		}
+		e.stats.Released++
+		if ev.ApplMsg && e.Deliver != nil {
+			e.Deliver(ev.Peer, ev.Msg.Payload, ev.Type == event.ECast)
+		}
+		event.Free(ev)
 	}
 }
 

@@ -33,10 +33,10 @@ type cexpr func(*rtCtx) int64
 type compiler struct {
 	bindings map[string]*ir.Binding
 	varySlot map[string]int // QHdr key → vary slot
-	rank     int64
+	rank, n  int64
 }
 
-func newCompiler(names []string, states []any, rank int) (*compiler, error) {
+func newCompiler(names []string, states []any, rank, n int) (*compiler, error) {
 	if len(names) != len(states) {
 		return nil, fmt.Errorf("opt: %d names but %d states", len(names), len(states))
 	}
@@ -44,6 +44,7 @@ func newCompiler(names []string, states []any, rank int) (*compiler, error) {
 		bindings: map[string]*ir.Binding{},
 		varySlot: map[string]int{},
 		rank:     int64(rank),
+		n:        int64(n),
 	}
 	for i, n := range names {
 		b, err := ir.Bind(n, states[i])
@@ -77,6 +78,9 @@ func (c *compiler) compile(e ir.Expr) (cexpr, error) {
 		case "rank":
 			r := c.rank
 			return func(*rtCtx) int64 { return r }, nil
+		case "n":
+			n := c.n
+			return func(*rtCtx) int64 { return n }, nil
 		case "appl":
 			return func(*rtCtx) int64 { return 1 }, nil
 		default:
@@ -342,4 +346,88 @@ func constHeader(h QHeader) bool {
 		}
 	}
 	return true
+}
+
+// compiledPark parks an event in a layer's hold: the hold's arguments
+// and how many of the path's headers (the layers above the parking one)
+// the event carries.
+type compiledPark struct {
+	park func([]int64, *event.Event) bool
+	args []cexpr
+	hdrs int
+}
+
+func (c *compiler) compilePark(p *QPark) (*compiledPark, error) {
+	h, err := c.hold(p.Layer, p.Hold)
+	if err != nil {
+		return nil, err
+	}
+	args, err := c.compileAll(p.Args)
+	if err != nil {
+		return nil, err
+	}
+	return &compiledPark{park: h.Park, args: args, hdrs: p.HdrsAbove}, nil
+}
+
+// compiledRelease is a release loop: the hold's arguments, the number of
+// messages, and the state writes of the layers above, run per message.
+type compiledRelease struct {
+	take   func([]int64) *event.Event
+	args   []cexpr
+	count  cexpr
+	writes []compiledWrite
+}
+
+func (c *compiler) compileRelease(r *QRelease) (*compiledRelease, error) {
+	h, err := c.hold(r.Layer, r.Hold)
+	if err != nil {
+		return nil, err
+	}
+	cr := &compiledRelease{take: h.Take}
+	if cr.args, err = c.compileAll(r.Args); err != nil {
+		return nil, err
+	}
+	if cr.count, err = c.compile(r.Count); err != nil {
+		return nil, err
+	}
+	for _, u := range r.Updates {
+		w, err := c.compileWrite(u)
+		if err != nil {
+			return nil, err
+		}
+		cr.writes = append(cr.writes, w)
+	}
+	return cr, nil
+}
+
+func (c *compiler) hold(layer, name string) (ir.HoldSpec, error) {
+	b, ok := c.bindings[layer]
+	if !ok {
+		return ir.HoldSpec{}, fmt.Errorf("opt: no binding for layer %q", layer)
+	}
+	h, ok := b.Hold(name)
+	if !ok {
+		return ir.HoldSpec{}, fmt.Errorf("opt: layer %q has no hold %q", layer, name)
+	}
+	return h, nil
+}
+
+func (c *compiler) compileAll(es []ir.Expr) ([]cexpr, error) {
+	out := make([]cexpr, len(es))
+	for i, e := range es {
+		ce, err := c.compile(e)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ce
+	}
+	return out, nil
+}
+
+// evalInto appends the values of es to dst.
+func evalInto(dst []int64, es []cexpr, ctx *rtCtx) []int64 {
+	for _, e := range es {
+		dst = append(dst, e(ctx))
+	}
+	return dst
 }

@@ -78,9 +78,40 @@ type StackTheorem struct {
 
 	// Consumed marks an up path absorbed below the application — pure
 	// control traffic (a pt2pt acknowledgment arriving back at its
-	// sender). The theorem covers only the layers from the bottom up to
-	// and including the consuming one; the signature is a partial stack.
+	// sender), or a message parked. The theorem covers only the layers
+	// from the bottom up to and including the consuming one.
 	Consumed bool
+
+	// Park, on an up path, is the layer that consumes the arrival by
+	// parking it; on a down path, the one that parks the bounced
+	// self-delivery copy, whose bounce segment then ends there. Release
+	// is the loop a consuming up path runs to hand parked messages on.
+	Park    *QPark
+	Release *QRelease
+}
+
+// QPark is a composed ir.Park: the parking layer and its hold, the hold's
+// arguments in pre-state terms, and how many of the theorem's Headers —
+// those of the layers above the parking one, topmost first — stay on the
+// parked event.
+type QPark struct {
+	Layer string
+	ir.Park
+	HdrsAbove int
+}
+
+// QRelease is a composed ir.Release: the hold, its arguments and the
+// released messages' origin and count (pre-state terms of the consuming
+// arrival), and the theorem of the layers above — Names, top first — for
+// one released message: Updates in terms of the state before that
+// message, with the event's peer bound to Peer. Those layers' common case
+// holds unconditionally and the last one delivers, which is what lets
+// the loop run without a check per message.
+type QRelease struct {
+	Layer string
+	ir.Release
+	Names   []string
+	Updates []QAssign
 }
 
 // Cut is a prefix of a theorem's CCP, Updates and Effects, by length.
@@ -159,10 +190,16 @@ func (t *StackTheorem) String() string {
 	if t.Delivered {
 		evs = append(evs, "UpM(ev)")
 	}
-	if t.Consumed {
+	switch {
+	case t.Park != nil:
+		evs = append(evs, fmt.Sprintf("park ev in %s.%s(%s)", t.Park.Layer, t.Park.Hold, exprList(t.Park.Args, ", ")))
+	case t.Release != nil:
+		r := t.Release
+		evs = append(evs, fmt.Sprintf("consume ev; release %s parked in %s.%s(%s) as UpM from %s", r.Count, r.Layer, r.Hold, exprList(r.Args, ", "), r.Peer))
+	case t.Consumed:
 		evs = append(evs, "consume ev")
 	}
-	if t.Path.Dir.String() == "Up" && len(t.Cuts) < len(t.Headers) {
+	if t.Path.Dir.String() == "Up" && len(t.Cuts) < len(t.Headers) && t.Park == nil {
 		evs = append(evs, fmt.Sprintf("UpM(ev) at %s", t.Headers[len(t.Headers)-1-len(t.Cuts)].Layer))
 	}
 	fmt.Fprintf(&b, "YIELDS EVENTS [:%s:]\n", strings.Join(evs, "; "))
@@ -177,6 +214,13 @@ func (t *StackTheorem) String() string {
 	}
 	for _, e := range t.Effects {
 		fmt.Fprintf(&b, "\nDEFER %s.%s(%s)", e.Layer, e.Name, exprList(e.Args, ", "))
+	}
+	if r := t.Release; r != nil && len(r.Updates) > 0 {
+		var ups []string
+		for _, u := range r.Updates {
+			ups = append(ups, fmt.Sprintf("%s := %s", u.Target, u.Val))
+		}
+		fmt.Fprintf(&b, "\nPER RELEASED STATE { %s }", strings.Join(ups, "; "))
 	}
 	return b.String()
 }
@@ -305,6 +349,14 @@ func (c *composer) thread(layerName string, lt *LayerTheorem, def *ir.LayerDef, 
 		}
 		c.th.Headers = append(c.th.Headers, qh)
 	}
+	if lt.Park != nil {
+		// The caller knows which headers stay on the parked event.
+		c.th.Park = &QPark{Layer: layerName, Park: ir.Park{Hold: lt.Park.Hold, Args: qualAll(lt.Park.Args, qual)}}
+	}
+	if r := lt.Release; r != nil {
+		c.th.Release = &QRelease{Layer: layerName, Release: ir.Release{Hold: r.Hold, Args: qualAll(r.Args, qual),
+			Peer: qual(r.Peer), Count: qual(r.Count)}}
+	}
 	for _, u := range lt.Updates {
 		var tgt ir.LValue
 		switch t := u.Target.(type) {
@@ -323,15 +375,21 @@ func (c *composer) thread(layerName string, lt *LayerTheorem, def *ir.LayerDef, 
 	return nil
 }
 
+func qualAll(es []ir.Expr, qual func(ir.Expr) ir.Expr) []ir.Expr {
+	out := make([]ir.Expr, len(es))
+	for i, e := range es {
+		out[i] = qual(e)
+	}
+	return out
+}
+
 // ComposeDn builds the stack optimization theorem for a down-going path
 // of the named stack (top first), for the member at the given rank. The
 // bounce composition routes the local layer's self-delivery copy back
 // through the up paths of the layers above it, as the theorem's Bounce
 // segment.
 func ComposeDn(names []string, path ir.PathKey, rank, n int) (*StackTheorem, error) {
-	base := NewFacts()
-	base.AddEq(ir.EvField("rank"), int64(rank))
-	base.AddEq(ir.EvField("appl"), 1)
+	base := viewFacts(rank, n)
 	c := &composer{
 		th:    &StackTheorem{Names: names, Path: path, Rank: rank, N: n},
 		store: symStore{},
@@ -371,6 +429,16 @@ func ComposeDn(names []string, path ir.PathKey, rank, n int) (*StackTheorem, err
 	return c.th, nil
 }
 
+// viewFacts are the facts every path of the member at rank in a view of
+// n shares: the view constants, and an application event.
+func viewFacts(rank, n int) *Facts {
+	f := NewFacts()
+	f.AddEq(ir.EvField("rank"), int64(rank))
+	f.AddEq(ir.EvField("n"), int64(n))
+	f.AddEq(ir.EvField("appl"), 1)
+	return f
+}
+
 // cut is where the theorem's lists end so far.
 func (c *composer) cut() Cut {
 	return Cut{CCP: len(c.th.CCP), Updates: len(c.th.Updates), Effects: len(c.th.Effects)}
@@ -384,6 +452,7 @@ func (c *composer) clone() *composer {
 	th.Updates = append([]QAssign(nil), c.th.Updates...)
 	th.Headers = append([]QHeader(nil), c.th.Headers...)
 	th.Effects = append([]QEffect(nil), c.th.Effects...)
+	th.Cuts = append([]Cut(nil), c.th.Cuts...)
 	store := make(symStore, len(c.store))
 	for k, v := range c.store {
 		store[k] = v
@@ -394,7 +463,8 @@ func (c *composer) clone() *composer {
 // bounce composes the reflected self-delivery copy through the up paths
 // of the layers above the bouncing layer, innermost first. The copy's
 // header fields are the expressions each layer pushed on the way down,
-// captured pre-state; its origin is this member's own rank.
+// captured pre-state; its origin is this member's own rank. A layer
+// that parks the copy ends the segment there: nothing is delivered.
 func (c *composer) bounce(upper []string, dnPath ir.PathKey, rank int) error {
 	upPath := ir.PathKey{Dir: 1 - dnPath.Dir, Kind: dnPath.Kind} // Dn -> Up
 	// The bounced copy's event frame: peer is our own rank.
@@ -414,9 +484,10 @@ func (c *composer) bounce(upper []string, dnPath ir.PathKey, rank int) error {
 		// down, plus the variant tag.
 		capture := map[string]ir.Expr{}
 		var pushed *QHeader
+		at := 0
 		for k := range c.th.Headers {
 			if c.th.Headers[k].Layer == name {
-				pushed = &c.th.Headers[k]
+				pushed, at = &c.th.Headers[k], k
 				break
 			}
 		}
@@ -428,24 +499,28 @@ func (c *composer) bounce(upper []string, dnPath ir.PathKey, rank int) error {
 			capture[fv.Name] = fv.Val
 		}
 
-		ccp, ok := def.CCP[upPath]
-		if !ok {
-			return fmt.Errorf("opt: layer %q has no CCP for %s", name, upPath)
-		}
 		// Derive with header facts where they are constants, so guards
-		// like hdr.tag == Data resolve.
+		// like hdr.tag == Data resolve and a common case the copy's
+		// constants contradict is passed over.
 		derBase := bounceBase.Clone()
 		for f, e := range capture {
 			if cst, isConst := e.(ir.Const); isConst {
 				derBase.AddEq(ir.HdrField(f), int64(cst))
 			}
 		}
-		lt, err := DeriveLayerTheorem(def, upPath, ccp, derBase)
+		lt, err := deriveUpEntry(def, upPath, derBase)
 		if err != nil {
 			return fmt.Errorf("opt: bounce through %q: %w", name, err)
 		}
 		if err := c.thread(name, lt, def, capture); err != nil {
 			return err
+		}
+		switch {
+		case lt.Park != nil:
+			c.th.Park.HdrsAbove = at
+			return nil
+		case lt.Consumed:
+			return fmt.Errorf("opt: bounce through %q consumes the copy", name)
 		}
 		if j == 0 && lt.Delivered {
 			c.th.SelfDeliver = true
@@ -464,18 +539,18 @@ func (c *composer) bounce(upper []string, dnPath ir.PathKey, rank int) error {
 // Up events traverse bottom first, so the layers are threaded bottom-up
 // and Cuts records where each one's contribution ends. A consuming
 // layer theorem (pure control traffic) ends the traversal at the
-// signature's top entry. A layer with no derivable rule for the
-// signature (total on an Order header) ends it too, as a static split:
-// the theorem then covers the layers below only and every arrival is
-// handed to the stack at that layer.
+// signature's top entry; a releasing one composes the layers above for
+// the messages it releases (QRelease). A parking layer ends it at any
+// entry: the headers above stay on the parked event. A layer with no
+// derivable rule for the signature (total on an Order header it cannot
+// act on) ends it too, as a static split: the theorem then covers the
+// layers below only and every arrival is handed to the stack at that
+// layer.
 func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*StackTheorem, error) {
-	base := NewFacts()
-	base.AddEq(ir.EvField("rank"), int64(rank))
-	base.AddEq(ir.EvField("appl"), 1)
 	c := &composer{
 		th:    &StackTheorem{Names: names, Path: path, Rank: rank, N: n},
 		store: symStore{},
-		base:  base,
+		base:  viewFacts(rank, n),
 	}
 	top := len(names) - len(sig.Entries)
 	if top < 0 {
@@ -497,7 +572,7 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 		}
 		// Header facts: the variant tag is fixed by the signature, and
 		// so is every constant field.
-		derBase := base.Clone()
+		derBase := c.base.Clone()
 		derBase.AddEq(ir.HdrField("tag"), spec.Tag)
 		capture := map[string]ir.Expr{"tag": ir.Const(spec.Tag)}
 		// The consumed header, so the bypass can rebuild the stack above
@@ -513,17 +588,28 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 			qh.Fields = append(qh.Fields, ir.HdrFieldVal{Name: f.Name, Val: capture[f.Name]})
 		}
 		c.th.Headers[e] = qh
-		if len(c.th.Cuts) < len(sig.Entries)-1-e {
-			continue // above a static split
+		if c.th.Park != nil || len(c.th.Cuts) < len(sig.Entries)-1-e {
+			continue // above a parking layer or a static split
 		}
 		nEff := len(c.th.Effects)
 		lt, err := deriveUpEntry(def, path, derBase)
-		if err == nil {
-			err = c.thread(name, lt, def, capture)
-		}
 		if err != nil {
 			continue // static split at this layer
 		}
+		// A release is threaded on a copy: one whose layers above do not
+		// compose is a static split too, and leaves nothing behind.
+		trial := c
+		if lt.Release != nil {
+			trial = c.clone()
+		}
+		err = trial.thread(name, lt, def, capture)
+		if err == nil && lt.Release != nil {
+			err = trial.release(names[:top+e], path)
+		}
+		if err != nil {
+			continue
+		}
+		*c = *trial
 		// The header stack an effect captures is what the layers above
 		// it will see: the e entries above this one.
 		for k := nEff; k < len(c.th.Effects); k++ {
@@ -531,6 +617,9 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 		}
 		c.th.Cuts = append(c.th.Cuts, c.cut())
 		switch {
+		case lt.Park != nil:
+			c.th.Park.HdrsAbove = e
+			c.th.Consumed = true
 		case lt.Consumed && e > 0:
 			return nil, fmt.Errorf("opt: layer %q consumes the event below the signature's top entry", name)
 		case lt.Consumed:
@@ -542,6 +631,67 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 		}
 	}
 	return c.th, nil
+}
+
+// release composes, into the theorem's Release, the up paths of the
+// layers above the releasing one (upper, top first) for one released
+// message: each layer's common case for a message whose headers are not
+// known here, threaded in a store of its own — the loop runs it once per
+// message, each time from the state the previous one left — with the
+// event's peer bound to the release's origin. It fails unless that
+// common case holds unconditionally, reads no header, defers nothing and
+// ends in a delivery: what lets the loop run without a check per
+// message.
+func (c *composer) release(upper []string, path ir.PathKey) error {
+	r := c.th.Release
+	if len(upper) == 0 {
+		return fmt.Errorf("opt: %s releases into nothing", r.Layer)
+	}
+	seg := &composer{th: &StackTheorem{Names: upper, Path: path}, store: symStore{}, base: c.base}
+	for j := len(upper) - 1; j >= 0; j-- {
+		def, err := ir.LookupDef(upper[j])
+		if err != nil {
+			return err
+		}
+		lt, err := deriveUpEntry(def, path, c.base)
+		if err != nil {
+			return err
+		}
+		if lt.Consumed || lt.Bounced || lt.Push != nil || (j == 0) != lt.Delivered {
+			return fmt.Errorf("opt: a message %s releases does not reach the application through %q", r.Layer, upper[j])
+		}
+		if err := seg.thread(upper[j], lt, def, nil); err != nil {
+			return err
+		}
+	}
+	if len(seg.th.CCP) > 0 || len(seg.th.Effects) > 0 {
+		return fmt.Errorf("opt: the layers above %s have no unconditional common case for a released message", r.Layer)
+	}
+	bind := func(e ir.Expr) ir.Expr {
+		return ir.Rename(e, func(x ir.Expr) ir.Expr {
+			if x == ir.EvField("peer") {
+				return r.Peer
+			}
+			return x
+		})
+	}
+	for _, u := range seg.th.Updates {
+		var readsHdr bool
+		for _, e := range []ir.Expr{u.Target, u.Val} {
+			ir.Walk(e, func(x ir.Expr) {
+				switch x.(type) {
+				case ir.QHdr, ir.EvField:
+					readsHdr = readsHdr || x != ir.EvField("peer")
+				}
+			})
+		}
+		if readsHdr {
+			return fmt.Errorf("opt: %s := %s reads what a released message does not carry", u.Target, u.Val)
+		}
+		r.Updates = append(r.Updates, QAssign{Target: bind(u.Target).(ir.LValue), Val: bind(u.Val)})
+	}
+	r.Names = upper
+	return nil
 }
 
 // deriveUpEntry derives the up-path theorem for one layer of a
@@ -560,8 +710,9 @@ func deriveUpEntry(def *ir.LayerDef, path ir.PathKey, derBase *Facts) (*LayerThe
 		return nil, fmt.Errorf("opt: layer %q has no CCP for %s", def.Name, path)
 	}
 	var firstErr error
+	facts := withInvariants(def, derBase)
 	for _, ccp := range candidates {
-		if Simplify(ccp, derBase) == ir.False {
+		if Simplify(ccp, facts) == ir.False {
 			continue
 		}
 		lt, err := DeriveLayerTheorem(def, path, ccp, derBase)

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -38,35 +39,41 @@ func TestComposeDnCastStack10Sequencer(t *testing.T) {
 
 func TestComposeDnCastStack10NonSequencer(t *testing.T) {
 	// The non-sequencer's own casts await an order announcement. The
-	// full composition still succeeds — partial evaluation discovers
-	// that the self-delivery is only a common case when the announced
-	// order has caught up, surfacing the conjunct -1 == next_global,
-	// which is unsatisfiable at run time. It lies in the bounce segment,
-	// so the cast still runs compiled on the wire side and hands its
-	// self-delivery copy to the stack.
+	// copy's constant gseq = -1 contradicts total's stamped common case
+	// (next_global is never negative), so composition picks the
+	// non-sequencer's alternate: the bounce parks the copy at total,
+	// which the segment's one conjunct — no announcement arrived ahead of
+	// its cast — allows, and nothing is delivered inline.
 	th, err := ComposeDn(layers.Stack10(), ir.DnCast, 1, 2)
 	if err != nil {
 		t.Fatalf("composition failed: %v", err)
 	}
-	if !th.SelfDeliver || th.BounceFallback || th.BounceLayer != layers.Local {
-		t.Fatalf("bounce should compose symbolically at local: %+v", th)
+	if th.SelfDeliver || th.BounceFallback || th.BounceLayer != layers.Local {
+		t.Fatalf("bounce should compose symbolically at local and deliver nothing: %+v", th)
+	}
+	if p := th.Park; p == nil || p.Layer != layers.Total || p.HdrsAbove != 1 ||
+		fmt.Sprint(p.Args) != "[1 s_total.my_local_seq]" {
+		t.Fatalf("the copy is not parked at total as (rank, lseq) under partial_appl's header: %+v", th.Park)
 	}
 	b := th.Bounce
 	found := false
 	for i, c := range th.CCP {
-		if strings.Contains(c.String(), "(-1 == s_total.next_global)") {
+		if strings.Contains(c.String(), "next_global") {
+			t.Errorf("conjunct %s reads next_global: the stamped common case was not rejected", c)
+		}
+		if strings.Contains(c.String(), "(s_total.early_n == 0)") {
 			found = true
 			if i < b[0].CCP || i >= b[1].CCP {
-				t.Errorf("the ordering conjunct (%d) lies outside the bounce segment %+v", i, b)
+				t.Errorf("the parking conjunct (%d) lies outside the bounce segment %+v", i, b)
 			}
 		}
 	}
 	if !found {
-		t.Fatalf("expected the unsatisfiable ordering conjunct; CCP = %v", th.CCP)
+		t.Fatalf("expected the parking conjunct; CCP = %v", th.CCP)
 	}
-	// The segment sits in the middle of every list: the layers below
-	// local thread after it.
-	if b[1].CCP == len(th.CCP) || b[1].Updates == len(th.Updates) || b[0].Updates == b[1].Updates {
+	// The segment sits in the middle of the conjuncts: the layers below
+	// local thread after it. Parking writes nothing.
+	if b[1].CCP == len(th.CCP) || b[1].Updates == len(th.Updates) || b[0].Updates != b[1].Updates {
 		t.Fatalf("bounce segment %+v is not in the middle of %d conjuncts and %d updates", b, len(th.CCP), len(th.Updates))
 	}
 	// The theorem without its segment is the wire side alone: the wire

@@ -29,10 +29,10 @@ import (
 //     retyped to Retrans), whose up theorem spans the full stack and
 //     delivers exactly like in-order data;
 //   - the sequencer's order announcement (total.Order cast over the
-//     layers below total). total has no common case for it, so its up
-//     theorem stops below total — a static split: the compiled code
-//     runs the reliability and flow-control layers and total interprets
-//     the header.
+//     layers below total), whose up theorem consumes it at total and
+//     releases the casts it orders from where they were parked — at
+//     every member but the sequencer, which has no common case for it
+//     (a static split there).
 //
 // mnak's NAK-driven retransmissions and collect's stability gossip
 // remain interpreted: the former retypes a *cast* signature mid-stack
@@ -53,11 +53,11 @@ type ctrlSpec struct {
 }
 
 // controlSigs derives the control wire signatures a member at the given
-// rank can emit; dnSend is that rank's data-send theorem (nil for none).
+// rank can emit; dnSend is that rank's data-send signature (nil for none).
 // An empty result (no such layer in the stack, or a layer below it that
 // defies derivation) simply means no control specialization — never an
 // error.
-func controlSigs(names []string, rank int, dnSend *StackTheorem) []ctrlSpec {
+func controlSigs(names []string, rank int, dnSend *WireSig) []ctrlSpec {
 	var out []ctrlSpec
 	if i := slices.Index(names, "pt2pt"); i >= 0 {
 		ack := SigEntry{Layer: "pt2pt", Variant: "Ack", Fields: []SigField{{Name: "ack"}}}
@@ -72,7 +72,7 @@ func controlSigs(names []string, rank int, dnSend *StackTheorem) []ctrlSpec {
 	if i := slices.Index(names, "total"); i >= 0 && rank == 0 {
 		order := SigEntry{Layer: "total", Variant: "Order", Fields: []SigField{{Name: "origin"}, {Name: "lseq"}, {Name: "gseq"}, {Name: "count"}}}
 		if sig, ok := midStackSig(names, i, ir.DnCast, order, rank); ok {
-			out = append(out, ctrlSpec{pid: PathDnCtrlOrder, upPid: PathUpHandoff, sig: sig, probeLayer: "total"})
+			out = append(out, ctrlSpec{pid: PathDnCtrlOrder, upPid: PathUpOrder, sig: sig, probeLayer: "total"})
 		}
 	}
 	return out
@@ -119,11 +119,11 @@ func midStackSig(names []string, idx int, path ir.PathKey, top SigEntry, rank in
 // layers below re-push, so only pt2pt's own entry differs from a live
 // send. Both of its fields (seqno of the saved message, current ack)
 // are wire inputs.
-func retransSig(dnSend *StackTheorem) (WireSig, bool) {
+func retransSig(dnSend *WireSig) (WireSig, bool) {
 	if dnSend == nil {
 		return WireSig{}, false
 	}
-	sig := SignatureOf(dnSend)
+	sig := WireSig{Path: dnSend.Path, Entries: slices.Clone(dnSend.Entries)}
 	entry := sig.Entry("pt2pt")
 	if entry == nil {
 		return WireSig{}, false

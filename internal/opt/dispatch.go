@@ -48,9 +48,12 @@ const (
 	PathDnCtrlOrder
 	// PathUpHandoff is a compressed arrival whose compiled code ran for
 	// the bottom-most layers only and handed the event to the stack at
-	// the layer whose common case failed — or, for an order
-	// announcement, the layer that has none (Engine.Packet).
+	// the layer whose common case failed — or that has none for its
+	// signature (Engine.Packet).
 	PathUpHandoff
+	// PathUpOrder consumes a compressed order announcement, releasing the
+	// casts it orders from where they were parked.
+	PathUpOrder
 
 	// NumPaths sizes the per-path counter arrays.
 	NumPaths
@@ -69,6 +72,7 @@ var pathNames = [NumPaths]string{
 	PathFullStack:     "full_stack",
 	PathDnCtrlOrder:   "dn_ctrl_order",
 	PathUpHandoff:     "up_handoff",
+	PathUpOrder:       "up_order",
 }
 
 // String returns a stable metric-friendly name.

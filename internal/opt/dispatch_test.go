@@ -48,9 +48,11 @@ func TestDispatchOutcomes(t *testing.T) {
 		sweeps int
 		drop   func(member, n int) bool
 		// hit paths that must have routed at least one event, summed
-		// over both engines; miss likewise for probed-and-failed.
+		// over both engines; miss likewise for probed-and-failed; none
+		// paths that must have routed nothing.
 		hit  []PathID
 		miss []PathID
+		none []PathID
 	}{
 		{
 			// The sequencer's casts take the fully specialized down path
@@ -61,16 +63,15 @@ func TestDispatchOutcomes(t *testing.T) {
 			hit:  []PathID{PathDnCast, PathUpCast},
 		},
 		{
-			// The non-sequencer cannot self-deliver out of order, so its
-			// casts take the partial path: wire specialized, self-delivery
-			// through the shared stack. At the sequencer the compressed
-			// cast misses its CCP at total (ordering needs the stack) and
-			// is handed off there; the order announcement that answers it
-			// leaves compressed and is handed to total on arrival.
+			// The non-sequencer cannot self-deliver out of order: its cast
+			// runs compiled and parks its self-delivery copy at total. At
+			// the sequencer the compressed cast is numbered compiled; the
+			// order announcement that answers it leaves compressed and, on
+			// arrival, releases the parked copy.
 			name: "cast_partial",
 			ops:  uniformOps(120, 1, true, 40),
-			hit:  []PathID{PathDnCastPartial, PathDnCtrlOrder, PathUpHandoff},
-			miss: []PathID{PathUpCast},
+			hit:  []PathID{PathDnCast, PathUpCast, PathDnCtrlOrder, PathUpOrder},
+			none: []PathID{PathDnCastPartial, PathUpHandoff, PathFullStack},
 		},
 		{
 			// In-window pt2pt data rides the send bypass both ways; the
@@ -123,6 +124,11 @@ func TestDispatchOutcomes(t *testing.T) {
 			for _, pid := range sc.miss {
 				if misses[pid] == 0 {
 					t.Errorf("path %s was never probed-and-missed", pid)
+				}
+			}
+			for _, pid := range sc.none {
+				if hits[pid] != 0 {
+					t.Errorf("path %s routed %d events, want none", pid, hits[pid])
 				}
 			}
 			// The bottom layer's common case (stack enabled) never fails

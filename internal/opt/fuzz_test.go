@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -153,4 +154,100 @@ func TestEngineSurvivesGarbageThenWorks(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d after garbage storm, want 1", delivered)
 	}
+}
+
+// packetSeq encodes a sequence of compressed images as FuzzEnginePacket
+// reads them: each one's length (uvarint), then the image without its
+// leading magic byte.
+func packetSeq(imgs ...[]byte) []byte {
+	var out []byte
+	for _, img := range imgs {
+		out = binary.AppendUvarint(out, uint64(len(img)-1))
+		out = append(out, img[1:]...)
+	}
+	return out
+}
+
+// FuzzEnginePacket feeds a non-sequencer of a 3-member 10-layer group a
+// sequence of compressed images, seeded with genuine ones — another
+// member's unordered casts, the sequencer's stamped casts, and the
+// order runs that number the former — in orders that park and release,
+// announce early, and leave gaps. Whatever the bytes, the engine must
+// not panic; no compiled release loop may hand on more casts than an
+// order run can name (total's maxRun, 256); and deliveries never exceed
+// the casts that arrived, so nothing is released that was not parked.
+func FuzzEnginePacket(f *testing.F) {
+	const n, maxRun = 3, 256
+	var engs [n]*Engine
+	var unstamped, stamped, orders [][]byte
+	announcing := false
+	for m := range engs {
+		eng, err := NewEngine(layers.Stack10(), layer.DefaultConfig(testView(n, m)), stack.Func)
+		if err != nil {
+			f.Fatal(err)
+		}
+		eng.SendWire = func(cast bool, _ int, wire []byte) {
+			if !cast || wire[0] != transport.WireCompressed {
+				return
+			}
+			img := append([]byte(nil), wire...)
+			switch m {
+			case 1:
+				unstamped = append(unstamped, img)
+				engs[0].Packet(img)
+			case 0:
+				if announcing {
+					orders = append(orders, img)
+				} else {
+					stamped = append(stamped, img)
+				}
+			}
+		}
+		engs[m] = eng
+	}
+	for k := 0; k < 3; k++ {
+		engs[1].Cast([]byte{'u', byte(k)})
+	}
+	announcing = true
+	engs[0].Submit(event.BurstEndEv())
+	announcing = false
+	for k := 0; k < 2; k++ {
+		engs[0].Cast([]byte{'s', byte(k)})
+	}
+	if len(unstamped) != 3 || len(orders) != 1 || len(stamped) != 2 {
+		f.Fatalf("collected %d unordered casts, %d order runs, %d stamped casts; want 3, 1, 2", len(unstamped), len(orders), len(stamped))
+	}
+	orderID := binary.LittleEndian.Uint16(orders[0][1:3])
+	u, s, o := unstamped, stamped, orders[0]
+	f.Add(packetSeq(u[0], u[1], u[2], o, s[0], s[1]))
+	f.Add(packetSeq(o, u[0], u[1], u[2], s[0], s[1]))
+	f.Add(packetSeq(s[1], u[0], o, u[1], u[2], s[0]))
+	f.Add(packetSeq(u[0], u[1], u[2], o, o, u[2], s[0], s[0]))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		eng, err := NewEngine(layers.Stack10(), layer.DefaultConfig(testView(n, 2)), stack.Func)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deliveries, casts := 0, 0
+		eng.Deliver = func(int, []byte, bool) { deliveries++ }
+		for len(in) > 0 {
+			l, k := binary.Uvarint(in)
+			if k <= 0 || l > uint64(len(in)-k) {
+				return
+			}
+			img := append([]byte{transport.WireCompressed}, in[k:k+int(l)]...)
+			in = in[k+int(l):]
+			released := eng.Stats().Released
+			if eng.Packet(img) && (len(img) < 3 || binary.LittleEndian.Uint16(img[1:3]) != orderID) {
+				casts++
+			}
+			if d := eng.Stats().Released - released; d > maxRun {
+				t.Fatalf("one arrival released %d casts, more than a run can name", d)
+			}
+			if deliveries > casts {
+				t.Fatalf("%d deliveries from %d arrivals that were not order runs", deliveries, casts)
+			}
+		}
+	})
 }

@@ -18,16 +18,18 @@ import (
 )
 
 // Facts is a conjunction of assumed atomic predicates: equalities that
-// rewrite subexpressions to constants, and boolean expressions known to
-// hold or fail. Keys are canonical renderings (structural identity).
+// rewrite subexpressions to constants, lower bounds, and boolean
+// expressions known to hold or fail. Keys are canonical renderings
+// (structural identity).
 type Facts struct {
 	eq    map[string]int64
-	truth map[string]bool // rendered expr → holds (true) / fails (false)
+	min   map[string]int64 // rendered expr → least value it can take
+	truth map[string]bool  // rendered expr → holds (true) / fails (false)
 }
 
 // NewFacts returns an empty assumption set.
 func NewFacts() *Facts {
-	return &Facts{eq: map[string]int64{}, truth: map[string]bool{}}
+	return &Facts{eq: map[string]int64{}, min: map[string]int64{}, truth: map[string]bool{}}
 }
 
 // Clone copies the assumption set.
@@ -36,10 +38,27 @@ func (f *Facts) Clone() *Facts {
 	for k, v := range f.eq {
 		g.eq[k] = v
 	}
+	for k, v := range f.min {
+		g.min[k] = v
+	}
 	for k, v := range f.truth {
 		g.truth[k] = v
 	}
 	return g
+}
+
+// withInvariants is base plus a layer's state invariants, the facts
+// every guard and CCP of the layer may be simplified under: base itself
+// for a layer without any, which the caller must then not extend.
+func withInvariants(def *ir.LayerDef, base *Facts) *Facts {
+	if len(def.Invariants) == 0 {
+		return base
+	}
+	f := base.Clone()
+	for _, inv := range def.Invariants {
+		f.Assume(inv)
+	}
+	return f
 }
 
 // AddEq assumes e == v.
@@ -72,6 +91,14 @@ func (f *Facts) assume(e ir.Expr, depth int) {
 	case ir.Const:
 		return
 	case ir.Bin:
+		if x, c, op, ok := againstConst(e); ok {
+			switch op {
+			case ir.OpGe:
+				f.raiseMin(x, c)
+			case ir.OpGt:
+				f.raiseMin(x, c+1)
+			}
+		}
 		switch e.Op {
 		case ir.OpAnd:
 			f.assume(e.L, depth)
@@ -97,6 +124,57 @@ func (f *Facts) assume(e ir.Expr, depth int) {
 	if rewritten != nil {
 		f.assume(rewritten, depth+1)
 	}
+}
+
+func (f *Facts) raiseMin(x ir.Expr, v int64) {
+	k := ir.Key(x)
+	if cur, ok := f.min[k]; !ok || v > cur {
+		f.min[k] = v
+	}
+}
+
+// flipped is each comparison with its operands swapped.
+var flipped = map[ir.Op]ir.Op{ir.OpEq: ir.OpEq, ir.OpNe: ir.OpNe, ir.OpLt: ir.OpGt, ir.OpLe: ir.OpGe, ir.OpGt: ir.OpLt, ir.OpGe: ir.OpLe}
+
+// againstConst reads a comparison with one constant side as x op c, the
+// constant on the right.
+func againstConst(b ir.Bin) (x ir.Expr, c int64, op ir.Op, ok bool) {
+	if _, cmp := flipped[b.Op]; !cmp {
+		return nil, 0, 0, false
+	}
+	if rc, isConst := b.R.(ir.Const); isConst {
+		if _, both := b.L.(ir.Const); !both {
+			return b.L, int64(rc), b.Op, true
+		}
+	}
+	if lc, isConst := b.L.(ir.Const); isConst {
+		return b.R, int64(lc), flipped[b.Op], true
+	}
+	return nil, 0, 0, false
+}
+
+// decideByBound folds a comparison of a bounded expression with a
+// constant the bound decides: with x >= 0 known, x == -1 is false.
+func decideByBound(e ir.Expr, f *Facts) ir.Expr {
+	b, isBin := e.(ir.Bin)
+	if !isBin || len(f.min) == 0 {
+		return e
+	}
+	x, c, op, ok := againstConst(b)
+	if !ok {
+		return e
+	}
+	lo, bounded := f.min[ir.Key(x)]
+	if !bounded {
+		return e
+	}
+	switch {
+	case (op == ir.OpEq || op == ir.OpLe) && c < lo, op == ir.OpLt && c <= lo:
+		return ir.False
+	case (op == ir.OpNe || op == ir.OpGt) && c < lo, op == ir.OpGe && c <= lo:
+		return ir.True
+	}
+	return e
 }
 
 // Simplify rewrites a boolean-position expression (a guard or CCP)
@@ -161,7 +239,7 @@ func simplify(e ir.Expr, f *Facts, boolCtx bool) ir.Expr {
 		}
 		l := simplify(e.L, f, childCtx)
 		r := simplify(e.R, f, childCtx)
-		out := fold(ir.Bin{Op: e.Op, L: l, R: r}, boolCtx)
+		out := decideByBound(fold(ir.Bin{Op: e.Op, L: l, R: r}, boolCtx), f)
 		return applyTruth(out, f, boolCtx)
 	case ir.Not:
 		inner := simplify(e.E, f, true)

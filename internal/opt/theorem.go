@@ -37,8 +37,13 @@ type LayerTheorem struct {
 	// Bounced marks a reflected self-delivery (the local layer).
 	Bounced bool
 	// Consumed marks an up path absorbed at this layer (pure control
-	// traffic; no continuation above).
+	// traffic, or a parked message; no continuation above).
 	Consumed bool
+	// Park is set when the layer consumes the message by parking it, and
+	// Release when consuming it releases parked ones above; their
+	// expressions are simplified like the updates'.
+	Park    *ir.Park
+	Release *ir.Release
 	// Effects are the deferred opaque operations.
 	Effects []ir.CallEffect
 }
@@ -65,7 +70,12 @@ func (t *LayerTheorem) String() string {
 	if t.Bounced {
 		evs = append(evs, "UpM(copy ev)")
 	}
-	if t.Consumed {
+	switch {
+	case t.Park != nil:
+		evs = append(evs, t.Park.String())
+	case t.Release != nil:
+		evs = append(evs, t.Release.String())
+	case t.Consumed:
 		evs = append(evs, "consume ev")
 	}
 	fmt.Fprintf(&b, "%s:]\n", strings.Join(evs, "; "))
@@ -95,6 +105,9 @@ func DeriveLayerTheorem(def *ir.LayerDef, path ir.PathKey, assumed ir.Expr, base
 		return nil, fmt.Errorf("opt: layer %q has no IR for %s", def.Name, path)
 	}
 	facts := base.Clone()
+	for _, inv := range def.Invariants {
+		facts.Assume(inv)
+	}
 	facts.Assume(assumed)
 
 	var selected *ir.Rule
@@ -136,18 +149,29 @@ func DeriveLayerTheorem(def *ir.LayerDef, path ir.PathKey, assumed ir.Expr, base
 			th.Bounced = true
 		case ir.Consume:
 			th.Consumed = true
+		case ir.Park:
+			th.Consumed = true
+			th.Park = &ir.Park{Hold: a.Hold, Args: simplifyAll(a.Args, facts)}
+		case ir.Release:
+			th.Consumed = true
+			th.Release = &ir.Release{Hold: a.Hold, Args: simplifyAll(a.Args, facts),
+				Peer: SimplifyVal(a.Peer, facts), Count: SimplifyVal(a.Count, facts)}
 		case ir.CallEffect:
-			ce := ir.CallEffect{Name: a.Name}
-			for _, arg := range a.Args {
-				ce.Args = append(ce.Args, SimplifyVal(arg, facts))
-			}
-			th.Effects = append(th.Effects, ce)
+			th.Effects = append(th.Effects, ir.CallEffect{Name: a.Name, Args: simplifyAll(a.Args, facts)})
 		case ir.Fallback:
 			return nil, fmt.Errorf("opt: layer %q %s: common case reaches fallback (%s)",
 				def.Name, path, a.Reason)
 		}
 	}
 	return th, nil
+}
+
+func simplifyAll(es []ir.Expr, facts *Facts) []ir.Expr {
+	out := make([]ir.Expr, len(es))
+	for i, e := range es {
+		out[i] = SimplifyVal(e, facts)
+	}
+	return out
 }
 
 // DeriveAll derives the theorems for all four fundamental cases of a

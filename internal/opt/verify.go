@@ -52,9 +52,9 @@ func newShadow(def *ir.LayerDef, n int, rng *rand.Rand) *shadowState {
 					for _, f := range a.H.Fields {
 						collect(f.Val)
 					}
-				case ir.CallEffect:
-					for _, arg := range a.Args {
-						collect(arg)
+				default:
+					for _, e := range actionExprs(a) {
+						collect(e)
 					}
 				}
 			}
@@ -79,6 +79,19 @@ func newShadow(def *ir.LayerDef, n int, rng *rand.Rand) *shadowState {
 		s.arrays[a] = vals
 	}
 	return s
+}
+
+// actionExprs lists the expressions an effect, park or release reads.
+func actionExprs(a ir.Action) []ir.Expr {
+	switch a := a.(type) {
+	case ir.CallEffect:
+		return a.Args
+	case ir.Park:
+		return a.Args
+	case ir.Release:
+		return append([]ir.Expr{a.Peer, a.Count}, a.Args...)
+	}
+	return nil
 }
 
 func (s *shadowState) clone() *shadowState {
@@ -116,10 +129,22 @@ func (m shadowModel) IRVars() []ir.VarSpec {
 	}
 	for name := range m.s.arrays {
 		name := name
+		// An element outside the array reads 0 and takes no write: a
+		// frame's random fields index with values no member could have,
+		// and the guards that bound them are only biased, not solved.
 		out = append(out, ir.VarSpec{
-			Name:  name,
-			GetAt: func(i int64) int64 { return m.s.arrays[name][i] },
-			SetAt: func(i, v int64) { m.s.arrays[name][i] = v },
+			Name: name,
+			GetAt: func(i int64) int64 {
+				if a := m.s.arrays[name]; i >= 0 && i < int64(len(a)) {
+					return a[i]
+				}
+				return 0
+			},
+			SetAt: func(i, v int64) {
+				if a := m.s.arrays[name]; i >= 0 && i < int64(len(a)) {
+					a[i] = v
+				}
+			},
 		})
 	}
 	return out
@@ -140,6 +165,7 @@ func VerifyLayerTheorem(def *ir.LayerDef, th *LayerTheorem, n, rank, trials int,
 			Len:  rng.Int63n(256),
 			Appl: true,
 			Rank: int64(rank),
+			N:    int64(n),
 		}
 		hdr := randomHdrFields(def, th, rng)
 		frameFor := func(s *shadowState) *ir.Frame {
@@ -153,7 +179,7 @@ func VerifyLayerTheorem(def *ir.LayerDef, th *LayerTheorem, n, rank, trials int,
 		// fixed at derivation time (rank equality shows up in the
 		// assumed expression after simplification, so evaluating it is
 		// enough).
-		if ir.Eval(th.Assumed, frameFor(shadow)) == 0 {
+		if ir.Eval(th.Assumed, frameFor(shadow)) == 0 || !invariantsHold(def, frameFor(shadow)) {
 			continue
 		}
 		exercised++
@@ -185,7 +211,7 @@ func VerifyLayerTheorem(def *ir.LayerDef, th *LayerTheorem, n, rank, trials int,
 			case ir.Var:
 				thState.scalars[string(tgt)] = w.val
 			case ir.Index:
-				thState.arrays[tgt.Name][ir.Eval(tgt.Idx, pre)] = w.val
+				setElem(thState.arrays[tgt.Name], ir.Eval(tgt.Idx, pre), w.val)
 			}
 		}
 		if !reflect.DeepEqual(ref.scalars, thState.scalars) || !reflect.DeepEqual(ref.arrays, thState.arrays) {
@@ -216,8 +242,12 @@ func VerifyLayerTheorem(def *ir.LayerDef, th *LayerTheorem, n, rank, trials int,
 					def.Name, th.Path, out.Pushed, want)
 			}
 		}
-		if th.Delivered != out.Delivered || th.Bounced != out.Bounced || th.Consumed != out.Consumed {
+		if th.Delivered != out.Delivered || th.Bounced != out.Bounced || th.Consumed != out.Consumed ||
+			(th.Park == nil) != (out.Parked == nil) || (th.Release == nil) != (out.Released == nil) {
 			return exercised, fmt.Errorf("opt: verify %s %s: continuation mismatch", def.Name, th.Path)
+		}
+		if err := sameHolds(th.Park, th.Release, out, func(e ir.Expr) int64 { return ir.Eval(e, pre) }); err != nil {
+			return exercised, fmt.Errorf("opt: verify %s %s: %w", def.Name, th.Path, err)
 		}
 
 		// Effect equality (names and argument values, in order).
@@ -245,6 +275,53 @@ func VerifyLayerTheorem(def *ir.LayerDef, th *LayerTheorem, n, rank, trials int,
 	return exercised, nil
 }
 
+// invariantsHold reports whether a frame's state is one the layer can be
+// in.
+func invariantsHold(def *ir.LayerDef, f *ir.Frame) bool {
+	for _, inv := range def.Invariants {
+		if ir.Eval(inv, f) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func setElem(a []int64, i, v int64) bool {
+	if i < 0 || i >= int64(len(a)) {
+		return false
+	}
+	a[i] = v
+	return true
+}
+
+// sameHolds checks a theorem's park or release against the one the
+// interpreter ran, evaluating the theorem's expressions with eval.
+func sameHolds(park *ir.Park, rel *ir.Release, out ir.Outcome, eval func(ir.Expr) int64) error {
+	same := func(hold string, args []ir.Expr, got *ir.HoldCall) error {
+		if hold != got.Hold || len(args) != len(got.Args) {
+			return fmt.Errorf("hold %s(%d args), interp %s(%d args)", hold, len(args), got.Hold, len(got.Args))
+		}
+		for i, a := range args {
+			if v := eval(a); v != got.Args[i] {
+				return fmt.Errorf("hold %s arg %d: theorem %d, interp %d", hold, i, v, got.Args[i])
+			}
+		}
+		return nil
+	}
+	switch {
+	case park != nil && out.Parked != nil:
+		return same(park.Hold, park.Args, out.Parked)
+	case rel != nil && out.Released != nil:
+		if err := same(rel.Hold, rel.Args, &out.Released.HoldCall); err != nil {
+			return err
+		}
+		if p, c := eval(rel.Peer), eval(rel.Count); p != out.Released.Peer || c != out.Released.Count {
+			return fmt.Errorf("release of %d from %d, interp %d from %d", c, p, out.Released.Count, out.Released.Peer)
+		}
+	}
+	return nil
+}
+
 // biasTowards nudges a random frame toward satisfying a CCP: for
 // conjuncts of the form loc == e, loc < e, or loc <= e where loc is a
 // scalar, array element, or header field, the location is assigned a
@@ -257,8 +334,7 @@ func biasTowards(ccp ir.Expr, s *shadowState, hdr map[string]int64, f *ir.Frame,
 			s.scalars[string(loc)] = v
 			return true
 		case ir.Index:
-			s.arrays[loc.Name][eval(loc.Idx)] = v
-			return true
+			return setElem(s.arrays[loc.Name], eval(loc.Idx), v)
 		case ir.HdrField:
 			hdr[string(loc)] = v
 			return true
@@ -283,6 +359,13 @@ func bias(ccp ir.Expr, want bool, eval func(ir.Expr) int64, assign func(loc ir.E
 			return true
 		}
 		return bias(b.R, want, eval, assign, rng) || l
+	case ir.OpOr:
+		// One disjunct is enough to hold, both must fail.
+		if want {
+			return bias(b.L, true, eval, assign, rng)
+		}
+		l := bias(b.L, false, eval, assign, rng)
+		return bias(b.R, false, eval, assign, rng) || l
 	case ir.OpEq:
 		off := 1 - b2i64(want)
 		return assign(b.L, eval(b.R)+off) || assign(b.R, eval(b.L)+off)
@@ -334,9 +417,9 @@ func randomHdrFields(def *ir.LayerDef, th *LayerTheorem, rng *rand.Rand) map[str
 					for _, fv := range a.H.Fields {
 						note(fv.Val)
 					}
-				case ir.CallEffect:
-					for _, arg := range a.Args {
-						note(arg)
+				default:
+					for _, e := range actionExprs(a) {
+						note(e)
 					}
 				}
 			}
@@ -368,7 +451,11 @@ func (e *stackEnv) eval(x ir.Expr) int64 {
 	case ir.QVar:
 		return e.shadows[x.Layer].scalars[x.Name]
 	case ir.QIndex:
-		return e.shadows[x.Layer].arrays[x.Name][e.eval(x.Idx)]
+		a, i := e.shadows[x.Layer].arrays[x.Name], e.eval(x.Idx)
+		if i < 0 || i >= int64(len(a)) {
+			return 0
+		}
+		return a[i]
 	case ir.QHdr:
 		return e.vary[ir.Key(x)]
 	case ir.Not:
@@ -392,11 +479,36 @@ func (e *stackEnv) assign(loc ir.Expr, v int64) bool {
 	case ir.QVar:
 		e.shadows[loc.Layer].scalars[loc.Name] = v
 	case ir.QIndex:
-		e.shadows[loc.Layer].arrays[loc.Name][e.eval(loc.Idx)] = v
+		return setElem(e.shadows[loc.Layer].arrays[loc.Name], e.eval(loc.Idx), v)
 	case ir.QHdr:
 		e.vary[ir.Key(loc)] = v
 	default:
 		return false
+	}
+	return true
+}
+
+// apply writes updates whose values (and indices) are read in pre.
+func (e *stackEnv) apply(updates []QAssign, pre *stackEnv) {
+	for _, u := range updates {
+		v := pre.eval(u.Val)
+		switch tgt := u.Target.(type) {
+		case ir.QVar:
+			e.shadows[tgt.Layer].scalars[tgt.Name] = v
+		case ir.QIndex:
+			setElem(e.shadows[tgt.Layer].arrays[tgt.Name], pre.eval(tgt.Idx), v)
+		}
+	}
+}
+
+// invariantsHold reports whether every layer's state is one it can be in.
+func (e *stackEnv) invariantsHold(defs []*ir.LayerDef) bool {
+	for _, def := range defs {
+		for _, inv := range def.Invariants {
+			if e.eval(ir.Qualify(def.Name, inv)) == 0 {
+				return false
+			}
+		}
 	}
 	return true
 }
@@ -417,7 +529,10 @@ func (e *stackEnv) clone() *stackEnv {
 // not fall back, and must leave the state and run the effects that the
 // theorem's prefix up to that cut (StackTheorem.Cuts) claims — which is
 // what the bypass runs before it hands the event to the stack there.
-// Every boundary a conjunct can fail at must come up, and the whole.
+// Every boundary a conjunct can fail at must come up, and the whole. A
+// whole theorem that parks must park as the interpreter does; one that
+// releases must, run once per released message, leave the layers above
+// as interpreting their IR for each message does.
 func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	m, top := len(sig.Entries), len(th.Names)-len(sig.Entries)
@@ -429,6 +544,16 @@ func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) erro
 		}
 		defs[e] = def
 	}
+	var upper []*ir.LayerDef // the layers a release hands messages to, top first
+	if th.Release != nil {
+		for _, name := range th.Release.Names {
+			def, err := ir.LookupDef(name)
+			if err != nil {
+				return err
+			}
+			upper = append(upper, def)
+		}
+	}
 	owner := th.ConjunctOwners()
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("opt: verify %s %s (signature %#x): %s", th.Names[top], th.Path, sig.ID(), fmt.Sprintf(format, args...))
@@ -439,7 +564,10 @@ func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) erro
 		for e, def := range defs {
 			env.shadows[sig.Entries[e].Layer] = newShadow(def, th.N, rng)
 		}
-		env.ev = ir.EvInfo{Peer: rng.Int63n(int64(th.N)), Len: rng.Int63n(256), Appl: true, Rank: int64(th.Rank)}
+		for _, def := range upper {
+			env.shadows[def.Name] = newShadow(def, th.N, rng)
+		}
+		env.ev = ir.EvInfo{Peer: rng.Int63n(int64(th.N)), Len: rng.Int63n(256), Appl: true, Rank: int64(th.Rank), N: int64(th.N)}
 		for _, q := range sig.Varying() {
 			env.vary[ir.Key(q)] = rng.Int63n(64)
 		}
@@ -447,6 +575,9 @@ func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) erro
 		target := rng.Intn(len(th.CCP) + 1)
 		for i, conj := range th.CCP {
 			bias(conj, i != target, env.eval, env.assign, rng)
+		}
+		if !env.invariantsHold(defs) {
+			continue
 		}
 		below := len(th.Cuts)
 		for i, conj := range th.CCP {
@@ -487,19 +618,42 @@ func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) erro
 			effects = append(effects, out.Effects...)
 			last = out
 		}
-		if below == m && (last.Delivered != th.Delivered || last.Consumed != th.Consumed) {
+		whole := below == len(th.Cuts) && (th.Delivered || th.Consumed)
+		if whole && (last.Delivered != th.Delivered || last.Consumed != th.Consumed ||
+			(last.Parked == nil) != (th.Park == nil) || (last.Released == nil) != (th.Release == nil)) {
 			return fail("continuation mismatch at the top: interp %+v, theorem delivered=%v consumed=%v", last, th.Delivered, th.Consumed)
 		}
 
 		// The theorem's prefix: reads in the pre-state, then the writes.
 		post := env.clone()
-		for _, u := range th.Updates[:cut.Updates] {
-			v := env.eval(u.Val)
-			switch tgt := u.Target.(type) {
-			case ir.QVar:
-				post.shadows[tgt.Layer].scalars[tgt.Name] = v
-			case ir.QIndex:
-				post.shadows[tgt.Layer].arrays[tgt.Name][env.eval(tgt.Idx)] = v
+		post.apply(th.Updates[:cut.Updates], env)
+		if whole {
+			var park *ir.Park
+			var rel *ir.Release
+			if th.Park != nil {
+				park = &th.Park.Park
+			}
+			if th.Release != nil {
+				rel = &th.Release.Release
+			}
+			if err := sameHolds(park, rel, last, env.eval); err != nil {
+				return fail("%v", err)
+			}
+		}
+		if whole && th.Release != nil {
+			// Each released message: the layers above interpreted bottom
+			// first, against the theorem's per-message writes.
+			ev := env.ev
+			ev.Peer = last.Released.Peer
+			for k := int64(0); k < last.Released.Count; k++ {
+				for j := len(upper) - 1; j >= 0; j-- {
+					def := upper[j]
+					frame := &ir.Frame{B: ref.shadows[def.Name].binding(def.Name), Ev: ev, Hdr: map[string]int64{"tag": def.Hdrs[0].Tag}}
+					if out, err := ir.Interp(def, th.Path, frame); err != nil || out.Fell {
+						return fail("released message %d falls back at %s (%v)", k, def.Name, err)
+					}
+				}
+				post.apply(th.Release.Updates, post.clone())
 			}
 		}
 		for name, want := range ref.shadows {
@@ -540,6 +694,7 @@ func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) erro
 func VerifyAll(names []string, n int, trials int, seed int64) error {
 	base := NewFacts()
 	base.AddEq(ir.EvField("appl"), 1)
+	base.AddEq(ir.EvField("n"), int64(n))
 	for _, name := range names {
 		def, err := ir.LookupDef(name)
 		if err != nil {
@@ -558,8 +713,13 @@ func VerifyAll(names []string, n int, trials int, seed int64) error {
 			// primary CCP too weak to isolate a path, a non-deriving
 			// alternate is an error, and each derived alternate theorem is
 			// re-checked like the primary ones.
+			// An alternate the rank contradicts (a sequencer's, at another
+			// member) claims nothing there.
 			for _, path := range ir.AllPaths() {
 				for _, alt := range def.AltCCP[path] {
+					if Simplify(alt, withInvariants(def, rb)) == ir.False {
+						continue
+					}
 					th, err := DeriveLayerTheorem(def, path, alt, rb)
 					if err != nil {
 						return fmt.Errorf("opt: alt CCP of %s %s: %w", def.Name, path, err)
@@ -574,20 +734,14 @@ func VerifyAll(names []string, n int, trials int, seed int64) error {
 	// The up theorems an engine compiles: one per signature any rank can
 	// emit, at every receiving rank.
 	sigs := map[uint16]WireSig{}
+	sent := sendable(names, n)
 	for r := 0; r < n; r++ {
-		var dnSend *StackTheorem
 		for _, path := range []ir.PathKey{ir.DnCast, ir.DnSend} {
-			dn, err := ComposeDn(names, path, r, n)
-			if err != nil {
-				continue
+			if sig := sent.dn[path][r]; sig != nil {
+				sigs[sig.ID()] = *sig
 			}
-			if path == ir.DnSend {
-				dnSend = dn
-			}
-			sig := SignatureOf(dn)
-			sigs[sig.ID()] = sig
 		}
-		for _, cs := range controlSigs(names, r, dnSend) {
+		for _, cs := range sent.ctrl[r] {
 			sigs[cs.sig.ID()] = cs.sig
 		}
 	}
