@@ -96,7 +96,8 @@ multiproc:
 
 # A short fuzzing smoke pass over the stateful wire-format decoders:
 # the cross-frame walker under adversarial frames (seeded and cold
-# mirrors) and the encode/decode round trip; over retention: the
+# mirrors) and the encode/decode round trips, across frames and within
+# one (every sub form, the run form included); over retention: the
 # message log against a map model, and the image decoder under arbitrary
 # bytes; and over admission: a full image checked against the 10-layer
 # and vsync stacks' wire contracts, and re-marshaled when admitted; and
@@ -108,6 +109,7 @@ multiproc:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzXFrameWalkLink -fuzztime 10s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzXFrameRoundTrip -fuzztime 10s ./internal/transport/
+	$(GO) test -run xxx -fuzz FuzzDeltaRoundTrip -fuzztime 10s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzMsgLog -fuzztime 10s ./internal/layers/
 	$(GO) test -run xxx -fuzz FuzzFromImage -fuzztime 10s ./internal/layers/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalFor -fuzztime 10s ./internal/layers/

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"ensemble/internal/core"
@@ -22,8 +23,39 @@ import (
 // began to leave compressed like every other recognized control shape:
 // those wires shrink, and the delivery check below holds the run to the
 // interpreted stack's behaviour. Recorded a third time when the
-// sequencer began to announce runs of casts, one order per run.
-const goldenTraceSHA256 = "adc2f1b442b7f1516f6deaf992466ae3eb0984dd4dc38b7aa22249f3764f1d4b"
+// sequencer began to announce runs of casts, one order per run, and a
+// fourth when prefix subs gained the run form (a changed field, then the
+// unchanged run after it): that moved sizes and CRCs only, which the
+// skeleton hash below shows.
+const goldenTraceSHA256 = "3e8ddc3d5b855dd8bb4b6308e1c533f43aa81538d80a22aa0617c52404c6cf15"
+
+// goldenTraceSkeletonSHA256 hashes the same trace with every length and
+// CRC field stripped (traceSkeleton): who sent what to whom, and when.
+// An encoding change that moves only bytes moves the hash above and not
+// this one; one that moves a schedule moves both.
+const goldenTraceSkeletonSHA256 = "8d1e8daee49f17075af9825b9852c2b143b598221e2efa09fb3dbe97953c6f33"
+
+// traceSkeleton strips the n= and crc= fields from every line of a
+// Cluster trace, leaving its schedule.
+func traceSkeleton(trace string) string {
+	return traceBytesField.ReplaceAllString(trace, "")
+}
+
+var traceBytesField = regexp.MustCompile(` n=\d+ crc=[0-9a-f]+`)
+
+// checkTraceHashes compares a trace's full and skeleton hashes with the
+// pinned ones.
+func checkTraceHashes(t *testing.T, what, trace, full, skeleton string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(trace))
+	if got := hex.EncodeToString(sum[:]); got != full {
+		t.Errorf("%s moved: sha256 %s, want %s (%d trace bytes)", what, got, full, len(trace))
+	}
+	sum = sha256.Sum256([]byte(traceSkeleton(trace)))
+	if got := hex.EncodeToString(sum[:]); got != skeleton {
+		t.Errorf("%s schedule moved: skeleton sha256 %s, want %s", what, got, skeleton)
+	}
+}
 
 // productionRun runs 8 production-configured members (cross-frame
 // chains, adaptive flush, adaptive quantum; the MACH bypass when
@@ -75,10 +107,7 @@ func TestGoldenProductionTrace(t *testing.T) {
 	if trace == "" {
 		t.Fatal("empty trace")
 	}
-	sum := sha256.Sum256([]byte(trace))
-	if got := hex.EncodeToString(sum[:]); got != goldenTraceSHA256 {
-		t.Errorf("production trace moved: sha256 %s, want %s (%d trace bytes)", got, goldenTraceSHA256, len(trace))
-	}
+	checkTraceHashes(t, "production trace", trace, goldenTraceSHA256, goldenTraceSkeletonSHA256)
 	_, plain := productionRun(t, false)
 	for r := range plain {
 		if len(plain[r]) != 32 {
@@ -100,10 +129,11 @@ func TestGoldenProductionTrace(t *testing.T) {
 // again when the sequencer began to announce runs of casts, a graceful
 // leaver began to go quiet after its leave, a blocked member began to
 // announce its cast count at each sweep, and mflow began to release its
-// queue on a block.
-var goldenVsyncTraceSHA256 = map[int]string{
-	17: "daab854ae376648e2b783c3dca1c0e143d9b12c47a815aa27db64206cc500556",
-	64: "0087456f6ee41fad5cae9f704a100645f28f8a4c372ea7dc1c5315b1fa59efad",
+// queue on a block. Recorded a third time, with the skeleton hashes
+// unchanged, when prefix subs gained the run form.
+var goldenVsyncTraceSHA256 = map[int][2]string{ // full, skeleton
+	17: {"9de80745708a058673e32610f8a9ddaa110b3d761fc2cefef1179ebb15641be5", "ed4041e52f92589634558917ac4aaa1556076573dbaa9082579c881e2afb865a"},
+	64: {"ce3341a2a65a763ea4783ba59a26be0aead444b68d2a0cd0067e35a6b0073adb", "2df5774fb6c86e7da9ff6c70f816eecdc26d77f100a72bc3538bfafc51a7b15c"},
 }
 
 func TestGoldenViewChangeTrace(t *testing.T) {
@@ -126,9 +156,7 @@ func TestGoldenViewChangeTrace(t *testing.T) {
 				t.Fatalf("%d members: member %d ended in a view of %d", n, r, m.View().N())
 			}
 		}
-		sum := sha256.Sum256([]byte(g.Cluster.TraceString()))
-		if got := hex.EncodeToString(sum[:]); got != goldenVsyncTraceSHA256[n] {
-			t.Fatalf("%d-member view-change trace moved: sha256 %s, want %s", n, got, goldenVsyncTraceSHA256[n])
-		}
+		want := goldenVsyncTraceSHA256[n]
+		checkTraceHashes(t, fmt.Sprintf("%d-member view-change trace", n), g.Cluster.TraceString(), want[0], want[1])
 	}
 }

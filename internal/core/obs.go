@@ -38,6 +38,7 @@ func (m *Member) EnableObs(sc *obs.Scope, trk *obs.Track) {
 		sc.Func("batch/flush_barrier", func() int64 { return m.batch.Stats().BarrierFlushes })
 		sc.Func("batch/delta_subs", func() int64 { return m.batch.Stats().DeltaSubs })
 		sc.Func("batch/prefix_subs", func() int64 { return m.batch.Stats().PrefixSubs })
+		sc.Func("batch/run_subs", func() int64 { return m.batch.Stats().RunSubs })
 		sc.Func("batch/verbatim_subs", func() int64 { return m.batch.Stats().VerbatimSubs })
 		// Latency distributions (histogram.go): each sample is one atomic
 		// bucket add, so the observed hot paths keep their 0 allocs/op

@@ -10,6 +10,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"ensemble/internal/layers"
@@ -217,5 +218,65 @@ func TestHandoffIsNotAHit(t *testing.T) {
 	}
 	if share := float64(handoff) / float64(arrivals); share >= 0.05 {
 		t.Fatalf("%d hand-offs in %d arrivals (%.3f), want under 5 %%", handoff, arrivals, share)
+	}
+}
+
+// TestBatchMetricsMatchBatcherStats: every batch/* name in a member's
+// metrics snapshot reads its batcher's counter. A plain vsync group's
+// data casts differ from their predecessors in mnak's seqno and their
+// payloads, so they ride as run subs, which prefix_subs counts too.
+func TestBatchMetricsMatchBatcherStats(t *testing.T) {
+	const members = 4
+	g, err := NewClusterGroup(members, netsim.Ethernet100(), 3, layers.StackVsync(), stack.Func, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	g.EnableObs(reg, nil)
+	for i := 0; i < 20; i++ {
+		for r := range g.Members {
+			r, payload := r, []byte(fmt.Sprintf("cast %d of member %d, fresh bytes %x", i, r, i*members+r))
+			g.Do(r, int64(i)*200_000, func() { g.Members[r].Cast(payload) })
+		}
+	}
+	g.Run(int64(200e6))
+	snap := reg.Snapshot()
+	for r, m := range g.Members {
+		st := m.Batcher().Stats()
+		want := map[string]int64{
+			"sub_packets":     st.SubPackets,
+			"frames":          st.Frames,
+			"frame_bytes":     st.FrameBytes,
+			"flushes":         st.Flushes,
+			"flush_size":      st.SizeFlushes,
+			"flush_entry_end": st.EntryEndFlushes,
+			"flush_barrier":   st.BarrierFlushes,
+			"delta_subs":      st.DeltaSubs,
+			"prefix_subs":     st.PrefixSubs,
+			"run_subs":        st.RunSubs,
+			"verbatim_subs":   st.VerbatimSubs,
+		}
+		scope := fmt.Sprintf("member%d/batch/", r)
+		read := 0
+		for _, metric := range snap {
+			name, ok := strings.CutPrefix(metric.Name, scope)
+			if !ok {
+				continue
+			}
+			w, known := want[name]
+			if !known {
+				t.Fatalf("%s has no batcher counter in this test", metric.Name)
+			}
+			if metric.Value != w {
+				t.Fatalf("%s = %d, batcher says %d", metric.Name, metric.Value, w)
+			}
+			read++
+		}
+		if read != len(want) {
+			t.Fatalf("member %d exports %d batch/* metrics, want %d", r, read, len(want))
+		}
+		if st.RunSubs == 0 || st.RunSubs > st.PrefixSubs {
+			t.Fatalf("member %d: %d run subs of %d prefix subs, want some, counted among them", r, st.RunSubs, st.PrefixSubs)
+		}
 	}
 }

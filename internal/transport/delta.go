@@ -36,6 +36,12 @@ package transport
 //	                           length, mid bytes — the sub is the
 //	                           previous sub's first n bytes, mid, then
 //	                           the previous sub's last s bytes
+//	    flag == 0x50 (run):    uvarint n, uvarint m, m mid bytes, uvarint
+//	                           k, uvarint r, r rest bytes — the sub is
+//	                           the previous sub's first n bytes, mid, the
+//	                           previous sub's bytes [n+m, n+m+k), then
+//	                           rest: a changed field, then the unchanged
+//	                           run after it
 //	}
 //
 // The 0x10 prefix form is the shape-agnostic fallback for wires the
@@ -54,12 +60,16 @@ package transport
 // dependent on its predecessor, so the frame waits for it.
 //
 // The 0x20 suffix bit (both forms) recovers the redundancy *after* the
-// varying bytes: consecutive wires typically differ in one or two
-// mid-header varints and a few low payload bytes while their tails —
-// trailing header fields, the high bytes of little-endian stamps —
-// repeat verbatim, so the encoder elides the longest shared byte suffix
-// against the previous sub the same way the prefix forms elide the
-// front.
+// varying bytes when a wire's tail repeats its predecessor's — trailing
+// header fields, the high bytes of little-endian stamps. A fresh payload
+// at the end of the wire breaks that, and then the bytes worth eliding
+// sit between a changed mid-header field (a seqno) and the payload: the
+// constant headers below it. The run form (0x50) elides exactly that —
+// up to maxRunMid changed bytes after the shared prefix, then the run of
+// at least minRunLen bytes that lines up with the predecessor's at the
+// same offset. The encoder (appendPrefixSub) writes whichever of the
+// prefix, prefix+suffix and run forms is shortest, preferring prefix and
+// prefix+suffix on a tie, so no sub is longer than without the run form.
 //
 // Any sub can fall back to full encoding — a wire that is not a
 // compressed image (CCP miss, control traffic) and shares no useful
@@ -67,12 +77,17 @@ package transport
 // first sub of a fresh generation or anchor frame — so the format
 // degrades per sub, never per frame. Malformed input is never dropped
 // silently and never panics: a truncated sub, a delta with no base,
-// unknown flag bits, a shared prefix longer than the previous sub, or an
-// overflowing seqno delta surfaces the remaining bytes (from the
-// offending sub's flag byte on) as one final garbage sub-packet, which
-// downstream decoders count as a stray packet.
+// unknown flag bits, a shared prefix longer than the previous sub, a run
+// sub's field or run reaching past it, or an overflowing seqno delta
+// surfaces the remaining bytes (from the offending sub's flag byte on) as
+// one final garbage sub-packet, which downstream decoders count as a
+// stray packet.
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+)
 
 // EpochPrefixUvarints is the number of uvarints core.Member prefixes to
 // every data wire (the view sequence number and the membership digest).
@@ -96,6 +111,9 @@ const (
 	// subPrefixSuffix is the prefix form with a shared suffix too: the sub
 	// is prev[:n] + mid + prev[len(prev)-s:].
 	subPrefixSuffix = subPrefix | deltaSuffix
+	// subRun is the prefix form with a changed field and an unchanged run
+	// after it: the sub is prev[:n] + mid + prev[n+m:n+m+k] + rest.
+	subRun = subPrefix | 0x40
 )
 
 // minPrefixLen is the shortest shared prefix worth eliding: below four
@@ -106,13 +124,27 @@ const minPrefixLen = 4
 // costs one extra uvarint, so a one-byte suffix is a wash.
 const minSuffixLen = 2
 
-// commonPrefixLen is the length of the longest shared byte prefix.
+// maxRunMid bounds the changed field a run sub carries before its
+// unchanged run, which bounds the encoder's search: a seqno or a count is
+// a varint of at most a few bytes, and a wider change rarely lines up
+// with an equal run behind it.
+const maxRunMid = 8
+
+// minRunLen is the shortest unchanged run worth a run sub: the run costs
+// the mid and run lengths over a prefix sub, so below four bytes it
+// rarely pays.
+const minRunLen = 4
+
+// commonPrefixLen is the length of the longest shared byte prefix,
+// compared eight bytes at a time.
 func commonPrefixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
 	for i < n && a[i] == b[i] {
 		i++
 	}
@@ -146,12 +178,7 @@ type subMeta struct {
 
 // uvarintLen is the length of v's canonical uvarint encoding.
 func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // parseSub parses wire as an epoch-prefixed compressed image. A wire
@@ -253,6 +280,74 @@ func appendDeltaSub(buf []byte, wire []byte, cur, base subMeta, nPrefix int, pre
 	return append(buf, mid...), true
 }
 
+// appendPrefixSub encodes wire against prev, its predecessor on the
+// chain, with which it shares its first n bytes (n >= minPrefixLen), as
+// the shortest of the prefix, prefix+suffix and run forms. The prefix
+// form elides a suffix when at least minSuffixLen bytes match; the run
+// form is written only when it is strictly shorter than that. It reports
+// whether the sub went out as a run.
+func appendPrefixSub(buf, wire, prev []byte, n int) ([]byte, bool) {
+	s := commonSuffixLen(wire[n:], prev[n:])
+	if s < minSuffixLen {
+		s = 0
+	}
+	mid := len(wire) - n - s
+	size := 1 + uvarintLen(uint64(n)) + uvarintLen(uint64(mid)) + mid
+	if s > 0 {
+		size += uvarintLen(uint64(s))
+	}
+	if m, k, rsize := bestRun(wire, prev, n); rsize < size {
+		buf = append(buf, subRun)
+		buf = binary.AppendUvarint(buf, uint64(n))
+		buf = binary.AppendUvarint(buf, uint64(m))
+		buf = append(buf, wire[n:n+m]...)
+		buf = binary.AppendUvarint(buf, uint64(k))
+		rest := wire[n+m+k:]
+		buf = binary.AppendUvarint(buf, uint64(len(rest)))
+		return append(buf, rest...), true
+	}
+	if s > 0 {
+		buf = append(buf, subPrefixSuffix)
+		buf = binary.AppendUvarint(buf, uint64(n))
+		buf = binary.AppendUvarint(buf, uint64(s))
+	} else {
+		buf = append(buf, subPrefix)
+		buf = binary.AppendUvarint(buf, uint64(n))
+	}
+	buf = binary.AppendUvarint(buf, uint64(mid))
+	return append(buf, wire[n:n+mid]...), false
+}
+
+// bestRun finds the shortest run sub for wire against prev after their
+// shared n-byte prefix: a changed field wire[n:n+m] with m <= maxRunMid,
+// then the k >= minRunLen bytes that equal prev's at the same offsets. It
+// returns the sub's encoded size, or math.MaxInt when no split qualifies;
+// on a tie the shorter field wins. A split only pays where the field ends
+// on a differing byte (extending the field over an equal byte shortens
+// the run by as much), so the candidates are the starts of equal runs
+// within the window, and one pass compares each byte pair at most once.
+func bestRun(wire, prev []byte, n int) (m, k, size int) {
+	size = math.MaxInt
+	lim := min(len(wire), len(prev))
+	// wire[n] != prev[n]: n is the shared prefix's length.
+	for p := n + 1; p <= n+maxRunMid && p < lim; {
+		if wire[p] != prev[p] {
+			p++
+			continue
+		}
+		run := commonPrefixLen(wire[p:lim], prev[p:lim])
+		if run >= minRunLen {
+			cm, r := p-n, len(wire)-p-run
+			cs := 1 + uvarintLen(uint64(n)) + uvarintLen(uint64(cm)) + cm + uvarintLen(uint64(run)) + uvarintLen(uint64(r)) + r
+			if cs < size {
+				m, k, size = cm, run, cs
+			}
+		}
+		p += run + 1 // wire[p+run] differs, or p+run == lim
+	}
+	return m, k, size
+}
+
 // maxOutHint caps what outBound asks for. Shared prefixes and suffixes
 // may overlap, so a crafted frame can describe subs that double in
 // length from one to the next; the hint stays small whatever the frame
@@ -261,8 +356,8 @@ const maxOutHint = 1 << 20
 
 // outBound scans the sub grammar of data[off:] without decoding it and
 // returns an upper bound on the bytes walkSubs will reconstruct: for
-// each delta or prefix sub its explicit bytes, the bytes it takes from
-// its predecessor, and for a delta sub the longest header the elided
+// each delta, prefix or run sub its explicit bytes, the bytes it takes
+// from its predecessor, and for a delta sub the longest header the elided
 // fields can spell. Full subs and n = 0, suffix-free prefix subs are
 // surfaced in place and count nothing.
 // The scan stops where walkSubs would surface garbage. prevLen is the
@@ -276,6 +371,25 @@ func (w *FrameWalker) outBound(data []byte, off, prevLen int) int {
 		size := 0 // this sub's reconstructed length, less its explicit bytes
 		switch {
 		case flag == subFull:
+		case flag == subRun:
+			// n, then the mid, then the run taken from the predecessor; the
+			// rest is read below like every form's explicit bytes.
+			n, k := binary.Uvarint(data[off:])
+			if k <= 0 || n > uint64(prevLen) {
+				return total
+			}
+			off += k
+			m, k := binary.Uvarint(data[off:])
+			if k <= 0 || m > uint64(len(data)-off-k) {
+				return total
+			}
+			off += k + int(m)
+			run, k := binary.Uvarint(data[off:])
+			if k <= 0 || n+m > uint64(prevLen) || run > uint64(prevLen)-n-m {
+				return total
+			}
+			off += k
+			size = int(n + m + run)
 		case flag == subPrefix || flag == subPrefixSuffix:
 			n, k := binary.Uvarint(data[off:])
 			if k <= 0 || n > uint64(prevLen) {
@@ -333,7 +447,7 @@ func (w *FrameWalker) outBound(data []byte, off, prevLen int) int {
 		}
 		off = end
 		prevLen = size + int(n)
-		if size > 0 {
+		if size > 0 || flag == subRun {
 			total += prevLen
 		}
 	}
@@ -363,9 +477,20 @@ func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []
 	} else if n := w.outBound(data, off, len(prev)); n > 0 {
 		out = make([]byte, 0, n)
 	}
+	// unparsed is the last surfaced sub while w.base is still its
+	// predecessor's: only a delta sub and the walk's end read w.base, so a
+	// run of full, prefix and run subs parses its last sub alone.
+	var unparsed []byte
+	parseBase := func() {
+		if unparsed != nil {
+			w.base = parseSub(unparsed, w.nPrefix)
+			unparsed = nil
+		}
+	}
 	for off < len(data) {
 		subStart := off
 		garbage := func() (int, []byte, bool, bool) {
+			parseBase()
 			fn(data[subStart:])
 			if !w.stable {
 				w.scratch = out[:0]
@@ -385,8 +510,51 @@ func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []
 				return garbage()
 			}
 			sub := data[off:end:end]
-			w.base = parseSub(sub, w.nPrefix)
+			unparsed = sub
 			prev, inPlace = sub, true
+			fn(sub)
+			subs++
+			off = end
+			continue
+		}
+		if flag == subRun {
+			// Run sub: one copy of the previous sub's first n+m+k bytes
+			// with the changed field patched over [n, n+m), then the rest.
+			// No base, or a field and run reaching past the previous sub,
+			// is undecodable.
+			n, k := binary.Uvarint(data[off:])
+			if k <= 0 || prev == nil || n > uint64(len(prev)) {
+				return garbage()
+			}
+			off += k
+			m, k := binary.Uvarint(data[off:])
+			if k <= 0 || m > uint64(len(data)-off-k) {
+				return garbage()
+			}
+			off += k
+			mid := data[off : off+int(m)]
+			off += int(m)
+			run, k := binary.Uvarint(data[off:])
+			if k <= 0 || n+m > uint64(len(prev)) || run > uint64(len(prev))-n-m {
+				return garbage()
+			}
+			off += k
+			r, k := binary.Uvarint(data[off:])
+			if k <= 0 {
+				return garbage()
+			}
+			off += k
+			end := off + int(r)
+			if end < off || end > len(data) {
+				return garbage()
+			}
+			start := len(out)
+			out = append(out, prev[:n+m+run]...)
+			copy(out[start+int(n):], mid)
+			out = append(out, data[off:end]...)
+			sub := out[start:len(out):len(out)]
+			unparsed = sub
+			prev, inPlace = sub, false
 			fn(sub)
 			subs++
 			off = end
@@ -434,13 +602,14 @@ func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []
 				}
 				sub, inPlace = out[start:len(out):len(out)], false
 			}
-			w.base = parseSub(sub, w.nPrefix)
+			unparsed = sub
 			prev = sub
 			fn(sub)
 			subs++
 			off = end
 			continue
 		}
+		parseBase()
 		if flag&subIsDelta == 0 || flag&^byte(deltaKnown) != 0 || !w.base.ok {
 			// Unknown flag bits, or a delta sub with nothing to be a
 			// delta of (first in frame with no seeded base, or after an
@@ -528,5 +697,6 @@ func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []
 	if !w.stable {
 		w.scratch = out[:0]
 	}
+	parseBase()
 	return subs, prev, inPlace, true
 }

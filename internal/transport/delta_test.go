@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -351,11 +352,15 @@ func TestFrameWalkerStableSubsOutliveWalk(t *testing.T) {
 
 // TestStableWalkOneBufferPerFrame: a stable-mode walk sizes its
 // reconstruction buffer from the frame before it decodes — one
-// allocation however many delta, prefix and prefix+suffix subs follow,
-// and outBound really bounds what they reconstruct to.
+// allocation however many delta, prefix, prefix+suffix and run subs
+// follow, and outBound really bounds what they reconstruct to.
 func TestStableWalkOneBufferPerFrame(t *testing.T) {
 	prefix := []uint64{1, 1 << 40}
 	var wires [][]byte
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 6; i++ {
+		wires = append(wires, vsyncCast(int64(20+i), freshPayload(rng, 32)))
+	}
 	for i := 0; i < 12; i++ {
 		wires = append(wires, cwire(prefix, 3, uint64(i/6), int64(1000+i), bytes.Repeat([]byte{byte(i)}, 40)...))
 	}
@@ -363,7 +368,17 @@ func TestStableWalkOneBufferPerFrame(t *testing.T) {
 		opaque := append([]byte("opaque-control-wire-"), byte(i))
 		wires = append(wires, append(opaque, "-with-a-shared-tail"...))
 	}
-	frame := deltaFrameOf(t, 2, wires...)
+	sink := &frameSink{}
+	b := NewBatcher(sink, 0, 0)
+	b.EnableCrossFrame(2)
+	for _, w := range wires {
+		b.Cast(w)
+	}
+	b.Flush()
+	if len(sink.calls) != 1 || b.Stats().RunSubs != 5 {
+		t.Fatalf("%d frames, stats %+v: want one frame with 5 run subs", len(sink.calls), b.Stats())
+	}
+	frame := sink.calls[0].data
 	_, _, _, off, ok := parseXHeader(frame)
 	if !ok {
 		t.Fatal("frame header does not parse")
@@ -471,14 +486,21 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 			rest = rest[:256]
 		}
 		prefix := []uint64{p0, p1}
+		// Opaque pair: exercises the shared-prefix forms (and the full
+		// fallback when rest is too short to share 4 bytes). The second
+		// differs in its middle byte, a changed field, and in its last, a
+		// fresh tail, so the run form can pay; with the tail equal the
+		// prefix+suffix form ties with it and wins.
+		opaque := append([]byte{0x01}, rest...)
+		changed := append([]byte(nil), opaque...)
+		changed[len(changed)/2]++
+		changed[len(changed)-1]--
 		wires := [][]byte{
 			cwire(prefix, id, sender, seq1, rest...),
 			cwire(prefix, id, sender, seq2, rest...),
 			cwire(prefix, id+1, sender+1, seq1, rest...),
-			// Opaque pair: exercises the shared-prefix fallback (and the
-			// full fallback when rest is too short to share 4 bytes).
-			append([]byte{0x01}, rest...),
-			append([]byte{0x01}, rest...),
+			opaque,
+			changed,
 		}
 		sink := &frameSink{}
 		b := NewBatcher(sink, 0, 1<<20)

@@ -13,7 +13,7 @@ package transport
 //	gen      uvarint — the sender's generation for this chain
 //	frameSeq uvarint — 1-based frame counter within the generation
 //	subs     the sub grammar of delta.go: each sub rides full, field-
-//	         delta-encoded, or as a shared prefix/suffix of its
+//	         delta-encoded, or as a shared prefix/suffix/run of its
 //	         predecessor
 //
 // A *chain* is the sequence of frames to one destination (the cast
@@ -112,8 +112,12 @@ type BatcherStats struct {
 	// their predecessor on the chain.
 	DeltaSubs int64
 	// PrefixSubs counts wires that went out as shared-prefix subs — the
-	// shape-agnostic fallback for wires the field delta cannot parse.
+	// shape-agnostic fallback for wires the field delta cannot parse —
+	// in any of the prefix, prefix+suffix and run forms.
 	PrefixSubs int64
+	// RunSubs counts the PrefixSubs that went out in the run form: a
+	// changed field, then an unchanged run of the predecessor's bytes.
+	RunSubs int64
 	// VerbatimSubs counts frame-sized wires (at least the frame budget
 	// long), which ride verbatim so receivers surface them where they
 	// landed: as a prefix sub sharing nothing when they share a prefix
@@ -154,6 +158,7 @@ func (s *BatcherStats) Add(o BatcherStats) {
 	s.BarrierFlushes += o.BarrierFlushes
 	s.DeltaSubs += o.DeltaSubs
 	s.PrefixSubs += o.PrefixSubs
+	s.RunSubs += o.RunSubs
 	s.VerbatimSubs += o.VerbatimSubs
 	s.FrameBytes += o.FrameBytes
 	s.ClassicBytes += o.ClassicBytes
@@ -363,10 +368,12 @@ func (b *Batcher) Cast(wire ...[]byte) { b.append(true, 0, wire) }
 // it and the previous sub parse as compressed images and the seqno delta
 // fits; otherwise a shared-prefix sub when enough leading bytes match
 // the previous wire (acks and gossip repeat their headers even though
-// the coder has no model of their fields); a flagged full sub as the
-// last resort. Either way the wire becomes the next delta base (an
-// unparseable wire clears the field base, so a following delta sub can
-// never refer past an opaque one) and the next prefix base.
+// the coder has no model of their fields, and plain-stack data wires
+// repeat theirs around a changed seqno), in whichever prefix form is
+// shortest (appendPrefixSub); a flagged full sub as the last resort.
+// Either way the wire becomes the next delta base (an unparseable wire
+// clears the field base, so a following delta sub can never refer past
+// an opaque one) and the next prefix base.
 //
 // A wire at least maxBytes long fills a frame on its own, and a few
 // elided header bytes would cost each receiver a rebuild of the whole
@@ -417,21 +424,12 @@ func (b *Batcher) append(cast bool, to event.Addr, segs [][]byte) {
 		f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)))
 		f.buf = append(f.buf, wire...)
 	} else if n >= minPrefixLen {
-		s := commonSuffixLen(wire[n:], b.prev[n:])
-		if s < minSuffixLen {
-			s = 0
-		}
-		if s > 0 {
-			f.buf = append(f.buf, subPrefixSuffix)
-			f.buf = binary.AppendUvarint(f.buf, uint64(n))
-			f.buf = binary.AppendUvarint(f.buf, uint64(s))
-		} else {
-			f.buf = append(f.buf, subPrefix)
-			f.buf = binary.AppendUvarint(f.buf, uint64(n))
-		}
-		f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)-n-s))
-		f.buf = append(f.buf, wire[n:len(wire)-s]...)
+		var run bool
+		f.buf, run = appendPrefixSub(f.buf, wire, b.prev, n)
 		b.stats.PrefixSubs++
+		if run {
+			b.stats.RunSubs++
+		}
 	} else {
 		full = true
 		f.buf = append(f.buf, subFull)
