@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify examples bench bench-gate benchmark-module multiproc flight fuzz pooldebug clean
+.PHONY: all build test race verify examples bench bench-gate benchmark-module multiproc flight fuzz pooldebug loc clean
 
 all: build test
 
@@ -19,12 +19,14 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# The pre-merge gate: vet, the full suite, and the internal packages
-# under the race detector — the cluster tests in internal/core and
-# internal/netsim run full stacks one-goroutine-per-member, so this is
-# what proves the pooled hot path is safe under real concurrency.
+# The pre-merge gate: vet, the size report, the full suite, and the
+# internal packages under the race detector — the cluster tests in
+# internal/core and internal/netsim run full stacks
+# one-goroutine-per-member, so this is what proves the pooled hot path
+# is safe under real concurrency.
 verify:
 	$(GO) vet ./...
+	$(MAKE) loc
 	$(GO) test ./...
 	$(GO) test -race ./internal/...
 	$(MAKE) examples
@@ -121,6 +123,15 @@ fuzz:
 # member.
 flight:
 	$(GO) run ./cmd/ensemble-bench -flight flight.trace.json
+
+# The size of the program: non-test Go lines per top-level directory
+# ("." is the root package), each internal/ package on its own, and
+# the total. benchmark/ is a module of its own and not counted.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' | sort | xargs wc -l | \
+	awk '$$2 != "total" { n = split($$2, p, "/"); d = n == 2 ? "." : p[2]; s[d] += $$1; t += $$1; \
+		if (d == "internal" && n > 3) s[d "/" p[3]] += $$1 } \
+		END { for (d in s) printf "%7d  %s\n", s[d], d; printf "%7d  total\n", t }' | sort -k2
 
 # The full test suite with pool debugging forced on everywhere.
 # -count=1 because internal/event reads ENSEMBLE_POOLDEBUG in its init,

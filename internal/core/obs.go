@@ -49,61 +49,48 @@ func (m *Member) EnableObs(sc *obs.Scope, trk *obs.Track) {
 		m.latView = sc.Histogram("lat/view_ns")
 		m.batch.SetHoldObserver(m.latHold.Observe)
 	}
-	if m.optimized {
-		// MACH dispatch accounting. Each routing decision lands on exactly
-		// one per-path windowed counter — one atomic add per event, zero
-		// allocations — whose lifetime total feeds the dashboards and
-		// whose window (reset at every view install) is the per-view mix.
-		// Three sums over the path family split every route: mach/ccp_hit
-		// counts the routes compiled code carried to the end,
-		// mach/handoff those it handed to the interpreted stack part-way
-		// (an arrival at the layer whose common case failed, a cast's
-		// self-delivery copy above local), and mach/ccp_miss the
+	if m.optimized && sc != nil {
+		// MACH dispatch accounting, read from the engines' own counters
+		// at snapshot time: each name reads the member's lifetime total
+		// (the engines of earlier views, carried at install, plus the
+		// current one), and its /window twin the current view's engine
+		// alone. Three sums split every route: mach/ccp_hit counts the
+		// routes compiled code carried to the end, mach/handoff the
+		// arrivals it handed to the interpreted stack part-way, at the
+		// layer whose common case failed, and mach/ccp_miss the
 		// fall-throughs to the interpreted stack from the start.
+		life := func(name string, read func(opt.EngineStats) int64) {
+			sc.Func(name, func() int64 { return read(m.engStats()) })
+		}
+		windowed := func(name string, read func(opt.EngineStats) int64) {
+			life(name, read)
+			sc.Func(name+"/window", func() int64 { return read(m.eng.Stats()) })
+		}
+		windowed("mach/ccp_hit", func(st opt.EngineStats) int64 { return st.DnBypass + st.UpBypass - st.UpPartial })
+		windowed("mach/handoff", func(st opt.EngineStats) int64 { return st.UpPartial })
+		windowed("mach/ccp_miss", func(st opt.EngineStats) int64 { return st.DnFull + st.UpFull })
 		for p := opt.PathID(0); p < opt.NumPaths; p++ {
-			w := &obs.Window{}
-			m.pathWin[p] = w
-			if sc != nil {
-				sc.AdoptWindow("mach/path/"+p.String(), w)
-			}
+			windowed("mach/path/"+p.String(), func(st opt.EngineStats) int64 { return st.PathHits[p] })
 		}
-		if sc != nil {
-			sum := func(read func(*obs.Window) int64, in func(opt.PathID) bool) int64 {
-				var n int64
-				for p := opt.PathID(0); p < opt.NumPaths; p++ {
-					if in(p) {
-						n += read(m.pathWin[p])
-					}
-				}
-				return n
-			}
-			handoff := func(p opt.PathID) bool { return p == opt.PathUpHandoff || p == opt.PathDnCastPartial }
-			hit := func(p opt.PathID) bool { return p != opt.PathFullStack && !handoff(p) }
-			sc.Func("mach/ccp_hit", func() int64 { return sum((*obs.Window).Total, hit) })
-			sc.Func("mach/ccp_hit/window", func() int64 { return sum((*obs.Window).Window, hit) })
-			sc.Func("mach/handoff", func() int64 { return sum((*obs.Window).Total, handoff) })
-			sc.Func("mach/handoff/window", func() int64 { return sum((*obs.Window).Window, handoff) })
-			sc.Func("mach/ccp_miss", func() int64 { return m.pathWin[opt.PathFullStack].Total() })
-			sc.Func("mach/ccp_miss/window", func() int64 { return m.pathWin[opt.PathFullStack].Window() })
-			sc.Func("mach/dn_bypass", func() int64 { return m.eng.Stats().DnBypass })
-			sc.Func("mach/dn_partial", func() int64 { return m.eng.Stats().DnPartial })
-			sc.Func("mach/dn_full", func() int64 { return m.eng.Stats().DnFull })
-			sc.Func("mach/up_bypass", func() int64 { return m.eng.Stats().UpBypass })
-			sc.Func("mach/up_partial", func() int64 { return m.eng.Stats().UpPartial })
-			sc.Func("mach/up_full", func() int64 { return m.eng.Stats().UpFull })
-			sc.Func("mach/uncompressed", func() int64 { return m.eng.Stats().Uncompressed })
-			sc.Func("mach/undecodable", func() int64 { return m.eng.Stats().Undecodable })
-			sc.Func("mach/ctrl_compressed", func() int64 { return m.eng.Stats().CtrlCompressed })
-			sc.Func("mach/ctrl_full", func() int64 { return m.eng.Stats().CtrlFull })
-			sc.Func("mach/parked", func() int64 { return m.eng.Stats().Parked })
-			sc.Func("mach/released", func() int64 { return m.eng.Stats().Released })
-		}
+		life("mach/dn_bypass", func(st opt.EngineStats) int64 { return st.DnBypass })
+		life("mach/dn_full", func(st opt.EngineStats) int64 { return st.DnFull })
+		life("mach/up_bypass", func(st opt.EngineStats) int64 { return st.UpBypass })
+		life("mach/up_partial", func(st opt.EngineStats) int64 { return st.UpPartial })
+		life("mach/up_full", func(st opt.EngineStats) int64 { return st.UpFull })
+		life("mach/uncompressed", func(st opt.EngineStats) int64 { return st.Uncompressed })
+		life("mach/undecodable", func(st opt.EngineStats) int64 { return st.Undecodable })
+		life("mach/ctrl_compressed", func(st opt.EngineStats) int64 { return st.CtrlCompressed })
+		life("mach/ctrl_full", func(st opt.EngineStats) int64 { return st.CtrlFull })
+		life("mach/parked", func(st opt.EngineStats) int64 { return st.Parked })
+		life("mach/released", func(st opt.EngineStats) int64 { return st.Released })
+	}
+	if m.optimized && trk != nil {
+		// Each routing decision is a flight record.
 		m.obsRoute = func(up bool, pid opt.PathID) {
 			dir := obs.DirDn
 			if up {
 				dir = obs.DirUp
 			}
-			m.pathWin[pid].Inc()
 			if pid != opt.PathFullStack {
 				m.ccpHits++
 				m.trk.Record(m.sim.Now(), obs.KindCCPHit, dir, uint8(pid), m.ccpHits)

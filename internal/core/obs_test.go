@@ -115,10 +115,9 @@ func TestObsMetricsVisible(t *testing.T) {
 		return v
 	}
 	engHit := get("dn_bypass") + get("up_bypass") - get("up_partial")
-	engHandoff := get("dn_partial") + get("up_partial")
+	engHandoff := get("up_partial")
 	engMiss := get("dn_full") + get("up_full")
-	// Engine counters reset at view installs; the obs counters span the
-	// member's life, so they can only be >= the current engine's.
+	// Both sets of gauges span the member's life.
 	if hit < engHit || handoff < engHandoff || miss < engMiss {
 		t.Fatalf("obs bypass counters behind the engine's: hit=%d (eng %d) handoff=%d (eng %d) miss=%d (eng %d)",
 			hit, engHit, handoff, engHandoff, miss, engMiss)
@@ -278,5 +277,72 @@ func TestBatchMetricsMatchBatcherStats(t *testing.T) {
 		if st.RunSubs == 0 || st.RunSubs > st.PrefixSubs {
 			t.Fatalf("member %d: %d run subs of %d prefix subs, want some, counted among them", r, st.RunSubs, st.PrefixSubs)
 		}
+	}
+}
+
+// TestMachGaugesSpanViewChanges: a member rebuilds its engine at every
+// view install, and its mach/* gauges still read lifetime totals — the
+// earlier engines' counters carried, plus the current one's — while each
+// /window twin reads the current view's engine alone. A 4-member vsync
+// group casts, rank 3 leaves, and the survivors cast again.
+func TestMachGaugesSpanViewChanges(t *testing.T) {
+	const members, rounds = 4, 50
+	g, err := NewOptimizedClusterGroup(members, netsim.Ethernet100(), 1, layers.StackVsync(), stack.Func, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	g.EnableObs(reg, nil)
+	castRounds := func(from int64, n int) {
+		for i := 0; i < rounds; i++ {
+			for r := 0; r < n; r++ {
+				g.Do(r, from+int64(i)*200_000, func() { g.Members[r].Cast([]byte{byte(i), byte(r)}) })
+			}
+		}
+	}
+	castRounds(0, members)
+	g.Run(int64(1e9))
+	before := reg.Snapshot()
+	g.Do(members-1, 0, func() { g.Members[members-1].Leave() })
+	g.Run(int64(30e9))
+	if n := g.Members[0].View().N(); n != members-1 {
+		t.Fatalf("member 0 is in a view of %d after the leave, want %d", n, members-1)
+	}
+	castRounds(0, members-1)
+	g.Run(int64(1e9))
+	after := reg.Snapshot()
+
+	life := g.Members[0].engStats()
+	cur := g.Members[0].Engine().Stats()
+	read := func(s obs.Snapshot, name string) int64 {
+		v, ok := s.Get("member0/mach/" + name)
+		if !ok {
+			t.Fatalf("member0/mach/%s missing from the snapshot", name)
+		}
+		return v
+	}
+	gauges := map[string][2]int64{
+		"dn_bypass":    {life.DnBypass, cur.DnBypass},
+		"up_bypass":    {life.UpBypass, cur.UpBypass},
+		"ccp_hit":      {life.DnBypass + life.UpBypass - life.UpPartial, cur.DnBypass + cur.UpBypass - cur.UpPartial},
+		"ccp_miss":     {life.DnFull + life.UpFull, cur.DnFull + cur.UpFull},
+		"path/dn_cast": {life.PathHits[opt.PathDnCast], cur.PathHits[opt.PathDnCast]},
+		"path/up_cast": {life.PathHits[opt.PathUpCast], cur.PathHits[opt.PathUpCast]},
+	}
+	for name, want := range gauges {
+		was, now := read(before, name), read(after, name)
+		t.Logf("%s: %d before the leave, %d after (engine %d)", name, was, now, want[1])
+		if now < was || now != want[0] {
+			t.Errorf("mach/%s reads %d after the view change, %d before it; want the lifetime %d", name, now, was, want[0])
+		}
+	}
+	// The current view's casts are counted on their own too.
+	for _, name := range []string{"ccp_hit", "ccp_miss", "path/dn_cast", "path/up_cast"} {
+		if got := read(after, name+"/window"); got != gauges[name][1] {
+			t.Errorf("mach/%s/window reads %d, the current engine %d", name, got, gauges[name][1])
+		}
+	}
+	if w, l := read(after, "path/dn_cast/window"), read(after, "path/dn_cast"); w != rounds || l != 2*rounds {
+		t.Errorf("mach/path/dn_cast reads %d in this view and %d in all, want %d and %d", w, l, rounds, 2*rounds)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ensemble/internal/layer"
 	"ensemble/internal/layers"
 	"ensemble/internal/netsim"
 	"ensemble/internal/opt"
@@ -228,7 +229,6 @@ func TestEveryCastIsOneCompiledProbe(t *testing.T) {
 	for _, m := range g.Members {
 		st := m.Engine().Stats()
 		sum.DnBypass += st.DnBypass
-		sum.DnPartial += st.DnPartial
 		sum.DnFull += st.DnFull
 		sum.Parked += st.Parked
 		for p := range st.PathMisses {
@@ -236,20 +236,59 @@ func TestEveryCastIsOneCompiledProbe(t *testing.T) {
 			sum.PathMisses[p] += st.PathMisses[p]
 		}
 	}
-	t.Logf("down: bypass %d partial %d full %d; hits %v misses %v", sum.DnBypass, sum.DnPartial, sum.DnFull, sum.PathHits, sum.PathMisses)
-	for _, p := range []opt.PathID{opt.PathDnCast, opt.PathDnCastPartial} {
-		if sum.PathMisses[p] != 0 {
-			t.Errorf("%s missed %d times", p, sum.PathMisses[p])
-		}
+	t.Logf("down: bypass %d full %d; hits %v misses %v", sum.DnBypass, sum.DnFull, sum.PathHits, sum.PathMisses)
+	if sum.PathMisses[opt.PathDnCast] != 0 {
+		t.Errorf("%s missed %d times", opt.PathDnCast, sum.PathMisses[opt.PathDnCast])
 	}
-	if sum.DnBypass != members*rounds || sum.DnPartial != 0 || sum.DnFull != 0 {
-		t.Errorf("DnBypass %d, DnPartial %d, DnFull %d; want %d, 0, 0",
-			sum.DnBypass, sum.DnPartial, sum.DnFull, members*rounds)
+	if sum.DnBypass != members*rounds || sum.DnFull != 0 {
+		t.Errorf("DnBypass %d, DnFull %d; want %d, 0", sum.DnBypass, sum.DnFull, members*rounds)
 	}
 	// Parked: each non-sequencer cast's own copy, and its arrival at the
 	// other non-sequencers.
-	if want := int64((members - 1) * rounds * (members - 1)); sum.PathHits[opt.PathDnCastPartial] != 0 || sum.Parked != want {
-		t.Errorf("%d hand-offs routed on %s and %d casts parked, want none and %d",
-			sum.PathHits[opt.PathDnCastPartial], opt.PathDnCastPartial, sum.Parked, want)
+	if want := int64((members - 1) * rounds * (members - 1)); sum.Parked != want {
+		t.Errorf("%d casts parked, want %d", sum.Parked, want)
+	}
+}
+
+// TestVsyncCastsCompiledBeforeFirstSweep: suspect's liveness clock
+// exists from the start of a view, so a vsync member's casts take the
+// compiled path whole from its first one, before the first sweep
+// (50 ms) as after it: four members casting 32 B every 200 µs for
+// 100 ms route every cast on dn_cast and none through the stack.
+func TestVsyncCastsCompiledBeforeFirstSweep(t *testing.T) {
+	const members, casts = 4, 500
+	g, err := NewOptimizedClusterGroup(members, netsim.Ethernet100(), 1, layers.StackVsync(), stack.Func, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := layer.DefaultConfig(g.Members[0].View()).SweepInterval
+	for i := 0; i < casts; i++ {
+		for r := 0; r < members; r++ {
+			buf := make([]byte, 32)
+			buf[0], buf[1] = byte(i), byte(r)
+			g.Do(r, int64(i)*200_000, func() { g.Members[r].Cast(buf) })
+		}
+	}
+	// Before the first sweep.
+	early := sweep / 200_000
+	g.Run(sweep - 1)
+	for r, m := range g.Members {
+		st := m.Engine().Stats()
+		if st.DnBypass < early || st.DnFull != 0 || st.PathHits[opt.PathDnCast] != st.DnBypass {
+			t.Errorf("member %d before the first sweep: %d casts on %s of %d routed down, %d through the stack; want at least %d, all compiled",
+				r, st.PathHits[opt.PathDnCast], opt.PathDnCast, st.DnBypass+st.DnFull, st.DnFull, early)
+		}
+	}
+	g.Run(int64(casts)*200_000 + int64(1e9))
+	for r, m := range g.Members {
+		if st := m.Engine().Stats(); st.DnBypass != casts || st.DnFull != 0 || st.PathHits[opt.PathDnCast] != casts {
+			t.Errorf("member %d: %d of %d casts routed on %s, %d through the stack", r, st.PathHits[opt.PathDnCast], casts, opt.PathDnCast, st.DnFull)
+		}
+		if got := m.Stats().CastsDelivered; got != members*casts {
+			t.Errorf("member %d delivered %d casts, want %d", r, got, members*casts)
+		}
+		if v := m.View(); v.N() != members {
+			t.Fatalf("member %d is in a view of %d", r, v.N())
+		}
 	}
 }

@@ -64,18 +64,9 @@ func (s *suspectState) IRVars() []ir.VarSpec {
 			return c
 		}),
 		scalarRO("now", func() int64 { return s.now }),
-		scalarRO("inited", func() int64 { return b2i(s.lastHeard != nil) }),
 		ir.VarSpec{
-			Name: "last_heard",
-			// Reads before the first timer sweep (lastHeard still nil)
-			// answer zero; writes are gated by the `inited` CCP conjunct
-			// and can never arrive before the baseline exists.
-			GetAt: func(i int64) int64 {
-				if s.lastHeard == nil {
-					return 0
-				}
-				return s.lastHeard[i]
-			},
+			Name:  "last_heard",
+			GetAt: func(i int64) int64 { return s.lastHeard[i] },
 			SetAt: func(i, v int64) { s.lastHeard[i] = v },
 		},
 	}
@@ -83,20 +74,18 @@ func (s *suspectState) IRVars() []ir.VarSpec {
 
 func suspectDef() ir.LayerDef {
 	tagIs := func(t byte) ir.Expr { return ir.Eq(ir.HdrField("tag"), ir.Const(int64(t))) }
-	inited := ir.Eq(ir.Var("inited"), ir.Const(1))
 	lastHeard := ir.Index{Name: "last_heard", Idx: ir.EvField("peer")}
 	dn := []ir.Rule{{Guard: ir.True, Actions: []ir.Action{
 		ir.PushHdr{H: ir.HdrCons{Layer: Suspect, Variant: "Pass"}},
 	}}}
 	// Refreshing the liveness timestamp is an unconditional write of
 	// `now`: the handler's max() guard is equivalent because timestamps
-	// never exceed the clock.
+	// never exceed the clock (before the first sweep both are 0).
 	up := []ir.Rule{
-		{Guard: ir.And(tagIs(suspectTagPass), inited), Actions: []ir.Action{
+		{Guard: tagIs(suspectTagPass), Actions: []ir.Action{
 			ir.Assign{Target: lastHeard, Val: ir.Var("now")},
 			ir.PopDeliver{},
 		}},
-		{Guard: tagIs(suspectTagPass), Actions: []ir.Action{ir.PopDeliver{}}},
 		{Guard: ir.True, Actions: []ir.Action{ir.Fallback{Reason: "heartbeat"}}},
 	}
 	return ir.LayerDef{
@@ -108,8 +97,8 @@ func suspectDef() ir.LayerDef {
 		CCP: map[ir.PathKey]ir.Expr{
 			ir.DnCast: ir.True,
 			ir.DnSend: ir.True,
-			ir.UpCast: ir.And(tagIs(suspectTagPass), inited),
-			ir.UpSend: ir.And(tagIs(suspectTagPass), inited),
+			ir.UpCast: tagIs(suspectTagPass),
+			ir.UpSend: tagIs(suspectTagPass),
 		},
 	}
 }

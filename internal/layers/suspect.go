@@ -19,7 +19,10 @@ type suspectState struct {
 	// now is the latest virtual time observed from timer events.
 	now int64
 	// lastHeard[o] is the virtual time of the last traffic from o.
+	// Before the first timer sweep now is 0, so heard writes nothing;
+	// the sweep baselines every entry at its own time (baselined).
 	lastHeard []int64
+	baselined bool
 	// suspected marks members already announced.
 	suspected []bool
 
@@ -57,11 +60,10 @@ var suspectHdrs = []ir.HdrSpec{
 
 func init() {
 	layer.Register(Suspect, func(cfg layer.Config) layer.State {
-		// lastHeard stays nil until the first timer sweep supplies the
-		// current virtual time as the baseline.
 		return &suspectState{
 			view:      cfg.View,
 			timeout:   cfg.SuspectTimeout,
+			lastHeard: make([]int64, cfg.View.N()),
 			suspected: make([]bool, cfg.View.N()),
 		}
 	})
@@ -99,10 +101,10 @@ func (s *suspectState) HandleUp(ev *event.Event, snk layer.Sink) {
 		}
 	case event.ETimer:
 		s.now = ev.Time
-		if s.lastHeard == nil {
+		if !s.baselined {
 			// First sweep in this view: the clock is absolute virtual
 			// time, so "heard" baselines start now, not at zero.
-			s.lastHeard = make([]int64, s.view.N())
+			s.baselined = true
 			for i := range s.lastHeard {
 				s.lastHeard[i] = s.now
 			}
@@ -125,7 +127,7 @@ func (s *suspectState) HandleUp(ev *event.Event, snk layer.Sink) {
 }
 
 func (s *suspectState) heard(o int) {
-	if s.lastHeard != nil && s.now > s.lastHeard[o] {
+	if s.now > s.lastHeard[o] {
 		s.lastHeard[o] = s.now
 	}
 }

@@ -372,3 +372,27 @@ func TestMergeDumpsDisjointRanks(t *testing.T) {
 			len(tracks), len(tracks[0]), len(tracks[3]), len(tracks[1]))
 	}
 }
+
+// TestDumpBytesIsEncodeDump: a recorder's dump is the EncodeDump image
+// of its own parse — one record layout — across wrapped, partly filled
+// and empty rings.
+func TestDumpBytesIsEncodeDump(t *testing.T) {
+	rec := NewRecorder(3, 16)
+	for s := int64(1); s <= 50; s++ {
+		rec.Track(0).Record(s*100, KindDeliver, DirUp, uint8(s), s) // wraps three times
+	}
+	for s := int64(1); s <= 5; s++ {
+		rec.Track(2).Record(s*7, KindCCPHit, DirDn, 3, -s)
+	}
+	dump := rec.DumpBytes()
+	tracks, err := ParseDump(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tracks[0]) != 16 || tracks[0][0].Seq != 35 || len(tracks[1]) != 0 || len(tracks[2]) != 5 {
+		t.Fatalf("parsed %d, %d and %d records (oldest kept %+v)", len(tracks[0]), len(tracks[1]), len(tracks[2]), tracks[0][0])
+	}
+	if again := EncodeDump(tracks); !bytes.Equal(again, dump) {
+		t.Fatalf("EncodeDump(ParseDump(dump)) differs: %d bytes vs %d", len(again), len(dump))
+	}
+}

@@ -225,15 +225,7 @@ func (r *Recorder) DumpBytes() []byte {
 	out := append([]byte(nil), dumpMagic...)
 	out = binary.AppendUvarint(out, uint64(len(r.tracks)))
 	for _, t := range r.tracks {
-		recs := t.Ordered()
-		out = binary.AppendUvarint(out, uint64(t.rank))
-		out = binary.AppendUvarint(out, uint64(len(recs)))
-		for i := range recs {
-			rec := &recs[i]
-			out = binary.LittleEndian.AppendUint64(out, uint64(rec.T))
-			out = binary.LittleEndian.AppendUint64(out, uint64(rec.Seq))
-			out = append(out, byte(rec.Kind), rec.Dir, rec.Layer)
-		}
+		out = appendTrack(out, uint64(t.rank), t.Ordered())
 	}
 	return out
 }

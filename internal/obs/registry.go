@@ -54,53 +54,6 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Window is a counter with a resettable reading window on top of its
-// lifetime total: Add feeds both, Total reads the lifetime value,
-// Window reads only what accumulated since the last ResetWindow. A
-// member resets its dispatch-path windows at every view install, so a
-// window reads the current view's mix while dashboards keep the
-// lifetime totals; both views cost the same single atomic add per
-// event. The zero value is ready; methods are nil-safe like Counter's.
-type Window struct {
-	c    Counter
-	mark atomic.Int64
-}
-
-// Add increments the window (and the lifetime total) by d.
-func (w *Window) Add(d int64) {
-	if w == nil {
-		return
-	}
-	w.c.Add(d)
-}
-
-// Inc increments by one.
-func (w *Window) Inc() { w.Add(1) }
-
-// Total returns the lifetime value.
-func (w *Window) Total() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.c.Load()
-}
-
-// Window returns the value accumulated since the last ResetWindow.
-func (w *Window) Window() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.c.Load() - w.mark.Load()
-}
-
-// ResetWindow starts a new window at the current total.
-func (w *Window) ResetWindow() {
-	if w == nil {
-		return
-	}
-	w.mark.Store(w.c.Load())
-}
-
 // Metric is one named value in a snapshot.
 type Metric struct {
 	Name  string
@@ -185,13 +138,6 @@ func (r *Registry) Func(name string, read func() int64) {
 	r.add(entry{name: name, read: read})
 }
 
-// AdoptWindow registers an existing windowed counter twice: its
-// lifetime total under name and the current window under name+"/window".
-func (r *Registry) AdoptWindow(name string, w *Window) {
-	r.add(entry{name: name, read: w.Total})
-	r.add(entry{name: name + "/window", read: w.Window})
-}
-
 func (r *Registry) add(e entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -253,7 +199,3 @@ func (s *Scope) Adopt(name string, c *Counter) { s.r.Adopt(s.prefix+name, c) }
 
 // Func registers a read function under prefix+name.
 func (s *Scope) Func(name string, read func() int64) { s.r.Func(s.prefix+name, read) }
-
-// AdoptWindow registers a windowed counter under prefix+name (and its
-// window under prefix+name+"/window").
-func (s *Scope) AdoptWindow(name string, w *Window) { s.r.AdoptWindow(s.prefix+name, w) }

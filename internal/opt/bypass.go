@@ -3,7 +3,6 @@ package opt
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 
@@ -202,15 +201,15 @@ func (s *scratch) capture(effects []compiledEffect, ctx *rtCtx, payload []byte, 
 }
 
 // EngineStats counts bypass routing decisions. Every event the engine
-// routes lands on exactly one of DnBypass, DnPartial, DnFull, UpBypass
-// and UpFull.
+// routes lands on exactly one of DnBypass, DnFull, UpBypass and UpFull.
 type EngineStats struct {
 	// DnBypass counts casts and sends that took a fully compiled down
 	// path, DnFull those the interpreted stack took from the top.
 	DnBypass, DnFull int64
-	// DnPartial counts casts that ran compiled and sent the compressed
-	// image but handed their self-delivery copy to the stack above the
-	// bouncing layer — the down counterpart of UpPartial.
+	// DnPartial always reads 0: a cast's self-delivery copy is never
+	// handed to the stack part-way (a copy whose common case fails sends
+	// the whole cast through the stack, DnFull). It stays for readers of
+	// the counter.
 	DnPartial int64
 	// UpBypass counts compressed arrivals that ran compiled code for at
 	// least the bottom layer. UpPartial is the subset whose common case
@@ -234,10 +233,33 @@ type EngineStats struct {
 	CtrlCompressed, CtrlFull int64
 	// PathHits and PathMisses are the per-path dispatch counters:
 	// Hits[p] counts events routed to path p (PathFullStack hits are
-	// interpreter fallbacks), Misses[p] counts events that probed p's
+	// interpreter fallbacks) and, for a control recognizer, messages it
+	// emitted compressed; Misses[p] counts events that probed p's
 	// discriminator and failed. The engine lives for one view, so these
 	// are also per-view counts.
 	PathHits, PathMisses [NumPaths]int64
+}
+
+// Add returns the sum of two sets of counters: a member that rebuilds
+// its engine at every view keeps the lifetime totals this way.
+func (s EngineStats) Add(o EngineStats) EngineStats {
+	s.DnBypass += o.DnBypass
+	s.DnFull += o.DnFull
+	s.DnPartial += o.DnPartial
+	s.UpBypass += o.UpBypass
+	s.UpFull += o.UpFull
+	s.UpPartial += o.UpPartial
+	s.Uncompressed += o.Uncompressed
+	s.Undecodable += o.Undecodable
+	s.Parked += o.Parked
+	s.Released += o.Released
+	s.CtrlCompressed += o.CtrlCompressed
+	s.CtrlFull += o.CtrlFull
+	for p := range s.PathHits {
+		s.PathHits[p] += o.PathHits[p]
+		s.PathMisses[p] += o.PathMisses[p]
+	}
+	return s
 }
 
 // compiledDnPath is one compiled down-going bypass.
@@ -252,14 +274,11 @@ type compiledDnPath struct {
 	self    bool
 	pid     PathID
 
-	// bounceHdrs materializes the headers above the bouncing layer when
-	// the self-delivery copy is handed to the shared stack at bounceAt,
-	// the layer above the bouncing one.
+	// park parks the self-delivery copy when the bounce ends in a
+	// parking layer; bounceHdrs materializes the headers the parked copy
+	// keeps, those of the layers above the parking one.
 	bounceHdrs []compiledHdr
-	bounceAt   int
-	// park parks the self-delivery copy when the bounce segment ends in
-	// a parking layer (its headers: the first park.hdrs of bounceHdrs).
-	park *compiledPark
+	park       *compiledPark
 }
 
 // compiledUpPath is one compiled up-going bypass, for one wire
@@ -501,25 +520,19 @@ func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem, pid PathID) *c
 		}
 		cp.effects = append(cp.effects, ce)
 	}
-	if th.BounceLayer != "" {
-		cp.bounceAt = slices.Index(th.Names, th.BounceLayer) - 1
-		for _, h := range th.Headers {
-			if h.Layer == th.BounceLayer {
-				break
-			}
-			ch, err := comp.compileHdr(h)
-			if err != nil {
-				return nil
-			}
-			cp.bounceHdrs = append(cp.bounceHdrs, ch)
-		}
-	}
 	if th.Park != nil {
 		p, err := comp.compilePark(th.Park)
 		if err != nil {
 			return nil
 		}
 		cp.park = p
+		for _, h := range th.Headers[:p.hdrs] {
+			ch, err := comp.compileHdr(h)
+			if err != nil {
+				return nil
+			}
+			cp.bounceHdrs = append(cp.bounceHdrs, ch)
+		}
 	}
 	return cp
 }
@@ -714,11 +727,9 @@ func (e *Engine) Send(dst int, payload []byte) {
 }
 
 // down routes one application payload with one evaluation of a compiled
-// down path's CCP. The conjuncts outside the theorem's bounce segment
-// decide between the path and the full stack: false means the caller
-// submits the payload to the stack. The segment's conjuncts decide how
-// the self-delivery copy runs — compiled inline, or handed to the stack
-// above the bouncing layer (PathDnCastPartial).
+// down path's whole CCP, its self-delivery copy's conjuncts included:
+// it holds and the path runs, or false means the caller submits the
+// payload to the stack.
 func (e *Engine) down(cp *compiledDnPath, cast bool, dst int, payload []byte) bool {
 	if cp != nil {
 		// The context lives in the pooled scratch frame: compiled
@@ -730,19 +741,11 @@ func (e *Engine) down(cp *compiledDnPath, cast bool, dst int, payload []byte) bo
 		if cast {
 			ctx.peer = int64(e.Rank)
 		}
-		b := cp.th.Bounce
-		if evalCCP(cp.ccp[:b[0].CCP], ctx) && evalCCP(cp.ccp[b[1].CCP:], ctx) {
-			inline := !cp.th.BounceFallback && evalCCP(cp.ccp[b[0].CCP:b[1].CCP], ctx)
-			pid := cp.pid
-			if inline {
-				e.stats.DnBypass++
-			} else {
-				e.stats.DnPartial++
-				pid = PathDnCastPartial
-			}
-			e.stats.PathHits[pid]++
-			e.route(false, pid)
-			e.runDn(cp, ctx, cast, dst, payload, inline, s)
+		if evalCCP(cp.ccp, ctx) {
+			e.stats.DnBypass++
+			e.stats.PathHits[cp.pid]++
+			e.route(false, cp.pid)
+			e.runDn(cp, ctx, cast, dst, payload, s)
 			e.putScratch(s)
 			return true
 		}
@@ -762,26 +765,19 @@ func (e *Engine) down(cp *compiledDnPath, cast bool, dst int, payload []byte) bo
 //	sender   uvarint (rank)
 //	varying  n × varint (field count fixed by the signature)
 //	payload  rest
-func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, payload []byte, inline bool, s *scratch) {
+func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, payload []byte, s *scratch) {
 	// Read phase: everything is a pre-state expression, so all reads —
 	// update values, varying wire fields, effect arguments and captured
 	// headers — happen before any write. The caller owns the scratch
 	// frame (ctx is embedded in it) and returns it when we're done; a
 	// re-entrant invocation from an application callback takes a fresh
-	// frame instead of clobbering this one. A self-delivery copy that is
-	// handed off skips the bounce segment's updates and effects.
-	var skip [2]Cut
-	if !inline {
-		skip = cp.th.Bounce
-	}
+	// frame instead of clobbering this one.
 	if cap(s.tmp) < len(cp.writes) {
 		s.tmp = make([]int64, len(cp.writes))
 	}
 	vals := s.tmp[:len(cp.writes)]
 	for i, w := range cp.writes {
-		if i < skip[0].Updates || i >= skip[1].Updates {
-			vals[i] = w.eval(ctx)
-		}
+		vals[i] = w.eval(ctx)
 	}
 	if cap(s.vary) < len(cp.varying) {
 		s.vary = make([]int64, len(cp.varying))
@@ -790,45 +786,30 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 	for i, v := range cp.varying {
 		varyVals[i] = v(ctx)
 	}
-	// The copy's headers are pre-state values too, so they materialize
-	// here — all above the bouncing layer for a copy handed off, those
-	// above the parking layer for a copy parked — and the copy event takes
-	// them over below; so are a parking hold's arguments.
-	var copyHdrs []compiledHdr
-	switch {
-	case !inline:
-		copyHdrs = cp.bounceHdrs
-	case cp.park != nil:
-		copyHdrs = cp.bounceHdrs[:cp.park.hdrs]
+	// A parked copy's headers are pre-state values too, so they
+	// materialize here — those above the parking layer — and the copy
+	// event takes them over below; so are the hold's arguments.
+	if cp.park != nil {
 		s.hold = evalInto(s.hold[:0], cp.park.args, ctx)
+		for i := range cp.bounceHdrs {
+			s.hdrs = append(s.hdrs, cp.bounceHdrs[i].materialize(ctx))
+		}
 	}
-	for i := range copyHdrs {
-		s.hdrs = append(s.hdrs, copyHdrs[i].materialize(ctx))
-	}
-	s.capture(cp.effects[:skip[0].Effects], ctx, payload, true, nil)
-	pend := s.capture(cp.effects[skip[1].Effects:], ctx, payload, true, nil)
+	pend := s.capture(cp.effects, ctx, payload, true, nil)
 	// Write phase.
 	for i, w := range cp.writes {
-		if i < skip[0].Updates || i >= skip[1].Updates {
-			w.apply(vals[i], ctx)
-		}
+		w.apply(vals[i], ctx)
 	}
 	// The local copy surfaces before the packet reaches the wire — the
 	// same order the full stack's scheduler produces.
 	switch {
-	case !inline || cp.park != nil:
+	case cp.park != nil:
 		// The header values captured in the read phase move into the copy
-		// event's own storage (the event takes ownership and frees them),
-		// and the copy enters the shared stack above the bouncing layer or
-		// is parked.
+		// event's own storage (the event takes ownership and frees them).
 		copyEv := upEvent(true, e.Rank, true, payload, true)
 		copyEv.Msg.Headers = append(copyEv.Msg.Headers[:0], s.hdrs...)
-		if inline {
-			if cp.park.park(s.hold, copyEv) {
-				e.stats.Parked++
-			}
-		} else {
-			e.stk.UpAt(cp.bounceAt, copyEv)
+		if cp.park.park(s.hold, copyEv) {
+			e.stats.Parked++
 		}
 	case cp.self && e.Deliver != nil:
 		e.Deliver(e.Rank, payload, true)

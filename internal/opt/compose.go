@@ -43,24 +43,6 @@ type StackTheorem struct {
 	// (the bounce through the layers above local).
 	SelfDeliver bool
 
-	// BounceLayer is the layer that reflects a self-delivery copy (local),
-	// "" on a path without one. Bounce[0] and Bounce[1] bound that copy's
-	// segment of the theorem: the CCP conjuncts, Updates and Effects the
-	// bounce through the layers above BounceLayer contributed. It sits in
-	// the middle of each list, right after BounceLayer's own contribution,
-	// and is in pre-state terms like the rest, so the theorem without it
-	// is by itself the path that sends the same wire image and hands the
-	// copy to the shared stack above BounceLayer — one of the "multiple
-	// bypass paths" the paper anticipates (§4.1.3). Whether the copy runs
-	// inline is decided per event by the segment's conjuncts (a
-	// non-sequencer's own cast awaiting its order announcement fails
-	// them).
-	BounceLayer string
-	Bounce      [2]Cut
-	// BounceFallback marks a bounce that could not be composed at all:
-	// its segment is empty and never holds.
-	BounceFallback bool
-
 	// Cuts records, for an up path, where each layer's contribution ends:
 	// Cuts[j] counts the CCP conjuncts, Updates and Effects of the j+1
 	// bottom-most layers. The layers are threaded bottom first and every
@@ -84,7 +66,7 @@ type StackTheorem struct {
 
 	// Park, on an up path, is the layer that consumes the arrival by
 	// parking it; on a down path, the one that parks the bounced
-	// self-delivery copy, whose bounce segment then ends there. Release
+	// self-delivery copy, whose bounce then ends there. Release
 	// is the loop a consuming up path runs to hand parked messages on.
 	Park    *QPark
 	Release *QRelease
@@ -305,7 +287,7 @@ type composer struct {
 // thread incorporates one qualified layer theorem: its CCP joins the
 // composed CCP, its updates enter the store, its push/effects/flags are
 // recorded. hdrCapture maps the layer's popped header fields to captured
-// expressions — push-time values for bounce segments, wire inputs or
+// expressions — push-time values for a bounce, wire inputs or
 // signature constants for up paths; nil on plain down paths.
 func (c *composer) thread(layerName string, lt *LayerTheorem, def *ir.LayerDef, hdrCapture map[string]ir.Expr) error {
 	// Pipeline: qualify into the composed namespace, rewrite state
@@ -386,8 +368,8 @@ func qualAll(es []ir.Expr, qual func(ir.Expr) ir.Expr) []ir.Expr {
 // ComposeDn builds the stack optimization theorem for a down-going path
 // of the named stack (top first), for the member at the given rank. The
 // bounce composition routes the local layer's self-delivery copy back
-// through the up paths of the layers above it, as the theorem's Bounce
-// segment.
+// through the up paths of the layers above it; its conjuncts join the
+// CCP like any layer's.
 func ComposeDn(names []string, path ir.PathKey, rank, n int) (*StackTheorem, error) {
 	base := viewFacts(rank, n)
 	c := &composer{
@@ -412,18 +394,12 @@ func ComposeDn(names []string, path ir.PathKey, rank, n int) (*StackTheorem, err
 			return nil, err
 		}
 		if lt.Bounced {
-			// The bounce is composed transactionally: when the reflected
-			// copy's path through the upper layers is not a common case,
-			// the wire side remains fully specialized and the segment stays
-			// empty.
-			start := c.cut()
-			if trial := c.clone(); trial.bounce(names[:i], path, rank) == nil {
-				*c = *trial
-			} else {
-				c.th.BounceFallback = true
+			// A copy whose path through the upper layers is not a common
+			// case leaves the path without a bypass: the whole cast, wire
+			// and copy, then takes the stack.
+			if err := c.bounce(names[:i], path, rank); err != nil {
+				return nil, err
 			}
-			c.th.BounceLayer = name
-			c.th.Bounce = [2]Cut{start, c.cut()}
 		}
 	}
 	return c.th, nil

@@ -60,8 +60,7 @@ type ctrlSpec struct {
 func controlSigs(names []string, rank int, dnSend *WireSig) []ctrlSpec {
 	var out []ctrlSpec
 	if i := slices.Index(names, "pt2pt"); i >= 0 {
-		ack := SigEntry{Layer: "pt2pt", Variant: "Ack", Fields: []SigField{{Name: "ack"}}}
-		if sig, ok := midStackSig(names, i, ir.DnSend, ack, rank); ok {
+		if sig, ok := midStackSig(names, i, ir.DnSend, "Ack", rank); ok {
 			out = append(out, ctrlSpec{pid: PathDnCtrlAck, upPid: PathUpAck, sig: sig, probeLayer: "pt2pt"})
 		}
 		if sig, ok := retransSig(dnSend); ok {
@@ -70,20 +69,43 @@ func controlSigs(names []string, rank int, dnSend *WireSig) []ctrlSpec {
 	}
 	// Only the sequencer (rank 0) announces.
 	if i := slices.Index(names, "total"); i >= 0 && rank == 0 {
-		order := SigEntry{Layer: "total", Variant: "Order", Fields: []SigField{{Name: "origin"}, {Name: "lseq"}, {Name: "gseq"}, {Name: "count"}}}
-		if sig, ok := midStackSig(names, i, ir.DnCast, order, rank); ok {
+		if sig, ok := midStackSig(names, i, ir.DnCast, "Order", rank); ok {
 			out = append(out, ctrlSpec{pid: PathDnCtrlOrder, upPid: PathUpOrder, sig: sig, probeLayer: "total"})
 		}
 	}
 	return out
 }
 
+// specEntry is the signature entry of a header variant all of whose
+// fields ride the wire, in its spec's field order; false when the layer
+// declares no such variant.
+func specEntry(layer, variant string) (SigEntry, bool) {
+	def, err := ir.LookupDef(layer)
+	if err != nil {
+		return SigEntry{}, false
+	}
+	spec, err := def.HdrSpecByVariant(variant)
+	if err != nil {
+		return SigEntry{}, false
+	}
+	e := SigEntry{Layer: layer, Variant: variant}
+	for _, f := range spec.Fields {
+		e.Fields = append(e.Fields, SigField{Name: f})
+	}
+	return e, true
+}
+
 // midStackSig builds the signature of a message that originates at
-// names[idx]: that layer pushes the given header and the event descends
+// names[idx]: that layer pushes the given variant, every field of it a
+// wire input, and the event descends
 // through the layers below, each contributing its push for the path.
 // Field values that simplify to constants under the rank facts become
 // signature constants; everything else rides the wire.
-func midStackSig(names []string, idx int, path ir.PathKey, top SigEntry, rank int) (WireSig, bool) {
+func midStackSig(names []string, idx int, path ir.PathKey, variant string, rank int) (WireSig, bool) {
+	top, ok := specEntry(names[idx], variant)
+	if !ok {
+		return WireSig{}, false
+	}
 	sig := WireSig{Path: path, Entries: []SigEntry{top}}
 	base := NewFacts()
 	base.AddEq(ir.EvField("rank"), int64(rank))
@@ -117,7 +139,7 @@ func midStackSig(names []string, idx int, path ir.PathKey, top SigEntry, rank in
 // retransSig is the data-send signature with the pt2pt entry retyped to
 // Retrans: the sweep resends the saved upper headers verbatim and the
 // layers below re-push, so only pt2pt's own entry differs from a live
-// send. Both of its fields (seqno of the saved message, current ack)
+// send. All of its fields (seqno of the saved message, current ack)
 // are wire inputs.
 func retransSig(dnSend *WireSig) (WireSig, bool) {
 	if dnSend == nil {
@@ -125,11 +147,11 @@ func retransSig(dnSend *WireSig) (WireSig, bool) {
 	}
 	sig := WireSig{Path: dnSend.Path, Entries: slices.Clone(dnSend.Entries)}
 	entry := sig.Entry("pt2pt")
-	if entry == nil {
+	retrans, ok := specEntry("pt2pt", "Retrans")
+	if entry == nil || !ok {
 		return WireSig{}, false
 	}
-	entry.Variant = "Retrans"
-	entry.Fields = []SigField{{Name: "seqno"}, {Name: "ack"}}
+	*entry = retrans
 	return sig, true
 }
 

@@ -17,13 +17,8 @@ type PathID int
 
 const (
 	// PathDnCast is the fully specialized down-going cast (wire plus
-	// inline self-delivery).
+	// self-delivery, inline or parked).
 	PathDnCast PathID = iota
-	// PathDnCastPartial is a compiled cast whose self-delivery copy was
-	// handed to the shared stack above the bouncing layer (the theorem's
-	// bounce segment failed) — the down counterpart of PathUpHandoff.
-	// It is a routing outcome of PathDnCast, never probed on its own.
-	PathDnCastPartial
 	// PathDnSend is the specialized point-to-point data send.
 	PathDnSend
 	// PathDnCtrlAck recognizes pt2pt acknowledgments at the stack's net
@@ -61,7 +56,6 @@ const (
 
 var pathNames = [NumPaths]string{
 	PathDnCast:        "dn_cast",
-	PathDnCastPartial: "dn_cast_partial",
 	PathDnSend:        "dn_send",
 	PathDnCtrlAck:     "dn_ctrl_ack",
 	PathDnCtrlRetrans: "dn_ctrl_retrans",

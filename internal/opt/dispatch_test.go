@@ -3,8 +3,10 @@ package opt
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"ensemble/internal/ir"
 	"ensemble/internal/layer"
 	"ensemble/internal/layers"
 	"ensemble/internal/stack"
@@ -71,7 +73,7 @@ func TestDispatchOutcomes(t *testing.T) {
 			name: "cast_partial",
 			ops:  uniformOps(120, 1, true, 40),
 			hit:  []PathID{PathDnCast, PathUpCast, PathDnCtrlOrder, PathUpOrder},
-			none: []PathID{PathDnCastPartial, PathUpHandoff, PathFullStack},
+			none: []PathID{PathUpHandoff, PathFullStack},
 		},
 		{
 			// In-window pt2pt data rides the send bypass both ways; the
@@ -191,4 +193,53 @@ func TestEngineCtrlWireFuzz(t *testing.T) {
 		eng.Packet(pkt) // must not panic
 	}
 	t.Logf("post-fuzz stats: %+v, deliveries %d", eng.Stats(), delivered)
+}
+
+// TestControlSigsFollowTheHeaderSpecs: each control signature's
+// originating entry carries exactly its header spec's fields, in spec
+// order and all on the wire, so a field added to pt2pt's Ack or Retrans
+// or to total's Order reaches the recognizer and the compressed image
+// without a second list to edit.
+func TestControlSigsFollowTheHeaderSpecs(t *testing.T) {
+	want := map[PathID][2]string{
+		PathDnCtrlAck:     {layers.Pt2pt, "Ack"},
+		PathDnCtrlRetrans: {layers.Pt2pt, "Retrans"},
+		PathDnCtrlOrder:   {layers.Total, "Order"},
+	}
+	seen := map[PathID]bool{}
+	const n = 4
+	for r := range n {
+		for _, cs := range sendable(layers.Stack10(), n).ctrl[r] {
+			lv, ok := want[cs.pid]
+			if !ok {
+				t.Fatalf("unexpected control path %s", cs.pid)
+			}
+			seen[cs.pid] = true
+			def, err := ir.LookupDef(lv[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := def.HdrSpecByVariant(lv[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := cs.sig.Entry(lv[0])
+			if e == nil || e.Variant != lv[1] {
+				t.Fatalf("%s at rank %d: entry %+v, want %s.%s", cs.pid, r, e, lv[0], lv[1])
+			}
+			var got []string
+			for _, f := range e.Fields {
+				if f.Const {
+					t.Errorf("%s at rank %d: field %s is a constant", cs.pid, r, f.Name)
+				}
+				got = append(got, f.Name)
+			}
+			if !slices.Equal(got, spec.Fields) {
+				t.Errorf("%s at rank %d: fields %v, spec %s.%s declares %v", cs.pid, r, got, lv[0], lv[1], spec.Fields)
+			}
+		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("derived control paths %v, want all of %v", seen, want)
+	}
 }

@@ -248,7 +248,6 @@ func sumStats(s *system) EngineStats {
 	for _, e := range s.engs {
 		st := e.Stats()
 		sum.DnBypass += st.DnBypass
-		sum.DnPartial += st.DnPartial
 		sum.DnFull += st.DnFull
 		sum.UpBypass += st.UpBypass
 		sum.UpPartial += st.UpPartial
@@ -293,16 +292,13 @@ func TestGroupEquivalence(t *testing.T) {
 						if sum.UpPartial == 0 {
 							t.Error("no arrival was handed to the stack mid-way")
 						}
-					case st.name == "StackVsync":
-						// suspect has no common case before its first sweep:
-						// the first operations' arrivals are handed off there.
-					case sum.DnPartial != 0 || sum.UpPartial != sum.PathMisses[PathUpRetrans]:
+					case sum.UpPartial != sum.PathMisses[PathUpRetrans]:
 						// On a clean network casts park and order runs
 						// release them compiled: the only hand-offs left are
 						// the sweep's duplicate retransmissions, which pt2pt
 						// drops.
-						t.Errorf("handed off %d arrivals and %d self-deliveries, want only the %d duplicate retransmissions",
-							sum.UpPartial, sum.DnPartial, sum.PathMisses[PathUpRetrans])
+						t.Errorf("handed off %d arrivals, want only the %d duplicate retransmissions",
+							sum.UpPartial, sum.PathMisses[PathUpRetrans])
 					}
 					if sum.Undecodable != 0 {
 						t.Errorf("%d undecodable arrivals on a perfect network", sum.Undecodable)
@@ -346,8 +342,8 @@ func TestPartialUpBypassFires(t *testing.T) {
 	if sum.Uncompressed != 0 || sum.UpFull != 0 {
 		t.Errorf("%d arrivals entered the stack at the bottom (%d of them compressed), want none", sum.UpFull, sum.Uncompressed)
 	}
-	if sum.UpPartial != runClosesHandedOff || sum.DnPartial != 0 {
-		t.Errorf("handed off %d arrivals and %d self-deliveries, want %d and none", sum.UpPartial, sum.DnPartial, runClosesHandedOff)
+	if sum.UpPartial != runClosesHandedOff {
+		t.Errorf("handed off %d arrivals, want %d", sum.UpPartial, runClosesHandedOff)
 	}
 	if got, want := sum.PathHits[PathUpCast], stamped+numbered+parked; got != want {
 		t.Errorf("%d casts arrived on the compiled path, want %d stamped + %d numbered + %d parked", got, stamped, numbered, parked)
