@@ -57,8 +57,8 @@ func main() {
 
 	s0, s1 := engines[0].Stats(), engines[1].Stats()
 	fmt.Printf("sender:   bypass=%d full-stack=%d\n", s0.DnBypass, s0.DnFull)
-	fmt.Printf("receiver: bypass=%d (handed to the stack part-way: %d) full-stack=%d (uncompressed fallbacks: %d)\n",
-		s1.UpBypass, s1.UpPartial, s1.UpFull, s1.Uncompressed)
+	fmt.Printf("receiver: bypass=%d full-stack=%d (compressed arrivals whose common case failed: %d)\n",
+		s1.UpBypass, s1.UpFull, s1.Uncompressed)
 	fmt.Printf("receiver delivered %d messages (self-deliveries at sender: %d)\n",
 		len(delivered[1]), len(delivered[0]))
 	if len(delivered[1]) != 1001 {

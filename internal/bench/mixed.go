@@ -23,8 +23,9 @@ import (
 // sequencer and stability gossip would add interpreted control traffic
 // the dispatch family deliberately leaves alone (see opt/control.go),
 // drowning the signal measured here. TestMixedTrafficStaysCompiled
-// holds the interpreted (full-stack) share of routed events near zero,
-// and requires control traffic to leave compressed.
+// holds the share of routed events the interpreted stack takes from the
+// top or as full images near zero, and requires control traffic to
+// leave compressed.
 
 // MixedStats is one mixed-traffic run's dispatch accounting, summed
 // over all members. The group installs exactly one view, so the

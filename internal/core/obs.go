@@ -54,11 +54,9 @@ func (m *Member) EnableObs(sc *obs.Scope, trk *obs.Track) {
 		// at snapshot time: each name reads the member's lifetime total
 		// (the engines of earlier views, carried at install, plus the
 		// current one), and its /window twin the current view's engine
-		// alone. Three sums split every route: mach/ccp_hit counts the
-		// routes compiled code carried to the end, mach/handoff the
-		// arrivals it handed to the interpreted stack part-way, at the
-		// layer whose common case failed, and mach/ccp_miss the
-		// fall-throughs to the interpreted stack from the start.
+		// alone. Two sums split every route: mach/ccp_hit counts the
+		// routes compiled code carried to the end, mach/ccp_miss those
+		// the interpreted stack took from the start.
 		life := func(name string, read func(opt.EngineStats) int64) {
 			sc.Func(name, func() int64 { return read(m.engStats()) })
 		}
@@ -66,8 +64,7 @@ func (m *Member) EnableObs(sc *obs.Scope, trk *obs.Track) {
 			life(name, read)
 			sc.Func(name+"/window", func() int64 { return read(m.eng.Stats()) })
 		}
-		windowed("mach/ccp_hit", func(st opt.EngineStats) int64 { return st.DnBypass + st.UpBypass - st.UpPartial })
-		windowed("mach/handoff", func(st opt.EngineStats) int64 { return st.UpPartial })
+		windowed("mach/ccp_hit", func(st opt.EngineStats) int64 { return st.DnBypass + st.UpBypass })
 		windowed("mach/ccp_miss", func(st opt.EngineStats) int64 { return st.DnFull + st.UpFull })
 		for p := opt.PathID(0); p < opt.NumPaths; p++ {
 			windowed("mach/path/"+p.String(), func(st opt.EngineStats) int64 { return st.PathHits[p] })
@@ -75,7 +72,6 @@ func (m *Member) EnableObs(sc *obs.Scope, trk *obs.Track) {
 		life("mach/dn_bypass", func(st opt.EngineStats) int64 { return st.DnBypass })
 		life("mach/dn_full", func(st opt.EngineStats) int64 { return st.DnFull })
 		life("mach/up_bypass", func(st opt.EngineStats) int64 { return st.UpBypass })
-		life("mach/up_partial", func(st opt.EngineStats) int64 { return st.UpPartial })
 		life("mach/up_full", func(st opt.EngineStats) int64 { return st.UpFull })
 		life("mach/uncompressed", func(st opt.EngineStats) int64 { return st.Uncompressed })
 		life("mach/undecodable", func(st opt.EngineStats) int64 { return st.Undecodable })

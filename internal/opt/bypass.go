@@ -158,11 +158,9 @@ type pendingEffect struct {
 // capture evaluates the effects' arguments and encodes the header stacks
 // they buffer, in the read phase: both are pre-state values. The capped
 // subslices it carves from the arenas stay readable even if a later
-// append regrows an arena — values already written never move. have
-// holds the theorem's topmost headers where the caller has materialized
-// them already (a hand-off's event); they are encoded from there. The
+// append regrows an arena — values already written never move. The
 // effects join those already pending in s; all of them are returned.
-func (s *scratch) capture(effects []compiledEffect, ctx *rtCtx, payload []byte, appl bool, have []event.Header) []pendingEffect {
+func (s *scratch) capture(effects []compiledEffect, ctx *rtCtx, payload []byte, appl bool) []pendingEffect {
 	pend := s.pend
 	for _, eff := range effects {
 		argStart := len(s.args)
@@ -176,19 +174,11 @@ func (s *scratch) capture(effects []compiledEffect, ctx *rtCtx, payload []byte, 
 				s.himg.Raw(p.fixed)
 				continue
 			}
-			owned := p.entry >= len(have)
-			var h event.Header
-			if owned {
-				h = p.hdr.materialize(ctx)
-			} else {
-				h = have[p.entry]
-			}
+			h := p.hdr.materialize(ctx)
 			if err := transport.EncodeHeader(h, &s.himg); err != nil {
 				panic(fmt.Sprintf("opt: encoding a buffered header: %v", err))
 			}
-			if owned {
-				event.FreeHeader(h)
-			}
+			event.FreeHeader(h)
 		}
 		img := s.himg.Header()
 		pend = append(pend, pendingEffect{run: eff.run, ectx: ir.EffectCtx{
@@ -211,15 +201,13 @@ type EngineStats struct {
 	// the whole cast through the stack, DnFull). It stays for readers of
 	// the counter.
 	DnPartial int64
-	// UpBypass counts compressed arrivals that ran compiled code for at
-	// least the bottom layer. UpPartial is the subset whose common case
-	// failed (or was never derivable) at a layer above it: the compiled
-	// code ran for the layers below and the stack took the event from
-	// there. UpFull counts arrivals the stack interpreted from the
-	// bottom: full wire images, and compressed ones whose bottom layer's
-	// common case failed — Uncompressed counts the latter alone.
+	// UpBypass counts compressed arrivals whose path's whole common case
+	// held and that compiled code carried to the end. UpFull counts
+	// arrivals the stack interpreted from the bottom: full wire images,
+	// and compressed ones whose common case failed (or that have none),
+	// rebuilt by the generated uncompressor — Uncompressed counts the
+	// latter alone.
 	UpBypass, UpFull int64
-	UpPartial        int64
 	Uncompressed     int64
 	Undecodable      int64
 	// Parked counts messages compiled code parked in a layer's hold (an
@@ -248,7 +236,6 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 	s.DnPartial += o.DnPartial
 	s.UpBypass += o.UpBypass
 	s.UpFull += o.UpFull
-	s.UpPartial += o.UpPartial
 	s.Uncompressed += o.Uncompressed
 	s.Undecodable += o.Undecodable
 	s.Parked += o.Parked
@@ -282,9 +269,9 @@ type compiledDnPath struct {
 }
 
 // compiledUpPath is one compiled up-going bypass, for one wire
-// signature. It is divisible at layer boundaries: ccp, writes and
-// effects hold the layers' contributions bottom first, and th.Cuts
-// records where each layer's end.
+// signature: it runs whole when its CCP holds, and otherwise the
+// arrival takes the stack. A signature without a common case has the
+// CCP false.
 type compiledUpPath struct {
 	th    *StackTheorem
 	sig   WireSig
@@ -292,22 +279,18 @@ type compiledUpPath struct {
 	nvary int
 	cast  bool
 	pid   PathID
-	// whole marks a theorem that covers its whole signature: when every
-	// conjunct holds the event is delivered, or — consumed — absorbed
-	// (a control path). Otherwise even then the event is handed to the
-	// stack at the first layer the theorem does not cover.
-	whole, consumed bool
+	// consumed marks a path that absorbs the arrival below the
+	// application (a control path, a park) instead of delivering it.
+	consumed bool
 	// appl is the event's application-payload flag: set unless the
 	// message originated mid-stack (its signature starts below the top).
 	appl    bool
 	ccp     []cexpr
 	writes  []compiledWrite
 	effects []compiledEffect
-	// owner[i] is how many layers lie below the one ccp[i] belongs to.
-	owner []int
-	// hdrs rebuilds the signature's header stack, top first, for the
-	// layers an arrival is handed to: the generated uncompression
-	// function (§4.1.3), run for as many headers as are needed.
+	// hdrs rebuilds the signature's header stack, top first: the
+	// generated uncompression function (§4.1.3) in front of the stack,
+	// and the headers a parked arrival keeps.
 	hdrs []compiledHdr
 	// park parks a whole path's arrival; release is a whole consuming
 	// path's release loop.
@@ -477,6 +460,23 @@ func sendable(names []string, n int) *sendableSigs {
 	return v.(*sendableSigs)
 }
 
+// all lists every signature the members can send, data and control,
+// once each.
+func (s *sendableSigs) all() map[uint16]WireSig {
+	sigs := map[uint16]WireSig{}
+	for r := range s.ctrl {
+		for _, path := range []ir.PathKey{ir.DnCast, ir.DnSend} {
+			if sig := s.dn[path][r]; sig != nil {
+				sigs[sig.ID()] = *sig
+			}
+		}
+		for _, cs := range s.ctrl[r] {
+			sigs[cs.sig.ID()] = cs.sig
+		}
+	}
+	return sigs
+}
+
 // compileTheorem compiles a composed down-path theorem; nil for none.
 func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem, pid PathID) *compiledDnPath {
 	if th == nil {
@@ -543,8 +543,7 @@ func (e *Engine) compileUp(comp *compiler, th *StackTheorem, sig WireSig) (*comp
 	defer comp.setVarying(nil)
 	cp := &compiledUpPath{
 		th: th, sig: sig, id: sig.ID(), nvary: len(vary), cast: th.Path.Kind == event.ECast,
-		whole: th.Delivered || th.Consumed, consumed: th.Consumed,
-		appl: len(sig.Entries) == len(th.Names), owner: th.ConjunctOwners(),
+		consumed: th.Consumed, appl: len(sig.Entries) == len(th.Names),
 	}
 	for _, conj := range th.CCP {
 		ce, err := comp.compile(conj)
@@ -795,7 +794,7 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 			s.hdrs = append(s.hdrs, cp.bounceHdrs[i].materialize(ctx))
 		}
 	}
-	pend := s.capture(cp.effects, ctx, payload, true, nil)
+	pend := s.capture(cp.effects, ctx, payload, true)
 	// Write phase.
 	for i, w := range cp.writes {
 		w.apply(vals[i], ctx)
@@ -849,15 +848,12 @@ func upEvent(cast bool, origin int, appl bool, payload []byte, borrowed bool) *e
 }
 
 // Packet routes an arriving wire image. A full image goes to the stack.
-// A compressed one names its signature's compiled up path, whose CCP is
-// evaluated in layer order, bottom first: the compiled code runs for
-// the layers below the first one whose common case fails, and the event
-// enters the stack at that layer with only the headers from there up
-// rebuilt. No failure at all is the whole bypass (unless the theorem
-// itself stops short: a static split); failure at the bottom layer is
-// the generated uncompressor in front of the whole stack (§4.1.3).
-// Packet reports whether the arrival decoded: an image that did not is
-// dropped (EngineStats.Undecodable) for the caller to count.
+// A compressed one names its signature's compiled up path: when the
+// path's whole CCP holds, its compiled code runs to the end — delivers,
+// parks, releases or consumes; otherwise the generated uncompressor
+// rebuilds the signature's headers in front of the whole stack
+// (§4.1.3). Packet reports whether the arrival decoded: an image that
+// did not is dropped (EngineStats.Undecodable) for the caller to count.
 func (e *Engine) Packet(data []byte) bool {
 	if len(data) == 0 {
 		e.stats.Undecodable++
@@ -928,23 +924,11 @@ func (e *Engine) Packet(data []byte) bool {
 		e.MarkUpStack()
 	}
 
-	// below is how many of the signature's layers, bottom first, the
-	// compiled code runs for: all the theorem covers, or those under the
-	// first failing conjunct's.
-	below := len(cp.th.Cuts)
-	for i, c := range cp.ccp {
-		if c(ctx) == 0 {
-			e.stats.PathMisses[cp.pid]++
-			below = cp.owner[i]
-			break
-		}
-	}
-	cut := cp.th.CutBelow(below)
-	if below == len(cp.th.Cuts) && cp.whole {
+	if evalCCP(cp.ccp, ctx) {
 		e.stats.UpBypass++
 		e.stats.PathHits[cp.pid]++
 		e.route(true, cp.pid)
-		e.runUp(cp, cut, ctx, payload, nil, s)
+		e.runUp(cp, ctx, payload, s)
 		switch {
 		case cp.park != nil:
 			e.park(cp, ctx, int(sender), payload, s)
@@ -953,55 +937,42 @@ func (e *Engine) Packet(data []byte) bool {
 		case !cp.consumed && e.Deliver != nil:
 			e.Deliver(int(sender), payload, cp.cast)
 		}
-		e.runEffects(s)
+		for i := range s.pend {
+			s.pend[i].run(s.pend[i].ectx)
+		}
 		e.putScratch(s)
 		return true
 	}
-	pid := PathUpHandoff
-	if below > 0 {
-		e.stats.UpBypass++
-		e.stats.UpPartial++
-	} else {
-		pid = PathFullStack
-		e.stats.Uncompressed++
-		e.stats.UpFull++
-	}
-	e.stats.PathHits[pid]++
-	e.route(true, pid)
-	// The event the layer below the entry point would have passed up:
-	// the signature's headers from that layer up, in the event's reused
-	// storage.
+	e.stats.PathMisses[cp.pid]++
+	e.stats.Uncompressed++
+	e.stats.UpFull++
+	e.stats.PathHits[PathFullStack]++
+	e.route(true, PathFullStack)
 	ev := upEvent(cp.cast, int(sender), cp.appl, payload, e.ArrivalsBorrowed)
-	for i := range cp.hdrs[:len(cp.hdrs)-below] {
+	for i := range cp.hdrs {
 		ev.Msg.Headers = append(ev.Msg.Headers, cp.hdrs[i].materialize(ctx))
 	}
-	// The layers below have finished with the message before the ones
-	// above see it, as in the stack; and the frame is free again before
-	// they run, for whatever the application casts from inside a
-	// delivery.
-	e.runUp(cp, cut, ctx, payload, ev.Msg.Headers, s)
-	e.runEffects(s)
+	// The frame is free again before the stack runs, for whatever the
+	// application casts from inside a delivery.
 	e.putScratch(s)
-	e.stk.UpAt(len(e.Names)-1-below, ev)
+	e.stk.DeliverUp(ev)
 	return true
 }
 
-// runUp runs the compiled code of an up path's bottom-most layers, up
-// to cut: all reads first (update values, effect arguments), then the
-// writes. The captured effects are left pending in s; have is capture's.
-// It shares the caller's scratch frame: the fields Packet used (vary,
-// hv) are disjoint from the ones used here.
-func (e *Engine) runUp(cp *compiledUpPath, cut Cut, ctx *rtCtx, payload []byte, have []event.Header, s *scratch) {
-	writes := cp.writes[:cut.Updates]
-	if cap(s.tmp) < len(writes) {
-		s.tmp = make([]int64, len(writes))
+// runUp runs an up path's compiled code: all reads first (update
+// values, effect arguments), then the writes. The captured effects are
+// left pending in s. It shares the caller's scratch frame: the fields
+// Packet used (vary, hv) are disjoint from the ones used here.
+func (e *Engine) runUp(cp *compiledUpPath, ctx *rtCtx, payload []byte, s *scratch) {
+	if cap(s.tmp) < len(cp.writes) {
+		s.tmp = make([]int64, len(cp.writes))
 	}
-	vals := s.tmp[:len(writes)]
-	for i, w := range writes {
+	vals := s.tmp[:len(cp.writes)]
+	for i, w := range cp.writes {
 		vals[i] = w.eval(ctx)
 	}
-	s.capture(cp.effects[:cut.Effects], ctx, payload, cp.appl, have)
-	for i, w := range writes {
+	s.capture(cp.effects, ctx, payload, cp.appl)
+	for i, w := range cp.writes {
 		w.apply(vals[i], ctx)
 	}
 }
@@ -1045,13 +1016,6 @@ func (e *Engine) release(r *compiledRelease, ctx *rtCtx, s *scratch) {
 			e.Deliver(ev.Peer, ev.Msg.Payload, ev.Type == event.ECast)
 		}
 		event.Free(ev)
-	}
-}
-
-// runEffects runs the effects capture left pending in s.
-func (e *Engine) runEffects(s *scratch) {
-	for i := range s.pend {
-		s.pend[i].run(s.pend[i].ectx)
 	}
 }
 

@@ -281,11 +281,10 @@ type compiledEffect struct {
 }
 
 // imgPart is a pre-encoded run of constant headers (fixed) or one header
-// with run-time fields (hdr), the theorem's Headers[entry].
+// with run-time fields (hdr).
 type imgPart struct {
 	fixed []byte
 	hdr   *compiledHdr
-	entry int
 }
 
 func (c *compiler) compileEffect(e QEffect, headers []QHeader) (compiledEffect, error) {
@@ -318,7 +317,7 @@ func (c *compiler) compileEffect(e QEffect, headers []QHeader) (compiledEffect, 
 			return compiledEffect{}, err
 		}
 		if !constHeader(headers[i]) {
-			ce.img = append(ce.img, imgPart{hdr: &ch, entry: i})
+			ce.img = append(ce.img, imgPart{hdr: &ch})
 			continue
 		}
 		h := ch.materialize(&rtCtx{})

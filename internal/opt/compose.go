@@ -43,18 +43,6 @@ type StackTheorem struct {
 	// (the bounce through the layers above local).
 	SelfDeliver bool
 
-	// Cuts records, for an up path, where each layer's contribution ends:
-	// Cuts[j] counts the CCP conjuncts, Updates and Effects of the j+1
-	// bottom-most layers. The layers are threaded bottom first and every
-	// expression is in pre-state terms, so the first Cuts[j] entries of
-	// each list are by themselves the theorem of those layers: when the
-	// first failing conjunct belongs to layer j+1 from the bottom, the
-	// bypass runs that prefix and hands the event to the stack there.
-	// Fewer cuts than Headers is a static split: the layer above the
-	// last cut has no common case for this signature, and every arrival
-	// is handed off there (neither Delivered nor Consumed is set).
-	Cuts []Cut
-
 	// Delivered marks an up path that delivers to the application.
 	Delivered bool
 
@@ -96,32 +84,6 @@ type QRelease struct {
 	Updates []QAssign
 }
 
-// Cut is a prefix of a theorem's CCP, Updates and Effects, by length.
-type Cut struct{ CCP, Updates, Effects int }
-
-// CutBelow is the prefix that belongs to an up theorem's below
-// bottom-most layers: what runs when the common case holds for exactly
-// those.
-func (t *StackTheorem) CutBelow(below int) Cut {
-	if below == 0 {
-		return Cut{}
-	}
-	return t.Cuts[below-1]
-}
-
-// ConjunctOwners maps each CCP conjunct of an up theorem to the number
-// of layers below the one it belongs to: where the event is handed off
-// when that conjunct is the first to fail.
-func (t *StackTheorem) ConjunctOwners() []int {
-	owners := make([]int, 0, len(t.CCP))
-	for j, cut := range t.Cuts {
-		for len(owners) < cut.CCP {
-			owners = append(owners, j)
-		}
-	}
-	return owners
-}
-
 // QAssign is a composed-namespace assignment.
 type QAssign struct {
 	Target ir.LValue // QVar or QIndex
@@ -153,9 +115,12 @@ func (t *StackTheorem) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "OPTIMIZING STACK %s\n", strings.Join(t.Names, "|||"))
 	fmt.Fprintf(&b, "FOR   EVENT %s (rank %d of %d)\n", t.Path, t.Rank, t.N)
-	if len(t.CCP) == 0 {
+	switch {
+	case len(t.CCP) == 0:
 		fmt.Fprintf(&b, "ASSUMING true\n")
-	} else {
+	case len(t.CCP) == 1 && t.CCP[0] == ir.False:
+		fmt.Fprintf(&b, "ASSUMING false\n")
+	default:
 		fmt.Fprintf(&b, "ASSUMING %s\n", exprList(t.CCP, " ∧ "))
 	}
 	var evs []string
@@ -180,9 +145,6 @@ func (t *StackTheorem) String() string {
 		evs = append(evs, fmt.Sprintf("consume ev; release %s parked in %s.%s(%s) as UpM from %s", r.Count, r.Layer, r.Hold, exprList(r.Args, ", "), r.Peer))
 	case t.Consumed:
 		evs = append(evs, "consume ev")
-	}
-	if t.Path.Dir.String() == "Up" && len(t.Cuts) < len(t.Headers) && t.Park == nil {
-		evs = append(evs, fmt.Sprintf("UpM(ev) at %s", t.Headers[len(t.Headers)-1-len(t.Cuts)].Layer))
 	}
 	fmt.Fprintf(&b, "YIELDS EVENTS [:%s:]\n", strings.Join(evs, "; "))
 	if len(t.Updates) == 0 {
@@ -415,27 +377,6 @@ func viewFacts(rank, n int) *Facts {
 	return f
 }
 
-// cut is where the theorem's lists end so far.
-func (c *composer) cut() Cut {
-	return Cut{CCP: len(c.th.CCP), Updates: len(c.th.Updates), Effects: len(c.th.Effects)}
-}
-
-// clone copies the composer so a sub-composition can be attempted and
-// discarded.
-func (c *composer) clone() *composer {
-	th := *c.th
-	th.CCP = append([]ir.Expr(nil), c.th.CCP...)
-	th.Updates = append([]QAssign(nil), c.th.Updates...)
-	th.Headers = append([]QHeader(nil), c.th.Headers...)
-	th.Effects = append([]QEffect(nil), c.th.Effects...)
-	th.Cuts = append([]Cut(nil), c.th.Cuts...)
-	store := make(symStore, len(c.store))
-	for k, v := range c.store {
-		store[k] = v
-	}
-	return &composer{th: &th, store: store, base: c.base}
-}
-
 // bounce composes the reflected self-delivery copy through the up paths
 // of the layers above the bouncing layer, innermost first. The copy's
 // header fields are the expressions each layer pushed on the way down,
@@ -512,16 +453,14 @@ func (c *composer) bounce(upper []string, dnPath ir.PathKey, rank int) error {
 // denotes, so sender and receiver agree on it without negotiation. Its
 // entries must be the stack's bottom-most layers, in stack order.
 //
-// Up events traverse bottom first, so the layers are threaded bottom-up
-// and Cuts records where each one's contribution ends. A consuming
-// layer theorem (pure control traffic) ends the traversal at the
-// signature's top entry; a releasing one composes the layers above for
-// the messages it releases (QRelease). A parking layer ends it at any
+// Up events traverse bottom first, so the layers are threaded bottom-up.
+// A consuming layer theorem (pure control traffic) ends the traversal at
+// the signature's top entry; a releasing one composes the layers above
+// for the messages it releases (QRelease). A parking layer ends it at any
 // entry: the headers above stay on the parked event. A layer with no
 // derivable rule for the signature (total on an Order header it cannot
-// act on) ends it too, as a static split: the theorem then covers the
-// layers below only and every arrival is handed to the stack at that
-// layer.
+// act on) leaves the signature without a common case: the theorem keeps
+// only the Headers, its CCP is false, and every arrival takes the stack.
 func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*StackTheorem, error) {
 	c := &composer{
 		th:    &StackTheorem{Names: names, Path: path, Rank: rank, N: n},
@@ -533,6 +472,7 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 		return nil, fmt.Errorf("opt: signature has %d entries, the stack %d layers", len(sig.Entries), len(names))
 	}
 	c.th.Headers = make([]QHeader, len(sig.Entries))
+	split := false
 	for e := len(sig.Entries) - 1; e >= 0; e-- {
 		entry, name := &sig.Entries[e], names[top+e]
 		if entry.Layer != name {
@@ -551,8 +491,8 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 		derBase := c.base.Clone()
 		derBase.AddEq(ir.HdrField("tag"), spec.Tag)
 		capture := map[string]ir.Expr{"tag": ir.Const(spec.Tag)}
-		// The consumed header, so the bypass can rebuild the stack above
-		// any layer it hands the event to.
+		// The consumed header, so the bypass can rebuild the header stack
+		// of an arrival it parks or hands to the stack.
 		qh := QHeader{Layer: name, Variant: entry.Variant, Spec: spec}
 		for _, f := range entry.Fields {
 			if f.Const {
@@ -564,34 +504,28 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 			qh.Fields = append(qh.Fields, ir.HdrFieldVal{Name: f.Name, Val: capture[f.Name]})
 		}
 		c.th.Headers[e] = qh
-		if c.th.Park != nil || len(c.th.Cuts) < len(sig.Entries)-1-e {
-			continue // above a parking layer or a static split
+		if c.th.Park != nil || split {
+			continue // above a parking layer, or no common case
 		}
 		nEff := len(c.th.Effects)
+		// A release whose layers above do not compose leaves the
+		// signature without a common case too.
 		lt, err := deriveUpEntry(def, path, derBase)
-		if err != nil {
-			continue // static split at this layer
+		if err == nil {
+			err = c.thread(name, lt, def, capture)
 		}
-		// A release is threaded on a copy: one whose layers above do not
-		// compose is a static split too, and leaves nothing behind.
-		trial := c
-		if lt.Release != nil {
-			trial = c.clone()
-		}
-		err = trial.thread(name, lt, def, capture)
 		if err == nil && lt.Release != nil {
-			err = trial.release(names[:top+e], path)
+			err = c.release(names[:top+e], path)
 		}
 		if err != nil {
+			split = true
 			continue
 		}
-		*c = *trial
 		// The header stack an effect captures is what the layers above
 		// it will see: the e entries above this one.
 		for k := nEff; k < len(c.th.Effects); k++ {
 			c.th.Effects[k].HdrsAbove = e
 		}
-		c.th.Cuts = append(c.th.Cuts, c.cut())
 		switch {
 		case lt.Park != nil:
 			c.th.Park.HdrsAbove = e
@@ -605,6 +539,9 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 		case e == 0:
 			c.th.Delivered = lt.Delivered
 		}
+	}
+	if split {
+		return &StackTheorem{Names: names, Path: path, Rank: rank, N: n, CCP: []ir.Expr{ir.False}, Headers: c.th.Headers}, nil
 	}
 	return c.th, nil
 }

@@ -31,8 +31,9 @@ import (
 //   - the sequencer's order announcement (total.Order cast over the
 //     layers below total), whose up theorem consumes it at total and
 //     releases the casts it orders from where they were parked — at
-//     every member but the sequencer, which has no common case for it
-//     (a static split there).
+//     every member but the sequencer, which has no common case for it:
+//     its path there sends every arrival to the stack, and none comes,
+//     as casts do not loop back.
 //
 // mnak's NAK-driven retransmissions and collect's stability gossip
 // remain interpreted: the former retypes a *cast* signature mid-stack

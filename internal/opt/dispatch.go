@@ -41,11 +41,6 @@ const (
 	// PathDnCtrlOrder recognizes the sequencer's order announcements at
 	// the stack's net exit and emits them compressed.
 	PathDnCtrlOrder
-	// PathUpHandoff is a compressed arrival whose compiled code ran for
-	// the bottom-most layers only and handed the event to the stack at
-	// the layer whose common case failed — or that has none for its
-	// signature (Engine.Packet).
-	PathUpHandoff
 	// PathUpOrder consumes a compressed order announcement, releasing the
 	// casts it orders from where they were parked.
 	PathUpOrder
@@ -65,7 +60,6 @@ var pathNames = [NumPaths]string{
 	PathUpRetrans:     "up_retrans",
 	PathFullStack:     "full_stack",
 	PathDnCtrlOrder:   "dn_ctrl_order",
-	PathUpHandoff:     "up_handoff",
 	PathUpOrder:       "up_order",
 }
 

@@ -51,10 +51,13 @@ func TestDispatchOutcomes(t *testing.T) {
 		drop   func(member, n int) bool
 		// hit paths that must have routed at least one event, summed
 		// over both engines; miss likewise for probed-and-failed; none
-		// paths that must have routed nothing.
-		hit  []PathID
-		miss []PathID
-		none []PathID
+		// paths that must have routed nothing. uncompressed is the number
+		// of compressed arrivals whose common case failed, each expanded
+		// in front of the whole stack.
+		hit          []PathID
+		miss         []PathID
+		none         []PathID
+		uncompressed int64
 	}{
 		{
 			// The sequencer's casts take the fully specialized down path
@@ -73,17 +76,18 @@ func TestDispatchOutcomes(t *testing.T) {
 			name: "cast_partial",
 			ops:  uniformOps(120, 1, true, 40),
 			hit:  []PathID{PathDnCast, PathUpCast, PathDnCtrlOrder, PathUpOrder},
-			none: []PathID{PathUpHandoff, PathFullStack},
+			none: []PathID{PathFullStack},
 		},
 		{
 			// In-window pt2pt data rides the send bypass both ways; the
 			// one-way flow never piggybacks, so the receiver's explicit
 			// acknowledgments trip the control recognizer and the sender
 			// consumes them on the compressed ack path.
-			name:   "send_and_ack",
-			ops:    uniformOps(160, 0, false, 40),
-			sweeps: 11,
-			hit:    []PathID{PathDnSend, PathUpSend, PathDnCtrlAck, PathUpAck},
+			name:         "send_and_ack",
+			ops:          uniformOps(160, 0, false, 40),
+			sweeps:       11,
+			hit:          []PathID{PathDnSend, PathUpSend, PathDnCtrlAck, PathUpAck},
+			uncompressed: 69,
 		},
 		{
 			// Dropping a data wire opens a gap: the sweep retransmits
@@ -98,12 +102,14 @@ func TestDispatchOutcomes(t *testing.T) {
 			// queue, so the sweep's copy of message 6 arrives as exactly
 			// the next expected seqno — a retransmission CCP hit. The
 			// sweep's copies of the already-delivered 4 and 5 are
-			// duplicates — probed-and-missed at pt2pt, handed off there.
+			// duplicates — probed-and-missed at pt2pt, and expanded in
+			// front of the stack.
 			drop: func(member, n int) bool {
 				return member == 0 && n == 6
 			},
-			hit:  []PathID{PathDnCtrlRetrans, PathUpRetrans, PathUpHandoff},
-			miss: []PathID{PathUpRetrans},
+			hit:          []PathID{PathDnCtrlRetrans, PathUpRetrans, PathFullStack},
+			miss:         []PathID{PathUpRetrans},
+			uncompressed: 88,
 		},
 		{
 			// Payloads beyond the fragmenter's limit fail every down CCP:
@@ -133,10 +139,10 @@ func TestDispatchOutcomes(t *testing.T) {
 					t.Errorf("path %s routed %d events, want none", pid, hits[pid])
 				}
 			}
-			// The bottom layer's common case (stack enabled) never fails
-			// here, so no arrival is expanded in front of the whole stack.
-			if uncompressed != 0 {
-				t.Errorf("%d compressed arrivals entered the stack at the bottom", uncompressed)
+			// Every up path's miss is one arrival expanded in front of the
+			// whole stack, and nothing else is.
+			if m := upMisses(misses); uncompressed != sc.uncompressed || uncompressed != m {
+				t.Errorf("%d compressed arrivals entered the stack (%d up misses), want %d", uncompressed, m, sc.uncompressed)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"ensemble/internal/event"
@@ -19,7 +18,8 @@ import (
 // with one peer, that peer is either the sequencer or receives only the
 // sequencer's stamped casts. Here a non-sequencer receives another
 // non-sequencer's unordered cast and a third party's order
-// announcement — the arrivals the bypass hands to the stack mid-way.
+// announcement — arrivals the bypass parks and releases, or hands to the
+// stack whole when an announcement comes early or a gap opens.
 
 // testNet is the perfect network both systems run over: a queue of
 // wires, drained after every operation, so delivery is never re-entrant.
@@ -202,14 +202,14 @@ func runGroupEquivalence(t *testing.T, names []string, mode stack.Mode, n int, o
 	plain := newSystem(t, names, mode, n, false)
 	mach := newSystem(t, names, mode, n, true)
 	plain.net.drop, mach.net.drop = sc.drop, sc.drop
-	totalAt := slices.Index(names, layers.Total)
 	for i, o := range ops {
 		if sc.blockAt > 0 && i == sc.blockAt {
-			// A flush begins at the sequencer: total stops stamping.
+			// A flush begins at the sequencer: total stops stamping. The
+			// layers below it pass the block request up.
 			for _, s := range []*system{plain, mach} {
 				blk := event.Alloc()
 				blk.Dir, blk.Type = event.Up, event.EBlock
-				s.stks[0].UpAt(totalAt, blk)
+				s.stks[0].DeliverUp(blk)
 				s.drain(t)
 			}
 		}
@@ -250,7 +250,6 @@ func sumStats(s *system) EngineStats {
 		sum.DnBypass += st.DnBypass
 		sum.DnFull += st.DnFull
 		sum.UpBypass += st.UpBypass
-		sum.UpPartial += st.UpPartial
 		sum.UpFull += st.UpFull
 		sum.Uncompressed += st.Uncompressed
 		sum.Undecodable += st.Undecodable
@@ -260,6 +259,16 @@ func sumStats(s *system) EngineStats {
 			sum.PathHits[p] += st.PathHits[p]
 			sum.PathMisses[p] += st.PathMisses[p]
 		}
+	}
+	return sum
+}
+
+// upMisses sums the up paths' misses: each is one compressed arrival
+// that took the whole stack.
+func upMisses(misses [NumPaths]int64) int64 {
+	var sum int64
+	for _, pid := range []PathID{PathUpCast, PathUpSend, PathUpAck, PathUpRetrans, PathUpOrder} {
+		sum += misses[pid]
 	}
 	return sum
 }
@@ -289,16 +298,16 @@ func TestGroupEquivalence(t *testing.T) {
 					t.Logf("engines: %+v", sum)
 					switch {
 					case sc.name != "clean":
-						if sum.UpPartial == 0 {
-							t.Error("no arrival was handed to the stack mid-way")
+						if sum.Uncompressed == 0 {
+							t.Error("no compressed arrival was handed to the stack")
 						}
-					case sum.UpPartial != sum.PathMisses[PathUpRetrans]:
+					case sum.Uncompressed != sum.PathMisses[PathUpRetrans]:
 						// On a clean network casts park and order runs
-						// release them compiled: the only hand-offs left are
-						// the sweep's duplicate retransmissions, which pt2pt
-						// drops.
-						t.Errorf("handed off %d arrivals, want only the %d duplicate retransmissions",
-							sum.UpPartial, sum.PathMisses[PathUpRetrans])
+						// release them compiled: the only arrivals left for
+						// the stack are the sweep's duplicate
+						// retransmissions, which pt2pt drops.
+						t.Errorf("%d compressed arrivals took the stack, want only the %d duplicate retransmissions",
+							sum.Uncompressed, sum.PathMisses[PathUpRetrans])
 					}
 					if sum.Undecodable != 0 {
 						t.Errorf("%d undecodable arrivals on a perfect network", sum.Undecodable)
@@ -315,7 +324,7 @@ func TestGroupEquivalence(t *testing.T) {
 // compiled: the cast is parked at total (and numbered at the
 // sequencer), the announcement releases it. Each member's input burst
 // ends after every cast, so the sequencer's runs all close there and no
-// run close is handed to the stack.
+// run close takes the stack.
 func TestPartialUpBypassFires(t *testing.T) {
 	const n, rounds = 4, 50
 	s := newSystem(t, layers.Stack10(), stack.Func, n, true)
@@ -333,7 +342,6 @@ func TestPartialUpBypassFires(t *testing.T) {
 	// each of the n-1 others' is numbered by the sequencer, parked at the
 	// n-2 remaining members and by its origin (its self-delivery copy),
 	// and released everywhere by an announcement that arrives at n-1.
-	const runClosesHandedOff = 0
 	stamped := int64(rounds * (n - 1))
 	numbered := int64(rounds * (n - 1))
 	parked := int64(rounds * (n - 1) * (n - 2))
@@ -341,9 +349,6 @@ func TestPartialUpBypassFires(t *testing.T) {
 	orders := int64(rounds * (n - 1) * (n - 1))
 	if sum.Uncompressed != 0 || sum.UpFull != 0 {
 		t.Errorf("%d arrivals entered the stack at the bottom (%d of them compressed), want none", sum.UpFull, sum.Uncompressed)
-	}
-	if sum.UpPartial != runClosesHandedOff {
-		t.Errorf("handed off %d arrivals, want %d", sum.UpPartial, runClosesHandedOff)
 	}
 	if got, want := sum.PathHits[PathUpCast], stamped+numbered+parked; got != want {
 		t.Errorf("%d casts arrived on the compiled path, want %d stamped + %d numbered + %d parked", got, stamped, numbered, parked)
@@ -359,8 +364,8 @@ func TestPartialUpBypassFires(t *testing.T) {
 	}
 
 	// A lost cast makes the origin's next one arrive ahead of a gap: its
-	// common case fails at mnak, so only bottom's compiled code runs and
-	// the event enters the stack at mnak, which buffers it, asks for the
+	// common case fails at mnak, so the uncompressor rebuilds its headers
+	// and the whole stack takes it — mnak buffers it, asks for the
 	// missing one, and delivers both in order.
 	before := sumStats(s)
 	seen := len(s.log)
@@ -377,11 +382,9 @@ func TestPartialUpBypassFires(t *testing.T) {
 		s.sweep(t, int64(i)*layer.DefaultConfig(testView(n, 0)).SweepInterval)
 	}
 	after := sumStats(s)
-	if after.Uncompressed != before.Uncompressed {
-		t.Errorf("the out-of-order arrival was expanded in front of the whole stack")
-	}
-	if after.UpPartial-before.UpPartial < int64(n-1) {
-		t.Errorf("the out-of-order arrivals were not handed off: UpPartial %d -> %d", before.UpPartial, after.UpPartial)
+	expanded := after.Uncompressed - before.Uncompressed
+	if misses := upMisses(after.PathMisses) - upMisses(before.PathMisses); expanded < int64(n-1) || expanded != misses {
+		t.Errorf("%d arrivals expanded in front of the stack (%d up misses), want the %d or more out-of-order ones, once each", expanded, misses, n-1)
 	}
 	if got := len(s.log) - seen; got != 2*n {
 		t.Fatalf("%d deliveries after the repair, want %d", got, 2*n)

@@ -522,20 +522,33 @@ func (e *stackEnv) clone() *stackEnv {
 }
 
 // VerifyUpTheorem re-checks a composed up theorem against the reference
-// semantics at every layer boundary. A frame is drawn at random and
-// biased so that the theorem's conjuncts hold up to a chosen layer and
-// fail there; whatever number of layers the CCP then says hold, bottom
-// first, interpreting exactly those layers' IR one after the other must
-// not fall back, and must leave the state and run the effects that the
-// theorem's prefix up to that cut (StackTheorem.Cuts) claims — which is
-// what the bypass runs before it hands the event to the stack there.
-// Every boundary a conjunct can fail at must come up, and the whole. A
-// whole theorem that parks must park as the interpreter does; one that
-// releases must, run once per released message, leave the layers above
-// as interpreting their IR for each message does.
+// semantics. A frame is drawn at random and biased so that the CCP
+// holds; wherever it then does, interpreting the IR of the layers the
+// theorem covers, bottom first, must not fall back, and must leave the
+// state, run the effects and end as the theorem claims: it delivers, or
+// it consumes — parking as the interpreter does, or releasing, where run
+// once per released message the layers above must be left as
+// interpreting their IR for each message leaves them. Where the CCP
+// fails the arrival takes the stack, which is its own reference. A
+// theorem without a common case claims nothing beyond its false CCP.
 func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	m, top := len(sig.Entries), len(th.Names)-len(sig.Entries)
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("opt: verify %s %s (signature %#x): %s", th.Names[top], th.Path, sig.ID(), fmt.Sprintf(format, args...))
+	}
+	if !th.Delivered && !th.Consumed {
+		if len(th.CCP) != 1 || th.CCP[0] != ir.False || len(th.Updates) > 0 || len(th.Effects) > 0 {
+			return fail("neither delivers nor consumes, but claims a common case")
+		}
+		return nil
+	}
+	// The layers the theorem covers, bottom first: all of the signature's,
+	// or those up to a parking one.
+	covered := m
+	if th.Park != nil {
+		covered = m - th.Park.HdrsAbove
+	}
 	defs := make([]*ir.LayerDef, m) // by signature entry
 	for e := range sig.Entries {
 		def, err := ir.LookupDef(sig.Entries[e].Layer)
@@ -554,11 +567,7 @@ func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) erro
 			upper = append(upper, def)
 		}
 	}
-	owner := th.ConjunctOwners()
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("opt: verify %s %s (signature %#x): %s", th.Names[top], th.Path, sig.ID(), fmt.Sprintf(format, args...))
-	}
-	seen := make([]int, len(th.Cuts)+1)
+	held := 0
 	for t := 0; t < trials; t++ {
 		env := &stackEnv{shadows: map[string]*shadowState{}, vary: map[string]int64{}}
 		for e, def := range defs {
@@ -571,30 +580,23 @@ func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) erro
 		for _, q := range sig.Varying() {
 			env.vary[ir.Key(q)] = rng.Int63n(64)
 		}
-		// Hold every conjunct, then break the target's (none: the whole).
-		target := rng.Intn(len(th.CCP) + 1)
-		for i, conj := range th.CCP {
-			bias(conj, i != target, env.eval, env.assign, rng)
+		for _, conj := range th.CCP {
+			bias(conj, true, env.eval, env.assign, rng)
 		}
-		if !env.invariantsHold(defs) {
+		holds := true
+		for _, conj := range th.CCP {
+			holds = holds && env.eval(conj) != 0
+		}
+		if !holds || !env.invariantsHold(defs) {
 			continue
 		}
-		below := len(th.Cuts)
-		for i, conj := range th.CCP {
-			if env.eval(conj) == 0 {
-				below = owner[i]
-				break
-			}
-		}
-		cut := th.CutBelow(below)
-		seen[below]++
+		held++
 
-		// Reference: the layers below the boundary, interpreted bottom first.
+		// Reference: the covered layers, interpreted bottom first.
 		ref := env.clone()
 		var effects []ir.EffectCall
 		var last ir.Outcome
-		for j := 0; j < below; j++ {
-			e := m - 1 - j
+		for e := m - 1; e >= m-covered; e-- {
 			entry, def := &sig.Entries[e], defs[e]
 			spec, err := def.HdrSpecByVariant(entry.Variant)
 			if err != nil {
@@ -613,34 +615,31 @@ func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) erro
 				return fail("interp %s: %v", entry.Layer, err)
 			}
 			if out.Fell {
-				return fail("the CCP holds for the %d bottom-most layers, but %s falls back (%s)", below, entry.Layer, out.Reason)
+				return fail("the CCP holds, but %s falls back (%s)", entry.Layer, out.Reason)
 			}
 			effects = append(effects, out.Effects...)
 			last = out
 		}
-		whole := below == len(th.Cuts) && (th.Delivered || th.Consumed)
-		if whole && (last.Delivered != th.Delivered || last.Consumed != th.Consumed ||
-			(last.Parked == nil) != (th.Park == nil) || (last.Released == nil) != (th.Release == nil)) {
+		if last.Delivered != th.Delivered || last.Consumed != th.Consumed ||
+			(last.Parked == nil) != (th.Park == nil) || (last.Released == nil) != (th.Release == nil) {
 			return fail("continuation mismatch at the top: interp %+v, theorem delivered=%v consumed=%v", last, th.Delivered, th.Consumed)
 		}
 
-		// The theorem's prefix: reads in the pre-state, then the writes.
+		// The theorem: reads in the pre-state, then the writes.
 		post := env.clone()
-		post.apply(th.Updates[:cut.Updates], env)
-		if whole {
-			var park *ir.Park
-			var rel *ir.Release
-			if th.Park != nil {
-				park = &th.Park.Park
-			}
-			if th.Release != nil {
-				rel = &th.Release.Release
-			}
-			if err := sameHolds(park, rel, last, env.eval); err != nil {
-				return fail("%v", err)
-			}
+		post.apply(th.Updates, env)
+		var park *ir.Park
+		var rel *ir.Release
+		if th.Park != nil {
+			park = &th.Park.Park
 		}
-		if whole && th.Release != nil {
+		if th.Release != nil {
+			rel = &th.Release.Release
+		}
+		if err := sameHolds(park, rel, last, env.eval); err != nil {
+			return fail("%v", err)
+		}
+		if th.Release != nil {
 			// Each released message: the layers above interpreted bottom
 			// first, against the theorem's per-message writes.
 			ev := env.ev
@@ -659,13 +658,13 @@ func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) erro
 		for name, want := range ref.shadows {
 			got := post.shadows[name]
 			if !reflect.DeepEqual(want.scalars, got.scalars) || !reflect.DeepEqual(want.arrays, got.arrays) {
-				return fail("state of %s after %d layers:\n interp: %v %v\n theorem: %v %v", name, below, want.scalars, want.arrays, got.scalars, got.arrays)
+				return fail("state of %s:\n interp: %v %v\n theorem: %v %v", name, want.scalars, want.arrays, got.scalars, got.arrays)
 			}
 		}
-		if len(effects) != cut.Effects {
-			return fail("%d effects after %d layers, interp ran %d", cut.Effects, below, len(effects))
+		if len(effects) != len(th.Effects) {
+			return fail("%d effects, interp ran %d", len(th.Effects), len(effects))
 		}
-		for i, te := range th.Effects[:cut.Effects] {
+		for i, te := range th.Effects {
 			if te.Name != effects[i].Name {
 				return fail("effect %d is %s, interp ran %s", i, te.Name, effects[i].Name)
 			}
@@ -676,20 +675,14 @@ func VerifyUpTheorem(th *StackTheorem, sig WireSig, trials int, seed int64) erro
 			}
 		}
 	}
-	for i := range th.CCP {
-		if seen[owner[i]] == 0 {
-			return fail("no random frame failed at conjunct %d (%s)", i, th.CCP[i])
-		}
-	}
-	if seen[len(th.Cuts)] == 0 {
-		return fail("no random frame satisfied the whole CCP")
+	if held == 0 {
+		return fail("no random frame satisfied the CCP")
 	}
 	return nil
 }
 
 // VerifyAll derives and verifies every theorem of every layer in a
-// stack, and every up theorem composed from them at each of its layer
-// boundaries — the re-checking pass the tool runs before trusting a
+// stack, and every up theorem composed from them — the re-checking pass the tool runs before trusting a
 // composition.
 func VerifyAll(names []string, n int, trials int, seed int64) error {
 	base := NewFacts()
@@ -733,19 +726,7 @@ func VerifyAll(names []string, n int, trials int, seed int64) error {
 	}
 	// The up theorems an engine compiles: one per signature any rank can
 	// emit, at every receiving rank.
-	sigs := map[uint16]WireSig{}
-	sent := sendable(names, n)
-	for r := 0; r < n; r++ {
-		for _, path := range []ir.PathKey{ir.DnCast, ir.DnSend} {
-			if sig := sent.dn[path][r]; sig != nil {
-				sigs[sig.ID()] = *sig
-			}
-		}
-		for _, cs := range sent.ctrl[r] {
-			sigs[cs.sig.ID()] = cs.sig
-		}
-	}
-	for _, sig := range sigs {
+	for _, sig := range sendable(names, n).all() {
 		for rank := 0; rank < n; rank++ {
 			th, err := ComposeUp(names, ir.PathKey{Dir: event.Up, Kind: sig.Path.Kind}, rank, n, sig)
 			if err != nil {

@@ -107,23 +107,15 @@ func (s *funcStack) SubmitDn(ev *event.Event) {
 }
 
 // DeliverUp applies an up event to P(n-1): to the bottom layer, then
-// its ups to the sub-stack above.
-func (s *funcStack) DeliverUp(ev *event.Event) { s.UpAt(len(s.out)-1, ev) }
-
-// UpAt applies an up event to P(k) — to layer k, then its ups to the
-// sub-stack above — and then, as SubmitDn does from the top, what came
-// down out of P(j-1) to layer j for every layer below k.
-func (s *funcStack) UpAt(k int, ev *event.Event) {
+// its ups to the sub-stack above, and what comes back down to the
+// bottom layer again.
+func (s *funcStack) DeliverUp(ev *event.Event) {
+	k := len(s.out) - 1
 	o := &s.out[k]
 	app, mark, dn := len(s.out[0].ups), len(o.ups), len(o.dns)
 	s.states[k].HandleUp(ev, o)
 	if k > 0 {
 		s.upsInto(k, o, mark)
-	}
-	for j := k + 1; j < len(s.out); j++ {
-		next := len(s.out[j].dns)
-		s.dnsInto(j, &s.out[j-1], dn)
-		dn = next
 	}
 	s.route(app, dn)
 }

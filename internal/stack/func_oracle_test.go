@@ -172,32 +172,13 @@ func (s *recStack) SubmitDn(ev *event.Event) {
 	}
 }
 
-func (s *recStack) DeliverUp(ev *event.Event) { s.UpAt(len(s.states)-1, ev) }
-
-func (s *recStack) UpAt(k int, ev *event.Event) {
+func (s *recStack) DeliverUp(ev *event.Event) {
 	s.depth++
-	ups, dns := upAt(s.top, len(s.states)-1, k, ev)
+	ups, dns := s.top.Up(ev)
 	s.route(ups, dns)
 	if s.depth--; s.depth == 0 {
 		s.used = 0
 	}
-}
-
-// upAt applies an up event to the sub-stack P(k) inside p = P(depth):
-// upIntoUpper with the sub-stack's entry in place of its top layer's.
-func upAt(p proto, depth, k int, ev *event.Event) (ups, dns []*event.Event) {
-	if depth == k {
-		return p.Up(ev)
-	}
-	c := p.(comp)
-	pu, pd := upAt(c.p, depth-1, k, ev)
-	ups = pu
-	for _, d := range pd {
-		du, dd := c.dnIntoLower(d)
-		ups = mergeEvs(ups, du)
-		dns = mergeEvs(dns, dd)
-	}
-	return ups, dns
 }
 
 func (s *recStack) route(ups, dns []*event.Event) {

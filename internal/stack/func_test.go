@@ -115,12 +115,11 @@ func (l *scriptLayer) handle(ev *event.Event, snk layer.Sink, dir event.Dir) {
 }
 
 // scriptedRun builds a stack over sc with mk, drives it with the inputs
-// (an up-going input enters at the layer its tag selects, the bottom
-// one half of the time) and returns one log of handler invocations and
-// exits. An application exit whose tag is a multiple of three submits a
-// response from inside the callback, and a network exit whose tag is a
-// multiple of five delivers one — mid-stack when the tag is also even —
-// so re-entrant applications are part of every run.
+// (an up-going input enters at the bottom) and returns one log of
+// handler invocations and exits. An application exit whose tag is a
+// multiple of three submits a response from inside the callback, and a
+// network exit whose tag is a multiple of five delivers one, so
+// re-entrant applications are part of every run.
 func scriptedRun(sc script, inputs []*event.Event, mk func([]layer.State, Callbacks) Stack) []string {
 	var log []string
 	states := make([]layer.State, len(sc))
@@ -138,7 +137,7 @@ func scriptedRun(sc script, inputs []*event.Event, mk func([]layer.State, Callba
 		Net: func(e *event.Event) {
 			log = append(log, fmt.Sprintf("net %d", e.Time))
 			if e.Peer > 0 && e.Time%5 == 0 {
-				s.UpAt(entryLayer(e.Time, len(sc)), scriptedEv(event.Up, e.Time*5+1, e.Peer-1))
+				s.DeliverUp(scriptedEv(event.Up, e.Time*5+1, e.Peer-1))
 			}
 		},
 	})
@@ -147,19 +146,10 @@ func scriptedRun(sc script, inputs []*event.Event, mk func([]layer.State, Callba
 		if ev.Dir == event.Dn {
 			s.SubmitDn(ev)
 		} else {
-			s.UpAt(entryLayer(ev.Time, len(sc)), ev)
+			s.DeliverUp(ev)
 		}
 	}
 	return log
-}
-
-// entryLayer picks where an up-going event enters: the bottom layer for
-// odd tags, any layer for even ones.
-func entryLayer(tag int64, layers int) int {
-	if tag%2 == 1 {
-		return layers - 1
-	}
-	return int(tag/2) % layers
 }
 
 // TestFuncMatchesRecursion: over seeded random stacks of 1-12 scripted

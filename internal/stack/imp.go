@@ -64,9 +64,7 @@ func (s *impStack) States() []layer.State { return s.states }
 
 func (s *impStack) SubmitDn(ev *event.Event) { s.inject(schedItem{idx: 0, ev: ev}) }
 
-func (s *impStack) DeliverUp(ev *event.Event) { s.UpAt(len(s.states)-1, ev) }
-
-func (s *impStack) UpAt(k int, ev *event.Event) { s.inject(schedItem{idx: k, ev: ev}) }
+func (s *impStack) DeliverUp(ev *event.Event) { s.inject(schedItem{idx: len(s.states) - 1, ev: ev}) }
 
 // inject hands an external event to the scheduler. Re-entrant calls
 // (an application callback submitting a response) enqueue behind the

@@ -43,14 +43,6 @@ type Stack interface {
 	// DeliverUp injects an up-going event at the bottom of the stack
 	// (a message decoded by the transport, or a timer expiration).
 	DeliverUp(ev *event.Event)
-	// UpAt injects an up-going event at layer k (an index into States,
-	// top first): the event is what layer k+1 would have passed up, so
-	// its header stack must start with layer k's header. Whatever layers
-	// 0..k send down in response traverses the layers below k to the
-	// network as usual. DeliverUp is UpAt at the bottom layer. The
-	// bypass uses it to hand an event to the layers its compiled code
-	// does not cover (opt.Engine).
-	UpAt(k int, ev *event.Event)
 	// States exposes the layer states, top first, so bypass code can
 	// share state with the stack (§4.2: "The bypass can access the state
 	// of the various layers in the stack").

@@ -94,39 +94,6 @@ func TestTraversalOrderBothModes(t *testing.T) {
 	}
 }
 
-// TestUpAtBothModes: an event entered at layer k runs layer k and the
-// layers above it, and what they send down runs the layers below k.
-func TestUpAtBothModes(t *testing.T) {
-	for _, mode := range []Mode{Imp, Func} {
-		t.Run(mode.String(), func(t *testing.T) {
-			states := []layer.State{&tagLayer{"a"}, &echoLayer{tagLayer{"E"}}, &tagLayer{"c"}, &tagLayer{"d"}}
-			var apps, nets []string
-			s := FromStates(states, mode, Callbacks{
-				App: func(e *event.Event) { apps = append(apps, string(e.Msg.Payload)) },
-				Net: func(e *event.Event) { nets = append(nets, string(e.Msg.Payload)) },
-			})
-			up := event.Alloc()
-			up.Dir, up.Type = event.Up, event.ECast
-			s.UpAt(1, up)
-			if len(apps) != 1 || apps[0] != "E^a^" {
-				t.Fatalf("up from layer 1 = %v, want [E^a^]", apps)
-			}
-			if len(nets) != 1 || nets[0] != "echocvdv" {
-				t.Fatalf("layer 1's answer = %v, want [echocvdv]", nets)
-			}
-		})
-	}
-}
-
-// echoLayer answers every up-going cast with a down-going one (like the
-// sequencer's order announcement).
-type echoLayer struct{ tagLayer }
-
-func (l *echoLayer) HandleUp(ev *event.Event, snk layer.Sink) {
-	l.tagLayer.HandleUp(ev, snk)
-	snk.PassDn(event.CastEv([]byte("echo")))
-}
-
 func TestBounceBothModes(t *testing.T) {
 	for _, mode := range []Mode{Imp, Func} {
 		t.Run(mode.String(), func(t *testing.T) {
