@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify examples bench bench-gate benchmark-module multiproc flight fuzz pooldebug loc clean
+.PHONY: all build test race fmt verify examples bench bench-gate benchmark-module multiproc flight fuzz pooldebug loc clean
 
 all: build test
 
@@ -19,13 +19,21 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# The pre-merge gate: vet, the size report, the full suite, and the
+# gofmt over every Go file of the tree (the benchmark module included,
+# dot-directories such as .bench_build left out): lists the files that
+# are not formatted and fails if there is any.
+fmt:
+	@out=$$(find . -name '*.go' ! -path './.*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "not gofmt-formatted:"; echo "$$out"; exit 1; fi
+
+# The pre-merge gate: vet, gofmt, the size report, the full suite, and the
 # internal packages under the race detector — the cluster tests in
 # internal/core and internal/netsim run full stacks
 # one-goroutine-per-member, so this is what proves the pooled hot path
 # is safe under real concurrency.
 verify:
 	$(GO) vet ./...
+	$(MAKE) fmt
 	$(MAKE) loc
 	$(GO) test ./...
 	$(GO) test -race ./internal/...

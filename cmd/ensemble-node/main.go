@@ -36,19 +36,19 @@ import (
 
 func main() {
 	var (
-		id      = flag.Int("id", 0, "member id from the hosts file (node mode)")
-		hosts   = flag.String("hosts", "", "hosts file path (node mode)")
-		launch  = flag.Int("launch", 0, "spawn N node processes on loopback and check equivalence")
-		merge   = flag.String("merge", "", "merge flight dumps given as args into this file")
-		rounds  = flag.Int("rounds", 16, "casts per member")
-		size    = flag.Int("size", 128, "cast payload bytes")
-		seed    = flag.Int64("seed", 42, "netsim reference seed")
-		timeout = flag.Duration("timeout", 60*time.Second, "per-phase wall-clock bound")
-		out     = flag.String("out", "", "node mode: write the NodeResult JSON here")
-		flight  = flag.String("flight", "", "node mode: write the raw flight dump here")
-		trace   = flag.String("trace", "", "merge mode: also write a Chrome trace here")
-		dir     = flag.String("artifacts", ".multiproc-artifacts", "launcher mode: artifacts directory")
-		keep    = flag.Bool("keep", false, "launcher mode: keep artifacts even on success")
+		id       = flag.Int("id", 0, "member id from the hosts file (node mode)")
+		hosts    = flag.String("hosts", "", "hosts file path (node mode)")
+		launch   = flag.Int("launch", 0, "spawn N node processes on loopback and check equivalence")
+		merge    = flag.String("merge", "", "merge flight dumps given as args into this file")
+		rounds   = flag.Int("rounds", 16, "casts per member")
+		size     = flag.Int("size", 128, "cast payload bytes")
+		seed     = flag.Int64("seed", 42, "netsim reference seed")
+		timeout  = flag.Duration("timeout", 60*time.Second, "per-phase wall-clock bound")
+		out      = flag.String("out", "", "node mode: write the NodeResult JSON here")
+		flight   = flag.String("flight", "", "node mode: write the raw flight dump here")
+		trace    = flag.String("trace", "", "merge mode: also write a Chrome trace here")
+		dir      = flag.String("artifacts", ".multiproc-artifacts", "launcher mode: artifacts directory")
+		keep     = flag.Bool("keep", false, "launcher mode: keep artifacts even on success")
 		loss     = flag.Float64("loss", 0, "drop this fraction of incoming data frames before decode")
 		lossSeed = flag.Int64("lossseed", 0, "loss pattern seed (each node offsets by its id)")
 		bump     = flag.Int("bump", 0, "bump cross-frame generations after N local deliveries")

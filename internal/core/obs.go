@@ -40,6 +40,11 @@ func (m *Member) EnableObs(sc *obs.Scope, trk *obs.Track) {
 		sc.Func("batch/prefix_subs", func() int64 { return m.batch.Stats().PrefixSubs })
 		sc.Func("batch/run_subs", func() int64 { return m.batch.Stats().RunSubs })
 		sc.Func("batch/verbatim_subs", func() int64 { return m.batch.Stats().VerbatimSubs })
+		// What the current view's layers hold until stability or an ack
+		// releases it: messages, and the bytes of their storage and
+		// index (each read is O(1) per layer).
+		sc.Func("retain/msgs", func() int64 { msgs, _ := m.retained(); return msgs })
+		sc.Func("retain/bytes", func() int64 { _, bytes := m.retained(); return bytes })
 		// Latency distributions (histogram.go): each sample is one atomic
 		// bucket add, so the observed hot paths keep their 0 allocs/op
 		// and ≥0.97 obs-ratio gates with these on. Times come from the
@@ -97,6 +102,17 @@ func (m *Member) EnableObs(sc *obs.Scope, trk *obs.Track) {
 		}
 		m.eng.OnRoute = m.obsRoute
 	}
+}
+
+// retained sums what the current view's retaining layers hold.
+func (m *Member) retained() (msgs, bytes int64) {
+	for _, st := range m.eng.States() {
+		if r, ok := st.(interface{ Retained() (msgs, bytes int64) }); ok {
+			n, b := r.Retained()
+			msgs, bytes = msgs+n, bytes+b
+		}
+	}
+	return msgs, bytes
 }
 
 // RegisterPoolMetrics exports the process-global event/header pool

@@ -10,9 +10,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"ensemble/internal/event"
 	"ensemble/internal/layers"
 	"ensemble/internal/netsim"
 	"ensemble/internal/obs"
@@ -347,5 +349,54 @@ func TestMachGaugesSpanViewChanges(t *testing.T) {
 	}
 	if w, l := read(after, "path/dn_cast/window"), read(after, "path/dn_cast"); w != rounds || l != 2*rounds {
 		t.Errorf("mach/path/dn_cast reads %d in this view and %d in all, want %d and %d", w, l, rounds, 2*rounds)
+	}
+}
+
+// TestRetentionVisible: a member exports what its layers retain as
+// retain/msgs and retain/bytes. In a 16-member group on the scale stack
+// (StackVsync without total, as bench.ScaleStack) both read above 0 while
+// casts flow and lower once a stability sweep has released them, and
+// reading them allocates nothing.
+func TestRetentionVisible(t *testing.T) {
+	const members, rounds = 16, 100
+	names := slices.DeleteFunc(layers.StackVsync(), func(n string) bool { return n == layers.Total })
+	g, err := NewClusterGroup(members, netsim.Ethernet100(), 1, names, stack.Func, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	g.EnableObs(reg, nil)
+	for i := 0; i < rounds; i++ {
+		for r := range g.Members {
+			payload := []byte(fmt.Sprintf("cast %d of member %d, padded to 64 bytes: %032x", i, r, i*members+r))
+			g.Do(r, int64(i)*200_000, func() { g.Members[r].Cast(payload) })
+		}
+	}
+	read := func(snap obs.Snapshot, r int) (msgs, bytes int64) {
+		msgs, ok := snap.Get(fmt.Sprintf("member%d/retain/msgs", r))
+		bytes, ok2 := snap.Get(fmt.Sprintf("member%d/retain/bytes", r))
+		if !ok || !ok2 {
+			t.Fatalf("member%d/retain/* missing from the snapshot", r)
+		}
+		return msgs, bytes
+	}
+	g.Run(int64(rounds)*200_000 + 2e6)
+	mid := reg.Snapshot()
+	g.Run(int64(300e6))
+	after := reg.Snapshot()
+	for r := range g.Members {
+		m1, b1 := read(mid, r)
+		m2, b2 := read(after, r)
+		if r == 0 {
+			t.Logf("member 0 retains %d msgs in %d B mid-traffic, %d msgs in %d B after stability", m1, b1, m2, b2)
+		}
+		if m1 <= 0 || b1 <= 0 || m2 >= m1 || b2 >= b1 {
+			t.Fatalf("member %d retains %d msgs in %d B mid-traffic and %d msgs in %d B after a stability sweep", r, m1, b1, m2, b2)
+		}
+	}
+	if !event.PoolDebugEnabled() {
+		if n := testing.AllocsPerRun(100, func() { g.Members[0].retained() }); n != 0 {
+			t.Fatalf("reading retention allocates %v times", n)
+		}
 	}
 }

@@ -47,13 +47,13 @@ func TestParseHostsDuplicateID(t *testing.T) {
 
 func TestParseHostsTrailingGarbage(t *testing.T) {
 	for _, bad := range []string{
-		"1 127.0.0.1 9001 extra\n",          // 4 fields
-		"1 127.0.0.1\n",                     // 2 fields
-		"one 127.0.0.1 9001\n",              // non-numeric id
-		"1 127.0.0.1 port\n",                // non-numeric port
-		"0 127.0.0.1 9001\n",                // id < 1
-		"1 127.0.0.1 0\n",                   // port out of range
-		"1 127.0.0.1 70000\n",               // port out of range
+		"1 127.0.0.1 9001 extra\n",             // 4 fields
+		"1 127.0.0.1\n",                        // 2 fields
+		"one 127.0.0.1 9001\n",                 // non-numeric id
+		"1 127.0.0.1 port\n",                   // non-numeric port
+		"0 127.0.0.1 9001\n",                   // id < 1
+		"1 127.0.0.1 0\n",                      // port out of range
+		"1 127.0.0.1 70000\n",                  // port out of range
 		"1 127.0.0.1 9001\n3 127.0.0.1 9003\n", // non-contiguous ids
 	} {
 		if _, err := ParseHosts(strings.NewReader(bad)); err == nil {

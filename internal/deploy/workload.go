@@ -73,7 +73,6 @@ func DecodePayload(p []byte) (MsgID, error) {
 	return MsgID{Origin: int(origin), Index: int(index)}, nil
 }
 
-
 // Total is the number of casts the workload admits.
 func (w Workload) Total() int { return w.Members * w.Rounds }
 

@@ -167,7 +167,7 @@ func (h *HandEngine) Cast(payload []byte) {
 	}
 	img := h.castImg
 	img.Payload = payload
-	h.mnak.logs[h.Rank].put(seq, img)
+	h.mnak.logs[h.Rank].put(&h.mnak.arena, seq, img)
 }
 
 // Send transmits an application payload point-to-point through the hand
@@ -199,7 +199,7 @@ func (h *HandEngine) Send(dst int, payload []byte) {
 	}
 	img := h.sendImg
 	img.Payload = payload
-	p.unacked.put(seq, img)
+	p.unacked.put(&h.p2p.arena, seq, img)
 }
 
 // Packet routes an arriving wire image and reports whether it decoded,
@@ -261,7 +261,7 @@ func (h *HandEngine) Packet(data []byte) bool {
 			// Kept after the delivery, like the send side's buffering.
 			img := h.castImg
 			img.Payload = payload
-			h.mnak.logs[origin].put(seq, img)
+			h.mnak.logs[origin].put(&h.mnak.arena, seq, img)
 			return true
 		}
 		h.Stats.UpFull++

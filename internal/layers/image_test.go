@@ -102,11 +102,14 @@ func TestImageRoundTrip(t *testing.T) {
 			t.Fatalf("%s: ImageOf: %v", what, err)
 		}
 		// Through a log, so the image outlives ev and the writer.
-		var l msgLog
-		l.put(4, img)
+		var (
+			a logArena
+			l msgLog
+		)
+		l.put(&a, 4, img)
 		event.Free(ev)
 		scratch.Reset()
-		kept, _ := l.get(4)
+		kept, _ := l.get(&a, 4)
 		out := event.Alloc()
 		if err := transport.FromImage(kept, out); err != nil {
 			t.Fatalf("%s: FromImage: %v", what, err)

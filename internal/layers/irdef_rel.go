@@ -28,13 +28,13 @@ func (s *mnakState) IREffects() []ir.EffectSpec {
 		{
 			// save_cast(seqno): retain a cast this member sent.
 			Name: "save_cast", Hdrs: true,
-			Run: func(ctx ir.EffectCtx) { s.logs[s.view.Rank].put(ctx.Args[0], effectImage(ctx)) },
+			Run: func(ctx ir.EffectCtx) { s.logs[s.view.Rank].put(&s.arena, ctx.Args[0], effectImage(ctx)) },
 		},
 		{
 			// keep_cast(origin, seqno): retain a delivered cast, so this
 			// member can retransmit it on the origin's behalf (see logs).
 			Name: "keep_cast", Hdrs: true,
-			Run: func(ctx ir.EffectCtx) { s.logs[ctx.Args[0]].put(ctx.Args[1], effectImage(ctx)) },
+			Run: func(ctx ir.EffectCtx) { s.logs[ctx.Args[0]].put(&s.arena, ctx.Args[1], effectImage(ctx)) },
 		},
 	}
 }
@@ -123,7 +123,7 @@ func (s *pt2ptState) IREffects() []ir.EffectSpec {
 			// retransmission, after the send itself.
 			Name: "save_send", Hdrs: true,
 			Run: func(ctx ir.EffectCtx) {
-				s.peers[ctx.Args[0]].unacked.put(ctx.Args[1], effectImage(ctx))
+				s.peers[ctx.Args[0]].unacked.put(&s.arena, ctx.Args[1], effectImage(ctx))
 			},
 		},
 		{

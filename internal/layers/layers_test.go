@@ -219,7 +219,7 @@ func TestMnakStabilityGC(t *testing.T) {
 		_, dns := dn(sender, event.CastEv([]byte{byte(i)}))
 		freeAll(dns)
 	}
-	if n := logCount(&sender.logs[0]); n != 5 {
+	if n := logCount(&sender.arena, &sender.logs[0]); n != 5 {
 		t.Fatalf("send log holds %d, want 5", n)
 	}
 	st := event.Alloc()
@@ -227,7 +227,7 @@ func TestMnakStabilityGC(t *testing.T) {
 	st.Stability = []int64{3, 0}
 	_, dns := dn(sender, st)
 	freeAll(dns)
-	if n := logCount(&sender.logs[0]); n != 2 {
+	if n := logCount(&sender.arena, &sender.logs[0]); n != 2 {
 		t.Fatalf("after stability 3, the send log holds %d entries, want 2", n)
 	}
 	// A stale NAK for a stabilized message is skipped silently.

@@ -34,6 +34,8 @@ type mnakState struct {
 	// could repair the difference — the view-change flush would either
 	// hang or install a view whose members delivered different casts.
 	logs []msgLog
+	// arena stores the records of every log.
+	arena logArena
 
 	// recvNext[o] is the next expected sequence number from origin o.
 	recvNext []int64
@@ -165,6 +167,9 @@ func init() {
 
 func (s *mnakState) Name() string { return Mnak }
 
+// Retained reports the casts the logs hold and the bytes they take.
+func (s *mnakState) Retained() (msgs, bytes int64) { return s.arena.msgs, s.arena.bytes }
+
 func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
@@ -173,7 +178,7 @@ func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 		// Retained before the mnak header is pushed: a retransmission must
 		// reconstruct the message exactly as the layers above handed it
 		// to us, including their headers.
-		s.logs[s.view.Rank].put(seq, imageOf(ev, &s.wbuf))
+		s.logs[s.view.Rank].put(&s.arena, seq, imageOf(ev, &s.wbuf))
 		ev.Msg.Push(newMnakData(seq))
 		snk.PassDn(ev)
 	case event.ESend:
@@ -228,7 +233,7 @@ func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 			if o == s.view.Rank {
 				have = s.mySeq
 			}
-			s.logs[o].trimBelow(min(ev.Stability[o], have))
+			s.logs[o].trimBelow(&s.arena, min(ev.Stability[o], have))
 		}
 		snk.PassDn(ev)
 	default:
@@ -303,12 +308,12 @@ func (s *mnakState) deliverCast(origin int, seq int64, ev *event.Event, nak bool
 	case seq == next:
 		// Kept before the delivery PassUp, while the event still holds the
 		// upper layers' header stack.
-		s.logs[origin].put(seq, imageOf(ev, &s.wbuf))
+		s.logs[origin].put(&s.arena, seq, imageOf(ev, &s.wbuf))
 		s.recvNext[origin] = next + 1
 		snk.PassUp(ev)
 		s.drain(origin, snk)
 	case seq > next:
-		if s.logs[origin].put(seq, imageOf(ev, &s.wbuf)) {
+		if s.logs[origin].put(&s.arena, seq, imageOf(ev, &s.wbuf)) {
 			s.ahead[origin]++
 		}
 		if nak && seq-1 > s.naked[origin] {
@@ -327,7 +332,7 @@ func (s *mnakState) deliverCast(origin int, seq int64, ev *event.Event, nak bool
 func (s *mnakState) drain(origin int, snk layer.Sink) {
 	for s.ahead[origin] > 0 {
 		next := s.recvNext[origin]
-		img, ok := s.logs[origin].get(next)
+		img, ok := s.logs[origin].get(&s.arena, next)
 		if !ok {
 			return
 		}
@@ -367,7 +372,7 @@ func (s *mnakState) handleNak(requester int, h mnakNak, snk layer.Sink) {
 		hi = min(hi, s.recvNext[origin])
 	}
 	for q := max(lo, h.Lo); q < hi && q <= h.Hi; q++ {
-		img, ok := log.get(q)
+		img, ok := log.get(&s.arena, q)
 		if !ok {
 			continue
 		}

@@ -3,7 +3,6 @@ package layers
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"ensemble/internal/event"
 	"ensemble/internal/ir"
@@ -12,55 +11,49 @@ import (
 
 // msgLog is the retention buffer of one numbered channel — one origin's
 // casts, one peer's sends: the messages from a moving base upward, each
-// held as its encoded image (transport.Image) in an append-only slab.
+// held as its encoded image (transport.Image) in the logArena of the
+// layer state that owns the log.
 //
 // It is what the reliability layers buffer in instead of a map of
-// deep-cloned boxes. Keeping a message is one memmove into the current
-// slab and one index entry; nothing in the log is a pointer the
-// collector must trace (slabs are bytes, the index is integers); and
-// releasing everything below a sequence number advances the base and
-// drops whole slabs, without visiting the entries. A message is decoded
-// again (transport.FromImage) only when somebody asks for it: a NAK, a
-// retransmission sweep, a gap that filled.
+// deep-cloned boxes. Keeping a message is one memmove into the arena's
+// open slab and one index entry; nothing in the log or the arena is a
+// pointer the collector must trace (slabs are bytes, the index is
+// integers); and releasing everything below a sequence number advances
+// the base and visits the entries it releases, each giving its slab back
+// one record. A message is decoded again (transport.FromImage) only when
+// somebody asks for it: a NAK, a retransmission sweep, a gap that filled.
 //
-// Slabs are written once and never reused, so an image handed out by get
-// — and the payload of an event decoded from it — stays valid for as
-// long as anything references it, even after the log trimmed past it.
-//
-// A record large enough to get a slab of its own is not copied when it
-// needs no copy: an owned image (transport.Image.Borrowed unset) whose
-// header bytes and payload are one contiguous run — a message off the
-// wire, everything above this layer being a suffix of the sub-packet —
-// becomes that slab by reference. Nobody rewrites arrival bytes, so the
-// reference is as immutable as a slab.
+// The index is kept right-sized: it grows by a quarter, and a trim that
+// leaves the backing array more than twice the live width (plus
+// logIdxSlack) copies the live entries into a fitted one, so a log holds
+// what stability has not released yet and not its peak.
 //
 // The zero value is an empty log, sixteen bytes of it: a member holds
 // one or two per peer, most of which never carry a message, so
 // everything past the base waits for the first put.
 type msgLog struct {
-	// base is the sequence number of idx[0]. Everything below it is gone
-	// and cannot be put again.
+	// base is the sequence number of the first live index entry.
+	// Everything below it is gone and cannot be put again.
 	base int64
 	*logBody
 }
 
+// logBody is a log's index. ents is the index's backing array from its
+// start and ents[head:] the live part: ents[head+seq-base] locates seq's
+// record, and zero means absent (a sequence number not yet seen, between
+// base and the highest put). Trimming advances head; the entries below
+// it are dead.
 type logBody struct {
-	// idx[seq-base] locates seq's record; zero means absent (a sequence
-	// number not yet seen, between base and the highest put).
-	idx []logRef
-	// slabs holds the records, oldest slab first. made counts the slabs
-	// ever allocated, which numbers them: slabs[len-1] is number made-1.
-	// Only differences of slab numbers are used, so made may wrap.
-	slabs []logSlab
-	made  uint32
+	ents []logRef
+	head int
 }
 
-// logRef locates a record: the number of its slab (as counted by made)
-// and the record's offset in the slab plus one, so that the zero logRef
-// is free to mean absent. The slab number is kept whole: a log that is
-// never trimmed — a stack without a stability layer — holds as many
-// slabs as it was given messages, and a reference must still find its
-// own.
+// logRef locates a record: the number of its slab (as counted by the
+// arena's made) and the record's offset in the slab plus one, so that
+// the zero logRef is free to mean absent. The slab number is kept whole:
+// a log that is never trimmed — a stack without a stability layer — keeps
+// as many slabs alive as it was given big messages, and a reference must
+// still find its own.
 //
 // A by-reference record (logRefBit set; no offset is that large) fills
 // its slab, which is the image's run itself, and off holds what the
@@ -71,27 +64,66 @@ type logRef struct {
 	off  uint32
 }
 
-// logSlab is one append-only run of records. last is the highest
-// sequence number stored in it: the slab can go once the base passes it.
+// logArena is the storage of every msgLog of one layer state: mnak's
+// per-origin logs share one, pt2pt's per-peer logs one, seqno's one.
+// Small records of all the logs are appended, in put order, to one open
+// slab of logSlabBytes, so a record costs its own bytes and not a
+// per-log slab's slack.
+//
+// Slabs are written once and never reused: each counts its live records,
+// and one that counts none is dropped, unless it is the open slab (it
+// stays open, appended to past its dead records, and is dropped when it
+// is closed). So an image handed out by get — and the payload of an
+// event decoded from it — stays valid for as long as anything references
+// it, even after every log trimmed past it. A record lives in one slab,
+// so a log that is never trimmed pins at most one slab per record it
+// holds.
+//
+// A record too big for a shared slab (need > logSlabBytes) gets a slab of
+// its own, cut to size, rather than outlive its stability by its
+// neighbours'. It is not copied when it needs no copy: an owned image
+// (transport.Image.Borrowed unset) whose header bytes and payload are one
+// contiguous run — a message off the wire, everything above this layer
+// being a suffix of the sub-packet — becomes that slab by reference.
+// Nobody rewrites arrival bytes, so the reference is as immutable as a
+// slab.
+//
+// The zero value is an empty arena.
+type logArena struct {
+	// slabs holds the storage, oldest first: slabs[i] is slab number
+	// made-len(slabs)+i. A dropped slab (buf nil) keeps its place until
+	// every older one is dropped too. Only differences of slab numbers
+	// are used, so made may wrap.
+	slabs []logSlab
+	made  uint32
+	// open is the number of the slab small records go to, when opened.
+	open   uint32
+	opened bool
+	// msgs counts the live records; bytes the live slabs' bytes and the
+	// index arrays of every log that draws from the arena.
+	msgs, bytes int64
+}
+
+// logSlab is one append-only run of records, live of them not trimmed.
 //
 // A record is one flag byte (header count, high bit = ApplMsg), the
 // uvarint lengths of the image's two segments, and the segments — or, by
 // reference, the segments alone.
 type logSlab struct {
 	buf  []byte
-	last int64
+	live int
 }
 
 const (
-	// A slab is sized for logSlabRecs records like the one that opens it:
-	// a log of small casts allocates once per sixteen of them and wastes
-	// less than that much space, and a small control message between
-	// large ones does not pin a large slab. Slabs are released whole, so
-	// past logMaxSlab a record gets a slab of its own, cut to size, rather
-	// than outlive its stability by its neighbours'.
-	logMinSlab  = 512
-	logMaxSlab  = 32 << 10
-	logSlabRecs = 16
+	// logSlabBytes is the size of a shared slab; a record that would not
+	// fit in an empty one gets a slab of its own.
+	logSlabBytes = 2 << 10
+	// A log's index grows by a quarter plus logIdxRoom entries, and a
+	// trim compacts it when the backing array is more than twice the
+	// live width plus logIdxSlack entries.
+	logIdxRoom  = 8
+	logIdxSlack = 32
+	logRefSize  = 8
 	// logMaxAhead bounds how far past the highest sequence number seen a
 	// put may land: the index is dense, and a corrupt or hostile sequence
 	// number must not be able to size it.
@@ -108,71 +140,149 @@ const (
 	logRefHdrs     = 1<<logRefNHdrs - 1
 )
 
-// put retains img as sequence number seq. It reports false, and keeps
-// nothing, when seq is below the base, already present (the first copy
-// wins), or implausibly far ahead.
-func (l *msgLog) put(seq int64, img transport.Image) bool {
+// put retains img as sequence number seq, in a's storage. It reports
+// false, and keeps nothing, when seq is below the base, already present
+// (the first copy wins), or implausibly far ahead.
+func (l *msgLog) put(a *logArena, seq int64, img transport.Image) bool {
 	i := seq - l.base
 	switch {
 	case i < 0, i >= l.width()+logMaxAhead:
 		return false
-	case i < l.width() && l.idx[i] != (logRef{}):
+	case i < l.width() && l.ents[l.head+int(i)] != (logRef{}):
 		return false
 	}
 	if l.logBody == nil {
 		l.logBody = new(logBody)
 	}
-	var ref logRef
-	need := 1 + 2*binary.MaxVarintLen32 + len(img.Hdrs) + len(img.Payload)
-	if run, ok := arrivalRun(img, need); ok {
-		l.slabs = append(l.slabs, logSlab{buf: run, last: seq})
-		l.made++
-		ref = logRef{slab: l.made - 1, off: logRefBit | uint32(img.NHdrs)<<logRefNHdrs | uint32(len(img.Hdrs))}
-		if img.ApplMsg {
-			ref.off |= logRefAppl
-		}
-	} else {
-		if n := len(l.slabs); n == 0 || cap(l.slabs[n-1].buf)-len(l.slabs[n-1].buf) < need {
-			size := max(need*logSlabRecs, logMinSlab)
-			if size > logMaxSlab {
-				size = need
-			}
-			l.slabs = append(l.slabs, logSlab{buf: make([]byte, 0, size), last: seq})
-			l.made++
-		}
-		s := &l.slabs[len(l.slabs)-1]
-		ref = logRef{slab: l.made - 1, off: uint32(len(s.buf) + 1)}
-		flag := img.NHdrs
-		if img.ApplMsg {
-			flag |= logApplBit
-		}
-		s.buf = append(s.buf, flag)
-		s.buf = binary.AppendUvarint(s.buf, uint64(len(img.Hdrs)))
-		s.buf = binary.AppendUvarint(s.buf, uint64(len(img.Payload)))
-		s.buf = append(s.buf, img.Hdrs...)
-		s.buf = append(s.buf, img.Payload...)
-		s.last = max(s.last, seq)
-	}
-	// The index grows by a quarter, not append's doubling: there is one
-	// per origin per member, most of them a few hundred entries long.
-	if grow := int(i) + 1 - len(l.idx); grow > cap(l.idx)-len(l.idx) {
-		l.idx = slices.Grow(l.idx, max(grow, len(l.idx)/4+8))
-	}
-	for int64(len(l.idx)) <= i {
-		l.idx = append(l.idx, logRef{})
-	}
-	l.idx[i] = ref
+	l.reach(a, int(i)+1)
+	l.ents[l.head+int(i)] = a.store(img)
 	return true
 }
 
+// reach widens the index to n live entries: into the backing array's
+// free tail, or down over its dead entries when that leaves a quarter to
+// spare, or else into a new array a quarter wider.
+func (b *logBody) reach(a *logArena, n int) {
+	w := len(b.ents) - b.head
+	if n <= w {
+		return
+	}
+	if b.head+n > cap(b.ents) {
+		if idxRoom(n) <= cap(b.ents) {
+			copy(b.ents, b.ents[b.head:])
+			b.ents, b.head = b.ents[:w], 0
+		} else {
+			b.realloc(a, w, idxRoom(n))
+		}
+	}
+	old := len(b.ents)
+	b.ents = b.ents[:b.head+n]
+	clear(b.ents[old:])
+}
+
+// idxRoom is the capacity an index of n live entries is given.
+func idxRoom(n int) int { return n + n/4 + logIdxRoom }
+
+// realloc moves the w live index entries into a new array of capacity c.
+func (b *logBody) realloc(a *logArena, w, c int) {
+	ents := make([]logRef, w, c)
+	copy(ents, b.ents[b.head:])
+	a.bytes += int64(c-cap(b.ents)) * logRefSize
+	b.ents, b.head = ents, 0
+}
+
+// store appends img's record to the arena and returns where it is.
+func (a *logArena) store(img transport.Image) logRef {
+	need := 1 + 2*binary.MaxVarintLen32 + len(img.Hdrs) + len(img.Payload)
+	if need > logSlabBytes {
+		if run, ok := arrivalRun(img); ok {
+			ref := logRef{slab: a.add(run), off: logRefBit | uint32(img.NHdrs)<<logRefNHdrs | uint32(len(img.Hdrs))}
+			if img.ApplMsg {
+				ref.off |= logRefAppl
+			}
+			a.at(ref.slab).live++
+			a.msgs++
+			return ref
+		}
+		return a.record(a.add(make([]byte, 0, need)), img)
+	}
+	if a.room() < need {
+		if a.opened && a.at(a.open).live == 0 {
+			a.drop(a.at(a.open))
+		}
+		a.open, a.opened = a.add(make([]byte, 0, logSlabBytes)), true
+	}
+	return a.record(a.open, img)
+}
+
+// room is what the open slab has left, none before the first.
+func (a *logArena) room() int {
+	if !a.opened {
+		return 0
+	}
+	s := a.at(a.open)
+	return cap(s.buf) - len(s.buf)
+}
+
+// record appends img's record to slab n.
+func (a *logArena) record(n uint32, img transport.Image) logRef {
+	s := a.at(n)
+	ref := logRef{slab: n, off: uint32(len(s.buf) + 1)}
+	flag := img.NHdrs
+	if img.ApplMsg {
+		flag |= logApplBit
+	}
+	s.buf = append(s.buf, flag)
+	s.buf = binary.AppendUvarint(s.buf, uint64(len(img.Hdrs)))
+	s.buf = binary.AppendUvarint(s.buf, uint64(len(img.Payload)))
+	s.buf = append(s.buf, img.Hdrs...)
+	s.buf = append(s.buf, img.Payload...)
+	s.live++
+	a.msgs++
+	return ref
+}
+
+// add appends buf to the arena as a new slab and returns its number.
+func (a *logArena) add(buf []byte) uint32 {
+	a.slabs = append(a.slabs, logSlab{buf: buf})
+	a.made++
+	a.bytes += int64(cap(buf))
+	return a.made - 1
+}
+
+// at is slab number n.
+func (a *logArena) at(n uint32) *logSlab {
+	return &a.slabs[n-(a.made-uint32(len(a.slabs)))]
+}
+
+// release gives slab n back one record, and drops it if that was its
+// last and the slab is not open.
+func (a *logArena) release(n uint32) {
+	s := a.at(n)
+	s.live--
+	a.msgs--
+	if s.live == 0 && (!a.opened || n != a.open) {
+		a.drop(s)
+	}
+}
+
+// drop lets a slab with no live record go, and unlists the dropped slabs
+// at the old end.
+func (a *logArena) drop(s *logSlab) {
+	a.bytes -= int64(cap(s.buf))
+	s.buf = nil
+	for len(a.slabs) > 0 && a.slabs[0].buf == nil {
+		a.slabs = a.slabs[1:]
+	}
+}
+
 // arrivalRun returns an owned image's two segments as the one run of
-// bytes they occupy, when its record of need bytes would get a slab of
-// its own, the payload begins where the header bytes end in the same
-// backing array, and the facts the run does not carry fit a
+// bytes they occupy, when the payload begins where the header bytes end
+// in the same backing array and the facts the run does not carry fit a
 // by-reference logRef.
-func arrivalRun(img transport.Image, need int) ([]byte, bool) {
+func arrivalRun(img transport.Image) ([]byte, bool) {
 	h, n := img.Hdrs, len(img.Hdrs)+len(img.Payload)
-	if need*logSlabRecs <= logMaxSlab || img.Borrowed || len(img.Payload) == 0 || cap(h) < n ||
+	if img.Borrowed || len(img.Payload) == 0 || cap(h) < n ||
 		len(h) > logRefHdrs || img.NHdrs > logRefMaxNHdrs {
 		return nil, false
 	}
@@ -183,22 +293,21 @@ func arrivalRun(img transport.Image, need int) ([]byte, bool) {
 }
 
 // get returns seq's image, or false when the log does not hold it. The
-// image aliases the slab (see the type comment for how long that lasts).
-func (l *msgLog) get(seq int64) (transport.Image, bool) {
+// image aliases a's slab (see logArena for how long that lasts).
+func (l *msgLog) get(a *logArena, seq int64) (transport.Image, bool) {
 	i := seq - l.base
-	if i < 0 || i >= l.width() || l.idx[i] == (logRef{}) {
+	if i < 0 || i >= l.width() || l.ents[l.head+int(i)] == (logRef{}) {
 		return transport.Image{}, false
 	}
-	ref := l.idx[i]
-	oldest := l.made - uint32(len(l.slabs))
+	ref := l.ents[l.head+int(i)]
 	if ref.off&logRefBit != 0 {
-		run, h := l.slabs[ref.slab-oldest].buf, int(ref.off&logRefHdrs)
+		run, h := a.at(ref.slab).buf, int(ref.off&logRefHdrs)
 		return transport.Image{
 			Hdrs: run[:h:h], Payload: run[h:],
 			NHdrs: uint8(ref.off >> logRefNHdrs & logRefMaxNHdrs), ApplMsg: ref.off&logRefAppl != 0,
 		}, true
 	}
-	rec := l.slabs[ref.slab-oldest].buf[ref.off-1:]
+	rec := a.at(ref.slab).buf[ref.off-1:]
 	nh, k := binary.Uvarint(rec[1:])
 	np, k2 := binary.Uvarint(rec[1+k:])
 	h := 1 + k + k2
@@ -213,25 +322,35 @@ func (l *msgLog) get(seq int64) (transport.Image, bool) {
 // [lo, hi). Callers serving a requested range clamp it to this first.
 func (l *msgLog) span() (lo, hi int64) { return l.base, l.base + l.width() }
 
-// width is the length of the index, none before the first put.
+// width is the length of the live index, none before the first put.
 func (l *msgLog) width() int64 {
 	if l.logBody == nil {
 		return 0
 	}
-	return int64(len(l.idx))
+	return int64(len(l.ents) - l.head)
 }
 
-// trimBelow releases every message below seq and moves the base there
-// (also past the highest message held: what is trimmed stays refused).
-func (l *msgLog) trimBelow(seq int64) {
+// trimBelow releases every message below seq back to a and moves the
+// base there (also past the highest message held: what is trimmed stays
+// refused). It visits each entry it releases, and compacts the index
+// when the backing array has become more than twice what is live.
+func (l *msgLog) trimBelow(a *logArena, seq int64) {
 	if seq <= l.base {
 		return
 	}
-	if l.logBody != nil {
-		l.idx = l.idx[min(seq-l.base, int64(len(l.idx))):]
-		for len(l.slabs) > 0 && l.slabs[0].last < seq {
-			l.slabs[0] = logSlab{}
-			l.slabs = l.slabs[1:]
+	if b := l.logBody; b != nil {
+		k := int(min(seq-l.base, l.width()))
+		for _, ref := range b.ents[b.head : b.head+k] {
+			if ref != (logRef{}) {
+				a.release(ref.slab)
+			}
+		}
+		b.head += k
+		switch w := len(b.ents) - b.head; {
+		case cap(b.ents) > 2*w+logIdxSlack:
+			b.realloc(a, w, idxRoom(w))
+		case w == 0:
+			b.ents, b.head = b.ents[:0], 0
 		}
 	}
 	l.base = seq

@@ -40,7 +40,7 @@ func arrivedCast(t *testing.T, origin int, seq int64, payload []byte) (*event.Ev
 // a harness rewriting its buffer after delivery must not change what a
 // NAK is served.
 func TestMnakKeepsOnlyOwnedArrivalsByReference(t *testing.T) {
-	payload := make([]byte, 3*logMaxSlab/logSlabRecs)
+	payload := make([]byte, 3*logSlabBytes)
 	for i := range payload {
 		payload[i] = byte(i * 13)
 	}
@@ -53,7 +53,7 @@ func TestMnakKeepsOnlyOwnedArrivalsByReference(t *testing.T) {
 			t.Fatalf("borrowed=%t: the cast was not delivered intact", borrowed)
 		}
 		freeAll(ups)
-		kept, ok := st.logs[1].get(0)
+		kept, ok := st.logs[1].get(&st.arena, 0)
 		if !ok {
 			t.Fatalf("borrowed=%t: the delivered cast was not kept", borrowed)
 		}

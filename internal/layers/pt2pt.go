@@ -17,6 +17,8 @@ type pt2ptState struct {
 	view *event.View
 
 	peers []pt2ptPeer
+	// arena stores the records of every peer's unacked and ooo logs.
+	arena logArena
 
 	// ackThreshold is how many deliveries may accumulate before an
 	// explicit acknowledgment is forced.
@@ -117,13 +119,16 @@ func init() {
 
 func (s *pt2ptState) Name() string { return Pt2pt }
 
+// Retained reports the messages the logs hold and the bytes they take.
+func (s *pt2ptState) Retained() (msgs, bytes int64) { return s.arena.msgs, s.arena.bytes }
+
 func (s *pt2ptState) HandleDn(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ESend:
 		p := &s.peers[ev.Peer]
 		seq := p.sendSeq
 		p.sendSeq++
-		p.unacked.put(seq, imageOf(ev, &s.wbuf))
+		p.unacked.put(&s.arena, seq, imageOf(ev, &s.wbuf))
 		p.pendingAcks = 0 // the piggybacked ack covers everything pending
 		ev.Msg.Push(newP2pData(seq, p.recvNext))
 		snk.PassDn(ev)
@@ -169,7 +174,7 @@ func (s *pt2ptState) applyAck(peer int, ack int64) {
 	p := &s.peers[peer]
 	// An acknowledgment of something never sent releases nothing beyond
 	// what was: sequence numbers still to come must stay puttable.
-	p.unacked.trimBelow(min(ack, p.sendSeq))
+	p.unacked.trimBelow(&s.arena, min(ack, p.sendSeq))
 }
 
 // deliver applies the in-order rule for a point-to-point message.
@@ -181,7 +186,7 @@ func (s *pt2ptState) deliver(from int, seq int64, ev *event.Event, snk layer.Sin
 		p.pendingAcks++
 		snk.PassUp(ev)
 		for p.oooLen > 0 {
-			img, ok := p.ooo.get(p.recvNext)
+			img, ok := p.ooo.get(&s.arena, p.recvNext)
 			if !ok {
 				break
 			}
@@ -193,15 +198,15 @@ func (s *pt2ptState) deliver(from int, seq int64, ev *event.Event, snk layer.Sin
 			fromImage(img, out)
 			snk.PassUp(out)
 		}
-		p.ooo.trimBelow(p.recvNext)
+		p.ooo.trimBelow(&s.arena, p.recvNext)
 		if p.pendingAcks >= s.ackThreshold {
 			s.sendAck(from, snk)
 		}
 	case seq > p.recvNext:
 		// In-order deliveries through the bypass never touch ooo: bring
 		// its base up first, so "ahead" is measured from here.
-		p.ooo.trimBelow(p.recvNext)
-		if p.ooo.put(seq, imageOf(ev, &s.wbuf)) {
+		p.ooo.trimBelow(&s.arena, p.recvNext)
+		if p.ooo.put(&s.arena, seq, imageOf(ev, &s.wbuf)) {
 			p.oooLen++
 		}
 		event.Free(ev)
@@ -232,7 +237,7 @@ func (s *pt2ptState) sweep(snk layer.Sink) {
 	for peer := range s.peers {
 		p := &s.peers[peer]
 		for seq, hi := p.unacked.span(); seq < hi; seq++ {
-			img, ok := p.unacked.get(seq)
+			img, ok := p.unacked.get(&s.arena, seq)
 			if !ok {
 				continue
 			}

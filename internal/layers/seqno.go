@@ -25,6 +25,8 @@ type seqnoState struct {
 	// ahead[o] holds the casts from origin o that arrived past
 	// recvNext[o], as images of what the layers above will see.
 	ahead []msgLog
+	// arena stores the records of every ahead log.
+	arena logArena
 
 	// wbuf encodes the images of events that did not come off the wire.
 	wbuf transport.Writer
@@ -84,6 +86,9 @@ func init() {
 
 func (s *seqnoState) Name() string { return Seqno }
 
+// Retained reports the casts the logs hold and the bytes they take.
+func (s *seqnoState) Retained() (msgs, bytes int64) { return s.arena.msgs, s.arena.bytes }
+
 func (s *seqnoState) HandleDn(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
@@ -112,7 +117,7 @@ func (s *seqnoState) HandleUp(ev *event.Event, snk layer.Sink) {
 			snk.PassUp(ev)
 			s.drain(origin, snk)
 		case seq > next:
-			s.ahead[origin].put(seq, imageOf(ev, &s.wbuf))
+			s.ahead[origin].put(&s.arena, seq, imageOf(ev, &s.wbuf))
 			event.Free(ev)
 		default:
 			event.Free(ev) // duplicate
@@ -128,7 +133,7 @@ func (s *seqnoState) HandleUp(ev *event.Event, snk layer.Sink) {
 func (s *seqnoState) drain(origin int, snk layer.Sink) {
 	log := &s.ahead[origin]
 	for {
-		img, ok := log.get(s.recvNext[origin])
+		img, ok := log.get(&s.arena, s.recvNext[origin])
 		if !ok {
 			break
 		}
@@ -138,5 +143,5 @@ func (s *seqnoState) drain(origin int, snk layer.Sink) {
 		fromImage(img, out)
 		snk.PassUp(out)
 	}
-	log.trimBelow(s.recvNext[origin])
+	log.trimBelow(&s.arena, s.recvNext[origin])
 }

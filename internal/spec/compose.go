@@ -54,7 +54,7 @@ type composition struct {
 	owners map[string][]int // action name → indexes of parts sharing it
 }
 
-func (c *composition) Name() string              { return c.name }
+func (c *composition) Name() string               { return c.name }
 func (c *composition) Signature() map[string]Kind { return c.sig }
 
 func (c *composition) Initial() []State {

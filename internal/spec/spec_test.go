@@ -13,9 +13,9 @@ type scriptAuto struct {
 	init State
 }
 
-func (a *scriptAuto) Name() string              { return a.name }
+func (a *scriptAuto) Name() string               { return a.name }
 func (a *scriptAuto) Signature() map[string]Kind { return a.sig }
-func (a *scriptAuto) Initial() []State          { return []State{a.init} }
+func (a *scriptAuto) Initial() []State           { return []State{a.init} }
 
 type scriptState struct {
 	key   string
