@@ -112,7 +112,9 @@ multiproc:
 # bytes; and over admission: a full image checked against the 10-layer
 # and vsync stacks' wire contracts, and re-marshaled when admitted; and
 # over the compiled receive path: sequences of compressed casts and order
-# runs at a non-sequencer, which park and release. The
+# runs at a non-sequencer, which park and release; and over a plain
+# member's receive path: wire images, compressed and full, rebuilt by
+# the signature table or decoded as TLV. The
 # checked-in seed corpora under internal/transport/testdata/fuzz/ and
 # the f.Add seeds run as regular tests in every `make test`; this target
 # additionally mutates for a few seconds per target.
@@ -124,6 +126,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzFromImage -fuzztime 10s ./internal/layers/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalFor -fuzztime 10s ./internal/layers/
 	$(GO) test -run xxx -fuzz FuzzEnginePacket -fuzztime 10s ./internal/opt/
+	$(GO) test -run xxx -fuzz FuzzStackEnginePacket -fuzztime 10s ./internal/opt/
 
 # A flight recording of the standard 8-member MACH workload (members as
 # they ship), exported as Chrome trace_event JSON — open flight.trace.json

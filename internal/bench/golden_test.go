@@ -130,10 +130,12 @@ func TestGoldenProductionTrace(t *testing.T) {
 // leaver began to go quiet after its leave, a blocked member began to
 // announce its cast count at each sweep, and mflow began to release its
 // queue on a block. Recorded a third time, with the skeleton hashes
-// unchanged, when prefix subs gained the run form.
+// unchanged, when prefix subs gained the run form, and a fourth time,
+// the skeletons again unchanged, when plain members began to send the
+// shapes of the signature table compressed.
 var goldenVsyncTraceSHA256 = map[int][2]string{ // full, skeleton
-	17: {"9de80745708a058673e32610f8a9ddaa110b3d761fc2cefef1179ebb15641be5", "ed4041e52f92589634558917ac4aaa1556076573dbaa9082579c881e2afb865a"},
-	64: {"ce3341a2a65a763ea4783ba59a26be0aead444b68d2a0cd0067e35a6b0073adb", "2df5774fb6c86e7da9ff6c70f816eecdc26d77f100a72bc3538bfafc51a7b15c"},
+	17: {"f82ca9f9ceb91938f79bc1f5d36aed03fb3a3496988315823591f837516d7c4e", "ed4041e52f92589634558917ac4aaa1556076573dbaa9082579c881e2afb865a"},
+	64: {"c1fefe55727ef68110e78c931abc28f0f801d7b70c81b43edfb981aba994b63f", "2df5774fb6c86e7da9ff6c70f816eecdc26d77f100a72bc3538bfafc51a7b15c"},
 }
 
 func TestGoldenViewChangeTrace(t *testing.T) {

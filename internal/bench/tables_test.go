@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"ensemble/internal/event"
+	"ensemble/internal/layer"
+	"ensemble/internal/stack"
+	"ensemble/internal/transport"
 )
 
 // Smoke tests for the table generators: every row the paper's tables
@@ -66,8 +69,15 @@ func TestCountersShape(t *testing.T) {
 	if orig.Deliveries == 0 || mach.Deliveries == 0 {
 		t.Fatalf("no deliveries: orig=%d mach=%d", orig.Deliveries, mach.Deliveries)
 	}
-	if mach.WireBytes >= orig.WireBytes {
-		t.Errorf("compressed wire (%d) not smaller than full (%d)", mach.WireBytes, orig.WireBytes)
+	// One header codec: both stacks put the same compressed casts on the
+	// wire, smaller than the same casts marshaled as TLV.
+	if mach.WireBytes != orig.WireBytes {
+		t.Errorf("wire bytes differ between the stacks: original %d, optimized %d", orig.WireBytes, mach.WireBytes)
+	}
+	tlv := tlvCastBytes(t, []string{"top", "pt2pt", "mnak", "bottom"}, 4, 500)
+	t.Logf("wire bytes of the casts: %d original, %d optimized, %d as TLV", orig.WireBytes, mach.WireBytes, tlv)
+	if orig.WireBytes >= tlv {
+		t.Errorf("compressed wire (%d) not smaller than TLV (%d)", orig.WireBytes, tlv)
 	}
 	// The allocation claim. The pools are the private message allocator
 	// of §4's first optimization: the original stack takes two events and
@@ -79,6 +89,66 @@ func TestCountersShape(t *testing.T) {
 		t.Errorf("optimized stack took %d events and headers from the pools, original %d: want under a tenth",
 			machGets, origGets)
 	}
+}
+
+// tlvCastBytes is what MeasureCounters' casts put on the wire when the
+// stack's net exit marshals every message with transport.Marshal: the
+// same two members, casts and sweeps, without the signature table.
+func tlvCastBytes(t *testing.T, names []string, size, rounds int) int64 {
+	t.Helper()
+	var (
+		stks    [2]stack.Stack
+		w       transport.Writer
+		queue   []func()
+		bytes   int64
+		casting bool
+	)
+	for m := range stks {
+		stk, err := stack.Build(names, layer.DefaultConfig(benchView(2, m)), stack.Imp, stack.Callbacks{Net: func(ev *event.Event) {
+			if ev.Type != event.ECast && ev.Type != event.ESend {
+				return
+			}
+			if err := transport.Marshal(ev, m, &w); err != nil {
+				t.Fatal(err)
+			}
+			if casting {
+				bytes += int64(w.HeaderLen() + len(ev.Msg.Payload))
+			}
+			wire := w.Bytes()
+			queue = append(queue, func() {
+				arr, err := transport.Unmarshal(wire)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stks[1-m].DeliverUp(arr)
+			})
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stks[m] = stk
+	}
+	drain := func() {
+		for len(queue) > 0 {
+			f := queue[0]
+			queue = queue[1:]
+			f()
+		}
+	}
+	payload := make([]byte, size)
+	for i := 0; i < rounds; i++ {
+		casting = true
+		stks[0].SubmitDn(event.CastEv(payload))
+		casting = false
+		drain()
+		if i%256 == 255 {
+			for _, stk := range stks {
+				stk.DeliverUp(event.TimerEv(int64(i) * int64(1e6)))
+			}
+			drain()
+		}
+	}
+	return bytes
 }
 
 func TestE2ETableShape(t *testing.T) {

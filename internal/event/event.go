@@ -232,9 +232,9 @@ func Free(e *Event) {
 		FreeHeader(h)
 		e.Msg.Headers[i] = nil
 	}
-	hdrs, offs := e.Msg.Headers[:0], e.Msg.encOff[:0]
+	hdrs, offs, enc := e.Msg.Headers[:0], e.Msg.encOff[:0], e.Msg.encBuf[:0]
 	*e = Event{}
-	e.Msg.Headers, e.Msg.encOff = hdrs, offs
+	e.Msg.Headers, e.Msg.encOff, e.Msg.encBuf = hdrs, offs, enc
 	poolCounters.eventPuts.Add(1)
 	pool.Put(e)
 }

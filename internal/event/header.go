@@ -93,6 +93,10 @@ type Message struct {
 	// cloning (EncodedHeaders). Push invalidates it.
 	enc    []byte
 	encOff []uint32
+	// encBuf is storage the message owns for an encoding its decoder
+	// writes rather than finds in the arrival (OwnEncoding): kept across
+	// the pool like encOff.
+	encBuf []byte
 }
 
 // Push appends a header to the stack.
@@ -119,6 +123,17 @@ func (m *Message) EncOffsets() []uint32 {
 // SetEncoded records that Headers was just decoded from enc, at the
 // offsets the decoder wrote into EncOffsets.
 func (m *Message) SetEncoded(enc []byte) { m.enc = enc }
+
+// OwnEncoding returns the message's own encoding storage, emptied, for
+// a decoder that builds the header stack from something other than its
+// encoding (a compressed arrival) and writes that encoding itself. The
+// decoder hands what it appended to SetOwnEncoded. The storage is reused
+// once the event is freed: a keeper of EncodedHeaders copies them.
+func (m *Message) OwnEncoding() []byte { return m.encBuf[:0] }
+
+// SetOwnEncoded is SetEncoded for an encoding written into OwnEncoding's
+// storage, which keeps it (grown or not) for the next decode.
+func (m *Message) SetOwnEncoded(enc []byte) { m.enc, m.encBuf = enc, enc }
 
 // EncodedHeaders returns the bytes that encode the header stack as it
 // stands, outermost first, when the stack is still a popped-only

@@ -220,13 +220,13 @@ func (hp *HdrPool[T]) Put(p *T) {
 // bytes are immutable on the data path.
 func Dup(e *Event) *Event {
 	d := Alloc()
-	hdrs, offs := d.Msg.Headers, d.Msg.encOff
+	hdrs, offs, enc := d.Msg.Headers, d.Msg.encOff, d.Msg.encBuf
 	*d = *e
 	d.pooled = true
 	d.Msg.Headers = AppendClonedHeaders(hdrs[:0], e.Msg.Headers)
-	// The copy keeps its own offset storage (e's is recycled with e), so
-	// it forgets where it was decoded from.
-	d.Msg.enc, d.Msg.encOff = nil, offs[:0]
+	// The copy keeps its own offset and encoding storage (e's is recycled
+	// with e), so it forgets where it was decoded from.
+	d.Msg.enc, d.Msg.encOff, d.Msg.encBuf = nil, offs[:0], enc[:0]
 	if e.Ranks != nil {
 		d.Ranks = append([]int(nil), e.Ranks...)
 	}

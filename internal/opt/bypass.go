@@ -1,10 +1,7 @@
 package opt
 
 import (
-	"encoding/binary"
 	"fmt"
-	"strings"
-	"sync"
 
 	"ensemble/internal/event"
 	"ensemble/internal/ir"
@@ -27,25 +24,25 @@ type Engine struct {
 
 	stk    stack.Stack
 	states []layer.State
-	// wireIDs are the layers' header codec ids, top first: the shape a
-	// full wire image must have (transport.UnmarshalFor).
-	wireIDs []byte
+	// tab is the header codec of this stack at this view size, shared by
+	// every engine of that shape (sigcodec.go).
+	tab *sigTable
 
 	dnCast *compiledDnPath
 	dnSend *compiledDnPath
-	// up holds the compiled up paths, one per wire signature that can
-	// arrive: a handful, found by scanning for the identifier.
+	// up holds the compiled up paths, up[i] that of the table's sigs[i]
+	// (nil where it has none, and no up at all at a plain member).
 	up []*compiledUpPath
 
-	// ctrl are the sender-side control recognizers probed at the stack's
-	// net exit.
-	ctrl []*ctrlMatcher
-	// ctrlVary and ctrlWire are the recognizer's reusable buffers. The
-	// net exit is never re-entered while a recognizer runs (emission is
-	// asynchronous), so one set per engine suffices — same discipline as
-	// wbuf.
-	ctrlVary []int64
-	ctrlWire []byte
+	// exit are the signatures this member's net exit recognizes
+	// (sigTable.exit). xvals, xvary and xwire are the recognizer's
+	// reusable buffers. The net exit is never re-entered while a
+	// recognizer runs (emission is asynchronous), so one set per engine
+	// suffices — same discipline as wbuf.
+	exit  []*sigCodec
+	xvals []int64
+	xvary []int64
+	xwire []byte
 
 	// SendWire transmits a marshaled packet: cast fans out, send goes to
 	// the member at rank dst. The wire image lives in a reused buffer and
@@ -204,9 +201,9 @@ type EngineStats struct {
 	// UpBypass counts compressed arrivals whose path's whole common case
 	// held and that compiled code carried to the end. UpFull counts
 	// arrivals the stack interpreted from the bottom: full wire images,
-	// and compressed ones whose common case failed (or that have none),
-	// rebuilt by the generated uncompressor — Uncompressed counts the
-	// latter alone.
+	// and compressed ones whose common case failed (or that have none,
+	// as at every plain member), their headers rebuilt from the
+	// signature table — Uncompressed counts the latter alone.
 	UpBypass, UpFull int64
 	Uncompressed     int64
 	Undecodable      int64
@@ -217,8 +214,11 @@ type EngineStats struct {
 	Parked, Released int64
 	// CtrlCompressed counts control messages recognized at the stack's
 	// net exit and emitted compressed; CtrlFull counts stack-exit
-	// messages no recognizer matched (full marshal).
-	CtrlCompressed, CtrlFull int64
+	// messages that met a control recognizer and no recognizer matched
+	// (full marshal). DataCompressed counts application casts and sends
+	// the stack carried to its net exit that left compressed under this
+	// member's data signature.
+	CtrlCompressed, CtrlFull, DataCompressed int64
 	// PathHits and PathMisses are the per-path dispatch counters:
 	// Hits[p] counts events routed to path p (PathFullStack hits are
 	// interpreter fallbacks) and, for a control recognizer, messages it
@@ -242,6 +242,7 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 	s.Released += o.Released
 	s.CtrlCompressed += o.CtrlCompressed
 	s.CtrlFull += o.CtrlFull
+	s.DataCompressed += o.DataCompressed
 	for p := range s.PathHits {
 		s.PathHits[p] += o.PathHits[p]
 		s.PathMisses[p] += o.PathMisses[p]
@@ -252,8 +253,7 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 // compiledDnPath is one compiled down-going bypass.
 type compiledDnPath struct {
 	th      *StackTheorem
-	sig     WireSig
-	id      uint16
+	codec   *sigCodec
 	ccp     []cexpr
 	writes  []compiledWrite
 	varying []cexpr // values of the varying wire fields, in wire order
@@ -274,24 +274,14 @@ type compiledDnPath struct {
 // CCP false.
 type compiledUpPath struct {
 	th    *StackTheorem
-	sig   WireSig
-	id    uint16
-	nvary int
-	cast  bool
+	codec *sigCodec
 	pid   PathID
 	// consumed marks a path that absorbs the arrival below the
 	// application (a control path, a park) instead of delivering it.
 	consumed bool
-	// appl is the event's application-payload flag: set unless the
-	// message originated mid-stack (its signature starts below the top).
-	appl    bool
-	ccp     []cexpr
-	writes  []compiledWrite
-	effects []compiledEffect
-	// hdrs rebuilds the signature's header stack, top first: the
-	// generated uncompression function (§4.1.3) in front of the stack,
-	// and the headers a parked arrival keeps.
-	hdrs []compiledHdr
+	ccp      []cexpr
+	writes   []compiledWrite
+	effects  []compiledEffect
 	// park parks a whole path's arrival; release is a whole consuming
 	// path's release loop.
 	park    *compiledPark
@@ -300,9 +290,10 @@ type compiledUpPath struct {
 
 // NewStackEngine builds the plain configuration for one member (IMP or
 // FUNC in §4.2): the runtime NewEngine wraps its bypasses around — the
-// stack in the given execution model, marshaled at its net exit and
-// decoded and shape-checked on arrival — with no bypass derived, so
-// every event takes the stack.
+// stack in the given execution model, with the signature table's codec
+// at its net exit and on arrival (TLV, shape-checked, for what no
+// signature covers) — with no bypass derived, so every event takes the
+// stack.
 func NewStackEngine(names []string, cfg layer.Config, mode stack.Mode) (*Engine, error) {
 	states, err := stack.BuildStates(names, cfg)
 	if err != nil {
@@ -314,14 +305,10 @@ func NewStackEngine(names []string, cfg layer.Config, mode stack.Mode) (*Engine,
 		N:      cfg.View.N(),
 		states: states,
 	}
-	// By the states' names, not the component names: a wrapper component
-	// (the benchmark's timing shims) is registered under another name
-	// than the layer whose headers it pushes.
-	layerNames := make([]string, len(states))
-	for i, st := range states {
-		layerNames[i] = st.Name()
+	if e.tab, err = sigTableFor(states, e.N); err != nil {
+		return nil, err
 	}
-	e.wireIDs = transport.StackIDs(layerNames)
+	e.exit = e.tab.exit[e.Rank]
 	e.stk = stack.FromStates(states, mode, stack.Callbacks{App: e.appEvent, Net: e.netEvent})
 	return e, nil
 }
@@ -342,8 +329,8 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode) (*Engine, erro
 }
 
 // derive composes, compiles and installs the engine's bypasses: the down
-// paths of this member, the up path of every wire signature any member
-// can send, and this member's control recognizers.
+// paths of this member, and the up path of every signature in the table
+// — every data and control signature any member can send.
 func (e *Engine) derive() error {
 	names := e.Names
 	anyStates := make([]any, len(e.states))
@@ -363,61 +350,26 @@ func (e *Engine) derive() error {
 			own[path] = th
 		}
 	}
-	e.dnCast = e.compileTheorem(comp, own[ir.DnCast], PathDnCast)
-	e.dnSend = e.compileTheorem(comp, own[ir.DnSend], PathDnSend)
+	e.dnCast = e.compileTheorem(comp, own[ir.DnCast], e.tab.cast[e.Rank], PathDnCast)
+	e.dnSend = e.compileTheorem(comp, own[ir.DnSend], e.tab.send[e.Rank], PathDnSend)
+	// Here a data cast or send reaches the net exit only when its compiled
+	// path declined it, and it leaves as TLV. Compressed, it saves bytes
+	// that leave more of the 8-member MACH workload's frames under the
+	// batcher's hold size, and a held frame delays the casts it carries:
+	// that workload's virtual latency p50 read 3 680 µs against 2 880.
+	e.exit = e.tab.ctrl[e.Rank]
 
-	// Up paths: one per wire signature any member's down bypass can
-	// produce, deduplicated by identifier.
-	sent := sendable(names, e.N)
-	for _, path := range []ir.PathKey{ir.DnCast, ir.DnSend} {
-		for _, sig := range sent.dn[path] {
-			if sig == nil || e.upPath(sig.ID()) != nil {
-				continue
-			}
-			upPath := ir.PathKey{Dir: event.Up, Kind: path.Kind}
-			upTh, err := ComposeUp(names, upPath, e.Rank, e.N, *sig)
-			if err != nil {
-				continue
-			}
-			cp, err := e.compileUp(comp, upTh, *sig)
-			if err != nil {
-				return fmt.Errorf("opt: compiling up bypass: %w", err)
-			}
-			cp.pid = PathUpSend
-			if cp.cast {
-				cp.pid = PathUpCast
-			}
-			e.up = append(e.up, cp)
+	// Up paths: one per signature. The control ones (acknowledgments,
+	// retransmissions, order announcements) originate mid-stack; their
+	// receive side is an ordinary compiled up path all the same.
+	e.up = make([]*compiledUpPath, len(e.tab.sigs))
+	for i, sc := range e.tab.sigs {
+		upTh, err := ComposeUp(names, ir.PathKey{Dir: event.Up, Kind: sc.sig.Path.Kind}, e.Rank, e.N, sc.sig)
+		if err != nil {
+			continue
 		}
-	}
-
-	// Control paths: the signatures of messages that originate mid-stack
-	// (acknowledgments, retransmissions, order announcements), one set per
-	// emitting rank, deduplicated by identifier like the data set. The
-	// receive side is an ordinary compiled up path; the send side is a
-	// structural recognizer at the stack's net exit for this member's own
-	// signatures.
-	for r, specs := range sent.ctrl {
-		for _, cs := range specs {
-			if e.upPath(cs.sig.ID()) == nil {
-				upTh, err := ComposeUp(names, ir.PathKey{Dir: event.Up, Kind: cs.sig.Path.Kind}, e.Rank, e.N, cs.sig)
-				if err != nil {
-					continue
-				}
-				cp, err := e.compileUp(comp, upTh, cs.sig)
-				if err != nil {
-					return fmt.Errorf("opt: compiling control up bypass: %w", err)
-				}
-				cp.pid = cs.upPid
-				e.up = append(e.up, cp)
-			}
-			if r == e.Rank {
-				m, err := newCtrlMatcher(cs)
-				if err != nil {
-					return fmt.Errorf("opt: control recognizer: %w", err)
-				}
-				e.ctrl = append(e.ctrl, m)
-			}
+		if e.up[i], err = e.compileUp(comp, upTh, sc); err != nil {
+			return fmt.Errorf("opt: compiling up bypass: %w", err)
 		}
 	}
 	return nil
@@ -431,18 +383,10 @@ type sendableSigs struct {
 	ctrl [][]ctrlSpec
 }
 
-// sendableMemo holds sendable's results by stack and view size.
-var sendableMemo sync.Map
-
-// sendable derives what the members of a view of n can send. It is a
-// function of the registered IR, the stack and n alone, which every
-// member of a view needs alike, so a process derives it once: the
-// values are shared and must not be modified.
+// sendable derives what the members of a view of n can send: a function
+// of the registered IR, the stack and n alone. The signature table keeps
+// what the engines need of it, once per process (sigTableFor).
 func sendable(names []string, n int) *sendableSigs {
-	key := fmt.Sprintf("%d/%s", n, strings.Join(names, "|"))
-	if v, ok := sendableMemo.Load(key); ok {
-		return v.(*sendableSigs)
-	}
 	s := &sendableSigs{dn: map[ir.PathKey][]*WireSig{}, ctrl: make([][]ctrlSpec, n)}
 	for _, path := range []ir.PathKey{ir.DnCast, ir.DnSend} {
 		s.dn[path] = make([]*WireSig, n)
@@ -456,8 +400,7 @@ func sendable(names []string, n int) *sendableSigs {
 	for r := range n {
 		s.ctrl[r] = controlSigs(names, r, s.dn[ir.DnSend][r])
 	}
-	v, _ := sendableMemo.LoadOrStore(key, s)
-	return v.(*sendableSigs)
+	return s
 }
 
 // all lists every signature the members can send, data and control,
@@ -477,14 +420,14 @@ func (s *sendableSigs) all() map[uint16]WireSig {
 	return sigs
 }
 
-// compileTheorem compiles a composed down-path theorem; nil for none.
-func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem, pid PathID) *compiledDnPath {
-	if th == nil {
+// compileTheorem compiles a composed down-path theorem, whose signature
+// has the table entry sc; nil for none.
+func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem, sc *sigCodec, pid PathID) *compiledDnPath {
+	if th == nil || sc == nil {
 		return nil
 	}
-	sig := SignatureOf(th)
 	comp.setVarying(nil)
-	cp := &compiledDnPath{th: th, sig: sig, id: sig.ID(), self: th.SelfDeliver, pid: pid}
+	cp := &compiledDnPath{th: th, codec: sc, self: th.SelfDeliver, pid: pid}
 	for _, conj := range th.CCP {
 		ce, err := comp.compile(conj)
 		if err != nil {
@@ -506,7 +449,7 @@ func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem, pid PathID) *c
 			byKey[ir.Key(ir.QHdr{Layer: h.Layer, Field: fv.Name})] = fv.Val
 		}
 	}
-	for _, q := range sig.Varying() {
+	for _, q := range sc.sig.Varying() {
 		ce, err := comp.compile(byKey[ir.Key(q)])
 		if err != nil {
 			return nil
@@ -537,14 +480,10 @@ func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem, pid PathID) *c
 	return cp
 }
 
-func (e *Engine) compileUp(comp *compiler, th *StackTheorem, sig WireSig) (*compiledUpPath, error) {
-	vary := sig.Varying()
-	comp.setVarying(vary)
+func (e *Engine) compileUp(comp *compiler, th *StackTheorem, sc *sigCodec) (*compiledUpPath, error) {
+	comp.setVarying(sc.sig.Varying())
 	defer comp.setVarying(nil)
-	cp := &compiledUpPath{
-		th: th, sig: sig, id: sig.ID(), nvary: len(vary), cast: th.Path.Kind == event.ECast,
-		consumed: th.Consumed, appl: len(sig.Entries) == len(th.Names),
-	}
+	cp := &compiledUpPath{th: th, codec: sc, pid: sc.upPid, consumed: th.Consumed}
 	for _, conj := range th.CCP {
 		ce, err := comp.compile(conj)
 		if err != nil {
@@ -566,13 +505,6 @@ func (e *Engine) compileUp(comp *compiler, th *StackTheorem, sig WireSig) (*comp
 		}
 		cp.effects = append(cp.effects, ce)
 	}
-	for _, h := range th.Headers {
-		ch, err := comp.compileHdr(h)
-		if err != nil {
-			return nil, err
-		}
-		cp.hdrs = append(cp.hdrs, ch)
-	}
 	var err error
 	if th.Park != nil {
 		if cp.park, err = comp.compilePark(th.Park); err != nil {
@@ -587,12 +519,11 @@ func (e *Engine) compileUp(comp *compiler, th *StackTheorem, sig WireSig) (*comp
 	return cp, nil
 }
 
-// upPath finds the compiled up path of a wire signature identifier.
-func (e *Engine) upPath(id uint16) *compiledUpPath {
-	for _, cp := range e.up {
-		if cp.id == id {
-			return cp
-		}
+// upPath is the compiled up path of the signature at position at in the
+// table, nil for none.
+func (e *Engine) upPath(at int) *compiledUpPath {
+	if at >= 0 && at < len(e.up) {
+		return e.up[at]
 	}
 	return nil
 }
@@ -640,39 +571,14 @@ func (e *Engine) netEvent(ev *event.Event) {
 	if ev.ApplMsg && e.MarkDnTransport != nil {
 		e.MarkDnTransport()
 	}
-	// Control recognition: match the exiting header stack against this
-	// member's control signatures of the event's kind and
-	// emit compressed on a hit. The depth check and the probe entry's type
-	// assertion reject data messages without allocating, so the data hot
-	// path pays a comparison or two per recognizer. The stack still owns
-	// ev.
-	cast, probed := ev.Type == event.ECast, false
-	for _, m := range e.ctrl {
-		if m.cast != cast {
-			continue
+	// A message of one of this member's signatures leaves compressed.
+	// The stack still owns ev.
+	if sc := e.recognize(ev); sc != nil {
+		e.xwire = sc.appendWire(e.xwire[:0], e.Rank, e.xvary, ev.Msg.Payload)
+		if e.SendWire != nil {
+			e.SendWire(sc.cast, ev.Peer, e.xwire)
 		}
-		probed = true
-		vary, ok := m.match(ev.Msg.Headers, e.ctrlVary[:0])
-		e.ctrlVary = vary
-		if ok {
-			e.stats.CtrlCompressed++
-			e.stats.PathHits[m.pid]++
-			wire := append(e.ctrlWire[:0], transport.WireCompressed, byte(m.id), byte(m.id>>8))
-			wire = binary.AppendUvarint(wire, uint64(e.Rank))
-			for _, v := range vary {
-				wire = binary.AppendVarint(wire, v)
-			}
-			wire = append(wire, ev.Msg.Payload...)
-			e.ctrlWire = wire
-			if e.SendWire != nil {
-				e.SendWire(cast, ev.Peer, wire)
-			}
-			return
-		}
-		e.stats.PathMisses[m.pid]++
-	}
-	if probed {
-		e.stats.CtrlFull++
+		return
 	}
 	if err := transport.Marshal(ev, e.Rank, &e.wbuf); err != nil {
 		panic(fmt.Sprintf("opt: marshal: %v", err))
@@ -682,6 +588,39 @@ func (e *Engine) netEvent(ev *event.Event) {
 		// the callback (consumers copy before triggering further sends).
 		e.SendWire(ev.Type == event.ECast, ev.Peer, e.wbuf.Seal())
 	}
+}
+
+// recognize matches a message at the stack's net exit against this
+// member's signatures of its kind, control ones first, and returns the
+// one it has with its wire fields in e.xvary; nil when it has none. The
+// depth and application-flag checks and the probe entry's type
+// assertion reject most other shapes before a field is read, so a
+// message that leaves as TLV pays a comparison or two per signature.
+func (e *Engine) recognize(ev *event.Event) *sigCodec {
+	cast, probed := ev.Type == event.ECast, false
+	for _, sc := range e.exit {
+		if sc.cast != cast {
+			continue
+		}
+		probed = probed || sc.ctrl
+		vary, ok := sc.match(ev, &e.xvals, e.xvary[:0])
+		e.xvary = vary
+		switch {
+		case ok && sc.ctrl:
+			e.stats.CtrlCompressed++
+			e.stats.PathHits[sc.pid]++
+			return sc
+		case ok:
+			e.stats.DataCompressed++
+			return sc
+		case sc.ctrl:
+			e.stats.PathMisses[sc.pid]++
+		}
+	}
+	if probed {
+		e.stats.CtrlFull++
+	}
+	return nil
 }
 
 // CheckCCP evaluates a down path's common-case predicate without running
@@ -757,13 +696,8 @@ func (e *Engine) down(cp *compiledDnPath, cast bool, dst int, payload []byte) bo
 	return false
 }
 
-// Compressed wire format:
-//
-//	magic    byte   = transport.WireCompressed
-//	id       uint16 little-endian (the wire signature hash)
-//	sender   uvarint (rank)
-//	varying  n × varint (field count fixed by the signature)
-//	payload  rest
+// runDn runs a down path's compiled code whose CCP held, and emits the
+// compressed image (sigcodec.go has the format).
 func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, payload []byte, s *scratch) {
 	// Read phase: everything is a pre-state expression, so all reads —
 	// update values, varying wire fields, effect arguments and captured
@@ -819,15 +753,9 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 	if e.MarkDnTransport != nil {
 		e.MarkDnTransport()
 	}
-	wire := append(s.wire[:0], transport.WireCompressed, byte(cp.id), byte(cp.id>>8))
-	wire = binary.AppendUvarint(wire, uint64(e.Rank))
-	for _, v := range varyVals {
-		wire = binary.AppendVarint(wire, v)
-	}
-	wire = append(wire, payload...)
-	s.wire = wire
+	s.wire = cp.codec.appendWire(s.wire[:0], e.Rank, varyVals, payload)
 	if e.SendWire != nil {
-		e.SendWire(cast, dst, wire)
+		e.SendWire(cast, dst, s.wire)
 	}
 	// The deferred non-critical work (buffering) runs last, off the
 	// critical path (§4, item 3).
@@ -848,19 +776,21 @@ func upEvent(cast bool, origin int, appl bool, payload []byte, borrowed bool) *e
 }
 
 // Packet routes an arriving wire image. A full image goes to the stack.
-// A compressed one names its signature's compiled up path: when the
-// path's whole CCP holds, its compiled code runs to the end — delivers,
-// parks, releases or consumes; otherwise the generated uncompressor
-// rebuilds the signature's headers in front of the whole stack
-// (§4.1.3). Packet reports whether the arrival decoded: an image that
-// did not is dropped (EngineStats.Undecodable) for the caller to count.
+// A compressed one names its signature in the table: when the
+// signature's compiled up path exists and its whole CCP holds, the
+// compiled code runs to the end — delivers, parks, releases or consumes;
+// otherwise the table rebuilds the signature's headers in front of the
+// whole stack (§4.1.3's uncompressor; at a plain member, every
+// compressed arrival). Packet reports whether the arrival decoded: an
+// image that did not is dropped (EngineStats.Undecodable) for the caller
+// to count.
 func (e *Engine) Packet(data []byte) bool {
 	if len(data) == 0 {
 		e.stats.Undecodable++
 		return false
 	}
 	if data[0] != transport.WireCompressed {
-		ev, err := transport.UnmarshalFor(data, e.wireIDs)
+		ev, err := transport.UnmarshalFor(data, e.tab.wireIDs)
 		if err != nil {
 			e.stats.Undecodable++
 			return false
@@ -876,87 +806,64 @@ func (e *Engine) Packet(data []byte) bool {
 		if e.MarkUpStack != nil {
 			e.MarkUpStack()
 		}
-		e.stats.UpFull++
-		e.stats.PathHits[PathFullStack]++
-		e.route(true, PathFullStack)
-		e.stk.DeliverUp(ev)
+		e.toStack(ev)
 		return true
 	}
-	if len(data) < 3 {
-		e.stats.Undecodable++
-		return false
-	}
-	id := uint16(data[1]) | uint16(data[2])<<8
-	cp := e.upPath(id)
-	if cp == nil {
-		e.stats.Undecodable++
-		return false
-	}
-	rest := data[3:]
-	sender, n := binary.Uvarint(rest)
-	if n <= 0 || sender >= uint64(e.N) {
-		// A sender rank outside the view would index per-member state
-		// out of range inside the compiled common-case predicate.
-		e.stats.Undecodable++
-		return false
-	}
-	rest = rest[n:]
 	s := e.takeScratch()
 	ctx := &s.ctx
-	ctx.peer = int64(sender)
-	if cap(s.vary) < cp.nvary {
-		s.vary = make([]int64, cp.nvary)
-	}
-	ctx.vary = s.vary[:cp.nvary]
-	for i := 0; i < cp.nvary; i++ {
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			e.stats.Undecodable++
-			e.putScratch(s)
-			return false
-		}
-		ctx.vary[i] = v
-		rest = rest[n:]
-	}
-	payload := rest
-	ctx.length = int64(len(payload))
-	if e.MarkUpStack != nil {
-		e.MarkUpStack()
-	}
-
-	if evalCCP(cp.ccp, ctx) {
-		e.stats.UpBypass++
-		e.stats.PathHits[cp.pid]++
-		e.route(true, cp.pid)
-		e.runUp(cp, ctx, payload, s)
-		switch {
-		case cp.park != nil:
-			e.park(cp, ctx, int(sender), payload, s)
-		case cp.release != nil:
-			e.release(cp.release, ctx, s)
-		case !cp.consumed && e.Deliver != nil:
-			e.Deliver(int(sender), payload, cp.cast)
-		}
-		for i := range s.pend {
-			s.pend[i].run(s.pend[i].ectx)
-		}
+	at, sender, payload, ok := e.tab.parse(data, e.N, &s.vary)
+	if !ok {
+		e.stats.Undecodable++
 		e.putScratch(s)
-		return true
+		return false
 	}
-	e.stats.PathMisses[cp.pid]++
+	ctx.peer, ctx.vary, ctx.length = int64(sender), s.vary, int64(len(payload))
+
+	sc, cp := e.tab.sigs[at], e.upPath(at)
+	if cp != nil {
+		if e.MarkUpStack != nil {
+			e.MarkUpStack()
+		}
+		if evalCCP(cp.ccp, ctx) {
+			e.stats.UpBypass++
+			e.stats.PathHits[cp.pid]++
+			e.route(true, cp.pid)
+			e.runUp(cp, ctx, payload, s)
+			switch {
+			case cp.park != nil:
+				e.park(cp, ctx, sender, payload, s)
+			case cp.release != nil:
+				e.release(cp.release, ctx, s)
+			case !cp.consumed && e.Deliver != nil:
+				e.Deliver(sender, payload, sc.cast)
+			}
+			for i := range s.pend {
+				s.pend[i].run(s.pend[i].ectx)
+			}
+			e.putScratch(s)
+			return true
+		}
+		e.stats.PathMisses[cp.pid]++
+	}
 	e.stats.Uncompressed++
-	e.stats.UpFull++
-	e.stats.PathHits[PathFullStack]++
-	e.route(true, PathFullStack)
-	ev := upEvent(cp.cast, int(sender), cp.appl, payload, e.ArrivalsBorrowed)
-	for i := range cp.hdrs {
-		ev.Msg.Headers = append(ev.Msg.Headers, cp.hdrs[i].materialize(ctx))
+	ev := upEvent(sc.cast, sender, sc.appl, payload, e.ArrivalsBorrowed)
+	sc.build(ev, ctx.vary, len(sc.ents), &ctx.hv)
+	if cp == nil && e.MarkUpStack != nil {
+		e.MarkUpStack()
 	}
 	// The frame is free again before the stack runs, for whatever the
 	// application casts from inside a delivery.
 	e.putScratch(s)
-	e.stk.DeliverUp(ev)
+	e.toStack(ev)
 	return true
+}
+
+// toStack hands an arrival to the bottom of the stack.
+func (e *Engine) toStack(ev *event.Event) {
+	e.stats.UpFull++
+	e.stats.PathHits[PathFullStack]++
+	e.route(true, PathFullStack)
+	e.stk.DeliverUp(ev)
 }
 
 // runUp runs an up path's compiled code: all reads first (update
@@ -971,7 +878,7 @@ func (e *Engine) runUp(cp *compiledUpPath, ctx *rtCtx, payload []byte, s *scratc
 	for i, w := range cp.writes {
 		vals[i] = w.eval(ctx)
 	}
-	s.capture(cp.effects, ctx, payload, cp.appl)
+	s.capture(cp.effects, ctx, payload, cp.codec.appl)
 	for i, w := range cp.writes {
 		w.apply(vals[i], ctx)
 	}
@@ -980,10 +887,8 @@ func (e *Engine) runUp(cp *compiledUpPath, ctx *rtCtx, payload []byte, s *scratc
 // park parks a whole path's arrival: the event the parking layer would
 // have been handed, with the headers of the layers above it.
 func (e *Engine) park(cp *compiledUpPath, ctx *rtCtx, sender int, payload []byte, s *scratch) {
-	ev := upEvent(cp.cast, sender, cp.appl, payload, e.ArrivalsBorrowed)
-	for i := range cp.hdrs[:cp.park.hdrs] {
-		ev.Msg.Headers = append(ev.Msg.Headers, cp.hdrs[i].materialize(ctx))
-	}
+	ev := upEvent(cp.codec.cast, sender, cp.codec.appl, payload, e.ArrivalsBorrowed)
+	cp.codec.build(ev, ctx.vary, cp.park.hdrs, &ctx.hv)
 	s.hold = evalInto(s.hold[:0], cp.park.args, ctx)
 	if cp.park.park(s.hold, ev) {
 		e.stats.Parked++
@@ -1041,7 +946,9 @@ func (e *Engine) Theorems() []*StackTheorem {
 		out = append(out, e.dnSend.th)
 	}
 	for _, up := range e.up {
-		out = append(out, up.th)
+		if up != nil {
+			out = append(out, up.th)
+		}
 	}
 	return out
 }

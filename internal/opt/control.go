@@ -1,10 +1,8 @@
 package opt
 
 import (
-	"fmt"
 	"slices"
 
-	"ensemble/internal/event"
 	"ensemble/internal/ir"
 )
 
@@ -13,12 +11,13 @@ import (
 // runs. Control messages are different: they originate mid-stack (a
 // pt2pt acknowledgment, a retransmission from the sweep) and exit at
 // the stack's net boundary already fully formed. The engine therefore
-// recognizes them structurally on the way out — match the exiting
-// header stack against a known control wire signature — and emits the
-// compressed image instead of the full marshaled one. The receiving
-// side needs no new mechanism at all: the control signature gets a
-// composed up theorem and a compiled up path like any data signature,
-// keyed by the same 16-bit identifier.
+// recognizes them structurally on the way out — its signature table
+// (sigcodec.go) matches the exiting header stack against the known
+// control wire signatures — and emits the compressed image instead of
+// the full marshaled one. The receiving side needs no new mechanism at
+// all: the control signature gets a composed up theorem and a compiled
+// up path like any data signature, keyed by the same 16-bit identifier,
+// and a plain member rebuilds it from the same table.
 //
 // Three control shapes are specialized here:
 //
@@ -36,8 +35,8 @@ import (
 //     as casts do not loop back.
 //
 // mnak's NAK-driven retransmissions and collect's stability gossip
-// remain interpreted: the former retypes a *cast* signature mid-stack
-// under mnak-specific buffering, the latter's gossip header is not
+// remain TLV: the former retypes a *cast* signature mid-stack under
+// mnak-specific buffering, the latter's gossip header is not
 // IR-constructible. Both are rare next to the traffic above, and the
 // interpreted stack remains their (correct) path.
 
@@ -154,105 +153,4 @@ func retransSig(dnSend *WireSig) (WireSig, bool) {
 	}
 	*entry = retrans
 	return sig, true
-}
-
-// ctrlField is one constant-checked header field (index into the
-// spec's Read order).
-type ctrlField struct {
-	idx int
-	val int64
-}
-
-// ctrlEntry matches one header of a control stack.
-type ctrlEntry struct {
-	spec   *ir.HdrSpec
-	consts []ctrlField
-	varies []int // Read indices of wire fields, in signature field order
-}
-
-// ctrlMatcher recognizes one control wire shape at the stack's net
-// exit. The depth check and the probe entry's type assertion reject
-// non-matching stacks first; field values are read into the matcher's
-// own scratch, so a match allocates nothing either. One buffer per
-// matcher suffices, like the engine's other recognizer buffers: the net
-// exit is never re-entered while a recognizer runs.
-type ctrlMatcher struct {
-	pid     PathID
-	id      uint16
-	cast    bool // the shape is a cast's (a send's otherwise)
-	probe   int
-	entries []ctrlEntry
-	vals    []int64
-}
-
-func newCtrlMatcher(cs ctrlSpec) (*ctrlMatcher, error) {
-	m := &ctrlMatcher{pid: cs.pid, id: cs.sig.ID(), cast: cs.sig.Path.Kind == event.ECast, probe: -1}
-	for i, en := range cs.sig.Entries {
-		def, err := ir.LookupDef(en.Layer)
-		if err != nil {
-			return nil, err
-		}
-		spec, err := def.HdrSpecByVariant(en.Variant)
-		if err != nil {
-			return nil, err
-		}
-		idxOf := map[string]int{}
-		for j, fn := range spec.Fields {
-			idxOf[fn] = j
-		}
-		ce := ctrlEntry{spec: spec}
-		for _, f := range en.Fields {
-			j, ok := idxOf[f.Name]
-			if !ok {
-				return nil, fmt.Errorf("opt: control field %s.%s not in spec", en.Layer, f.Name)
-			}
-			if f.Const {
-				ce.consts = append(ce.consts, ctrlField{idx: j, val: f.Val})
-			} else {
-				ce.varies = append(ce.varies, j)
-			}
-		}
-		m.entries = append(m.entries, ce)
-		if en.Layer == cs.probeLayer {
-			m.probe = i
-		}
-	}
-	if m.probe < 0 {
-		m.probe = 0
-	}
-	return m, nil
-}
-
-// match tests an exiting header stack (in push order, top first — the
-// same order sig.Entries uses) and, on success, appends the varying
-// field values in wire order.
-func (m *ctrlMatcher) match(hdrs []event.Header, vary []int64) ([]int64, bool) {
-	if len(hdrs) != len(m.entries) || !m.read(m.probe, hdrs) {
-		return vary, false
-	}
-	for i := range m.entries {
-		if !m.read(i, hdrs) {
-			return vary, false
-		}
-		for _, j := range m.entries[i].varies {
-			vary = append(vary, m.vals[j])
-		}
-	}
-	return vary, true
-}
-
-// read reads entry i's header into m.vals and checks its constants.
-func (m *ctrlMatcher) read(i int, hdrs []event.Header) bool {
-	en := &m.entries[i]
-	vals, ok := en.spec.Read(hdrs[i], m.vals[:0])
-	m.vals = vals
-	if !ok {
-		return false
-	}
-	for _, c := range en.consts {
-		if vals[c.idx] != c.val {
-			return false
-		}
-	}
-	return true
 }

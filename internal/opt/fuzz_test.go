@@ -251,3 +251,121 @@ func FuzzEnginePacket(f *testing.F) {
 		}
 	})
 }
+
+// imageSeq encodes a sequence of wire images as FuzzStackEnginePacket
+// reads them: each one's length (uvarint), then the image.
+func imageSeq(imgs ...[]byte) []byte {
+	var out []byte
+	for _, img := range imgs {
+		out = binary.AppendUvarint(out, uint64(len(img)))
+		out = append(out, img...)
+	}
+	return out
+}
+
+// FuzzStackEnginePacket feeds a plain member (no compiled path: every
+// compressed arrival is rebuilt by the signature table) of a 3-member
+// 10-layer group a sequence of wire images, seeded with what such a
+// member genuinely receives: compressed unordered and stamped casts,
+// order runs, data sends, acknowledgments and retransmissions, and the
+// full images of the shapes no signature covers. Whatever the bytes, the
+// engine must not panic, and it must not deliver more messages than
+// arrived other than as order runs.
+func FuzzStackEnginePacket(f *testing.F) {
+	const n = 3
+	var (
+		engs  [n]*Engine
+		net   = &testNet{n: n, sent: make([]int, n)}
+		toTwo [][]byte
+		lose  bool
+	)
+	for m := range engs {
+		eng, err := NewStackEngine(layers.Stack10(), layer.DefaultConfig(testView(n, m)), stack.Func)
+		if err != nil {
+			f.Fatal(err)
+		}
+		eng.SendWire = func(cast bool, dst int, wire []byte) {
+			if lose {
+				lose = false
+				return
+			}
+			net.send(m, cast, dst, wire)
+		}
+		engs[m] = eng
+	}
+	drain := func() {
+		for {
+			net.drain(func(to int, wire []byte) {
+				if to == 2 {
+					toTwo = append(toTwo, wire)
+				}
+				engs[to].Packet(wire)
+			})
+			for _, e := range engs {
+				e.Submit(event.BurstEndEv())
+			}
+			if len(net.q) == 0 {
+				return
+			}
+		}
+	}
+	for k := range 3 {
+		engs[1].Cast([]byte{'u', byte(k)})
+		engs[0].Cast([]byte{'s', byte(k)})
+		drain()
+	}
+	for k := range 6 {
+		lose = k == 2 // a gap for the sweep to fill
+		engs[0].Send(2, []byte{'d', byte(k)})
+		engs[2].Send(0, []byte{'a', byte(k)})
+		drain()
+	}
+	for sweep := range 12 {
+		for _, e := range engs {
+			e.Timer(int64(sweep+1) * 1e6)
+		}
+		drain()
+	}
+	st := engs[0].Stats()
+	if st.DataCompressed == 0 || st.PathHits[PathDnCtrlAck] == 0 || st.PathHits[PathDnCtrlRetrans] == 0 || st.PathHits[PathDnCtrlOrder] == 0 {
+		f.Fatalf("the harvest lacks a compressed data message, acknowledgment, retransmission or order run: %+v", st)
+	}
+	var orderID uint16
+	for _, sc := range engs[0].exit {
+		if sc.pid == PathDnCtrlOrder {
+			orderID = sc.id
+		}
+	}
+	f.Add(imageSeq(toTwo...))
+	reversed := make([][]byte, len(toTwo))
+	for i, img := range toTwo {
+		reversed[len(toTwo)-1-i] = img
+	}
+	f.Add(imageSeq(reversed...))
+	for _, img := range toTwo {
+		f.Add(imageSeq(img, img))
+	}
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		eng, err := NewStackEngine(layers.Stack10(), layer.DefaultConfig(testView(n, 2)), stack.Func)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deliveries, arrivals := 0, 0
+		eng.Deliver = func(int, []byte, bool) { deliveries++ }
+		for len(in) > 0 {
+			l, k := binary.Uvarint(in)
+			if k <= 0 || l > uint64(len(in)-k) {
+				return
+			}
+			img := in[k : k+int(l)]
+			in = in[k+int(l):]
+			if eng.Packet(img) && (len(img) < 3 || img[0] != transport.WireCompressed || binary.LittleEndian.Uint16(img[1:3]) != orderID) {
+				arrivals++
+			}
+			if deliveries > arrivals {
+				t.Fatalf("%d deliveries from %d arrivals that were not order runs", deliveries, arrivals)
+			}
+		}
+	})
+}

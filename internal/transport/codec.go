@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -232,8 +233,9 @@ func lookupCodecByID(id byte) (*HeaderCodec, error) {
 //	headers    nhdrs × { layerID byte, body }   (outermost first)
 //	payload    rest
 //
-// The compressed format (compress.go) replaces everything before the
-// payload with a short prefix plus the varying header fields.
+// The compressed format (the optimizer's signature table) replaces
+// everything before the payload with a short prefix plus the varying
+// header fields.
 const (
 	wireFull       = 0x01
 	wireCompressed = 0xC0
@@ -285,6 +287,23 @@ func EncodeHeader(h event.Header, w *Writer) error {
 	w.Byte(c.ID)
 	c.encode(h, w)
 	return nil
+}
+
+// SpecPrefix returns what EncodeHeader writes before the fields of a
+// header of the given variant of the layer whose codec has wire id id:
+// the id, then the variant's tag when the codec writes one. The fields
+// follow as signed varints in spec.Fields order. False for an unknown
+// id, a variant the codec does not declare, or a codec that writes its
+// own encoding (HeaderCodec.Encode).
+func SpecPrefix(id byte, spec *ir.HdrSpec) ([]byte, bool) {
+	c := codecs().byID[id]
+	if c == nil || c.Encode != nil || !slices.ContainsFunc(c.hdrs, func(h ir.HdrSpec) bool { return h.Variant == spec.Variant }) {
+		return nil, false
+	}
+	if !c.tagged {
+		return []byte{id}, true
+	}
+	return []byte{id, byte(spec.Tag)}, true
 }
 
 // readerPool recycles Readers: the codec Decode calls are indirect, so

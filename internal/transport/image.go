@@ -26,10 +26,12 @@ type Image struct {
 
 // ImageOf returns the image of ev's message as it stands. For an event
 // that came off the wire and has only been popped since, the header
-// bytes are a suffix of the arrival buffer and cost nothing, and the
-// image is as borrowed as ev is; anything else (the send side, bypass
-// fallbacks) is encoded into w, valid until w's next use, so the image
-// is borrowed. The error is Marshal's: a header whose layer registered
+// bytes are a suffix of the arrival buffer, or of the encoding the
+// decoder wrote into the event's own storage, and cost nothing; the
+// image is as borrowed as ev is (storage the event owns is reused only
+// once ev is freed, and is never adjacent to the payload). Anything
+// else (the send side) is encoded into w, valid until w's next use, so
+// the image is borrowed. The error is Marshal's: a header whose layer registered
 // no codec.
 func ImageOf(ev *event.Event, w *Writer) (Image, error) {
 	if hdrs, ok := ev.Msg.EncodedHeaders(); ok {

@@ -4,9 +4,11 @@
 // unmarshals on receipt (paper §4.2, Fig. 4). Ensemble has no fixed wire
 // format for headers (§4, item 2): the transport serializes whatever
 // header stack it is handed, using per-layer codecs registered by the
-// micro-protocol components. The optimizer's compressed wire format
-// (a short stack identifier plus only the varying fields) is implemented
-// in compress.go.
+// micro-protocol components. That TLV form carries the header shapes no
+// wire signature covers; a header stack of a known signature rides in
+// the compressed form (a short stack identifier plus only the varying
+// fields), which the optimizer's signature table encodes and decodes
+// (internal/opt, sigcodec.go).
 package transport
 
 import (
