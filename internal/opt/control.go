@@ -37,8 +37,7 @@ import (
 // mnak's NAK-driven retransmissions and collect's stability gossip
 // remain TLV: the former retypes a *cast* signature mid-stack under
 // mnak-specific buffering, the latter's gossip header is not
-// IR-constructible. Both are rare next to the traffic above, and the
-// interpreted stack remains their (correct) path.
+// IR-constructible.
 
 // ctrlSpec pairs a control wire signature with its dispatch path
 // identities.
