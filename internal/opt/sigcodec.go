@@ -67,9 +67,6 @@ type sigCodec struct {
 	upPid PathID
 	ents  []sigEnt // push order, top first, as sig.Entries
 	nvary int
-	// imaged says every entry's TLV encoding can be written from the
-	// table, so a rebuilt stack records its image (see build).
-	imaged bool
 }
 
 // sigEnt is one header of a signature.
@@ -216,7 +213,7 @@ func (t *sigTable) newSigCodec(names []string, sig WireSig, id uint16, ctrl *ctr
 	if top < 0 {
 		return nil, fmt.Errorf("opt: signature has %d entries, the stack %d layers", len(sig.Entries), len(names))
 	}
-	sc := &sigCodec{sig: sig, id: id, cast: sig.Path.Kind == event.ECast, appl: top == 0, imaged: true}
+	sc := &sigCodec{sig: sig, id: id, cast: sig.Path.Kind == event.ECast, appl: top == 0}
 	switch {
 	case ctrl != nil:
 		sc.ctrl, sc.pid, sc.upPid = true, ctrl.pid, ctrl.upPid
@@ -276,9 +273,7 @@ func (t *sigTable) newSigCodec(names []string, sig WireSig, id uint16, ctrl *ctr
 		} else {
 			var ok bool
 			if e.prefix, ok = transport.SpecPrefix(t.wireIDs[top+i], spec); !ok {
-				// A codec that writes its own encoding: a rebuilt stack
-				// records no image, and a layer that retains it encodes it.
-				sc.imaged = false
+				return nil, fmt.Errorf("opt: signature entry %s.%s has wire fields, and its layer's codec writes its own encoding", en.Layer, en.Variant)
 			}
 		}
 		sc.ents = append(sc.ents, e)
@@ -378,10 +373,10 @@ func (t *sigTable) parse(data []byte, n int, vary *[]int64) (at, sender int, pay
 
 // build pushes sc's top k headers onto ev's empty header stack in one
 // pass, from the signature's constants and the arrival's wire fields
-// vary, staging each header's values in hv (grown as needed). An imaged
-// signature also writes the headers' TLV encoding into storage ev owns
-// and records it (event.Message.SetOwnEncoded), so a layer that retains
-// the message copies those bytes instead of encoding its headers.
+// vary, staging each header's values in hv (grown as needed). It also
+// writes the headers' TLV encoding into storage ev owns and records it
+// (event.Message.SetOwnEncoded), so a layer that retains the message
+// copies those bytes instead of encoding its headers.
 func (sc *sigCodec) build(ev *event.Event, vary []int64, k int, hv *[]int64) {
 	m := &ev.Msg
 	if cap(m.Headers) < k {
@@ -389,19 +384,13 @@ func (sc *sigCodec) build(ev *event.Event, vary []int64, k int, hv *[]int64) {
 	}
 	m.Headers = m.Headers[:k] // every slot is written below
 	hdrs := m.Headers
-	var offs []uint32
-	var img []byte
-	if sc.imaged {
-		offs, img = m.EncOffsets(), m.OwnEncoding()
-	}
+	offs, img := m.EncOffsets(), m.OwnEncoding()
 	// Outermost (the bottom layer's, the highest index) first, as the
 	// TLV image runs.
 	for i := k - 1; i >= 0; i-- {
 		en := &sc.ents[i]
-		if sc.imaged {
-			offs[i] = uint32(len(img))
-			img = append(img, en.fixed...)
-		}
+		offs[i] = uint32(len(img))
+		img = append(img, en.fixed...)
 		if en.hdr != nil {
 			hdrs[i] = en.hdr
 			continue
@@ -418,7 +407,7 @@ func (sc *sigCodec) build(ev *event.Event, vary []int64, k int, hv *[]int64) {
 			vals[j] = vary[en.vary0+t]
 		}
 		hdrs[i] = en.spec.Make(vals)
-		if sc.imaged && en.fixed == nil {
+		if en.fixed == nil {
 			// The values as the header holds them: a field narrower than
 			// int64 keeps only what fits, and so does its encoding.
 			vals, _ = en.spec.Read(hdrs[i], vals[:0])
@@ -428,7 +417,5 @@ func (sc *sigCodec) build(ev *event.Event, vary []int64, k int, hv *[]int64) {
 			}
 		}
 	}
-	if sc.imaged {
-		m.SetOwnEncoded(img)
-	}
+	m.SetOwnEncoded(img)
 }
