@@ -105,9 +105,10 @@ multiproc:
 	rm -f .ensemble-node.bin
 
 # A short fuzzing smoke pass over the stateful wire-format decoders:
-# the cross-frame walker under adversarial frames (seeded and cold
-# mirrors) and the encode/decode round trips, across frames and within
-# one (every sub form, the run form included); over retention: the
+# the sub walker under arbitrary bytes (stable and scratch links, each
+# walked twice), the cross-frame walker under adversarial frames (seeded
+# and cold mirrors) and the encode/decode round trips, across frames and
+# within one (every sub form, the run form included); over retention: the
 # message log against a map model, and the image decoder under arbitrary
 # bytes; and over admission: a full image checked against the 10-layer
 # and vsync stacks' wire contracts, and re-marshaled when admitted; and
@@ -119,6 +120,7 @@ multiproc:
 # the f.Add seeds run as regular tests in every `make test`; this target
 # additionally mutates for a few seconds per target.
 fuzz:
+	$(GO) test -run xxx -fuzz FuzzFrameWalker -fuzztime 10s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzXFrameWalkLink -fuzztime 10s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzXFrameRoundTrip -fuzztime 10s ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzDeltaRoundTrip -fuzztime 10s ./internal/transport/

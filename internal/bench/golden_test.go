@@ -23,11 +23,13 @@ import (
 // began to leave compressed like every other recognized control shape:
 // those wires shrink, and the delivery check below holds the run to the
 // interpreted stack's behaviour. Recorded a third time when the
-// sequencer began to announce runs of casts, one order per run, and a
+// sequencer began to announce runs of casts, one order per run, a
 // fourth when prefix subs gained the run form (a changed field, then the
-// unchanged run after it): that moved sizes and CRCs only, which the
-// skeleton hash below shows.
-const goldenTraceSHA256 = "3e8ddc3d5b855dd8bb4b6308e1c533f43aa81538d80a22aa0617c52404c6cf15"
+// unchanged run after it), and a fifth when the field-level sub delta
+// was deleted and every sub began to ride full or in a prefix form: the
+// last two moved sizes and CRCs only, which the skeleton hash below
+// shows.
+const goldenTraceSHA256 = "4bd86e576c5f4041119abbecb756562cd01ac48cb2713a4eef3cd6cd59efc369"
 
 // goldenTraceSkeletonSHA256 hashes the same trace with every length and
 // CRC field stripped (traceSkeleton): who sent what to whom, and when.
@@ -130,12 +132,13 @@ func TestGoldenProductionTrace(t *testing.T) {
 // leaver began to go quiet after its leave, a blocked member began to
 // announce its cast count at each sweep, and mflow began to release its
 // queue on a block. Recorded a third time, with the skeleton hashes
-// unchanged, when prefix subs gained the run form, and a fourth time,
-// the skeletons again unchanged, when plain members began to send the
-// shapes of the signature table compressed.
+// unchanged, when prefix subs gained the run form, a fourth time, the
+// skeletons again unchanged, when plain members began to send the
+// shapes of the signature table compressed, and a fifth, the skeletons
+// unchanged still, when the field-level sub delta was deleted.
 var goldenVsyncTraceSHA256 = map[int][2]string{ // full, skeleton
-	17: {"f82ca9f9ceb91938f79bc1f5d36aed03fb3a3496988315823591f837516d7c4e", "ed4041e52f92589634558917ac4aaa1556076573dbaa9082579c881e2afb865a"},
-	64: {"c1fefe55727ef68110e78c931abc28f0f801d7b70c81b43edfb981aba994b63f", "2df5774fb6c86e7da9ff6c70f816eecdc26d77f100a72bc3538bfafc51a7b15c"},
+	17: {"37d02f4f4d0bfaa2b7053a3451a4b50eaf97f80f847ca3efe198c6b4476e8907", "ed4041e52f92589634558917ac4aaa1556076573dbaa9082579c881e2afb865a"},
+	64: {"a366c113edcea06a379e4dded8ae97cc6cbeecca60b363e1f45f620aaa06d1e5", "2df5774fb6c86e7da9ff6c70f816eecdc26d77f100a72bc3538bfafc51a7b15c"},
 }
 
 func TestGoldenViewChangeTrace(t *testing.T) {

@@ -60,7 +60,7 @@ func TestNetThroughputRejectsBadShapes(t *testing.T) {
 // The MACH run at the minimum stamped payload (8 bytes: header-dominated
 // wires, the case the sub grammar's elisions exist for) also holds the
 // wire format to paying for itself: bytes/msg at most 0.487x the same
-// run's classic-bytes/msg (measured 17.56 against 48.08, 0.365x). The
+// run's classic-bytes/msg (measured 12.39 against 30.02, 0.413x). The
 // bar continues the one it replaced, <= 0.5x a separately measured
 // batched-classic run (30.67 bytes/msg at 699768e, when the computed
 // yardstick read 62.95), so it admits no more than before.

@@ -148,7 +148,7 @@ func (s pumpSink) Cast(from event.Addr, data []byte)     { s.pump.send(1-int(fro
 func (r *ThroughputRunner) emitters(pump *wirePump) [2]func(to int, wire []byte) {
 	var emit [2]func(to int, wire []byte)
 	for m := range emit {
-		// Bare wires: no epoch prefix, so the default prefix arity 0.
+		// Bare wires: no epoch prefix.
 		b := transport.NewBatcher(pumpSink{pump: pump}, event.Addr(m), 0)
 		r.batch[m] = b
 		emit[m] = func(to int, wire []byte) { b.Send(event.Addr(to), wire) }
@@ -187,7 +187,7 @@ func (r *ThroughputRunner) flush() {
 // copy) a wire during delivery, so reconstructed subs may share one
 // recycled buffer — keeping the path at 0 allocs.
 func newPump(deliver func(to int, sub []byte)) *wirePump {
-	link := transport.NewFrameWalker(0, false)
+	link := transport.NewWalker(false)
 	var subTo [2]func(sub []byte)
 	for m := range subTo {
 		m := m

@@ -10,13 +10,14 @@ import (
 )
 
 // This test pins down that the compressed (0xC0) wire images the bypass
-// engine emits actually ride the wire delta-encoded and come back
-// byte-exact.
+// engine emits actually ride the wire encoded against their predecessors
+// and come back byte-exact.
 
 // TestMemberDeltaFramesOnWire: an optimized (MACH-config) group casts a
-// stream; the batchers report delta-encoded sub-packets, every cast is
-// delivered, and nothing lands in stray accounting — i.e. the delta
-// round trip is lossless end to end, protocol included.
+// stream; the batchers report sub-packets in the prefix forms, the run
+// form among them, every cast is delivered, and nothing lands in stray
+// accounting — i.e. the round trip is lossless end to end, protocol
+// included.
 func TestMemberDeltaFramesOnWire(t *testing.T) {
 	const members, msgs = 4, 32
 	delivered := make([]int, members)
@@ -48,11 +49,11 @@ func TestMemberDeltaFramesOnWire(t *testing.T) {
 			t.Fatalf("member %d delivered %d casts, want %d", r, delivered[r], want)
 		}
 		bs := m.Batcher().Stats()
-		if bs.DeltaSubs == 0 {
-			t.Fatalf("member %d: no sub-packets were delta-encoded (SubPackets=%d)", r, bs.SubPackets)
+		if bs.PrefixSubs == 0 || bs.RunSubs == 0 || bs.DeltaSubs != 0 {
+			t.Fatalf("member %d: %d prefix and %d run subs, %d delta subs (SubPackets=%d)", r, bs.PrefixSubs, bs.RunSubs, bs.DeltaSubs, bs.SubPackets)
 		}
 		if st := m.Stats(); st.StrayPackets != 0 {
-			t.Fatalf("member %d: %d stray packets under delta framing", r, st.StrayPackets)
+			t.Fatalf("member %d: %d stray packets", r, st.StrayPackets)
 		}
 	}
 }

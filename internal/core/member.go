@@ -235,12 +235,9 @@ func newMember(sim Clock, net Network, v0 *event.View, names []string, mode stac
 	}
 	net.Attach(m.addr, m.receive)
 	m.batch = transport.NewBatcher(net, m.addr, 0)
-	// Data wires always carry the epoch prefix (see epoch), so the
-	// batcher can elide it between consecutive sub-packets; every
-	// substrate's receive link decodes with the same prefix arity. The
-	// clock lets flush points hold sub-threshold frames on fast-cadence
-	// chains so the next entry's wires join them (transport/frame.go).
-	m.batch.EnableCrossFrame(transport.EpochPrefixUvarints)
+	// The clock lets flush points hold sub-threshold frames on
+	// fast-cadence chains so the next entry's wires join them
+	// (transport/frame.go).
 	m.batch.SetClock(sim.Now)
 	net.SetDrainFlush(m.flushWires)
 	if rb, ok := net.(interface{ SetRebindHook(func(event.Addr)) }); ok {

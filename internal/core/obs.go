@@ -36,7 +36,6 @@ func (m *Member) EnableObs(sc *obs.Scope, trk *obs.Track) {
 		sc.Func("batch/flush_size", func() int64 { return m.batch.Stats().SizeFlushes })
 		sc.Func("batch/flush_entry_end", func() int64 { return m.batch.Stats().EntryEndFlushes })
 		sc.Func("batch/flush_barrier", func() int64 { return m.batch.Stats().BarrierFlushes })
-		sc.Func("batch/delta_subs", func() int64 { return m.batch.Stats().DeltaSubs })
 		sc.Func("batch/prefix_subs", func() int64 { return m.batch.Stats().PrefixSubs })
 		sc.Func("batch/run_subs", func() int64 { return m.batch.Stats().RunSubs })
 		sc.Func("batch/verbatim_subs", func() int64 { return m.batch.Stats().VerbatimSubs })

@@ -255,7 +255,6 @@ func TestBatchMetricsMatchBatcherStats(t *testing.T) {
 			"flush_size":      st.SizeFlushes,
 			"flush_entry_end": st.EntryEndFlushes,
 			"flush_barrier":   st.BarrierFlushes,
-			"delta_subs":      st.DeltaSubs,
 			"prefix_subs":     st.PrefixSubs,
 			"run_subs":        st.RunSubs,
 			"verbatim_subs":   st.VerbatimSubs,

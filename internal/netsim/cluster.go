@@ -83,7 +83,7 @@ func NewCluster(seed int64, profile Profile) *Cluster {
 		net: &Net{
 			profile: profile,
 			eps:     map[event.Addr]bool{},
-			walker:  transport.NewFrameWalker(transport.EpochPrefixUvarints, true),
+			walker:  transport.NewWalker(true),
 		},
 		seed:          seed,
 		byAddr:        map[event.Addr]int{},

@@ -118,7 +118,6 @@ func deltaFrame(t *testing.T, wires ...[]byte) []byte {
 	t.Helper()
 	sink := &frameCapture{}
 	b := transport.NewBatcher(sink, 1, 1<<20)
-	b.EnableCrossFrame(transport.EpochPrefixUvarints)
 	for _, w := range wires {
 		b.Cast(w)
 	}
@@ -129,18 +128,18 @@ func deltaFrame(t *testing.T, wires ...[]byte) []byte {
 	return sink.frames[0]
 }
 
-// TestClusterArriveUnpacksDeltaFrames: a delta-compressed frame fans
-// out into the original wires, byte for byte, while the Stats invariant
-// stays at the transmission level and BytesOnWire counts the compressed
-// frame. The link runs in stable mode, so subs the receiver retains
+// TestClusterArriveUnpacksDeltaFrames: a frame of subs encoded against
+// their predecessors fans out into the original wires, byte for byte,
+// while the Stats invariant stays at the transmission level and
+// BytesOnWire counts the compressed frame. The link runs in stable mode, so subs the receiver retains
 // without copying stay intact after further frames are walked
 // (mailboxes hold subs across deliveries within a drain).
 func TestClusterArriveUnpacksDeltaFrames(t *testing.T) {
 	wires := [][]byte{
-		compressedWire(3, 7, 12, 1, 100, 0xAA),
-		compressedWire(3, 7, 12, 1, 101, 0xBB), // pure delta: elided header
-		compressedWire(3, 7, 12, 1, 102, 0xCC),
-		compressedWire(4, 7, 12, 1, 0, 0xDD), // epoch changed: explicit
+		compressedWire(3, 7, 12, 1, 100, 0x03, 0x04, 0x05, 0x06, 0xAA),
+		compressedWire(3, 7, 12, 1, 101, 0x03, 0x04, 0x05, 0x06, 0xBB), // a run sub: the seqno and the tail ride
+		compressedWire(3, 7, 12, 1, 102, 0x03, 0x04, 0x05, 0x06, 0xCC),
+		compressedWire(4, 7, 12, 1, 0, 0x03, 0x04, 0x05, 0x06, 0xDD), // epoch changed: shares nothing, full
 	}
 	frame := deltaFrame(t, wires...)
 	sum := 0
@@ -148,7 +147,7 @@ func TestClusterArriveUnpacksDeltaFrames(t *testing.T) {
 		sum += len(w)
 	}
 	if len(frame) >= sum {
-		t.Fatalf("delta frame (%dB) not smaller than its wires (%dB)", len(frame), sum)
+		t.Fatalf("frame (%dB) not smaller than its wires (%dB)", len(frame), sum)
 	}
 	castFrame := deltaFrame(t, wires[0])
 
@@ -178,8 +177,8 @@ func TestClusterArriveUnpacksDeltaFrames(t *testing.T) {
 	}
 }
 
-// TestDeltaGarbageKeepsInvariant: a corrupt frame (a delta sub with no
-// parsed base before it) surfaces its tail as one garbage sub —
+// TestDeltaGarbageKeepsInvariant: a corrupt frame (a sub in the retired
+// field-delta form, an unknown flag) surfaces its tail as one garbage sub —
 // delivered, counted, no panic — so the frame-level invariant survives
 // malformed input.
 func TestDeltaGarbageKeepsInvariant(t *testing.T) {

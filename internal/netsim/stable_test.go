@@ -12,12 +12,12 @@ import (
 
 // The premise the layers' by-reference keeping rests on: both substrates
 // run their receive link in stable mode, so a sub-packet handed to a
-// member — full ones aliasing the frame, delta-reconstructed ones in
+// member — full ones aliasing the frame, rebuilt ones in
 // storage of their own — is never rewritten by the walks of the frames
 // that arrive after it on the same link.
 
-// stableWires are member-shaped wires whose successors mostly ride as
-// field deltas, so most of them are reconstructed on arrival.
+// stableWires are member-shaped wires whose successors mostly ride in the
+// prefix forms, so most of them are rebuilt on arrival.
 func stableWires() [][]byte {
 	var wires [][]byte
 	for i := 0; i < 64; i++ {
@@ -64,7 +64,6 @@ func TestClusterSubsStayIntact(t *testing.T) {
 	})
 	wires := stableWires()
 	b := transport.NewBatcher(c.eps[0], 1, 0)
-	b.EnableCrossFrame(transport.EpochPrefixUvarints)
 	for i, frame := range chunks(wires) {
 		for _, w := range frame {
 			b.Send(2, w)
@@ -92,7 +91,6 @@ func TestUDPSubsStayIntact(t *testing.T) {
 	})
 	// A member's batcher, flushed at the end of each of a's bursts.
 	batch := transport.NewBatcher(a, 1, 0)
-	batch.EnableCrossFrame(transport.EpochPrefixUvarints)
 	a.SetDrainFlush(func() { batch.Flush() })
 	go a.Run()
 	go b.Run()

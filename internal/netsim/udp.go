@@ -192,7 +192,7 @@ func NewUDPNet(self event.Addr, listen string, peers map[event.Addr]string) (*UD
 		funcs:      make(chan func(), 256),
 		closed:     make(chan struct{}),
 		timers:     map[*time.Timer]struct{}{},
-		walker:     transport.NewFrameWalker(transport.EpochPrefixUvarints, true),
+		walker:     transport.NewWalker(true),
 		pendResync: map[event.Addr]int64{},
 	}
 	for a, hostport := range peers {

@@ -179,7 +179,6 @@ func TestUDPBurstFlushCoalesces(t *testing.T) {
 
 	// Stand in for a member: a batcher flushed by the burst-end hook.
 	batch := transport.NewBatcher(a, 1, 0)
-	batch.EnableCrossFrame(transport.EpochPrefixUvarints)
 	a.SetDrainFlush(func() { batch.Flush() })
 
 	var mu sync.Mutex
@@ -240,8 +239,8 @@ func TestUDPBurstFlushCoalesces(t *testing.T) {
 	// The batcher belongs to the Run goroutine; read its stats there.
 	statsCh := make(chan transport.BatcherStats, 1)
 	a.Do(func() { statsCh <- batch.Stats() })
-	if bs := <-statsCh; bs.DeltaSubs != int64(len(wires))-1 {
-		t.Fatalf("DeltaSubs = %d, want %d", bs.DeltaSubs, len(wires)-1)
+	if bs := <-statsCh; bs.PrefixSubs != int64(len(wires))-1 {
+		t.Fatalf("PrefixSubs = %d, want %d: every wire after the first shares its header", bs.PrefixSubs, len(wires)-1)
 	}
 	if st.BytesOnWire == 0 || st.SendErrors != 0 || st.DroppedOnClose != 0 {
 		t.Fatalf("socket accounting off: %+v", st)
@@ -258,7 +257,6 @@ func TestUDPCloseDropsPendingBatch(t *testing.T) {
 	defer b.Close()
 
 	batch := transport.NewBatcher(a, 1, 0)
-	batch.EnableCrossFrame(transport.EpochPrefixUvarints)
 	a.SetDrainFlush(func() { batch.Flush() })
 
 	done := make(chan error, 1)

@@ -99,7 +99,6 @@ func xchain(t *testing.T, n int) [][]byte {
 	t.Helper()
 	sink := &capSink{}
 	bt := transport.NewBatcher(sink, 1, transport.DefaultFrameBytes)
-	bt.EnableCrossFrame(transport.EpochPrefixUvarints)
 	for i := 0; i < n; i++ {
 		// A plausible wire: only one mid-payload byte varies per frame,
 		// so consecutive subs share a long prefix (and a tail) and the

@@ -2,31 +2,19 @@ package transport
 
 // The sub grammar: how sub-packets ride inside a frame (§4.1.3 taken one
 // step further). Header compression already folds each packet's constant
-// fields into a small stack identifier, so a common-case wire image is
-//
-//	[epoch prefix uvarints] 0xC0 id(2) sender(uvarint) seqno(varint) rest
-//
-// Consecutive sub-packets on one chain go to the same destination in the
-// same epoch from the same sender with near-sequential seqnos — the
-// header bytes repeat almost verbatim. Each sub is therefore encoded
-// against its predecessor on the chain (the previous sub in the frame,
-// or for a frame's first sub the previous frame's last sub — see
-// frame.go): equal epoch/stack-id/sender are elided entirely and the
-// seqno becomes a (usually one-byte) varint delta.
+// fields into a small stack identifier; consecutive sub-packets on one
+// chain then repeat most of what is left almost verbatim — the epoch
+// prefix, the image's magic, identifier and sender, the constant headers
+// after a changed seqno. Each sub is therefore encoded against its
+// predecessor on the chain (the previous sub in the frame, or for a
+// frame's first sub the previous frame's last sub — see frame.go) by the
+// bytes the two share. The coder has no model of a wire's fields: a
+// wire is opaque bytes, whichever engine or codec wrote it.
 //
 //	subs      repeated {
 //	    flag  byte
 //	    flag == 0x00 (full):   uvarint length, length bytes (a complete
 //	                           wire image)
-//	    flag & 0x01  (delta):  optional fields selected by the flag bits
-//	                           (0x02 epoch: prefix uvarints; 0x04 stack
-//	                           id: 2 bytes; 0x08 sender: uvarint), then
-//	                           varint seqno delta; if 0x20 is set, a
-//	                           uvarint shared-suffix length s; uvarint
-//	                           rest length, rest bytes — the remaining
-//	                           varying fields and payload, verbatim,
-//	                           followed (when 0x20) by the previous
-//	                           sub's last s bytes
 //	    flag == 0x10 (prefix): uvarint shared-prefix length n, uvarint
 //	                           rest length, rest bytes — the sub is the
 //	                           previous sub's first n bytes followed by
@@ -44,13 +32,6 @@ package transport
 //	                           run after it
 //	}
 //
-// The 0x10 prefix form is the shape-agnostic fallback for wires the
-// field-level delta cannot parse (full-format images, control traffic):
-// consecutive acknowledgements or gossip wires of the same kind repeat
-// most of their header bytes even though the coder has no model of their
-// fields, so eliding the shared byte prefix against the previous sub
-// still recovers most of the redundancy.
-//
 // A prefix sub with n = 0 and no suffix is how a frame-sized wire rides
 // (frame.go): its bytes are the wire, verbatim, so the walker surfaces it
 // in place like a full sub instead of rebuilding it. It is not a full
@@ -59,29 +40,28 @@ package transport
 // reordered predecessor still in flight. A prefix sub keeps the frame
 // dependent on its predecessor, so the frame waits for it.
 //
-// The 0x20 suffix bit (both forms) recovers the redundancy *after* the
-// varying bytes when a wire's tail repeats its predecessor's — trailing
-// header fields, the high bytes of little-endian stamps. A fresh payload
-// at the end of the wire breaks that, and then the bytes worth eliding
-// sit between a changed mid-header field (a seqno) and the payload: the
-// constant headers below it. The run form (0x50) elides exactly that —
-// up to maxRunMid changed bytes after the shared prefix, then the run of
-// at least minRunLen bytes that lines up with the predecessor's at the
-// same offset. The encoder (appendPrefixSub) writes whichever of the
-// prefix, prefix+suffix and run forms is shortest, preferring prefix and
+// The suffix form recovers the redundancy *after* the varying bytes when
+// a wire's tail repeats its predecessor's — trailing header fields, the
+// high bytes of little-endian stamps. A fresh payload at the end of the
+// wire breaks that, and then the bytes worth eliding sit between a
+// changed mid-header field (a seqno) and the payload: the constant
+// headers below it. The run form elides exactly that — up to maxRunMid
+// changed bytes after the shared prefix, then the run of at least
+// minRunLen bytes that lines up with the predecessor's at the same
+// offset. The encoder (appendPrefixSub) writes whichever of the prefix,
+// prefix+suffix and run forms is shortest, preferring prefix and
 // prefix+suffix on a tie, so no sub is longer than without the run form.
 //
-// Any sub can fall back to full encoding — a wire that is not a
-// compressed image (CCP miss, control traffic) and shares no useful
-// prefix with its predecessor, a seqno delta that would overflow, or the
-// first sub of a fresh generation or anchor frame — so the format
-// degrades per sub, never per frame. Malformed input is never dropped
-// silently and never panics: a truncated sub, a delta with no base,
-// unknown flag bits, a shared prefix longer than the previous sub, a run
-// sub's field or run reaching past it, or an overflowing seqno delta
-// surfaces the remaining bytes (from the offending sub's flag byte on) as
-// one final garbage sub-packet, which downstream decoders count as a
-// stray packet.
+// A wire that shares fewer than minPrefixLen leading bytes with its
+// predecessor rides full, and so does the first sub of a fresh generation
+// or anchor frame — so the format degrades per sub, never per frame.
+// Malformed input is never dropped silently and never panics: a
+// truncated sub, a dependent sub with no predecessor, an unknown flag
+// byte, a shared prefix or suffix longer than the previous sub, a run
+// sub's field or run reaching past it, or a sub that would take the
+// frame's rebuilt bytes past maxRebuilt surfaces the remaining bytes
+// (from the offending sub's flag byte on) as one final garbage
+// sub-packet, which downstream decoders count as a stray packet.
 
 import (
 	"encoding/binary"
@@ -89,31 +69,13 @@ import (
 	"math/bits"
 )
 
-// EpochPrefixUvarints is the number of uvarints core.Member prefixes to
-// every data wire (the view sequence number and the membership digest).
-// Substrates that unpack member traffic build their FrameWalker with it
-// so the delta coder can treat the prefix as one elidable epoch field.
-const EpochPrefixUvarints = 2
-
-// maxPrefix bounds the epoch prefix a delta coder can track.
-const maxPrefix = 2
-
-// Delta sub-packet flag bits (see the file comment for the grammar).
+// Sub flag bytes (see the file comment for the grammar); every other
+// value is unknown.
 const (
-	subFull     = 0x00 // complete wire image follows
-	subIsDelta  = 0x01 // delta-encoded against the previous sub
-	deltaEpoch  = 0x02 // epoch prefix differs: explicit uvarints follow
-	deltaStack  = 0x04 // stack id differs: explicit 2 bytes follow
-	deltaSender = 0x08 // sender differs: explicit uvarint follows
-	subPrefix   = 0x10 // shared byte prefix of the previous sub, then rest
-	deltaSuffix = 0x20 // shared byte suffix of the previous sub elided
-	deltaKnown  = subIsDelta | deltaEpoch | deltaStack | deltaSender | deltaSuffix
-	// subPrefixSuffix is the prefix form with a shared suffix too: the sub
-	// is prev[:n] + mid + prev[len(prev)-s:].
-	subPrefixSuffix = subPrefix | deltaSuffix
-	// subRun is the prefix form with a changed field and an unchanged run
-	// after it: the sub is prev[:n] + mid + prev[n+m:n+m+k] + rest.
-	subRun = subPrefix | 0x40
+	subFull         = 0x00 // complete wire image follows
+	subPrefix       = 0x10 // shared byte prefix of the previous sub, then rest
+	subPrefixSuffix = 0x30 // prev[:n] + mid + prev[len(prev)-s:]
+	subRun          = 0x50 // prev[:n] + mid + prev[n+m:n+m+k] + rest
 )
 
 // minPrefixLen is the shortest shared prefix worth eliding: below four
@@ -135,6 +97,14 @@ const maxRunMid = 8
 // rarely pays.
 const minRunLen = 4
 
+// maxRebuilt caps the bytes one frame's walk may rebuild. Shared
+// prefixes and suffixes may overlap, so a crafted frame can describe
+// subs that double in length from one to the next; a few hundred bytes
+// of them would otherwise ask for terabytes. An encoder never comes near
+// the cap: only wires shorter than its frame budget are rebuilt, and a
+// frame holds at most a budget's worth of subs.
+const maxRebuilt = 1 << 20
+
 // commonPrefixLen is the length of the longest shared byte prefix,
 // compared eight bytes at a time.
 func commonPrefixLen(a, b []byte) int {
@@ -151,133 +121,27 @@ func commonPrefixLen(a, b []byte) int {
 	return i
 }
 
-// commonSuffixLen is the length of the longest shared byte suffix.
+// commonSuffixLen is the length of the longest shared byte suffix,
+// compared eight bytes at a time from the ends: in a little-endian word
+// the last byte is the most significant.
 func commonSuffixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
+	a, b = a[len(a)-n:], b[len(b)-n:]
 	i := 0
-	for i < n && a[len(a)-1-i] == b[len(b)-1-i] {
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[n-i-8:]) ^ binary.LittleEndian.Uint64(b[n-i-8:]); x != 0 {
+			return i + bits.LeadingZeros64(x)/8
+		}
+	}
+	for i < n && a[n-1-i] == b[n-1-i] {
 		i++
 	}
 	return i
 }
 
-// subMeta is a parsed compressed-wire header, kept by value so the delta
-// coder can re-encode a sub canonically (or compute the next delta base)
-// without holding on to the previous sub's bytes.
-type subMeta struct {
-	ok      bool
-	prefix  [maxPrefix]uint64
-	id      uint16
-	sender  uint64
-	seq     int64
-	restOff int // offset of the bytes after the first varying varint
-}
-
 // uvarintLen is the length of v's canonical uvarint encoding.
 func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
-}
-
-// parseSub parses wire as an epoch-prefixed compressed image. A wire
-// that does not have that shape (full-format images, control traffic,
-// arbitrary test bytes) reports !ok and is carried as a prefix or full
-// sub; the coder never needs to understand it. The "seqno" is simply
-// the first varying varint after the sender — the delta transform is
-// shape-based and symmetric, so round-tripping is exact whatever the
-// field means. Non-minimal varint encodings also report !ok: the
-// decoder reconstructs elided fields canonically, so a wire that spells
-// a value the long way would not come back byte-exact through the
-// field delta (the canonical encoders never emit one, but arbitrary
-// bytes can).
-func parseSub(wire []byte, nPrefix int) (m subMeta) {
-	off := 0
-	for i := 0; i < nPrefix; i++ {
-		v, k := binary.Uvarint(wire[off:])
-		if k <= 0 || k != uvarintLen(v) {
-			return
-		}
-		m.prefix[i] = v
-		off += k
-	}
-	if len(wire) < off+3 || wire[off] != WireCompressed {
-		return
-	}
-	m.id = uint16(wire[off+1]) | uint16(wire[off+2])<<8
-	off += 3
-	s, k := binary.Uvarint(wire[off:])
-	if k <= 0 || k != uvarintLen(s) {
-		return
-	}
-	m.sender = s
-	off += k
-	q, k := binary.Varint(wire[off:])
-	if k <= 0 {
-		return
-	}
-	zz := uint64(q) << 1
-	if q < 0 {
-		zz = ^zz
-	}
-	if k != uvarintLen(zz) {
-		return
-	}
-	m.seq = q
-	off += k
-	m.restOff = off
-	m.ok = true
-	return
-}
-
-// appendDeltaSub encodes wire (parsed as cur) against base into buf;
-// prev is the previous sub's full bytes, the base for shared-suffix
-// elision of the rest. It reports false — leaving buf untouched — when
-// the seqno delta would overflow; the caller then falls back to a full
-// sub.
-func appendDeltaSub(buf []byte, wire []byte, cur, base subMeta, nPrefix int, prev []byte) ([]byte, bool) {
-	d := cur.seq - base.seq
-	if (cur.seq >= base.seq) != (d >= 0) {
-		return buf, false
-	}
-	rest := wire[cur.restOff:]
-	s := commonSuffixLen(rest, prev)
-	if s < minSuffixLen {
-		s = 0
-	}
-	flag := byte(subIsDelta)
-	if cur.prefix != base.prefix {
-		flag |= deltaEpoch
-	}
-	if cur.id != base.id {
-		flag |= deltaStack
-	}
-	if cur.sender != base.sender {
-		flag |= deltaSender
-	}
-	if s > 0 {
-		flag |= deltaSuffix
-	}
-	buf = append(buf, flag)
-	if flag&deltaEpoch != 0 {
-		for i := 0; i < nPrefix; i++ {
-			buf = binary.AppendUvarint(buf, cur.prefix[i])
-		}
-	}
-	if flag&deltaStack != 0 {
-		buf = append(buf, byte(cur.id), byte(cur.id>>8))
-	}
-	if flag&deltaSender != 0 {
-		buf = binary.AppendUvarint(buf, cur.sender)
-	}
-	buf = binary.AppendVarint(buf, d)
-	if s > 0 {
-		buf = binary.AppendUvarint(buf, uint64(s))
-	}
-	mid := rest[:len(rest)-s]
-	buf = binary.AppendUvarint(buf, uint64(len(mid)))
-	return append(buf, mid...), true
 }
 
 // appendPrefixSub encodes wire against prev, its predecessor on the
@@ -348,355 +212,158 @@ func bestRun(wire, prev []byte, n int) (m, k, size int) {
 	return m, k, size
 }
 
-// maxOutHint caps what outBound asks for. Shared prefixes and suffixes
-// may overlap, so a crafted frame can describe subs that double in
-// length from one to the next; the hint stays small whatever the frame
-// claims, and a walk that really needs more grows its buffer by append.
-const maxOutHint = 1 << 20
-
-// outBound scans the sub grammar of data[off:] without decoding it and
-// returns an upper bound on the bytes walkSubs will reconstruct: for
-// each delta, prefix or run sub its explicit bytes, the bytes it takes
-// from its predecessor, and for a delta sub the longest header the elided
-// fields can spell. Full subs and n = 0, suffix-free prefix subs are
-// surfaced in place and count nothing.
-// The scan stops where walkSubs would surface garbage. prevLen is the
-// seeded previous sub's length.
-func (w *FrameWalker) outBound(data []byte, off, prevLen int) int {
-	hdrMax := (w.nPrefix+2)*binary.MaxVarintLen64 + 3
-	total := 0
-	for off < len(data) && total <= maxOutHint {
-		flag := data[off]
-		off++
-		size := 0 // this sub's reconstructed length, less its explicit bytes
-		switch {
-		case flag == subFull:
-		case flag == subRun:
-			// n, then the mid, then the run taken from the predecessor; the
-			// rest is read below like every form's explicit bytes.
-			n, k := binary.Uvarint(data[off:])
-			if k <= 0 || n > uint64(prevLen) {
-				return total
-			}
-			off += k
-			m, k := binary.Uvarint(data[off:])
-			if k <= 0 || m > uint64(len(data)-off-k) {
-				return total
-			}
-			off += k + int(m)
-			run, k := binary.Uvarint(data[off:])
-			if k <= 0 || n+m > uint64(prevLen) || run > uint64(prevLen)-n-m {
-				return total
-			}
-			off += k
-			size = int(n + m + run)
-		case flag == subPrefix || flag == subPrefixSuffix:
-			n, k := binary.Uvarint(data[off:])
-			if k <= 0 || n > uint64(prevLen) {
-				return total
-			}
-			off += k
-			size = int(n)
-		case flag&subIsDelta != 0 && flag&^byte(deltaKnown) == 0:
-			if flag&deltaEpoch != 0 {
-				for i := 0; i < w.nPrefix; i++ {
-					_, k := binary.Uvarint(data[off:])
-					if k <= 0 {
-						return total
-					}
-					off += k
-				}
-			}
-			if flag&deltaStack != 0 {
-				if off += 2; off > len(data) {
-					return total
-				}
-			}
-			if flag&deltaSender != 0 {
-				_, k := binary.Uvarint(data[off:])
-				if k <= 0 {
-					return total
-				}
-				off += k
-			}
-			_, k := binary.Uvarint(data[off:]) // the seqno delta
-			if k <= 0 {
-				return total
-			}
-			off += k
-			size = hdrMax
-		default:
-			return total
-		}
-		if flag&deltaSuffix != 0 {
-			sfx, k := binary.Uvarint(data[off:])
-			if k <= 0 || sfx > uint64(prevLen) {
-				return total
-			}
-			off += k
-			size += int(sfx)
-		}
-		n, k := binary.Uvarint(data[off:])
-		if k <= 0 {
-			return total
-		}
-		off += k
-		end := off + int(n)
-		if end < off || end > len(data) {
-			return total
-		}
-		off = end
-		prevLen = size + int(n)
-		if size > 0 || flag == subRun {
-			total += prevLen
-		}
-	}
-	return min(total, maxOutHint)
+// subSpan is one sub's layout, as its flag byte and lengths give it: the
+// sub is prev[:n+m+k] with data[mid:mid+m] over [n, n+m), then
+// data[rest:end], then prev's last s bytes. A full sub takes nothing from
+// its predecessor; a prefix sub has m = k = 0; a run sub has s = 0.
+type subSpan struct {
+	n, m, k, s int
+	mid        int
+	rest, end  int  // the explicit bytes; end is where the next sub starts
+	length     int  // the sub's length
+	inPlace    bool // surfaced as data[rest:end], not rebuilt
 }
 
-// walkSubs decodes the sub grammar from data[off:]. The caller
-// pre-seeds w.base and prev (zero/nil for a self-contained frame, the
-// link mirror for cross-frame continuity). It returns the subs surfaced
-// (a trailing garbage sub included), the last surfaced sub's bytes (the
-// seeded prev if none), whether that sub was surfaced in place (a slice
-// of data), and whether the decode ran clean — !clean means the tail
-// from the offending sub's flag byte on went to fn as garbage.
+// uvarintAt reads a uvarint at data[off:], returning it and the offset
+// after it, or -1 for a truncated or overlong one. Most lengths in a
+// frame fit one byte, which it reads inline.
+func uvarintAt(data []byte, off int) (uint64, int) {
+	if off < len(data) && data[off] < 0x80 {
+		return uint64(data[off]), off + 1
+	}
+	v, k := binary.Uvarint(data[off:])
+	if k <= 0 {
+		return 0, -1
+	}
+	return v, off + k
+}
+
+// parse reads the sub whose flag byte is data[off] into sp, against a
+// predecessor of prevLen bytes (-1 for none), and reports whether it is
+// well formed. It checks everything a rebuild needs — every length
+// within the frame or the predecessor — so a sub it passes decodes, and
+// one it fails is the start of garbage. outBound and walkSubs share it,
+// which is what makes the one's count the other's bytes.
+func (sp *subSpan) parse(data []byte, off, prevLen int) bool {
+	*sp = subSpan{}
+	flag := data[off]
+	off++
+	if flag != subFull {
+		if (flag != subPrefix && flag != subPrefixSuffix && flag != subRun) || prevLen < 0 {
+			return false
+		}
+		pl := uint64(prevLen)
+		var n, v uint64
+		if n, off = uvarintAt(data, off); off < 0 || n > pl {
+			return false
+		}
+		sp.n = int(n)
+		switch flag {
+		case subPrefixSuffix:
+			if v, off = uvarintAt(data, off); off < 0 || v > pl {
+				return false
+			}
+			sp.s = int(v)
+		case subRun:
+			if v, off = uvarintAt(data, off); off < 0 || v > uint64(len(data)-off) {
+				return false
+			}
+			sp.mid, sp.m = off, int(v)
+			off += sp.m
+			if v, off = uvarintAt(data, off); off < 0 || n+uint64(sp.m) > pl || v > pl-n-uint64(sp.m) {
+				return false
+			}
+			sp.k = int(v)
+		}
+	}
+	r, off := uvarintAt(data, off)
+	if off < 0 || r > uint64(len(data)-off) {
+		return false
+	}
+	sp.rest, sp.end = off, off+int(r)
+	sp.length = sp.n + sp.m + sp.k + int(r) + sp.s
+	sp.inPlace = flag != subRun && sp.n == 0 && sp.s == 0
+	return true
+}
+
+// outBound scans the sub grammar of data[off:] without decoding it and
+// returns the bytes walkSubs will rebuild from it: every sub but the
+// ones surfaced in place (full subs and n = 0, suffix-free prefix subs),
+// up to where walkSubs would surface garbage. prevLen is the seeded
+// previous sub's length, -1 for none.
+func outBound(data []byte, off, prevLen int) int {
+	var sp subSpan
+	total := 0
+	for off < len(data) {
+		if !sp.parse(data, off, prevLen) || !sp.inPlace && total+sp.length > maxRebuilt {
+			break
+		}
+		if !sp.inPlace {
+			total += sp.length
+		}
+		prevLen, off = sp.length, sp.end
+	}
+	return total
+}
+
+// baseLen is a seeded predecessor's length for subSpan.parse: -1 for
+// none.
+func baseLen(prev []byte) int {
+	if prev == nil {
+		return -1
+	}
+	return len(prev)
+}
+
+// walkSubs decodes the sub grammar from data[off:]. The caller pre-seeds
+// prev (nil for a self-contained frame, the link mirror for cross-frame
+// continuity). It returns the subs surfaced (a trailing garbage sub
+// included), the last surfaced sub's bytes (the seeded prev if none),
+// whether that sub was surfaced in place (a slice of data), and whether
+// the decode ran clean — !clean means the tail from the offending sub's
+// flag byte on went to fn as garbage.
 func (w *FrameWalker) walkSubs(data []byte, off int, prev []byte, fn func(sub []byte)) (subs int, last []byte, inPlace, clean bool) {
-	// prev is the previous surfaced sub's bytes — the base for subPrefix
-	// reconstruction. It may point into data (subs surfaced in place),
-	// into out (reconstructed subs), or wherever the mirror keeps the
-	// seed (its own storage, or an earlier frame it references). out
-	// is never truncated mid-walk; in stable mode it is one buffer sized
-	// for the whole frame up front, so prev and every surfaced sub stay
-	// where they are. (Should a walk outgrow its buffer — scratch mode
-	// warming up, a frame past maxOutHint — append moves the tail and
-	// leaves the earlier backing array readable, which is as good.)
+	// prev is the previous surfaced sub's bytes. It may point into data
+	// (subs surfaced in place), into out (rebuilt subs), or wherever the
+	// mirror keeps the seed (its own storage, or an earlier frame it
+	// references). out is never truncated mid-walk; in stable mode it is
+	// one buffer sized exactly for the frame up front, so prev and every
+	// surfaced sub stay where they are. (A scratch-mode walk that outgrows
+	// its buffer while warming up has append move the tail and leave the
+	// earlier backing array readable, which is as good.)
 	var out []byte
 	if !w.stable {
 		out = w.scratch[:0]
-	} else if n := w.outBound(data, off, len(prev)); n > 0 {
+	} else if n := outBound(data, off, baseLen(prev)); n > 0 {
 		out = make([]byte, 0, n)
 	}
-	// unparsed is the last surfaced sub while w.base is still its
-	// predecessor's: only a delta sub and the walk's end read w.base, so a
-	// run of full, prefix and run subs parses its last sub alone.
-	var unparsed []byte
-	parseBase := func() {
-		if unparsed != nil {
-			w.base = parseSub(unparsed, w.nPrefix)
-			unparsed = nil
-		}
-	}
+	var sp subSpan
+	clean = true
 	for off < len(data) {
-		subStart := off
-		garbage := func() (int, []byte, bool, bool) {
-			parseBase()
-			fn(data[subStart:])
-			if !w.stable {
-				w.scratch = out[:0]
-			}
-			return subs + 1, prev, false, false
-		}
-		flag := data[off]
-		off++
-		if flag == subFull {
-			n, k := binary.Uvarint(data[off:])
-			if k <= 0 {
-				return garbage()
-			}
-			off += k
-			end := off + int(n)
-			if end < off || end > len(data) {
-				return garbage()
-			}
-			sub := data[off:end:end]
-			unparsed = sub
-			prev, inPlace = sub, true
-			fn(sub)
+		if !sp.parse(data, off, baseLen(prev)) || !sp.inPlace && len(out)+sp.length > maxRebuilt {
+			fn(data[off:])
 			subs++
-			off = end
-			continue
+			inPlace, clean = false, false
+			break
 		}
-		if flag == subRun {
-			// Run sub: one copy of the previous sub's first n+m+k bytes
-			// with the changed field patched over [n, n+m), then the rest.
-			// No base, or a field and run reaching past the previous sub,
-			// is undecodable.
-			n, k := binary.Uvarint(data[off:])
-			if k <= 0 || prev == nil || n > uint64(len(prev)) {
-				return garbage()
-			}
-			off += k
-			m, k := binary.Uvarint(data[off:])
-			if k <= 0 || m > uint64(len(data)-off-k) {
-				return garbage()
-			}
-			off += k
-			mid := data[off : off+int(m)]
-			off += int(m)
-			run, k := binary.Uvarint(data[off:])
-			if k <= 0 || n+m > uint64(len(prev)) || run > uint64(len(prev))-n-m {
-				return garbage()
-			}
-			off += k
-			r, k := binary.Uvarint(data[off:])
-			if k <= 0 {
-				return garbage()
-			}
-			off += k
-			end := off + int(r)
-			if end < off || end > len(data) {
-				return garbage()
-			}
+		var sub []byte
+		if sp.inPlace {
+			sub = data[sp.rest:sp.end:sp.end]
+		} else {
 			start := len(out)
-			out = append(out, prev[:n+m+run]...)
-			copy(out[start+int(n):], mid)
-			out = append(out, data[off:end]...)
-			sub := out[start:len(out):len(out)]
-			unparsed = sub
-			prev, inPlace = sub, false
-			fn(sub)
-			subs++
-			off = end
-			continue
+			out = append(out, prev[:sp.n+sp.m+sp.k]...)
+			copy(out[start+sp.n:], data[sp.mid:sp.mid+sp.m])
+			out = append(out, data[sp.rest:sp.end]...)
+			out = append(out, prev[len(prev)-sp.s:]...)
+			sub = out[start:len(out):len(out)]
 		}
-		if flag == subPrefix || flag == subPrefixSuffix {
-			// Shared-prefix sub: the previous sub's first n bytes plus an
-			// explicit rest — and, in the prefix+suffix form, the previous
-			// sub's last s bytes after it. No base (first in frame with
-			// nothing seeded) or an elided run longer than the previous
-			// sub is undecodable.
-			n, k := binary.Uvarint(data[off:])
-			if k <= 0 || prev == nil || n > uint64(len(prev)) {
-				return garbage()
-			}
-			off += k
-			var sfx uint64
-			if flag == subPrefixSuffix {
-				sfx, k = binary.Uvarint(data[off:])
-				if k <= 0 || sfx > uint64(len(prev)) {
-					return garbage()
-				}
-				off += k
-			}
-			m, k := binary.Uvarint(data[off:])
-			if k <= 0 {
-				return garbage()
-			}
-			off += k
-			end := off + int(m)
-			if end < off || end > len(data) {
-				return garbage()
-			}
-			var sub []byte
-			if n == 0 && sfx == 0 {
-				// Nothing shared: the sub is its explicit bytes, surfaced
-				// in place like a full one.
-				sub, inPlace = data[off:end:end], true
-			} else {
-				start := len(out)
-				out = append(out, prev[:n]...)
-				out = append(out, data[off:end]...)
-				if sfx > 0 {
-					out = append(out, prev[uint64(len(prev))-sfx:]...)
-				}
-				sub, inPlace = out[start:len(out):len(out)], false
-			}
-			unparsed = sub
-			prev = sub
-			fn(sub)
-			subs++
-			off = end
-			continue
-		}
-		parseBase()
-		if flag&subIsDelta == 0 || flag&^byte(deltaKnown) != 0 || !w.base.ok {
-			// Unknown flag bits, or a delta sub with nothing to be a
-			// delta of (first in frame with no seeded base, or after an
-			// unparseable full sub): the tail is undecodable from here on.
-			return garbage()
-		}
-		cur := w.base
-		if flag&deltaEpoch != 0 {
-			for i := 0; i < w.nPrefix; i++ {
-				v, k := binary.Uvarint(data[off:])
-				if k <= 0 {
-					return garbage()
-				}
-				cur.prefix[i] = v
-				off += k
-			}
-		}
-		if flag&deltaStack != 0 {
-			if off+2 > len(data) {
-				return garbage()
-			}
-			cur.id = uint16(data[off]) | uint16(data[off+1])<<8
-			off += 2
-		}
-		if flag&deltaSender != 0 {
-			v, k := binary.Uvarint(data[off:])
-			if k <= 0 {
-				return garbage()
-			}
-			cur.sender = v
-			off += k
-		}
-		d, k := binary.Varint(data[off:])
-		if k <= 0 {
-			return garbage()
-		}
-		off += k
-		seq := w.base.seq + d
-		if (seq >= w.base.seq) != (d >= 0) {
-			return garbage()
-		}
-		cur.seq = seq
-		var sfx uint64
-		if flag&deltaSuffix != 0 {
-			// Shared-suffix elision: the rest's last sfx bytes are the
-			// previous sub's tail. No previous sub, or a suffix longer
-			// than it, is undecodable.
-			sfx, k = binary.Uvarint(data[off:])
-			if k <= 0 || prev == nil || sfx > uint64(len(prev)) {
-				return garbage()
-			}
-			off += k
-		}
-		n, k := binary.Uvarint(data[off:])
-		if k <= 0 {
-			return garbage()
-		}
-		off += k
-		end := off + int(n)
-		if end < off || end > len(data) {
-			return garbage()
-		}
-		// Reconstruct the canonical wire image at the tail of the
-		// per-walk buffer; in scratch mode that buffer is reused across
-		// walks.
-		start := len(out)
-		for i := 0; i < w.nPrefix; i++ {
-			out = binary.AppendUvarint(out, cur.prefix[i])
-		}
-		out = append(out, WireCompressed, byte(cur.id), byte(cur.id>>8))
-		out = binary.AppendUvarint(out, cur.sender)
-		out = binary.AppendVarint(out, cur.seq)
-		cur.restOff = len(out) - start
-		out = append(out, data[off:end]...)
-		if sfx > 0 {
-			out = append(out, prev[uint64(len(prev))-sfx:]...)
-		}
-		w.base = cur
-		sub := out[start:len(out):len(out)]
-		prev, inPlace = sub, false
+		prev, inPlace = sub, sp.inPlace
 		fn(sub)
 		subs++
-		off = end
+		off = sp.end
 	}
 	if !w.stable {
 		w.scratch = out[:0]
 	}
-	parseBase()
-	return subs, prev, inPlace, true
+	return subs, prev, inPlace, clean
 }

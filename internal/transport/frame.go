@@ -12,9 +12,8 @@ package transport
 //	flags    byte (0x01 = cast chain; other bits reserved, must be 0)
 //	gen      uvarint — the sender's generation for this chain
 //	frameSeq uvarint — 1-based frame counter within the generation
-//	subs     the sub grammar of delta.go: each sub rides full, field-
-//	         delta-encoded, or as a shared prefix/suffix/run of its
-//	         predecessor
+//	subs     the sub grammar of delta.go: each sub rides full or as a
+//	         shared prefix/suffix/run of its predecessor's bytes
 //
 // A *chain* is the sequence of frames to one destination (the cast
 // chain is shared by all receivers). The sender keeps a per-chain shadow
@@ -108,12 +107,13 @@ type BatcherStats struct {
 	// SizeFlushes, EntryEndFlushes, and BarrierFlushes split Flushes by
 	// cause; the remainder (Flushes minus the three) were explicit.
 	SizeFlushes, EntryEndFlushes, BarrierFlushes int64
-	// DeltaSubs counts wires that went out field-delta-encoded against
-	// their predecessor on the chain.
+	// DeltaSubs always reads 0: no sub is field-delta-encoded any more
+	// (every sub rides full or in a prefix form, PrefixSubs). It stays
+	// while the benchmark module reads it (benchmark/run.go).
 	DeltaSubs int64
-	// PrefixSubs counts wires that went out as shared-prefix subs — the
-	// shape-agnostic fallback for wires the field delta cannot parse —
-	// in any of the prefix, prefix+suffix and run forms.
+	// PrefixSubs counts wires that went out encoded against their
+	// predecessor on the chain, in any of the prefix, prefix+suffix and
+	// run forms. Every other wire rides full or verbatim.
 	PrefixSubs int64
 	// RunSubs counts the PrefixSubs that went out in the run form: a
 	// changed field, then an unchanged run of the predecessor's bytes.
@@ -121,8 +121,8 @@ type BatcherStats struct {
 	// VerbatimSubs counts frame-sized wires (at least the frame budget
 	// long), which ride verbatim so receivers surface them where they
 	// landed: as a prefix sub sharing nothing when they share a prefix
-	// with their predecessor, full otherwise. DeltaSubs and PrefixSubs
-	// count none of them.
+	// with their predecessor, full otherwise. PrefixSubs counts none of
+	// them.
 	VerbatimSubs int64
 	// FrameBytes counts frame bytes handed to the sink — the batcher's
 	// own bytes-on-wire figure, for substrates that do not keep one.
@@ -156,7 +156,6 @@ func (s *BatcherStats) Add(o BatcherStats) {
 	s.SizeFlushes += o.SizeFlushes
 	s.EntryEndFlushes += o.EntryEndFlushes
 	s.BarrierFlushes += o.BarrierFlushes
-	s.DeltaSubs += o.DeltaSubs
 	s.PrefixSubs += o.PrefixSubs
 	s.RunSubs += o.RunSubs
 	s.VerbatimSubs += o.VerbatimSubs
@@ -177,10 +176,6 @@ type batchFrame struct {
 	to   event.Addr
 	subs int
 	buf  []byte
-	// base is the previous sub's parsed header — the delta base for the
-	// next append. Tail-only append makes this well defined: only the
-	// newest frame ever grows, so one base per frame is the whole state.
-	base subMeta
 	// st is the destination chain's state, cached here so flush decisions
 	// skip the map; born is the frame's creation time (0 without a clock).
 	st   *peerState
@@ -210,12 +205,11 @@ func chainKey(cast bool, to event.Addr) xKey {
 type peerState struct {
 	gen      uint64
 	frameSeq uint64
-	// shadow is the last wire appended to the chain's previous frame,
-	// with its parsed header; hasShadow is false in a fresh generation,
-	// which is exactly what forces the next first sub to ride full.
-	shadow     []byte
-	shadowMeta subMeta
-	hasShadow  bool
+	// shadow is the last wire appended to the chain's previous frame;
+	// hasShadow is false in a fresh generation, which is exactly what
+	// forces the next first sub to ride full.
+	shadow    []byte
+	hasShadow bool
 	// sinceFull counts consecutive frames whose first sub rode the
 	// cross-frame shadow; at xAnchorEvery the chain emits an anchor
 	// (full first sub) instead, resetting the count.
@@ -265,9 +259,6 @@ type Batcher struct {
 	sink     BatchSink
 	from     event.Addr
 	maxBytes int
-	// nPrefix is the epoch prefix length the sub parser expects (see
-	// delta.go).
-	nPrefix int
 	// peers holds the per-chain generation/shadow/cadence state, keyed by
 	// destination (one shared entry for the cast chain).
 	peers map[xKey]*peerState
@@ -301,18 +292,18 @@ func NewBatcher(sink BatchSink, from event.Addr, maxBytes int) *Batcher {
 	return &Batcher{sink: sink, from: from, maxBytes: maxBytes}
 }
 
-// EnableCrossFrame sets the number of epoch uvarints prefixed to every
-// wire (EpochPrefixUvarints for core.Member traffic, the default 0 for
-// bare wires) so the sub coder can treat the prefix as one elidable
-// field; receivers must walk these frames with a FrameWalker built with
-// the same value. Pending frames are flushed first.
-func (b *Batcher) EnableCrossFrame(prefixUvarints int) {
-	if prefixUvarints < 0 || prefixUvarints > maxPrefix {
-		panic("transport: prefixUvarints out of range")
-	}
-	b.Flush()
-	b.nPrefix = prefixUvarints
-}
+// EpochPrefixUvarints is the number of uvarints core.Member prefixes to
+// every data wire (the view sequence number and the membership digest).
+// Framing no longer reads it — the sub coder treats a wire as opaque
+// bytes — and it stays, with EnableCrossFrame and NewFrameWalker, only
+// while the benchmark module passes it (benchmark/probes.go).
+const EpochPrefixUvarints = 2
+
+// EnableCrossFrame flushes the pending frames and otherwise does
+// nothing: every chain already encodes across frame boundaries, and the
+// epoch prefix count it takes is ignored. It stays while the benchmark
+// module calls it (benchmark/probes.go).
+func (b *Batcher) EnableCrossFrame(prefixUvarints int) { b.Flush() }
 
 // SetClock gives the batcher its owner's clock (virtual nanoseconds
 // under netsim, monotonic under UDPNet), which is what lets entry-end
@@ -364,16 +355,12 @@ func (b *Batcher) Send(to event.Addr, wire ...[]byte) { b.append(false, to, wire
 // Send's. The data is copied during the call.
 func (b *Batcher) Cast(wire ...[]byte) { b.append(true, 0, wire) }
 
-// append encodes wire into the tail frame: field-delta-encoded when both
-// it and the previous sub parse as compressed images and the seqno delta
-// fits; otherwise a shared-prefix sub when enough leading bytes match
-// the previous wire (acks and gossip repeat their headers even though
-// the coder has no model of their fields, and plain-stack data wires
-// repeat theirs around a changed seqno), in whichever prefix form is
-// shortest (appendPrefixSub); a flagged full sub as the last resort.
-// Either way the wire becomes the next delta base (an unparseable wire
-// clears the field base, so a following delta sub can never refer past
-// an opaque one) and the next prefix base.
+// append encodes wire into the tail frame against the previous wire on
+// its chain: a shared-prefix sub when enough leading bytes match (data
+// wires repeat their epoch prefix and headers around a changed seqno,
+// acks and gossip repeat theirs), in whichever prefix form is shortest
+// (appendPrefixSub); a full sub otherwise. Either way the wire becomes
+// the next sub's base.
 //
 // A wire at least maxBytes long fills a frame on its own, and a few
 // elided header bytes would cost each receiver a rebuild of the whole
@@ -408,40 +395,33 @@ func (b *Batcher) append(cast bool, to event.Addr, segs [][]byte) {
 	// pays off versus riding full.
 	first := f.subs == 0
 	f.subs++
-	cur := parseSub(wire, b.nPrefix)
 	verbatim := len(wire) >= b.maxBytes
-	delta, full := false, false
-	if cur.ok && f.base.ok && !verbatim {
-		f.buf, delta = appendDeltaSub(f.buf, wire, cur, f.base, b.nPrefix, b.prev)
-	}
 	if verbatim {
 		b.stats.VerbatimSubs++
 	}
-	if delta {
-		b.stats.DeltaSubs++
-	} else if n := commonPrefixLen(b.prev, wire); n >= minPrefixLen && verbatim {
+	n := commonPrefixLen(b.prev, wire)
+	switch {
+	case n < minPrefixLen:
+		f.buf = append(f.buf, subFull)
+		f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)))
+		f.buf = append(f.buf, wire...)
+	case verbatim:
 		f.buf = append(f.buf, subPrefix, 0)
 		f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)))
 		f.buf = append(f.buf, wire...)
-	} else if n >= minPrefixLen {
+	default:
 		var run bool
 		f.buf, run = appendPrefixSub(f.buf, wire, b.prev, n)
 		b.stats.PrefixSubs++
 		if run {
 			b.stats.RunSubs++
 		}
-	} else {
-		full = true
-		f.buf = append(f.buf, subFull)
-		f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)))
-		f.buf = append(f.buf, wire...)
 	}
-	if first && full {
+	if first && n < minPrefixLen {
 		b.stats.XFirstFull++
 	} else if first {
 		b.stats.XFirstDelta++
 	}
-	f.base = cur
 	b.prev, b.next = wire, b.prev
 	if len(f.buf) >= b.maxBytes {
 		b.FlushFor(FlushSize)
@@ -491,13 +471,11 @@ func (b *Batcher) tail(cast bool, to event.Addr, need int) *batchFrame {
 	buf = binary.AppendUvarint(buf, st.gen)
 	buf = binary.AppendUvarint(buf, st.frameSeq)
 	b.prev = b.prev[:0] // a fresh frame has no in-frame predecessor...
-	var base subMeta
 	if st.hasShadow && st.sinceFull < xAnchorEvery {
 		// ...unless the chain's shadow carries one across the frame
 		// boundary: the receiver's mirror holds the same bytes. Every
 		// xAnchorEvery-th frame forgoes the shadow and rides a full first
 		// sub — a self-contained anchor the receiver can adopt statelessly.
-		base = st.shadowMeta
 		b.prev = append(b.prev, st.shadow...)
 		st.sinceFull++
 	} else {
@@ -508,14 +486,14 @@ func (b *Batcher) tail(cast bool, to event.Addr, need int) *batchFrame {
 	if b.now != nil {
 		born = b.now()
 	}
-	b.frames = append(b.frames, batchFrame{cast: cast, to: to, buf: buf, base: base, st: st, born: born})
+	b.frames = append(b.frames, batchFrame{cast: cast, to: to, buf: buf, st: st, born: born})
 	return &b.frames[len(b.frames)-1]
 }
 
-// closeTail records the newest frame's trailing delta state into its
-// chain's shadow, making it the cross-frame base for that chain's next
-// frame. Idempotent; called whenever the tail frame stops being
-// appendable (a new frame supersedes it, or a flush is about to emit).
+// closeTail records the newest frame's last wire as its chain's shadow,
+// the cross-frame base for that chain's next frame. Idempotent; called
+// whenever the tail frame stops being appendable (a new frame supersedes
+// it, or a flush is about to emit).
 func (b *Batcher) closeTail() {
 	n := len(b.frames)
 	if n == 0 {
@@ -523,7 +501,6 @@ func (b *Batcher) closeTail() {
 	}
 	f := &b.frames[n-1]
 	f.st.shadow = append(f.st.shadow[:0], b.prev...)
-	f.st.shadowMeta = f.base
 	f.st.hasShadow = true
 }
 

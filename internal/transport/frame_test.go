@@ -12,7 +12,7 @@ import (
 // the surfaced subs.
 func collectFrame(t *testing.T, data []byte) [][]byte {
 	t.Helper()
-	return collectWalk(t, NewFrameWalker(0, true), data)
+	return collectWalk(t, NewWalker(true), data)
 }
 
 // collectWalk hands data to w on the 1→2 link and returns copies of the
@@ -51,7 +51,7 @@ func TestWalkLinkRoundTripFullSubs(t *testing.T) {
 }
 
 func TestWalkLinkNonFramePassesWhole(t *testing.T) {
-	w := NewFrameWalker(2, true)
+	w := NewWalker(true)
 	for _, raw := range [][]byte{{0x01, 0x02, 0x03}, nil, appendResync(nil, true, 7)} {
 		got := collectWalk(t, w, raw)
 		if len(got) != 1 || !bytes.Equal(got[0], raw) {
@@ -70,7 +70,7 @@ func TestWalkLinkNonFramePassesWhole(t *testing.T) {
 func TestWalkLinkRetiredMagicsAreRawPackets(t *testing.T) {
 	sink := &frameSink{}
 	b := NewBatcher(sink, 1, 0)
-	w := NewFrameWalker(0, true)
+	w := NewWalker(true)
 	live := func(wire string) {
 		t.Helper()
 		b.Send(2, []byte(wire))
@@ -223,7 +223,7 @@ func TestBatcherFrameBudgetOneNeverCoalesces(t *testing.T) {
 	if st := b.Stats(); st.SizeFlushes != 2 || st.XFirstDelta != 0 {
 		t.Fatalf("stats = %+v, want 2 size flushes", st)
 	}
-	w := NewFrameWalker(0, true)
+	w := NewWalker(true)
 	got := append(collectWalk(t, w, sink.calls[0].data), collectWalk(t, w, sink.calls[1].data)...)
 	wantSubs(t, got, [][]byte{[]byte("x"), []byte("y")})
 }

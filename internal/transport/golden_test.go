@@ -12,12 +12,12 @@ import (
 )
 
 // TestGoldenProductionFrames pins the bytes a production-configured
-// Batcher (epoch-prefixed cross-frame chains, the owner's clock wired
-// in) puts on the wire for one fixed sequence of casts and sends:
-// compressed data wires on the cast chain with entry-end and barrier
-// flush points (some of which hold), an opaque control wire, a wire
-// past the frame budget, a generation bump, and enough frames on one
-// point-to-point chain to cross an xAnchorEvery anchor. Every frame
+// Batcher (cross-frame chains, the owner's clock wired in) puts on the
+// wire for one fixed sequence of casts and sends: compressed data wires
+// on the cast chain with entry-end and barrier flush points (some of
+// which hold), an opaque control wire, a wire past the frame budget, a
+// generation bump, and enough frames on one point-to-point chain to
+// cross an xAnchorEvery anchor. Every frame
 // handed to the sink must match testdata/golden_frames.hex exactly, and
 // a fresh receive link must give the appended wires back byte for byte.
 // Any refactor of the send path that moves a production byte fails here.
@@ -42,8 +42,8 @@ func TestGoldenProductionFrames(t *testing.T) {
 	clk.t += 3_000_000
 	b.FlushFor(FlushBarrier)
 
-	// An opaque control wire (full-format image: the field parser has no
-	// model of it) to peer 2, twice — the second rides the shared prefix.
+	// A control wire (a full-format image) to peer 2, twice — the second
+	// rides the shared prefix and suffix.
 	ctl := append([]byte{4, 0xD7, 0xDC, 0x75, 0x00, 0x02, 0x09, 's', 'u', 's', 'p', 'e', 'c', 't'}, 1, 2, 3, 4)
 	send(2, ctl)
 	ctl2 := append([]byte(nil), ctl...)
@@ -93,7 +93,7 @@ func TestGoldenProductionFrames(t *testing.T) {
 	// Round-trip identity through a fresh receive link at peer 3 (which
 	// sees the cast chain and its own point-to-point chain) and peer 2.
 	for _, to := range []event.Addr{2, 3} {
-		w := NewFrameWalker(EpochPrefixUvarints, true)
+		w := NewWalker(true)
 		var subs [][]byte
 		for _, c := range sink.calls {
 			if c.cast || c.to == to {

@@ -49,7 +49,7 @@ func freshPayload(rng *rand.Rand, n int) []byte {
 // byte for byte.
 func TestRunSubCarriesTheVsyncCast(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	l := newXLink(t, EpochPrefixUvarints, 1, 2)
+	l := newXLink(t, 1, 2)
 	var wires [][]byte
 	for i := 0; i < 40; i++ {
 		w := vsyncCast(int64(2+i), freshPayload(rng, 32))
@@ -83,7 +83,7 @@ func TestRunSubCarriesTheVsyncCast(t *testing.T) {
 // prefix form and the next is a run again.
 func TestRunSubFallsBackAcrossAZigzagStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	l := newXLink(t, EpochPrefixUvarints, 1, 2)
+	l := newXLink(t, 1, 2)
 	var wires [][]byte
 	for seq := int64(58); seq < 70; seq++ {
 		w := vsyncCast(seq, freshPayload(rng, 32))
@@ -111,7 +111,7 @@ func TestRunSubFallsBackAcrossAZigzagStep(t *testing.T) {
 // as one garbage sub, and no truncation of a good one panics.
 func TestWalkMalformedRunSubIsGarbage(t *testing.T) {
 	base := []byte("base-wire-0123456789") // 20 bytes
-	frame := deltaFrameOf(t, 0, base)
+	frame := deltaFrameOf(t, base)
 	run := func(n, m uint64, mid []byte, k, r uint64, rest []byte) []byte {
 		b := binary.AppendUvarint([]byte{subRun}, n)
 		b = binary.AppendUvarint(b, m)
@@ -121,38 +121,38 @@ func TestWalkMalformedRunSubIsGarbage(t *testing.T) {
 		return append(b, rest...)
 	}
 	good := run(4, 2, []byte("XY"), 8, 3, []byte("abc"))
-	if got := collectWalk(t, NewFrameWalker(0, true), append(append([]byte(nil), frame...), good...)); len(got) != 2 || string(got[1]) != "baseXYire-0123abc" {
+	if got := collectWalk(t, NewWalker(true), append(append([]byte(nil), frame...), good...)); len(got) != 2 || string(got[1]) != "baseXYire-0123abc" {
 		t.Fatalf("well-formed run sub: %q", got)
 	}
 	// A run sub that takes nothing from its base is its rest alone, and
 	// outBound still counts it: the walk rebuilds it all the same.
 	empty := append(append([]byte(nil), frame...), run(0, 0, nil, 0, 3, []byte("abc"))...)
-	if got := collectWalk(t, NewFrameWalker(0, true), empty); len(got) != 2 || string(got[1]) != "abc" {
+	if got := collectWalk(t, NewWalker(true), empty); len(got) != 2 || string(got[1]) != "abc" {
 		t.Fatalf("run sub taking nothing: %q", got)
 	}
-	if _, _, _, off, _ := parseXHeader(empty); NewFrameWalker(0, true).outBound(empty, off, 0) != 3 {
+	if _, _, _, off, _ := parseXHeader(empty); outBound(empty, off, -1) != 3 {
 		t.Fatal("outBound does not count a run sub that takes nothing")
 	}
 	for name, tail := range map[string][]byte{
-		"prefix past the base":        run(21, 0, nil, 0, 0, nil),
-		"field past the base":         run(4, 17, bytes.Repeat([]byte{'x'}, 17), 0, 0, nil),
-		"run past the base":           run(4, 2, []byte("XY"), 15, 0, nil),
-		"mid past the frame":          run(4, 9, []byte("XY"), 1, 0, nil),
-		"rest past the frame":         run(4, 2, []byte("XY"), 8, 9, []byte("abc")),
-		"huge field":                  run(4, 1<<62, nil, 0, 0, nil),
-		"huge run":                    run(4, 2, []byte("XY"), 1<<63, 0, nil),
-		"huge rest":                   run(4, 2, []byte("XY"), 8, 1<<63, nil),
-		"overlong n varint":           append([]byte{subRun}, bytes.Repeat([]byte{0x80}, 11)...),
-		"run flag with the delta bit": append([]byte{subRun | subIsDelta}, good[1:]...),
+		"prefix past the base":    run(21, 0, nil, 0, 0, nil),
+		"field past the base":     run(4, 17, bytes.Repeat([]byte{'x'}, 17), 0, 0, nil),
+		"run past the base":       run(4, 2, []byte("XY"), 15, 0, nil),
+		"mid past the frame":      run(4, 9, []byte("XY"), 1, 0, nil),
+		"rest past the frame":     run(4, 2, []byte("XY"), 8, 9, []byte("abc")),
+		"huge field":              run(4, 1<<62, nil, 0, 0, nil),
+		"huge run":                run(4, 2, []byte("XY"), 1<<63, 0, nil),
+		"huge rest":               run(4, 2, []byte("XY"), 8, 1<<63, nil),
+		"overlong n varint":       append([]byte{subRun}, bytes.Repeat([]byte{0x80}, 11)...),
+		"run flag with a low bit": append([]byte{subRun | 0x01}, good[1:]...),
 	} {
 		bad := append(append([]byte(nil), frame...), tail...)
-		got := collectWalk(t, NewFrameWalker(0, true), bad)
+		got := collectWalk(t, NewWalker(true), bad)
 		if len(got) != 2 || !bytes.Equal(got[1], tail) {
 			t.Fatalf("%s: want the tail as garbage, got %q", name, got)
 		}
 	}
 	// A run sub with nothing to take from: first in a self-contained walk.
-	w := NewFrameWalker(0, true)
+	w := NewWalker(true)
 	var subs [][]byte
 	_, _, _, clean := w.walkSubs(append(xhdr(), good...), 4, nil, func(sub []byte) { subs = append(subs, sub) })
 	if clean || len(subs) != 1 || !bytes.Equal(subs[0], good) {
@@ -160,7 +160,7 @@ func TestWalkMalformedRunSubIsGarbage(t *testing.T) {
 	}
 	whole := append(append([]byte(nil), frame...), good...)
 	for cut := len(frame) + 1; cut < len(whole); cut++ {
-		got := collectWalk(t, NewFrameWalker(0, true), whole[:cut])
+		got := collectWalk(t, NewWalker(true), whole[:cut])
 		if len(got) != 2 || !bytes.Equal(got[1], whole[len(frame):cut]) {
 			t.Fatalf("cut %d: want the base and the truncated tail as garbage, got %q", cut, got)
 		}
@@ -224,7 +224,7 @@ func TestPrefixSubNeverLongerThanBefore(t *testing.T) {
 			runs++
 		}
 		frame := append(fullSub(xhdr(), prev), sub...)
-		got := collectWalk(t, NewFrameWalker(0, true), frame)
+		got := collectWalk(t, NewWalker(true), frame)
 		if len(got) != 2 || !bytes.Equal(got[1], wire) {
 			t.Fatalf("wire %x against %x: sub %x decodes to %x", wire, prev, sub, got)
 		}
@@ -256,8 +256,7 @@ func TestRunSubsSurviveALossyLink(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sink := &frameSink{}
 		b := NewBatcher(sink, 1, 0)
-		b.EnableCrossFrame(EpochPrefixUvarints)
-		w := NewFrameWalker(EpochPrefixUvarints, true)
+		w := NewWalker(true)
 		sent := map[string]bool{}
 		var flight [][]byte
 		good, garbage := 0, 0
@@ -329,25 +328,20 @@ func TestRunSubsSurviveALossyLink(t *testing.T) {
 	}
 }
 
-// TestRunSubIsTheNextDeltaBase: a compressed image whose predecessor is
-// opaque rides as a run sub when they share the epoch prefix and the
-// bytes after a differing field — here the magic — and is then the field
-// delta's base for the compressed images after it, in its frame and
-// across the boundary.
+// TestRunSubIsTheNextDeltaBase: a run sub is its successor's base like
+// any other sub — in its frame, and across a frame boundary, where the
+// receive link's mirror keeps its rebuilt bytes. Compressed images whose
+// seqno changes ahead of constant header bytes and a fresh tail ride as
+// run subs after the first, and the second frame opens with one against
+// the run sub that ended the first.
 func TestRunSubIsTheNextDeltaBase(t *testing.T) {
 	prefix := []uint64{1, 0xDEADBEEF}
 	tail := []byte("constant-header-bytes")
-	c := cwire(prefix, 0x0107, 1, 100, append(tail, 0xA1, 0xA2)...)
-	opaque := append([]byte(nil), c...)
-	opaque[6] = wireFull // the magic: parseSub rejects it
-	opaque[len(opaque)-1] = 0xB2
-	wires := [][]byte{
-		opaque,
-		c,
-		cwire(prefix, 0x0107, 1, 101, append(tail, 0xC1, 0xC2)...),
-		cwire(prefix, 0x0107, 1, 102, append(tail, 0xD1, 0xD2)...),
+	var wires [][]byte
+	for i := 0; i < 4; i++ {
+		wires = append(wires, cwire(prefix, 0x0107, 1, int64(100+i), append(tail, byte(0xA1+16*i), byte(0xA2+16*i))...))
 	}
-	l := newXLink(t, 2, 1, 2)
+	l := newXLink(t, 1, 2)
 	for i, w := range wires {
 		l.b.Cast(w)
 		if i == 1 {
@@ -357,7 +351,59 @@ func TestRunSubIsTheNextDeltaBase(t *testing.T) {
 	l.b.Flush()
 	got, _ := l.feed()
 	wantSubs(t, got, wires)
-	if st := l.b.Stats(); st.RunSubs != 1 || st.DeltaSubs != 2 {
-		t.Fatalf("stats %+v: want the compressed image after the opaque one as a run sub, then 2 deltas", st)
+	if st := l.b.Stats(); st.RunSubs != 3 || st.XFirstDelta != 1 {
+		t.Fatalf("stats %+v: want every image after the first as a run sub, across the boundary too", st)
+	}
+	frame := l.sink.calls[1].data
+	if _, _, _, off, _ := parseXHeader(frame); frame[off] != subRun {
+		t.Fatalf("the second frame opens with flag %#x, want the run form %#x", frame[off], subRun)
+	}
+}
+
+// TestCommonAffixLenMatchesByteOracle: the word-at-a-time
+// commonPrefixLen and commonSuffixLen agree with a byte-at-a-time
+// reference for every pair of lengths from 0 to 24 — equal and unequal —
+// with the slices equal throughout and with one byte differing at every
+// position, in a different bit each time.
+func TestCommonAffixLenMatchesByteOracle(t *testing.T) {
+	prefixRef := func(a, b []byte) int {
+		i := 0
+		for i < len(a) && i < len(b) && a[i] == b[i] {
+			i++
+		}
+		return i
+	}
+	suffixRef := func(a, b []byte) int {
+		i := 0
+		for i < len(a) && i < len(b) && a[len(a)-1-i] == b[len(b)-1-i] {
+			i++
+		}
+		return i
+	}
+	base := make([]byte, 24)
+	for i := range base {
+		base[i] = byte(i*37 + 1)
+	}
+	for la := 0; la <= 24; la++ {
+		for lb := 0; lb <= 24; lb++ {
+			for pos := -1; pos < lb; pos++ { // -1: no byte differs
+				a := base[:la]
+				b := append([]byte(nil), base[:lb]...)
+				if pos >= 0 {
+					b[pos] ^= 1 << (pos % 8)
+				}
+				if got, want := commonPrefixLen(a, b), prefixRef(a, b); got != want {
+					t.Fatalf("commonPrefixLen(%x, %x) = %d, want %d", a, b, got, want)
+				}
+				a = base[24-la:]
+				b = append([]byte(nil), base[24-lb:]...)
+				if pos >= 0 {
+					b[lb-1-pos] ^= 1 << (pos % 8)
+				}
+				if got, want := commonSuffixLen(a, b), suffixRef(a, b); got != want {
+					t.Fatalf("commonSuffixLen(%x, %x) = %d, want %d", a, b, got, want)
+				}
+			}
+		}
 	}
 }

@@ -40,7 +40,6 @@ func aliases(sub, frame []byte) bool {
 func TestFrameSizedWireSurfacesInPlace(t *testing.T) {
 	sink := &frameSink{}
 	b := NewBatcher(sink, 1, 0)
-	b.EnableCrossFrame(EpochPrefixUvarints)
 	small, big := smallWire(1, 0x70), bigWire(2)
 	b.Cast(small)
 	b.Flush()
@@ -61,7 +60,7 @@ func TestFrameSizedWireSurfacesInPlace(t *testing.T) {
 	mid := []byte("verbatim after a full sub")
 	hand := vSub(fullSub(xhdr(), []byte("a full sub")), mid)
 	for _, stable := range []bool{true, false} {
-		w := NewFrameWalker(EpochPrefixUvarints, stable)
+		w := NewWalker(stable)
 		w.WalkLink(1, 2, sink.calls[0].data, func([]byte) {})
 		var got []byte
 		w.WalkLink(1, 2, frame, func(sub []byte) { got = sub })
@@ -72,7 +71,7 @@ func TestFrameSizedWireSurfacesInPlace(t *testing.T) {
 			t.Fatalf("stable=%v: the first sub was rebuilt, not surfaced in place", stable)
 		}
 		got = nil
-		NewFrameWalker(0, stable).WalkLink(1, 2, hand, func(sub []byte) { got = sub })
+		NewWalker(stable).WalkLink(1, 2, hand, func(sub []byte) { got = sub })
 		if !bytes.Equal(got, mid) || !aliases(got, hand) {
 			t.Fatalf("stable=%v: mid-frame n = 0 sub = %q, in place %v", stable, got, aliases(got, hand))
 		}
@@ -96,8 +95,8 @@ func TestVerbatimSubMatchesTheRebuildPath(t *testing.T) {
 	rebuilt = append(rebuilt, wire[:len(wire)-sfx]...)
 	for _, stable := range []bool{true, false} {
 		var a, r []byte
-		NewFrameWalker(0, stable).WalkLink(1, 2, inPlace, func(sub []byte) { a = sub })
-		NewFrameWalker(0, stable).WalkLink(1, 2, rebuilt, func(sub []byte) { r = append([]byte(nil), sub...) })
+		NewWalker(stable).WalkLink(1, 2, inPlace, func(sub []byte) { a = sub })
+		NewWalker(stable).WalkLink(1, 2, rebuilt, func(sub []byte) { r = append([]byte(nil), sub...) })
 		if !bytes.Equal(a, wire) || !bytes.Equal(r, wire) {
 			t.Fatalf("stable=%v: in place %q, rebuilt %q, want %q", stable, a, r, wire)
 		}
@@ -113,7 +112,6 @@ func TestVerbatimSubMatchesTheRebuildPath(t *testing.T) {
 func TestWarmStableLinkWalksFrameSizedWiresWithoutAllocating(t *testing.T) {
 	sink := &frameSink{}
 	b := NewBatcher(sink, 1, 0)
-	b.EnableCrossFrame(EpochPrefixUvarints)
 	const n = 160
 	for i := int64(0); i < n; i++ {
 		b.Cast(bigWire(i))
@@ -121,7 +119,7 @@ func TestWarmStableLinkWalksFrameSizedWiresWithoutAllocating(t *testing.T) {
 	if st := b.Stats(); st.VerbatimSubs != n || int(st.Frames) != n {
 		t.Fatalf("stats = %+v, want %d frames of one verbatim sub", st, n)
 	}
-	w := NewFrameWalker(EpochPrefixUvarints, true)
+	w := NewWalker(true)
 	surfaced, next := 0, 0
 	count := func([]byte) { surfaced++ }
 	walk := func() {
@@ -151,7 +149,6 @@ func TestWarmStableLinkWalksFrameSizedWiresWithoutAllocating(t *testing.T) {
 func TestWalkNeverWritesAFrame(t *testing.T) {
 	sink := &frameSink{}
 	b := NewBatcher(sink, 1, 0)
-	b.EnableCrossFrame(EpochPrefixUvarints)
 	frame := func(wires ...[]byte) {
 		for _, w := range wires {
 			b.Cast(w)
@@ -184,7 +181,7 @@ func TestWalkNeverWritesAFrame(t *testing.T) {
 		sums[i] = crc32.ChecksumIEEE(c.data)
 	}
 	for _, stable := range []bool{true, false} {
-		w := NewFrameWalker(EpochPrefixUvarints, stable)
+		w := NewWalker(stable)
 		var got, kept [][]byte
 		for _, i := range order {
 			res := w.walkLink(1, 2, sink.calls[i].data, func(sub []byte) {
@@ -214,12 +211,11 @@ func TestWalkNeverWritesAFrame(t *testing.T) {
 func TestVerbatimSubWithoutMirror(t *testing.T) {
 	sink := &frameSink{}
 	b := NewBatcher(sink, 1, 0)
-	b.EnableCrossFrame(EpochPrefixUvarints)
 	for i := int64(0); i < 2+xStashNag+1; i++ {
 		b.Cast(bigWire(i))
 	}
 	for _, stable := range []bool{true, false} {
-		w := NewFrameWalker(EpochPrefixUvarints, stable)
+		w := NewWalker(stable)
 		var resync []byte
 		subs := 0
 		for _, c := range sink.calls[1:] { // frame 1, the anchor, is lost

@@ -112,9 +112,6 @@ type LinkCounters struct {
 // and encodes the resync answer. It is single-goroutine, like the
 // substrate (or substrate shard) that owns it.
 //
-// prefixUvarints must match what the senders' Batchers were configured
-// with (EpochPrefixUvarints for core.Member traffic, 0 for bare wires).
-//
 // stableSubs selects the lifetime of reconstructed subs. With
 // stableSubs, every reconstruction goes into fresh storage, so surfaced
 // subs stay valid as long as the frame buffer itself — what the netsim
@@ -129,27 +126,30 @@ type LinkCounters struct {
 // whose consumers treat arrivals as borrowed (event.Event.Borrowed; the
 // bench pumps recycle delivered buffers under that contract).
 type FrameWalker struct {
-	nPrefix int
 	stable  bool
-	base    subMeta
 	scratch []byte
 	links   map[linkKey]*linkMirror
 	ctr     *LinkCounters
 }
 
-// NewFrameWalker builds a link; see the type comment for the knobs.
+// NewWalker builds a link; see the type comment for stableSubs.
+func NewWalker(stableSubs bool) *FrameWalker {
+	return &FrameWalker{stable: stableSubs, ctr: &LinkCounters{}}
+}
+
+// NewFrameWalker is NewWalker under the name the benchmark module calls
+// (benchmark/probes.go); the epoch prefix count it takes is ignored,
+// since framing treats a wire as opaque bytes. It stays while that
+// caller does.
 func NewFrameWalker(prefixUvarints int, stableSubs bool) *FrameWalker {
-	if prefixUvarints < 0 || prefixUvarints > maxPrefix {
-		panic("transport: prefixUvarints out of range")
-	}
-	return &FrameWalker{nPrefix: prefixUvarints, stable: stableSubs, ctr: &LinkCounters{}}
+	return NewWalker(stableSubs)
 }
 
 // Fork returns a link configured like w that keeps its own mirrors but
 // counts into w's counters — one per shard of a substrate whose shards
 // receive in parallel and report as one network.
 func (w *FrameWalker) Fork() *FrameWalker {
-	return &FrameWalker{nPrefix: w.nPrefix, stable: w.stable, ctr: w.ctr}
+	return &FrameWalker{stable: w.stable, ctr: w.ctr}
 }
 
 // Counters exposes the link's verdict counters.
@@ -184,7 +184,6 @@ const (
 type genState struct {
 	gen      uint64 // 0 = dead
 	frameSeq uint64
-	base     subMeta
 	prev     []byte
 	ref      bool
 }
@@ -357,7 +356,6 @@ func (w *FrameWalker) walkLink(from, to event.Addr, data []byte, fn func(sub []b
 	}
 	// Self-contained frame (full first sub): decode statelessly and adopt
 	// the mirror forward.
-	w.base = subMeta{}
 	subs, last, inPlace, clean := w.walkSubs(data, off, nil, fn)
 	r.subs = subs
 	if !clean {
@@ -380,7 +378,6 @@ func (w *FrameWalker) walkLink(from, to event.Addr, data []byte, fn func(sub []b
 		m.valid = true
 		m.cur.gen = gen
 		m.cur.frameSeq = seq
-		m.cur.base = w.base
 		w.keep(&m.cur, last, inPlace)
 		w.drainStash(m, &m.cur, &r, fn)
 	}
@@ -408,7 +405,6 @@ func (w *FrameWalker) mirror(key linkKey) *linkMirror {
 // generation just turns its remaining stragglers into garbage and leaves
 // the live chain untouched.
 func (w *FrameWalker) advance(m *linkMirror, g *genState, data []byte, off int, seq uint64, r *walkResult, fn func(sub []byte)) bool {
-	w.base = g.base
 	subs, last, inPlace, clean := w.walkSubs(data, off, g.prev, fn)
 	r.subs += subs
 	if !clean {
@@ -422,7 +418,6 @@ func (w *FrameWalker) advance(m *linkMirror, g *genState, data []byte, off int, 
 		return false
 	}
 	g.frameSeq = seq
-	g.base = w.base
 	if subs > 0 {
 		w.keep(g, last, inPlace)
 	}

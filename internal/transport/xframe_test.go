@@ -20,11 +20,10 @@ type xlink struct {
 	fed int
 }
 
-func newXLink(t *testing.T, nPrefix int, from, to event.Addr) *xlink {
+func newXLink(t *testing.T, from, to event.Addr) *xlink {
 	sink := &frameSink{}
 	b := NewBatcher(sink, from, 0)
-	b.EnableCrossFrame(nPrefix)
-	return &xlink{t: t, sink: sink, b: b, w: NewFrameWalker(nPrefix, true), from: from, to: to}
+	return &xlink{t: t, sink: sink, b: b, w: NewWalker(true), from: from, to: to}
 }
 
 // feed walks every not-yet-walked frame and returns the surfaced subs
@@ -58,7 +57,7 @@ func wantSubs(t *testing.T, got, want [][]byte) {
 
 func TestXFrameFirstSubDeltasAcrossFrames(t *testing.T) {
 	prefix := []uint64{7, 3}
-	l := newXLink(t, 2, 1, 2)
+	l := newXLink(t, 1, 2)
 	w1 := cwire(prefix, 9, 4, 100, 0xAA)
 	w2 := cwire(prefix, 9, 4, 101, 0xBB)
 	w3 := cwire(prefix, 9, 4, 102, 0xCC)
@@ -76,17 +75,20 @@ func TestXFrameFirstSubDeltasAcrossFrames(t *testing.T) {
 	if st.XFrames != 2 || st.XFirstFull != 1 || st.XFirstDelta != 1 {
 		t.Fatalf("first-sub split wrong: %+v", st)
 	}
-	// The second frame's first sub rode as a delta: the frame must be
-	// smaller than a frame carrying the same wire full.
+	// The second frame's first sub rode against the first frame's last
+	// sub: it is no full sub, and the frame is smaller than its header
+	// and the same two wires riding full.
 	second := l.sink.calls[1].data
-	if len(second) >= len(l.sink.calls[0].data) {
-		t.Fatalf("cross-frame first sub saved nothing: %d vs %d bytes",
-			len(second), len(l.sink.calls[0].data))
+	if _, _, _, off, _ := parseXHeader(second); second[off] == subFull {
+		t.Fatal("cross-frame first sub rode full")
+	}
+	if full := len(xhdr()) + 2 + len(w2) + 2 + len(w3); len(second) >= full {
+		t.Fatalf("cross-frame first sub saved nothing: %d bytes, %d all full", len(second), full)
 	}
 }
 
 func TestXFrameOpaqueWiresChainViaPrefix(t *testing.T) {
-	l := newXLink(t, 0, 1, 2)
+	l := newXLink(t, 1, 2)
 	a := []byte("gossip-header-payload-one")
 	b := []byte("gossip-header-payload-two")
 	l.b.Send(2, a)
@@ -105,7 +107,7 @@ func TestXFrameOpaqueWiresChainViaPrefix(t *testing.T) {
 
 func TestXFrameLossTriggersResyncAndRecovers(t *testing.T) {
 	prefix := []uint64{1, 1}
-	l := newXLink(t, 2, 1, 2)
+	l := newXLink(t, 1, 2)
 	wires := make([][]byte, 8)
 	for i := range wires {
 		wires[i] = cwire(prefix, 5, 1, int64(50+i), byte(i))
@@ -167,7 +169,7 @@ func TestXFrameLossTriggersResyncAndRecovers(t *testing.T) {
 
 func TestXFrameStaleGenerationIsGarbageNotResync(t *testing.T) {
 	prefix := []uint64{2, 2}
-	l := newXLink(t, 2, 1, 2)
+	l := newXLink(t, 1, 2)
 	l.b.Send(2, cwire(prefix, 1, 1, 10))
 	l.b.Flush()
 	stale := l.sink.calls[0].data // a gen-1 frame, replayed later
@@ -195,7 +197,7 @@ func TestXFrameStaleGenerationIsGarbageNotResync(t *testing.T) {
 
 func TestXFrameDuplicateDoesNotRewindMirror(t *testing.T) {
 	prefix := []uint64{3, 3}
-	l := newXLink(t, 2, 1, 2)
+	l := newXLink(t, 1, 2)
 	w1 := cwire(prefix, 1, 1, 20)
 	w2 := cwire(prefix, 1, 1, 21)
 	w3 := cwire(prefix, 1, 1, 22)
@@ -226,8 +228,7 @@ func TestXFrameCastChainSharedAcrossReceivers(t *testing.T) {
 	prefix := []uint64{4, 4}
 	sink := &frameSink{}
 	b := NewBatcher(sink, 1, 0)
-	b.EnableCrossFrame(2)
-	recv := []*FrameWalker{NewFrameWalker(2, true), NewFrameWalker(2, true)}
+	recv := []*FrameWalker{NewWalker(true), NewWalker(true)}
 	w1 := cwire(prefix, 1, 1, 30)
 	w2 := cwire(prefix, 1, 1, 31)
 	b.Cast(w1)
@@ -254,7 +255,6 @@ func TestXFrameBumpPeerRestartsBothChains(t *testing.T) {
 	prefix := []uint64{5, 5}
 	sink := &frameSink{}
 	b := NewBatcher(sink, 1, 0)
-	b.EnableCrossFrame(2)
 	b.Send(2, cwire(prefix, 1, 1, 1))
 	b.Cast(cwire(prefix, 1, 1, 2))
 	b.Flush()
@@ -274,7 +274,6 @@ func TestXFrameBumpPeerRestartsBothChains(t *testing.T) {
 	}
 	// With no chains at all, BumpPeer is a no-op.
 	b2 := NewBatcher(&frameSink{}, 1, 0)
-	b2.EnableCrossFrame(2)
 	b2.BumpPeer(99)
 	if st := b2.Stats(); st.GenBumps != 0 {
 		t.Fatalf("no-chain bump counted: %+v", st)
@@ -283,7 +282,7 @@ func TestXFrameBumpPeerRestartsBothChains(t *testing.T) {
 
 func TestXFrameInvalidateFromForcesStatelessDecode(t *testing.T) {
 	prefix := []uint64{6, 6}
-	l := newXLink(t, 2, 1, 2)
+	l := newXLink(t, 1, 2)
 	l.b.Send(2, cwire(prefix, 1, 1, 40))
 	l.b.Flush()
 	l.feed()
@@ -341,7 +340,7 @@ func TestResyncRoundTripAndStrictParse(t *testing.T) {
 
 func TestXFrameCorruptHeaderIsGarbageAndSeedsNothing(t *testing.T) {
 	prefix := []uint64{8, 8}
-	l := newXLink(t, 2, 1, 2)
+	l := newXLink(t, 1, 2)
 	l.b.Send(2, cwire(prefix, 1, 1, 60))
 	l.b.Flush()
 	frame := l.sink.calls[0].data
@@ -381,7 +380,7 @@ func TestXFrameCorruptHeaderIsGarbageAndSeedsNothing(t *testing.T) {
 // counters moved to match.
 func TestXFrameColdLinkAnswersWithEncodedResync(t *testing.T) {
 	prefix := []uint64{9, 9}
-	l := newXLink(t, 2, 1, 2)
+	l := newXLink(t, 1, 2)
 	w1 := cwire(prefix, 1, 1, 70)
 	l.b.Send(2, w1)
 	l.b.Flush()
@@ -389,7 +388,7 @@ func TestXFrameColdLinkAnswersWithEncodedResync(t *testing.T) {
 		l.b.Send(2, cwire(prefix, 1, 1, 71+int64(i)))
 		l.b.Flush()
 	}
-	cold := NewFrameWalker(2, true)
+	cold := NewWalker(true)
 	var got [][]byte
 	resync, decoded := cold.WalkLink(1, 2, l.sink.calls[0].data, func(sub []byte) { got = append(got, sub) })
 	if resync != nil || !decoded || len(got) != 1 || !bytes.Equal(got[0], w1) {
@@ -430,7 +429,7 @@ func TestXFrameFutureGenerationAdoptsWhenSelfContained(t *testing.T) {
 	// A receiver that was restarted mid-generation sees "future" state:
 	// whatever the header claims, a full-first frame adopts statelessly.
 	prefix := []uint64{1, 2}
-	l := newXLink(t, 2, 1, 2)
+	l := newXLink(t, 1, 2)
 	l.b.BumpGenerations() // no chains yet: must be a no-op
 	l.b.Send(2, cwire(prefix, 1, 1, 80))
 	l.b.Flush()
@@ -461,7 +460,6 @@ func TestAdaptiveFlushHoldsAndAgesOut(t *testing.T) {
 	prefix := []uint64{1, 1}
 	sink := &frameSink{}
 	b := NewBatcher(sink, 1, 0)
-	b.EnableCrossFrame(2)
 	clk := &fakeClock{}
 	b.SetClock(clk.now)
 
@@ -491,7 +489,7 @@ func TestAdaptiveFlushHoldsAndAgesOut(t *testing.T) {
 	}
 	// The coalesced frame decodes to all three wires.
 	var got int
-	NewFrameWalker(2, true).WalkLink(1, 2, sink.calls[0].data, func([]byte) { got++ })
+	NewWalker(true).WalkLink(1, 2, sink.calls[0].data, func([]byte) { got++ })
 	if got != 3 {
 		t.Fatalf("coalesced frame carries %d subs, want 3", got)
 	}
@@ -501,7 +499,6 @@ func TestAdaptiveFlushNeverHoldsSlowOrUnknownChains(t *testing.T) {
 	prefix := []uint64{1, 1}
 	sink := &frameSink{}
 	b := NewBatcher(sink, 1, 0)
-	b.EnableCrossFrame(2)
 	clk := &fakeClock{}
 	b.SetClock(clk.now)
 
@@ -524,7 +521,6 @@ func TestAdaptiveFlushExplicitAndSizeForceEverything(t *testing.T) {
 	prefix := []uint64{1, 1}
 	sink := &frameSink{}
 	b := NewBatcher(sink, 1, 0)
-	b.EnableCrossFrame(2)
 	clk := &fakeClock{}
 	b.SetClock(clk.now)
 	b.Send(2, cwire(prefix, 1, 1, 1))
@@ -548,7 +544,6 @@ func TestAdaptiveFlushHoldsOnlySuffix(t *testing.T) {
 	prefix := []uint64{1, 1}
 	sink := &frameSink{}
 	b := NewBatcher(sink, 1, 0)
-	b.EnableCrossFrame(2)
 	clk := &fakeClock{}
 	b.SetClock(clk.now)
 	// Establish fast cadence for peer 3 only.
@@ -575,7 +570,7 @@ func TestAdaptiveFlushHoldsOnlySuffix(t *testing.T) {
 		t.Fatalf("held frame went to %d, want 3", sink.calls[base+1].to)
 	}
 	// The walker still decodes the reordered-in-time but in-order chain.
-	w := NewFrameWalker(2, true)
+	w := NewWalker(true)
 	for _, c := range sink.calls {
 		if res := w.walkLink(1, c.to, c.data, func([]byte) {}); res.genMiss {
 			t.Fatalf("per-chain order broken: %+v", res)
@@ -588,7 +583,6 @@ func FuzzXFrameWalkLink(f *testing.F) {
 	mk := func(wires ...[]byte) []byte {
 		sink := &frameSink{}
 		b := NewBatcher(sink, 1, 0)
-		b.EnableCrossFrame(2)
 		for _, w := range wires {
 			b.Send(2, w)
 		}
@@ -596,7 +590,7 @@ func FuzzXFrameWalkLink(f *testing.F) {
 		return sink.calls[0].data
 	}
 	f.Add(mk(cwire(prefix, 1, 0, 5, 0x01), cwire(prefix, 1, 0, 6)), false)
-	f.Add([]byte{FrameMagic, 0x00, 0x01, 0x01, subIsDelta, 0x02, 0x00}, true)
+	f.Add(append([]byte{FrameMagic, 0x00, 0x01, 0x02}, subRun, 4, 1, 'X', 6, 0), true)
 	f.Add([]byte{FrameMagic, 0x01, 0xFF, 0x01}, false)
 	f.Add(appendResync(nil, true, 77), true)
 	f.Add([]byte{FrameMagic, 0x80}, false)
@@ -614,13 +608,13 @@ func FuzzXFrameWalkLink(f *testing.F) {
 				// seeded surfaces as garbage, the tail from its flag byte
 				// on (WalkLink parks such a frame, then asks for a resync).
 				var got [][]byte
-				w := NewFrameWalker(2, stable)
+				w := NewWalker(stable)
 				n, _, _, clean := w.walkSubs(data, off, nil, func(sub []byte) { got = append(got, sub) })
 				if clean || n != 1 || !bytes.Equal(got[0], data[off:]) {
 					t.Fatalf("unseeded dependent frame %x: clean %v, %d subs", data, clean, n)
 				}
 			}
-			w := NewFrameWalker(2, stable)
+			w := NewWalker(stable)
 			if seeded {
 				// Pre-seed a mirror so continuity/stale paths run too.
 				seed := mk(cwire(prefix, 1, 0, 9))
@@ -658,7 +652,7 @@ func FuzzXFrameRoundTrip(f *testing.F) {
 			append([]byte{0x01}, rest...),
 			append([]byte{0x01}, rest...),
 		}
-		l := newXLink(t, 2, 1, 2)
+		l := newXLink(t, 1, 2)
 		for i, w := range wires {
 			l.b.Send(2, w)
 			if int(split)%len(wires) == i {
@@ -674,11 +668,10 @@ func FuzzXFrameRoundTrip(f *testing.F) {
 	})
 }
 
-// productionBatcher configures a Batcher the way core.Member does: the
-// epoch prefix arity of member wires and the owner's clock.
+// productionBatcher configures a Batcher the way core.Member does: with
+// the owner's clock.
 func productionBatcher(sink BatchSink, from event.Addr, now func() int64) *Batcher {
 	b := NewBatcher(sink, from, 0)
-	b.EnableCrossFrame(EpochPrefixUvarints)
 	b.SetClock(now)
 	return b
 }
