@@ -269,6 +269,38 @@ func TestWalkPrefixRestOverrunIsGarbage(t *testing.T) {
 	}
 }
 
+// TestWalkDeltaSeqOverflowIsGarbage: the bytes of a retired field delta
+// whose seqno delta would overflow its base (MaxInt64 + 1) surface as
+// garbage, in stable and scratch mode alike.
+func TestWalkDeltaSeqOverflowIsGarbage(t *testing.T) {
+	frame := deltaFrameOf(t, cwire(nil, 1, 0, math.MaxInt64))
+	tail := []byte{0x01}
+	tail = binary.AppendVarint(tail, 1) // MaxInt64 + 1 overflows
+	tail = binary.AppendUvarint(tail, 0)
+	bad := append(append([]byte(nil), frame...), tail...)
+	for _, stable := range []bool{true, false} {
+		if got := collectWalk(t, NewWalker(stable), bad); len(got) != 2 || !bytes.Equal(got[1], tail) {
+			t.Fatalf("stable=%v: overflowing delta should surface as garbage: %x", stable, got)
+		}
+	}
+}
+
+// TestWalkDeltaRestLengthOverrun: the bytes of a retired field delta
+// whose rest length overruns the frame surface as garbage, in stable and
+// scratch mode alike.
+func TestWalkDeltaRestLengthOverrun(t *testing.T) {
+	frame := deltaFrameOf(t, cwire(nil, 1, 0, 7))
+	tail := []byte{0x01}
+	tail = binary.AppendVarint(tail, 1)
+	tail = binary.AppendUvarint(tail, 100) // declares 100 bytes, none follow
+	bad := append(append([]byte(nil), frame...), tail...)
+	for _, stable := range []bool{true, false} {
+		if got := collectWalk(t, NewWalker(stable), bad); len(got) != 2 || !bytes.Equal(got[1], tail) {
+			t.Fatalf("stable=%v: rest-length overrun should surface as garbage: %x", stable, got)
+		}
+	}
+}
+
 func TestWalkDeltaTruncationsNeverPanic(t *testing.T) {
 	// Every prefix of a real multi-sub delta frame must decode without
 	// panicking, and whatever does not decode must still be surfaced
